@@ -503,20 +503,39 @@ def multivector_to_json(a):
     return doc
 
 
+def signature_from_json(doc):
+    """Signature from a JSON [p, q] pair of integers."""
+    if not (isinstance(doc, list) and len(doc) == 2
+            and all(isinstance(x, int) for x in doc)):
+        raise ValueError("signature must be a [p, q] pair of integers")
+    return Signature(*doc)
+
+
 def multivector_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("multivector JSON must be an object")
     ring = doc.get("ring", RATIONAL)
+    terms_doc = doc.get("terms", [])
+    if not isinstance(terms_doc, list):
+        raise ValueError("multivector 'terms' must be a list")
     terms = {}
-    for t in doc.get("terms", []):
+    for t in terms_doc:
+        if not (isinstance(t, dict) and isinstance(t.get("blade"), list)
+                and all(isinstance(i, int) for i in t["blade"])
+                and isinstance(t.get("coeff"), str)):
+            raise ValueError("a term needs a 'blade' list of integers and a 'coeff' string")
         b = blade_from_indices(t["blade"])
         c = parse_scalar(ring, t["coeff"])
         terms[b] = terms.get(b, 0) + c if b in terms else c
     if "signature" in doc:
-        p, q = doc["signature"]
+        sig = signature_from_json(doc["signature"])
         if ring != RATIONAL:
             raise ValueError("real multivectors use the rational ring")
-        return Multivector.real(Signature(p, q), terms)
+        return Multivector.real(sig, terms)
     if "complex_dim" in doc:
         if ring != GAUSSIAN:
             raise ValueError("complex multivectors use the gaussian ring")
+        if not isinstance(doc["complex_dim"], int):
+            raise ValueError("'complex_dim' must be an integer")
         return Multivector.complex_alg(doc["complex_dim"], terms)
     raise ValueError("multivector JSON needs 'signature' or 'complex_dim'")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Signature
+from .algebra import Signature, signature_from_json
 from .groups import PseudoOrthogonalMatrix, Versor, lift_to_pin, zeta
 
 
@@ -260,7 +260,7 @@ class GroupCocycle:
     @classmethod
     def from_json(cls, doc):
         complex_ = Complex.from_json(doc["complex"])
-        sig = Signature(*doc["signature"])
+        sig = signature_from_json(doc["signature"])
         edges = {}
         for item in doc["edges"]:
             e = tuple(item["e"])

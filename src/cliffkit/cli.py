@@ -162,6 +162,8 @@ def _cmd_zeta(args):
     sig = _parse_sig(args.sig)
     doc = _load_json(args.versor)
     factors_doc = doc["factors"] if isinstance(doc, dict) else doc
+    if not isinstance(factors_doc, list):
+        raise ValueError("versor JSON must be a list of factors")
     factors = [multivector_from_json(d) for d in factors_doc]
     g = make_versor(sig, factors)
     m = zeta(g)

@@ -4,14 +4,17 @@ Versors are products of anisotropic grade-1 elements.  The vector action
 used throughout is the untwisted adjoint zeta(g): v -> g v g^-1, under which
 a single vector w acts as minus the reflection across its orthogonal
 hyperplane, and the total reflection omega = v^1 ... v^n acts (for even n)
-as -identity.  Lifting goes the other way: a pseudo-orthogonal matrix is
-factored into reflections (constructive, at most 2n of them) and the product
-of the reflection vectors, patched by omega when the count is odd, is a
-versor mapping onto it.
+as -identity.  zeta applies the action one versor factor at a time, so every
+intermediate stays a grade-1 vector and the (generally dense) product of the
+factors is never multiplied.  Lifting goes the other way: a pseudo-orthogonal
+matrix is factored into reflections (constructive, at most 2n of them) and
+the product of the reflection vectors, patched by omega when the count is
+odd, is a versor mapping onto it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from .algebra import (
     basis_vector,
     eta,
     invert,
+    signature_from_json,
     unit,
     vector,
 )
@@ -41,23 +45,29 @@ class PseudoOrthogonalMatrix:
             raise ValueError("matrix shape does not match the signature")
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "mat", mat)
-        if not self._orthogonality_holds():
+        if not self.preserves_form():
             raise ValueError("matrix does not preserve the bilinear form")
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoOrthogonalMatrix is immutable")
 
-    def _orthogonality_holds(self):
+    def preserves_form(self):
+        """M^T eta M == eta exactly, entry by entry on the upper triangle.
+
+        With d the common denominator of the entries, N = d M is an integer
+        matrix and the identity reads N^T eta N == d^2 eta, so the sums run
+        over ints rather than Fractions.
+        """
         n = self.sig.n
         sq = [self.sig.square(i) for i in range(1, n + 1)]
-        m = self.mat
+        d = math.lcm(*(x.denominator for row in self.mat for x in row))
+        cols = [[x.numerator * (d // x.denominator) for x in col] for col in zip(*self.mat)]
+        d2 = d * d
         for a in range(n):
+            eta_col = [s * x for s, x in zip(sq, cols[a])]
             for b in range(a, n):
-                s = Fraction(0)
-                for k in range(n):
-                    s += sq[k] * m[k][a] * m[k][b]
-                want = sq[a] if a == b else 0
-                if s != want:
+                want = sq[a] * d2 if a == b else 0
+                if sum(x * y for x, y in zip(eta_col, cols[b])) != want:
                     return False
         return True
 
@@ -117,10 +127,14 @@ class PseudoOrthogonalMatrix:
     def from_json(cls, doc, sig=None):
         if isinstance(doc, list):
             rows = doc
-        else:
+        elif isinstance(doc, dict):
             rows = doc["matrix"]
             if sig is None and "signature" in doc:
-                sig = Signature(*doc["signature"])
+                sig = signature_from_json(doc["signature"])
+        else:
+            raise ValueError("matrix JSON must be a list of rows or an object")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValueError("matrix must be a list of rows")
         if sig is None:
             raise ValueError("signature required to read a matrix")
         return cls(sig, [[parse_rational(str(x)) for x in row] for row in rows])
@@ -224,14 +238,28 @@ def total_reflection_versor(sig: Signature) -> Versor:
 
 
 def zeta(g: Versor) -> PseudoOrthogonalMatrix:
-    """Untwisted adjoint action on grade 1: column a is g v^a g^-1."""
+    """Untwisted adjoint action on grade 1: column a is g e_a g^-1.
+
+    For g = v_1 ... v_k the sandwich is taken one factor at a time,
+    v_1 (v_2 ( ... (v_k e_a v_k^-1) ... ) v_2^-1) v_1^-1, which equals
+    g e_a g^-1 by associativity and g^-1 = v_k^-1 ... v_1^-1.  Each
+    v x v^-1 of a vector x is again a vector (minus its reflection), so
+    every product has a grade-1 operand.  Since v^-1 = v / eta(v, v), the
+    column is v_1 ... v_k e_a v_k ... v_1 divided once by the product of
+    the factor norms.
+    """
     sig = g.sig
     n = sig.n
-    ginv = g.inverse_mv()
+    denom = Fraction(1)
+    for v in g.factors:
+        denom *= _qform(sig, v.vector_coords())
+    inner_first = g.factors[::-1]
     cols = []
     for a in range(1, n + 1):
-        img = g.product * basis_vector(sig, a) * ginv
-        cols.append(img.vector_coords())
+        x = basis_vector(sig, a)
+        for v in inner_first:
+            x = v * x * v
+        cols.append((x / denom).vector_coords())
     mat = [[cols[a][i] for a in range(n)] for i in range(n)]
     return PseudoOrthogonalMatrix(sig, mat)
 

@@ -108,21 +108,34 @@ def check_irrep_dimensions(seed=0):
     return True, "real irrep dims: (1,3) -> 8, (3,1) -> 4"
 
 
+def _matches_definition(g, m):
+    """Column a of m is g e_a g^-1, with g sandwiching as one dense product."""
+    ginv = g.inverse_mv()
+    return all(
+        (g.product * basis_vector(g.sig, a) * ginv).vector_coords() == m.column(a - 1)
+        for a in range(1, g.sig.n + 1)
+    )
+
+
 def check_vector_action(seed=0):
-    """zeta lands in O(p,q) and is multiplicative; 200 versors and 100
-    product pairs per signature family with p + q <= 6."""
+    """zeta lands in O(p,q), agrees with g v g^-1 and is multiplicative; 200
+    versors and 100 product pairs per signature family with p + q <= 6."""
     rng = rng_from_seed(seed)
     sigs = _signatures(6, min_n=1)
     for sig in sigs:
         for _ in range(200):
             g = random_versor(sig, rng, num_factors=rng.randint(1, 2))
-            zeta(g)  # the constructor checks M^T eta M = eta exactly
+            if not zeta(g).preserves_form():
+                return False, f"{sig}: zeta(g) does not preserve the form"
     pairs_done = 0
     while pairs_done < 100:
         for sig in sigs:
             g = random_versor(sig, rng, num_factors=rng.randint(1, 2))
             h = random_versor(sig, rng, num_factors=rng.randint(1, 2))
-            if zeta(g * h) != zeta(g) * zeta(h):
+            zg, zh = zeta(g), zeta(h)
+            if not (_matches_definition(g, zg) and _matches_definition(h, zh)):
+                return False, f"{sig}: zeta(g) != g v g^-1"
+            if zeta(g * h) != zg * zh:
                 return False, f"{sig}: zeta(gh) != zeta(g) zeta(h)"
             pairs_done += 1
             if pairs_done >= 100:

@@ -155,6 +155,33 @@ def test_seed_determinism(capsys):
     assert outs[0] == outs[1]
 
 
+def test_zeta_factors_not_a_list_is_usage_error(capsys, tmp_path):
+    versor_file = tmp_path / "versor.json"
+    versor_file.write_text(json.dumps({"factors": 5}))
+    code, _, err = run(capsys, "zeta", "--sig", "2,0", "--versor", str(versor_file))
+    assert code == 2
+    assert "list of factors" in err
+
+
+def test_zeta_bad_factor_signature_is_usage_error(capsys, tmp_path):
+    versor_file = tmp_path / "versor.json"
+    versor_file.write_text(json.dumps([
+        {"ring": "rational", "signature": ["a", 0], "terms": [{"blade": [1], "coeff": "1"}]},
+    ]))
+    code, _, err = run(capsys, "zeta", "--sig", "2,0", "--versor", str(versor_file))
+    assert code == 2
+    assert "signature" in err
+
+
+@pytest.mark.parametrize("command", ["lift", "decompose"])
+def test_matrix_not_a_list_is_usage_error(capsys, tmp_path, command):
+    mat_file = tmp_path / "m.json"
+    mat_file.write_text(json.dumps({"matrix": 7}))
+    code, _, err = run(capsys, command, "--sig", "2,0", "--matrix", str(mat_file))
+    assert code == 2
+    assert "list of rows" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "cech", "betti", "/nonexistent/complex.json", "--k", "1")
     assert code == 2

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cliffkit.algebra import Signature, basis_vector, unit, vector
+from cliffkit.algebra import Multivector, Signature, basis_vector, unit, vector
 from cliffkit.groups import (
     PseudoOrthogonalMatrix,
     Versor,
@@ -30,6 +32,8 @@ def test_pseudo_orthogonal_validation():
     assert (rot * rot.inverse()).is_identity()
     with pytest.raises(ValueError):
         PseudoOrthogonalMatrix(E2, [[F(1), F(1)], [F(0), F(1)]])
+    with pytest.raises(ValueError):
+        PseudoOrthogonalMatrix(E2, [[F(3, 10), F(-2, 5)], [F(2, 5), F(3, 10)]])
     # Lorentz boost preserves the split form but not the Euclidean one
     boost = PseudoOrthogonalMatrix(M11, [[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]])
     assert boost.inverse().mat == ((F(5, 4), F(-3, 4)), (F(-3, 4), F(5, 4)))
@@ -91,6 +95,83 @@ def test_zeta_multiplicative_and_sign_blind():
             assert zeta(g * h) == zeta(g) * zeta(h)
             assert zeta(g) == zeta(g.negated())
             assert g.negated().product == -g.product
+
+
+def _dense_zeta_columns(g):
+    """Definition of zeta: column a is g.product * e_a * g^-1."""
+    ginv = g.inverse_mv()
+    return [
+        (g.product * basis_vector(g.sig, a) * ginv).vector_coords()
+        for a in range(1, g.sig.n + 1)
+    ]
+
+
+@st.composite
+def versors(draw):
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        coords = draw(st.lists(coeff, min_size=n, max_size=n).filter(
+            lambda c: sum(sig.square(i + 1) * c[i] * c[i] for i in range(n)) != 0
+        ))
+        factors.append(vector(sig, coords))
+    g = Versor(sig, factors)
+    return g.negated() if draw(st.booleans()) else g
+
+
+@settings(max_examples=150, deadline=None)
+@given(versors())
+def test_zeta_matches_definition_and_reflections(g):
+    n = g.sig.n
+    cols = [zeta(g).column(a) for a in range(n)]
+    assert cols == _dense_zeta_columns(g)
+    # zeta of a single vector is minus its reflection: (-1)^k R(v_1) ... R(v_k)
+    refl = PseudoOrthogonalMatrix.identity(g.sig)
+    for v in g.factors:
+        refl = refl * reflection_matrix(v)
+    sign = -1 if len(g.factors) % 2 else 1
+    assert cols == [tuple(sign * x for x in refl.column(a)) for a in range(n)]
+
+
+def _eight_factor_versor_4_4():
+    sig = Signature(4, 4)
+    coords = [
+        (1, -1, 2, -1, 3, 2, 3, 2),
+        (2, 1, 0, 1, -1, 1, 0, 1),
+        (F(1, 2), 3, -1, 2, 1, 0, 2, -1),
+        (1, 0, 1, 0, 0, 2, 0, 1),
+        (-2, 1, 1, 3, 1, -1, 2, 0),
+        (3, F(2, 3), 1, 1, 2, 2, 1, 1),
+        (0, 1, -1, 1, 1, 0, -2, 1),
+        (1, 2, 3, 4, 4, 3, 2, 2),
+    ]
+    return Versor(sig, [vector(sig, [F(c) for c in row]) for row in coords])
+
+
+def test_zeta_eight_factors_at_4_4_matches_definition():
+    g = _eight_factor_versor_4_4()
+    m = zeta(g)
+    assert [m.column(a) for a in range(8)] == _dense_zeta_columns(g)
+
+
+def test_zeta_term_pair_count(monkeypatch):
+    # deterministic work count: zeta never multiplies the dense product
+    g = _eight_factor_versor_4_4()
+    pairs = 0
+    plain_mul = Multivector.__mul__
+
+    def counting_mul(a, b):
+        nonlocal pairs
+        if isinstance(b, Multivector):
+            pairs += len(a.terms) * len(b.terms)
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counting_mul)
+    zeta(g)
+    assert pairs <= 25_000
 
 
 def test_cartan_dieudonne_rotation():
