@@ -133,13 +133,28 @@ class Complex:
 
     @classmethod
     def from_json(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError("complex JSON must be an object")
+        vertices = doc["vertices"]
+        if not isinstance(vertices, int) or isinstance(vertices, bool) or vertices < 0:
+            raise ValueError("'vertices' must be a non-negative integer")
         s = doc.get("simplices", {})
+        if not isinstance(s, dict):
+            raise ValueError("'simplices' must be an object keyed by dimension")
+        for k, simplices in s.items():
+            if not (isinstance(simplices, list)
+                    and all(_is_vertex_list(x) for x in simplices)):
+                raise ValueError(f"simplices {k!r} must be a list of vertex lists")
         return cls.build(
-            doc["vertices"],
+            vertices,
             edges=s.get("1", ()),
             triangles=s.get("2", ()),
             tetrahedra=s.get("3", ()),
         )
+
+
+def _is_vertex_list(x):
+    return isinstance(x, list) and all(isinstance(v, int) for v in x)
 
 
 def _faces(simplex):
@@ -259,10 +274,17 @@ class GroupCocycle:
 
     @classmethod
     def from_json(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError("cocycle JSON must be an object")
         complex_ = Complex.from_json(doc["complex"])
         sig = signature_from_json(doc["signature"])
+        items = doc["edges"]
+        if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+            raise ValueError("'edges' must be a list of {\"e\": [i, j], \"matrix\": rows} objects")
         edges = {}
-        for item in doc["edges"]:
+        for item in items:
+            if not _is_vertex_list(item["e"]):
+                raise ValueError("edge 'e' must be a list of vertex integers")
             e = tuple(item["e"])
             edges[e] = PseudoOrthogonalMatrix.from_json(item["matrix"], sig=sig)
         return cls.build(complex_, sig, edges)

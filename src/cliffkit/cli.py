@@ -239,6 +239,8 @@ def _cmd_spinor(args, seed):
 
 def _cmd_cech(args):
     doc = _load_json(args.file)
+    if not isinstance(doc, dict):
+        raise ValueError("cech input must be a JSON object")
     if args.cech_command == "betti":
         c = cech_mod.Complex.from_json(doc.get("complex", doc))
         print(cech_mod.z2_betti(c, args.k))

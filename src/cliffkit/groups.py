@@ -392,7 +392,7 @@ def chiral_rep(sig: Signature) -> Representation:
         ]
     else:
         raise ValueError("chiral model available for (1,3) and (4,0) only")
-    rep = Representation(sig, None, TargetRing("MatC", 4), gens, canonical=False)
+    rep = Representation(sig, None, TargetRing("MatC", 4), gens)
     if not rep.verify():
         raise AssertionError("chiral model failed verification")
     return rep

@@ -8,6 +8,7 @@ everything here is valid over the noncommutative quaternions too, except
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -214,10 +215,12 @@ def det(a):
 
 
 class SparseRankAccumulator:
-    """Incremental rank of sparse rational vectors (dicts position -> value).
+    """Incremental rank over Q of sparse vectors (dicts position -> value).
 
-    Rows are reduced against stored pivot rows; a row that does not vanish
-    contributes a new pivot.  Exact Fraction arithmetic throughout.
+    Values are ints or Fractions; a row is scaled to integers on entry and
+    reduced fraction-free against the stored pivot rows (cross-multiply,
+    then divide out the content), so no Fraction is built.  A row that does
+    not vanish contributes a new pivot.
     """
 
     def __init__(self):
@@ -229,19 +232,29 @@ class SparseRankAccumulator:
 
     def add(self, vec):
         """Reduce vec (dict) and absorb it.  Returns True if rank grew."""
-        row = {k: Fraction(v) for k, v in vec.items() if v}
+        vals = {k: v for k, v in vec.items() if v}
+        den = math.lcm(*(v.denominator for v in vals.values()))
+        row = {k: v.numerator * (den // v.denominator) for k, v in vals.items()}
         while row:
             p = min(row)
             piv = self.pivot_rows.get(p)
             if piv is None:
-                c = row[p]
-                self.pivot_rows[p] = {k: v / c for k, v in row.items()}
+                g = math.gcd(*row.values())
+                if row[p] < 0:
+                    g = -g
+                self.pivot_rows[p] = {k: v // g for k, v in row.items()}
                 return True
-            f = row[p]
+            a, f = piv[p], row[p]
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
             for k, v in piv.items():
                 nv = row.get(k, 0) - f * v
                 if nv:
                     row[k] = nv
                 else:
                     row.pop(k, None)
+            if a != 1 and row:
+                g = math.gcd(*row.values())
+                if g != 1:
+                    row = {k: v // g for k, v in row.items()}
         return False

@@ -15,12 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Multivector, Signature, basis_vector, unit
+from .algebra import Multivector, Signature, basis_vector
 from .scalars import (
     GAUSSIAN,
     QUATERNION,
     RATIONAL,
     RINGS,
+    TAU1,
+    TAU2,
+    TAU3,
     GaussianRational,
     Quaternion,
     format_scalar,
@@ -53,55 +56,6 @@ class TargetRing:
     def real_dim(self):
         return self.summands * self.m * self.m * KIND_REAL_DIM[self.kind]
 
-    def one(self):
-        one = RINGS[self.ring_tag].one
-        ident = linalg.identity(self.m, one)
-        return (ident, ident) if self.summands == 2 else ident
-
-    def zero(self):
-        one = RINGS[self.ring_tag].one
-        z = linalg.zeros(self.m, self.m, one)
-        return (z, z) if self.summands == 2 else z
-
-    def mul(self, x, y):
-        if self.summands == 2:
-            return (linalg.matmul(x[0], y[0]), linalg.matmul(x[1], y[1]))
-        return linalg.matmul(x, y)
-
-    def add(self, x, y):
-        if self.summands == 2:
-            return (linalg.matadd(x[0], y[0]), linalg.matadd(x[1], y[1]))
-        return linalg.matadd(x, y)
-
-    def scale(self, c, x):
-        if self.summands == 2:
-            return (linalg.scalar_mul(c, x[0]), linalg.scalar_mul(c, x[1]))
-        return linalg.scalar_mul(c, x)
-
-    def eq(self, x, y):
-        if self.summands == 2:
-            return linalg.mat_eq(x[0], y[0]) and linalg.mat_eq(x[1], y[1])
-        return linalg.mat_eq(x, y)
-
-    def flatten(self, x):
-        """Dense rational coordinates of an element (dict, sparse)."""
-        coords = RINGS[self.ring_tag].coords
-        d = KIND_REAL_DIM[self.kind]
-        parts = x if self.summands == 2 else (x,)
-        out = {}
-        off = 0
-        block = self.m * self.m * d
-        for part in parts:
-            for i, row in enumerate(part):
-                for j, v in enumerate(row):
-                    if not v:
-                        continue
-                    for k, comp in enumerate(coords(v)):
-                        if comp:
-                            out[off + (i * self.m + j) * d + k] = comp
-            off += block
-        return out
-
     def __str__(self):
         name = {"MatR": "R", "MatC": "C", "MatH": "H"}[self.kind]
         base = f"Mat({self.m},{name})"
@@ -123,25 +77,98 @@ def classify(sig: Signature) -> TargetRing:
     return TargetRing("MatH", 1 << ((n - 3) // 2), summands=2)
 
 
-class Representation:
-    """Generator matrices for an algebra, real (signature) or complex (n).
+# ---------------------------------------------------------------------------
+# monomial matrices
+#
+# Every generator and blade image is monomial: one unit entry in each row and
+# each column.  It is stored as (perm, codes): row i holds the unit with code
+# codes[i] in column perm[i].  Codes index Q8 = {+1, -1, +t1, -t1, +t2, -t2,
+# +t3, -t3} as 2 * axis + sign, so negation flips the low bit.  R uses the
+# codes {+1, -1} and C uses {+1, -1, +i, -i}, the image of {+-1, +-t1}.  A
+# direct sum Mat(m, K) + Mat(m, K) is stored block diagonally: the second
+# summand occupies rows and columns m .. 2m - 1.
 
-    ``canonical`` marks representations whose target is exactly the
-    classification target; derived objects such as complexified quaternionic
-    models carry canonical=False.
+_Q8 = tuple(u * s for u in (Quaternion(1), TAU1, TAU2, TAU3) for s in (1, -1))
+_RING_UNITS = {
+    RATIONAL: (Fraction(1), Fraction(-1)),
+    GAUSSIAN: tuple(GaussianRational(u.a, u.b) for u in _Q8[:4]),
+    QUATERNION: _Q8,
+}
+_UNIT_CODE = {tag: {u: k for k, u in enumerate(units)} for tag, units in _RING_UNITS.items()}
+# -1 is central, so the 16 products of the axis units fix the whole table
+_AXIS_MUL = [[_UNIT_CODE[QUATERNION][x * y] for y in _Q8[::2]] for x in _Q8[::2]]
+_UNIT_MUL = tuple(tuple(_AXIS_MUL[a >> 1][b >> 1] ^ ((a ^ b) & 1) for b in range(8))
+                  for a in range(8))
+_MINUS_I = 3  # -t1, read as -i in C
+_ZERO = {tag: info.one * 0 for tag, info in RINGS.items()}
+
+
+def _mono_mul(x, y):
+    p1, c1 = x
+    p2, c2 = y
+    mul = _UNIT_MUL
+    return tuple(p2[j] for j in p1), tuple(mul[a][c2[j]] for a, j in zip(c1, p1))
+
+
+def _mono_neg(x):
+    return x[0], tuple(c ^ 1 for c in x[1])
+
+
+def _to_mono(target, g):
+    """(perm, codes) of a dense generator image; ValueError unless monomial
+    with unit entries."""
+    m = target.m
+    parts = g if target.summands == 2 else (g,)
+    if len(parts) != target.summands:
+        raise ValueError("generator does not match the direct-sum target")
+    code_of = _UNIT_CODE[target.ring_tag]
+    perm, codes = [], []
+    for s, part in enumerate(parts):
+        if len(part) != m or any(len(row) != m for row in part):
+            raise ValueError(f"generator is not an {m}x{m} matrix")
+        for row in part:
+            hits = [(j, x) for j, x in enumerate(row) if x]
+            if len(hits) != 1 or hits[0][1] not in code_of:
+                raise ValueError("generator is not monomial with unit entries")
+            perm.append(s * m + hits[0][0])
+            codes.append(code_of[hits[0][1]])
+    if len(set(perm)) != len(perm):
+        raise ValueError("generator is not monomial with unit entries")
+    return tuple(perm), tuple(codes)
+
+
+class Representation:
+    """Generator images for an algebra, real (signature) or complex (n).
+
+    The constructor takes dense matrices (a pair of them per generator for a
+    direct-sum target).  Each must be monomial with unit entries; it is
+    stored as (perm, codes), and products, relations and injectivity run on
+    that form.  Dense matrices are rebuilt only where callers read them:
+    ``gens``, ``blade_image``, ``rho`` and ``rho_matrix``.
     """
 
-    def __init__(self, sig, complex_dim, target, gens, canonical=True):
+    def __init__(self, sig, complex_dim, target, gens):
+        self._setup(sig, complex_dim, target, tuple(_to_mono(target, g) for g in gens))
+
+    @classmethod
+    def _from_monos(cls, sig, complex_dim, target, monos):
+        rep = cls.__new__(cls)
+        rep._setup(sig, complex_dim, target, tuple(monos))
+        return rep
+
+    def _setup(self, sig, complex_dim, target, monos):
         if (sig is None) == (complex_dim is None):
             raise ValueError("exactly one of signature / complex_dim required")
         self.sig = sig
         self.complex_dim = complex_dim
         self.target = target
-        self.gens = tuple(gens)
-        self.canonical = canonical
+        self._monos = monos
         self.verified = False
-        self._blade_cache = {0: target.one()}
-        if len(self.gens) != self.n:
+        size = target.summands * target.m
+        self._blades = {0: (tuple(range(size)), (0,) * size)}
+        self._gens = None
+        self._rho_matrix = None
+        if len(monos) != self.n:
             raise ValueError("generator count does not match the algebra")
 
     @property
@@ -152,19 +179,53 @@ class Representation:
     def is_complex(self):
         return self.sig is None
 
+    @property
+    def gens(self):
+        """Dense generator images."""
+        if self._gens is None:
+            self._gens = tuple(self._dense(g) for g in self._monos)
+        return self._gens
+
     def gen_square(self, i):
         return self.sig.square(i) if self.sig is not None else 1
 
-    def blade_image(self, blade):
-        img = self._blade_cache.get(blade)
-        if img is not None:
-            return img
-        low = blade & -blade
-        rest = blade ^ low
-        g = self.gens[low.bit_length() - 1]
-        img = self.target.mul(g, self.blade_image(rest))
-        self._blade_cache[blade] = img
+    def _blade(self, blade):
+        img = self._blades.get(blade)
+        if img is None:
+            low = blade & -blade
+            img = _mono_mul(self._monos[low.bit_length() - 1], self._blade(blade ^ low))
+            self._blades[blade] = img
         return img
+
+    def _signed_blade(self, mv):
+        """Monomial image of a multivector +-blade."""
+        terms = list(mv.terms.items())
+        if len(terms) != 1 or terms[0][1] not in (1, -1):
+            raise ValueError("substitution is not a signed blade")
+        b, c = terms[0]
+        img = self._blade(b)
+        return img if c == 1 else _mono_neg(img)
+
+    def _zero_rows(self):
+        t = self.target
+        return [[_ZERO[t.ring_tag]] * t.m for _ in range(t.summands * t.m)]
+
+    def _shape(self, rows):
+        m = self.target.m
+        rows = tuple(tuple(r) for r in rows)
+        return (rows[:m], rows[m:]) if self.target.summands == 2 else rows
+
+    def _dense(self, mono):
+        units = _RING_UNITS[self.target.ring_tag]
+        m = self.target.m
+        rows = self._zero_rows()
+        for i, (j, c) in enumerate(zip(*mono)):
+            rows[i][j % m] = units[c]
+        return self._shape(rows)
+
+    def blade_image(self, blade):
+        """Dense image of a basis blade (bitmask)."""
+        return self._dense(self._blade(blade))
 
     def rho(self, mv: Multivector):
         """Image of a multivector; its space must match the source algebra."""
@@ -174,35 +235,64 @@ class Representation:
         else:
             if mv.is_complex or mv.sig != self.sig:
                 raise ValueError("multivector does not live in the source algebra")
-        acc = self.target.zero()
+        units = _RING_UNITS[self.target.ring_tag]
+        m = self.target.m
+        rows = self._zero_rows()
         for b, c in mv.terms.items():
-            acc = self.target.add(acc, self.target.scale(c, self.blade_image(b)))
-        return acc
+            for i, (j, u) in enumerate(zip(*self._blade(b))):
+                rows[i][j % m] = rows[i][j % m] + c * units[u]
+        return self._shape(rows)
+
+    def rho_matrix(self):
+        """rho as a matrix over the target ring: column b is blade_image(b)
+        read row by row (the second summand after the first).  Cached."""
+        if self._rho_matrix is None:
+            units = _RING_UNITS[self.target.ring_tag]
+            m = self.target.m
+            cols = 1 << self.n
+            zero = _ZERO[self.target.ring_tag]
+            rows = [[zero] * cols for _ in range(self.target.summands * m * m)]
+            for b in range(cols):
+                for i, (j, c) in enumerate(zip(*self._blade(b))):
+                    rows[i * m + j % m][b] = units[c]
+            self._rho_matrix = tuple(tuple(r) for r in rows)
+        return self._rho_matrix
 
     def check_relations(self):
-        """v^a v^b + v^b v^a = 2 eta^{ab} e, exactly."""
-        t = self.target
-        one = t.one()
-        zero = t.zero()
-        n = self.n
-        for a in range(n):
-            ga = self.gens[a]
-            for b in range(a, n):
-                gb = self.gens[b]
-                anti = t.add(t.mul(ga, gb), t.mul(gb, ga))
-                if a == b:
-                    want = t.scale(Fraction(2 * self.gen_square(a + 1)), one)
-                else:
-                    want = zero
-                if not t.eq(anti, want):
+        """v^a v^b + v^b v^a = 2 eta^{ab} e, exactly.
+
+        For unit monomials this says (v^a)^2 is +-1 times the identity and
+        v^a v^b = -v^b v^a: a sum of two unit monomials vanishes only when
+        their entries sit at the same positions with opposite signs.
+        """
+        gens = self._monos
+        size = self.target.summands * self.target.m
+        ident = tuple(range(size))
+        for a, ga in enumerate(gens):
+            perm, codes = _mono_mul(ga, ga)
+            want = 0 if self.gen_square(a + 1) == 1 else 1
+            if perm != ident or codes != (want,) * size:
+                return False
+            for gb in gens[a + 1:]:
+                ab, ba = _mono_mul(ga, gb), _mono_mul(gb, ga)
+                if ab != _mono_neg(ba):
                     return False
         return True
 
     def check_injective(self):
-        """All 2^n blade images are linearly independent over Q."""
+        """All 2^n blade images are linearly independent over Q.
+
+        Each image is a vector of real coordinates with one +-1 per row of
+        the monomial; the rank is computed exactly.
+        """
+        d = KIND_REAL_DIM[self.target.kind]
+        size = self.target.summands * self.target.m
         acc = linalg.SparseRankAccumulator()
         for b in range(1 << self.n):
-            if not acc.add(self.target.flatten(self.blade_image(b))):
+            perm, codes = self._blade(b)
+            vec = {(i * size + j) * d + (c >> 1): -1 if c & 1 else 1
+                   for i, (j, c) in enumerate(zip(perm, codes))}
+            if not acc.add(vec):
                 return False
         return True
 
@@ -270,17 +360,6 @@ BASE_BY_DEFECT = {
 # ---------------------------------------------------------------------------
 # structural moves
 
-def _block2(a, b, c, d):
-    """2x2 block matrix [[a, b], [c, d]] from equally sized blocks."""
-    m = len(a)
-    rows = []
-    for i in range(m):
-        rows.append(tuple(a[i]) + tuple(b[i]))
-    for i in range(m):
-        rows.append(tuple(c[i]) + tuple(d[i]))
-    return tuple(rows)
-
-
 def double_rep(r: Representation) -> Representation:
     """Representation of (p+1, q+1) on doubled matrices.
 
@@ -296,36 +375,34 @@ def double_rep(r: Representation) -> Representation:
     sig = Signature(r.sig.p + 1, r.sig.q + 1)
     t = r.target
     m = t.m
-    one = RINGS[t.ring_tag].one
-    ident = linalg.identity(m, one)
-    zero = linalg.zeros(m, m, one)
-    neg_ident = linalg.scalar_mul(-one, ident)
 
-    def dbl(fn):
-        if t.summands == 2:
-            return (fn(0), fn(1))
-        return fn(None)
+    def doubled(entry):
+        # entry(s, row) = (column, code) in that row of summand s, both local
+        # to the summand's 2m x 2m block
+        perm, codes = [], []
+        for s in range(t.summands):
+            for row in range(2 * m):
+                j, c = entry(s, row)
+                perm.append(2 * m * s + j)
+                codes.append(c)
+        return tuple(perm), tuple(codes)
 
-    def pick(x, idx):
-        return x[idx] if idx is not None else x
+    def diag(g):
+        perm, codes = g
 
-    v_plus = dbl(lambda idx: _block2(zero, ident, ident, zero))
-    v_minus = dbl(lambda idx: _block2(zero, neg_ident, ident, zero))
-    gens = [v_plus]
-    for a in range(r.sig.p):
-        old = r.gens[a]
-        gens.append(dbl(lambda idx, o=old: _block2(
-            pick(o, idx), zero, zero, linalg.scalar_mul(-one, pick(o, idx)))))
-    gens.append(v_minus)
-    for a in range(r.sig.p, r.sig.n):
-        old = r.gens[a]
-        gens.append(dbl(lambda idx, o=old: _block2(
-            pick(o, idx), zero, zero, linalg.scalar_mul(-one, pick(o, idx)))))
-    # reorder: positives are v+ then old positives, negatives v- then old ones
-    pos = [gens[0]] + gens[1:1 + r.sig.p]
-    neg = [gens[1 + r.sig.p]] + gens[2 + r.sig.p:]
+        def entry(s, row):
+            lower = row // m  # the lower block holds -A
+            i = s * m + row % m
+            return perm[i] - s * m + lower * m, codes[i] ^ lower
+        return doubled(entry)
+
+    v_plus = doubled(lambda s, row: ((row + m) % (2 * m), 0))
+    v_minus = doubled(lambda s, row: ((row + m) % (2 * m), int(row < m)))
+    # positives are v+ then old positives, negatives v- then old ones
+    pos = [v_plus] + [diag(g) for g in r._monos[:r.sig.p]]
+    neg = [v_minus] + [diag(g) for g in r._monos[r.sig.p:]]
     target = TargetRing(t.kind, 2 * m, summands=t.summands)
-    out = Representation(sig, None, target, pos + neg)
+    out = Representation._from_monos(sig, None, target, pos + neg)
     if not out.verify():
         raise AssertionError("doubled representation failed verification")
     return out
@@ -399,8 +476,8 @@ def compile_rep(sig: Signature) -> Representation:
         new_sig, gen_map = signature_shift(src, kind)
         if new_sig != sig:
             raise AssertionError("shift plan produced the wrong signature")
-        gens = [src_rep.rho(mv) for mv in gen_map]
-        rep = Representation(sig, None, src_rep.target, gens)
+        gens = [src_rep._signed_blade(mv) for mv in gen_map]
+        rep = Representation._from_monos(sig, None, src_rep.target, gens)
         if not rep.verify():
             raise AssertionError(f"compiled representation for {sig} failed verification")
     want = classify(sig)
@@ -423,19 +500,11 @@ def compile_complex_rep(n: int) -> Representation:
         raise ValueError("complex compilation needs positive even n")
     k = n // 2
     real = compile_rep(Signature(k, k))
-    m = real.target.m
-
-    def gauss(mat):
-        return tuple(tuple(GaussianRational.coerce(x) for x in row) for row in mat)
-
-    minus_i = GaussianRational(0, -1)
-    gens = []
-    for j in range(n):
-        img = gauss(real.gens[j])
-        if j >= k:
-            img = linalg.scalar_mul(minus_i, img)
-        gens.append(img)
-    rep = Representation(None, n, TargetRing("MatC", m), gens)
+    times_minus_i = _UNIT_MUL[_MINUS_I]
+    gens = list(real._monos[:k])
+    for perm, codes in real._monos[k:]:
+        gens.append((perm, tuple(times_minus_i[c] for c in codes)))
+    rep = Representation._from_monos(None, n, TargetRing("MatC", real.target.m), gens)
     if not rep.verify():
         raise AssertionError("complex compilation failed verification")
     return rep
@@ -465,8 +534,8 @@ def even_subring_rep(sig: Signature):
     derived = Signature(len(pos), len(neg))
     gen_map = pos + neg
     ambient = compile_rep(sig)
-    gens = [ambient.rho(w) for w in gen_map]
-    rep = Representation(derived, None, ambient.target, gens, canonical=False)
+    gens = [ambient._signed_blade(w) for w in gen_map]
+    rep = Representation._from_monos(derived, None, ambient.target, gens)
     if not rep.verify():
         raise AssertionError("even subring representation failed verification")
     return derived, gen_map, rep
@@ -512,8 +581,7 @@ def quaternion_complexify(r: Representation) -> Representation:
                     for b in range(2):
                         big[2 * i + a][2 * j + b] = blk[a][b]
         gens.append(tuple(tuple(row) for row in big))
-    out = Representation(r.sig, r.complex_dim, TargetRing("MatC", 2 * m), gens,
-                         canonical=False)
+    out = Representation(r.sig, r.complex_dim, TargetRing("MatC", 2 * m), gens)
     if not out.verify():
         raise AssertionError("complexified representation failed verification")
     return out
@@ -532,8 +600,7 @@ def factor_projections(r: Representation):
     t = TargetRing(r.target.kind, r.target.m)
     out = []
     for idx in (0, 1):
-        rep = Representation(r.sig, r.complex_dim, t,
-                             [g[idx] for g in r.gens], canonical=False)
+        rep = Representation(r.sig, r.complex_dim, t, [g[idx] for g in r.gens])
         rep.verify(injective=False)
         out.append(rep)
     return out

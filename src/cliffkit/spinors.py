@@ -290,28 +290,14 @@ def stabilizer_membership(g: Multivector, space: SpinorSpace) -> bool:
 # ---------------------------------------------------------------------------
 # preimages in the compiled model
 
-_PREIMAGE_CACHE = {}
-
-
 def rep_preimage(rep: Representation, matrix):
     """Multivector x with rho(x) = matrix, or None (complex models only)."""
     if not rep.is_complex:
         raise ValueError("preimage helper supports complex models only")
     n = rep.complex_dim
     m = rep.target.m
-    key = id(rep)
-    A = _PREIMAGE_CACHE.get(key)
-    if A is None:
-        cols = []
-        for b in range(1 << n):
-            img = rep.blade_image(b)
-            cols.append([img[i][j] for i in range(m) for j in range(m)])
-        A = tuple(
-            tuple(cols[b][r] for b in range(1 << n)) for r in range(m * m)
-        )
-        _PREIMAGE_CACHE[key] = A
     vec = [GaussianRational.coerce(matrix[i][j]) for i in range(m) for j in range(m)]
-    x = linalg.solve(A, vec)
+    x = linalg.solve(rep.rho_matrix(), vec)
     if x is None:
         return None
     return from_coords(Multivector.complex_alg(n, {}), x)

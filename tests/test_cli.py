@@ -192,3 +192,54 @@ def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "one", "three"])
     assert exc.value.code == 2
+
+
+def _sphere_cocycle_doc():
+    tetra = tetrahedron_boundary()
+    ident = [["1", "0"], ["0", "1"]]
+    return {
+        "complex": tetra.to_json(), "signature": [2, 0],
+        "edges": [{"e": list(e), "matrix": ident} for e in tetra.edges],
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "lift"])
+@pytest.mark.parametrize("edges, message", [
+    (5, "'edges' must be a list"),
+    ([5], "'edges' must be a list"),
+    ([{"e": 3, "matrix": [["1", "0"], ["0", "1"]]}], "edge 'e'"),
+])
+def test_cech_bad_edges_is_usage_error(capsys, tmp_path, command, edges, message):
+    doc = _sphere_cocycle_doc()
+    doc["edges"] = edges
+    coc_file = tmp_path / "coc.json"
+    coc_file.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "cech", command, str(coc_file))
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": 4, "simplices": {"1": 5}}, "list of vertex lists"),
+    ({"vertices": 4, "simplices": {"1": [[0, "x"]]}}, "list of vertex lists"),
+    ({"vertices": 4, "simplices": [[0, 1]]}, "'simplices' must be an object"),
+    ({"vertices": "x"}, "'vertices' must be a non-negative integer"),
+    ({"complex": {"vertices": -1}}, "'vertices' must be a non-negative integer"),
+    ([0, 1], "must be a JSON object"),
+])
+def test_cech_bad_complex_is_usage_error(capsys, tmp_path, doc, message):
+    cx_file = tmp_path / "complex.json"
+    cx_file.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "cech", "betti", str(cx_file), "--k", "1")
+    assert code == 2
+    assert message in err
+
+
+def test_cech_cocycle_bad_complex_is_usage_error(capsys, tmp_path):
+    doc = _sphere_cocycle_doc()
+    doc["complex"]["simplices"]["2"] = 5
+    coc_file = tmp_path / "coc.json"
+    coc_file.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "cech", "check", str(coc_file))
+    assert code == 2
+    assert "list of vertex lists" in err

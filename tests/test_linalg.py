@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cliffkit import linalg
 from cliffkit.scalars import GaussianRational, Quaternion
 
@@ -103,3 +106,17 @@ def test_sparse_rank_accumulator():
     assert acc.add({7: Fraction(1)})
     assert acc.rank == 3
     assert not acc.add({})
+
+
+_entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_entries, min_size=5, max_size=5), min_size=1, max_size=7))
+def test_sparse_rank_accumulator_matches_dense_rank(rows):
+    acc = linalg.SparseRankAccumulator()
+    grew = [acc.add({j: v for j, v in enumerate(row) if v}) for row in rows]
+    dense = [[Fraction(v) for v in row] for row in rows]
+    assert acc.rank == linalg.rank(dense) == sum(grew)
+    for k in range(len(dense)):
+        assert grew[k] == (linalg.rank(dense[:k + 1]) > linalg.rank(dense[:k]))

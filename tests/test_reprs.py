@@ -4,6 +4,8 @@ The exact generator matrices asserted here were checked by hand against the
 standard low-dimensional models (Pauli and quaternion blocks).
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from cliffkit import linalg
 from cliffkit.algebra import Signature
 from cliffkit.reprs import (
+    Representation,
     TargetRing,
     base_rep,
     classify,
@@ -241,3 +244,74 @@ def test_rep_json_roundtrip():
     rep = compile_complex_rep(2)
     back = rep_from_json(rep_to_json(rep))
     assert back.complex_dim == 2 and back.gens == rep.gens
+
+
+def test_unit_code_table_matches_quaternion_products():
+    from cliffkit.reprs import _Q8, _UNIT_MUL
+
+    assert all(_Q8[_UNIT_MUL[a][b]] == _Q8[a] * _Q8[b] for a in range(8) for b in range(8))
+
+
+def test_compiled_models_golden_digest():
+    # sha256 over the JSON of every model with p + q <= 8, then of the
+    # complex models n = 2, 4, 6, 8: pins every generator entry
+    h = hashlib.sha256()
+    for n in range(9):
+        for p in range(n + 1):
+            h.update(json.dumps(rep_to_json(compile_rep(Signature(p, n - p))), sort_keys=True).encode())
+    for n in (2, 4, 6, 8):
+        h.update(json.dumps(rep_to_json(compile_complex_rep(n)), sort_keys=True).encode())
+    assert h.hexdigest() == "d352364ef07b11afc9c308a9a8030577b289dac9bf6f5a347085649d83bbbf63"
+
+
+@pytest.mark.parametrize("source", [Signature(0, 3), Signature(1, 3), Signature(3, 2), 4], ids=str)
+def test_blade_images_match_dense_products(source):
+    rep = compile_complex_rep(source) if isinstance(source, int) else compile_rep(source)
+
+    def mul(x, y):
+        if rep.target.summands == 2:
+            return (linalg.matmul(x[0], y[0]), linalg.matmul(x[1], y[1]))
+        return linalg.matmul(x, y)
+
+    for b in range(1, 1 << rep.n):
+        want = None
+        for i in range(rep.n):
+            if b >> i & 1:
+                want = rep.gens[i] if want is None else mul(want, rep.gens[i])
+        assert rep.blade_image(b) == want
+
+
+def _cl20_doc():
+    return rep_to_json(compile_rep(Signature(2, 0)))
+
+
+@pytest.mark.parametrize("entries", [
+    [["1", "1"], ["1", "-1"]],  # two entries in a row
+    [["0", "2"], ["2", "0"]],  # entries are not units
+    [["1", "0"], ["1", "0"]],  # repeated column
+    [["1", "0", "0"], ["0", "1", "0"]],  # wrong shape
+])
+def test_rep_from_json_rejects_non_monomial(entries):
+    doc = _cl20_doc()
+    doc["generators"][0] = entries
+    with pytest.raises(ValueError):
+        rep_from_json(doc)
+    rep_from_json(_cl20_doc())
+
+
+def test_relations_and_injectivity_failures_are_caught():
+    # Cl(1,0) -> R + R with e1 -> (1, 1): the relation holds, but the images
+    # of 1 and e1 coincide
+    rep = Representation(Signature(1, 0), None, TargetRing("MatR", 1, summands=2),
+                         [(((F1,),), ((F1,),))])
+    assert rep.check_relations()
+    assert not rep.check_injective()
+    assert not rep.verify()
+    # sigma1 twice: squares hold, anticommutation fails
+    s1 = ((F0, F1), (F1, F0))
+    rep = Representation(Signature(2, 0), None, TargetRing("MatR", 2), [s1, s1])
+    assert not rep.check_relations()
+    assert not rep.verify()
+    # sigma1 for a negative generator: wrong square
+    rep = Representation(Signature(0, 1), None, TargetRing("MatR", 2), [s1])
+    assert not rep.verify()
