@@ -46,33 +46,18 @@ class Signature:
         return f"({self.p},{self.q})"
 
 
-def _reorder_sign(b1, b2):
-    # parity of transpositions needed to interleave two ascending blades
-    a = b1 >> 1
-    s = 0
-    while a:
-        s += (a & b2).bit_count()
-        a >>= 1
-    return -1 if s & 1 else 1
-
-
 def blade_mul(b1, b2, sig):
     """Product of two basis blades; returns (sign, blade bitmask).
 
-    ``sig`` may be a Signature or an int n (complex algebra, all squares +1).
+    ``sig`` may be a Signature or an int n (complex algebra, all squares +1,
+    which has the sign rule of the signature (n, 0)).
     """
-    if isinstance(sig, Signature):
-        n = sig.n
-        neg_mask = ((1 << n) - 1) ^ ((1 << sig.p) - 1)
-    else:
-        n = sig
-        neg_mask = 0
-    if b1 < 0 or b2 < 0 or b1 >> n or b2 >> n:
-        raise ValueError("blade index out of range for the algebra dimension")
-    sign = _reorder_sign(b1, b2)
-    if (b1 & b2 & neg_mask).bit_count() & 1:
-        sign = -sign
-    return sign, b1 ^ b2
+    if not isinstance(sig, Signature):
+        sig = Signature(sig, 0)
+    # Multivector.real raises ValueError for a blade outside the algebra
+    prod = Multivector.real(sig, {b1: 1}) * Multivector.real(sig, {b2: 1})
+    [(blade, sign)] = prod.terms.items()
+    return sign, blade
 
 
 def blade_indices(blade):
@@ -183,15 +168,7 @@ class Multivector:
         return Multivector(self.sig, self.n, self.ring, terms)
 
     def __sub__(self, other):
-        self._check_space(other)
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            nv = terms.get(b, 0) - c
-            if nv:
-                terms[b] = nv
-            else:
-                terms.pop(b, None)
-        return Multivector(self.sig, self.n, self.ring, terms)
+        return self + -other
 
     def __neg__(self):
         return Multivector(self.sig, self.n, self.ring, {b: -c for b, c in self.terms.items()})
@@ -323,10 +300,6 @@ class Multivector:
 # ---------------------------------------------------------------------------
 # convenience constructors
 
-def scalar_mv(sig, c):
-    return Multivector.real(sig, {0: c})
-
-
 def unit(sig):
     return Multivector.real(sig, {0: 1})
 
@@ -347,20 +320,10 @@ def complex_unit(n):
     return Multivector.complex_alg(n, {0: 1})
 
 
-def complex_scalar(n, c):
-    return Multivector.complex_alg(n, {0: c})
-
-
 def complex_basis_vector(n, i):
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for dimension {n}")
     return Multivector.complex_alg(n, {1 << (i - 1): 1})
-
-
-def complex_vector(n, coords):
-    if len(coords) != n:
-        raise ValueError("coordinate count does not match the dimension")
-    return Multivector.complex_alg(n, {1 << k: c for k, c in enumerate(coords)})
 
 
 # ---------------------------------------------------------------------------
@@ -420,34 +383,12 @@ def _field_zero_one(ring):
     return GaussianRational(0), GaussianRational(1)
 
 
-def left_mul_matrix(a):
-    """Matrix of x -> a*x on the blade basis, columns indexed by blades."""
-    dim = 1 << a.n
-    zero, _one = _field_zero_one(a.ring)
-    cols = []
-    for b2 in range(dim):
-        col = [zero] * dim
-        for b1, c1 in a.terms.items():
-            s, b = blade_mul(b1, b2, a.sig if a.sig is not None else a.n)
-            c = c1 if s > 0 else -c1
-            col[b] = col[b] + c
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-
-
-def right_mul_matrix(a):
-    """Matrix of x -> x*a on the blade basis."""
-    dim = 1 << a.n
-    zero, _one = _field_zero_one(a.ring)
-    cols = []
-    for b2 in range(dim):
-        col = [zero] * dim
-        for b1, c1 in a.terms.items():
-            s, b = blade_mul(b2, b1, a.sig if a.sig is not None else a.n)
-            c = c1 if s > 0 else -c1
-            col[b] = col[b] + c
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+def map_matrix(model, f):
+    """Matrix of a linear map f on the algebra of ``model``, on the blade
+    basis: column b holds the coordinates of f(e_b)."""
+    _zero, one = _field_zero_one(model.ring)
+    cols = [coords_vector(f(model._wrap({b: one}))) for b in range(1 << model.n)]
+    return tuple(zip(*cols))
 
 
 def coords_vector(a):
@@ -471,7 +412,7 @@ def invert(a):
 
     dim = 1 << a.n
     _zero, one = _field_zero_one(a.ring)
-    L = left_mul_matrix(a)
+    L = map_matrix(a, lambda x: a * x)
     e0 = [one - one] * dim
     e0[0] = one
     x = linalg.solve(L, e0)

@@ -32,6 +32,9 @@ from .spinors import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# largest p + q (or complex N) that compile accepts: a model has 2^n blade
+# images, and n = 14 already takes seconds while n = 16 takes minutes
+MAX_COMPILE_DIM = 14
 
 
 def _parse_sig(text) -> Signature:
@@ -140,13 +143,17 @@ def _cmd_classify(args):
 
 def _cmd_compile(args):
     if args.complex_dim is not None:
-        rep = compile_complex_rep(args.complex_dim)
-        label = f"C({args.complex_dim})"
+        n, label = args.complex_dim, f"C({args.complex_dim})"
+    elif args.p is None or args.q is None:
+        raise ValueError("compile needs p q or --complex N")
     else:
-        if args.p is None or args.q is None:
-            raise ValueError("compile needs p q or --complex N")
+        n, label = args.p + args.q, f"Cl({args.p},{args.q})"
+    if n > MAX_COMPILE_DIM:
+        raise ValueError(f"{label}: compile supports p + q (or N) up to {MAX_COMPILE_DIM}")
+    if args.complex_dim is not None:
+        rep = compile_complex_rep(n)
+    else:
         rep = compile_rep(Signature(args.p, args.q))
-        label = f"Cl({args.p},{args.q})"
     if args.verify and not rep.verify():
         print(f"{label}: verification FAILED")
         return CHECK_FAILED
@@ -214,7 +221,10 @@ def _cmd_spinor(args, seed):
     if args.idempotent == "auto":
         idem = primitive_idempotent(n)
     else:
-        idem = make_idempotent(multivector_from_json(_load_json(args.idempotent)))
+        s = multivector_from_json(_load_json(args.idempotent))
+        if not s.is_complex or s.n != n:
+            raise ValueError(f"idempotent file is not an element of C({n})")
+        idem = make_idempotent(s)
     space = left_ideal(idem)
     minimal = is_minimal(space)
     print(f"ideal dimension: {space.dim} "

@@ -9,11 +9,8 @@ everything here is valid over the noncommutative quaternions too, except
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
-
-
-def mat(rows):
-    return tuple(tuple(r) for r in rows)
 
 
 def identity(n, one=Fraction(1)):
@@ -21,11 +18,6 @@ def identity(n, one=Fraction(1)):
     return tuple(
         tuple(one if i == j else zero for j in range(n)) for i in range(n)
     )
-
-
-def zeros(n, m, one=Fraction(1)):
-    zero = one - one
-    return tuple(tuple(zero for _ in range(m)) for _ in range(n))
 
 
 def matmul(a, b):
@@ -51,27 +43,15 @@ def matadd(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def matsub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def scalar_mul(c, a):
     # left multiplication, entry by entry
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def transpose(a):
-    return tuple(zip(*a))
 
 
 def mat_eq(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(a):
-    return all(not x for row in a for x in row)
 
 
 def rref(rows):
@@ -212,6 +192,40 @@ def det(a):
     if sign < 0:
         d = -d
     return d
+
+
+def first_accepted(basis, accept, seed=0):
+    """First non-None ``accept(v)`` over points v of the span of ``basis``.
+
+    The points are flat vectors, tried lazily in a fixed order: each basis
+    vector, then the running sums b0, b0 + b1, ..., then 100 combinations
+    with integer coefficients in [-3, 3] drawn from ``random.Random(seed)``
+    (a combination whose coefficients are all zero is skipped).  Returns
+    None when every point is rejected.
+    """
+
+    def points():
+        yield from basis
+        acc = None
+        for v in basis:
+            acc = v if acc is None else tuple(x + y for x, y in zip(acc, v))
+            yield acc
+        rng = random.Random(seed)
+        for _ in range(100):
+            combo = None
+            for v in basis:
+                f = rng.randint(-3, 3)
+                if f:
+                    term = tuple(f * x for x in v)
+                    combo = term if combo is None else tuple(x + y for x, y in zip(combo, term))
+            if combo is not None:
+                yield combo
+
+    for v in points():
+        found = accept(v)
+        if found is not None:
+            return found
+    return None
 
 
 class SparseRankAccumulator:

@@ -10,7 +10,6 @@ shifts (an index flip and a (p, q) -> (p - 4, q + 4) move), then stacks
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -619,7 +618,8 @@ class Intertwiner:
 
 
 def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
-    """Basis of {S : S A_g = B_g S} as flat coordinate vectors.
+    """Basis of {S : S A_g = B_g S} as flat coordinate vectors, and the map
+    from such a vector to its matrix S.
 
     Over R and C this solves directly in the field; over H the problem is
     linearized over Q by probing the 4 m^2 real coordinates.
@@ -637,11 +637,10 @@ def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
                     for r_ in range(m):
                         row[r_ * m + j] = row[r_ * m + j] - B[i][r_]
                     rows.append(row)
-        basis = linalg.nullspace(rows)
-        mats = []
-        for v in basis:
-            mats.append(tuple(tuple(v[i * m + j] for j in range(m)) for i in range(m)))
-        return mats
+
+        def to_matrix(v):
+            return tuple(tuple(v[i * m:(i + 1) * m]) for i in range(m))
+        return linalg.nullspace(rows), to_matrix
     # quaternion case: real-linear probing
     units = (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1))
     dim = 4 * m * m
@@ -663,52 +662,26 @@ def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
                             col.extend(coords(val))
                 columns.append(col)
     rows = [tuple(columns[k][r] for k in range(dim)) for r in range(len(columns[0]))]
-    basis = linalg.nullspace(rows)
-    mats = []
-    for v in basis:
-        entries = []
-        for r_ in range(m):
-            row = []
-            for c in range(m):
-                base = (r_ * m + c) * 4
-                row.append(Quaternion(v[base], v[base + 1], v[base + 2], v[base + 3]))
-            entries.append(tuple(row))
-        mats.append(tuple(entries))
-    return mats
 
-
-def _first_invertible(candidates, seed=0):
-    if not candidates:
-        return None, None
-    tried = list(candidates)
-    acc = None
-    for c in candidates:
-        acc = c if acc is None else linalg.matadd(acc, c)
-        tried.append(acc)
-    rng = random.Random(seed)
-    for _ in range(100):
-        coeffs = [rng.randint(-3, 3) for _ in candidates]
-        combo = None
-        for cf, c in zip(coeffs, candidates):
-            if not cf:
-                continue
-            scaled = linalg.scalar_mul(Fraction(cf), c)
-            combo = scaled if combo is None else linalg.matadd(combo, scaled)
-        if combo is not None:
-            tried.append(combo)
-    for s in tried:
-        sinv = linalg.inv(s)
-        if sinv is not None:
-            return s, sinv
-    return None, None
+    def to_matrix(v):
+        q = [Quaternion(*v[k:k + 4]) for k in range(0, dim, 4)]
+        return tuple(tuple(q[i * m:(i + 1) * m]) for i in range(m))
+    return linalg.nullspace(rows), to_matrix
 
 
 def solve_intertwiner(gens1, gens2, m, ring_tag, seed=0):
     """Invertible S with S A_g S^-1 = B_g, or None if none exists."""
-    basis = _intertwiner_nullspace(gens1, gens2, m, ring_tag)
-    s, sinv = _first_invertible(basis, seed=seed)
-    if s is None:
+    basis, to_matrix = _intertwiner_nullspace(gens1, gens2, m, ring_tag)
+
+    def invertible(v):
+        s = to_matrix(v)
+        sinv = linalg.inv(s)
+        return None if sinv is None else (s, sinv)
+
+    found = linalg.first_accepted(basis, invertible, seed=seed)
+    if found is None:
         return None
+    s, sinv = found
     for A, B in zip(gens1, gens2):
         if not linalg.mat_eq(linalg.matmul(linalg.matmul(s, A), sinv), B):
             return None

@@ -70,14 +70,3 @@ def random_unitary_versor(n, rng, num_factors=2) -> Multivector:
         )
         g = g * v
     return g
-
-
-def random_multivector(sig: Signature, rng, max_terms=4, lo=-3, hi=3) -> Multivector:
-    dim = 1 << sig.n
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        b = rng.randrange(dim)
-        c = rng.randint(lo, hi)
-        if c:
-            terms[b] = terms.get(b, 0) + c
-    return Multivector.real(sig, {b: c for b, c in terms.items() if c})

@@ -254,14 +254,6 @@ RINGS = {
 }
 
 
-def ring_conjugate(tag, x):
-    if tag == RATIONAL:
-        return x
-    if tag == GAUSSIAN:
-        return GaussianRational.coerce(x).conjugate()
-    return Quaternion.coerce(x).conjugate()
-
-
 # ---------------------------------------------------------------------------
 # string formats used in the JSON interfaces
 

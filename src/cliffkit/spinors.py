@@ -17,8 +17,7 @@ from .algebra import (
     coords_vector,
     from_coords,
     invert,
-    left_mul_matrix,
-    right_mul_matrix,
+    map_matrix,
 )
 from .reprs import Representation, compile_complex_rep, solve_intertwiner
 from .scalars import GAUSSIAN, GaussianRational
@@ -83,20 +82,10 @@ class SpinorSpace:
     def dim(self):
         return len(self.basis)
 
-    def reduce_coords(self, coords):
-        coords = list(coords)
-        for row, piv in zip(self._rref_rows, self._pivots):
-            c = coords[piv]
-            if c:
-                for j, v in enumerate(row):
-                    if v:
-                        coords[j] = coords[j] - c * v
-        return coords
-
     def contains(self, mv: Multivector) -> bool:
         if not mv.is_complex or mv.n != self.n:
             raise ValueError("element lives in a different algebra")
-        return not any(self.reduce_coords(coords_vector(mv)))
+        return self.coordinates(mv) is not None
 
     def coordinates(self, mv: Multivector):
         """Coordinates on the canonical basis, or None if mv is outside."""
@@ -244,39 +233,16 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
     """
     if p1.space_key() != p2.space_key():
         raise ValueError("idempotents live in different algebras")
-    R1 = right_mul_matrix(p1)
-    L2 = left_mul_matrix(p2)
-    rows = linalg.matsub(R1, L2)
-    basis = linalg.nullspace(rows)
-    if not basis:
-        return None
-    candidates = [from_coords(p1, v) for v in basis]
-    tried = list(candidates)
-    acc = None
-    for c in candidates:
-        acc = c if acc is None else acc + c
-        tried.append(acc)
-    import random
+    basis = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
 
-    rng = random.Random(seed)
-    for _ in range(100):
-        combo = None
-        for c in candidates:
-            f = rng.randint(-3, 3)
-            if f:
-                term = c * f
-                combo = term if combo is None else combo + term
-        if combo is not None:
-            tried.append(combo)
-    for g in tried:
+    def conjugates(v):
+        g = from_coords(p1, v)
         if not g:
-            continue
+            return None
         ginv = invert(g)
-        if ginv is None:
-            continue
-        if g * p1 * ginv == p2:
-            return g
-    return None
+        return g if ginv is not None and g * p1 * ginv == p2 else None
+
+    return linalg.first_accepted(basis, conjugates, seed=seed)
 
 
 def stabilizer_membership(g: Multivector, space: SpinorSpace) -> bool:

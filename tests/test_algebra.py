@@ -1,6 +1,7 @@
 """Blade arithmetic, involutions and inversion in the core algebra."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from cliffkit.algebra import (
     complexify_embed,
     eta,
     invert,
+    map_matrix,
     multivector_from_json,
     multivector_to_json,
     unit,
@@ -51,6 +53,36 @@ def test_blade_mul_examples():
     assert blade_mul(0b11, 0b10, sig) == (1, 0b01)
     with pytest.raises(ValueError):
         blade_mul(0b100, 0b01, sig)
+
+
+@pytest.mark.parametrize("space", [Signature(2, 1), Signature(1, 3), 3], ids=str)
+def test_map_matrix_matches_blade_mul(space):
+    # left and right multiplication matrices built term by term from blade_mul
+    rng = random.Random(17)
+    n = space if isinstance(space, int) else space.n
+    dim = 1 << n
+    for _ in range(6):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if isinstance(space, int):
+                c = GaussianRational(c, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            terms[rng.randrange(dim)] = c
+        if isinstance(space, int):
+            a = Multivector.complex_alg(space, terms)
+        else:
+            a = Multivector.real(space, terms)
+        zero = GaussianRational(0) if a.is_complex else Fraction(0)
+        left = [[zero] * dim for _ in range(dim)]
+        right = [[zero] * dim for _ in range(dim)]
+        for b, c in a.terms.items():
+            for x in range(dim):
+                s, y = blade_mul(b, x, space)
+                left[y][x] = left[y][x] + s * c
+                s, y = blade_mul(x, b, space)
+                right[y][x] = right[y][x] + s * c
+        assert map_matrix(a, lambda x: a * x) == tuple(map(tuple, left))
+        assert map_matrix(a, lambda x: x * a) == tuple(map(tuple, right))
 
 
 def test_blade_index_helpers():

@@ -47,6 +47,14 @@ def test_compile_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [("15", "0"), ("7", "8"), ("0", "20"), ("--complex", "16")])
+def test_compile_size_bound_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "compile", *argv)
+    assert code == 2
+    assert out == ""
+    assert "up to 14" in err
+
+
 def test_zeta_command(capsys, tmp_path):
     versor_file = tmp_path / "versor.json"
     versor_file.write_text(json.dumps([
@@ -100,6 +108,22 @@ def test_spinor_nonminimal_idempotent(capsys, tmp_path):
                        "--idempotent", str(idem_file), "--model")
     assert code == 1
     assert "not minimal" in out
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_spinor_idempotent_of_other_dimension_is_usage_error(capsys, tmp_path, dim):
+    idem_file = tmp_path / "idem.json"
+    idem_file.write_text(json.dumps({
+        "ring": "gaussian", "complex_dim": dim,
+        "terms": [{"blade": [1], "coeff": "1"}],
+    }))
+    out_file = tmp_path / "spinor.json"
+    code, out, err = run(capsys, "spinor", "--complex", "4",
+                         "--idempotent", str(idem_file), "--json", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert "C(4)" in err
+    assert not out_file.exists()
 
 
 def test_cech_betti_and_check(capsys, tmp_path):

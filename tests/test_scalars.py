@@ -23,7 +23,6 @@ from cliffkit.scalars import (
     parse_quaternion,
     parse_rational,
     parse_scalar,
-    ring_conjugate,
 )
 
 rationals = st.builds(
@@ -142,9 +141,3 @@ def test_scalar_dispatch():
     assert parse_scalar(GAUSSIAN, format_scalar(GAUSSIAN, z)) == z
     q = Quaternion(1, -2, Fraction(1, 5), 0)
     assert parse_scalar(QUATERNION, format_scalar(QUATERNION, q)) == q
-
-
-def test_ring_conjugate():
-    assert ring_conjugate(RATIONAL, Fraction(2, 3)) == Fraction(2, 3)
-    assert ring_conjugate(GAUSSIAN, GaussianRational(1, 2)) == GaussianRational(1, -2)
-    assert ring_conjugate(QUATERNION, Quaternion(1, 2, 3, 4)) == Quaternion(1, -2, -3, -4)

@@ -1,5 +1,7 @@
 """Hermitian idempotents, left ideals and the column matrix model."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,21 @@ import pytest
 from cliffkit import linalg
 from cliffkit.algebra import (
     Multivector,
+    Signature,
     complex_basis_vector,
     complex_unit,
     invert,
+    multivector_to_json,
 )
-from cliffkit.reprs import compile_complex_rep
+from cliffkit.groups import chiral_rep
+from cliffkit.reprs import (
+    Representation,
+    compile_complex_rep,
+    compile_rep,
+    factor_projections,
+    quaternion_complexify,
+    rep_equivalence,
+)
 from cliffkit.sampling import random_unitary_versor, rng_from_seed
 from cliffkit.spinors import (
     find_conjugator,
@@ -24,7 +36,7 @@ from cliffkit.spinors import (
     spinor_matrix_model,
     stabilizer_membership,
 )
-from cliffkit.scalars import GaussianRational
+from cliffkit.scalars import GaussianRational, format_scalar
 
 G1 = GaussianRational(1)
 GI = GaussianRational(0, 1)
@@ -164,3 +176,46 @@ def test_rep_preimage_and_column_stabilizer():
     assert rep_preimage(rep, e11) == p  # cached path
     with pytest.raises(ValueError):
         stabilizer_membership(p, space)  # idempotents are not invertible
+
+
+def test_solver_choices_golden_digest():
+    # sha256 over which conjugator or intertwiner each solver picks, so a
+    # change in the candidate order or the random combinations shows up
+    h = hashlib.sha256()
+
+    def put(doc):
+        h.update(json.dumps(doc, sort_keys=True).encode())
+
+    def put_inter(inter):
+        put(None if inter is None else [
+            [[format_scalar(inter.ring_tag, x) for x in row] for row in mat]
+            for mat in (inter.matrix, inter.inverse)
+        ])
+
+    n = 4
+    rng = rng_from_seed(11)
+    base = primitive_idempotent(n).p
+    for trial in range(6):
+        g1, g2 = random_unitary_versor(n, rng), random_unitary_versor(n, rng)
+        p1, p2 = g1 * base * g1.reversion(), g2 * base * g2.reversion()
+        put(multivector_to_json(find_conjugator(p1, p2, seed=trial)))
+    # no invertible solution: every candidate is tried and rejected
+    e = complex_unit(2)
+    assert find_conjugator((e + complex_basis_vector(2, 1)) * (G1 / 2), e) is None
+    put_inter(spinor_matrix_model(left_ideal(primitive_idempotent(n)), seed=0).intertwiner)
+    f1, f2 = factor_projections(compile_rep(Signature(0, 3)))
+    for a, b in ((f1, f1), (f2, f2), (f1, f2)):
+        put_inter(rep_equivalence(a, b))
+    # a real model against its conjugate by a signed permutation P (P^-1 = P^T)
+    real = compile_rep(Signature(3, 1))
+    m = real.target.m
+    perm, signs = (2, 0, 3, 1), (1, -1, -1, 1)
+    P = tuple(tuple(Fraction(signs[i]) if j == perm[i] else Fraction(0) for j in range(m))
+              for i in range(m))
+    PT = tuple(zip(*P))
+    moved = Representation(real.sig, None, real.target,
+                           [linalg.matmul(linalg.matmul(P, g), PT) for g in real.gens])
+    put_inter(rep_equivalence(real, moved))
+    put_inter(rep_equivalence(quaternion_complexify(compile_rep(Signature(1, 3))),
+                              chiral_rep(Signature(1, 3))))
+    assert h.hexdigest() == "923e26399c28db54ceea67e7d64ccad3f6d26e459ad43eeb74a5629229d81121"
