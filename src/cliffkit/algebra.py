@@ -247,9 +247,6 @@ class Multivector:
     def grade_project(self, k):
         return self._wrap({b: c for b, c in self.terms.items() if b.bit_count() == k})
 
-    def max_grade(self):
-        return max((b.bit_count() for b in self.terms), default=0)
-
     def is_scalar(self):
         return all(b == 0 for b in self.terms)
 

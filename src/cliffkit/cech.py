@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Signature, signature_from_json
-from .groups import PseudoOrthogonalMatrix, Versor, lift_to_pin, zeta
+from .groups import PseudoOrthogonalMatrix, Versor, lift_to_pin
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +218,16 @@ class Z2Cochain:
                 out[s] = 1
         return Z2Cochain(self.complex, self.degree + 1, out)
 
+    def coboundary_preimage(self):
+        """A (k-1)-cochain eta with delta eta = self, as a bitmask over the
+        (k-1)-simplices in order, or None if this is not a coboundary."""
+        rows, ncols = coboundary_matrix(self.complex, self.degree - 1)
+        rhs = [self.bit(s) for s in self.complex.simplices(self.degree)]
+        return gf2_solve(rows, rhs, ncols)
+
     def is_coboundary(self):
         """Whether this cochain is delta of a (k-1)-cochain."""
-        lower = self.complex.simplices(self.degree - 1)
-        own = self.complex.simplices(self.degree)
-        rows = []
-        index = {s: i for i, s in enumerate(lower)}
-        for s in own:
-            bits = 0
-            for f in _faces(s):
-                bits |= 1 << index[f]
-            rows.append(bits)
-        # transpose the usual orientation: unknown lives on (k-1)-simplices
-        rhs = [self.bit(s) for s in own]
-        return gf2_solve(rows, rhs, len(lower)) is not None
+        return self.coboundary_preimage() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +360,11 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     w = Z2Cochain(c, 2, w_values)
     if not w.coboundary().is_zero():
         raise AssertionError("discrepancy is not a 2-cocycle")
-    edge_index = {e: i for i, e in enumerate(c.edges)}
-    rows = []
-    rhs = []
-    for t in c.triangles:
-        bits = 0
-        for f in _faces(t):
-            bits |= 1 << edge_index[f]
-        rows.append(bits)
-        rhs.append(w.bit(t))
-    eta = gf2_solve(rows, rhs, len(c.edges))
+    eta = w.coboundary_preimage()
     if eta is None:
         return PinLiftResult(False, {}, w, 0, True)
-    lifts = {}
-    for e in c.edges:
-        v = raw[e]
-        if (eta >> edge_index[e]) & 1:
-            v = v.negated()
-        lifts[e] = v
+    lifts = {e: raw[e].negated() if (eta >> i) & 1 else raw[e]
+             for i, e in enumerate(c.edges)}
     for t in c.triangles:
         i, j, k = t
         prod = lifts[(i, j)].product * lifts[(j, k)].product * lifts[(i, k)].inverse_mv()
@@ -418,12 +401,8 @@ def projective_plane() -> Complex:
 def nontrivial_1cocycle(c: Complex):
     """A Z2 1-cocycle that is not a coboundary, as a Z2Cochain, or None."""
     rows, ncols = coboundary_matrix(c, 1)
-    kernel = gf2_nullspace(rows, ncols)
-    # delta_0 with the unknown on vertices: one row per edge
-    vert_rows = [(1 << e[0]) | (1 << e[1]) for e in c.edges]
-    for v in kernel:
-        rhs = [(v >> i) & 1 for i in range(ncols)]
-        if gf2_solve(vert_rows, rhs, c.vertices) is None:
-            values = {e: 1 for i, e in enumerate(c.edges) if (v >> i) & 1}
-            return Z2Cochain(c, 1, values)
+    for v in gf2_nullspace(rows, ncols):
+        cochain = Z2Cochain(c, 1, {e: 1 for i, e in enumerate(c.edges) if (v >> i) & 1})
+        if not cochain.is_coboundary():
+            return cochain
     return None

@@ -35,6 +35,11 @@ CHECK_FAILED = 1
 # largest p + q (or complex N) that compile accepts: a model has 2^n blade
 # images, and n = 14 already takes seconds while n = 16 takes minutes
 MAX_COMPILE_DIM = 14
+# largest N that spinor accepts, without and with --model: the ideal search
+# eliminates 2^N x 2^N systems (N = 10 takes about a minute), and the model
+# intertwiner at N = 8 takes about a minute more
+MAX_SPINOR_DIM = 10
+MAX_SPINOR_MODEL_DIM = 8
 
 
 def _parse_sig(text) -> Signature:
@@ -218,6 +223,10 @@ def _cmd_lift(args):
 
 def _cmd_spinor(args, seed):
     n = args.complex_dim
+    if n > MAX_SPINOR_DIM:
+        raise ValueError(f"C({n}): spinor supports N up to {MAX_SPINOR_DIM}")
+    if args.model and n > MAX_SPINOR_MODEL_DIM:
+        raise ValueError(f"C({n}): spinor --model supports N up to {MAX_SPINOR_MODEL_DIM}")
     if args.idempotent == "auto":
         idem = primitive_idempotent(n)
     else:

@@ -23,13 +23,12 @@ from .algebra import (
     Multivector,
     Signature,
     basis_vector,
-    eta,
     invert,
     signature_from_json,
     unit,
     vector,
 )
-from .reprs import Representation, TargetRing
+from .reprs import Representation, TargetRing, _checked
 from .scalars import GaussianRational, format_rational, parse_rational
 
 
@@ -96,11 +95,6 @@ class PseudoOrthogonalMatrix:
     def column(self, a):
         """Image coordinates of basis vector a (0-based)."""
         return tuple(row[a] for row in self.mat)
-
-    def apply(self, coords):
-        return tuple(
-            sum(row[j] * coords[j] for j in range(self.sig.n)) for row in self.mat
-        )
 
     def is_identity(self):
         n = self.sig.n
@@ -392,10 +386,8 @@ def chiral_rep(sig: Signature) -> Representation:
         ]
     else:
         raise ValueError("chiral model available for (1,3) and (4,0) only")
-    rep = Representation(sig, None, TargetRing("MatC", 4), gens)
-    if not rep.verify():
-        raise AssertionError("chiral model failed verification")
-    return rep
+    return _checked(Representation(sig, None, TargetRing("MatC", 4), gens),
+                    f"chiral model of {sig}")
 
 
 _CHIRAL_CACHE = {}

@@ -21,8 +21,8 @@ def identity(n, one=Fraction(1)):
 
 
 def matmul(a, b):
-    # row-major accumulation skipping zero entries of a; the representation
-    # matrices are monomial, so this is usually O(n^2) rather than O(n^3)
+    # row-major accumulation skipping zero entries of a, so a sparse left
+    # factor saves its inner loops
     m = len(b[0])
     zero = a[0][0] - a[0][0]
     out = []

@@ -17,9 +17,9 @@ from . import linalg
 from .algebra import Multivector, Signature, basis_vector
 from .scalars import (
     GAUSSIAN,
+    ONE,
     QUATERNION,
     RATIONAL,
-    RINGS,
     TAU1,
     TAU2,
     TAU3,
@@ -99,7 +99,7 @@ _AXIS_MUL = [[_UNIT_CODE[QUATERNION][x * y] for y in _Q8[::2]] for x in _Q8[::2]
 _UNIT_MUL = tuple(tuple(_AXIS_MUL[a >> 1][b >> 1] ^ ((a ^ b) & 1) for b in range(8))
                   for a in range(8))
 _MINUS_I = 3  # -t1, read as -i in C
-_ZERO = {tag: info.one * 0 for tag, info in RINGS.items()}
+_ZERO = {tag: one * 0 for tag, one in ONE.items()}
 
 
 def _mono_mul(x, y):
@@ -143,7 +143,9 @@ class Representation:
     direct-sum target).  Each must be monomial with unit entries; it is
     stored as (perm, codes), and products, relations and injectivity run on
     that form.  Dense matrices are rebuilt only where callers read them:
-    ``gens``, ``blade_image``, ``rho`` and ``rho_matrix``.
+    ``gens``, ``blade_image``, ``rho`` and ``rho_matrix``.  Instances are
+    immutable (compiled models are cached and shared); the blade images and
+    the dense forms are caches filled on first use.
     """
 
     def __init__(self, sig, complex_dim, target, gens):
@@ -158,17 +160,19 @@ class Representation:
     def _setup(self, sig, complex_dim, target, monos):
         if (sig is None) == (complex_dim is None):
             raise ValueError("exactly one of signature / complex_dim required")
-        self.sig = sig
-        self.complex_dim = complex_dim
-        self.target = target
-        self._monos = monos
-        self.verified = False
         size = target.summands * target.m
-        self._blades = {0: (tuple(range(size)), (0,) * size)}
-        self._gens = None
-        self._rho_matrix = None
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "complex_dim", complex_dim)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_monos", monos)
+        object.__setattr__(self, "_blades", {0: (tuple(range(size)), (0,) * size)})
+        object.__setattr__(self, "_gens", None)
+        object.__setattr__(self, "_rho_matrix", None)
         if len(monos) != self.n:
             raise ValueError("generator count does not match the algebra")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Representation is immutable")
 
     @property
     def n(self):
@@ -182,7 +186,7 @@ class Representation:
     def gens(self):
         """Dense generator images."""
         if self._gens is None:
-            self._gens = tuple(self._dense(g) for g in self._monos)
+            object.__setattr__(self, "_gens", tuple(self._dense(g) for g in self._monos))
         return self._gens
 
     def gen_square(self, i):
@@ -254,7 +258,7 @@ class Representation:
             for b in range(cols):
                 for i, (j, c) in enumerate(zip(*self._blade(b))):
                     rows[i * m + j % m][b] = units[c]
-            self._rho_matrix = tuple(tuple(r) for r in rows)
+            object.__setattr__(self, "_rho_matrix", tuple(tuple(r) for r in rows))
         return self._rho_matrix
 
     def check_relations(self):
@@ -295,10 +299,16 @@ class Representation:
                 return False
         return True
 
-    def verify(self, injective=True):
-        ok = self.check_relations() and (not injective or self.check_injective())
-        self.verified = ok
-        return ok
+    def verify(self):
+        """Anticommutation relations and injectivity, both exact."""
+        return self.check_relations() and self.check_injective()
+
+
+def _checked(rep, what):
+    """``rep`` once it verifies; every model builder returns through here."""
+    if not rep.verify():
+        raise AssertionError(f"{what} failed verification")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -309,41 +319,24 @@ SIGMA1 = ((F0, F1), (F1, F0))
 SIGMA3 = ((F1, F0), (F0, -F1))
 TAU2_MAT = ((F0, -F1), (F1, F0))
 
-GI = GaussianRational(0, 1)
-
-
-def _quat_mat(q):
-    return ((q,),)
+# (p, q) -> (target, generator images)
+_BASES = {
+    (0, 0): (TargetRing("MatR", 1), ()),
+    (1, 0): (TargetRing("MatR", 1, summands=2), [(((F1,),), ((-F1,),))]),
+    (0, 1): (TargetRing("MatC", 1), [((GaussianRational(0, 1),),)]),
+    (0, 2): (TargetRing("MatH", 1), [((TAU1,),), ((TAU2,),)]),
+    (1, 1): (TargetRing("MatR", 2), [SIGMA1, TAU2_MAT]),
+    (2, 0): (TargetRing("MatR", 2), [SIGMA1, SIGMA3]),
+    (0, 3): (TargetRing("MatH", 1, summands=2),
+             [(((t,),), ((-t,),)) for t in (TAU1, TAU2, TAU3)]),
+}
 
 
 def base_rep(sig: Signature) -> Representation:
-    p, q = sig.p, sig.q
-    if (p, q) == (0, 0):
-        return Representation(sig, None, TargetRing("MatR", 1), ())
-    if (p, q) == (1, 0):
-        t = TargetRing("MatR", 1, summands=2)
-        return Representation(sig, None, t, [(((F1,),), ((-F1,),))])
-    if (p, q) == (0, 1):
-        return Representation(sig, None, TargetRing("MatC", 1), [((GI,),)])
-    if (p, q) == (0, 2):
-        t = TargetRing("MatH", 1)
-        return Representation(
-            sig, None, t,
-            [_quat_mat(Quaternion(0, 1, 0, 0)), _quat_mat(Quaternion(0, 0, 1, 0))],
-        )
-    if (p, q) == (1, 1):
-        return Representation(sig, None, TargetRing("MatR", 2), [SIGMA1, TAU2_MAT])
-    if (p, q) == (2, 0):
-        return Representation(sig, None, TargetRing("MatR", 2), [SIGMA1, SIGMA3])
-    if (p, q) == (0, 3):
-        t = TargetRing("MatH", 1, summands=2)
-        gens = [
-            (_quat_mat(Quaternion(0, 1, 0, 0)), _quat_mat(Quaternion(0, -1, 0, 0))),
-            (_quat_mat(Quaternion(0, 0, 1, 0)), _quat_mat(Quaternion(0, 0, -1, 0))),
-            (_quat_mat(Quaternion(0, 0, 0, 1)), _quat_mat(Quaternion(0, 0, 0, -1))),
-        ]
-        return Representation(sig, None, t, gens)
-    raise ValueError(f"{sig} is not a base case")
+    if (sig.p, sig.q) not in _BASES:
+        raise ValueError(f"{sig} is not a base case")
+    target, gens = _BASES[sig.p, sig.q]
+    return _checked(Representation(sig, None, target, gens), f"base model of {sig}")
 
 
 BASE_BY_DEFECT = {
@@ -367,10 +360,8 @@ def double_rep(r: Representation) -> Representation:
     """
     if r.is_complex:
         raise ValueError("doubling applies to real representations")
-    if not r.verified:
-        r.verify()
-    if not r.verified:
-        raise ValueError("input representation failed verification")
+    if not r.verify():
+        raise ValueError("input representation does not verify")
     sig = Signature(r.sig.p + 1, r.sig.q + 1)
     t = r.target
     m = t.m
@@ -401,10 +392,8 @@ def double_rep(r: Representation) -> Representation:
     pos = [v_plus] + [diag(g) for g in r._monos[:r.sig.p]]
     neg = [v_minus] + [diag(g) for g in r._monos[r.sig.p:]]
     target = TargetRing(t.kind, 2 * m, summands=t.summands)
-    out = Representation._from_monos(sig, None, target, pos + neg)
-    if not out.verify():
-        raise AssertionError("doubled representation failed verification")
-    return out
+    return _checked(Representation._from_monos(sig, None, target, pos + neg),
+                    f"doubled model of {sig}")
 
 
 def signature_shift(sig: Signature, kind: str):
@@ -461,7 +450,6 @@ def compile_rep(sig: Signature) -> Representation:
     if -3 <= d <= 2:
         base = BASE_BY_DEFECT[d]
         rep = base_rep(base)
-        rep.verify()
         for _ in range(min(sig.p, sig.q) - min(base.p, base.q)):
             rep = double_rep(rep)
     else:
@@ -476,14 +464,11 @@ def compile_rep(sig: Signature) -> Representation:
         if new_sig != sig:
             raise AssertionError("shift plan produced the wrong signature")
         gens = [src_rep._signed_blade(mv) for mv in gen_map]
-        rep = Representation._from_monos(sig, None, src_rep.target, gens)
-        if not rep.verify():
-            raise AssertionError(f"compiled representation for {sig} failed verification")
+        rep = _checked(Representation._from_monos(sig, None, src_rep.target, gens),
+                       f"{kind}-shifted model of {sig}")
     want = classify(sig)
     if rep.target != want:
         raise AssertionError(f"compiled target {rep.target} != classified {want}")
-    if not rep.verified and not rep.verify():
-        raise AssertionError(f"compiled representation for {sig} failed verification")
     _COMPILE_CACHE[sig] = rep
     return rep
 
@@ -503,10 +488,8 @@ def compile_complex_rep(n: int) -> Representation:
     gens = list(real._monos[:k])
     for perm, codes in real._monos[k:]:
         gens.append((perm, tuple(times_minus_i[c] for c in codes)))
-    rep = Representation._from_monos(None, n, TargetRing("MatC", real.target.m), gens)
-    if not rep.verify():
-        raise AssertionError("complex compilation failed verification")
-    return rep
+    return _checked(Representation._from_monos(None, n, TargetRing("MatC", real.target.m), gens),
+                    f"complex model of C({n})")
 
 
 def even_subring_rep(sig: Signature):
@@ -535,9 +518,7 @@ def even_subring_rep(sig: Signature):
     ambient = compile_rep(sig)
     gens = [ambient._signed_blade(w) for w in gen_map]
     rep = Representation._from_monos(derived, None, ambient.target, gens)
-    if not rep.verify():
-        raise AssertionError("even subring representation failed verification")
-    return derived, gen_map, rep
+    return derived, gen_map, _checked(rep, f"even subring model of {sig}")
 
 
 # quaternion units as 2x2 complex blocks
@@ -580,10 +561,8 @@ def quaternion_complexify(r: Representation) -> Representation:
                     for b in range(2):
                         big[2 * i + a][2 * j + b] = blk[a][b]
         gens.append(tuple(tuple(row) for row in big))
-    out = Representation(r.sig, r.complex_dim, TargetRing("MatC", 2 * m), gens)
-    if not out.verify():
-        raise AssertionError("complexified representation failed verification")
-    return out
+    return _checked(Representation(r.sig, r.complex_dim, TargetRing("MatC", 2 * m), gens),
+                    "complexified model")
 
 
 def real_irrep_dim(sig: Signature) -> int:
@@ -593,14 +572,18 @@ def real_irrep_dim(sig: Signature) -> int:
 
 
 def factor_projections(r: Representation):
-    """The two single-factor representations of a direct-sum target."""
+    """The two single-factor representations of a direct-sum target.
+
+    Each satisfies the relations; neither is injective on its own.
+    """
     if r.target.summands != 2:
         raise ValueError("representation target is not a direct sum")
     t = TargetRing(r.target.kind, r.target.m)
     out = []
     for idx in (0, 1):
         rep = Representation(r.sig, r.complex_dim, t, [g[idx] for g in r.gens])
-        rep.verify(injective=False)
+        if not rep.check_relations():
+            raise AssertionError(f"factor {idx} breaks the anticommutation relations")
         out.append(rep)
     return out
 
@@ -625,7 +608,7 @@ def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
     linearized over Q by probing the 4 m^2 real coordinates.
     """
     if ring_tag in (RATIONAL, GAUSSIAN):
-        one = RINGS[ring_tag].one
+        one = ONE[ring_tag]
         zero = one - one
         rows = []
         for A, B in zip(gens1, gens2):
@@ -644,7 +627,6 @@ def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
     # quaternion case: real-linear probing
     units = (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1))
     dim = 4 * m * m
-    coords = RINGS[QUATERNION].coords
     columns = []
     for r_ in range(m):
         for c in range(m):
@@ -659,7 +641,7 @@ def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
                                 val = val + u * Quaternion.coerce(A[c][j])
                             if j == c:
                                 val = val - Quaternion.coerce(B[i][r_]) * u
-                            col.extend(coords(val))
+                            col.extend(val.coords())
                 columns.append(col)
     rows = [tuple(columns[k][r] for k in range(dim)) for r in range(len(columns[0]))]
 

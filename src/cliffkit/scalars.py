@@ -218,40 +218,8 @@ TAU2 = Quaternion(0, 0, 1, 0)
 TAU3 = Quaternion(0, 0, 0, 1)
 
 
-# ---------------------------------------------------------------------------
-# ring descriptors used by generic code (flattening to rational coordinates)
-
-class RingInfo:
-    __slots__ = ("tag", "dim", "one", "coords", "from_coords")
-
-    def __init__(self, tag, dim, one, coords, from_coords):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "one", one)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "from_coords", from_coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingInfo is immutable")
-
-
-RINGS = {
-    RATIONAL: RingInfo(
-        RATIONAL, 1, Fraction(1),
-        lambda x: (_as_fraction(x),),
-        lambda v: v[0],
-    ),
-    GAUSSIAN: RingInfo(
-        GAUSSIAN, 2, GaussianRational(1),
-        lambda x: (x.re, x.im) if isinstance(x, GaussianRational) else (_as_fraction(x), Fraction(0)),
-        lambda v: GaussianRational(v[0], v[1]),
-    ),
-    QUATERNION: RingInfo(
-        QUATERNION, 4, Quaternion(1),
-        lambda x: x.coords() if isinstance(x, Quaternion) else (_as_fraction(x), Fraction(0), Fraction(0), Fraction(0)),
-        lambda v: Quaternion(v[0], v[1], v[2], v[3]),
-    ),
-}
+# multiplicative unit of each ring
+ONE = {RATIONAL: Fraction(1), GAUSSIAN: GaussianRational(1), QUATERNION: Quaternion(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +229,16 @@ def format_rational(x) -> str:
     return str(_as_fraction(x))
 
 
+def _fraction(s: str) -> Fraction:
+    """Fraction(s), reporting a zero denominator as a ValueError."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
+    return _fraction(s.strip())
 
 
 def format_gaussian(z) -> str:
@@ -286,7 +262,7 @@ def parse_gaussian(s: str) -> GaussianRational:
     if not s:
         raise ValueError("empty scalar string")
     if "i" not in s:
-        return GaussianRational(Fraction(s))
+        return GaussianRational(_fraction(s))
     if not s.endswith("i"):
         raise ValueError(f"malformed Gaussian rational: {s!r}")
     body = s[:-1]
@@ -304,8 +280,8 @@ def parse_gaussian(s: str) -> GaussianRational:
     elif im_part == "-":
         im = Fraction(-1)
     else:
-        im = Fraction(im_part)
-    return GaussianRational(Fraction(re_part), im)
+        im = _fraction(im_part)
+    return GaussianRational(_fraction(re_part), im)
 
 
 def format_quaternion(q) -> list:
@@ -316,7 +292,7 @@ def format_quaternion(q) -> list:
 def parse_quaternion(v) -> Quaternion:
     if not isinstance(v, (list, tuple)) or len(v) != 4:
         raise ValueError("quaternion must be a list [a, b, c, d]")
-    return Quaternion(*[Fraction(str(x)) for x in v])
+    return Quaternion(*[_fraction(str(x)) for x in v])
 
 
 def format_scalar(ring_tag, x):

@@ -8,10 +8,9 @@ single seed and reports name, verdict and elapsed time; the CLI command
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
-from . import cech, linalg
-from .algebra import Multivector, Signature, basis_vector, complex_unit
+from . import cech
+from .algebra import Multivector, Signature, basis_vector
 from .groups import (
     PseudoOrthogonalMatrix,
     Versor,
@@ -61,7 +60,7 @@ def check_classification_table(seed=0):
         rep = compile_rep(sig)
         if rep.target != classify(sig):
             return False, f"{sig}: target {rep.target} != {classify(sig)}"
-        if not rep.verified:
+        if not rep.verify():
             return False, f"{sig}: representation failed verification"
     return True, "45 signatures compiled and verified"
 
@@ -74,7 +73,7 @@ def check_complex_models(seed=0):
         want = TargetRing("MatC", 1 << (n // 2))
         if rep.target != want:
             return False, f"n={n}: target {rep.target} != {want}"
-        if not rep.verified:
+        if not rep.verify():
             return False, f"n={n}: verification failed"
         for idx, g in enumerate(rep.gens):
             m = len(g)
@@ -251,7 +250,7 @@ def check_even_subrings(seed=0):
     logged = []
     for sig in _signatures(6, min_n=2):
         derived, _gen_map, rep = even_subring_rep(sig)
-        if not rep.verified:
+        if not rep.verify():
             return False, f"{sig}: even subring relations failed"
         # the naive index-count formula predicts (q, p-1); log disagreements
         if sig.p == 0:

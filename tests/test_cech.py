@@ -127,6 +127,15 @@ def test_cochain_coboundary_and_membership():
     assert nontrivial_1cocycle(tetrahedron_boundary()) is None
 
 
+def test_nontrivial_1cocycle_of_projective_plane_is_pinned():
+    a = nontrivial_1cocycle(projective_plane())
+    assert sorted(e for e, b in a.values.items() if b) == [(0, 1), (0, 3), (1, 4), (2, 3), (2, 4)]
+    # the preimage of delta eta is eta or, on a connected complex, eta + 1
+    eta = Z2Cochain(tetrahedron_boundary(), 0, {(0,): 1, (2,): 1})
+    assert eta.coboundary().coboundary_preimage() in (0b0101, 0b1010)
+    assert a.coboundary_preimage() is None
+
+
 def _coboundary_cocycle(c, rng):
     h = {v: zeta(random_versor(SIG, rng)) for v in range(c.vertices)}
     edges = {(i, j): h[i].inverse() * h[j] for (i, j) in c.edges}

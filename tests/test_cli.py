@@ -3,9 +3,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cliffkit.cech import projective_plane, nontrivial_1cocycle, tetrahedron_boundary
+from cliffkit.algebra import Signature, multivector_from_json
+from cliffkit.cech import (
+    Complex,
+    GroupCocycle,
+    nontrivial_1cocycle,
+    projective_plane,
+    tetrahedron_boundary,
+)
 from cliffkit.cli import main
+from cliffkit.groups import PseudoOrthogonalMatrix
 
 
 def run(capsys, *argv):
@@ -267,3 +277,115 @@ def test_cech_cocycle_bad_complex_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "cech", "check", str(coc_file))
     assert code == 2
     assert "list of vertex lists" in err
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("--complex", "12"), "spinor supports N up to 10"),
+    (("--complex", "16"), "spinor supports N up to 10"),
+    (("--complex", "10", "--model"), "spinor --model supports N up to 8"),
+])
+def test_spinor_size_bound_is_usage_error(capsys, argv, bound):
+    code, out, err = run(capsys, "spinor", *argv)
+    assert code == 2
+    assert out == ""
+    assert bound in err
+
+
+def _zero_denominator_inputs():
+    coc = _sphere_cocycle_doc()
+    coc["edges"][0]["matrix"] = [["1/0", "0"], ["0", "1"]]
+    versor = [{"ring": "rational", "signature": [2, 0], "terms": [{"blade": [1], "coeff": "1/0"}]}]
+    idem = {"ring": "gaussian", "complex_dim": 2, "terms": [{"blade": [], "coeff": "1/0i"}]}
+    bad_matrix = [["1/0", "0"], ["0", "1"]]
+    return {
+        "zeta": (versor, ["zeta", "--sig", "2,0", "--versor"]),
+        "decompose": (bad_matrix, ["decompose", "--sig", "2,0", "--matrix"]),
+        "lift": (bad_matrix, ["lift", "--sig", "2,0", "--matrix"]),
+        "spinor": (idem, ["spinor", "--complex", "2", "--idempotent"]),
+        "cech": (coc, ["cech", "lift"]),
+    }
+
+
+@pytest.mark.parametrize("command", ["zeta", "decompose", "lift", "spinor", "cech"])
+def test_zero_denominator_is_usage_error(capsys, tmp_path, command):
+    doc, argv = _zero_denominator_inputs()[command]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err
+
+
+# Documents in the shapes the README describes, with one part in ten swapped
+# for an arbitrary JSON value.  Exponent strings such as "1e9999999" are left
+# out: they parse, but take seconds each.
+_KEYS = ["ring", "signature", "complex_dim", "terms", "blade", "coeff", "matrix",
+         "vertices", "simplices", "1", "2", "3", "complex", "edges", "e"]
+_SCALAR = st.one_of(
+    st.sampled_from(["1", "-1", "1/2", "0", "1/0", "0/0", "", "x", "i", "-i",
+                     "1/2+1/3i", "1/0i", "2/0+i", "1+1/0i"]),
+    st.text("0123456789/+-i. ", max_size=6),
+)
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 5), _SCALAR)
+_ANY = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _mostly(strategy):
+    return st.integers(0, 9).flatmap(lambda k: _ANY if k == 0 else strategy)
+
+
+_SIGNATURE = _mostly(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+_TERM = _mostly(st.fixed_dictionaries({
+    "blade": _mostly(st.lists(st.integers(1, 4), max_size=3)), "coeff": _mostly(_SCALAR),
+}))
+_RING = _mostly(st.sampled_from(["rational", "gaussian", "quaternion"]))
+_TERMS = _mostly(st.lists(_TERM, min_size=1, max_size=3))
+_MULTIVECTOR = _mostly(st.one_of(
+    st.fixed_dictionaries({"ring": _RING, "signature": _SIGNATURE, "terms": _TERMS}),
+    st.fixed_dictionaries({"ring": _RING, "complex_dim": _mostly(st.integers(0, 4)), "terms": _TERMS}),
+))
+_ROWS = _mostly(st.lists(_mostly(st.lists(_SCALAR | st.integers(-1, 1), min_size=2, max_size=2)),
+                         min_size=2, max_size=2))
+_MATRIX = st.one_of(_ROWS, _mostly(st.fixed_dictionaries({"matrix": _ROWS, "signature": _SIGNATURE})))
+_SIMPLICES = _mostly(st.lists(_mostly(st.lists(st.integers(0, 4), min_size=1, max_size=4)),
+                              max_size=6))
+_COMPLEX = _mostly(st.fixed_dictionaries(
+    {"vertices": _mostly(st.integers(0, 5))},
+    optional={"simplices": _mostly(st.dictionaries(st.sampled_from(["1", "2", "3", "4"]),
+                                                   _SIMPLICES, max_size=3))},
+))
+_EDGE = _mostly(st.fixed_dictionaries({
+    "e": _mostly(st.lists(st.integers(0, 4), min_size=2, max_size=2)), "matrix": _ROWS,
+}))
+_COCYCLE = _mostly(st.fixed_dictionaries({
+    "complex": _COMPLEX, "signature": _SIGNATURE, "edges": _mostly(st.lists(_EDGE, max_size=4)),
+}))
+
+
+def _read_matrix(doc):
+    # a bare list of rows needs the signature from outside, as on the CLI
+    sig = Signature(2, 0) if isinstance(doc, list) else None
+    return PseudoOrthogonalMatrix.from_json(doc, sig=sig)
+
+
+@pytest.mark.parametrize("reader, docs", [
+    (multivector_from_json, _MULTIVECTOR),
+    (_read_matrix, _MATRIX),
+    (Complex.from_json, _COMPLEX),
+    (GroupCocycle.from_json, _COCYCLE),
+], ids=["multivector", "matrix", "complex", "cocycle"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_json_readers_raise_only_usage_errors(reader, docs, data):
+    # the CLI maps ValueError and KeyError to exit 2; anything else would
+    # escape as a traceback with exit 1
+    doc = data.draw(docs)
+    try:
+        reader(doc)
+    except (ValueError, KeyError):
+        pass

@@ -231,7 +231,7 @@ def test_adjoint_automorphism():
 def test_chiral_models_verify():
     for sig in (Signature(1, 3), Signature(4, 0)):
         rep = chiral_rep(sig)
-        assert rep.verified
+        assert rep.verify()
     with pytest.raises(ValueError):
         chiral_rep(Signature(2, 2))
 

@@ -109,7 +109,7 @@ def test_compile_all_signatures_up_to_6():
             sig = Signature(p, n - p)
             rep = compile_rep(sig)
             assert rep.target == classify(sig)
-            assert rep.verified
+            assert rep.verify()
 
 
 def test_double_rep_structure():
@@ -121,7 +121,7 @@ def test_double_rep_structure():
     assert d.gens[0] == ((G0, G1), (G1, G0))
     assert d.gens[1] == ((G0, -G1), (G1, G0))
     assert d.gens[2] == ((GI, G0), (G0, -GI))
-    assert d.verified
+    assert d.verify()
     with pytest.raises(ValueError):
         double_rep(compile_complex_rep(2))
 
@@ -156,7 +156,7 @@ def test_complex_models_hermitian():
     for n in (2, 4):
         rep = compile_complex_rep(n)
         assert rep.target == TargetRing("MatC", 1 << (n // 2))
-        assert rep.verified
+        assert rep.verify()
         for g in rep.gens:
             m = len(g)
             assert all(g[i][j] == g[j][i].conjugate() for i in range(m) for j in range(m))
@@ -215,7 +215,7 @@ def test_even_subring_derived_signatures():
     for sig, want in cases.items():
         derived, gen_map, rep = even_subring_rep(sig)
         assert derived == want
-        assert rep.verified
+        assert rep.verify()
         assert len(gen_map) == sig.n - 1
         # every substituted generator is an even element of the ambient algebra
         for w in gen_map:
@@ -315,3 +315,19 @@ def test_relations_and_injectivity_failures_are_caught():
     # sigma1 for a negative generator: wrong square
     rep = Representation(Signature(0, 1), None, TargetRing("MatR", 2), [s1])
     assert not rep.verify()
+
+
+def test_compiled_models_are_immutable():
+    rep = compile_rep(Signature(1, 3))
+    for name in ("sig", "target", "gens", "verified"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
+    assert compile_rep(Signature(1, 3)) is rep and rep.verify()
+
+
+def test_double_rep_rejects_a_model_that_does_not_verify():
+    # the non-injective Cl(1,0) -> R + R model above
+    rep = Representation(Signature(1, 0), None, TargetRing("MatR", 1, summands=2),
+                         [(((F1,),), ((F1,),))])
+    with pytest.raises(ValueError):
+        double_rep(rep)
