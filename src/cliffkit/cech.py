@@ -220,7 +220,11 @@ class Z2Cochain:
 
     def coboundary_preimage(self):
         """A (k-1)-cochain eta with delta eta = self, as a bitmask over the
-        (k-1)-simplices in order, or None if this is not a coboundary."""
+        (k-1)-simplices in order, or None if this is not a coboundary.
+        There are no (-1)-cochains, so in degree 0 only the zero cochain is
+        a coboundary."""
+        if self.degree == 0:
+            return 0 if self.is_zero() else None
         rows, ncols = coboundary_matrix(self.complex, self.degree - 1)
         rhs = [self.bit(s) for s in self.complex.simplices(self.degree)]
         return gf2_solve(rows, rhs, ncols)

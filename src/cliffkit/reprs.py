@@ -143,7 +143,7 @@ class Representation:
     direct-sum target).  Each must be monomial with unit entries; it is
     stored as (perm, codes), and products, relations and injectivity run on
     that form.  Dense matrices are rebuilt only where callers read them:
-    ``gens``, ``blade_image``, ``rho`` and ``rho_matrix``.  Instances are
+    ``gens``, ``blade_image`` and ``rho``.  Instances are
     immutable (compiled models are cached and shared); the blade images and
     the dense forms are caches filled on first use.
     """
@@ -167,7 +167,6 @@ class Representation:
         object.__setattr__(self, "_monos", monos)
         object.__setattr__(self, "_blades", {0: (tuple(range(size)), (0,) * size)})
         object.__setattr__(self, "_gens", None)
-        object.__setattr__(self, "_rho_matrix", None)
         if len(monos) != self.n:
             raise ValueError("generator count does not match the algebra")
 
@@ -246,20 +245,38 @@ class Representation:
                 rows[i][j % m] = rows[i][j % m] + c * units[u]
         return self._shape(rows)
 
-    def rho_matrix(self):
-        """rho as a matrix over the target ring: column b is blade_image(b)
-        read row by row (the second summand after the first).  Cached."""
-        if self._rho_matrix is None:
-            units = _RING_UNITS[self.target.ring_tag]
-            m = self.target.m
-            cols = 1 << self.n
-            zero = _ZERO[self.target.ring_tag]
-            rows = [[zero] * cols for _ in range(self.target.summands * m * m)]
-            for b in range(cols):
-                for i, (j, c) in enumerate(zip(*self._blade(b))):
-                    rows[i * m + j % m][b] = units[c]
-            object.__setattr__(self, "_rho_matrix", tuple(tuple(r) for r in rows))
-        return self._rho_matrix
+    def invertible(self, mv: Multivector):
+        """Whether rho(mv) is invertible: every summand block has full rank.
+
+        A compiled model is injective onto a ring of the same dimension, so
+        this decides whether mv is invertible in the source algebra.
+        """
+        img = self.rho(mv)
+        blocks = img if self.target.summands == 2 else (img,)
+        return all(linalg.rank(block) == self.target.m for block in blocks)
+
+    def trace_coords(self, matrix):
+        """tr(rho(e_b)^-1 X) / m for every blade b (complex models only).
+
+        When X = rho(x) these are the coefficients of x on the blade basis:
+        rho(e_b)^-1 rho(e_c) = +-rho(e_(b xor c)), and the image of every
+        blade but the scalar has trace 0.  rho(e_b)^-1 is the conjugate
+        transpose of a unit monomial, so each coefficient costs O(m).
+        """
+        if not self.is_complex:
+            raise ValueError("the trace formula is implemented for complex models only")
+        units = _RING_UNITS[GAUSSIAN]
+        inv_m = Fraction(1, self.target.m)
+        out = []
+        for b in range(1 << self.n):
+            perm, codes = self._blade(b)
+            tr = _ZERO[GAUSSIAN]
+            for i, (j, c) in enumerate(zip(perm, codes)):
+                x = matrix[i][j]
+                if x:
+                    tr = tr + units[c].conjugate() * x
+            out.append(tr * inv_m)
+        return out
 
     def check_relations(self):
         """v^a v^b + v^b v^a = 2 eta^{ab} e, exactly.

@@ -230,7 +230,13 @@ def format_rational(x) -> str:
 
 
 def _fraction(s: str) -> Fraction:
-    """Fraction(s), reporting a zero denominator as a ValueError."""
+    """Fraction(s), reporting a zero denominator as a ValueError.
+
+    Exponent notation is rejected: Fraction would expand "1e9999999" into a
+    ten-million-digit integer.
+    """
+    if "e" in s or "E" in s:
+        raise ValueError(f"exponent notation is not accepted: {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:

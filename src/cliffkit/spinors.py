@@ -19,7 +19,12 @@ from .algebra import (
     invert,
     map_matrix,
 )
-from .reprs import Representation, compile_complex_rep, solve_intertwiner
+from .reprs import (
+    Intertwiner,
+    Representation,
+    compile_complex_rep,
+    compile_rep,
+)
 from .scalars import GAUSSIAN, GaussianRational
 
 
@@ -203,7 +208,17 @@ class SpinorModel:
 
 def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     """Intertwiner between left multiplication on the ideal and the compiled
-    column model: U L_i = rho(e^i) U with U invertible."""
+    column model: U L_i = rho(e^i) U with U invertible.
+
+    U is built, not solved for: U[:, j] = rho(psi_j) w, where psi_j is the
+    j-th canonical basis element of the ideal and w = rho(p)[:, k] the first
+    nonzero column of rho(p).  Since psi_j = psi_j p, that is column k of
+    rho(psi_j).  Then rho(e^i) U = U L_i because rho(e^i psi) = rho(e^i)
+    rho(psi).  By Schur's lemma the intertwiners form a line, and U is scaled
+    so that its last nonzero entry in row-major order is 1: the point of that
+    line that ``solve_intertwiner`` picks.  The inverse and U L_i U^-1 =
+    rho(e^i) are checked exactly.  The result does not depend on ``seed``.
+    """
     n = space.n
     if not is_minimal(space):
         raise ValueError("matrix model applies to minimal ideals")
@@ -219,28 +234,41 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
                 raise AssertionError("ideal is not closed under left multiplication")
             cols.append(coords)
         left.append(tuple(tuple(cols[j][i_] for j in range(N)) for i_ in range(N)))
-    inter = solve_intertwiner(left, rep.gens, N, GAUSSIAN, seed=seed)
-    if inter is None:
+    k = next(j for j, col in enumerate(zip(*rep.rho(space.p))) if any(col))
+    images = [rep.rho(psi) for psi in space.basis]
+    U = [[img[r][k] for img in images] for r in range(N)]
+    last = next(x for row in reversed(U) for x in reversed(row) if x)
+    U = tuple(tuple(x / last for x in row) for row in U)
+    Uinv = linalg.inv(U)
+    if Uinv is None or not all(
+        linalg.mat_eq(linalg.matmul(linalg.matmul(U, L), Uinv), g)
+        for L, g in zip(left, rep.gens)
+    ):
         raise AssertionError("no invertible intertwiner onto the column model")
-    return SpinorModel(rep, tuple(left), inter)
+    return SpinorModel(rep, tuple(left), Intertwiner(U, Uinv, GAUSSIAN))
 
 
 def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
     """Invertible g with g p1 g^-1 = p2, or None.
 
     Solves the exact linear system g p1 = p2 g in the algebra and picks an
-    invertible point of the solution space.
+    invertible point of the solution space, in ``linalg.first_accepted``
+    order.  A point g is accepted when g p1 = p2 g holds exactly and rho(g)
+    is invertible in the compiled matrix model (``Representation.invertible``),
+    which decides invertibility of g because rho is an isomorphism onto the
+    target ring; no inverse is computed.  The complex algebra of odd
+    dimension has no compiled model and raises ValueError.
     """
     if p1.space_key() != p2.space_key():
         raise ValueError("idempotents live in different algebras")
+    rep = compile_complex_rep(p1.n) if p1.is_complex else compile_rep(p1.sig)
     basis = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
 
     def conjugates(v):
         g = from_coords(p1, v)
-        if not g:
+        if not g or not rep.invertible(g):
             return None
-        ginv = invert(g)
-        return g if ginv is not None and g * p1 * ginv == p2 else None
+        return g if g * p1 == p2 * g else None
 
     return linalg.first_accepted(basis, conjugates, seed=seed)
 
@@ -257,13 +285,12 @@ def stabilizer_membership(g: Multivector, space: SpinorSpace) -> bool:
 # preimages in the compiled model
 
 def rep_preimage(rep: Representation, matrix):
-    """Multivector x with rho(x) = matrix, or None (complex models only)."""
-    if not rep.is_complex:
-        raise ValueError("preimage helper supports complex models only")
-    n = rep.complex_dim
-    m = rep.target.m
-    vec = [GaussianRational.coerce(matrix[i][j]) for i in range(m) for j in range(m)]
-    x = linalg.solve(rep.rho_matrix(), vec)
-    if x is None:
-        return None
-    return from_coords(Multivector.complex_alg(n, {}), x)
+    """Multivector x with rho(x) = matrix, or None (complex models only).
+
+    Coefficients come from the trace formula c_b = tr(rho(e_b)^-1 X) / m
+    (``Representation.trace_coords``); x is returned only after rho(x) =
+    matrix is checked exactly.
+    """
+    coords = rep.trace_coords(matrix)
+    x = from_coords(Multivector.complex_alg(rep.complex_dim, {}), coords)
+    return x if linalg.mat_eq(rep.rho(x), matrix) else None

@@ -315,8 +315,8 @@ CRITERIA = (
     ("vector-action-soundness", check_vector_action, 20.0),
     ("double-cover", check_double_cover, None),
     ("reflection-factorization", check_reflection_factorization, None),
-    ("spinor-ideals", check_spinor_ideals, None),
-    ("idempotent-conjugacy", check_idempotent_conjugacy, None),
+    ("spinor-ideals", check_spinor_ideals, 2.0),
+    ("idempotent-conjugacy", check_idempotent_conjugacy, 12.0),
     ("even-subrings", check_even_subrings, None),
     ("cech-pin-obstruction", check_cech_obstruction, 5.0),
 )

@@ -136,6 +136,14 @@ def test_nontrivial_1cocycle_of_projective_plane_is_pinned():
     assert a.coboundary_preimage() is None
 
 
+def test_degree0_coboundary_is_only_zero():
+    # there are no (-1)-cochains, so delta of nothing can only be 0
+    c = filled_triangle()
+    assert not Z2Cochain(c, 0, {(0,): 1}).is_coboundary()
+    assert Z2Cochain(c, 0, {}).is_coboundary()
+    assert Z2Cochain(c, 0, {(1,): 0}).coboundary_preimage() == 0
+
+
 def _coboundary_cocycle(c, rng):
     h = {v: zeta(random_versor(SIG, rng)) for v in range(c.vertices)}
     edges = {(i, j): h[i].inverse() * h[j] for (i, j) in c.edges}

@@ -317,15 +317,26 @@ def test_zero_denominator_is_usage_error(capsys, tmp_path, command):
     assert "zero denominator" in err
 
 
+def test_exponent_scalar_is_usage_error(capsys, tmp_path):
+    # Fraction would expand this into a ten-million-digit integer
+    path = tmp_path / "versor.json"
+    path.write_text(json.dumps([
+        {"ring": "rational", "signature": [2, 0], "terms": [{"blade": [1], "coeff": "1e9999999"}]},
+    ]))
+    code, out, err = run(capsys, "zeta", "--sig", "2,0", "--versor", str(path))
+    assert code == 2
+    assert out == ""
+    assert "exponent notation" in err
+
+
 # Documents in the shapes the README describes, with one part in ten swapped
-# for an arbitrary JSON value.  Exponent strings such as "1e9999999" are left
-# out: they parse, but take seconds each.
+# for an arbitrary JSON value.
 _KEYS = ["ring", "signature", "complex_dim", "terms", "blade", "coeff", "matrix",
          "vertices", "simplices", "1", "2", "3", "complex", "edges", "e"]
 _SCALAR = st.one_of(
     st.sampled_from(["1", "-1", "1/2", "0", "1/0", "0/0", "", "x", "i", "-i",
-                     "1/2+1/3i", "1/0i", "2/0+i", "1+1/0i"]),
-    st.text("0123456789/+-i. ", max_size=6),
+                     "1/2+1/3i", "1/0i", "2/0+i", "1+1/0i", "1e9999999", "2E3i"]),
+    st.text("0123456789/+-ieE. ", max_size=6),
 )
 _LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 5), _SCALAR)
 _ANY = st.recursive(

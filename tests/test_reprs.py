@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cliffkit import linalg
-from cliffkit.algebra import Signature
+from cliffkit.algebra import Multivector, Signature, invert
 from cliffkit.reprs import (
     Representation,
     TargetRing,
@@ -279,6 +279,41 @@ def test_blade_images_match_dense_products(source):
             if b >> i & 1:
                 want = rep.gens[i] if want is None else mul(want, rep.gens[i])
         assert rep.blade_image(b) == want
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_complex_blade_images_are_traceless(n):
+    # Representation.trace_coords rests on tr rho(e_b) = 0 for b != 0
+    rep = compile_complex_rep(n)
+    m = rep.target.m
+    for b in range(1, 1 << n):
+        img = rep.blade_image(b)
+        assert sum((img[i][i] for i in range(m)), G0) == G0
+
+
+@pytest.mark.parametrize("source", [Signature(2, 1), Signature(1, 3), Signature(0, 3),
+                                    Signature(3, 1), 4], ids=str)
+def test_invertible_matches_algebra_invert(source):
+    # targets R + R, Mat(2, H), H + H, Mat(4, R) and Mat(4, C); the elements 1 + e_b
+    # and e_b + e_c include zero divisors such as (1 + e_b) with e_b^2 = 1
+    if isinstance(source, int):
+        rep = compile_complex_rep(source)
+
+        def mv(terms):
+            return Multivector.complex_alg(source, {b: G1 for b in terms})
+    else:
+        rep = compile_rep(source)
+
+        def mv(terms):
+            return Multivector.real(source, {b: F1 for b in terms})
+    size = 1 << rep.n
+    seen = set()
+    for b in range(1, size):
+        for x in (mv([0, b]), mv([b, (3 * b + 1) % size])):
+            invertible = invert(x) is not None
+            seen.add(invertible)
+            assert rep.invertible(x) == invertible
+    assert seen == {True, False}
 
 
 def _cl20_doc():

@@ -12,7 +12,9 @@ from cliffkit.algebra import (
     Signature,
     complex_basis_vector,
     complex_unit,
+    from_coords,
     invert,
+    map_matrix,
     multivector_to_json,
 )
 from cliffkit.groups import chiral_rep
@@ -23,6 +25,7 @@ from cliffkit.reprs import (
     factor_projections,
     quaternion_complexify,
     rep_equivalence,
+    solve_intertwiner,
 )
 from cliffkit.sampling import random_unitary_versor, rng_from_seed
 from cliffkit.spinors import (
@@ -36,7 +39,7 @@ from cliffkit.spinors import (
     spinor_matrix_model,
     stabilizer_membership,
 )
-from cliffkit.scalars import GaussianRational, format_scalar
+from cliffkit.scalars import GAUSSIAN, GaussianRational, format_scalar
 
 G1 = GaussianRational(1)
 GI = GaussianRational(0, 1)
@@ -173,9 +176,74 @@ def test_rep_preimage_and_column_stabilizer():
     lower = rep_preimage(rep, matrix({(0, 0): G1, (1, 1): G1, (1, 0): GI}))
     assert not stabilizer_membership(upper, space)
     assert stabilizer_membership(lower, space)
-    assert rep_preimage(rep, e11) == p  # cached path
+    assert rep_preimage(rep, e11) == p
     with pytest.raises(ValueError):
         stabilizer_membership(p, space)  # idempotents are not invertible
+
+
+@pytest.mark.parametrize("case", ["n2", "n4", "n6", "conjugated"])
+def test_spinor_matrix_model_matches_solved_intertwiner(case):
+    # the intertwiner built as psi -> rho(psi) w is the one the nullspace
+    # search over all S with S L_i = rho(e^i) S picks
+    if case == "conjugated":
+        rng = rng_from_seed(13)
+        base = primitive_idempotent(4).p
+        spaces = []
+        for _ in range(3):
+            g = random_unitary_versor(4, rng)
+            spaces.append(left_ideal(g * base * g.reversion(), 4))
+    else:
+        spaces = [left_ideal(primitive_idempotent(int(case[1:])))]
+    for space in spaces:
+        model = spinor_matrix_model(space, seed=0)
+        want = solve_intertwiner(model.left_action, model.rep.gens, space.dim, GAUSSIAN)
+        assert model.intertwiner == want
+
+
+def _dense_conjugator(p1, p2, seed):
+    # g p1 g^-1 = p2 with the inverse solved densely in the algebra
+    basis = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
+
+    def conjugates(v):
+        g = from_coords(p1, v)
+        if not g:
+            return None
+        ginv = invert(g)
+        return g if ginv is not None and g * p1 * ginv == p2 else None
+
+    return linalg.first_accepted(basis, conjugates, seed=seed)
+
+
+def test_find_conjugator_matches_dense_inverse_acceptance():
+    rng = rng_from_seed(17)
+    base = primitive_idempotent(4).p
+    pairs = []
+    for _ in range(10):
+        g1, g2 = random_unitary_versor(4, rng), random_unitary_versor(4, rng)
+        pairs.append((g1 * base * g1.reversion(), g2 * base * g2.reversion()))
+    e = complex_unit(2)
+    pairs.append(((e + complex_basis_vector(2, 1)) * (G1 / 2), e))  # no solution
+    for seed, (p1, p2) in enumerate(pairs):
+        assert find_conjugator(p1, p2, seed=seed) == _dense_conjugator(p1, p2, seed)
+
+
+def test_find_conjugator_needs_a_compiled_model():
+    e = complex_unit(3)
+    p1 = (e + complex_basis_vector(3, 1)) * (G1 / 2)
+    p2 = (e - complex_basis_vector(3, 1)) * (G1 / 2)
+    with pytest.raises(ValueError):
+        find_conjugator(p1, p2)
+
+
+def test_rep_preimage_inverts_rho():
+    rng = rng_from_seed(3)
+    for n in (2, 4, 6):
+        rep = compile_complex_rep(n)
+        x = Multivector.complex_alg(n, {
+            b: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+            for b in range(1 << n) if rng.random() < 0.5
+        })
+        assert rep_preimage(rep, rep.rho(x)) == x
 
 
 def test_solver_choices_golden_digest():
