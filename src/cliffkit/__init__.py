@@ -15,13 +15,9 @@ from .algebra import (
     complex_unit,
     complexify_embed,
     eta,
-    geometric_product,
-    grade_project,
     invert,
     multivector_from_json,
     multivector_to_json,
-    reversion,
-    star_involution,
     unit,
     vector,
 )
@@ -41,7 +37,6 @@ from .groups import (
     adjoint_automorphism,
     cartan_dieudonne,
     lift_to_pin,
-    make_versor,
     spin_block_check,
     total_reflection_versor,
     zeta,

@@ -326,22 +326,6 @@ def complex_basis_vector(n, i):
 # ---------------------------------------------------------------------------
 # operations
 
-def geometric_product(a, b):
-    return a * b
-
-
-def grade_project(a, k):
-    return a.grade_project(k)
-
-
-def reversion(a):
-    return a.reversion()
-
-
-def star_involution(a):
-    return a.star()
-
-
 def eta(v, w):
     """Symmetric bilinear form on grade-1 elements: vw + wv = 2 eta(v,w) e."""
     prod = v * w + w * v

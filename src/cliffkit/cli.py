@@ -19,7 +19,7 @@ from .algebra import (
     multivector_from_json,
     multivector_to_json,
 )
-from .groups import PseudoOrthogonalMatrix, cartan_dieudonne, lift_to_pin, make_versor, zeta
+from .groups import PseudoOrthogonalMatrix, Versor, cartan_dieudonne, lift_to_pin, zeta
 from .reprs import classify, compile_complex_rep, compile_rep, rep_to_json
 from .scalars import format_rational
 from .spinors import (
@@ -177,7 +177,7 @@ def _cmd_zeta(args):
     if not isinstance(factors_doc, list):
         raise ValueError("versor JSON must be a list of factors")
     factors = [multivector_from_json(d) for d in factors_doc]
-    g = make_versor(sig, factors)
+    g = Versor(sig, factors)
     m = zeta(g)
     if args.json:
         _print_json(m.to_json())

@@ -2,14 +2,19 @@
 
 Versors are products of anisotropic grade-1 elements.  The vector action
 used throughout is the untwisted adjoint zeta(g): v -> g v g^-1, under which
-a single vector w acts as minus the reflection across its orthogonal
-hyperplane, and the total reflection omega = v^1 ... v^n acts (for even n)
-as -identity.  zeta applies the action one versor factor at a time, so every
-intermediate stays a grade-1 vector and the (generally dense) product of the
-factors is never multiplied.  Lifting goes the other way: a pseudo-orthogonal
-matrix is factored into reflections (constructive, at most 2n of them) and
-the product of the reflection vectors, patched by omega when the count is
-odd, is a versor mapping onto it.
+a single vector w acts as minus the reflection R(w): x -> x - 2 B(w,x)/Q(w) w
+across its orthogonal hyperplane, and the total reflection
+omega = v^1 ... v^n acts (for even n) as -identity.  ``zeta``,
+``cartan_dieudonne`` and the sampler reflect through one coordinate step,
+``_reflect``: ``reflection_product`` applies it column by column, and
+``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way, multiplying no
+multivectors.  The sandwich g e_a g^-1 is kept only as the oracle
+(``verify._matches_definition`` and the tests' ``_dense_zeta_columns``),
+and the dense ``reflection_matrix`` only as the reference that the
+recomposition checks multiply out.  Lifting goes the other way: a
+pseudo-orthogonal matrix is factored into reflections (constructive, at
+most 2n of them) and the product of the reflection vectors, patched by omega
+when the count is odd, is a versor mapping onto it.
 """
 
 from __future__ import annotations
@@ -134,12 +139,38 @@ class PseudoOrthogonalMatrix:
         return cls(sig, [[parse_rational(str(x)) for x in row] for row in rows])
 
 
-def _qform(sig, x):
-    return sum(sig.square(i + 1) * x[i] * x[i] for i in range(sig.n))
-
-
 def _bform(sig, x, y):
-    return sum(sig.square(i + 1) * x[i] * y[i] for i in range(sig.n))
+    """B(x, y) on coordinates; Q(x) is _bform(sig, x, x)."""
+    p = sig.p
+    return sum(a * b for a, b in zip(x[:p], y[:p])) - sum(a * b for a, b in zip(x[p:], y[p:]))
+
+
+def _reflect(sig, w, qw, x):
+    """R(w) x = x - 2 B(w, x)/Q(w) w, with qw = Q(w) != 0."""
+    f = 2 * _bform(sig, w, x) / qw
+    return [xi - f * wi for xi, wi in zip(x, w)] if f else x
+
+
+def reflection_product(sig, ws, sign=1) -> PseudoOrthogonalMatrix:
+    """sign * R(w_1) ... R(w_r) for coordinate vectors w_1, ..., w_r.
+
+    Column a is R(w_1)(... R(w_r) e_a), innermost factor first, so each
+    factor costs O(n) per column and no n x n product is formed.
+    """
+    n = sig.n
+    factors = []
+    for w in reversed(ws):
+        qw = Fraction(_bform(sig, w, w))
+        if qw == 0:
+            raise ValueError("cannot reflect across an isotropic vector")
+        factors.append((w, qw))
+    cols = []
+    for a in range(n):
+        x = [int(i == a) for i in range(n)]
+        for w, qw in factors:
+            x = _reflect(sig, w, qw, x)
+        cols.append([sign * xi for xi in x])
+    return PseudoOrthogonalMatrix(sig, zip(*cols))
 
 
 def reflection_matrix(w: Multivector) -> PseudoOrthogonalMatrix:
@@ -148,7 +179,7 @@ def reflection_matrix(w: Multivector) -> PseudoOrthogonalMatrix:
     if sig is None:
         raise ValueError("reflections are defined in the real algebra")
     coords = w.vector_coords()
-    norm = _qform(sig, coords)
+    norm = _bform(sig, coords, coords)
     if norm == 0:
         raise ValueError("cannot reflect across an isotropic vector")
     n = sig.n
@@ -175,7 +206,7 @@ class Versor:
             if v.sig != sig:
                 raise ValueError("factor signature mismatch")
             coords = v.vector_coords()
-            norm = _qform(sig, coords)
+            norm = _bform(sig, coords, coords)
             if norm == 0:
                 raise ValueError("versor factors must be anisotropic vectors")
             if norm != 1 and norm != -1:
@@ -201,7 +232,8 @@ class Versor:
         denom = Fraction(1)
         for v in reversed(self.factors):
             inv = inv * v
-            denom *= _qform(sig, v.vector_coords())
+            coords = v.vector_coords()
+            denom *= _bform(sig, coords, coords)
         return inv / denom
 
     def __mul__(self, other):
@@ -223,10 +255,6 @@ class Versor:
         return f"Versor({self.sig}, {len(self.factors)} factors, {self.product!r})"
 
 
-def make_versor(sig: Signature, vectors) -> Versor:
-    return Versor(sig, vectors)
-
-
 def total_reflection_versor(sig: Signature) -> Versor:
     return Versor(sig, [basis_vector(sig, i) for i in range(1, sig.n + 1)])
 
@@ -234,28 +262,14 @@ def total_reflection_versor(sig: Signature) -> Versor:
 def zeta(g: Versor) -> PseudoOrthogonalMatrix:
     """Untwisted adjoint action on grade 1: column a is g e_a g^-1.
 
-    For g = v_1 ... v_k the sandwich is taken one factor at a time,
-    v_1 (v_2 ( ... (v_k e_a v_k^-1) ... ) v_2^-1) v_1^-1, which equals
-    g e_a g^-1 by associativity and g^-1 = v_k^-1 ... v_1^-1.  Each
-    v x v^-1 of a vector x is again a vector (minus its reflection), so
-    every product has a grade-1 operand.  Since v^-1 = v / eta(v, v), the
-    column is v_1 ... v_k e_a v_k ... v_1 divided once by the product of
-    the factor norms.
+    A single vector v acts as x -> v x v^-1 = -R(v) x, minus the reflection
+    x -> x - 2 B(v,x)/Q(v) v, so for g = v_1 ... v_k
+    zeta(g) = (-1)^k R(v_1) ... R(v_k), built by ``reflection_product`` from
+    the factors' coordinates.  The sandwich itself is the oracle in
+    ``verify._matches_definition`` and the tests' ``_dense_zeta_columns``.
     """
-    sig = g.sig
-    n = sig.n
-    denom = Fraction(1)
-    for v in g.factors:
-        denom *= _qform(sig, v.vector_coords())
-    inner_first = g.factors[::-1]
-    cols = []
-    for a in range(1, n + 1):
-        x = basis_vector(sig, a)
-        for v in inner_first:
-            x = v * x * v
-        cols.append((x / denom).vector_coords())
-    mat = [[cols[a][i] for a in range(n)] for i in range(n)]
-    return PseudoOrthogonalMatrix(sig, mat)
+    sign = -1 if len(g.factors) % 2 else 1
+    return reflection_product(g.sig, [v.vector_coords() for v in g.factors], sign)
 
 
 def adjoint_automorphism(g: Multivector, a: Multivector) -> Multivector:
@@ -287,40 +301,32 @@ def cartan_dieudonne(M: PseudoOrthogonalMatrix) -> CDResult:
     """
     sig = M.sig
     n = sig.n
+    eye = [[Fraction(int(i == a)) for i in range(n)] for a in range(n)]
     cols = [list(M.column(a)) for a in range(n)]
     vectors = []
     fallbacks = 0
 
     def apply_reflection(w):
-        norm = _qform(sig, w)
+        qw = _bform(sig, w, w)
         for a in range(n):
-            f = 2 * _bform(sig, w, cols[a]) / norm
-            if f:
-                cols[a] = [cols[a][i] - f * w[i] for i in range(n)]
+            cols[a] = _reflect(sig, w, qw, cols[a])
+        vectors.append(vector(sig, w))
 
-    for a in range(n):
-        e_a = [Fraction(0)] * n
-        e_a[a] = Fraction(1)
+    for a, e_a in enumerate(eye):
         x = cols[a]
         if x == e_a:
             continue
-        w = [x[i] - e_a[i] for i in range(n)]
-        if _qform(sig, w) != 0:
+        w = [xi - ei for xi, ei in zip(x, e_a)]
+        if _bform(sig, w, w) != 0:
             apply_reflection(w)
-            vectors.append(vector(sig, w))
         else:
             fallbacks += 1
-            w2 = [x[i] + e_a[i] for i in range(n)]
-            apply_reflection(w2)
-            vectors.append(vector(sig, w2))
+            apply_reflection([xi + ei for xi, ei in zip(x, e_a)])
             apply_reflection(e_a)
-            vectors.append(vector(sig, e_a))
         if cols[a] != e_a:
             raise AssertionError("reflection step failed to fix the basis vector")
-    for a in range(n):
-        e_a = [Fraction(1) if i == a else Fraction(0) for i in range(n)]
-        if cols[a] != e_a:
-            raise AssertionError("factorization left a nonidentity residue")
+    if cols != eye:
+        raise AssertionError("factorization left a nonidentity residue")
     return CDResult(tuple(vectors), fallbacks)
 
 

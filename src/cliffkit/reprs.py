@@ -449,6 +449,7 @@ def signature_shift(sig: Signature, kind: str):
     raise ValueError(f"unknown shift kind {kind!r}")
 
 
+# real models keyed by Signature, complex ones by their dimension n
 _COMPILE_CACHE = {}
 
 
@@ -495,18 +496,24 @@ def compile_complex_rep(n: int) -> Representation:
 
     Routes through the split signature (n/2, n/2): the negative generators
     v^j there correspond to i e^j in the complex algebra, so e^j maps to
-    -i times the real image.  Odd n is unsupported.
+    -i times the real image.  Odd n is unsupported.  Cached like
+    ``compile_rep``.
     """
     if n <= 0 or n % 2:
         raise ValueError("complex compilation needs positive even n")
+    cached = _COMPILE_CACHE.get(n)
+    if cached is not None:
+        return cached
     k = n // 2
     real = compile_rep(Signature(k, k))
     times_minus_i = _UNIT_MUL[_MINUS_I]
     gens = list(real._monos[:k])
     for perm, codes in real._monos[k:]:
         gens.append((perm, tuple(times_minus_i[c] for c in codes)))
-    return _checked(Representation._from_monos(None, n, TargetRing("MatC", real.target.m), gens),
-                    f"complex model of C({n})")
+    rep = _checked(Representation._from_monos(None, n, TargetRing("MatC", real.target.m), gens),
+                   f"complex model of C({n})")
+    _COMPILE_CACHE[n] = rep
+    return rep
 
 
 def even_subring_rep(sig: Signature):

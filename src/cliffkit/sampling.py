@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .algebra import Multivector, Signature, vector
-from .groups import PseudoOrthogonalMatrix, Versor, reflection_matrix
+from .groups import PseudoOrthogonalMatrix, Versor, reflection_product
 from .scalars import GaussianRational
 
 
@@ -42,10 +42,8 @@ def random_versor(sig: Signature, rng, num_factors=2) -> Versor:
 def random_pseudo_orthogonal(sig: Signature, rng, num_reflections=None) -> PseudoOrthogonalMatrix:
     if num_reflections is None:
         num_reflections = rng.randint(1, max(1, sig.n))
-    m = PseudoOrthogonalMatrix.identity(sig)
-    for _ in range(num_reflections):
-        m = m * reflection_matrix(random_anisotropic_vector(sig, rng))
-    return m
+    ws = [random_anisotropic_vector(sig, rng).vector_coords() for _ in range(num_reflections)]
+    return reflection_product(sig, ws)
 
 
 def rational_unit_vector(n, rng, lo=-4, hi=4):

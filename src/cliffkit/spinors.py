@@ -160,19 +160,23 @@ def _candidate_roots(n):
 
 def primitive_idempotent(n: int) -> HermitianIdempotent:
     """First (in a fixed candidate order) primitive Hermitian idempotent
-    built from n/2 commuting independent signed-blade square roots."""
+    built from n/2 commuting independent signed-blade square roots.
+
+    A candidate p is primitive when rank rho(p) = 1 in the compiled model:
+    rho is an isomorphism onto Mat(m, C), so dim A p = m rank rho(p), and
+    the minimal dimension m = 2^(n/2) is rank 1.
+    """
     if n <= 0 or n % 2:
         raise ValueError("primitive idempotent search needs positive even n")
     k = n // 2
     candidates = _candidate_roots(n)
     e = complex_unit(n)
-    target_dim = 1 << k
+    rep = compile_complex_rep(n)
 
     def dfs(start, chosen, products):
         if len(chosen) == k:
             p = idempotent_from_factors(n, chosen)
-            space = left_ideal(p, n)
-            if space.dim == target_dim:
+            if linalg.rank(rep.rho(p)) == 1:
                 return chosen
             return None
         for idx in range(start, len(candidates)):

@@ -312,9 +312,9 @@ CRITERIA = (
     ("complex-models", check_complex_models, 10.0),
     ("named-isomorphisms", check_named_isomorphisms, None),
     ("irrep-dimensions", check_irrep_dimensions, None),
-    ("vector-action-soundness", check_vector_action, 20.0),
-    ("double-cover", check_double_cover, None),
-    ("reflection-factorization", check_reflection_factorization, None),
+    ("vector-action-soundness", check_vector_action, 18.0),
+    ("double-cover", check_double_cover, 2.0),
+    ("reflection-factorization", check_reflection_factorization, 40.0),
     ("spinor-ideals", check_spinor_ideals, 2.0),
     ("idempotent-conjugacy", check_idempotent_conjugacy, 12.0),
     ("even-subrings", check_even_subrings, None),

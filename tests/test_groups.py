@@ -15,11 +15,17 @@ from cliffkit.groups import (
     chiral_rep,
     lift_to_pin,
     reflection_matrix,
+    reflection_product,
     spin_block_check,
     total_reflection_versor,
     zeta,
 )
-from cliffkit.sampling import random_pseudo_orthogonal, random_versor, rng_from_seed
+from cliffkit.sampling import (
+    random_anisotropic_vector,
+    random_pseudo_orthogonal,
+    random_versor,
+    rng_from_seed,
+)
 
 F = Fraction
 E2 = Signature(2, 0)
@@ -55,6 +61,10 @@ def test_reflection_matrix():
     assert (r * r).is_identity()
     with pytest.raises(ValueError):
         reflection_matrix(vector(M11, [F(1), F(1)]))
+    assert reflection_product(E2, [(F(1), F(0))]) == r
+    assert reflection_product(E2, [(F(1), F(0))], sign=-1) == zeta(Versor(E2, [basis_vector(E2, 1)]))
+    with pytest.raises(ValueError):
+        reflection_product(M11, [(F(1), F(1))])
 
 
 def test_versor_construction_rules():
@@ -158,7 +168,7 @@ def test_zeta_eight_factors_at_4_4_matches_definition():
 
 
 def test_zeta_term_pair_count(monkeypatch):
-    # deterministic work count: zeta never multiplies the dense product
+    # deterministic work count: zeta works in coordinates and multiplies no multivectors
     g = _eight_factor_versor_4_4()
     pairs = 0
     plain_mul = Multivector.__mul__
@@ -171,7 +181,23 @@ def test_zeta_term_pair_count(monkeypatch):
 
     monkeypatch.setattr(Multivector, "__mul__", counting_mul)
     zeta(g)
-    assert pairs <= 25_000
+    assert pairs == 0
+
+
+def test_random_pseudo_orthogonal_is_the_dense_reflection_product():
+    # a twin RNG replays the draws: the sampler returns the product of dense
+    # reflection matrices and leaves the RNG where the draws left it
+    for n in range(1, 7):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            rng, twin = rng_from_seed(10 * n + p), rng_from_seed(10 * n + p)
+            for _ in range(5):
+                m = random_pseudo_orthogonal(sig, rng)
+                want = PseudoOrthogonalMatrix.identity(sig)
+                for _ in range(twin.randint(1, n)):
+                    want = want * reflection_matrix(random_anisotropic_vector(sig, twin))
+                assert m == want
+                assert rng.getstate() == twin.getstate()
 
 
 def test_cartan_dieudonne_rotation():

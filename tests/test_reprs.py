@@ -360,6 +360,10 @@ def test_compiled_models_are_immutable():
     assert compile_rep(Signature(1, 3)) is rep and rep.verify()
 
 
+def test_complex_model_is_cached():
+    assert compile_complex_rep(4) is compile_complex_rep(4)
+
+
 def test_double_rep_rejects_a_model_that_does_not_verify():
     # the non-injective Cl(1,0) -> R + R model above
     rep = Representation(Signature(1, 0), None, TargetRing("MatR", 1, summands=2),

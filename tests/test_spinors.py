@@ -96,6 +96,19 @@ def test_minimal_ideal_dimension(n):
         assert space.contains(complex_basis_vector(n, i) * idem.p)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_primitive_idempotent_factors_are_pinned(n):
+    # the first primitive candidate is e^1, i e^2 e^3, i e^4 e^5, ...: the
+    # rank-1 test of rho(p) picks what eliminating the ideal A p picked
+    factors = [complex_basis_vector(n, 1)] + [
+        complex_basis_vector(n, 2 * j) * complex_basis_vector(n, 2 * j + 1) * GI
+        for j in range(1, n // 2)
+    ]
+    idem = primitive_idempotent(n)
+    assert idem.p == idempotent_from_factors(n, factors)
+    assert left_ideal(idem).dim == 1 << (n // 2)
+
+
 def test_single_factor_idempotent_not_minimal_at_n4():
     p = make_idempotent(complex_basis_vector(4, 1))
     space = left_ideal(p)
