@@ -4,11 +4,14 @@ A multivector lives either in a real algebra over a signature (p, q), with
 rational coefficients, or in the complexified algebra of dimension n, with
 Gaussian rational coefficients and a Euclidean metric.  Blades are bitmasks:
 bit i-1 set means the generator with index i (1-based) is present, and the
-stored blade is always the ascending-index product.
+stored blade is always the ascending-index product.  Real products run
+fraction-free: integer numerators over one common denominator per operand,
+with one Fraction built per output term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +60,7 @@ def blade_mul(b1, b2, sig):
     # Multivector.real raises ValueError for a blade outside the algebra
     prod = Multivector.real(sig, {b1: 1}) * Multivector.real(sig, {b2: 1})
     [(blade, sign)] = prod.terms.items()
-    return sign, blade
+    return int(sign), blade
 
 
 def blade_indices(blade):
@@ -186,27 +189,17 @@ class Multivector:
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check_space(other)
-        neg_mask = self._neg_mask
-        acc = {}
-        for b1, c1 in self.terms.items():
-            a1 = b1 >> 1
-            for b2, c2 in other.terms.items():
-                a = a1
-                s = 0
-                while a:
-                    s += (a & b2).bit_count()
-                    a >>= 1
-                s += (b1 & b2 & neg_mask).bit_count()
-                c = c1 * c2
-                if s & 1:
-                    c = -c
-                b = b1 ^ b2
-                nv = acc.get(b, 0) + c
-                if nv:
-                    acc[b] = nv
-                else:
-                    acc.pop(b, None)
-        return Multivector(self.sig, self.n, self.ring, acc)
+        if self.ring != RATIONAL:
+            return Multivector(self.sig, self.n, self.ring,
+                               _blade_products(self.terms, other.terms, self._neg_mask))
+        # fraction-free: multiply integer numerators over one common
+        # denominator per operand, and divide each output term once
+        d1, t1 = _int_terms(self.terms)
+        d2, t2 = _int_terms(other.terms)
+        d = d1 * d2
+        acc = _blade_products(t1, t2, self._neg_mask)
+        return Multivector(self.sig, self.n, self.ring,
+                           {b: Fraction(c, d) for b, c in acc.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -292,6 +285,44 @@ class Multivector:
             name = "e" if b == 0 else "e" + "".join(str(i) for i in blade_indices(b))
             bits.append(f"({self.terms[b]})*{name}")
         return f"<{space} " + " + ".join(bits) + ">"
+
+
+def _int_terms(terms):
+    """(d, numerators): the rational coefficients of ``terms`` are
+    numerators[b] / d, with d the lcm of their denominators."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return d, {b: c.numerator * (d // c.denominator) for b, c in terms.items()}
+
+
+def _blade_products(t1, t2, neg_mask):
+    """Coefficients of (sum t1[b] e_b)(sum t2[b] e_b), zeros dropped.
+
+    Sorting e_b1 e_b2 into ascending order moves each generator of b1 past
+    every lower generator of b2, and each shared generator squaring to -1
+    (bits of ``neg_mask``) gives one more sign.  Bit j of ``flips`` is the
+    parity of both for a generator j of b2, so the sign of the pair is the
+    parity of flips & b2.
+    """
+    acc = {}
+    for b1, c1 in t1.items():
+        # bit j of above: parity of the generators of b1 above j
+        above = b1 >> 1
+        k = 1
+        while above >> k:
+            above ^= above >> k
+            k <<= 1
+        flips = above ^ (b1 & neg_mask)
+        for b2, c2 in t2.items():
+            c = c1 * c2
+            if (flips & b2).bit_count() & 1:
+                c = -c
+            b = b1 ^ b2
+            nv = acc.get(b, 0) + c
+            if nv:
+                acc[b] = nv
+            else:
+                acc.pop(b, None)
+    return acc
 
 
 # ---------------------------------------------------------------------------

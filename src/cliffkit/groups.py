@@ -5,10 +5,14 @@ used throughout is the untwisted adjoint zeta(g): v -> g v g^-1, under which
 a single vector w acts as minus the reflection R(w): x -> x - 2 B(w,x)/Q(w) w
 across its orthogonal hyperplane, and the total reflection
 omega = v^1 ... v^n acts (for even n) as -identity.  ``zeta``,
-``cartan_dieudonne`` and the sampler reflect through one coordinate step,
-``_reflect``: ``reflection_product`` applies it column by column, and
-``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way, multiplying no
-multivectors.  The sandwich g e_a g^-1 is kept only as the oracle
+``cartan_dieudonne`` and the sampler reflect through one integer step,
+``_reflect``: the columns are held as an integer matrix X over one common
+denominator d, and a rational w is replaced by the primitive integer vector
+u on its ray (R(u) = R(w)), so X/d -> (|Q(u)| X - 2 sgn(Q(u)) B(u,X) u) /
+(|Q(u)| d), reduced by a gcd, and Fractions are built only for the result.
+``reflection_product`` applies it to the identity, and ``zeta`` is
+(-1)^k R(v_1) ... R(v_k) built that way, multiplying no multivectors.
+The sandwich g e_a g^-1 is kept only as the oracle
 (``verify._matches_definition`` and the tests' ``_dense_zeta_columns``),
 and the dense ``reflection_matrix`` only as the reference that the
 recomposition checks multiply out.  Lifting goes the other way: a
@@ -145,32 +149,57 @@ def _bform(sig, x, y):
     return sum(a * b for a, b in zip(x[:p], y[:p])) - sum(a * b for a, b in zip(x[p:], y[p:]))
 
 
-def _reflect(sig, w, qw, x):
-    """R(w) x = x - 2 B(w, x)/Q(w) w, with qw = Q(w) != 0."""
-    f = 2 * _bform(sig, w, x) / qw
-    return [xi - f * wi for xi, wi in zip(x, w)] if f else x
+def _primitive(w):
+    """The primitive integer vector on the ray of a rational vector w.
+
+    R(lambda w) = R(w) for every lambda != 0, so reflecting across it is
+    reflecting across w.  The zero vector stays zero (``_reflect`` rejects
+    it as isotropic).
+    """
+    d = math.lcm(*(x.denominator for x in w))
+    u = [x.numerator * (d // x.denominator) for x in w]
+    g = math.gcd(*u) or 1
+    return [x // g for x in u]
+
+
+def _reflect(sig, u, cols, d):
+    """R(u) on the columns of X/d, for integer u, X and d > 0.
+
+    R(u) x = (Q(u) x - 2 B(u,x) u)/Q(u), so the new columns are
+    |Q(u)| X - 2 sgn(Q(u)) B(u,X) u over |Q(u)| d, returned as (X', d')
+    divided by the gcd of d' and every entry: all integer arithmetic.
+    """
+    qu = _bform(sig, u, u)
+    if qu == 0:
+        raise ValueError("cannot reflect across an isotropic vector")
+    q = abs(qu)
+    two = 2 if qu > 0 else -2
+    out = []
+    for x in cols:
+        f = two * _bform(sig, u, x)
+        out.append([q * xi - f * ui for xi, ui in zip(x, u)])
+    d *= q
+    g = math.gcd(d, *(xi for x in out for xi in x))
+    if g != 1:
+        out = [[xi // g for xi in x] for x in out]
+        d //= g
+    return out, d
 
 
 def reflection_product(sig, ws, sign=1) -> PseudoOrthogonalMatrix:
-    """sign * R(w_1) ... R(w_r) for coordinate vectors w_1, ..., w_r.
+    """sign * R(w_1) ... R(w_r) for rational coordinate vectors w_1, ..., w_r.
 
-    Column a is R(w_1)(... R(w_r) e_a), innermost factor first, so each
-    factor costs O(n) per column and no n x n product is formed.
+    The columns start as sign * identity and are reflected across the
+    primitive integer vectors of w_r, ..., w_1 in turn (innermost factor
+    first) over one common denominator, so each factor costs O(n^2) integer
+    operations and no n x n product is formed.
     """
     n = sig.n
-    factors = []
+    cols = [[sign * int(i == a) for i in range(n)] for a in range(n)]
+    d = 1
     for w in reversed(ws):
-        qw = Fraction(_bform(sig, w, w))
-        if qw == 0:
-            raise ValueError("cannot reflect across an isotropic vector")
-        factors.append((w, qw))
-    cols = []
-    for a in range(n):
-        x = [int(i == a) for i in range(n)]
-        for w, qw in factors:
-            x = _reflect(sig, w, qw, x)
-        cols.append([sign * xi for xi in x])
-    return PseudoOrthogonalMatrix(sig, zip(*cols))
+        cols, d = _reflect(sig, _primitive(w), cols, d)
+    return PseudoOrthogonalMatrix(sig, [[Fraction(x, d) for x in row] for row in zip(*cols)])
 
 
 def reflection_matrix(w: Multivector) -> PseudoOrthogonalMatrix:
@@ -301,31 +330,33 @@ def cartan_dieudonne(M: PseudoOrthogonalMatrix) -> CDResult:
     """
     sig = M.sig
     n = sig.n
-    eye = [[Fraction(int(i == a)) for i in range(n)] for a in range(n)]
-    cols = [list(M.column(a)) for a in range(n)]
+    eye = [[int(i == a) for i in range(n)] for a in range(n)]
+    # the columns of M as integer columns over one common denominator d
+    d = math.lcm(*(x.denominator for row in M.mat for x in row))
+    cols = [[x.numerator * (d // x.denominator) for x in col] for col in zip(*M.mat)]
     vectors = []
     fallbacks = 0
 
-    def apply_reflection(w):
-        qw = _bform(sig, w, w)
-        for a in range(n):
-            cols[a] = _reflect(sig, w, qw, cols[a])
-        vectors.append(vector(sig, w))
+    def apply_reflection(v, den):
+        # reflect every column across v / den (v integer) and record that vector
+        nonlocal cols, d
+        cols, d = _reflect(sig, _primitive(v), cols, d)
+        vectors.append(vector(sig, [Fraction(vi, den) for vi in v]))
 
     for a, e_a in enumerate(eye):
         x = cols[a]
-        if x == e_a:
+        if x == [d * ei for ei in e_a]:
             continue
-        w = [xi - ei for xi, ei in zip(x, e_a)]
+        w = [xi - d * ei for xi, ei in zip(x, e_a)]
         if _bform(sig, w, w) != 0:
-            apply_reflection(w)
+            apply_reflection(w, d)
         else:
             fallbacks += 1
-            apply_reflection([xi + ei for xi, ei in zip(x, e_a)])
-            apply_reflection(e_a)
-        if cols[a] != e_a:
+            apply_reflection([xi + d * ei for xi, ei in zip(x, e_a)], d)
+            apply_reflection(e_a, 1)
+        if cols[a] != [d * ei for ei in e_a]:
             raise AssertionError("reflection step failed to fix the basis vector")
-    if cols != eye:
+    if d != 1 or cols != eye:
         raise AssertionError("factorization left a nonidentity residue")
     return CDResult(tuple(vectors), fallbacks)
 

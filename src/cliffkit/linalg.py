@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the scalar rings.
 
 Entries must support +, -, *, / and truth testing (Fraction, GaussianRational
-or Quaternion).  Elimination multiplies coefficients from the left only, so
-everything here is valid over the noncommutative quaternions too, except
+or Quaternion).  Elimination reads int entries as Fractions, so ``/`` stays
+exact and no float comes out.  It multiplies coefficients from the left only,
+so everything here is valid over the noncommutative quaternions too, except
 ``det`` and ``nullspace`` which require a commutative field.
 """
 
@@ -48,6 +49,11 @@ def scalar_mul(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def _field_rows(rows):
+    """Rows as mutable lists, with int entries made Fractions."""
+    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+
+
 def mat_eq(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         return False
@@ -60,7 +66,7 @@ def rref(rows):
     Valid over division rings: rows are scaled by the pivot inverse from the
     left and eliminations subtract left multiples.
     """
-    m = [list(r) for r in rows]
+    m = _field_rows(rows)
     if not m:
         return [], []
     n_rows, n_cols = len(m), len(m[0])
@@ -148,6 +154,7 @@ def solve(a, b):
 def inv(a):
     """Matrix inverse by Gauss-Jordan; None if singular."""
     n = len(a)
+    a = _field_rows(a)
     one = None
     for row in a:
         for x in row:
@@ -168,7 +175,7 @@ def inv(a):
 def det(a):
     """Determinant over a commutative field."""
     n = len(a)
-    m = [list(r) for r in a]
+    m = _field_rows(a)
     sign = 1
     d = None
     for c in range(n):

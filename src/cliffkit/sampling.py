@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .algebra import Multivector, Signature, vector
-from .groups import PseudoOrthogonalMatrix, Versor, reflection_product
+from .groups import PseudoOrthogonalMatrix, Versor, _bform, reflection_product
 from .scalars import GaussianRational
 
 
@@ -28,8 +28,8 @@ def random_vector(sig: Signature, rng, lo=-3, hi=3) -> Multivector:
 def random_anisotropic_vector(sig: Signature, rng, lo=-3, hi=3) -> Multivector:
     while True:
         v = random_vector(sig, rng, lo, hi)
-        sq = (v * v).scalar_part()
-        if sq != 0:
+        coords = v.vector_coords()
+        if _bform(sig, coords, coords) != 0:
             return v
 
 

@@ -85,6 +85,54 @@ def test_map_matrix_matches_blade_mul(space):
         assert map_matrix(a, lambda x: x * a) == tuple(map(tuple, right))
 
 
+def _schoolbook(a, b):
+    """a * b term by term in Fractions, each blade pair sorted by adjacent swaps."""
+    sig = a.sig
+    acc = {}
+    for b1, c1 in a.terms.items():
+        for b2, c2 in b.terms.items():
+            idx, sign = blade_indices(b1) + blade_indices(b2), 1
+            for i in range(len(idx)):
+                for j in range(len(idx) - 1 - i):
+                    if idx[j] > idx[j + 1]:
+                        idx[j], idx[j + 1] = idx[j + 1], idx[j]
+                        sign = -sign
+            out = []
+            for i in idx:
+                if out and out[-1] == i:
+                    out.pop()
+                    sign *= sig.square(i)
+                else:
+                    out.append(i)
+            blade = blade_from_indices(out)
+            acc[blade] = acc.get(blade, Fraction(0)) + Fraction(sign) * Fraction(c1) * Fraction(c2)
+    return {k: v for k, v in acc.items() if v}
+
+
+@st.composite
+def rational_operands(draw):
+    n = draw(st.integers(0, 5))
+    p = draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    coeff = st.one_of(
+        st.integers(-5, 5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    )
+    terms = st.dictionaries(st.integers(0, (1 << n) - 1), coeff, max_size=6)
+    return [Multivector.real(sig, draw(terms)) for _ in range(3)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(rational_operands())
+def test_rational_product_matches_fraction_schoolbook(ops):
+    # int coefficients, zeros and mixed denominators all come out as Fractions
+    a, b, c = ops
+    for x, y in ((a, b), (a * b, c)):
+        xy = x * y
+        assert xy.terms == _schoolbook(x, y)
+        assert all(type(v) is Fraction for v in xy.terms.values())
+
+
 def test_blade_index_helpers():
     assert blade_indices(0b1011) == [1, 2, 4]
     assert blade_from_indices([1, 2, 4]) == 0b1011

@@ -1,12 +1,29 @@
 """Versors, the adjoint vector action, reflection factorization and lifting."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffkit.algebra import Multivector, Signature, basis_vector, unit, vector
+from cliffkit.algebra import (
+    Multivector,
+    Signature,
+    basis_vector,
+    multivector_to_json,
+    unit,
+    vector,
+)
+from cliffkit.cech import (
+    Complex,
+    GroupCocycle,
+    nontrivial_1cocycle,
+    pin_lift_cocycle,
+    projective_plane,
+    tetrahedron_boundary,
+)
 from cliffkit.groups import (
     PseudoOrthogonalMatrix,
     Versor,
@@ -290,3 +307,72 @@ def test_spin_block_structure_4_0():
     assert res.block_diagonal and res.relation_ok
     assert res.det_A == 1 and res.det_D == 1
     assert res.component == "restricted"
+
+
+def _torus():
+    """Seven-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
+    tris = sorted({tuple(sorted((i, (i + a) % 7, (i + 3) % 7)))
+                   for i in range(7) for a in (1, 2)})
+    edges = sorted({(a, b) for t in tris for a in t for b in t if a < b})
+    return Complex.build(7, edges=edges, triangles=tris)
+
+
+def test_orthogonal_side_golden_digest():
+    # sha256 over what the O(p,q) side returns for seeded inputs: sampler
+    # matrices, Cartan-Dieudonne vectors and fallback counts, lifted versors
+    # (factors and products), zeta matrices, and Cech pin lifts with their
+    # discrepancies, so a change of arithmetic that alters any output shows
+    h = hashlib.sha256()
+
+    def put(doc):
+        h.update(json.dumps(doc, sort_keys=True).encode())
+
+    def put_versor(g):
+        put([multivector_to_json(v) for v in g.factors])
+        put(multivector_to_json(g.product))
+
+    fallbacks = 0
+    for n in range(1, 7):
+        for p in range(n + 1):
+            q = n - p
+            sig = Signature(p, q)
+            rng = rng_from_seed(100 * n + p)
+            mats = [random_pseudo_orthogonal(sig, rng) for _ in range(4)]
+            if p >= 2 and q >= 1:
+                # a null rotation: column 1 is e_1 + k with k = e_2 + e_(p+1)
+                # null, so the first step takes the isotropic fallback
+                w = [F(int(i == 0)) + F(1, 2) * (i in (1, p)) for i in range(n)]
+                mats.append(reflection_product(sig, [w, [int(i == 0) for i in range(n)]]))
+            for m in mats:
+                put(m.to_json())
+                cd = cartan_dieudonne(m)
+                put([multivector_to_json(w) for w in cd.vectors])
+                put(cd.fallback_count)
+                fallbacks += cd.fallback_count
+                if n % 2 == 0:
+                    put_versor(lift_to_pin(m))
+                g = random_versor(sig, rng, num_factors=rng.randint(1, 3))
+                put(zeta(g).to_json())
+    assert fallbacks > 0  # the isotropic branch is part of the digest
+    for n in (2, 4):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            rng = rng_from_seed(700 + 10 * n + p)
+            minus = PseudoOrthogonalMatrix(sig, [[-int(i == j) for j in range(n)] for i in range(n)])
+            rp2 = projective_plane()
+            twist = nontrivial_1cocycle(rp2)
+            cases = [(tetrahedron_boundary(), None), (_torus(), None), (rp2, None), (rp2, twist)]
+            for c, s in cases:
+                hv = {v: random_pseudo_orthogonal(sig, rng) for v in range(c.vertices)}
+                edges = {}
+                for e in c.edges:
+                    i, j = e
+                    mid = minus if s is not None and s.bit(e) else PseudoOrthogonalMatrix.identity(sig)
+                    edges[e] = hv[i].inverse() * mid * hv[j]
+                res = pin_lift_cocycle(GroupCocycle.build(c, sig, edges))
+                put([res.success, res.lift_count, res.obstruction_nonzero])
+                put(sorted(res.discrepancy.values.items()))
+                for e in c.edges:
+                    if e in res.lifts:
+                        put_versor(res.lifts[e])
+    assert h.hexdigest() == "b1802090a2121d5623f025e404e0dc8bc2ff1fb632b5b6497bf9d642cdab2571"

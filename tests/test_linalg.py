@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,31 @@ def test_det():
     a = [[F(1), F(2)], [F(3), F(4)]]
     assert linalg.det(a) == F(-2)
     assert linalg.det([[F(0), F(1)], [F(0), F(2)]]) == 0
+
+
+def _flat(x):
+    if isinstance(x, (list, tuple)):
+        return [y for item in x for y in _flat(item)]
+    return [x]
+
+
+# int matrices are read as Fractions: no routine divides ints into floats
+INT_CASES = {
+    "solve": (lambda: linalg.solve([[2, 0], [0, 3]], [1, 1]), (F(1, 2), F(1, 3))),
+    "det": (lambda: linalg.det([[2, 1], [1, 3]]), F(5)),
+    "det-singular": (lambda: linalg.det([[0, 1], [0, 2]]), F(0)),
+    "inv": (lambda: linalg.inv([[2, 0], [1, 3]]), ((F(1, 2), F(0)), (F(-1, 6), F(1, 3)))),
+    "rref": (lambda: linalg.rref([[2, 4, 1], [3, 5, 1]])[0], [[1, 0, F(-1, 2)], [0, 1, F(1, 2)]]),
+    "nullspace": (lambda: linalg.nullspace([[2, 4, 1], [3, 5, 1]]), [(F(1, 2), F(-1, 2), F(1))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT_CASES))
+def test_int_entries_stay_exact(case):
+    call, want = INT_CASES[case]
+    got = call()
+    assert got == want
+    assert all(type(x) is Fraction for x in _flat(got))
 
 
 def test_gaussian_matrix_inverse():
