@@ -4,9 +4,10 @@ A multivector lives either in a real algebra over a signature (p, q), with
 rational coefficients, or in the complexified algebra of dimension n, with
 Gaussian rational coefficients and a Euclidean metric.  Blades are bitmasks:
 bit i-1 set means the generator with index i (1-based) is present, and the
-stored blade is always the ascending-index product.  Real products run
-fraction-free: integer numerators over one common denominator per operand,
-with one Fraction built per output term.
+stored blade is always the ascending-index product.  Products run
+fraction-free: integer (real) or Gaussian-integer (complex) numerators over
+one common denominator per operand, with one Fraction or GaussianRational
+built per output term.
 """
 
 from __future__ import annotations
@@ -189,17 +190,33 @@ class Multivector:
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check_space(other)
-        if self.ring != RATIONAL:
-            return Multivector(self.sig, self.n, self.ring,
-                               _blade_products(self.terms, other.terms, self._neg_mask))
         # fraction-free: multiply integer numerators over one common
         # denominator per operand, and divide each output term once
-        d1, t1 = _int_terms(self.terms)
-        d2, t2 = _int_terms(other.terms)
+        mask = self._neg_mask
+        if self.ring == RATIONAL:
+            d1, t1 = _int_terms(self.terms)
+            d2, t2 = _int_terms(other.terms)
+            d = d1 * d2
+            acc = _blade_products(t1, t2, mask)
+            return Multivector(self.sig, self.n, self.ring,
+                               {b: Fraction(c, d) for b, c in acc.items()})
+        # Gaussian: (r1 + i i1)(r2 + i i2) on the integer real and imaginary
+        # parts, whose terms are only the nonzero ones
+        d1, r1, i1 = _gaussian_int_terms(self.terms)
+        d2, r2, i2 = _gaussian_int_terms(other.terms)
         d = d1 * d2
-        acc = _blade_products(t1, t2, self._neg_mask)
-        return Multivector(self.sig, self.n, self.ring,
-                           {b: Fraction(c, d) for b, c in acc.items()})
+        re = _blade_products(r1, r2, mask)
+        for b, c in _blade_products(i1, i2, mask).items():
+            re[b] = re.get(b, 0) - c
+        im = _blade_products(r1, i2, mask)
+        for b, c in _blade_products(i1, r2, mask).items():
+            im[b] = im.get(b, 0) + c
+        terms = {}
+        for b in re | im:
+            x, y = re.get(b, 0), im.get(b, 0)
+            if x or y:
+                terms[b] = GaussianRational(Fraction(x, d), Fraction(y, d))
+        return Multivector(self.sig, self.n, self.ring, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -292,6 +309,18 @@ def _int_terms(terms):
     numerators[b] / d, with d the lcm of their denominators."""
     d = math.lcm(*(c.denominator for c in terms.values()))
     return d, {b: c.numerator * (d // c.denominator) for b, c in terms.items()}
+
+
+def _gaussian_int_terms(terms):
+    """(d, re, im): the Gaussian rational coefficients of ``terms`` are
+    (re[b] + i im[b]) / d, with d the lcm of the denominators of their parts;
+    re and im keep only nonzero numerators."""
+    parts = [(b, c.re, c.im) for b, c in terms.items()]
+    d = math.lcm(*(x.denominator for _b, x, _y in parts),
+                 *(y.denominator for _b, _x, y in parts))
+    re = {b: x.numerator * (d // x.denominator) for b, x, _y in parts if x}
+    im = {b: y.numerator * (d // y.denominator) for b, _x, y in parts if y}
+    return d, re, im
 
 
 def _blade_products(t1, t2, neg_mask):

@@ -1,10 +1,16 @@
 """Exact dense linear algebra over the scalar rings.
 
-Entries must support +, -, *, / and truth testing (Fraction, GaussianRational
-or Quaternion).  Elimination reads int entries as Fractions, so ``/`` stays
-exact and no float comes out.  It multiplies coefficients from the left only,
-so everything here is valid over the noncommutative quaternions too, except
-``det`` and ``nullspace`` which require a commutative field.
+Entries are ints, Fractions, GaussianRationals or Quaternions; no routine
+returns a float.  Over Q and Q(i) (int, Fraction and GaussianRational
+entries) ``rref``, and so ``rank``, ``nullspace``, ``solve`` and ``inv``,
+and ``det`` run one integer kernel, ``_bareiss``: each row becomes
+Gaussian-integer numerators over the lcm of its denominators (imaginary
+parts zero over Q), eliminated fraction-free with exact division by the
+previous pivot, and one Fraction or GaussianRational is built per output
+entry, so the output ring follows the input.  Quaternion (H) matrices do
+not use it: their ``rref`` is field arithmetic that multiplies
+coefficients from the left only, which is valid over the noncommutative
+quaternions; ``det`` and ``nullspace`` require a commutative field.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+
+from .scalars import GaussianRational
 
 
 def identity(n, one=Fraction(1)):
@@ -49,26 +57,170 @@ def scalar_mul(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _field_rows(rows):
-    """Rows as mutable lists, with int entries made Fractions."""
-    return [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
-
-
 def mat_eq(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _gaussian_rows(rows):
+    """(numerator rows, scales) for entries in Q or Q(i): row i is a pair
+    (re, im) of int lists with rows[i] = (re + i im) / scales[i]."""
+    out, scales = [], []
+    for row in rows:
+        nz = [(j, x.re, x.im) if isinstance(x, GaussianRational) else (j, x, 0)
+              for j, x in enumerate(row) if x]
+        d = math.lcm(*(x.denominator for _j, x, _y in nz),
+                     *(y.denominator for _j, _x, y in nz))
+        re, im = [0] * len(row), [0] * len(row)
+        for j, x, y in nz:
+            re[j] = x.numerator * (d // x.denominator)
+            im[j] = y.numerator * (d // y.denominator)
+        out.append((re, im))
+        scales.append(d)
+    return out, scales
+
+
+def _at(row, c):
+    """Entry c of a Gaussian-integer row as an (re, im) pair, None if zero."""
+    x, y = row[0][c], row[1][c]
+    return (x, y) if x or y else None
+
+
+def _lin(row, a, f, prow, d, start):
+    """(a row - f prow) / d over Z[i] from column ``start`` on (f None:
+    a row / d), with earlier entries kept.  Dividing by d is multiplying by
+    conj(d) and integer-dividing by |d|^2; the caller ensures it is exact."""
+    xr, xi = row[0][start:], row[1][start:]
+    ar, ai = a
+    if f:
+        fr, fi = f
+        yr, yi = prow[0][start:], prow[1][start:]
+        tr = [ar * u - ai * v - fr * s + fi * t for u, v, s, t in zip(xr, xi, yr, yi)]
+        ti = [ar * v + ai * u - fr * t - fi * s for u, v, s, t in zip(xr, xi, yr, yi)]
+    else:
+        tr = [ar * u - ai * v for u, v in zip(xr, xi)]
+        ti = [ar * v + ai * u for u, v in zip(xr, xi)]
+    dr, di = d
+    if di:
+        nn = dr * dr + di * di
+        tr, ti = ([(u * dr + v * di) // nn for u, v in zip(tr, ti)],
+                  [(v * dr - u * di) // nn for u, v in zip(tr, ti)])
+    elif dr != 1:
+        tr = [u // dr for u in tr]
+        ti = [v // dr for v in ti]
+    return row[0][:start] + tr, row[1][:start] + ti
+
+
+def _reduced(row, d, ring):
+    """The Gaussian-integer row divided by the Gaussian integer d, entry by
+    entry, in ``ring``: Fractions when the input had no GaussianRational
+    entry (then row and d are real), else GaussianRationals (times conj(d),
+    over |d|^2)."""
+    dr, di = d
+    if ring is Fraction:
+        zero = Fraction(0)
+        return [Fraction(x, dr) if x else zero for x in row[0]]
+    nn = dr * dr + di * di
+    zero = GaussianRational(0)
+    return [GaussianRational(Fraction(x * dr + y * di, nn), Fraction(y * dr - x * di, nn))
+            if x or y else zero for x, y in zip(*row)]
+
+
+def _entry_ring(rows):
+    """The ring the results of ``_bareiss`` are built in: Fraction for int
+    and Fraction entries, GaussianRational when any entry is one, None for
+    other entries (Quaternions)."""
+    types = {type(x) for row in rows for x in row}
+    if types <= {int, Fraction}:
+        return Fraction
+    if types <= {int, Fraction, GaussianRational}:
+        return GaussianRational
+    return None
+
+
+def _bareiss(rows, n_cols):
+    """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows.
+
+    Step k takes the first remaining row with a nonzero entry a_k in the
+    next column c as pivot row and maps every other row to
+    (a_k row - row[c] pivot) / a_(k-1), with a_0 = 1 (Bareiss, Math. Comp.
+    22, 1968).  Every entry stays a minor of the integer rows, so each
+    division is exact.  A row with row[c] = 0 would only be multiplied by a_k / a_(k-1),
+    so it is left as stored, together with the pivot b it was last brought
+    to: its true value is stored * a_now / b, and when it is next combined,
+    (a stored - stored[c] pivot) / b is exact for the same reason.  Rows that
+    vanish are dropped.
+
+    Returns (done, sign, last): ``done`` lists (row, b, c) per pivot, in
+    column order, where row / b is the reduced row with pivot column c;
+    ``sign`` is the sign of the order the pivot rows were taken in and
+    ``last`` the last pivot, so for a square input of full rank the
+    determinant of the input rows is sign * last.
+    """
+    at, lin = _at, _lin
+    one = (1, 0)
+    rest = [(row, one) for row in rows]
+    done = []
+    sign = 1
+    prev = one
+    for c in range(n_cols):
+        if not rest:
+            break
+        for k, (row, _b) in enumerate(rest):
+            if at(row, c):
+                break
+        else:
+            continue
+        prow, b = rest.pop(k)
+        if k & 1:
+            sign = -sign
+        if b != prev:
+            prow = lin(prow, prev, None, None, b, c)
+        a = at(prow, c)
+        for j, (row, b, col) in enumerate(done):
+            f = at(row, c)
+            if f:
+                done[j] = (lin(row, a, f, prow, b, 0), a, col)
+        kept = []
+        for row, b in rest:
+            f = at(row, c)
+            if not f:
+                kept.append((row, b))
+                continue
+            row = lin(row, a, f, prow, b, c)
+            if any(row[0]) or any(row[1]):
+                kept.append((row, a))
+        rest = kept
+        done.append((prow, a, c))
+        prev = a
+    return done, sign, prev
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot_column_list).
 
-    Valid over division rings: rows are scaled by the pivot inverse from the
-    left and eliminations subtract left multiples.
+    Matrices over Q or Q(i) run the integer kernel ``_bareiss`` and build
+    one Fraction or GaussianRational per output entry; others (Quaternions)
+    take ``_rref_left``.
     """
-    m = _field_rows(rows)
-    if not m:
+    if not rows:
         return [], []
+    ring = _entry_ring(rows)
+    if ring is None:
+        return _rref_left(rows)
+    n_cols = len(rows[0])
+    done, _sign, _last = _bareiss(_gaussian_rows(rows)[0], n_cols)
+    red = [_reduced(row, b, ring) for row, b, _c in done]
+    red += [[ring(0)] * n_cols for _ in range(len(rows) - len(done))]
+    return red, [c for _row, _b, c in done]
+
+
+def _rref_left(rows):
+    """Reduced row echelon form by field arithmetic, valid over division
+    rings: rows are scaled by the pivot inverse from the left and
+    eliminations subtract left multiples."""
+    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
     n_rows, n_cols = len(m), len(m[0])
     pivots = []
     r = 0
@@ -154,51 +306,31 @@ def solve(a, b):
 def inv(a):
     """Matrix inverse by Gauss-Jordan; None if singular."""
     n = len(a)
-    a = _field_rows(a)
-    one = None
-    for row in a:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
-        return None
-    aug = [list(ra) + list(ri) for ra, ri in zip(a, identity(n, one))]
-    red, pivots = rref(aug)
+    if _entry_ring(a) is None:
+        # quaternions: the identity block is built in the entries' ring
+        one = next((x / x for row in a for x in row if x), None)
+        if one is None:
+            return None
+        ident = identity(n, one)
+    else:
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    red, pivots = rref([list(ra) + list(ri) for ra, ri in zip(a, ident)])
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in red)
 
 
 def det(a):
-    """Determinant over a commutative field."""
-    n = len(a)
-    m = _field_rows(a)
-    sign = 1
-    d = None
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            x = m[0][0]
-            return x - x
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        d = piv if d is None else d * piv
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / piv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    if sign < 0:
-        d = -d
-    return d
+    """Determinant of a matrix over Q or Q(i), read off ``_bareiss``: the
+    last pivot, times the sign of the row order, over the row scales."""
+    ring = _entry_ring(a)
+    if ring is None:
+        raise TypeError("det needs int, Fraction or GaussianRational entries")
+    rows, scales = _gaussian_rows(a)
+    done, sign, last = _bareiss(rows, len(a))
+    if len(done) < len(a):
+        return ring(0)
+    return _reduced(([last[0]], [last[1]]), (sign * math.prod(scales), 0), ring)[0]
 
 
 def first_accepted(basis, accept, seed=0):

@@ -220,8 +220,10 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     rho(psi_j).  Then rho(e^i) U = U L_i because rho(e^i psi) = rho(e^i)
     rho(psi).  By Schur's lemma the intertwiners form a line, and U is scaled
     so that its last nonzero entry in row-major order is 1: the point of that
-    line that ``solve_intertwiner`` picks.  The inverse and U L_i U^-1 =
-    rho(e^i) are checked exactly.  The result does not depend on ``seed``.
+    line that ``solve_intertwiner`` picks.  That U is invertible and that
+    U L_i = rho(e^i) U (the same as U L_i U^-1 = rho(e^i) for invertible U,
+    with the monomial rho(e^i) as the sparse left factor) are checked
+    exactly.  The result does not depend on ``seed``.
     """
     n = space.n
     if not is_minimal(space):
@@ -245,7 +247,7 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     U = tuple(tuple(x / last for x in row) for row in U)
     Uinv = linalg.inv(U)
     if Uinv is None or not all(
-        linalg.mat_eq(linalg.matmul(linalg.matmul(U, L), Uinv), g)
+        linalg.mat_eq(linalg.matmul(U, L), linalg.matmul(g, U))
         for L, g in zip(left, rep.gens)
     ):
         raise AssertionError("no invertible intertwiner onto the column model")

@@ -317,8 +317,8 @@ CRITERIA = (
     ("vector-action-soundness", check_vector_action, 8.0),
     ("double-cover", check_double_cover, 2.0),
     ("reflection-factorization", check_reflection_factorization, 20.0),
-    ("spinor-ideals", check_spinor_ideals, 2.0),
-    ("idempotent-conjugacy", check_idempotent_conjugacy, 12.0),
+    ("spinor-ideals", check_spinor_ideals, 0.75),
+    ("idempotent-conjugacy", check_idempotent_conjugacy, 3.0),
     ("even-subrings", check_even_subrings, None),
     ("cech-pin-obstruction", check_cech_obstruction, 5.0),
 )

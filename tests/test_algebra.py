@@ -86,8 +86,11 @@ def test_map_matrix_matches_blade_mul(space):
 
 
 def _schoolbook(a, b):
-    """a * b term by term in Fractions, each blade pair sorted by adjacent swaps."""
-    sig = a.sig
+    """a * b term by term in Fractions (GaussianRationals in the complex
+    algebra, where every generator squares to +1), each blade pair sorted by
+    adjacent swaps."""
+    square = (lambda i: 1) if a.is_complex else a.sig.square
+    field = GaussianRational.coerce if a.is_complex else Fraction
     acc = {}
     for b1, c1 in a.terms.items():
         for b2, c2 in b.terms.items():
@@ -101,11 +104,11 @@ def _schoolbook(a, b):
             for i in idx:
                 if out and out[-1] == i:
                     out.pop()
-                    sign *= sig.square(i)
+                    sign *= square(i)
                 else:
                     out.append(i)
             blade = blade_from_indices(out)
-            acc[blade] = acc.get(blade, Fraction(0)) + Fraction(sign) * Fraction(c1) * Fraction(c2)
+            acc[blade] = acc.get(blade, field(0)) + field(sign) * field(c1) * field(c2)
     return {k: v for k, v in acc.items() if v}
 
 
@@ -131,6 +134,42 @@ def test_rational_product_matches_fraction_schoolbook(ops):
         xy = x * y
         assert xy.terms == _schoolbook(x, y)
         assert all(type(v) is Fraction for v in xy.terms.values())
+
+
+@st.composite
+def gaussian_operands(draw):
+    n = draw(st.integers(0, 5))
+    part = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    coeff = st.one_of(
+        st.integers(-5, 5),
+        part,
+        st.builds(GaussianRational, part, part),
+        st.builds(GaussianRational, st.just(0), part),
+    )
+    terms = st.dictionaries(st.integers(0, (1 << n) - 1), coeff, max_size=6)
+    return [Multivector.complex_alg(n, draw(terms)) for _ in range(3)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(gaussian_operands())
+def test_gaussian_product_matches_schoolbook(ops):
+    # empty operands, int, real, imaginary and mixed coefficients
+    a, b, c = ops
+    for x, y in ((a, b), (a * b, c), (c, c.star())):
+        xy = x * y
+        assert xy.terms == _schoolbook(x, y)
+        assert all(type(v) is GaussianRational for v in xy.terms.values())
+
+
+def test_gaussian_product_int_coefficients():
+    e1, e2 = 1, 2
+    a = Multivector.complex_alg(2, {0: 2, e1: 3})
+    b = Multivector.complex_alg(2, {e1: GaussianRational(0, Fraction(1, 2)), e2: -1})
+    # (2 + 3 e1)(i/2 e1 - e2) = 3i/2 + i e1 - 2 e2 - 3 e12
+    want = {0: GaussianRational(0, Fraction(3, 2)), e1: GaussianRational(0, 1),
+            e2: GaussianRational(-2), e1 | e2: GaussianRational(-3)}
+    assert (a * b).terms == want == _schoolbook(a, b)
+    assert (a * Multivector.complex_alg(2)).terms == {}
 
 
 def test_blade_index_helpers():

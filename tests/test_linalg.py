@@ -1,5 +1,7 @@
 """Exact linear algebra over the three scalar rings."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -181,3 +183,171 @@ def test_first_accepted_empty_basis():
     calls = []
     assert linalg.first_accepted([], calls.append, seed=3) is None
     assert calls == []
+
+
+# -- the integer kernel against field arithmetic ------------------------------
+
+def _oracle_rref(rows):
+    """Schoolbook Gauss-Jordan in field arithmetic: scale the pivot row by the
+    pivot inverse, then subtract multiples of it from every other row."""
+    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    if not m:
+        return [], []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pr = None
+        for i in range(r, n_rows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        if piv != piv / piv:
+            inv = (piv / piv) / piv
+            m[r] = [inv * x for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _oracle_nullspace(rows):
+    red, pivots = _oracle_rref(rows)
+    n = len(rows[0])
+    free = [c for c in range(n) if c not in pivots]
+    return [
+        tuple(1 if j == fc else -red[pivots.index(j)][fc] if j in pivots else 0
+              for j in range(n))
+        for fc in free
+    ]
+
+
+def _oracle_solve(a, b):
+    n = len(a[0])
+    red, pivots = _oracle_rref([list(row) + [y] for row, y in zip(a, b)])
+    if n in pivots:
+        return None
+    return tuple(red[pivots.index(j)][n] if j in pivots else 0 for j in range(n))
+
+
+def _oracle_inv(a):
+    n = len(a)
+    red, pivots = _oracle_rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def _oracle_det(a):
+    """Leibniz formula: signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(a))):
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        term = -1 if inversions & 1 else 1
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total + term
+    return total
+
+
+_part = st.fractions(-4, 4, max_denominator=6)
+_ENTRIES = {
+    "int": st.one_of(st.just(0), st.integers(-5, 5)),
+    "fraction": st.one_of(st.just(Fraction(0)), _part),
+    "gaussian": st.one_of(st.just(GaussianRational(0)), st.integers(-3, 3), _part,
+                          st.builds(GaussianRational, _part, _part)),
+}
+# Gaussian factors that no rational integer divides out: Bareiss must divide
+# them exactly, or they pile up in every row
+_CONTENT = (GaussianRational(1, 1), GaussianRational(2, 1))
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(ring, rows): zero, rank-deficient, 1 x k, k x 1 and content-heavy
+    matrices with int, Fraction or GaussianRational entries."""
+    ring = draw(st.sampled_from(sorted(_ENTRIES)))
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_ENTRIES[ring], min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    shape = draw(st.sampled_from(["plain", "zero", "deficient", "content"]))
+    if shape == "zero":
+        rows = [[x - x for x in row] for row in rows]
+    elif shape == "deficient" and n_rows > 1:
+        k = draw(st.integers(1, n_rows - 1))
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        for i in range(k, n_rows):
+            combo = [0] * n_cols
+            for c, row in zip(coeffs, rows[:k]):
+                combo = [x + c * y for x, y in zip(combo, row)]
+            rows[i] = combo
+            coeffs = coeffs[1:] + coeffs[:1]
+    elif shape == "content" and ring == "gaussian":
+        for i, row in enumerate(rows):
+            g = GaussianRational(1)
+            for _ in range(draw(st.integers(0, 4))):
+                g = g * _CONTENT[draw(st.integers(0, 1))]
+            rows[i] = [g * x for x in row]
+    return ring, rows
+
+
+def _square(rows):
+    k = min(len(rows), len(rows[0]))
+    return [row[:k] for row in rows[:k]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices())
+def test_rref_matches_field_oracle(case):
+    ring, rows = case
+    red, pivots = linalg.rref(rows)
+    assert (red, pivots) == _oracle_rref(rows)
+    want = GaussianRational if ring == "gaussian" and any(
+        type(x) is GaussianRational for x in _flat(rows)) else Fraction
+    assert all(type(x) is want for x in _flat(red))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_matrices())
+def test_nullspace_solve_inv_det_match_field_oracle(case):
+    _ring, rows = case
+    assert linalg.nullspace(rows) == _oracle_nullspace(rows)
+    a, b = [row[:-1] for row in rows], [row[-1] for row in rows]
+    assert linalg.solve(a, b) == _oracle_solve(a, b)
+    sq = _square(rows)
+    assert linalg.inv(sq) == _oracle_inv(sq)
+    assert linalg.det(sq) == _oracle_det(sq)
+    assert linalg.det(sq[::-1]) == _oracle_det(sq[::-1])
+
+
+def test_content_heavy_rows_stay_within_hadamard_bound():
+    # 8 x 8 rows carrying (1+i)^k (2+i)^j.  Exact division by the previous
+    # pivot keeps every stored entry a minor of the integer rows, so within
+    # Hadamard's bound; dividing out less lets those factors pile up.
+    rng = random.Random(5)
+    rows = []
+    for i in range(8):
+        g = GaussianRational(1)
+        for _ in range(i):
+            g = g * _CONTENT[rng.randrange(2)]
+        rows.append([g * GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(8)])
+    ints, _scales = linalg._gaussian_rows(rows)
+    bound = math.prod(sum(x * x + y * y for x, y in zip(*row)) for row in ints)
+    done, _sign, _last = linalg._bareiss(ints, 8)
+    assert len(done) == 8
+    assert all(x * x + y * y <= bound for row, _b, _c in done for x, y in zip(*row))
+    assert linalg.rref(rows) == _oracle_rref(rows)
+    inverse = linalg.inv(rows)
+    assert inverse == _oracle_inv(rows)
+    assert linalg.mat_eq(linalg.matmul(inverse, rows), linalg.identity(8, GaussianRational(1)))
