@@ -326,6 +326,25 @@ def canonical_sign(v: Versor) -> Versor:
     return v
 
 
+def _triangle_scalar(lifts, t):
+    """The scalar s with L_ij L_jk = s L_ik on triangle t = (i, j, k).
+
+    This is the discrepancy L_ij L_jk L_ik^-1 read with one product: s is
+    the ratio on the lowest blade of L_ik, and the whole product must equal
+    s L_ik exactly.
+    """
+    i, j, k = t
+    prod = lifts[(i, j)].product * lifts[(j, k)].product
+    target = lifts[(i, k)].product
+    lead = min(target.terms)
+    s = prod.coeff(lead) / target.terms[lead]
+    if prod != target.scale(s):
+        raise AssertionError("triangle discrepancy is not scalar")
+    if s == 0:
+        raise AssertionError("triangle discrepancy is zero")
+    return s
+
+
 @dataclass
 class PinLiftResult:
     success: bool
@@ -352,14 +371,7 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     raw = {e: canonical_sign(lift_to_pin(coc.edges[e])) for e in c.edges}
     w_values = {}
     for t in c.triangles:
-        i, j, k = t
-        prod = raw[(i, j)].product * raw[(j, k)].product * raw[(i, k)].inverse_mv()
-        if not prod.is_scalar():
-            raise AssertionError("triangle discrepancy is not scalar")
-        s = prod.scalar_part()
-        if s == 0:
-            raise AssertionError("triangle discrepancy is zero")
-        if s < 0:
+        if _triangle_scalar(raw, t) < 0:
             w_values[t] = 1
     w = Z2Cochain(c, 2, w_values)
     if not w.coboundary().is_zero():
@@ -370,9 +382,7 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     lifts = {e: raw[e].negated() if (eta >> i) & 1 else raw[e]
              for i, e in enumerate(c.edges)}
     for t in c.triangles:
-        i, j, k = t
-        prod = lifts[(i, j)].product * lifts[(j, k)].product * lifts[(i, k)].inverse_mv()
-        if not (prod.is_scalar() and prod.scalar_part() > 0):
+        if _triangle_scalar(lifts, t) < 0:
             raise AssertionError("sign correction failed on a triangle")
     count = 1 << z2_betti(c, 1)
     return PinLiftResult(True, lifts, w, count, False)

@@ -4,21 +4,26 @@ Versors are products of anisotropic grade-1 elements.  The vector action
 used throughout is the untwisted adjoint zeta(g): v -> g v g^-1, under which
 a single vector w acts as minus the reflection R(w): x -> x - 2 B(w,x)/Q(w) w
 across its orthogonal hyperplane, and the total reflection
-omega = v^1 ... v^n acts (for even n) as -identity.  ``zeta``,
+omega = v^1 ... v^n acts (for even n) as -identity.
+
+The O(p,q) side runs on Python ints.  A ``PseudoOrthogonalMatrix`` is held
+as an integer matrix N over one denominator d > 0, reduced so that
+gcd(d, N) = 1, with a Fraction view built only when asked for.  ``zeta``,
 ``cartan_dieudonne`` and the sampler reflect through one integer step,
-``_reflect``: the columns are held as an integer matrix X over one common
-denominator d, and a rational w is replaced by the primitive integer vector
-u on its ray (R(u) = R(w)), so X/d -> (|Q(u)| X - 2 sgn(Q(u)) B(u,X) u) /
-(|Q(u)| d), reduced by a gcd, and Fractions are built only for the result.
-``reflection_product`` applies it to the identity, and ``zeta`` is
-(-1)^k R(v_1) ... R(v_k) built that way, multiplying no multivectors.
-The sandwich g e_a g^-1 is kept only as the oracle
-(``verify._matches_definition`` and the tests' ``_dense_zeta_columns``),
-and the dense ``reflection_matrix`` only as the reference that the
-recomposition checks multiply out.  Lifting goes the other way: a
-pseudo-orthogonal matrix is factored into reflections (constructive, at
-most 2n of them) and the product of the reflection vectors, patched by omega
-when the count is odd, is a versor mapping onto it.
+``_reflect``: a rational w is replaced by the primitive integer vector u on
+its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
+(|Q(u)| d), reduced by a gcd.  ``reflection_product`` applies it to the
+identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way.  A
+``Versor`` multiplies its factors out only when its ``product`` is read,
+and its inverse is the reversion over the product of the factor norms, so
+``zeta`` and ``lift_to_pin`` multiply no multivectors.  The sandwich
+g e_a g^-1 is kept only as the oracle (``verify._matches_definition`` and
+the tests' ``_dense_zeta_columns``), and the dense ``reflection_matrix``
+only as the reference that the recomposition checks multiply out.  Lifting
+goes the other way: a pseudo-orthogonal matrix is factored into reflections
+(constructive, at most 2n of them) and the product of the reflection
+vectors, patched by omega when the count is odd, is a versor mapping onto
+it.
 """
 
 from __future__ import annotations
@@ -26,77 +31,118 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 from . import linalg
 from .algebra import (
     Multivector,
     Signature,
+    _blade_products,
+    _int_terms,
     basis_vector,
     invert,
     signature_from_json,
-    unit,
     vector,
 )
 from .reprs import Representation, TargetRing, _checked
-from .scalars import GaussianRational, format_rational, parse_rational
+from .scalars import RATIONAL, GaussianRational, format_rational, parse_rational
 
 
 class PseudoOrthogonalMatrix:
-    """Exact rational matrix M with M^T eta M = eta."""
+    """Exact rational matrix M with M^T eta M = eta, held as N / d.
 
-    __slots__ = ("sig", "mat")
+    ``num`` is an integer matrix N (a tuple of row tuples) and ``den`` an
+    int d > 0 with gcd(d, every entry of N) = 1, so the pair is canonical
+    and ``==`` and ``hash`` compare it directly.  The public constructor
+    (rational rows, also behind ``from_json``) is the trust boundary;
+    ``reflection_product``, ``__mul__``, ``inverse`` and ``identity`` build
+    through ``_from_int``.  Both reduce by the gcd and run the integer
+    ``preserves_form``.  ``mat`` is the Fraction view for JSON, the CLI and
+    the tests, built on first use and cached.
+    """
+
+    __slots__ = ("sig", "num", "den", "_mat")
 
     def __init__(self, sig: Signature, mat):
         n = sig.n
-        mat = tuple(tuple(Fraction(x) for x in row) for row in mat)
-        if len(mat) != n or any(len(row) != n for row in mat):
+        rows = [[Fraction(x) for x in row] for row in mat]
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix shape does not match the signature")
+        d = math.lcm(*(x.denominator for row in rows for x in row))
+        self._set(sig, [[x.numerator * (d // x.denominator) for x in row] for row in rows], d)
+
+    @classmethod
+    def _from_int(cls, sig, num, den):
+        """The matrix num / den for an integer matrix num and int den > 0."""
+        self = cls.__new__(cls)
+        self._set(sig, num, den)
+        return self
+
+    def _set(self, sig, num, den):
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "num", tuple(tuple(row) for row in num))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_mat", None)
         if not self.preserves_form():
             raise ValueError("matrix does not preserve the bilinear form")
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoOrthogonalMatrix is immutable")
 
+    @property
+    def mat(self):
+        """The entries as a tuple of Fraction row tuples."""
+        mat = self._mat
+        if mat is None:
+            d = self.den
+            mat = tuple(tuple(Fraction(x, d) for x in row) for row in self.num)
+            object.__setattr__(self, "_mat", mat)
+        return mat
+
     def preserves_form(self):
         """M^T eta M == eta exactly, entry by entry on the upper triangle.
 
-        With d the common denominator of the entries, N = d M is an integer
-        matrix and the identity reads N^T eta N == d^2 eta, so the sums run
-        over ints rather than Fractions.
+        With M = N / d the identity reads N^T eta N == d^2 eta, so the sums
+        run over ints.
         """
         n = self.sig.n
-        sq = [self.sig.square(i) for i in range(1, n + 1)]
-        d = math.lcm(*(x.denominator for row in self.mat for x in row))
-        cols = [[x.numerator * (d // x.denominator) for x in col] for col in zip(*self.mat)]
-        d2 = d * d
+        sq = _eta(self.sig)
+        cols = list(zip(*self.num))
+        d2 = self.den * self.den
         for a in range(n):
             eta_col = [s * x for s, x in zip(sq, cols[a])]
             for b in range(a, n):
                 want = sq[a] * d2 if a == b else 0
-                if sum(x * y for x, y in zip(eta_col, cols[b])) != want:
+                if sum(map(mul, eta_col, cols[b])) != want:
                     return False
         return True
 
     @classmethod
     def identity(cls, sig):
         n = sig.n
-        return cls(sig, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_int(sig, [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     def __mul__(self, other):
         if not isinstance(other, PseudoOrthogonalMatrix):
             return NotImplemented
         if other.sig != self.sig:
             raise ValueError("signature mismatch")
-        return PseudoOrthogonalMatrix(self.sig, linalg.matmul(self.mat, other.mat))
+        cols = list(zip(*other.num))
+        num = [[sum(map(mul, row, col)) for col in cols] for row in self.num]
+        return PseudoOrthogonalMatrix._from_int(self.sig, num, self.den * other.den)
 
     def inverse(self):
         # M^-1 = eta^-1 M^T eta, and eta is its own inverse
         n = self.sig.n
-        sq = [self.sig.square(i) for i in range(1, n + 1)]
-        inv = [[sq[i] * self.mat[j][i] * sq[j] for j in range(n)] for i in range(n)]
-        return PseudoOrthogonalMatrix(self.sig, inv)
+        sq = _eta(self.sig)
+        num = self.num
+        inv = [[sq[i] * num[j][i] * sq[j] for j in range(n)] for i in range(n)]
+        return PseudoOrthogonalMatrix._from_int(self.sig, inv, self.den)
 
     def det(self):
         return linalg.det(self.mat)
@@ -107,18 +153,17 @@ class PseudoOrthogonalMatrix:
 
     def is_identity(self):
         n = self.sig.n
-        return all(
-            self.mat[i][j] == (1 if i == j else 0)
-            for i in range(n) for j in range(n)
+        return self.den == 1 and all(
+            self.num[i][j] == (i == j) for i in range(n) for j in range(n)
         )
 
     def __eq__(self, other):
         if not isinstance(other, PseudoOrthogonalMatrix):
             return NotImplemented
-        return self.sig == other.sig and self.mat == other.mat
+        return self.sig == other.sig and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.sig, self.mat))
+        return hash((self.sig, self.den, self.num))
 
     def to_json(self):
         return {
@@ -143,10 +188,15 @@ class PseudoOrthogonalMatrix:
         return cls(sig, [[parse_rational(str(x)) for x in row] for row in rows])
 
 
+def _eta(sig):
+    """The diagonal of eta: p entries +1, then q entries -1."""
+    return [1] * sig.p + [-1] * sig.q
+
+
 def _bform(sig, x, y):
     """B(x, y) on coordinates; Q(x) is _bform(sig, x, x)."""
     p = sig.p
-    return sum(a * b for a, b in zip(x[:p], y[:p])) - sum(a * b for a, b in zip(x[p:], y[p:]))
+    return sum(map(mul, x[:p], y[:p])) - sum(map(mul, x[p:], y[p:]))
 
 
 def _primitive(w):
@@ -179,7 +229,7 @@ def _reflect(sig, u, cols, d):
         f = two * _bform(sig, u, x)
         out.append([q * xi - f * ui for xi, ui in zip(x, u)])
     d *= q
-    g = math.gcd(d, *(xi for x in out for xi in x))
+    g = math.gcd(d, *chain.from_iterable(out))
     if g != 1:
         out = [[xi // g for xi in x] for x in out]
         d //= g
@@ -199,71 +249,94 @@ def reflection_product(sig, ws, sign=1) -> PseudoOrthogonalMatrix:
     d = 1
     for w in reversed(ws):
         cols, d = _reflect(sig, _primitive(w), cols, d)
-    return PseudoOrthogonalMatrix(sig, [[Fraction(x, d) for x in row] for row in zip(*cols)])
+    return PseudoOrthogonalMatrix._from_int(sig, list(zip(*cols)), d)
 
 
 def reflection_matrix(w: Multivector) -> PseudoOrthogonalMatrix:
-    """Reflection across the hyperplane orthogonal to an anisotropic vector."""
+    """Reflection across the hyperplane orthogonal to an anisotropic vector.
+
+    With u the primitive integer vector on the ray of w, R(w) = R(u) is
+    (Q(u) I - 2 u (eta u)^T) / Q(u), built densely from that formula (not
+    through ``_reflect``) so it can serve as an independent reference.
+    """
     sig = w.sig
     if sig is None:
         raise ValueError("reflections are defined in the real algebra")
-    coords = w.vector_coords()
-    norm = _bform(sig, coords, coords)
-    if norm == 0:
+    u = _primitive(w.vector_coords())
+    qu = _bform(sig, u, u)
+    if qu == 0:
         raise ValueError("cannot reflect across an isotropic vector")
     n = sig.n
-    cols = []
-    for a in range(n):
-        e_a = [Fraction(0)] * n
-        e_a[a] = Fraction(1)
-        f = 2 * sig.square(a + 1) * coords[a] / norm
-        cols.append(tuple(e_a[i] - f * coords[i] for i in range(n)))
-    mat = [[cols[a][i] for a in range(n)] for i in range(n)]
-    return PseudoOrthogonalMatrix(sig, mat)
+    eta_u = [s * x for s, x in zip(_eta(sig), u)]
+    num = [[qu * (i == a) - 2 * u[i] * eta_u[a] for a in range(n)] for i in range(n)]
+    if qu < 0:
+        num = [[-x for x in row] for row in num]
+    return PseudoOrthogonalMatrix._from_int(sig, num, abs(qu))
 
 
 class Versor:
-    """Product of anisotropic grade-1 elements of a real algebra."""
+    """Product of anisotropic grade-1 elements of a real algebra.
 
-    __slots__ = ("sig", "factors", "product", "parity", "pin_normalized")
+    The factors are checked and their norms read off integer numerators
+    when the versor is built; ``product`` is multiplied out only on first
+    access, in one fraction-free chain, and cached.
+    """
+
+    __slots__ = ("sig", "factors", "parity", "pin_normalized", "_ints", "_norm", "_product")
 
     def __init__(self, sig: Signature, factors):
         factors = tuple(factors)
-        prod = unit(sig)
+        ints = []
+        norm_num = norm_den = 1
         normalized = True
         for v in factors:
             if v.sig != sig:
                 raise ValueError("factor signature mismatch")
-            coords = v.vector_coords()
-            norm = _bform(sig, coords, coords)
-            if norm == 0:
+            if any(b.bit_count() != 1 for b in v.terms):
+                raise ValueError("multivector is not homogeneous of grade 1")
+            # v = t / d with integer coefficients t; Q(v) = Q(t) / d^2
+            d, t = _int_terms(v.terms)
+            qt = sum(sig.square(b.bit_length()) * c * c for b, c in t.items())
+            if qt == 0:
                 raise ValueError("versor factors must be anisotropic vectors")
-            if norm != 1 and norm != -1:
+            if qt != d * d and qt != -d * d:
                 normalized = False
-            prod = prod * v
+            ints.append((d, t))
+            norm_num *= qt
+            norm_den *= d * d
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "product", prod)
         object.__setattr__(self, "parity", len(factors) % 2)
         object.__setattr__(self, "pin_normalized", normalized)
+        object.__setattr__(self, "_ints", tuple(ints))
+        object.__setattr__(self, "_norm", Fraction(norm_num, norm_den))
+        object.__setattr__(self, "_product", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Versor is immutable")
+
+    @property
+    def product(self):
+        """v_1 v_2 ... v_k: integer numerators multiplied left to right over
+        the product of the factor denominators, one Fraction per term."""
+        prod = self._product
+        if prod is None:
+            sig = self.sig
+            acc, den = {0: 1}, 1
+            for v, (d, t) in zip(self.factors, self._ints):
+                acc = _blade_products(acc, t, v._neg_mask)
+                den *= d
+            prod = Multivector(sig, sig.n, RATIONAL, {b: Fraction(c, den) for b, c in acc.items()})
+            object.__setattr__(self, "_product", prod)
+        return prod
 
     @property
     def is_spin(self):
         return self.parity == 0
 
     def inverse_mv(self):
-        """Inverse of the product, built factor by factor."""
-        sig = self.sig
-        inv = unit(sig)
-        denom = Fraction(1)
-        for v in reversed(self.factors):
-            inv = inv * v
-            coords = v.vector_coords()
-            denom *= _bform(sig, coords, coords)
-        return inv / denom
+        """Inverse of the product: its reversion v_k ... v_1 over Q(v_1) ... Q(v_k)."""
+        return self.product.reversion() / self._norm
 
     def __mul__(self, other):
         if not isinstance(other, Versor):
@@ -273,12 +346,17 @@ class Versor:
         return Versor(self.sig, self.factors + other.factors)
 
     def negated(self):
-        """A versor whose product is the negative of this one."""
+        """A versor whose product is the negative of this one; a product
+        already multiplied out is carried over negated."""
         if self.factors:
-            return Versor(self.sig, (-self.factors[0],) + self.factors[1:])
-        v1 = basis_vector(self.sig, 1)
-        s = self.sig.square(1)
-        return Versor(self.sig, (v1, -v1 * Fraction(s)))
+            neg = Versor(self.sig, (-self.factors[0],) + self.factors[1:])
+        else:
+            v1 = basis_vector(self.sig, 1)
+            s = self.sig.square(1)
+            neg = Versor(self.sig, (v1, -v1 * Fraction(s)))
+        if self._product is not None:
+            object.__setattr__(neg, "_product", -self._product)
+        return neg
 
     def __repr__(self):
         return f"Versor({self.sig}, {len(self.factors)} factors, {self.product!r})"
@@ -331,9 +409,9 @@ def cartan_dieudonne(M: PseudoOrthogonalMatrix) -> CDResult:
     sig = M.sig
     n = sig.n
     eye = [[int(i == a) for i in range(n)] for a in range(n)]
-    # the columns of M as integer columns over one common denominator d
-    d = math.lcm(*(x.denominator for row in M.mat for x in row))
-    cols = [[x.numerator * (d // x.denominator) for x in col] for col in zip(*M.mat)]
+    # the columns of M as integer columns over its denominator d
+    d = M.den
+    cols = [list(col) for col in zip(*M.num)]
     vectors = []
     fallbacks = 0
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from cliffkit.algebra import Signature
+from cliffkit import cech
+from cliffkit.algebra import Signature, basis_vector, unit
 from cliffkit.cech import (
     Complex,
     GroupCocycle,
@@ -29,8 +30,8 @@ from cliffkit.cech import (
     tetrahedron_boundary,
     z2_betti,
 )
-from cliffkit.groups import PseudoOrthogonalMatrix, zeta
-from cliffkit.sampling import random_versor, rng_from_seed
+from cliffkit.groups import PseudoOrthogonalMatrix, Versor, lift_to_pin, zeta
+from cliffkit.sampling import random_pseudo_orthogonal, random_versor, rng_from_seed
 
 F = Fraction
 SIG = Signature(2, 0)
@@ -204,6 +205,81 @@ def test_pin_lift_sphere_succeeds():
                 * res.lifts[(i, k)].inverse_mv())
         assert disc.is_scalar() and disc.scalar_part() > 0
         assert zeta(res.lifts[(i, j)]) == coc.edges[(i, j)]
+
+
+def _torus():
+    """Seven-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
+    tris = sorted({tuple(sorted((i, (i + a) % 7, (i + 3) % 7)))
+                   for i in range(7) for a in (1, 2)})
+    edges = sorted({(a, b) for t in tris for a in t for b in t if a < b})
+    return Complex.build(7, edges=edges, triangles=tris)
+
+
+def _conjugate_cocycle(c, sig, rng, twist=None):
+    """g_ij = h_i^-1 s_ij h_j, with s_ij = -1 on the edges of ``twist``."""
+    n = sig.n
+    minus = PseudoOrthogonalMatrix(sig, [[-int(i == j) for j in range(n)] for i in range(n)])
+    ident = PseudoOrthogonalMatrix.identity(sig)
+    h = {v: random_pseudo_orthogonal(sig, rng) for v in range(c.vertices)}
+    edges = {(i, j): h[i].inverse() * (minus if twist and twist.bit((i, j)) else ident) * h[j]
+             for (i, j) in c.edges}
+    return GroupCocycle.build(c, sig, edges)
+
+
+def _three_factor_signs(coc):
+    """The discrepancy as the scalar L_ij L_jk L_ik^-1, with L_ik^-1 the
+    chain v_k ... v_1 over Q(v_1) ... Q(v_k); returns (signs, lift count)."""
+    c = coc.complex
+    raw = {e: canonical_sign(lift_to_pin(coc.edges[e])) for e in c.edges}
+    signs = {}
+    for i, j, k in c.triangles:
+        g = raw[(i, k)]
+        inv = unit(coc.sig)
+        for v in reversed(g.factors):
+            inv = inv * v
+            coords = v.vector_coords()
+            inv = inv / sum(coc.sig.square(a + 1) * x * x for a, x in enumerate(coords))
+        disc = raw[(i, j)].product * raw[(j, k)].product * inv
+        assert disc.is_scalar() and disc.scalar_part() != 0
+        if disc.scalar_part() < 0:
+            signs[(i, j, k)] = 1
+    if not Z2Cochain(c, 2, signs).is_coboundary():
+        return signs, 0
+    return signs, 1 << z2_betti(c, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_product_discrepancy_matches_three_factor_scalar(seed):
+    rng = rng_from_seed(seed)
+    rp2 = projective_plane()
+    cases = [(tetrahedron_boundary(), None), (_torus(), None), (rp2, None),
+             (rp2, nontrivial_1cocycle(rp2))]
+    for n in (2, 4):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            for c, twist in cases:
+                coc = _conjugate_cocycle(c, sig, rng, twist)
+                signs, count = _three_factor_signs(coc)
+                res = pin_lift_cocycle(coc)
+                assert res.discrepancy.values == signs
+                assert res.lift_count == count
+                assert res.success == (count > 0) == res.discrepancy.is_coboundary()
+
+
+def test_pin_lift_rejects_a_non_proportional_edge_lift(monkeypatch):
+    rng = rng_from_seed(3)
+    coc, _ = _coboundary_cocycle(tetrahedron_boundary(), rng)
+    bad = coc.edges[(0, 1)]
+    e1, e2 = basis_vector(SIG, 1), basis_vector(SIG, 2)
+
+    def lift_with_one_bad_edge(m):
+        g = lift_to_pin(m)
+        # g e1 e2 is not a scalar multiple of g
+        return Versor(SIG, g.factors + (e1, e2)) if m is bad else g
+
+    monkeypatch.setattr(cech, "lift_to_pin", lift_with_one_bad_edge)
+    with pytest.raises(AssertionError, match="not scalar"):
+        pin_lift_cocycle(coc)
 
 
 def test_pin_lift_projective_plane_obstructed():

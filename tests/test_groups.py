@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cliffkit import linalg
 from cliffkit.algebra import (
     Multivector,
     Signature,
     basis_vector,
+    blade_mul,
     multivector_to_json,
     unit,
     vector,
@@ -70,6 +73,83 @@ def test_pseudo_orthogonal_json_roundtrip():
     assert PseudoOrthogonalMatrix.from_json([["3/5", "-4/5"], ["4/5", "3/5"]], sig=E2) == rot
     with pytest.raises(ValueError):
         PseudoOrthogonalMatrix.from_json([["1", "0"], ["0", "1"]])
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def signatures(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    p = draw(st.integers(0, n))
+    return Signature(p, n - p)
+
+
+@st.composite
+def anisotropic_coords(draw, sig):
+    n = sig.n
+    return draw(st.lists(_COEFF, min_size=n, max_size=n).filter(
+        lambda c: sum(sig.square(i + 1) * c[i] * c[i] for i in range(n)) != 0
+    ))
+
+
+@st.composite
+def pseudo_orthogonal(draw, sig):
+    """+-R(w_1) ... R(w_r) for r <= 3 drawn anisotropic vectors."""
+    ws = [draw(anisotropic_coords(sig)) for _ in range(draw(st.integers(0, 3)))]
+    return reflection_product(sig, ws, draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), signatures(), st.integers(1, 6))
+def test_layout_is_canonical_num_over_den(data, sig, k):
+    m = data.draw(pseudo_orthogonal(sig))
+    assert m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+    # the same matrix written over the common denominator k d, as strings,
+    # as Fractions, through JSON and as the unreduced integer pair
+    rows = [[f"{k * x}/{k * m.den}" for x in row] for row in m.num]
+    builds = [
+        PseudoOrthogonalMatrix(sig, rows),
+        PseudoOrthogonalMatrix(sig, [[Fraction(x) for x in row] for row in rows]),
+        PseudoOrthogonalMatrix.from_json(rows, sig=sig),
+        PseudoOrthogonalMatrix._from_int(sig, [[k * x for x in row] for row in m.num], k * m.den),
+    ]
+    for other in builds:
+        assert (other.num, other.den) == (m.num, m.den)
+        assert other == m and hash(other) == hash(m)
+    # .mat is the tuple of Fraction rows the constructor used to store
+    old = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    for other in builds:
+        assert other.mat == old
+        assert all(type(x) is Fraction for row in other.mat for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), signatures())
+def test_layout_product_and_inverse_match_fraction_linalg(data, sig):
+    a = data.draw(pseudo_orthogonal(sig))
+    b = data.draw(pseudo_orthogonal(sig))
+    assert (a * b).mat == linalg.matmul(a.mat, b.mat)
+    assert a.inverse().mat == linalg.inv(a.mat)
+    assert (a * a.inverse()).is_identity()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), signatures())
+def test_layout_rejects_non_orthogonal_rows(data, sig):
+    m = data.draw(pseudo_orthogonal(sig))
+    n = sig.n
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    delta = data.draw(_COEFF.filter(bool))
+    # column j's norm moves by sq_i delta (2 m_ij + delta), nonzero unless
+    # the entry only changes sign
+    assume(delta != -2 * m.mat[i][j])
+    rows = [list(row) for row in m.mat]
+    rows[i][j] += delta
+    with pytest.raises(ValueError):
+        PseudoOrthogonalMatrix(sig, rows)
+    with pytest.raises(ValueError):
+        PseudoOrthogonalMatrix.from_json([[str(x) for x in row] for row in rows], sig=sig)
 
 
 def test_reflection_matrix():
@@ -135,16 +215,8 @@ def _dense_zeta_columns(g):
 
 @st.composite
 def versors(draw):
-    n = draw(st.integers(1, 5))
-    p = draw(st.integers(0, n))
-    sig = Signature(p, n - p)
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    factors = []
-    for _ in range(draw(st.integers(0, 4))):
-        coords = draw(st.lists(coeff, min_size=n, max_size=n).filter(
-            lambda c: sum(sig.square(i + 1) * c[i] * c[i] for i in range(n)) != 0
-        ))
-        factors.append(vector(sig, coords))
+    sig = draw(signatures(max_n=5))
+    factors = [vector(sig, draw(anisotropic_coords(sig))) for _ in range(draw(st.integers(0, 4)))]
     g = Versor(sig, factors)
     return g.negated() if draw(st.booleans()) else g
 
@@ -199,6 +271,59 @@ def test_zeta_term_pair_count(monkeypatch):
     monkeypatch.setattr(Multivector, "__mul__", counting_mul)
     zeta(g)
     assert pairs == 0
+
+
+def test_lift_and_zeta_multiply_no_multivectors(monkeypatch):
+    # the lift's round trip and zeta never form the versor product
+    rng = rng_from_seed(5)
+    sigs = (E2, M11, Signature(1, 3), Signature(2, 2), Signature(4, 4))
+    mats = [random_pseudo_orthogonal(sig, rng) for sig in sigs for _ in range(3)]
+    g8 = _eight_factor_versor_4_4()
+    calls = 0
+    plain_mul = Multivector.__mul__
+
+    def counting_mul(a, b):
+        nonlocal calls
+        calls += 1
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(Multivector, "__mul__", counting_mul)
+    for m in mats:
+        assert zeta(lift_to_pin(m)) == m
+    zeta(g8)
+    assert calls == 0
+
+
+def _schoolbook_chain(g):
+    """v_1 v_2 ... v_k multiplied left to right, term by term over Fractions."""
+    acc = {0: F(1)}
+    for v in g.factors:
+        out = {}
+        for b1, c1 in acc.items():
+            for b2, c2 in v.terms.items():
+                sign, b = blade_mul(b1, b2, g.sig)
+                out[b] = out.get(b, 0) + sign * c1 * c2
+        acc = out
+    return Multivector.real(g.sig, acc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(versors())
+def test_versor_product_is_the_lazy_chain(g):
+    want = _schoolbook_chain(g)
+    fresh = Versor(g.sig, g.factors)
+    # negated before the product exists: multiplied out from its own factors
+    neg = fresh.negated()
+    assert fresh._product is None and neg._product is None
+    assert neg.product == -want
+    assert fresh.product == want
+    # negated after: the product is carried over, and agrees with the chain
+    carried = fresh.negated()
+    assert carried._product == -want
+    assert Versor(g.sig, carried.factors).product == -want
+    one = unit(g.sig)
+    assert fresh.product * fresh.inverse_mv() == one
+    assert fresh.inverse_mv() * fresh.product == one
 
 
 def test_random_pseudo_orthogonal_is_the_dense_reflection_product():
