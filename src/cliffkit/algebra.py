@@ -13,7 +13,7 @@ built per output term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import (
@@ -25,16 +25,15 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Signature:
+class Signature(namedtuple("Signature", "p q")):
     """Number of generators squaring to +e and to -e."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
+    def __new__(cls, p, q):
+        if p < 0 or q < 0:
             raise ValueError("signature components must be nonnegative")
+        return tuple.__new__(cls, (p, q))
 
     @property
     def n(self):

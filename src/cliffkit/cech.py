@@ -10,9 +10,9 @@ in which case the number of inequivalent lifts is 2^dim H^1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import Signature, signature_from_json
+from .algebra import signature_from_json
 from .groups import PseudoOrthogonalMatrix, Versor, lift_to_pin
 
 
@@ -82,12 +82,8 @@ def gf2_nullspace(rows, ncols):
 # ---------------------------------------------------------------------------
 # simplicial complexes
 
-@dataclass(frozen=True)
-class Complex:
-    vertices: int
-    edges: tuple
-    triangles: tuple
-    tetrahedra: tuple
+class Complex(namedtuple("Complex", "vertices edges triangles tetrahedra")):
+    __slots__ = ()
 
     @classmethod
     def build(cls, vertices, edges=(), triangles=(), tetrahedra=()):
@@ -193,13 +189,10 @@ def z2_betti(c: Complex, k: int) -> int:
     return (n_k - rank_up) - rank_down
 
 
-@dataclass(frozen=True)
-class Z2Cochain:
+class Z2Cochain(namedtuple("Z2Cochain", "complex degree values")):
     """Z2 k-cochain: value per k-simplex."""
 
-    complex: Complex
-    degree: int
-    values: dict
+    __slots__ = ()
 
     def bit(self, simplex):
         return self.values.get(tuple(sorted(simplex)), 0)
@@ -237,13 +230,10 @@ class Z2Cochain:
 # ---------------------------------------------------------------------------
 # matrix-valued cocycles
 
-@dataclass(frozen=True)
-class GroupCocycle:
+class GroupCocycle(namedtuple("GroupCocycle", "complex sig edges")):
     """Pseudo-orthogonal matrices on the edges, g_ij for i < j."""
 
-    complex: Complex
-    sig: Signature
-    edges: dict
+    __slots__ = ()
 
     @classmethod
     def build(cls, complex_, sig, edges):
@@ -345,13 +335,8 @@ def _triangle_scalar(lifts, t):
     return s
 
 
-@dataclass
-class PinLiftResult:
-    success: bool
-    lifts: dict
-    discrepancy: Z2Cochain
-    lift_count: int
-    obstruction_nonzero: bool
+PinLiftResult = namedtuple(
+    "PinLiftResult", "success lifts discrepancy lift_count obstruction_nonzero")
 
 
 def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:

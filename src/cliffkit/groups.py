@@ -29,7 +29,7 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -387,12 +387,10 @@ def adjoint_automorphism(g: Multivector, a: Multivector) -> Multivector:
     return g * a * ginv
 
 
-@dataclass(frozen=True)
-class CDResult:
+class CDResult(namedtuple("CDResult", "vectors fallback_count")):
     """Reflection factorization: M = R(w_1) o ... o R(w_r)."""
 
-    vectors: tuple
-    fallback_count: int
+    __slots__ = ()
 
     @property
     def r(self):
@@ -526,15 +524,8 @@ def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-@dataclass(frozen=True)
-class SpinBlockResult:
-    block_diagonal: bool
-    A: tuple
-    D: tuple
-    det_A: object
-    det_D: object
-    relation_ok: bool
-    component: str
+SpinBlockResult = namedtuple(
+    "SpinBlockResult", "block_diagonal A D det_A det_D relation_ok component")
 
 
 def spin_block_check(g: Versor, sig: Signature) -> SpinBlockResult:

@@ -366,48 +366,3 @@ def first_accepted(basis, accept, seed=0):
             return found
     return None
 
-
-class SparseRankAccumulator:
-    """Incremental rank over Q of sparse vectors (dicts position -> value).
-
-    Values are ints or Fractions; a row is scaled to integers on entry and
-    reduced fraction-free against the stored pivot rows (cross-multiply,
-    then divide out the content), so no Fraction is built.  A row that does
-    not vanish contributes a new pivot.
-    """
-
-    def __init__(self):
-        self.pivot_rows = {}
-
-    @property
-    def rank(self):
-        return len(self.pivot_rows)
-
-    def add(self, vec):
-        """Reduce vec (dict) and absorb it.  Returns True if rank grew."""
-        vals = {k: v for k, v in vec.items() if v}
-        den = math.lcm(*(v.denominator for v in vals.values()))
-        row = {k: v.numerator * (den // v.denominator) for k, v in vals.items()}
-        while row:
-            p = min(row)
-            piv = self.pivot_rows.get(p)
-            if piv is None:
-                g = math.gcd(*row.values())
-                if row[p] < 0:
-                    g = -g
-                self.pivot_rows[p] = {k: v // g for k, v in row.items()}
-                return True
-            a, f = piv[p], row[p]
-            if a != 1:
-                row = {k: a * v for k, v in row.items()}
-            for k, v in piv.items():
-                nv = row.get(k, 0) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-            if a != 1 and row:
-                g = math.gcd(*row.values())
-                if g != 1:
-                    row = {k: v // g for k, v in row.items()}
-        return False

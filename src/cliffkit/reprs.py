@@ -10,7 +10,7 @@ shifts (an index flip and a (p, q) -> (p - 4, q + 4) move), then stacks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -33,19 +33,17 @@ KIND_RING = {"MatR": RATIONAL, "MatC": GAUSSIAN, "MatH": QUATERNION}
 KIND_REAL_DIM = {"MatR": 1, "MatC": 2, "MatH": 4}
 
 
-@dataclass(frozen=True)
-class TargetRing:
+class TargetRing(namedtuple("TargetRing", "kind m summands")):
     """Mat(m, K) or, when summands == 2, Mat(m, K) + Mat(m, K)."""
 
-    kind: str
-    m: int
-    summands: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KIND_RING:
-            raise ValueError(f"unknown matrix ring kind {self.kind!r}")
-        if self.m < 1 or self.summands not in (1, 2):
+    def __new__(cls, kind, m, summands=1):
+        if kind not in KIND_RING:
+            raise ValueError(f"unknown matrix ring kind {kind!r}")
+        if m < 1 or summands not in (1, 2):
             raise ValueError("bad target ring shape")
+        return tuple.__new__(cls, (kind, m, summands))
 
     @property
     def ring_tag(self):
@@ -300,19 +298,33 @@ class Representation:
         return True
 
     def check_injective(self):
-        """All 2^n blade images are linearly independent over Q.
+        """Re tr rho(e_C) = 0 for every blade C != 0, which proves the 2^n
+        blade images linearly independent once ``check_relations`` holds
+        (``verify`` runs it first).
 
-        Each image is a vector of real coordinates with one +-1 per row of
-        the monomial; the rank is computed exactly.
+        The trace is read off the monomial: each fixed point perm[i] = i
+        adds the real part of its unit, +1 for code 0 and -1 for code 1.
+        Proof sketch: rho(e_A) is a unit monomial, so its conjugate
+        transpose is rho(e_A)^-1, and the relations make that
+        +-rho(e_A) and rho(e_A)* rho(e_B) = +-rho(e_(A xor B)).  The real
+        inner product of two images' coordinate vectors is
+        Re tr(rho(e_A)* rho(e_B)), so the images are pairwise orthogonal
+        and nonzero, hence independent.  The condition is also necessary
+        when the target has real dimension 2^n, as every compiled model
+        does: a blade that anticommutes with some generator has trace 0,
+        and the only other central blade, omega for odd n, maps to +-i I
+        or +-(I, -I) under an isomorphism.  This is the trace property of
+        the scalar part, <x>_0 = Re tr rho(x) / size (Lounesto, Clifford
+        Algebras and Spinors; Porteous, Clifford Algebras and the
+        Classical Groups).
         """
-        d = KIND_REAL_DIM[self.target.kind]
-        size = self.target.summands * self.target.m
-        acc = linalg.SparseRankAccumulator()
-        for b in range(1 << self.n):
+        for b in range(1, 1 << self.n):
             perm, codes = self._blade(b)
-            vec = {(i * size + j) * d + (c >> 1): -1 if c & 1 else 1
-                   for i, (j, c) in enumerate(zip(perm, codes))}
-            if not acc.add(vec):
+            tr = 0
+            for i, j in enumerate(perm):
+                if i == j and codes[i] < 2:
+                    tr += 1 - 2 * codes[i]
+            if tr:
                 return False
         return True
 
@@ -615,13 +627,10 @@ def factor_projections(r: Representation):
 # ---------------------------------------------------------------------------
 # intertwiners
 
-@dataclass
-class Intertwiner:
+class Intertwiner(namedtuple("Intertwiner", "matrix inverse ring_tag")):
     """Invertible S with S r1(v) S^-1 = r2(v) on all generators."""
 
-    matrix: tuple
-    inverse: tuple
-    ring_tag: str
+    __slots__ = ()
 
 
 def _intertwiner_nullspace(gens1, gens2, m, ring_tag):

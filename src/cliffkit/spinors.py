@@ -8,7 +8,7 @@ algebra is exact over the Gaussian rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .algebra import (
@@ -28,13 +28,10 @@ from .reprs import (
 from .scalars import GAUSSIAN, GaussianRational
 
 
-@dataclass(frozen=True)
-class HermitianIdempotent:
+class HermitianIdempotent(namedtuple("HermitianIdempotent", "n s p")):
     """p = (e + s)/2 for a Hermitian square root of unity s != e."""
 
-    n: int
-    s: Multivector
-    p: Multivector
+    __slots__ = ()
 
 
 def make_idempotent(s: Multivector) -> HermitianIdempotent:
@@ -73,15 +70,10 @@ def idempotent_from_factors(n, factors):
     return p
 
 
-@dataclass(frozen=True)
-class SpinorSpace:
+class SpinorSpace(namedtuple("SpinorSpace", "n p basis rref_rows pivots")):
     """Left ideal A p with a canonical (reduced echelon) basis."""
 
-    n: int
-    p: Multivector
-    basis: tuple
-    _rref_rows: tuple
-    _pivots: tuple
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -96,7 +88,7 @@ class SpinorSpace:
         """Coordinates on the canonical basis, or None if mv is outside."""
         coords = list(coords_vector(mv))
         out = [GaussianRational(0)] * self.dim
-        for k, (row, piv) in enumerate(zip(self._rref_rows, self._pivots)):
+        for k, (row, piv) in enumerate(zip(self.rref_rows, self.pivots)):
             c = coords[piv]
             if c:
                 out[k] = c
@@ -203,11 +195,7 @@ def primitive_idempotent(n: int) -> HermitianIdempotent:
 # ---------------------------------------------------------------------------
 # matrix model and conjugation
 
-@dataclass
-class SpinorModel:
-    rep: Representation
-    left_action: tuple
-    intertwiner: object
+SpinorModel = namedtuple("SpinorModel", "rep left_action intertwiner")
 
 
 def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:

