@@ -310,13 +310,13 @@ class Representation:
         inner product of two images' coordinate vectors is
         Re tr(rho(e_A)* rho(e_B)), so the images are pairwise orthogonal
         and nonzero, hence independent.  The condition is also necessary
-        when the target has real dimension 2^n, as every compiled model
-        does: a blade that anticommutes with some generator has trace 0,
-        and the only other central blade, omega for odd n, maps to +-i I
-        or +-(I, -I) under an isomorphism.  This is the trace property of
-        the scalar part, <x>_0 = Re tr rho(x) / size (Lounesto, Clifford
-        Algebras and Spinors; Porteous, Clifford Algebras and the
-        Classical Groups).
+        when the target has real dimension 2^n, as it has for every model
+        of ``compile_rep`` and ``compile_complex_rep``: a blade that
+        anticommutes with some generator has trace 0, and the only other
+        central blade, omega for odd n, maps to +-i I or +-(I, -I) under an
+        isomorphism.  This is the trace property of the scalar part,
+        <x>_0 = Re tr rho(x) / size (Lounesto, Clifford Algebras and
+        Spinors; Porteous, Clifford Algebras and the Classical Groups).
         """
         for b in range(1, 1 << self.n):
             perm, codes = self._blade(b)
