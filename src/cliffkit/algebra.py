@@ -447,23 +447,26 @@ def from_coords(model, coords):
 
 
 def invert(a):
-    """Exact inverse via the left regular representation; None if singular."""
-    from . import linalg
+    """Exact inverse through the compiled matrix model; None if singular.
 
-    dim = 1 << a.n
+    rho is an isomorphism onto the target ring, so a is invertible exactly
+    when every summand block of rho(a) is; the inverse blocks are read back
+    with ``Representation.preimage``, and a x = x a = 1 is checked.
+    """
+    from . import linalg
+    from .reprs import compile_complex_rep, compile_rep
+
+    rep = compile_complex_rep(a.n) if a.is_complex else compile_rep(a.sig)
+    img = rep.rho(a)
+    pair = rep.target.summands == 2
+    blocks = [linalg.inv(block) for block in (img if pair else (img,))]
+    if None in blocks:
+        return None
+    inv_mv = rep.preimage(blocks if pair else blocks[0])
     _zero, one = _field_zero_one(a.ring)
-    L = map_matrix(a, lambda x: a * x)
-    e0 = [one - one] * dim
-    e0[0] = one
-    x = linalg.solve(L, e0)
-    if x is None:
-        return None
-    inv_mv = from_coords(a, x)
-    # solve() gives a right inverse; in a finite-dimensional algebra a
-    # one-sided inverse is two-sided, but check anyway
-    unit_mv = from_coords(a, e0)
-    if a * inv_mv != unit_mv or inv_mv * a != unit_mv:
-        return None
+    unit_mv = a._wrap({0: one})
+    if inv_mv is None or a * inv_mv != unit_mv or inv_mv * a != unit_mv:
+        raise AssertionError("inverse read back from the matrix model is wrong")
     return inv_mv
 
 

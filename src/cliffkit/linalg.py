@@ -2,8 +2,8 @@
 
 Entries are ints, Fractions, GaussianRationals or Quaternions; no routine
 returns a float.  Over Q and Q(i) (int, Fraction and GaussianRational
-entries) ``rref``, and so ``rank``, ``nullspace``, ``solve`` and ``inv``,
-and ``det`` run one integer kernel, ``_bareiss``: each row becomes
+entries) ``rref``, and so ``rank``, ``nullspace`` and ``inv``, and
+``det`` run one integer kernel, ``_bareiss``: each row becomes
 Gaussian-integer numerators over the lcm of its denominators (imaginary
 parts zero over Q), eliminated fraction-free with exact division by the
 previous pivot, and one Fraction or GaussianRational is built per output
@@ -279,28 +279,6 @@ def nullspace(rows):
             v[pc] = -red[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve(a, b):
-    """Solve a x = b for a column vector b; None if inconsistent.
-
-    Returns one particular solution (free variables set to zero).
-    """
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    n_cols = len(a[0])
-    if n_cols in pivots:
-        return None
-    zero = None
-    for row in red:
-        for x in row:
-            zero = x - x
-            break
-        break
-    sol = [zero] * n_cols
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r][n_cols]
-    return tuple(sol)
 
 
 def inv(a):

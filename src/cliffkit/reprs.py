@@ -253,28 +253,40 @@ class Representation:
         blocks = img if self.target.summands == 2 else (img,)
         return all(linalg.rank(block) == self.target.m for block in blocks)
 
-    def trace_coords(self, matrix):
-        """tr(rho(e_b)^-1 X) / m for every blade b (complex models only).
+    def preimage(self, matrix):
+        """Multivector x with rho(x) = matrix, or None.
 
-        When X = rho(x) these are the coefficients of x on the blade basis:
-        rho(e_b)^-1 rho(e_c) = +-rho(e_(b xor c)), and the image of every
-        blade but the scalar has trace 0.  rho(e_b)^-1 is the conjugate
-        transpose of a unit monomial, so each coefficient costs O(m).
+        The coefficient of e_b is tr(rho(e_b)^-1 X) / size, size = summands
+        * m, and a real source takes its real part.  When X = rho(x) these
+        are the coefficients of x: rho(e_b)^-1 rho(e_c) = +-rho(e_(b xor c)),
+        and ``check_injective`` makes tr rho(e_C) vanish for C != 0 (its real
+        part for a real source, whose coefficients are real).
+        rho(e_b)^-1 is the conjugate transpose of a unit monomial, so each
+        coefficient costs O(size).  x is returned only after rho(x) = matrix
+        is checked exactly.
         """
-        if not self.is_complex:
-            raise ValueError("the trace formula is implemented for complex models only")
-        units = _RING_UNITS[GAUSSIAN]
-        inv_m = Fraction(1, self.target.m)
-        out = []
+        t = self.target
+        rows = tuple(matrix[0]) + tuple(matrix[1]) if t.summands == 2 else tuple(matrix)
+        units = _RING_UNITS[t.ring_tag]
+        conj = [units[c ^ 1 if c > 1 else c] for c in range(len(units))]
+        zero = _ZERO[t.ring_tag]
+        scale = Fraction(1, len(rows))
+        m = t.m
+        terms = {}
         for b in range(1 << self.n):
-            perm, codes = self._blade(b)
-            tr = _ZERO[GAUSSIAN]
-            for i, (j, c) in enumerate(zip(perm, codes)):
-                x = matrix[i][j]
+            tr = zero
+            for i, (j, c) in enumerate(zip(*self._blade(b))):
+                x = rows[i][j % m]
                 if x:
-                    tr = tr + units[c].conjugate() * x
-            out.append(tr * inv_m)
-        return out
+                    tr = tr + conj[c] * x
+            if not self.is_complex and t.ring_tag != RATIONAL:
+                tr = tr.re if t.ring_tag == GAUSSIAN else tr.a
+            terms[b] = tr * scale
+        if self.is_complex:
+            x = Multivector.complex_alg(self.n, terms)
+        else:
+            x = Multivector.real(self.sig, terms)
+        return x if self.rho(x) == self._shape(rows) else None
 
     def check_relations(self):
         """v^a v^b + v^b v^a = 2 eta^{ab} e, exactly.
@@ -298,33 +310,37 @@ class Representation:
         return True
 
     def check_injective(self):
-        """Re tr rho(e_C) = 0 for every blade C != 0, which proves the 2^n
-        blade images linearly independent once ``check_relations`` holds
-        (``verify`` runs it first).
+        """tr rho(e_C) = 0 for every blade C != 0, its real part only for a
+        real source, which proves the 2^n blade images linearly independent
+        once ``check_relations`` holds (``verify`` runs it first).
 
         The trace is read off the monomial: each fixed point perm[i] = i
-        adds the real part of its unit, +1 for code 0 and -1 for code 1.
+        adds its unit, +1 for code 0, -1 for code 1 and +-i for codes 2, 3.
         Proof sketch: rho(e_A) is a unit monomial, so its conjugate
         transpose is rho(e_A)^-1, and the relations make that
-        +-rho(e_A) and rho(e_A)* rho(e_B) = +-rho(e_(A xor B)).  The real
-        inner product of two images' coordinate vectors is
-        Re tr(rho(e_A)* rho(e_B)), so the images are pairwise orthogonal
-        and nonzero, hence independent.  The condition is also necessary
-        when the target has real dimension 2^n, as it has for every model
-        of ``compile_rep`` and ``compile_complex_rep``: a blade that
-        anticommutes with some generator has trace 0, and the only other
-        central blade, omega for odd n, maps to +-i I or +-(I, -I) under an
-        isomorphism.  This is the trace property of the scalar part,
-        <x>_0 = Re tr rho(x) / size (Lounesto, Clifford Algebras and
-        Spinors; Porteous, Clifford Algebras and the Classical Groups).
+        +-rho(e_A) and rho(e_A)* rho(e_B) = +-rho(e_(A xor B)).  The
+        inner product of two images' coordinate vectors, real for a real
+        source and Hermitian for a complex one, is Re tr(rho(e_A)* rho(e_B))
+        or tr(rho(e_A)* rho(e_B)), so the images are pairwise orthogonal
+        and nonzero, hence independent over R or C.  The condition is also
+        necessary when the target has dimension 2^n over the source's
+        field, as it has for every model of ``compile_rep`` and
+        ``compile_complex_rep``: a blade that anticommutes with some
+        generator has trace 0, and the only other central blade, omega for
+        odd n, maps to +-i I (real source only) or to c(I, -I) for a unit c
+        under an isomorphism.  The Pauli matrices on C(3) pass the real
+        test and fail this one: omega maps to i I.  This is the trace
+        property of the scalar part, <x>_0 = Re tr rho(x) / size
+        (Lounesto, Clifford Algebras and Spinors; Porteous, Clifford
+        Algebras and the Classical Groups).
         """
         for b in range(1, 1 << self.n):
             perm, codes = self._blade(b)
-            tr = 0
+            fixed = [0] * 8
             for i, j in enumerate(perm):
-                if i == j and codes[i] < 2:
-                    tr += 1 - 2 * codes[i]
-            if tr:
+                if i == j:
+                    fixed[codes[i]] += 1
+            if fixed[0] != fixed[1] or (self.is_complex and fixed[2] != fixed[3]):
                 return False
         return True
 
@@ -504,25 +520,26 @@ def compile_rep(sig: Signature) -> Representation:
 
 
 def compile_complex_rep(n: int) -> Representation:
-    """Matrix model Mat(2^(n/2), C) of the complexified algebra.
+    """Matrix model of the complexified algebra of dimension n >= 0.
 
-    Routes through the split signature (n/2, n/2): the negative generators
-    v^j there correspond to i e^j in the complex algebra, so e^j maps to
-    -i times the real image.  Odd n is unsupported.  Cached like
-    ``compile_rep``.
+    Routes through the signature (n - k, k), k = n // 2: the negative
+    generators v^j there correspond to i e^j in the complex algebra, so e^j
+    maps to -i times the real image.  The target is Mat(2^k, C) for even n
+    and Mat(2^k, C) + Mat(2^k, C) for odd n.  Cached like ``compile_rep``.
     """
-    if n <= 0 or n % 2:
-        raise ValueError("complex compilation needs positive even n")
+    if n < 0:
+        raise ValueError("complex compilation needs n >= 0")
     cached = _COMPILE_CACHE.get(n)
     if cached is not None:
         return cached
     k = n // 2
-    real = compile_rep(Signature(k, k))
+    real = compile_rep(Signature(n - k, k))
     times_minus_i = _UNIT_MUL[_MINUS_I]
-    gens = list(real._monos[:k])
-    for perm, codes in real._monos[k:]:
+    gens = list(real._monos[:n - k])
+    for perm, codes in real._monos[n - k:]:
         gens.append((perm, tuple(times_minus_i[c] for c in codes)))
-    rep = _checked(Representation._from_monos(None, n, TargetRing("MatC", real.target.m), gens),
+    target = TargetRing("MatC", real.target.m, real.target.summands)
+    rep = _checked(Representation._from_monos(None, n, target, gens),
                    f"complex model of C({n})")
     _COMPILE_CACHE[n] = rep
     return rep

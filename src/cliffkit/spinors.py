@@ -19,12 +19,7 @@ from .algebra import (
     invert,
     map_matrix,
 )
-from .reprs import (
-    Intertwiner,
-    Representation,
-    compile_complex_rep,
-    compile_rep,
-)
+from .reprs import Intertwiner, compile_complex_rep, compile_rep
 from .scalars import GAUSSIAN, GaussianRational
 
 
@@ -250,8 +245,8 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
     order.  A point g is accepted when g p1 = p2 g holds exactly and rho(g)
     is invertible in the compiled matrix model (``Representation.invertible``),
     which decides invertibility of g because rho is an isomorphism onto the
-    target ring; no inverse is computed.  The complex algebra of odd
-    dimension has no compiled model and raises ValueError.
+    target ring; no inverse is computed.  Every real signature and every
+    complex dimension has a compiled model, odd n included.
     """
     if p1.space_key() != p2.space_key():
         raise ValueError("idempotents live in different algebras")
@@ -273,18 +268,3 @@ def stabilizer_membership(g: Multivector, space: SpinorSpace) -> bool:
     if ginv is None:
         raise ValueError("stabilizer membership needs an invertible element")
     return all(space.contains(g * psi * ginv) for psi in space.basis)
-
-
-# ---------------------------------------------------------------------------
-# preimages in the compiled model
-
-def rep_preimage(rep: Representation, matrix):
-    """Multivector x with rho(x) = matrix, or None (complex models only).
-
-    Coefficients come from the trace formula c_b = tr(rho(e_b)^-1 X) / m
-    (``Representation.trace_coords``); x is returned only after rho(x) =
-    matrix is checked exactly.
-    """
-    coords = rep.trace_coords(matrix)
-    x = from_coords(Multivector.complex_alg(rep.complex_dim, {}), coords)
-    return x if linalg.mat_eq(rep.rho(x), matrix) else None

@@ -2,12 +2,12 @@
 
 ``Representation.check_injective`` proves injectivity by the trace form; the
 tests compare its verdict with this elimination over the real coordinates of
-the dense blade images.
+the dense blade images, over Q for a real source and Q(i) for a complex one.
 """
 
 import math
 
-from cliffkit.scalars import GaussianRational, Quaternion
+from cliffkit.scalars import I, GaussianRational, Quaternion
 
 
 class SparseRankAccumulator:
@@ -66,18 +66,21 @@ def _real_coords(x):
 
 def blades_independent(rep):
     """Whether the 2^n dense blade images of ``rep`` are linearly independent
-    over Q, as real coordinate vectors."""
+    over the source's field: over Q as real coordinate vectors for a real
+    source, over Q(i) for a complex one.  Vectors v_1 ... v_N are independent
+    over Q(i) exactly when v_1, i v_1, ..., v_N, i v_N are independent over
+    Q, so a complex source adds each image and i times it."""
     acc = SparseRankAccumulator()
     for b in range(1 << rep.n):
         img = rep.blade_image(b)
         blocks = img if rep.target.summands == 2 else (img,)
-        vec = {}
-        for s, block in enumerate(blocks):
-            for i, row in enumerate(block):
-                for j, x in enumerate(row):
-                    if x:
-                        for k, c in enumerate(_real_coords(x)):
-                            vec[(s, i, j, k)] = c
-        if not acc.add(vec):
-            return False
+        entries = [(s, i, j, x) for s, block in enumerate(blocks)
+                   for i, row in enumerate(block) for j, x in enumerate(row) if x]
+        vectors = [entries]
+        if rep.is_complex:
+            vectors.append([(s, i, j, I * x) for s, i, j, x in entries])
+        for vec in vectors:
+            if not acc.add({(s, i, j, k): c for s, i, j, x in vec
+                            for k, c in enumerate(_real_coords(x))}):
+                return False
     return True

@@ -27,6 +27,7 @@ from cliffkit.algebra import (
     vector,
 )
 from cliffkit.scalars import GaussianRational
+from inverse_oracle import dense_inverse
 
 
 def test_signature_validation():
@@ -304,6 +305,46 @@ def test_invert():
     # isotropic vector in a split signature
     iso = vector(Signature(1, 1), [Fraction(1), Fraction(1)])
     assert invert(iso) is None
+
+
+# every real signature with n <= 5, then C(0) ... C(5)
+INVERT_SPACES = [Signature(p, n - p) for n in range(6) for p in range(n + 1)] + list(range(6))
+
+
+def _inverse_inputs(space, rng):
+    """0, 1, random elements (dense and three-term), 1 + e_b for every blade
+    b != 0 and e_b + e_c: zero divisors such as 1 + e_b with e_b^2 = 1 among
+    them."""
+    if isinstance(space, int):
+        n, make = space, lambda terms: Multivector.complex_alg(space, terms)
+
+        def coeff():
+            return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+    else:
+        n, make = space.n, lambda terms: Multivector.real(space, terms)
+
+        def coeff():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    size = 1 << n
+    out = [make({}), make({0: 1})]
+    out += [make({b: coeff() for b in range(size)}) for _ in range(2)]
+    out += [make({rng.randrange(size): coeff() for _ in range(3)}) for _ in range(2)]
+    for b in range(1, size):
+        out += [make({0: 1, b: 1}), make({b: 1, (3 * b + 1) % size: 1})]
+    return out
+
+
+@pytest.mark.parametrize("space", INVERT_SPACES,
+                         ids=lambda s: f"C({s})" if isinstance(s, int) else f"Cl{s}")
+def test_invert_matches_dense_oracle(space):
+    # invert reads the inverse back from the compiled model; the oracle
+    # eliminates the 2^n x 2^n left regular matrix
+    results = set()
+    for a in _inverse_inputs(space, random.Random(str(space))):
+        want = dense_inverse(a)
+        assert invert(a) == want, a
+        results.add(want is None)
+    assert results == {True, False}
 
 
 def test_space_mismatch_errors():

@@ -51,6 +51,15 @@ def test_compile_verify_and_json(capsys, tmp_path):
     assert "Mat(4,C)" in out
 
 
+def test_compile_odd_complex_dimension(capsys):
+    # odd N compiles onto a direct sum of two complex matrix rings
+    code, out, _ = run(capsys, "compile", "--complex", "3", "--verify")
+    assert code == 0
+    assert "C(3) -> Mat(2,C) + Mat(2,C)" in out and "verified" in out
+    code, out, err = run(capsys, "compile", "--complex", "-1")
+    assert code == 2 and out == "" and "n >= 0" in err
+
+
 def test_compile_usage_error(capsys):
     code, _, err = run(capsys, "compile")
     assert code == 2

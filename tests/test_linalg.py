@@ -40,15 +40,6 @@ def test_nullspace_rational():
         assert sum(a * b for a, b in zip(row, v)) == 0
 
 
-def test_solve_particular_and_inconsistent():
-    a = [[F(1), F(1)], [F(2), F(2)]]
-    assert linalg.solve(a, [F(1), F(2)]) is not None
-    assert linalg.solve(a, [F(1), F(3)]) is None
-    b = [[F(2), F(0)], [F(0), F(4)]]
-    x = linalg.solve(b, [F(6), F(8)])
-    assert x == (F(3), F(2))
-
-
 def test_inverse_rational():
     a = [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]
     ainv = linalg.inv(a)
@@ -71,7 +62,6 @@ def _flat(x):
 
 # int matrices are read as Fractions: no routine divides ints into floats
 INT_CASES = {
-    "solve": (lambda: linalg.solve([[2, 0], [0, 3]], [1, 1]), (F(1, 2), F(1, 3))),
     "det": (lambda: linalg.det([[2, 1], [1, 3]]), F(5)),
     "det-singular": (lambda: linalg.det([[0, 1], [0, 2]]), F(0)),
     "inv": (lambda: linalg.inv([[2, 0], [1, 3]]), ((F(1, 2), F(0)), (F(-1, 6), F(1, 3)))),
@@ -108,13 +98,6 @@ def test_quaternion_matrix_inverse_noncommutative():
     ident = linalg.identity(2, one)
     assert linalg.mat_eq(linalg.matmul(a, ainv), ident)
     assert linalg.mat_eq(linalg.matmul(ainv, a), ident)
-
-
-def test_quaternion_solve():
-    t1 = Quaternion(0, 1)
-    one = Quaternion(1)
-    x = linalg.solve(((t1,),), [one])
-    assert x == (-t1,)
 
 
 def test_matmul_shapes_and_transpose():
@@ -232,14 +215,6 @@ def _oracle_nullspace(rows):
     ]
 
 
-def _oracle_solve(a, b):
-    n = len(a[0])
-    red, pivots = _oracle_rref([list(row) + [y] for row, y in zip(a, b)])
-    if n in pivots:
-        return None
-    return tuple(red[pivots.index(j)][n] if j in pivots else 0 for j in range(n))
-
-
 def _oracle_inv(a):
     n = len(a)
     red, pivots = _oracle_rref(
@@ -320,11 +295,9 @@ def test_rref_matches_field_oracle(case):
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_matrices())
-def test_nullspace_solve_inv_det_match_field_oracle(case):
+def test_nullspace_inv_det_match_field_oracle(case):
     _ring, rows = case
     assert linalg.nullspace(rows) == _oracle_nullspace(rows)
-    a, b = [row[:-1] for row in rows], [row[-1] for row in rows]
-    assert linalg.solve(a, b) == _oracle_solve(a, b)
     sq = _square(rows)
     assert linalg.inv(sq) == _oracle_inv(sq)
     assert linalg.det(sq) == _oracle_det(sq)

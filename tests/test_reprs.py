@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cliffkit import linalg
-from cliffkit.algebra import Multivector, Signature, invert
+from cliffkit.algebra import Multivector, Signature
 from cliffkit.reprs import (
     Representation,
     TargetRing,
@@ -32,6 +32,7 @@ from cliffkit.reprs import (
     solve_intertwiner,
 )
 from cliffkit.scalars import GAUSSIAN, GaussianRational, Quaternion
+from inverse_oracle import dense_inverse
 from rank_oracle import blades_independent
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -166,15 +167,18 @@ def test_signature_shift_mod4():
 
 
 def test_complex_models_hermitian():
-    for n in (2, 4):
+    # odd n has the direct-sum target Mat(2^k, C) + Mat(2^k, C), k = n // 2
+    for n in (0, 1, 2, 3, 4, 5, 7):
         rep = compile_complex_rep(n)
-        assert rep.target == TargetRing("MatC", 1 << (n // 2))
+        assert rep.target == TargetRing("MatC", 1 << (n // 2), summands=1 + n % 2)
         assert rep.verify()
         for g in rep.gens:
-            m = len(g)
-            assert all(g[i][j] == g[j][i].conjugate() for i in range(m) for j in range(m))
+            for block in g if n % 2 else (g,):
+                m = len(block)
+                assert all(block[i][j] == block[j][i].conjugate()
+                           for i in range(m) for j in range(m))
     with pytest.raises(ValueError):
-        compile_complex_rep(3)
+        compile_complex_rep(-1)
 
 
 def test_quaternion_block_embedding_is_homomorphism():
@@ -296,7 +300,7 @@ def test_blade_images_match_dense_products(source):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_complex_blade_images_are_traceless(n):
-    # Representation.trace_coords rests on tr rho(e_b) = 0 for b != 0
+    # Representation.preimage rests on tr rho(e_b) = 0 for b != 0
     rep = compile_complex_rep(n)
     m = rep.target.m
     for b in range(1, 1 << n):
@@ -308,7 +312,8 @@ def test_complex_blade_images_are_traceless(n):
                                     Signature(3, 1), 4], ids=str)
 def test_invertible_matches_algebra_invert(source):
     # targets R + R, Mat(2, H), H + H, Mat(4, R) and Mat(4, C); the elements 1 + e_b
-    # and e_b + e_c include zero divisors such as (1 + e_b) with e_b^2 = 1
+    # and e_b + e_c include zero divisors such as (1 + e_b) with e_b^2 = 1.
+    # Invertibility is decided by the dense left regular inverse.
     if isinstance(source, int):
         rep = compile_complex_rep(source)
 
@@ -323,7 +328,7 @@ def test_invertible_matches_algebra_invert(source):
     seen = set()
     for b in range(1, size):
         for x in (mv([0, b]), mv([b, (3 * b + 1) % size])):
-            invertible = invert(x) is not None
+            invertible = dense_inverse(x) is not None
             seen.add(invertible)
             assert rep.invertible(x) == invertible
     assert seen == {True, False}
@@ -365,15 +370,46 @@ def test_relations_and_injectivity_failures_are_caught():
     assert not rep.verify()
 
 
+def _pauli_model():
+    """C(3) -> Mat(2, C) by the Pauli matrices: the relations hold, but
+    rho(e1 e2 e3) = i I, so rho(e1 e2 e3 - i) = 0."""
+    s1 = ((G0, G1), (G1, G0))
+    s2 = ((G0, -GI), (GI, G0))
+    s3 = ((G1, G0), (G0, -G1))
+    return Representation(None, 3, TargetRing("MatC", 2), [s1, s2, s3])
+
+
+def test_pauli_model_of_c3_is_not_injective():
+    # Re tr rho(e_C) = 0 for every C != 0, so only the imaginary part of
+    # tr rho(e1 e2 e3) = 2i shows that the complex source collapses
+    rep = _pauli_model()
+    assert rep.check_relations()
+    kernel = Multivector.complex_alg(3, {0b111: G1, 0: -GI})
+    assert all(x == G0 for row in rep.rho(kernel) for x in row)
+    assert not rep.check_injective()
+    assert not rep.verify()
+    assert rep.preimage(rep.rho(Multivector.complex_alg(3, {0: G1}))) is None
+
+
+def test_preimage_checks_the_image():
+    # one factor of Cl(1,0) -> R + R sends both 1 and e1 to 1: the trace
+    # formula reads (2) as 2 + 2 e1, whose image is (4)
+    rep = compile_rep(Signature(1, 0))
+    low, _high = factor_projections(rep)
+    assert low.preimage(((F1 * 2,),)) is None
+    two = Multivector.real(Signature(1, 0), {0: 2})
+    assert rep.preimage(rep.rho(two)) == two
+
+
 def _trace_form_cases():
-    """Compiled models with n <= 10 and C(2) ... C(10), then models that
+    """Compiled models with n <= 10 and C(0) ... C(10), then models that
     satisfy the relations but are not injective: Cl(1,0) -> R with e1 -> 1,
     Cl(1,0) -> R + R with e1 -> (1, 1), each factor of every direct-sum
     model with n <= 10 and every direct-sum model with its first factor
-    repeated (omega -> +-(I, I)); and the oversized but injective
-    complexified Cl(1,3) model."""
+    repeated (omega -> +-(I, I)); the oversized but injective
+    complexified Cl(1,3) model; and the Pauli model of C(3)."""
     cases = [compile_rep(Signature(p, n - p)) for n in range(11) for p in range(n + 1)]
-    cases += [compile_complex_rep(n) for n in range(2, 11, 2)]
+    cases += [compile_complex_rep(n) for n in range(11)]
     cases.append(Representation(Signature(1, 0), None, TargetRing("MatR", 1), [((F1,),)]))
     cases.append(Representation(Signature(1, 0), None, TargetRing("MatR", 1, summands=2),
                                 [(((F1,),), ((F1,),))]))
@@ -381,6 +417,7 @@ def _trace_form_cases():
         cases += factor_projections(rep)
         cases.append(Representation(rep.sig, None, rep.target, [(g[0], g[0]) for g in rep.gens]))
     cases.append(quaternion_complexify(compile_rep(Signature(1, 3))))
+    cases.append(_pauli_model())
     return cases
 
 
@@ -390,9 +427,10 @@ def test_trace_form_matches_rank_oracle():
         assert rep.check_relations()
         verdicts.append(rep.check_injective())
         assert verdicts[-1] == blades_independent(rep), (rep.sig, rep.complex_dim, rep.target)
-    # 66 real and 5 complex models and the complexified one; 2 + 3 * 15
-    # mutated ones from the 15 signatures with n <= 10 and p - q = 1 or 5 mod 8
-    assert verdicts.count(True) == 72 and verdicts.count(False) == 47
+    # 66 real and 11 complex models and the complexified one; 2 + 3 * 15
+    # mutated ones from the 15 signatures with n <= 10 and p - q = 1 or 5 mod 8,
+    # and the Pauli model
+    assert verdicts.count(True) == 78 and verdicts.count(False) == 48
 
 
 def test_compiled_models_are_immutable():

@@ -35,11 +35,11 @@ from cliffkit.spinors import (
     left_ideal,
     make_idempotent,
     primitive_idempotent,
-    rep_preimage,
     spinor_matrix_model,
     stabilizer_membership,
 )
 from cliffkit.scalars import GAUSSIAN, GaussianRational, format_scalar
+from inverse_oracle import dense_inverse
 
 G1 = GaussianRational(1)
 GI = GaussianRational(0, 1)
@@ -179,17 +179,17 @@ def test_rep_preimage_and_column_stabilizer():
         return tuple(tuple(entries.get((i, j), Z) for j in range(m)) for i in range(m))
 
     e11 = matrix({(0, 0): G1})
-    p = rep_preimage(rep, e11)
+    p = rep.preimage(e11)
     assert p is not None
     assert linalg.mat_eq(rep.rho(p), e11)
     assert p * p == p
     space = left_ideal(p, n)
     assert space.dim == m
-    upper = rep_preimage(rep, matrix({(0, 0): G1, (1, 1): G1, (0, 1): GI}))
-    lower = rep_preimage(rep, matrix({(0, 0): G1, (1, 1): G1, (1, 0): GI}))
+    upper = rep.preimage(matrix({(0, 0): G1, (1, 1): G1, (0, 1): GI}))
+    lower = rep.preimage(matrix({(0, 0): G1, (1, 1): G1, (1, 0): GI}))
     assert not stabilizer_membership(upper, space)
     assert stabilizer_membership(lower, space)
-    assert rep_preimage(rep, e11) == p
+    assert rep.preimage(e11) == p
     with pytest.raises(ValueError):
         stabilizer_membership(p, space)  # idempotents are not invertible
 
@@ -214,14 +214,14 @@ def test_spinor_matrix_model_matches_solved_intertwiner(case):
 
 
 def _dense_conjugator(p1, p2, seed):
-    # g p1 g^-1 = p2 with the inverse solved densely in the algebra
+    # g p1 g^-1 = p2 with the inverse from the dense left regular matrix
     basis = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
 
     def conjugates(v):
         g = from_coords(p1, v)
         if not g:
             return None
-        ginv = invert(g)
+        ginv = dense_inverse(g)
         return g if ginv is not None and g * p1 * ginv == p2 else None
 
     return linalg.first_accepted(basis, conjugates, seed=seed)
@@ -241,22 +241,33 @@ def test_find_conjugator_matches_dense_inverse_acceptance():
 
 
 def test_find_conjugator_needs_a_compiled_model():
+    # odd n compiles onto Mat(2^k, C) + Mat(2^k, C), so C(3) is served too
     e = complex_unit(3)
     p1 = (e + complex_basis_vector(3, 1)) * (G1 / 2)
     p2 = (e - complex_basis_vector(3, 1)) * (G1 / 2)
-    with pytest.raises(ValueError):
-        find_conjugator(p1, p2)
+    g = find_conjugator(p1, p2)
+    assert g is not None and g == _dense_conjugator(p1, p2, 0)
+    assert g * p1 * invert(g) == p2
 
 
 def test_rep_preimage_inverts_rho():
+    # Mat(2^(n/2), C) from C(2), C(4), C(6) and C + C from C(3); then R,
+    # R + R, C, H and H + H from real sources
     rng = rng_from_seed(3)
-    for n in (2, 4, 6):
+    for n in (2, 4, 6, 3):
         rep = compile_complex_rep(n)
         x = Multivector.complex_alg(n, {
             b: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
             for b in range(1 << n) if rng.random() < 0.5
         })
-        assert rep_preimage(rep, rep.rho(x)) == x
+        assert rep.preimage(rep.rho(x)) == x
+    for sig in (Signature(2, 0), Signature(2, 1), Signature(3, 0), Signature(1, 3), Signature(0, 3)):
+        rep = compile_rep(sig)
+        for x in (Multivector.real(sig, {}), Multivector.real(sig, {
+            b: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for b in range(1 << sig.n) if rng.random() < 0.5
+        })):
+            assert rep.preimage(rep.rho(x)) == x
 
 
 def test_solver_choices_golden_digest():
