@@ -423,12 +423,45 @@ def _field_zero_one(ring):
     return GaussianRational(0), GaussianRational(1)
 
 
-def map_matrix(model, f):
-    """Matrix of a linear map f on the algebra of ``model``, on the blade
-    basis: column b holds the coordinates of f(e_b)."""
-    _zero, one = _field_zero_one(model.ring)
-    cols = [coords_vector(f(model._wrap({b: one}))) for b in range(1 << model.n)]
-    return tuple(zip(*cols))
+def multiplication_numerators(a, side, transpose=False):
+    """(d, rows): the matrix of x -> a x (side "left") or x -> x a (side
+    "right") on the blade basis as Gaussian-integer rows over d, the lcm of
+    the denominators of a.
+
+    Row y is a pair (re, im) of int lists whose entry x is d times the
+    coefficient of e_y in the image of e_x (imaginary parts are zero for a
+    real algebra); with ``transpose`` row x holds the image of e_x instead.
+    A blade times a multivector is a signed permutation of its terms, so the
+    rows are read off ``_blade_products`` with no rational arithmetic.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if a.is_complex:
+        d, re, im = _gaussian_int_terms(a.terms)
+    else:
+        d, re = _int_terms(a.terms)
+        im = {}
+    dim = 1 << a.n
+    mask = a._neg_mask
+    out_re = [[0] * dim for _ in range(dim)]
+    out_im = [[0] * dim for _ in range(dim)]
+    for part, out in ((re, out_re), (im, out_im)):
+        if not part:
+            continue
+        for x in range(dim):
+            blade = {x: 1}
+            if side == "left":
+                image = _blade_products(part, blade, mask)
+            else:
+                image = _blade_products(blade, part, mask)
+            if transpose:
+                row = out[x]
+                for y, c in image.items():
+                    row[y] = c
+            else:
+                for y, c in image.items():
+                    out[y][x] = c
+    return d, list(zip(out_re, out_im))
 
 
 def coords_vector(a):

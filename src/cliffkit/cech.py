@@ -238,16 +238,17 @@ class GroupCocycle(namedtuple("GroupCocycle", "complex sig edges")):
     @classmethod
     def build(cls, complex_, sig, edges):
         clean = {}
+        known = set(complex_.edges)
         for e, m in edges.items():
             e = tuple(sorted(e))
-            if e not in set(complex_.edges):
+            if e not in known:
                 raise ValueError(f"matrix given for a non-edge {e}")
             if not isinstance(m, PseudoOrthogonalMatrix):
                 m = PseudoOrthogonalMatrix(sig, m)
             if m.sig != sig:
                 raise ValueError("matrix signature mismatch")
             clean[e] = m
-        missing = set(complex_.edges) - set(clean)
+        missing = known - set(clean)
         if missing:
             raise ValueError(f"edges without matrices: {sorted(missing)}")
         return cls(complex_, sig, clean)

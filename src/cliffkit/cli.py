@@ -38,9 +38,9 @@ CHECK_FAILED = 1
 # doubles both
 MAX_COMPILE_DIM = 14
 # largest N that spinor accepts, without and with --model: the ideal search
-# eliminates a 2^N x 2^N system, four times larger per step up in N; N = 10
-# takes about 1.5 s and 47 MB, and N = 8 with --model about 0.5 s and 17 MB
-# (Python 3.11, 2 CPUs)
+# eliminates a 2^N x 2^N system of integer rows, four times larger per step up
+# in N; N = 10 takes about 0.6 s and 34 MB, and N = 8 with --model about 0.4 s
+# and 18 MB (Python 3.11, 2 CPUs)
 MAX_SPINOR_DIM = 10
 MAX_SPINOR_MODEL_DIM = 8
 

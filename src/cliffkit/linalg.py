@@ -7,7 +7,11 @@ entries) ``rref``, and so ``rank``, ``nullspace`` and ``inv``, and
 Gaussian-integer numerators over the lcm of its denominators (imaginary
 parts zero over Q), eliminated fraction-free with exact division by the
 previous pivot, and one Fraction or GaussianRational is built per output
-entry, so the output ring follows the input.  Quaternion (H) matrices do
+entry, so the output ring follows the input.  Callers that already hold
+numerators enter the kernel directly through ``rref_numerators`` and
+``nullspace_numerators``: the spinor side's multiplication matrices (left
+ideals and the conjugator equation) go in as integer rows and are never
+built as Gaussian rationals.  Quaternion (H) matrices do
 not use it: their ``rref`` is field arithmetic that multiplies
 coefficients from the left only, which is valid over the noncommutative
 quaternions; ``det`` and ``nullspace`` require a commutative field.
@@ -200,9 +204,9 @@ def _bareiss(rows, n_cols):
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot_column_list).
 
-    Matrices over Q or Q(i) run the integer kernel ``_bareiss`` and build
-    one Fraction or GaussianRational per output entry; others (Quaternions)
-    take ``_rref_left``.
+    Matrices over Q or Q(i) run the integer kernel through ``rref_numerators``
+    and build one Fraction or GaussianRational per output entry; others
+    (Quaternions) take ``_rref_left``.
     """
     if not rows:
         return [], []
@@ -210,10 +214,22 @@ def rref(rows):
     if ring is None:
         return _rref_left(rows)
     n_cols = len(rows[0])
-    done, _sign, _last = _bareiss(_gaussian_rows(rows)[0], n_cols)
-    red = [_reduced(row, b, ring) for row, b, _c in done]
-    red += [[ring(0)] * n_cols for _ in range(len(rows) - len(done))]
-    return red, [c for _row, _b, c in done]
+    red, pivots = rref_numerators(_gaussian_rows(rows)[0], n_cols, ring)
+    red += [[ring(0)] * n_cols for _ in range(len(rows) - len(red))]
+    return red, pivots
+
+
+def rref_numerators(rows, n_cols, ring):
+    """Nonzero rows of the reduced row echelon form of Gaussian-integer
+    rows, and the pivot columns.
+
+    Each row is a pair (re, im) of int lists, the numerators of a row over
+    Q or Q(i) scaled by any nonzero integer; the scale does not change the
+    (unique) reduced form.  The entries are built in ``ring``: Fraction when
+    every imaginary part is zero, else GaussianRational.
+    """
+    done, _sign, _last = _bareiss(rows, n_cols)
+    return [_reduced(row, b, ring) for row, b, _c in done], [c for _row, _b, c in done]
 
 
 def _rref_left(rows):
@@ -257,17 +273,19 @@ def nullspace(rows):
     red, pivots = rref(rows)
     if not red:
         return []
-    n_cols = len(red[0])
-    one = None
-    for row in red:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
-        one = Fraction(1)
+    one = next((x / x for row in red for x in row if x), Fraction(1))
+    return _nullspace_basis(red, pivots, len(red[0]), one)
+
+
+def nullspace_numerators(rows, n_cols, ring):
+    """Basis of the right nullspace of Gaussian-integer rows, read as in
+    ``rref_numerators``; entries in ``ring``."""
+    red, pivots = rref_numerators(rows, n_cols, ring)
+    return _nullspace_basis(red, pivots, n_cols, ring(1))
+
+
+def _nullspace_basis(red, pivots, n_cols, one):
+    """One basis vector per free column of a reduced echelon form."""
     zero = one - one
     pivot_set = set(pivots)
     free = [c for c in range(n_cols) if c not in pivot_set]

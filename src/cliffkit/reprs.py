@@ -100,6 +100,26 @@ _MINUS_I = 3  # -t1, read as -i in C
 _ZERO = {tag: one * 0 for tag, one in ONE.items()}
 
 
+def _unit_multiples(c, tag):
+    """c u in the ring ``tag`` for each unit u, in code order, by a sign flip
+    or a component swap and a sign; c is rational, or Gaussian rational on a
+    C target."""
+    if tag == RATIONAL:
+        c = Fraction(c) if isinstance(c, int) else c
+        return c, -c
+    if tag == GAUSSIAN:
+        c = GaussianRational.coerce(c)
+        ic = GaussianRational(-c.im, c.re)
+        return c, -c, ic, -ic
+    out = []
+    for axis in range(4):
+        u = [0, 0, 0, 0]
+        u[axis] = c
+        q = Quaternion(*u)
+        out += (q, -q)
+    return tuple(out)
+
+
 def _mono_mul(x, y):
     p1, c1 = x
     p2, c2 = y
@@ -235,13 +255,17 @@ class Representation:
         else:
             if mv.is_complex or mv.sig != self.sig:
                 raise ValueError("multivector does not live in the source algebra")
-        units = _RING_UNITS[self.target.ring_tag]
-        m = self.target.m
-        rows = self._zero_rows()
+        t = self.target
+        m = t.m
+        # an entry's first term is stored as it is, not added to a zero
+        rows = [[None] * m for _ in range(t.summands * m)]
         for b, c in mv.terms.items():
-            for i, (j, u) in enumerate(zip(*self._blade(b))):
-                rows[i][j % m] = rows[i][j % m] + c * units[u]
-        return self._shape(rows)
+            scaled = _unit_multiples(c, t.ring_tag)
+            for row, j, u in zip(rows, *self._blade(b)):
+                x = row[j % m]
+                row[j % m] = scaled[u] if x is None else x + scaled[u]
+        zero = _ZERO[t.ring_tag]
+        return self._shape([zero if x is None else x for x in row] for row in rows)
 
     def invertible(self, mv: Multivector):
         """Whether rho(mv) is invertible: every summand block has full rank.

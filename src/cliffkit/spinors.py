@@ -3,12 +3,18 @@
 A Hermitian idempotent p = (e + s)/2 generates the left ideal A p; the ideal
 is minimal exactly when its complex dimension is 2^(n/2), and then left
 multiplication on it is equivalent to the compiled column model.  All linear
-algebra is exact over the Gaussian rationals.
+algebra is exact over the Gaussian rationals.  The multiplication matrices
+the ideal and the conjugator equation need (rows e_b p, and g -> g p1 - p2 g)
+are built as Gaussian-integer numerator rows by
+``algebra.multiplication_numerators`` and enter the Bareiss kernel as
+integer rows (``linalg.rref_numerators``, ``linalg.nullspace_numerators``),
+so no Gaussian rational is built until the reduced rows come out.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
 from . import linalg
 from .algebra import (
@@ -17,7 +23,7 @@ from .algebra import (
     coords_vector,
     from_coords,
     invert,
-    map_matrix,
+    multiplication_numerators,
 )
 from .reprs import Intertwiner, compile_complex_rep, compile_rep
 from .scalars import GAUSSIAN, GaussianRational
@@ -106,13 +112,9 @@ def left_ideal(p, n=None) -> SpinorSpace:
         raise ValueError("idempotent lives in a different algebra")
     if p * p != p:
         raise ValueError("not an idempotent")
-    dim = 1 << n
-    rows = []
-    for b in range(dim):
-        blade = Multivector.complex_alg(n, {b: GaussianRational(1)})
-        rows.append(coords_vector(blade * p))
-    red, pivots = linalg.rref(rows)
-    red = red[: len(pivots)]
+    # row b: the numerators of e_b p, whose span is the ideal
+    _d, rows = multiplication_numerators(p, "right", transpose=True)
+    red, pivots = linalg.rref_numerators(rows, 1 << n, GaussianRational)
     basis = tuple(
         from_coords(Multivector.complex_alg(n, {}), row) for row in red
     )
@@ -240,18 +242,19 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
 def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
     """Invertible g with g p1 g^-1 = p2, or None.
 
-    Solves the exact linear system g p1 = p2 g in the algebra and picks an
-    invertible point of the solution space, in ``linalg.first_accepted``
-    order.  A point g is accepted when g p1 = p2 g holds exactly and rho(g)
-    is invertible in the compiled matrix model (``Representation.invertible``),
-    which decides invertibility of g because rho is an isomorphism onto the
-    target ring; no inverse is computed.  Every real signature and every
+    Solves the exact linear system g p1 = p2 g in the algebra
+    (``_conjugator_basis``) and picks an invertible point of the solution
+    space, in ``linalg.first_accepted`` order.  A point g is accepted when
+    g p1 = p2 g holds exactly and rho(g) is invertible in the compiled
+    matrix model (``Representation.invertible``), which decides
+    invertibility of g because rho is an isomorphism onto the target ring;
+    no inverse is computed.  Every real signature and every
     complex dimension has a compiled model, odd n included.
     """
     if p1.space_key() != p2.space_key():
         raise ValueError("idempotents live in different algebras")
     rep = compile_complex_rep(p1.n) if p1.is_complex else compile_rep(p1.sig)
-    basis = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
+    basis = _conjugator_basis(p1, p2)
 
     def conjugates(v):
         g = from_coords(p1, v)
@@ -260,6 +263,23 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
         return g if g * p1 == p2 * g else None
 
     return linalg.first_accepted(basis, conjugates, seed=seed)
+
+
+def _conjugator_basis(p1, p2):
+    """Nullspace basis of g -> g p1 - p2 g on the blade basis.
+
+    The map is R(p1) - L(p2) = (d2 N_R - d1 N_L) / (d1 d2), with N_R and N_L
+    the numerator matrices of right multiplication by p1 and left
+    multiplication by p2 over their denominators d1 and d2.  The scale
+    d1 d2 does not change the (unique) reduced form, so the integer rows give
+    the basis of the rational matrix.
+    """
+    d1, right = multiplication_numerators(p1, "right")
+    d2, left = multiplication_numerators(p2, "left")
+    rows = [tuple([d2 * u - d1 * v for u, v in zip(r, l)] for r, l in zip(rr, ll))
+            for rr, ll in zip(right, left)]
+    ring = GaussianRational if p1.is_complex else Fraction
+    return linalg.nullspace_numerators(rows, 1 << p1.n, ring)
 
 
 def stabilizer_membership(g: Multivector, space: SpinorSpace) -> bool:

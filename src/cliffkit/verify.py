@@ -318,7 +318,7 @@ CRITERIA = (
     ("double-cover", check_double_cover, 0.75),
     ("reflection-factorization", check_reflection_factorization, 10.0),
     ("spinor-ideals", check_spinor_ideals, 0.75),
-    ("idempotent-conjugacy", check_idempotent_conjugacy, 3.0),
+    ("idempotent-conjugacy", check_idempotent_conjugacy, 1.0),
     ("even-subrings", check_even_subrings, None),
     ("cech-pin-obstruction", check_cech_obstruction, 5.0),
 )

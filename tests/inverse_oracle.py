@@ -1,12 +1,29 @@
-"""Dense inverse oracle for ``algebra.invert``.
+"""Dense oracles on the 2^n x 2^n blade basis.
 
-``invert`` reads the inverse back from the compiled matrix model; the tests
-compare it with the left regular representation: x = a^-1 solves a x = 1, so
-it is column 0 of the inverse of the 2^n x 2^n matrix of x -> a x.
+``map_matrix`` builds the matrix of a linear map on the algebra one image
+at a time, in field arithmetic.  The tests compare the integer rows of
+``algebra.multiplication_numerators`` and the spinor-side eliminations with
+it, and ``dense_inverse`` checks ``algebra.invert`` against the left regular
+representation: x = a^-1 solves a x = 1, so it is column 0 of the inverse of
+the matrix of x -> a x.
 """
 
+from fractions import Fraction
+
 from cliffkit import linalg
-from cliffkit.algebra import from_coords, map_matrix
+from cliffkit.algebra import Multivector, coords_vector, from_coords
+from cliffkit.scalars import GaussianRational
+
+
+def map_matrix(model, f):
+    """Matrix of a linear map f on the algebra of ``model``, on the blade
+    basis: column b holds the coordinates of f(e_b)."""
+    if model.is_complex:
+        blades = [Multivector.complex_alg(model.n, {b: GaussianRational(1)})
+                  for b in range(1 << model.n)]
+    else:
+        blades = [Multivector.real(model.sig, {b: Fraction(1)}) for b in range(1 << model.n)]
+    return tuple(zip(*(coords_vector(f(e)) for e in blades)))
 
 
 def dense_inverse(a):

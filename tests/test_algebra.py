@@ -20,14 +20,14 @@ from cliffkit.algebra import (
     complexify_embed,
     eta,
     invert,
-    map_matrix,
+    multiplication_numerators,
     multivector_from_json,
     multivector_to_json,
     unit,
     vector,
 )
 from cliffkit.scalars import GaussianRational
-from inverse_oracle import dense_inverse
+from inverse_oracle import dense_inverse, map_matrix
 
 
 def test_signature_validation():
@@ -98,6 +98,48 @@ def test_map_matrix_matches_blade_mul(space):
                 right[y][x] = right[y][x] + s * c
         assert map_matrix(a, lambda x: a * x) == tuple(map(tuple, left))
         assert map_matrix(a, lambda x: x * a) == tuple(map(tuple, right))
+
+
+def _random_element(space, rng):
+    n = space if isinstance(space, int) else space.n
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        if isinstance(space, int):
+            c = GaussianRational(c, Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+        terms[rng.randrange(1 << n)] = c
+    if isinstance(space, int):
+        return Multivector.complex_alg(space, terms)
+    return Multivector.real(space, terms)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [Signature(p, n - p) for n in range(6) for p in range(n + 1)] + list(range(6)),
+    ids=str,
+)
+def test_multiplication_numerators_match_map_matrix(space):
+    # the integer rows over d are the dense oracle's left and right
+    # multiplication matrices, row by row and (transposed) column by column
+    rng = random.Random(23)
+    for _ in range(4):
+        a = _random_element(space, rng)
+        for side, f in (("left", lambda x: a * x), ("right", lambda x: x * a)):
+            d, rows = multiplication_numerators(a, side)
+            if a.is_complex:
+                got = tuple(tuple(GaussianRational(Fraction(x, d), Fraction(y, d))
+                                  for x, y in zip(*row)) for row in rows)
+            else:
+                assert not any(any(im) for _re, im in rows)
+                got = tuple(tuple(Fraction(x, d) for x in re) for re, _im in rows)
+            assert got == map_matrix(a, f)
+            d_t, cols = multiplication_numerators(a, side, transpose=True)
+            assert d_t == d
+            for part in (0, 1):
+                assert [list(c) for c in zip(*(row[part] for row in rows))] == [
+                    col[part] for col in cols]
+    with pytest.raises(ValueError):
+        multiplication_numerators(a, "both")
 
 
 def _schoolbook(a, b):

@@ -40,6 +40,37 @@ def test_nullspace_rational():
         assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+@pytest.mark.parametrize("ring", [Fraction, GaussianRational])
+def test_nullspace_numerators_of_zero_matrix_is_standard_basis(ring):
+    n = 4
+    rows = [([0] * n, [0] * n) for _ in range(3)]
+    basis = linalg.nullspace_numerators(rows, n, ring)
+    assert basis == [tuple(ring(int(i == j)) for j in range(n)) for i in range(n)]
+    assert all(type(x) is ring for v in basis for x in v)
+    assert linalg.nullspace_numerators([], n, ring) == basis
+    assert linalg.rref_numerators(rows, n, ring) == ([], [])
+
+
+def test_numerator_entry_points_match_rref_and_nullspace():
+    # scaled integer rows give the rref and nullspace of the rational rows
+    rng = random.Random(31)
+    for ring in (Fraction, GaussianRational):
+        for _ in range(20):
+            n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+            re = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n_cols)]
+                  for _ in range(n_rows)]
+            im = [[rng.choice([0, 0, rng.randint(-5, 5)]) if ring is GaussianRational else 0
+                   for _ in range(n_cols)] for _ in range(n_rows)]
+            d = rng.randint(1, 7)
+            rows = [[ring(Fraction(x, d), Fraction(y, d)) if ring is GaussianRational
+                     else Fraction(x, d) for x, y in zip(r, i)] for r, i in zip(re, im)]
+            scale = rng.choice([1, -3, 6])
+            num = [([scale * x for x in r], [scale * y for y in i]) for r, i in zip(re, im)]
+            red, pivots = linalg.rref(rows)
+            assert linalg.rref_numerators(num, n_cols, ring) == (red[: len(pivots)], pivots)
+            assert linalg.nullspace_numerators(num, n_cols, ring) == linalg.nullspace(rows)
+
+
 def test_inverse_rational():
     a = [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]
     ainv = linalg.inv(a)

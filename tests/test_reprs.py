@@ -6,11 +6,12 @@ standard low-dimensional models (Pauli and quaternion blocks).
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from cliffkit import linalg
+from cliffkit import linalg, reprs
 from cliffkit.algebra import Multivector, Signature
 from cliffkit.reprs import (
     Representation,
@@ -31,7 +32,7 @@ from cliffkit.reprs import (
     signature_shift,
     solve_intertwiner,
 )
-from cliffkit.scalars import GAUSSIAN, GaussianRational, Quaternion
+from cliffkit.scalars import GAUSSIAN, QUATERNION, RATIONAL, GaussianRational, Quaternion
 from inverse_oracle import dense_inverse
 from rank_oracle import blades_independent
 
@@ -451,3 +452,58 @@ def test_double_rep_rejects_a_model_that_does_not_verify():
                          [(((F1,),), ((F1,),))])
     with pytest.raises(ValueError):
         double_rep(rep)
+
+
+@pytest.mark.parametrize("tag", [RATIONAL, GAUSSIAN, QUATERNION])
+def test_unit_multiples_match_unit_products(tag):
+    # the sign flips and component swaps give c * u for every unit code
+    cs = [3, Fraction(-5, 7)]
+    if tag == GAUSSIAN:
+        cs += [GaussianRational(Fraction(2, 3), -4), GaussianRational(0, 1)]
+    for c in cs:
+        got = reprs._unit_multiples(c, tag)
+        want = tuple(c * u for u in reprs._RING_UNITS[tag])
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def _rho_by_products(rep, mv):
+    # the multiplying form: c * unit for every entry of every blade image
+    units = reprs._RING_UNITS[rep.target.ring_tag]
+    m = rep.target.m
+    rows = [[reprs._ZERO[rep.target.ring_tag]] * m for _ in range(rep.target.summands * m)]
+    for b, c in mv.terms.items():
+        for i, (j, u) in enumerate(zip(*rep._blade(b))):
+            rows[i][j % m] = rows[i][j % m] + c * units[u]
+    return rep._shape(rows)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [Signature(2, 0), Signature(1, 0), Signature(2, 1), Signature(0, 1), Signature(1, 2),
+     Signature(0, 2), Signature(0, 3), Signature(4, 0), Signature(3, 3), 3, 4],
+    ids=str,
+)
+def test_rho_matches_multiplying_form(space):
+    # R, R + R, C, H and H + H targets from real sources, and C targets from
+    # complex ones: same entries, same types
+    rng = random.Random(37)
+    rep = compile_complex_rep(space) if isinstance(space, int) else compile_rep(space)
+    n = rep.n
+    for _ in range(6):
+        terms = {}
+        for _ in range(rng.randint(0, 1 << n)):
+            c = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+            if isinstance(space, int) and rng.random() < 0.7:
+                c = GaussianRational(c, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            terms[rng.randrange(1 << n)] = c
+        if isinstance(space, int):
+            mv = Multivector.complex_alg(space, terms)
+        else:
+            mv = Multivector.real(space, terms)
+        got, want = rep.rho(mv), _rho_by_products(rep, mv)
+        assert got == want
+        blocks = (got, want) if rep.target.summands == 1 else (*got, *want)
+        assert {type(x) for block in blocks for row in block for x in row} == {
+            type(reprs._ZERO[rep.target.ring_tag])}
+

@@ -12,9 +12,9 @@ from cliffkit.algebra import (
     Signature,
     complex_basis_vector,
     complex_unit,
+    coords_vector,
     from_coords,
     invert,
-    map_matrix,
     multivector_to_json,
 )
 from cliffkit.groups import chiral_rep
@@ -29,6 +29,7 @@ from cliffkit.reprs import (
 )
 from cliffkit.sampling import random_unitary_versor, rng_from_seed
 from cliffkit.spinors import (
+    _conjugator_basis,
     find_conjugator,
     idempotent_from_factors,
     is_minimal,
@@ -39,7 +40,7 @@ from cliffkit.spinors import (
     stabilizer_membership,
 )
 from cliffkit.scalars import GAUSSIAN, GaussianRational, format_scalar
-from inverse_oracle import dense_inverse
+from inverse_oracle import dense_inverse, map_matrix
 
 G1 = GaussianRational(1)
 GI = GaussianRational(0, 1)
@@ -238,6 +239,77 @@ def test_find_conjugator_matches_dense_inverse_acceptance():
     pairs.append(((e + complex_basis_vector(2, 1)) * (G1 / 2), e))  # no solution
     for seed, (p1, p2) in enumerate(pairs):
         assert find_conjugator(p1, p2, seed=seed) == _dense_conjugator(p1, p2, seed)
+
+
+def _real_pairs():
+    half = Fraction(1, 2)
+
+    def mv(sig, terms):
+        return Multivector.real(sig, terms)
+
+    plus = {0: half, 1: half}
+    minus = {0: half, 1: -half}
+    s11, s10, s02, s03 = Signature(1, 1), Signature(1, 0), Signature(0, 2), Signature(0, 3)
+    e = mv(s02, {0: 1})
+    omega_plus, omega_minus = mv(s03, {0: half, 7: half}), mv(s03, {0: half, 7: -half})
+    return [
+        # Mat(2, R): e1 and e12 square to +1, and e2 conjugates (e + e1)/2
+        (mv(s11, plus), mv(s11, minus)),
+        (mv(s11, plus), mv(s11, {0: half, 3: half})),
+        # R + R: the central idempotents are not conjugate (no solution)
+        (mv(s10, plus), mv(s10, minus)),
+        (mv(s10, plus), mv(s10, plus)),
+        # H: only the trivial idempotents; g e - e g is the zero map
+        (e, e),
+        (e, mv(s02, {})),
+        # H + H: omega = e123 is central and squares to +1
+        (omega_plus, omega_minus),
+        (omega_plus, omega_plus),
+    ]
+
+
+def _complex_pairs():
+    rng = rng_from_seed(29)
+    pairs = []
+    for n in (2, 4, 6):
+        base = primitive_idempotent(n).p
+        for _ in range(2):
+            g1, g2 = random_unitary_versor(n, rng), random_unitary_versor(n, rng)
+            pairs.append((g1 * base * g1.reversion(), g2 * base * g2.reversion()))
+    e = complex_unit(2)
+    pairs.append(((e + complex_basis_vector(2, 1)) * (G1 / 2), e))  # no solution
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_conjugator_basis_matches_dense_nullspace(kind):
+    # the integer rows d2 R(p1) - d1 L(p2) have the nullspace basis of the
+    # dense rational matrix of g -> g p1 - p2 g, so the accepted g is the same
+    # (checked against the dense inverse up to n = 4, where it is cheap)
+    pairs = _complex_pairs() if kind == "complex" else _real_pairs()
+    for seed, (p1, p2) in enumerate(pairs):
+        want = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
+        assert _conjugator_basis(p1, p2) == want
+        if p1.n <= 4:
+            assert find_conjugator(p1, p2, seed=seed) == _dense_conjugator(p1, p2, seed)
+    assert [find_conjugator(p1, p2) is None for p1, p2 in pairs].count(True) >= 1
+
+
+def _dense_left_ideal(p):
+    n = p.n
+    rows = [coords_vector(Multivector.complex_alg(n, {b: G1}) * p) for b in range(1 << n)]
+    red, pivots = linalg.rref(rows)
+    return tuple(tuple(r) for r in red[: len(pivots)]), tuple(pivots)
+
+
+def test_left_ideal_matches_dense_rref():
+    e = complex_unit(4)
+    idems = [primitive_idempotent(n).p for n in (2, 4, 6, 8)]
+    idems.append((e + complex_basis_vector(4, 1)) * (G1 / 2))
+    for p in idems:
+        space = left_ideal(p)
+        assert (space.rref_rows, space.pivots) == _dense_left_ideal(p)
+    assert space.dim == 8
 
 
 def test_find_conjugator_needs_a_compiled_model():
