@@ -394,8 +394,8 @@ def eta(v, w):
     return prod.scalar_part() * half
 
 
-def complexify_embed(a, n=None):
-    """Embed a real multivector into the complex algebra of dimension n.
+def complexify_embed(a):
+    """Embed a real multivector into the complex algebra of dimension p + q.
 
     Generator i maps to e^i when it squares to +e and to i*e^i when it
     squares to -e, so blades keep their bitmask and pick up a power of i.
@@ -403,10 +403,7 @@ def complexify_embed(a, n=None):
     if a.is_complex:
         raise ValueError("multivector is already complex")
     sig = a.sig
-    if n is None:
-        n = sig.n
-    if n != sig.n:
-        raise ValueError("complex dimension must equal p + q")
+    n = sig.n
     neg_mask = ((1 << n) - 1) ^ ((1 << sig.p) - 1)
     i_pow = (GaussianRational(1), GaussianRational(0, 1),
              GaussianRational(-1), GaussianRational(0, -1))

@@ -160,10 +160,11 @@ class Representation:
     The constructor takes dense matrices (a pair of them per generator for a
     direct-sum target).  Each must be monomial with unit entries; it is
     stored as (perm, codes), and products, relations and injectivity run on
-    that form.  Dense matrices are rebuilt only where callers read them:
-    ``gens``, ``blade_image`` and ``rho``.  Instances are
-    immutable (compiled models are cached and shared); the blade images and
-    the dense forms are caches filled on first use.
+    that form.  Dense matrices are built only where callers read them, and
+    only by ``rho``: ``blade_image(b)`` is rho of the unit blade and
+    ``gens`` are the images of the generators.  Instances are immutable
+    (compiled models are cached and shared); the monomial blade images and
+    ``gens`` are caches filled on first use.
     """
 
     def __init__(self, sig, complex_dim, target, gens):
@@ -203,7 +204,7 @@ class Representation:
     def gens(self):
         """Dense generator images."""
         if self._gens is None:
-            object.__setattr__(self, "_gens", tuple(self._dense(g) for g in self._monos))
+            object.__setattr__(self, "_gens", tuple(self.blade_image(1 << i) for i in range(self.n)))
         return self._gens
 
     def gen_square(self, i):
@@ -226,26 +227,20 @@ class Representation:
         img = self._blade(b)
         return img if c == 1 else _mono_neg(img)
 
-    def _zero_rows(self):
-        t = self.target
-        return [[_ZERO[t.ring_tag]] * t.m for _ in range(t.summands * t.m)]
-
     def _shape(self, rows):
         m = self.target.m
         rows = tuple(tuple(r) for r in rows)
         return (rows[:m], rows[m:]) if self.target.summands == 2 else rows
 
-    def _dense(self, mono):
-        units = _RING_UNITS[self.target.ring_tag]
-        m = self.target.m
-        rows = self._zero_rows()
-        for i, (j, c) in enumerate(zip(*mono)):
-            rows[i][j % m] = units[c]
-        return self._shape(rows)
+    def _element(self, terms):
+        """The source algebra element with the given blade coefficients."""
+        if self.is_complex:
+            return Multivector.complex_alg(self.n, terms)
+        return Multivector.real(self.sig, terms)
 
     def blade_image(self, blade):
         """Dense image of a basis blade (bitmask)."""
-        return self._dense(self._blade(blade))
+        return self.rho(self._element({blade: 1}))
 
     def rho(self, mv: Multivector):
         """Image of a multivector; its space must match the source algebra."""
@@ -306,10 +301,7 @@ class Representation:
             if not self.is_complex and t.ring_tag != RATIONAL:
                 tr = tr.re if t.ring_tag == GAUSSIAN else tr.a
             terms[b] = tr * scale
-        if self.is_complex:
-            x = Multivector.complex_alg(self.n, terms)
-        else:
-            x = Multivector.real(self.sig, terms)
+        x = self._element(terms)
         return x if self.rho(x) == self._shape(rows) else None
 
     def check_relations(self):
@@ -406,16 +398,6 @@ def base_rep(sig: Signature) -> Representation:
         raise ValueError(f"{sig} is not a base case")
     target, gens = _BASES[sig.p, sig.q]
     return _checked(Representation(sig, None, target, gens), f"base model of {sig}")
-
-
-BASE_BY_DEFECT = {
-    0: Signature(0, 0),
-    1: Signature(1, 0),
-    -1: Signature(0, 1),
-    2: Signature(2, 0),
-    -2: Signature(0, 2),
-    -3: Signature(0, 3),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +500,8 @@ def compile_rep(sig: Signature) -> Representation:
         return cached
     d = sig.p - sig.q
     if -3 <= d <= 2:
-        base = BASE_BY_DEFECT[d]
-        rep = base_rep(base)
-        for _ in range(min(sig.p, sig.q) - min(base.p, base.q)):
+        rep = base_rep(Signature(max(d, 0), max(-d, 0)))
+        for _ in range(min(sig.p, sig.q)):
             rep = double_rep(rep)
     else:
         if d >= 3:
@@ -598,29 +579,11 @@ def even_subring_rep(sig: Signature):
     return derived, gen_map, _checked(rep, f"even subring model of {sig}")
 
 
-# quaternion units as 2x2 complex blocks
-_QBLOCKS = {
-    "one": ((GaussianRational(1), GaussianRational(0)),
-            (GaussianRational(0), GaussianRational(1))),
-    "t1": ((GaussianRational(0), GaussianRational(0, -1)),
-           (GaussianRational(0, -1), GaussianRational(0))),
-    "t2": ((GaussianRational(0), GaussianRational(-1)),
-           (GaussianRational(1), GaussianRational(0))),
-    "t3": ((GaussianRational(0, -1), GaussianRational(0)),
-           (GaussianRational(0), GaussianRational(0, 1))),
-}
-
-
 def quaternion_to_complex_block(x: Quaternion):
+    """a + b t1 + c t2 + d t3 as [[a - d i, -c - b i], [c - b i, a + d i]]."""
     a, b, c, d = x.coords()
-    out = [[GaussianRational(0)] * 2 for _ in range(2)]
-    for coeff, key in ((a, "one"), (b, "t1"), (c, "t2"), (d, "t3")):
-        if coeff:
-            blk = _QBLOCKS[key]
-            for i in range(2):
-                for j in range(2):
-                    out[i][j] = out[i][j] + blk[i][j] * coeff
-    return tuple(tuple(row) for row in out)
+    return ((GaussianRational(a, -d), GaussianRational(-c, -b)),
+            (GaussianRational(c, -b), GaussianRational(a, d)))
 
 
 def quaternion_complexify(r: Representation) -> Representation:
@@ -678,50 +641,34 @@ def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
     """Basis of {S : S A_g = B_g S} as flat coordinate vectors, and the map
     from such a vector to its matrix S.
 
-    Over R and C this solves directly in the field; over H the problem is
-    linearized over Q by probing the 4 m^2 real coordinates.
+    Column (r, c, u) of the system holds the coordinates of E A_g - B_g E
+    for E with the unit u at (r, c) and zeros elsewhere, one row per
+    coordinate of each entry (i, j).  Over R and C the only unit is 1 and
+    an entry is its own coordinate, so this is the system over the field;
+    over H it linearizes the problem over Q.
     """
-    if ring_tag in (RATIONAL, GAUSSIAN):
-        one = ONE[ring_tag]
-        zero = one - one
-        rows = []
-        for A, B in zip(gens1, gens2):
-            for i in range(m):
-                for j in range(m):
-                    row = [zero] * (m * m)
-                    for c in range(m):
-                        row[i * m + c] = row[i * m + c] + A[c][j]
-                    for r_ in range(m):
-                        row[r_ * m + j] = row[r_ * m + j] - B[i][r_]
-                    rows.append(row)
-
-        def to_matrix(v):
-            return tuple(tuple(v[i * m:(i + 1) * m]) for i in range(m))
-        return linalg.nullspace(rows), to_matrix
-    # quaternion case: real-linear probing
-    units = (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1))
-    dim = 4 * m * m
-    columns = []
-    for r_ in range(m):
-        for c in range(m):
-            for u in units:
-                col = []
-                for A, B in zip(gens1, gens2):
-                    # (E A - B E) where E has u at (r_, c)
-                    for i in range(m):
-                        for j in range(m):
-                            val = Quaternion(0)
-                            if i == r_:
-                                val = val + u * Quaternion.coerce(A[c][j])
-                            if j == c:
-                                val = val - Quaternion.coerce(B[i][r_]) * u
-                            col.extend(val.coords())
-                columns.append(col)
-    rows = [tuple(columns[k][r] for k in range(dim)) for r in range(len(columns[0]))]
+    if ring_tag == QUATERNION:
+        units, coords, from_coords = _Q8[::2], Quaternion.coords, lambda xs: Quaternion(*xs)
+    else:
+        units, coords, from_coords = (ONE[ring_tag],), lambda x: (x,), lambda xs: xs[0]
+    k = len(units)
+    zero = coords(_ZERO[ring_tag])[0]
+    rows = []
+    for A, B in zip(gens1, gens2):
+        for i in range(m):
+            for j in range(m):
+                # E A_g is nonzero only in row r = i, B_g E only in column c = j
+                block = [[zero] * (k * m * m) for _ in range(k)]
+                for t in range(m):
+                    for w, u in enumerate(units):
+                        for row, x, y in zip(block, coords(u * A[t][j]), coords(B[i][t] * u)):
+                            row[(i * m + t) * k + w] += x
+                            row[(t * m + j) * k + w] -= y
+                rows += block
 
     def to_matrix(v):
-        q = [Quaternion(*v[k:k + 4]) for k in range(0, dim, 4)]
-        return tuple(tuple(q[i * m:(i + 1) * m]) for i in range(m))
+        entries = [from_coords(v[x:x + k]) for x in range(0, k * m * m, k)]
+        return tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
     return linalg.nullspace(rows), to_matrix
 
 

@@ -20,7 +20,7 @@ def rng_from_seed(seed) -> random.Random:
 
 def random_vector(sig: Signature, rng, lo=-3, hi=3) -> Multivector:
     while True:
-        coords = [Fraction(rng.randint(lo, hi)) for _ in range(sig.n)]
+        coords = [rng.randint(lo, hi) for _ in range(sig.n)]
         if any(coords):
             return vector(sig, coords)
 

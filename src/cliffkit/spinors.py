@@ -38,17 +38,7 @@ class HermitianIdempotent(namedtuple("HermitianIdempotent", "n s p")):
 def make_idempotent(s: Multivector) -> HermitianIdempotent:
     if not s.is_complex:
         raise ValueError("idempotents live in the complex algebra")
-    n = s.n
-    e = complex_unit(n)
-    if s * s != e:
-        raise ValueError("s does not square to the unit")
-    if s.star() != s:
-        raise ValueError("s is not Hermitian")
-    if s == e:
-        raise ValueError("s = e gives the trivial idempotent")
-    half = GaussianRational(1) / 2
-    p = (e + s) * half
-    return HermitianIdempotent(n, s, p)
+    return HermitianIdempotent(s.n, s, idempotent_from_factors(s.n, [s]))
 
 
 def idempotent_from_factors(n, factors):
@@ -101,15 +91,14 @@ class SpinorSpace(namedtuple("SpinorSpace", "n p basis rref_rows pivots")):
         return out
 
 
-def left_ideal(p, n=None) -> SpinorSpace:
-    """Canonical basis of the left ideal generated by an idempotent."""
+def left_ideal(p) -> SpinorSpace:
+    """Canonical basis of the left ideal generated by an idempotent (a
+    multivector of the complex algebra or a ``HermitianIdempotent``)."""
     if isinstance(p, HermitianIdempotent):
-        n = p.n
         p = p.p
-    elif n is None:
-        n = p.n
-    if not p.is_complex or p.n != n:
-        raise ValueError("idempotent lives in a different algebra")
+    if not p.is_complex:
+        raise ValueError("left ideals live in the complex algebra")
+    n = p.n
     if p * p != p:
         raise ValueError("not an idempotent")
     # row b: the numerators of e_b p, whose span is the ideal
@@ -184,8 +173,6 @@ def primitive_idempotent(n: int) -> HermitianIdempotent:
     if chosen is None:
         raise AssertionError("no primitive idempotent found in the candidate set")
     p = idempotent_from_factors(n, chosen)
-    if k == 1:
-        return HermitianIdempotent(n, chosen[0], p)
     return HermitianIdempotent(n, p * 2 - e, p)
 
 

@@ -240,7 +240,7 @@ def check_idempotent_conjugacy(seed=0):
         for p in (p1, p2):
             if p * p != p or p.star() != p:
                 return False, f"trial {trial}: conjugate lost idempotency"
-            if not is_minimal(left_ideal(p, n)):
+            if not is_minimal(left_ideal(p)):
                 return False, f"trial {trial}: conjugate not minimal"
         g = find_conjugator(p1, p2, seed=seed + trial)
         if g is None:

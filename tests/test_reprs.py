@@ -32,7 +32,8 @@ from cliffkit.reprs import (
     signature_shift,
     solve_intertwiner,
 )
-from cliffkit.scalars import GAUSSIAN, QUATERNION, RATIONAL, GaussianRational, Quaternion
+from cliffkit.scalars import GAUSSIAN, ONE, QUATERNION, RATIONAL, GaussianRational, Quaternion
+from cliffkit.spinors import left_ideal, primitive_idempotent, spinor_matrix_model
 from inverse_oracle import dense_inverse
 from rank_oracle import blades_independent
 
@@ -507,3 +508,121 @@ def test_rho_matches_multiplying_form(space):
         assert {type(x) for block in blocks for row in block for x in row} == {
             type(reprs._ZERO[rep.target.ring_tag])}
 
+
+
+def _field_intertwiner_rows(gens1, gens2, m, ring_tag):
+    # S A_g - B_g S = 0 written over the field R or C: row (g, i, j),
+    # column r m + c holds the coefficient of S[r][c] in entry (i, j)
+    zero = ONE[ring_tag] * 0
+    rows = []
+    for A, B in zip(gens1, gens2):
+        for i in range(m):
+            for j in range(m):
+                row = [zero] * (m * m)
+                for c in range(m):
+                    row[i * m + c] = row[i * m + c] + A[c][j]
+                for r in range(m):
+                    row[r * m + j] = row[r * m + j] - B[i][r]
+                rows.append(row)
+    return rows
+
+
+def _intertwiner_cases():
+    """(gens1, gens2, m, ring) for every model with n <= 4 on an R or C
+    target, real and complex sources: the model against itself, against
+    its conjugate by a fixed invertible matrix and, for a direct sum,
+    each factor against the other; then the spinor left actions at
+    n = 4, 6 against the column model."""
+    reps = [compile_rep(Signature(p, n - p)) for n in range(5) for p in range(n + 1)]
+    reps += [compile_complex_rep(n) for n in range(5)]
+    cases = []
+    for rep in reps:
+        t = rep.target
+        if t.kind == "MatH" or rep.n == 0:
+            continue
+        factors = factor_projections(rep) if t.summands == 2 else [rep]
+        gens = [f.gens for f in factors]
+        m, ring = t.m, t.ring_tag
+        one = ONE[ring]
+        s = tuple(tuple(one * (1 if i == j else (i + 2 * j) % 3 - 1) for j in range(m))
+                  for i in range(m))
+        sinv = linalg.inv(s)
+        conj = [linalg.matmul(linalg.matmul(s, a), sinv) for a in gens[0]]
+        cases += [(gens[0], gens[0], m, ring), (gens[0], conj, m, ring),
+                  (gens[-1], gens[0], m, ring)]
+    for n in (4, 6):
+        model = spinor_matrix_model(left_ideal(primitive_idempotent(n)))
+        cases.append((model.left_action, model.rep.gens, model.rep.target.m, GAUSSIAN))
+    return cases
+
+
+def test_intertwiner_system_matches_field_oracle():
+    cases = _intertwiner_cases()
+    nontrivial = 0
+    for gens1, gens2, m, ring in cases:
+        basis, to_matrix = reprs._intertwiner_nullspace(gens1, gens2, m, ring)
+        assert basis == linalg.nullspace(_field_intertwiner_rows(gens1, gens2, m, ring))
+        for v in basis:
+            s = to_matrix(v)
+            assert all(linalg.mat_eq(linalg.matmul(s, a), linalg.matmul(b, s))
+                       for a, b in zip(gens1, gens2))
+        nontrivial += bool(basis)
+    # only the factors of R + R over Cl(1,0), Cl(2,1) and of C(1), C(3)
+    # are inequivalent
+    assert nontrivial == len(cases) - 4
+
+
+# the blocks of 1, t1, t2, t3 under quaternion_to_complex_block
+_UNIT_BLOCKS = (
+    ((G1, G0), (G0, G1)),
+    ((G0, -GI), (-GI, G0)),
+    ((G0, -G1), (G1, G0)),
+    ((-GI, G0), (G0, GI)),
+)
+
+
+def test_quaternion_block_is_sum_of_unit_blocks():
+    # pins the embedding itself: a homomorphism twisted by an automorphism
+    # of H would pass test_quaternion_block_embedding_is_homomorphism
+    units = (Q(1), Q(0, 1), Q(0, 0, 1), Q(0, 0, 0, 1))
+    for u, block in zip(units, _UNIT_BLOCKS):
+        assert quaternion_to_complex_block(u) == block
+    rng = random.Random(11)
+    for _ in range(40):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+        got = quaternion_to_complex_block(Q(*coeffs))
+        want = tuple(tuple(sum((c * blk[i][j] for c, blk in zip(coeffs, _UNIT_BLOCKS)), G0)
+                           for j in range(2)) for i in range(2))
+        assert got == want
+        assert all(type(x) is GaussianRational for row in got for x in row)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [Signature(2, 0), Signature(1, 0), Signature(2, 1), Signature(0, 1), Signature(1, 2),
+     Signature(0, 2), Signature(1, 3), Signature(0, 3), 3, 4],
+    ids=str,
+)
+def test_dense_images_have_unit_and_zero_entries_of_the_ring(space):
+    # R, R + R, C, H and H + H targets and C(n): every entry of gens and
+    # blade_image, zeros included, is a Fraction, GaussianRational or
+    # Quaternion as the ring says, and equals the unit or zero the monomial
+    # form holds there
+    rep = compile_complex_rep(space) if isinstance(space, int) else compile_rep(space)
+    t = rep.target
+    kind = {RATIONAL: Fraction, GAUSSIAN: GaussianRational, QUATERNION: Quaternion}[t.ring_tag]
+    units = reprs._RING_UNITS[t.ring_tag]
+
+    def monomial_form(b):
+        rows = [[kind(0)] * t.m for _ in range(t.summands * t.m)]
+        for i, (j, code) in enumerate(zip(*rep._blade(b))):
+            rows[i][j % t.m] = units[code]
+        rows = tuple(tuple(row) for row in rows)
+        return (rows[:t.m], rows[t.m:]) if t.summands == 2 else rows
+
+    images = [(1 << i, g) for i, g in enumerate(rep.gens)]
+    images += [(b, rep.blade_image(b)) for b in range(1 << rep.n)]
+    for b, img in images:
+        assert img == monomial_form(b)
+        blocks = img if t.summands == 2 else (img,)
+        assert all(type(x) is kind for block in blocks for row in block for x in row)

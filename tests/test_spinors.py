@@ -184,7 +184,7 @@ def test_rep_preimage_and_column_stabilizer():
     assert p is not None
     assert linalg.mat_eq(rep.rho(p), e11)
     assert p * p == p
-    space = left_ideal(p, n)
+    space = left_ideal(p)
     assert space.dim == m
     upper = rep.preimage(matrix({(0, 0): G1, (1, 1): G1, (0, 1): GI}))
     lower = rep.preimage(matrix({(0, 0): G1, (1, 1): G1, (1, 0): GI}))
@@ -205,7 +205,7 @@ def test_spinor_matrix_model_matches_solved_intertwiner(case):
         spaces = []
         for _ in range(3):
             g = random_unitary_versor(4, rng)
-            spaces.append(left_ideal(g * base * g.reversion(), 4))
+            spaces.append(left_ideal(g * base * g.reversion()))
     else:
         spaces = [left_ideal(primitive_idempotent(int(case[1:])))]
     for space in spaces:
