@@ -32,11 +32,11 @@ from .spinors import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-# largest p + q (or complex N) that compile accepts: a model has 2^n blade
-# images, each level of the compile recursion builds and traces those of its
-# model, and n = 14 takes about 1.5 s and 116 MB; each step up in n at least
-# doubles both
-MAX_COMPILE_DIM = 14
+# largest p + q (or complex N) that compile accepts: --verify reads only the
+# generators and omega (n = 16: 0.2 s, 17 MB), but --json writes n dense
+# matrices: at n = 16 a 13.7 MB file in 1-1.5 s and 97 MB, at n = 14 4.6 MB
+# and 37 MB, about three times more per two steps up (Python 3.11, 2 CPUs)
+MAX_COMPILE_DIM = 16
 # largest N that spinor accepts, without and with --model: the ideal search
 # eliminates a 2^N x 2^N system of integer rows, four times larger per step up
 # in N; N = 10 takes about 0.6 s and 34 MB, and N = 8 with --model about 0.4 s

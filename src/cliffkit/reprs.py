@@ -278,8 +278,9 @@ class Representation:
         The coefficient of e_b is tr(rho(e_b)^-1 X) / size, size = summands
         * m, and a real source takes its real part.  When X = rho(x) these
         are the coefficients of x: rho(e_b)^-1 rho(e_c) = +-rho(e_(b xor c)),
-        and ``check_injective`` makes tr rho(e_C) vanish for C != 0 (its real
-        part for a real source, whose coefficients are real).
+        and tr rho(e_C) = 0 for C != 0 by the relations and, for omega at odd
+        n, ``check_injective`` (its real part for a real source, whose
+        coefficients are real).
         rho(e_b)^-1 is the conjugate transpose of a unit monomial, so each
         coefficient costs O(size).  x is returned only after rho(x) = matrix
         is checked exactly.
@@ -326,39 +327,36 @@ class Representation:
         return True
 
     def check_injective(self):
-        """tr rho(e_C) = 0 for every blade C != 0, its real part only for a
-        real source, which proves the 2^n blade images linearly independent
-        once ``check_relations`` holds (``verify`` runs it first).
+        """Whether rho is injective, once ``check_relations`` holds
+        (``verify`` runs it first); reads at most the image of omega.
 
-        The trace is read off the monomial: each fixed point perm[i] = i
-        adds its unit, +1 for code 0, -1 for code 1 and +-i for codes 2, 3.
-        Proof sketch: rho(e_A) is a unit monomial, so its conjugate
-        transpose is rho(e_A)^-1, and the relations make that
-        +-rho(e_A) and rho(e_A)* rho(e_B) = +-rho(e_(A xor B)).  The
-        inner product of two images' coordinate vectors, real for a real
-        source and Hermitian for a complex one, is Re tr(rho(e_A)* rho(e_B))
-        or tr(rho(e_A)* rho(e_B)), so the images are pairwise orthogonal
-        and nonzero, hence independent over R or C.  The condition is also
-        necessary when the target has dimension 2^n over the source's
-        field, as it has for every model of ``compile_rep`` and
-        ``compile_complex_rep``: a blade that anticommutes with some
-        generator has trace 0, and the only other central blade, omega for
-        odd n, maps to +-i I (real source only) or to c(I, -I) for a unit c
-        under an isomorphism.  The Pauli matrices on C(3) pass the real
-        test and fail this one: omega maps to i I.  This is the trace
-        property of the scalar part, <x>_0 = Re tr rho(x) / size
-        (Lounesto, Clifford Algebras and Spinors; Porteous, Clifford
-        Algebras and the Classical Groups).
+        Take e_C with C != 0, omega.  If |C| is even, e_C anticommutes with
+        every e_i, i in C; if |C| is odd, with every e_i, i not in C.  So
+        rho(e_C) = -rho(e_i) rho(e_C) rho(e_i)^-1 and Re tr rho(e_C) = 0
+        (tr rho(e_C) = 0 on a C target).  For even n omega is such a blade
+        too, and nothing is left to test: Cl(p, q) and C(n) are then simple.
+        For odd n the test is Re tr rho(omega) = 0, and Im tr rho(omega) = 0
+        for a complex source, read off the fixed points perm[i] = i: code 0
+        adds +1, code 1 adds -1 and codes 2, 3 add +-i.  It suffices: a unit
+        monomial's conjugate transpose is its inverse, so rho(e_A)* rho(e_B)
+        = +-rho(e_(A xor B)), and the 2^n images are nonzero and pairwise
+        orthogonal under Re tr(X* Y), or tr(X* Y) for a complex source,
+        hence independent.  It is necessary when the target has
+        dimension 2^n over the source's field, as every ``compile_rep`` and
+        ``compile_complex_rep`` model has: central omega then maps to +-i I
+        (real source only) or to c(I, -I), c a unit, under an isomorphism.
+        The Pauli matrices on C(3) pass the real test and fail this one:
+        omega maps to i I (Lounesto, Clifford Algebras and Spinors;
+        Porteous, Clifford Algebras and the Classical Groups).
         """
-        for b in range(1, 1 << self.n):
-            perm, codes = self._blade(b)
-            fixed = [0] * 8
-            for i, j in enumerate(perm):
-                if i == j:
-                    fixed[codes[i]] += 1
-            if fixed[0] != fixed[1] or (self.is_complex and fixed[2] != fixed[3]):
-                return False
-        return True
+        if self.n % 2 == 0:
+            return True
+        perm, codes = self._blade((1 << self.n) - 1)
+        fixed = [0] * 8
+        for i, j in enumerate(perm):
+            if i == j:
+                fixed[codes[i]] += 1
+        return fixed[0] == fixed[1] and (not self.is_complex or fixed[2] == fixed[3])
 
     def verify(self):
         """Anticommutation relations and injectivity, both exact."""

@@ -310,7 +310,7 @@ def check_cech_obstruction(seed=0):
 
 
 CRITERIA = (
-    ("classification-table", check_classification_table, 0.5),
+    ("classification-table", check_classification_table, 0.1),
     ("complex-models", check_complex_models, 0.1),
     ("named-isomorphisms", check_named_isomorphisms, None),
     ("irrep-dimensions", check_irrep_dimensions, None),

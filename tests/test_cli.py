@@ -66,12 +66,21 @@ def test_compile_usage_error(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("argv", [("15", "0"), ("7", "8"), ("0", "20"), ("--complex", "16")])
+@pytest.mark.parametrize("argv", [("17", "0"), ("8", "9"), ("0", "20"), ("--complex", "17")])
 def test_compile_size_bound_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "compile", *argv)
     assert code == 2
     assert out == ""
-    assert "up to 14" in err
+    assert "up to 16" in err
+
+
+def test_compile_verifies_at_the_size_bound(capsys):
+    code, out, _ = run(capsys, "compile", "16", "0", "--verify")
+    assert code == 0
+    assert out == "Cl(16,0) -> Mat(256,R)\nverified: relations and injectivity exact\n"
+    code, out, _ = run(capsys, "compile", "--complex", "16", "--verify")
+    assert code == 0
+    assert out == "C(16) -> Mat(256,C)\nverified: relations and injectivity exact\n"
 
 
 def test_zeta_command(capsys, tmp_path):

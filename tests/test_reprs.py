@@ -403,6 +403,17 @@ def test_preimage_checks_the_image():
     assert rep.preimage(rep.rho(two)) == two
 
 
+def _direct_sum_models():
+    """The compiled models with n <= 10 onto Mat(m, K) + Mat(m, K)."""
+    sigs = [Signature(p, n - p) for n in range(11) for p in range(n + 1)]
+    return [compile_rep(sig) for sig in sigs if classify(sig).summands == 2]
+
+
+def _first_factor_repeated(rep):
+    """A direct-sum model with its first factor in both summands."""
+    return Representation(rep.sig, None, rep.target, [(g[0], g[0]) for g in rep.gens])
+
+
 def _trace_form_cases():
     """Compiled models with n <= 10 and C(0) ... C(10), then models that
     satisfy the relations but are not injective: Cl(1,0) -> R with e1 -> 1,
@@ -415,9 +426,9 @@ def _trace_form_cases():
     cases.append(Representation(Signature(1, 0), None, TargetRing("MatR", 1), [((F1,),)]))
     cases.append(Representation(Signature(1, 0), None, TargetRing("MatR", 1, summands=2),
                                 [(((F1,),), ((F1,),))]))
-    for rep in [r for r in cases[:66] if r.target.summands == 2]:
+    for rep in _direct_sum_models():
         cases += factor_projections(rep)
-        cases.append(Representation(rep.sig, None, rep.target, [(g[0], g[0]) for g in rep.gens]))
+        cases.append(_first_factor_repeated(rep))
     cases.append(quaternion_complexify(compile_rep(Signature(1, 3))))
     cases.append(_pauli_model())
     return cases
@@ -433,6 +444,37 @@ def test_trace_form_matches_rank_oracle():
     # mutated ones from the 15 signatures with n <= 10 and p - q = 1 or 5 mod 8,
     # and the Pauli model
     assert verdicts.count(True) == 78 and verdicts.count(False) == 48
+
+
+def test_blades_other_than_one_and_omega_are_traceless():
+    # what the relations alone prove: e_C with C != 0, omega anticommutes
+    # with some e_i, so tr rho(e_C) = 0.  On an H target only the real part
+    # is invariant under conjugation: Cl(0,2) -> H has tr rho(e1) = t1
+    for rep in _trace_form_cases():
+        for c in range(1, (1 << rep.n) - 1):
+            perm, codes = rep._blade(c)
+            fixed = [0] * 8
+            for i, j in enumerate(perm):
+                if i == j:
+                    fixed[codes[i]] += 1
+            assert fixed[0] == fixed[1], (rep.sig, rep.complex_dim, rep.target, c)
+            if rep.target.kind != "MatH":
+                assert fixed[2] == fixed[3], (rep.sig, rep.complex_dim, rep.target, c)
+
+
+def test_models_that_fail_only_at_omega_are_caught():
+    # each direct-sum model with its first factor repeated satisfies the
+    # relations and sends omega to +-(I, I), so only tr rho(omega) shows the
+    # collapse; Signature(1, 0) gives the Cl(1,0) -> R + R model e1 -> (1, 1)
+    mutants = [_first_factor_repeated(rep) for rep in _direct_sum_models()]
+    assert len(mutants) == 15
+    assert mutants[0].sig == Signature(1, 0) and mutants[0].gens == ((((F1,),), ((F1,),)),)
+    for rep in mutants:
+        perm, codes = rep._blade((1 << rep.n) - 1)
+        assert perm == tuple(range(len(perm))) and len(set(codes)) == 1 and codes[0] < 2
+        assert rep.check_relations()
+        assert not rep.check_injective()
+        assert not rep.verify()
 
 
 def test_compiled_models_are_immutable():
