@@ -16,7 +16,10 @@ its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
 identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way.  A
 ``Versor`` multiplies its factors out only when its ``product`` is read,
 and its inverse is the reversion over the product of the factor norms, so
-``zeta`` and ``lift_to_pin`` multiply no multivectors.  The sandwich
+``zeta`` and ``lift_to_pin`` multiply no multivectors.  The form
+M^T eta M = eta is checked where a matrix enters from outside (the public
+constructor, so also JSON, cocycles and the CLI); the integer paths build
+only products, inverses and reflections, which preserve it.  The sandwich
 g e_a g^-1 is kept only as the oracle (``verify._matches_definition`` and
 the tests' ``_dense_zeta_columns``), and the dense ``reflection_matrix``
 only as the reference that the recomposition checks multiply out.  Lifting
@@ -55,41 +58,43 @@ class PseudoOrthogonalMatrix:
     ``num`` is an integer matrix N (a tuple of row tuples) and ``den`` an
     int d > 0 with gcd(d, every entry of N) = 1, so the pair is canonical
     and ``==`` and ``hash`` compare it directly.  The public constructor
-    (rational rows, also behind ``from_json``) is the trust boundary;
-    ``reflection_product``, ``__mul__``, ``inverse`` and ``identity`` build
-    through ``_from_int``.  Both reduce by the gcd and run the integer
-    ``preserves_form``.  ``mat`` is the Fraction view for JSON, the CLI and
-    the tests, built on first use and cached.
+    (rational rows, also behind ``from_json``, ``GroupCocycle.build`` and
+    the CLI) is the trust boundary: it runs the integer ``preserves_form``.
+    ``reflection_product``, ``reflection_matrix``, ``__mul__``, ``inverse``
+    and ``identity`` build through ``_from_int``, which only reduces by the
+    gcd: products and inverses of form-preserving matrices and products of
+    reflections preserve the form by construction.  ``mat`` is the Fraction
+    view for JSON, the CLI and the tests, built on first use and cached.
     """
 
     __slots__ = ("sig", "num", "den", "_mat")
 
-    def __init__(self, sig: Signature, mat):
+    def __new__(cls, sig: Signature, mat):
         n = sig.n
         rows = [[Fraction(x) for x in row] for row in mat]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix shape does not match the signature")
         d = math.lcm(*(x.denominator for row in rows for x in row))
-        self._set(sig, [[x.numerator * (d // x.denominator) for x in row] for row in rows], d)
+        num = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+        self = cls._from_int(sig, num, d)
+        if not self.preserves_form():
+            raise ValueError("matrix does not preserve the bilinear form")
+        return self
 
     @classmethod
     def _from_int(cls, sig, num, den):
-        """The matrix num / den for an integer matrix num and int den > 0."""
-        self = cls.__new__(cls)
-        self._set(sig, num, den)
-        return self
-
-    def _set(self, sig, num, den):
+        """The matrix num / den for an integer matrix num and int den > 0,
+        reduced by the gcd; the caller guarantees that it preserves the form."""
         g = math.gcd(den, *chain.from_iterable(num))
         if g != 1:
             num = [[x // g for x in row] for row in num]
             den //= g
+        self = object.__new__(cls)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "num", tuple(tuple(row) for row in num))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_mat", None)
-        if not self.preserves_form():
-            raise ValueError("matrix does not preserve the bilinear form")
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoOrthogonalMatrix is immutable")

@@ -1,20 +1,21 @@
 """Exact dense linear algebra over the scalar rings.
 
 Entries are ints, Fractions, GaussianRationals or Quaternions; no routine
-returns a float.  Over Q and Q(i) (int, Fraction and GaussianRational
-entries) ``rref``, and so ``rank``, ``nullspace`` and ``inv``, and
-``det`` run one integer kernel, ``_bareiss``: each row becomes
-Gaussian-integer numerators over the lcm of its denominators (imaginary
-parts zero over Q), eliminated fraction-free with exact division by the
-previous pivot, and one Fraction or GaussianRational is built per output
-entry, so the output ring follows the input.  Callers that already hold
-numerators enter the kernel directly through ``rref_numerators`` and
+returns a float.  Every elimination runs one integer kernel, ``_bareiss``:
+each row over Q or Q(i) (int, Fraction and GaussianRational entries)
+becomes Gaussian-integer numerators over the lcm of its denominators
+(imaginary parts zero over Q), eliminated fraction-free with exact division
+by the previous pivot, and one Fraction or GaussianRational is built per
+output entry, so the output ring follows the input.  Callers that already
+hold numerators enter the kernel directly through ``rref_numerators`` and
 ``nullspace_numerators``: the spinor side's multiplication matrices (left
 ideals and the conjugator equation) go in as integer rows and are never
-built as Gaussian rationals.  Quaternion (H) matrices do
-not use it: their ``rref`` is field arithmetic that multiplies
-coefficients from the left only, which is valid over the noncommutative
-quaternions; ``det`` and ``nullspace`` require a commutative field.
+built as Gaussian rationals.  A quaternion (H) matrix A enters through its
+complex adjoint chi(A) (``complex_adjoint``), the injective ring
+homomorphism Mat(m, H) -> Mat(2m, C) with rank chi(A) = 2 rank A (Zhang,
+Linear Algebra Appl. 251, 1997): ``rank`` halves the complex rank and
+``inv`` reads A^-1 back from chi(A)^-1 block by block.  ``rref``,
+``nullspace`` and ``det`` take Q or Q(i) entries only.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import random
 from fractions import Fraction
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, Quaternion, quaternion_to_complex_block
 
 
 def identity(n, one=Fraction(1)):
@@ -205,14 +206,13 @@ def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot_column_list).
 
     Matrices over Q or Q(i) run the integer kernel through ``rref_numerators``
-    and build one Fraction or GaussianRational per output entry; others
-    (Quaternions) take ``_rref_left``.
+    and build one Fraction or GaussianRational per output entry.
     """
     if not rows:
         return [], []
     ring = _entry_ring(rows)
     if ring is None:
-        return _rref_left(rows)
+        raise TypeError("rref needs int, Fraction or GaussianRational entries")
     n_cols = len(rows[0])
     red, pivots = rref_numerators(_gaussian_rows(rows)[0], n_cols, ring)
     red += [[ring(0)] * n_cols for _ in range(len(rows) - len(red))]
@@ -232,44 +232,18 @@ def rref_numerators(rows, n_cols, ring):
     return [_reduced(row, b, ring) for row, b, _c in done], [c for _row, _b, c in done]
 
 
-def _rref_left(rows):
-    """Reduced row echelon form by field arithmetic, valid over division
-    rings: rows are scaled by the pivot inverse from the left and
-    eliminations subtract left multiples."""
-    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pr = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        if piv != piv / piv:
-            inv = (piv / piv) / piv
-            m[r] = [inv * x for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 def rank(rows):
-    return len(rref(rows)[1])
+    """Rank over Q or Q(i), read off ``_bareiss``; a quaternion matrix A has
+    rank rank chi(A) / 2."""
+    if not rows:
+        return 0
+    if _entry_ring(rows) is None:
+        return rank(complex_adjoint(rows)) // 2
+    return len(_bareiss(_gaussian_rows(rows)[0], len(rows[0]))[0])
 
 
 def nullspace(rows):
-    """Basis of the right nullspace (commutative field entries only)."""
+    """Basis of the right nullspace over Q or Q(i)."""
     red, pivots = rref(rows)
     if not red:
         return []
@@ -300,20 +274,40 @@ def _nullspace_basis(red, pivots, n_cols, one):
 
 
 def inv(a):
-    """Matrix inverse by Gauss-Jordan; None if singular."""
+    """Matrix inverse by Gauss-Jordan; None if singular.  A quaternion
+    matrix is inverted through its complex adjoint: chi(A^-1) = chi(A)^-1."""
+    ring = _entry_ring(a)
+    if ring is None:
+        c = inv(complex_adjoint(a))
+        return None if c is None else _from_complex_adjoint(c)
     n = len(a)
-    if _entry_ring(a) is None:
-        # quaternions: the identity block is built in the entries' ring
-        one = next((x / x for row in a for x in row if x), None)
-        if one is None:
-            return None
-        ident = identity(n, one)
-    else:
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    red, pivots = rref([list(ra) + list(ri) for ra, ri in zip(a, ident)])
+    rows = _gaussian_rows([list(row) + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(a)])[0]
+    red, pivots = rref_numerators(rows, 2 * n, ring)
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in red)
+
+
+def complex_adjoint(a):
+    """chi(A) in Mat(2m, C) for a quaternion matrix A: entry (i, j) becomes
+    the 2x2 block ``quaternion_to_complex_block(A[i][j])`` at rows 2i, 2i+1
+    and columns 2j, 2j+1."""
+    out = []
+    for row in a:
+        blocks = [quaternion_to_complex_block(x) for x in row]
+        out += [tuple(x for blk in blocks for x in blk[r]) for r in (0, 1)]
+    return tuple(out)
+
+
+def _from_complex_adjoint(c):
+    """The quaternion matrix A with chi(A) = c, read off the first row of
+    each 2x2 block; AssertionError if c is not of that form."""
+    a = tuple(tuple(Quaternion(z.re, -w.im, -w.re, -z.im) for z, w in zip(row[::2], row[1::2]))
+              for row in c[::2])
+    if complex_adjoint(a) != tuple(map(tuple, c)):
+        raise AssertionError("complex matrix is not the adjoint of a quaternion matrix")
+    return a
 
 
 def det(a):

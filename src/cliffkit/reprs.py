@@ -577,29 +577,12 @@ def even_subring_rep(sig: Signature):
     return derived, gen_map, _checked(rep, f"even subring model of {sig}")
 
 
-def quaternion_to_complex_block(x: Quaternion):
-    """a + b t1 + c t2 + d t3 as [[a - d i, -c - b i], [c - b i, a + d i]]."""
-    a, b, c, d = x.coords()
-    return ((GaussianRational(a, -d), GaussianRational(-c, -b)),
-            (GaussianRational(c, -b), GaussianRational(a, d)))
-
-
 def quaternion_complexify(r: Representation) -> Representation:
     """Replace quaternion entries by 2x2 complex blocks (Mat(m,H) -> Mat(2m,C))."""
     if r.target.kind != "MatH" or r.target.summands != 1:
         raise ValueError("complexification applies to single quaternionic targets")
-    m = r.target.m
-    gens = []
-    for g in r.gens:
-        big = [[None] * (2 * m) for _ in range(2 * m)]
-        for i in range(m):
-            for j in range(m):
-                blk = quaternion_to_complex_block(Quaternion.coerce(g[i][j]))
-                for a in range(2):
-                    for b in range(2):
-                        big[2 * i + a][2 * j + b] = blk[a][b]
-        gens.append(tuple(tuple(row) for row in big))
-    return _checked(Representation(r.sig, r.complex_dim, TargetRing("MatC", 2 * m), gens),
+    gens = [linalg.complex_adjoint(g) for g in r.gens]
+    return _checked(Representation(r.sig, r.complex_dim, TargetRing("MatC", 2 * r.target.m), gens),
                     "complexified model")
 
 

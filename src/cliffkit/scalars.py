@@ -213,6 +213,14 @@ class Quaternion:
         return f"Quaternion({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
+def quaternion_to_complex_block(x):
+    """a + b t1 + c t2 + d t3 as [[a - d i, -c - b i], [c - b i, a + d i]]:
+    the injective ring homomorphism H -> Mat(2, C), entry by entry."""
+    a, b, c, d = Quaternion.coerce(x).coords()
+    return ((GaussianRational(a, -d), GaussianRational(-c, -b)),
+            (GaussianRational(c, -b), GaussianRational(a, d)))
+
+
 TAU1 = Quaternion(0, 1, 0, 0)
 TAU2 = Quaternion(0, 0, 1, 0)
 TAU3 = Quaternion(0, 0, 0, 1)

@@ -152,6 +152,27 @@ def test_layout_rejects_non_orthogonal_rows(data, sig):
         PseudoOrthogonalMatrix.from_json([[str(x) for x in row] for row in rows], sig=sig)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data(), signatures(), st.integers(0, 2**16))
+def test_every_unchecked_build_preserves_the_form(data, sig, seed):
+    # _from_int does not run preserves_form; each path through it must
+    # preserve the form by construction
+    ws = [data.draw(anisotropic_coords(sig)) for _ in range(data.draw(st.integers(0, 3)))]
+    a, b = reflection_product(sig, ws, 1), reflection_product(sig, ws, -1)
+    g = Versor(sig, [vector(sig, data.draw(anisotropic_coords(sig)))
+                     for _ in range(data.draw(st.integers(0, 3)))])
+    built = [
+        a, b,
+        reflection_matrix(vector(sig, data.draw(anisotropic_coords(sig)))),
+        a * b, b.inverse(), (a * b).inverse(),
+        PseudoOrthogonalMatrix.identity(sig),
+        zeta(g),
+        random_pseudo_orthogonal(sig, rng_from_seed(seed)),
+    ]
+    for m in built:
+        assert m.preserves_form()
+
+
 def test_reflection_matrix():
     r = reflection_matrix(basis_vector(E2, 1))
     assert r.mat == ((F(-1), F(0)), (F(0), F(1)))

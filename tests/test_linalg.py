@@ -120,7 +120,7 @@ def test_gaussian_matrix_inverse():
 
 
 def test_quaternion_matrix_inverse_noncommutative():
-    # elimination must multiply from the left only
+    # the inverse must respect t1 t2 = -t2 t1
     t1, t2 = Quaternion(0, 1), Quaternion(0, 0, 1)
     one = Quaternion(1)
     zero = Quaternion(0)
@@ -129,6 +129,87 @@ def test_quaternion_matrix_inverse_noncommutative():
     ident = linalg.identity(2, one)
     assert linalg.mat_eq(linalg.matmul(a, ainv), ident)
     assert linalg.mat_eq(linalg.matmul(ainv, a), ident)
+
+
+_QCOMP = st.integers(-2, 2)
+_QUNITS = tuple(s * u for u in (Quaternion(1), Quaternion(0, 1), Quaternion(0, 0, 1),
+                                Quaternion(0, 0, 0, 1)) for s in (1, -1))
+
+
+@st.composite
+def quaternions(draw, nonzero=False):
+    comps = st.lists(_QCOMP, min_size=4, max_size=4)
+    return Quaternion(*draw(comps.filter(any) if nonzero else comps))
+
+
+@st.composite
+def quaternion_matrices(draw):
+    m = draw(st.integers(1, 3))
+    return m, [[draw(quaternions()) for _ in range(m)] for _ in range(m)]
+
+
+@st.composite
+def elementary_products(draw, m):
+    """A product of up to four invertible elementary m x m quaternion
+    matrices: a row swap, a row scaled by a nonzero quaternion, or I plus a
+    quaternion at an off-diagonal place."""
+    prod = linalg.identity(m, Quaternion(1))
+    for _ in range(draw(st.integers(0, 4))):
+        e = [list(row) for row in linalg.identity(m, Quaternion(1))]
+        kind, i, j = draw(st.integers(0, 2)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if kind == 0:
+            e[i], e[j] = e[j], e[i]
+        elif kind == 1:
+            e[i][i] = draw(quaternions(nonzero=True))
+        elif i != j:
+            e[i][j] = draw(quaternions())
+        prod = linalg.matmul(prod, e)
+    return prod
+
+
+@settings(max_examples=100, deadline=None)
+@given(quaternion_matrices())
+def test_quaternion_inverse_exists_exactly_at_full_rank(case):
+    m, a = case
+    ainv = linalg.inv(a)
+    assert (ainv is None) == (linalg.rank(a) < m)
+    if ainv is not None:
+        ident = linalg.identity(m, Quaternion(1))
+        assert linalg.mat_eq(linalg.matmul(a, ainv), ident)
+        assert linalg.mat_eq(linalg.matmul(ainv, a), ident)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_quaternion_rank_is_invariant_under_elementary_products(data, m):
+    r = data.draw(st.integers(0, m))
+    units = [data.draw(st.sampled_from(_QUNITS)) for _ in range(r)]
+    d = [[units[i] if i == j and i < r else Quaternion(0) for j in range(m)] for i in range(m)]
+    b, c = data.draw(elementary_products(m)), data.draw(elementary_products(m))
+    a = linalg.matmul(linalg.matmul(b, d), c)
+    assert linalg.rank(a) == r
+    assert (linalg.inv(a) is None) == (r < m)
+
+
+def test_quaternion_entries_have_no_rref_nullspace_or_det():
+    a = [[Quaternion(0, 1), Quaternion(1)], [Quaternion(0), Quaternion(0, 0, 1)]]
+    for fn in (linalg.rref, linalg.nullspace, linalg.det):
+        with pytest.raises(TypeError):
+            fn(a)
+
+
+def test_complex_adjoint_read_back_checks_block_shape():
+    a = ((Quaternion(1, 2, -3, 4), Quaternion(0, 1)), (Quaternion(5), Quaternion(0, 0, 0, -1)))
+    chi = linalg.complex_adjoint(a)
+    assert linalg._from_complex_adjoint(chi) == a
+    # block (1, 1) of a no longer has a + d i under a - d i
+    bad = [list(row) for row in chi]
+    bad[3][3] = bad[3][3] + GaussianRational(0, 1)
+    with pytest.raises(AssertionError):
+        linalg._from_complex_adjoint(bad)
+    g = GaussianRational
+    with pytest.raises(AssertionError):
+        linalg._from_complex_adjoint(((g(1), g(0)), (g(0), g(-1))))
 
 
 def test_matmul_shapes_and_transpose():

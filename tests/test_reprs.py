@@ -24,7 +24,6 @@ from cliffkit.reprs import (
     even_subring_rep,
     factor_projections,
     quaternion_complexify,
-    quaternion_to_complex_block,
     real_irrep_dim,
     rep_equivalence,
     rep_from_json,
@@ -32,7 +31,15 @@ from cliffkit.reprs import (
     signature_shift,
     solve_intertwiner,
 )
-from cliffkit.scalars import GAUSSIAN, ONE, QUATERNION, RATIONAL, GaussianRational, Quaternion
+from cliffkit.scalars import (
+    GAUSSIAN,
+    ONE,
+    QUATERNION,
+    RATIONAL,
+    GaussianRational,
+    Quaternion,
+    quaternion_to_complex_block,
+)
 from cliffkit.spinors import left_ideal, primitive_idempotent, spinor_matrix_model
 from inverse_oracle import dense_inverse
 from rank_oracle import blades_independent
