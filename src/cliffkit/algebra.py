@@ -18,7 +18,9 @@ from fractions import Fraction
 
 from .scalars import (
     GAUSSIAN,
+    ONE,
     RATIONAL,
+    ZERO,
     GaussianRational,
     format_scalar,
     parse_scalar,
@@ -227,8 +229,7 @@ class Multivector:
             c = Fraction(c)
         if self.ring == GAUSSIAN:
             c = GaussianRational.coerce(c)
-        one = Fraction(1) if self.ring == RATIONAL else GaussianRational(1)
-        return self.scale(one / c)
+        return self.scale(ONE[self.ring] / c)
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
@@ -244,8 +245,7 @@ class Multivector:
     # -- queries -------------------------------------------------------------
 
     def coeff(self, blade):
-        zero = Fraction(0) if self.ring == RATIONAL else GaussianRational(0)
-        return self.terms.get(blade, zero)
+        return self.terms.get(blade, ZERO[self.ring])
 
     def scalar_part(self):
         return self.coeff(0)
@@ -263,7 +263,7 @@ class Multivector:
         """Coordinates on the grade-1 basis; errors if other grades appear."""
         if any(b.bit_count() != 1 for b in self.terms):
             raise ValueError("multivector is not homogeneous of grade 1")
-        zero = Fraction(0) if self.ring == RATIONAL else GaussianRational(0)
+        zero = ZERO[self.ring]
         return tuple(self.terms.get(1 << (i - 1), zero) for i in range(1, self.n + 1))
 
     # -- involutions ----------------------------------------------------------
@@ -414,12 +414,6 @@ def complexify_embed(a):
     return Multivector.complex_alg(n, terms)
 
 
-def _field_zero_one(ring):
-    if ring == RATIONAL:
-        return Fraction(0), Fraction(1)
-    return GaussianRational(0), GaussianRational(1)
-
-
 def multiplication_numerators(a, side, transpose=False):
     """(d, rows): the matrix of x -> a x (side "left") or x -> x a (side
     "right") on the blade basis as Gaussian-integer rows over d, the lcm of
@@ -461,13 +455,6 @@ def multiplication_numerators(a, side, transpose=False):
     return d, list(zip(out_re, out_im))
 
 
-def coords_vector(a):
-    """Dense coordinate column of a on the blade basis."""
-    dim = 1 << a.n
-    zero, _one = _field_zero_one(a.ring)
-    return tuple(a.terms.get(b, zero) for b in range(dim))
-
-
 def from_coords(model, coords):
     """Multivector in the same space as ``model`` from dense coordinates."""
     terms = {b: c for b, c in enumerate(coords) if c}
@@ -493,8 +480,7 @@ def invert(a):
     if None in blocks:
         return None
     inv_mv = rep.preimage(blocks if pair else blocks[0])
-    _zero, one = _field_zero_one(a.ring)
-    unit_mv = a._wrap({0: one})
+    unit_mv = a._wrap({0: ONE[a.ring]})
     if inv_mv is None or a * inv_mv != unit_mv or inv_mv * a != unit_mv:
         raise AssertionError("inverse read back from the matrix model is wrong")
     return inv_mv

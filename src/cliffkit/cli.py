@@ -37,12 +37,11 @@ CHECK_FAILED = 1
 # matrices: at n = 16 a 13.7 MB file in 1-1.5 s and 97 MB, at n = 14 4.6 MB
 # and 37 MB, about three times more per two steps up (Python 3.11, 2 CPUs)
 MAX_COMPILE_DIM = 16
-# largest N that spinor accepts, without and with --model: the ideal search
+# largest N that spinor accepts, with or without --model: the ideal search
 # eliminates a 2^N x 2^N system of integer rows, four times larger per step up
-# in N; N = 10 takes about 0.6 s and 34 MB, and N = 8 with --model about 0.4 s
-# and 18 MB (Python 3.11, 2 CPUs)
+# in N; N = 10 takes about 0.5 s and 32 MB, and with --model about 1.2 s and
+# 34 MB (Python 3.11, 2 CPUs)
 MAX_SPINOR_DIM = 10
-MAX_SPINOR_MODEL_DIM = 8
 
 
 def _parse_sig(text) -> Signature:
@@ -228,8 +227,6 @@ def _cmd_spinor(args, seed):
     n = args.complex_dim
     if n > MAX_SPINOR_DIM:
         raise ValueError(f"C({n}): spinor supports N up to {MAX_SPINOR_DIM}")
-    if args.model and n > MAX_SPINOR_MODEL_DIM:
-        raise ValueError(f"C({n}): spinor --model supports N up to {MAX_SPINOR_MODEL_DIM}")
     if args.idempotent == "auto":
         idem = primitive_idempotent(n)
     else:

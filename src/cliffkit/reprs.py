@@ -23,6 +23,7 @@ from .scalars import (
     TAU1,
     TAU2,
     TAU3,
+    ZERO,
     GaussianRational,
     Quaternion,
     format_scalar,
@@ -97,7 +98,6 @@ _AXIS_MUL = [[_UNIT_CODE[QUATERNION][x * y] for y in _Q8[::2]] for x in _Q8[::2]
 _UNIT_MUL = tuple(tuple(_AXIS_MUL[a >> 1][b >> 1] ^ ((a ^ b) & 1) for b in range(8))
                   for a in range(8))
 _MINUS_I = 3  # -t1, read as -i in C
-_ZERO = {tag: one * 0 for tag, one in ONE.items()}
 
 
 def _unit_multiples(c, tag):
@@ -259,7 +259,7 @@ class Representation:
             for row, j, u in zip(rows, *self._blade(b)):
                 x = row[j % m]
                 row[j % m] = scaled[u] if x is None else x + scaled[u]
-        zero = _ZERO[t.ring_tag]
+        zero = ZERO[t.ring_tag]
         return self._shape([zero if x is None else x for x in row] for row in rows)
 
     def invertible(self, mv: Multivector):
@@ -289,7 +289,7 @@ class Representation:
         rows = tuple(matrix[0]) + tuple(matrix[1]) if t.summands == 2 else tuple(matrix)
         units = _RING_UNITS[t.ring_tag]
         conj = [units[c ^ 1 if c > 1 else c] for c in range(len(units))]
-        zero = _ZERO[t.ring_tag]
+        zero = ZERO[t.ring_tag]
         scale = Fraction(1, len(rows))
         m = t.m
         terms = {}
@@ -633,7 +633,7 @@ def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
     else:
         units, coords, from_coords = (ONE[ring_tag],), lambda x: (x,), lambda xs: xs[0]
     k = len(units)
-    zero = coords(_ZERO[ring_tag])[0]
+    zero = coords(ZERO[ring_tag])[0]
     rows = []
     for A, B in zip(gens1, gens2):
         for i in range(m):

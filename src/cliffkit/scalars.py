@@ -226,7 +226,8 @@ TAU2 = Quaternion(0, 0, 1, 0)
 TAU3 = Quaternion(0, 0, 0, 1)
 
 
-# multiplicative unit of each ring
+# additive and multiplicative unit of each ring
+ZERO = {RATIONAL: Fraction(0), GAUSSIAN: GaussianRational(0), QUATERNION: Quaternion(0)}
 ONE = {RATIONAL: Fraction(1), GAUSSIAN: GaussianRational(1), QUATERNION: Quaternion(1)}
 
 

@@ -8,7 +8,8 @@ the ideal and the conjugator equation need (rows e_b p, and g -> g p1 - p2 g)
 are built as Gaussian-integer numerator rows by
 ``algebra.multiplication_numerators`` and enter the Bareiss kernel as
 integer rows (``linalg.rref_numerators``, ``linalg.nullspace_numerators``),
-so no Gaussian rational is built until the reduced rows come out.
+so no Gaussian rational is built until the reduced rows come out.  After
+``left_ideal`` nothing is eliminated: coordinates are read off the pivots.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import linalg
 from .algebra import (
     Multivector,
     complex_unit,
-    coords_vector,
     from_coords,
     invert,
     multiplication_numerators,
@@ -61,8 +61,10 @@ def idempotent_from_factors(n, factors):
     return p
 
 
-class SpinorSpace(namedtuple("SpinorSpace", "n p basis rref_rows pivots")):
-    """Left ideal A p with a canonical (reduced echelon) basis."""
+class SpinorSpace(namedtuple("SpinorSpace", "n p basis pivots")):
+    """Left ideal A p with a reduced echelon basis: basis[r] has coefficient
+    1 at the blade pivots[r] and 0 at the other pivots, so the coordinates of
+    an element of the ideal are its coefficients at the pivots."""
 
     __slots__ = ()
 
@@ -76,19 +78,13 @@ class SpinorSpace(namedtuple("SpinorSpace", "n p basis rref_rows pivots")):
         return self.coordinates(mv) is not None
 
     def coordinates(self, mv: Multivector):
-        """Coordinates on the canonical basis, or None if mv is outside."""
-        coords = list(coords_vector(mv))
-        out = [GaussianRational(0)] * self.dim
-        for k, (row, piv) in enumerate(zip(self.rref_rows, self.pivots)):
-            c = coords[piv]
-            if c:
-                out[k] = c
-                for j, v in enumerate(row):
-                    if v:
-                        coords[j] = coords[j] - c * v
-        if any(coords):
-            return None
-        return out
+        """Coefficients of mv at the pivots, or None if they do not
+        recombine to mv: then mv is outside the ideal."""
+        out = [mv.coeff(piv) for piv in self.pivots]
+        span = Multivector.complex_alg(self.n, {})
+        for c, psi in zip(out, self.basis):
+            span = span + psi * c
+        return out if span == mv else None
 
 
 def left_ideal(p) -> SpinorSpace:
@@ -107,7 +103,7 @@ def left_ideal(p) -> SpinorSpace:
     basis = tuple(
         from_coords(Multivector.complex_alg(n, {}), row) for row in red
     )
-    return SpinorSpace(n, p, basis, tuple(tuple(r) for r in red), tuple(pivots))
+    return SpinorSpace(n, p, basis, tuple(pivots))
 
 
 def is_minimal(space: SpinorSpace) -> bool:
@@ -186,6 +182,8 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     """Intertwiner between left multiplication on the ideal and the compiled
     column model: U L_i = rho(e^i) U with U invertible.
 
+    L_i is read off the pivots: A p is a left ideal, so e^i psi_j lies in
+    it and L_i[r][j] is the coefficient of e^i psi_j at pivots[r].
     U is built, not solved for: U[:, j] = rho(psi_j) w, where psi_j is the
     j-th canonical basis element of the ideal and w = rho(p)[:, k] the first
     nonzero column of rho(p).  Since psi_j = psi_j p, that is column k of
@@ -195,7 +193,10 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     line that ``solve_intertwiner`` picks.  That U is invertible and that
     U L_i = rho(e^i) U (the same as U L_i U^-1 = rho(e^i) for invertible U,
     with the monomial rho(e^i) as the sparse left factor) are checked
-    exactly.  The result does not depend on ``seed``.
+    exactly.  The check also certifies every column of L_i: psi -> rho(psi) w
+    is injective on the ideal exactly when U is invertible, and
+    rho(e^i) U[:, j] is the image of e^i psi_j.  The result does not depend
+    on ``seed``.
     """
     n = space.n
     if not is_minimal(space):
@@ -205,13 +206,8 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     left = []
     for i in range(1, n + 1):
         gen = Multivector.complex_alg(n, {1 << (i - 1): GaussianRational(1)})
-        cols = []
-        for psi in space.basis:
-            coords = space.coordinates(gen * psi)
-            if coords is None:
-                raise AssertionError("ideal is not closed under left multiplication")
-            cols.append(coords)
-        left.append(tuple(tuple(cols[j][i_] for j in range(N)) for i_ in range(N)))
+        cols = [gen * psi for psi in space.basis]
+        left.append(tuple(tuple(col.coeff(piv) for col in cols) for piv in space.pivots))
     k = next(j for j, col in enumerate(zip(*rep.rho(space.p))) if any(col))
     images = [rep.rho(psi) for psi in space.basis]
     U = [[img[r][k] for img in images] for r in range(N)]

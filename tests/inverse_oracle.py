@@ -1,18 +1,23 @@
 """Dense oracles on the 2^n x 2^n blade basis.
 
 ``map_matrix`` builds the matrix of a linear map on the algebra one image
-at a time, in field arithmetic.  The tests compare the integer rows of
-``algebra.multiplication_numerators`` and the spinor-side eliminations with
-it, and ``dense_inverse`` checks ``algebra.invert`` against the left regular
-representation: x = a^-1 solves a x = 1, so it is column 0 of the inverse of
-the matrix of x -> a x.
+at a time, in field arithmetic, from the dense columns ``coords_vector``.
+The tests compare the integer rows of ``algebra.multiplication_numerators``
+and the spinor-side eliminations with it, and ``dense_inverse`` checks
+``algebra.invert`` against the left regular representation: x = a^-1 solves
+a x = 1, so it is column 0 of the inverse of the matrix of x -> a x.
 """
 
 from fractions import Fraction
 
 from cliffkit import linalg
-from cliffkit.algebra import Multivector, coords_vector, from_coords
-from cliffkit.scalars import GaussianRational
+from cliffkit.algebra import Multivector, from_coords
+from cliffkit.scalars import ZERO, GaussianRational
+
+
+def coords_vector(a):
+    """Dense coordinate column of a on the blade basis."""
+    return tuple(a.terms.get(b, ZERO[a.ring]) for b in range(1 << a.n))
 
 
 def map_matrix(model, f):

@@ -126,6 +126,12 @@ def test_spinor_command(capsys, tmp_path):
     assert doc["dimension"] == 2 and doc["minimal"] is True
 
 
+def test_spinor_model_at_the_size_bound(capsys):
+    code, out, _ = run(capsys, "spinor", "--complex", "10", "--model")
+    assert code == 0
+    assert "matrix model: Mat(32,C), intertwiner found" in out
+
+
 def test_spinor_nonminimal_idempotent(capsys, tmp_path):
     idem_file = tmp_path / "idem.json"
     idem_file.write_text(json.dumps({
@@ -300,7 +306,7 @@ def test_cech_cocycle_bad_complex_is_usage_error(capsys, tmp_path):
 @pytest.mark.parametrize("argv, bound", [
     (("--complex", "12"), "spinor supports N up to 10"),
     (("--complex", "16"), "spinor supports N up to 10"),
-    (("--complex", "10", "--model"), "spinor --model supports N up to 8"),
+    (("--complex", "12", "--model"), "spinor supports N up to 10"),
 ])
 def test_spinor_size_bound_is_usage_error(capsys, argv, bound):
     code, out, err = run(capsys, "spinor", *argv)

@@ -59,7 +59,7 @@ RECORDS = {
     "cech.GroupCocycle": "complex sig edges",
     "cech.PinLiftResult": "success lifts discrepancy lift_count obstruction_nonzero",
     "spinors.HermitianIdempotent": "n s p",
-    "spinors.SpinorSpace": "n p basis rref_rows pivots",
+    "spinors.SpinorSpace": "n p basis pivots",
     "spinors.SpinorModel": "rep left_action intertwiner",
 }
 

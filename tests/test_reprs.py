@@ -36,6 +36,7 @@ from cliffkit.scalars import (
     ONE,
     QUATERNION,
     RATIONAL,
+    ZERO,
     GaussianRational,
     Quaternion,
     quaternion_to_complex_block,
@@ -521,7 +522,7 @@ def _rho_by_products(rep, mv):
     # the multiplying form: c * unit for every entry of every blade image
     units = reprs._RING_UNITS[rep.target.ring_tag]
     m = rep.target.m
-    rows = [[reprs._ZERO[rep.target.ring_tag]] * m for _ in range(rep.target.summands * m)]
+    rows = [[ZERO[rep.target.ring_tag]] * m for _ in range(rep.target.summands * m)]
     for b, c in mv.terms.items():
         for i, (j, u) in enumerate(zip(*rep._blade(b))):
             rows[i][j % m] = rows[i][j % m] + c * units[u]
@@ -555,7 +556,7 @@ def test_rho_matches_multiplying_form(space):
         assert got == want
         blocks = (got, want) if rep.target.summands == 1 else (*got, *want)
         assert {type(x) for block in blocks for row in block for x in row} == {
-            type(reprs._ZERO[rep.target.ring_tag])}
+            type(ZERO[rep.target.ring_tag])}
 
 
 

@@ -12,7 +12,6 @@ from cliffkit.algebra import (
     Signature,
     complex_basis_vector,
     complex_unit,
-    coords_vector,
     from_coords,
     invert,
     multivector_to_json,
@@ -29,6 +28,7 @@ from cliffkit.reprs import (
 )
 from cliffkit.sampling import random_unitary_versor, rng_from_seed
 from cliffkit.spinors import (
+    SpinorSpace,
     _conjugator_basis,
     find_conjugator,
     idempotent_from_factors,
@@ -40,7 +40,7 @@ from cliffkit.spinors import (
     stabilizer_membership,
 )
 from cliffkit.scalars import GAUSSIAN, GaussianRational, format_scalar
-from inverse_oracle import dense_inverse, map_matrix
+from inverse_oracle import coords_vector, dense_inverse, map_matrix
 
 G1 = GaussianRational(1)
 GI = GaussianRational(0, 1)
@@ -83,7 +83,7 @@ def test_primitive_idempotent_n2():
     assert is_minimal(space)
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_minimal_ideal_dimension(n):
     idem = primitive_idempotent(n)
     space = left_ideal(idem)
@@ -117,6 +117,53 @@ def test_single_factor_idempotent_not_minimal_at_n4():
     assert not is_minimal(space)
 
 
+def _eliminated_coordinates(space, mv):
+    # coordinates by eliminating mv against the reduced echelon rows
+    coords = list(coords_vector(mv))
+    out = [GaussianRational(0)] * space.dim
+    for k, (psi, piv) in enumerate(zip(space.basis, space.pivots)):
+        c = coords[piv]
+        if c:
+            out[k] = c
+            for j, v in enumerate(coords_vector(psi)):
+                if v:
+                    coords[j] = coords[j] - c * v
+    if any(coords):
+        return None
+    return out
+
+
+def _random_gaussian(rng):
+    return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+
+
+def test_coordinates_match_elimination():
+    # the pivot coefficients with the recombination check against the
+    # elimination they replace, on random elements inside the ideal, the
+    # same moved off it by one blade term, and random multivectors
+    rng = rng_from_seed(19)
+    e = complex_unit(4)
+    idems = [primitive_idempotent(4).p, primitive_idempotent(6).p,
+             (e + complex_basis_vector(4, 1)) * (G1 / 2)]
+    outcomes = set()
+    for p in idems:
+        space = left_ideal(p)
+        n = space.n
+        for _ in range(8):
+            inside = Multivector.complex_alg(n, {})
+            for psi in space.basis:
+                inside = inside + psi * _random_gaussian(rng)
+            blade = Multivector.complex_alg(n, {rng.randrange(1 << n): _random_gaussian(rng)})
+            anywhere = Multivector.complex_alg(n, {
+                b: _random_gaussian(rng) for b in range(1 << n) if rng.random() < 0.3})
+            for mv in (inside, inside + blade, anywhere):
+                got = space.coordinates(mv)
+                assert got == _eliminated_coordinates(space, mv)
+                outcomes.add(got is None)
+            assert space.coordinates(inside) is not None
+    assert outcomes == {True, False}
+
+
 def test_spinor_space_coordinates():
     space = left_ideal(primitive_idempotent(4))
     psi = space.basis[0] + space.basis[2] * GI
@@ -135,6 +182,46 @@ def test_spinor_matrix_model_intertwines(n):
     U, Uinv = model.intertwiner.matrix, model.intertwiner.inverse
     for L, rho_gen in zip(model.left_action, model.rep.gens):
         assert linalg.mat_eq(linalg.matmul(linalg.matmul(U, L), Uinv), rho_gen)
+
+
+def _left_action_cases():
+    spaces = [left_ideal(primitive_idempotent(n)) for n in (2, 4, 6, 8)]
+    rng = rng_from_seed(13)
+    base = primitive_idempotent(4).p
+    for _ in range(3):
+        g = random_unitary_versor(4, rng)
+        spaces.append(left_ideal(g * base * g.reversion()))
+    return spaces
+
+
+def test_left_action_recombines_the_products():
+    # column j of L_i, read off the pivots, holds the coordinates of
+    # e^i psi_j: the ideal is closed under left multiplication
+    for space in _left_action_cases():
+        model = spinor_matrix_model(space, seed=0)
+        zero = Multivector.complex_alg(space.n, {})
+        for i, L in enumerate(model.left_action, start=1):
+            for j, psi in enumerate(space.basis):
+                combo = zero
+                for r, psi_r in enumerate(space.basis):
+                    combo = combo + psi_r * L[r][j]
+                assert complex_basis_vector(space.n, i) * psi == combo
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_spinor_matrix_model_rejects_a_right_ideal(n):
+    # p A has the dimension of A p but is not a left ideal; every
+    # rho(p x) w lies in the line rho(p) maps onto, so U is singular
+    p = primitive_idempotent(n).p
+    rows = [coords_vector(p * Multivector.complex_alg(n, {b: G1})) for b in range(1 << n)]
+    red, pivots = linalg.rref(rows)
+    basis = tuple(from_coords(p, row) for row in red[: len(pivots)])
+    space = SpinorSpace(n, p, basis, tuple(pivots))
+    assert is_minimal(space)
+    assert not all(space.contains(complex_basis_vector(n, i) * psi)
+                   for i in range(1, n + 1) for psi in basis)
+    with pytest.raises(AssertionError, match="no invertible intertwiner"):
+        spinor_matrix_model(space)
 
 
 def test_spinor_matrix_model_rejects_nonminimal():
@@ -308,7 +395,8 @@ def test_left_ideal_matches_dense_rref():
     idems.append((e + complex_basis_vector(4, 1)) * (G1 / 2))
     for p in idems:
         space = left_ideal(p)
-        assert (space.rref_rows, space.pivots) == _dense_left_ideal(p)
+        rows = tuple(coords_vector(psi) for psi in space.basis)
+        assert (rows, space.pivots) == _dense_left_ideal(p)
     assert space.dim == 8
 
 
