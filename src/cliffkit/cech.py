@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import signature_from_json
+from .algebra import _blade_products, signature_from_json
 from .groups import PseudoOrthogonalMatrix, Versor, lift_to_pin
 
 
@@ -53,7 +53,6 @@ def gf2_solve(rows, rhs, ncols):
     """Solve (rows) x = rhs over GF(2); returns solution bitmask or None."""
     aug = [r | (b << ncols) for r, b in zip(rows, rhs)]
     red, pivots = gf2_rref(aug, ncols)
-    mask = (1 << ncols) - 1
     sol = 0
     for row in red[len(pivots):]:
         if row >> ncols:
@@ -308,32 +307,44 @@ def subgroup_reduction_check(coc: GroupCocycle, h: dict, member):
 
 
 def canonical_sign(v: Versor) -> Versor:
-    """Normalize so the lowest-blade nonzero coefficient is positive."""
-    if not v.product:
+    """Normalize so the lowest-blade nonzero coefficient is positive.
+
+    The sign is read off the integer numerators of ``v.int_product``, whose
+    denominator is positive.
+    """
+    _den, acc = v.int_product
+    if not acc:
         raise AssertionError("versor product is zero")
-    lead = min(v.product.terms)
-    if v.product.terms[lead] < 0:
+    if acc[min(acc)] < 0:
         return v.negated()
     return v
 
 
 def _triangle_scalar(lifts, t):
-    """The scalar s with L_ij L_jk = s L_ik on triangle t = (i, j, k).
+    """The sign (+1 or -1) of the scalar s with L_ij L_jk = s L_ik on
+    triangle t = (i, j, k).
 
-    This is the discrepancy L_ij L_jk L_ik^-1 read with one product: s is
-    the ratio on the lowest blade of L_ik, and the whole product must equal
-    s L_ik exactly.
+    This is the discrepancy L_ij L_jk L_ik^-1 read with one product, run on
+    integer numerators: P = A B for the numerators A, B of L_ij, L_jk and
+    C those of L_ik, whose denominators are positive.  With lead the lowest
+    blade of C, L_ij L_jk is a scalar multiple of L_ik exactly when P and C
+    have the same blades and P[b] C[lead] == C[b] P[lead] for every b; then
+    s has the sign of P[lead] C[lead].
     """
     i, j, k = t
-    prod = lifts[(i, j)].product * lifts[(j, k)].product
-    target = lifts[(i, k)].product
-    lead = min(target.terms)
-    s = prod.coeff(lead) / target.terms[lead]
-    if prod != target.scale(s):
-        raise AssertionError("triangle discrepancy is not scalar")
-    if s == 0:
+    target = lifts[(i, k)]
+    sig = target.sig
+    # the generators squaring to -1, as in Multivector
+    neg_mask = ((1 << sig.n) - 1) ^ ((1 << sig.p) - 1)
+    P = _blade_products(lifts[(i, j)].int_product[1], lifts[(j, k)].int_product[1], neg_mask)
+    C = target.int_product[1]
+    if not P:
         raise AssertionError("triangle discrepancy is zero")
-    return s
+    lead = min(C)
+    p_lead, c_lead = P.get(lead, 0), C[lead]
+    if P.keys() != C.keys() or any(P[b] * c_lead != c * p_lead for b, c in C.items()):
+        raise AssertionError("triangle discrepancy is not scalar")
+    return 1 if (p_lead > 0) == (c_lead > 0) else -1
 
 
 PinLiftResult = namedtuple(

@@ -13,20 +13,22 @@ gcd(d, N) = 1, with a Fraction view built only when asked for.  ``zeta``,
 ``_reflect``: a rational w is replaced by the primitive integer vector u on
 its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
 (|Q(u)| d), reduced by a gcd.  ``reflection_product`` applies it to the
-identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way.  A
-``Versor`` multiplies its factors out only when its ``product`` is read,
-and its inverse is the reversion over the product of the factor norms, so
-``zeta`` and ``lift_to_pin`` multiply no multivectors.  The form
-M^T eta M = eta is checked where a matrix enters from outside (the public
-constructor, so also JSON, cocycles and the CLI); the integer paths build
-only products, inverses and reflections, which preserve it.  The sandwich
-g e_a g^-1 is kept only as the oracle (``verify._matches_definition`` and
-the tests' ``_dense_zeta_columns``), and the dense ``reflection_matrix``
-only as the reference that the recomposition checks multiply out.  Lifting
-goes the other way: a pseudo-orthogonal matrix is factored into reflections
-(constructive, at most 2n of them) and the product of the reflection
-vectors, patched by omega when the count is odd, is a versor mapping onto
-it.
+identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way from
+the factors' integer numerators.  A ``Versor`` multiplies its factors out
+only when its product is read, and holds it as integer numerators over one
+denominator (``int_product``); ``product`` is the Fraction view of that
+pair, built only when read.  Its inverse is the reversion over the product
+of the factor norms, so ``zeta`` and ``lift_to_pin`` multiply no
+multivectors.  The form M^T eta M = eta is checked where a matrix enters
+from outside (the public constructor, so also JSON, cocycles and the CLI);
+the integer paths build only products, inverses and reflections, which
+preserve it.  The sandwich g e_a g^-1 is kept only as the oracle
+(``verify._matches_definition`` and the tests' ``_dense_zeta_columns``),
+and the dense ``reflection_matrix`` only as the reference that the
+recomposition checks multiply out.  Lifting goes the other way: a
+pseudo-orthogonal matrix is factored into reflections (constructive, at
+most 2n of them) and the product of the reflection vectors, patched by
+omega when the count is odd, is a versor mapping onto it.
 """
 
 from __future__ import annotations
@@ -212,7 +214,11 @@ def _primitive(w):
     it as isotropic).
     """
     d = math.lcm(*(x.denominator for x in w))
-    u = [x.numerator * (d // x.denominator) for x in w]
+    return _primitive_int([x.numerator * (d // x.denominator) for x in w])
+
+
+def _primitive_int(u):
+    """The integer vector u divided by the gcd of its entries."""
     g = math.gcd(*u) or 1
     return [x // g for x in u]
 
@@ -223,15 +229,19 @@ def _reflect(sig, u, cols, d):
     R(u) x = (Q(u) x - 2 B(u,x) u)/Q(u), so the new columns are
     |Q(u)| X - 2 sgn(Q(u)) B(u,X) u over |Q(u)| d, returned as (X', d')
     divided by the gcd of d' and every entry: all integer arithmetic.
+    B(u,x) is the dot product of eta u with x, so 2 sgn(Q(u)) eta u is
+    formed once and each column costs one dot product.
     """
     qu = _bform(sig, u, u)
     if qu == 0:
         raise ValueError("cannot reflect across an isotropic vector")
     q = abs(qu)
     two = 2 if qu > 0 else -2
+    p = sig.p
+    eta_u = [two * x for x in u[:p]] + [-two * x for x in u[p:]]
     out = []
     for x in cols:
-        f = two * _bform(sig, u, x)
+        f = sum(map(mul, eta_u, x))
         out.append([q * xi - f * ui for xi, ui in zip(x, u)])
     d *= q
     g = math.gcd(d, *chain.from_iterable(out))
@@ -244,16 +254,25 @@ def _reflect(sig, u, cols, d):
 def reflection_product(sig, ws, sign=1) -> PseudoOrthogonalMatrix:
     """sign * R(w_1) ... R(w_r) for rational coordinate vectors w_1, ..., w_r.
 
-    The columns start as sign * identity and are reflected across the
-    primitive integer vectors of w_r, ..., w_1 in turn (innermost factor
-    first) over one common denominator, so each factor costs O(n^2) integer
-    operations and no n x n product is formed.
+    The reflections run across the primitive integer vectors of the w_i,
+    through ``_reflection_chain``.
+    """
+    return _reflection_chain(sig, [_primitive(w) for w in ws], sign)
+
+
+def _reflection_chain(sig, us, sign):
+    """sign * R(u_1) ... R(u_r) for primitive integer vectors u_1, ..., u_r.
+
+    The columns start as sign * identity and are reflected across u_r, ...,
+    u_1 in turn (innermost factor first) over one common denominator, so
+    each factor costs O(n^2) integer operations and no n x n product is
+    formed.
     """
     n = sig.n
     cols = [[sign * int(i == a) for i in range(n)] for a in range(n)]
     d = 1
-    for w in reversed(ws):
-        cols, d = _reflect(sig, _primitive(w), cols, d)
+    for u in reversed(us):
+        cols, d = _reflect(sig, u, cols, d)
     return PseudoOrthogonalMatrix._from_int(sig, list(zip(*cols)), d)
 
 
@@ -283,11 +302,14 @@ class Versor:
     """Product of anisotropic grade-1 elements of a real algebra.
 
     The factors are checked and their norms read off integer numerators
-    when the versor is built; ``product`` is multiplied out only on first
-    access, in one fraction-free chain, and cached.
+    when the versor is built.  The product v_1 ... v_k is multiplied out
+    only on first access, in one fraction-free chain, and cached as
+    ``int_product``: integer numerators over one denominator.  ``product``
+    is the Fraction view of that pair, built only when read.
     """
 
-    __slots__ = ("sig", "factors", "parity", "pin_normalized", "_ints", "_norm", "_product")
+    __slots__ = ("sig", "factors", "parity", "pin_normalized", "_ints", "_norm",
+                 "_int_product", "_product")
 
     def __init__(self, sig: Signature, factors):
         factors = tuple(factors)
@@ -309,28 +331,49 @@ class Versor:
             ints.append((d, t))
             norm_num *= qt
             norm_den *= d * d
+        self._set(sig, factors, normalized, tuple(ints), Fraction(norm_num, norm_den))
+
+    def _set(self, sig, factors, normalized, ints, norm):
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "parity", len(factors) % 2)
         object.__setattr__(self, "pin_normalized", normalized)
-        object.__setattr__(self, "_ints", tuple(ints))
-        object.__setattr__(self, "_norm", Fraction(norm_num, norm_den))
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_norm", norm)
+        object.__setattr__(self, "_int_product", None)
         object.__setattr__(self, "_product", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Versor is immutable")
 
     @property
-    def product(self):
-        """v_1 v_2 ... v_k: integer numerators multiplied left to right over
-        the product of the factor denominators, one Fraction per term."""
-        prod = self._product
-        if prod is None:
-            sig = self.sig
+    def int_product(self):
+        """(den, acc): v_1 v_2 ... v_k = sum of acc[b] e_b / den.
+
+        The factors' integer numerators are multiplied left to right and
+        den is the product of their denominators (den > 0, not reduced), so
+        the sign of a coefficient is the sign of its numerator.  Computed
+        once and cached; ``acc`` is shared with every reader and must not be
+        mutated.
+        """
+        ip = self._int_product
+        if ip is None:
             acc, den = {0: 1}, 1
             for v, (d, t) in zip(self.factors, self._ints):
                 acc = _blade_products(acc, t, v._neg_mask)
                 den *= d
+            ip = (den, acc)
+            object.__setattr__(self, "_int_product", ip)
+        return ip
+
+    @property
+    def product(self):
+        """v_1 v_2 ... v_k as a Multivector: the Fraction view of
+        ``int_product``, one Fraction per term, built on first read."""
+        prod = self._product
+        if prod is None:
+            sig = self.sig
+            den, acc = self.int_product
             prod = Multivector(sig, sig.n, RATIONAL, {b: Fraction(c, den) for b, c in acc.items()})
             object.__setattr__(self, "_product", prod)
         return prod
@@ -351,14 +394,25 @@ class Versor:
         return Versor(self.sig, self.factors + other.factors)
 
     def negated(self):
-        """A versor whose product is the negative of this one; a product
-        already multiplied out is carried over negated."""
+        """A versor whose product is the negative of this one.
+
+        The first factor is negated; the other factors, their numerators
+        and the norm are this versor's, already checked, so nothing is
+        validated again.  A product already multiplied out is carried over
+        negated, in new dicts: the two versors share no cached product.
+        """
         if self.factors:
-            neg = Versor(self.sig, (-self.factors[0],) + self.factors[1:])
+            (d, t), *rest = self._ints
+            neg = object.__new__(Versor)
+            neg._set(self.sig, (-self.factors[0],) + self.factors[1:], self.pin_normalized,
+                     ((d, {b: -c for b, c in t.items()}), *rest), self._norm)
         else:
+            # the empty product is 1, and v1 (-Q(v1) v1) = -1
             v1 = basis_vector(self.sig, 1)
-            s = self.sig.square(1)
-            neg = Versor(self.sig, (v1, -v1 * Fraction(s)))
+            neg = Versor(self.sig, (v1, -v1 * Fraction(self.sig.square(1))))
+        ip = self._int_product
+        if ip is not None:
+            object.__setattr__(neg, "_int_product", (ip[0], {b: -c for b, c in ip[1].items()}))
         if self._product is not None:
             object.__setattr__(neg, "_product", -self._product)
         return neg
@@ -376,12 +430,14 @@ def zeta(g: Versor) -> PseudoOrthogonalMatrix:
 
     A single vector v acts as x -> v x v^-1 = -R(v) x, minus the reflection
     x -> x - 2 B(v,x)/Q(v) v, so for g = v_1 ... v_k
-    zeta(g) = (-1)^k R(v_1) ... R(v_k), built by ``reflection_product`` from
-    the factors' coordinates.  The sandwich itself is the oracle in
+    zeta(g) = (-1)^k R(v_1) ... R(v_k), built by ``_reflection_chain`` from
+    the primitive integer vectors on the factors' rays, read off their
+    integer numerators.  The sandwich itself is the oracle in
     ``verify._matches_definition`` and the tests' ``_dense_zeta_columns``.
     """
-    sign = -1 if len(g.factors) % 2 else 1
-    return reflection_product(g.sig, [v.vector_coords() for v in g.factors], sign)
+    n = g.sig.n
+    us = [_primitive_int([t.get(1 << i, 0) for i in range(n)]) for _d, t in g._ints]
+    return _reflection_chain(g.sig, us, -1 if g.parity else 1)
 
 
 def adjoint_automorphism(g: Multivector, a: Multivector) -> Multivector:

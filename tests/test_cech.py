@@ -8,9 +8,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffkit import cech
-from cliffkit.algebra import Signature, basis_vector, unit
+from cliffkit.algebra import Signature, basis_vector, unit, vector
 from cliffkit.cech import (
     Complex,
     GroupCocycle,
@@ -280,6 +282,82 @@ def test_pin_lift_rejects_a_non_proportional_edge_lift(monkeypatch):
     monkeypatch.setattr(cech, "lift_to_pin", lift_with_one_bad_edge)
     with pytest.raises(AssertionError, match="not scalar"):
         pin_lift_cocycle(coc)
+
+
+def _fraction_triangle_scalar(lifts, t):
+    """The discrepancy scalar s with L_ij L_jk = s L_ik from one Fraction
+    product, as a reference for the integer ``cech._triangle_scalar``."""
+    i, j, k = t
+    prod = lifts[(i, j)].product * lifts[(j, k)].product
+    target = lifts[(i, k)].product
+    lead = min(target.terms)
+    s = prod.coeff(lead) / target.terms[lead]
+    if prod != target.scale(s):
+        raise AssertionError("triangle discrepancy is not scalar")
+    if s == 0:
+        raise AssertionError("triangle discrepancy is zero")
+    return s
+
+
+_EVEN_SIGS = [Signature(p, n - p) for n in (2, 4) for p in range(n + 1)]
+
+
+@st.composite
+def _anisotropic(draw, sig):
+    """An anisotropic vector with integer numerators over a drawn denominator."""
+    coords = draw(st.lists(st.integers(-3, 3), min_size=sig.n, max_size=sig.n).filter(
+        lambda c: sum(sig.square(a + 1) * x * x for a, x in enumerate(c)) != 0))
+    d = draw(st.integers(1, 3))
+    return vector(sig, [Fraction(x, d) for x in coords])
+
+
+@st.composite
+def _even_versors(draw, sig):
+    g = Versor(sig, [draw(_anisotropic(sig)) for _ in range(draw(st.sampled_from((0, 2, 4))))])
+    return g.negated() if draw(st.booleans()) else g
+
+
+def _outcome(f, lifts):
+    try:
+        return f(lifts, (0, 1, 2))
+    except AssertionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(_EVEN_SIGS), st.booleans())
+def test_integer_triangle_sign_matches_fraction_product(data, sig, proportional):
+    a, b = data.draw(_even_versors(sig)), data.draw(_even_versors(sig))
+    if proportional:
+        # a b (w lam w) = lam Q(w) a b: a nonzero multiple of a b, either sign
+        w = data.draw(_anisotropic(sig))
+        lam = Fraction(data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), data.draw(st.integers(1, 3)))
+        c = Versor(sig, (a * b).factors + (w, w * lam))
+        if data.draw(st.booleans()):
+            c = c.negated()
+    else:
+        c = data.draw(_even_versors(sig))
+    lifts = {(0, 1): a, (1, 2): b, (0, 2): c}
+    want = _outcome(_fraction_triangle_scalar, lifts)
+    got = _outcome(cech._triangle_scalar, lifts)
+    if isinstance(want, str):
+        assert not proportional and got == want
+    else:
+        assert got == (1 if want > 0 else -1)
+
+
+def test_triangle_scalar_rejects_a_non_scalar_discrepancy():
+    e1, e2 = basis_vector(SIG, 1), basis_vector(SIG, 2)
+    one = Versor(SIG, [])
+    # e1 e2 against 1: different blades
+    lifts = {(0, 1): Versor(SIG, [e1, e2]), (1, 2): one, (0, 2): one}
+    with pytest.raises(AssertionError, match="triangle discrepancy is not scalar"):
+        cech._triangle_scalar(lifts, (0, 1, 2))
+    # 1 + e12 against 1 - e12: the same blades, different ratios
+    lifts = {(0, 1): Versor(SIG, [e1, e1 + e2]), (1, 2): one, (0, 2): Versor(SIG, [e1, e1 - e2])}
+    assert lifts[(0, 1)].product.terms.keys() == lifts[(0, 2)].product.terms.keys()
+    with pytest.raises(AssertionError, match="triangle discrepancy is not scalar"):
+        cech._triangle_scalar(lifts, (0, 1, 2))
 
 
 def test_pin_lift_projective_plane_obstructed():

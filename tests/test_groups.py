@@ -22,6 +22,7 @@ from cliffkit.algebra import (
 from cliffkit.cech import (
     Complex,
     GroupCocycle,
+    canonical_sign,
     nontrivial_1cocycle,
     pin_lift_cocycle,
     projective_plane,
@@ -345,6 +346,37 @@ def test_versor_product_is_the_lazy_chain(g):
     one = unit(g.sig)
     assert fresh.product * fresh.inverse_mv() == one
     assert fresh.inverse_mv() * fresh.product == one
+
+
+def test_negated_shares_no_cached_product():
+    rng = rng_from_seed(17)
+    sigs = (E2, M11, Signature(1, 3), Signature(2, 2), Signature(3, 0))
+    gs = [random_versor(sig, rng, k) for sig in sigs for k in (1, 2, 4)]
+    gs += [Versor(sig, []) for sig in sigs]
+    for g in gs:
+        den, acc = g.int_product
+        prod = g.product
+        acc_before = dict(acc)
+        ints_before = [(d, dict(t)) for d, t in g._ints]
+        neg = g.negated()
+        neg_den, neg_acc = neg.int_product
+        assert neg_den == den and neg_acc == {b: -c for b, c in acc_before.items()}
+        assert neg_acc is not acc
+        # writing into the negation's caches leaves the original untouched
+        neg_acc[0] = neg_acc.get(0, 0) + 1
+        for _d, t in neg._ints[:1]:
+            t[1] = t.get(1, 0) + 1
+        assert g.int_product == (den, acc_before) and g.int_product[1] is acc
+        assert [(d, dict(t)) for d, t in g._ints] == ints_before
+        assert g.product is prod
+        assert g.negated().product == -g.product
+        # a negation built from the carried caches equals one rebuilt from scratch
+        h = canonical_sign(g).negated()
+        fresh = Versor(g.sig, h.factors)
+        assert h.product == fresh.product and h.int_product == fresh.int_product
+        assert h._ints == fresh._ints and h._norm == fresh._norm
+        assert (h.parity, h.pin_normalized) == (fresh.parity, fresh.pin_normalized)
+        assert zeta(g) == zeta(g.negated())
 
 
 def test_random_pseudo_orthogonal_is_the_dense_reflection_product():
