@@ -556,7 +556,8 @@ def chiral_rep(sig: Signature) -> Representation:
     elif sig == Signature(4, 0):
         minus_i = GaussianRational(0, -1)
         gens = [GAMMA0] + [
-            linalg.scalar_mul(minus_i, _chiral_gamma(j)) for j in (1, 2, 3)
+            tuple(tuple(minus_i * x for x in row) for row in _chiral_gamma(j))
+            for j in (1, 2, 3)
         ]
     else:
         raise ValueError("chiral model available for (1,3) and (4,0) only")

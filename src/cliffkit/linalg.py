@@ -53,15 +53,6 @@ def matmul(a, b):
     return tuple(out)
 
 
-def matadd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scalar_mul(c, a):
-    # left multiplication, entry by entry
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_eq(a, b):
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         return False
@@ -232,6 +223,14 @@ def rref_numerators(rows, n_cols, ring):
     return [_reduced(row, b, ring) for row, b, _c in done], [c for _row, _b, c in done]
 
 
+def echelon_numerators(rows, n_cols):
+    """Nonzero rows of the reduced row echelon form of Gaussian-integer rows,
+    read as in ``rref_numerators``, each left times a nonzero Gaussian
+    integer: a basis of the row space as Gaussian-integer rows, as many as
+    the rank."""
+    return [row for row, _b, _c in _bareiss(rows, n_cols)[0]]
+
+
 def rank(rows):
     """Rank over Q or Q(i), read off ``_bareiss``; a quaternion matrix A has
     rank rank chi(A) / 2."""
@@ -239,7 +238,7 @@ def rank(rows):
         return 0
     if _entry_ring(rows) is None:
         return rank(complex_adjoint(rows)) // 2
-    return len(_bareiss(_gaussian_rows(rows)[0], len(rows[0]))[0])
+    return len(echelon_numerators(_gaussian_rows(rows)[0], len(rows[0])))
 
 
 def nullspace(rows):

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Multivector, Signature, basis_vector
+from .algebra import Multivector, Signature, _gaussian_int_terms, _int_terms, basis_vector
 from .scalars import (
     GAUSSIAN,
     ONE,
@@ -28,6 +28,7 @@ from .scalars import (
     Quaternion,
     format_scalar,
     parse_scalar,
+    quaternion_to_complex_block,
 )
 
 KIND_RING = {"MatR": RATIONAL, "MatC": GAUSSIAN, "MatH": QUATERNION}
@@ -98,6 +99,18 @@ _AXIS_MUL = [[_UNIT_CODE[QUATERNION][x * y] for y in _Q8[::2]] for x in _Q8[::2]
 _UNIT_MUL = tuple(tuple(_AXIS_MUL[a >> 1][b >> 1] ^ ((a ^ b) & 1) for b in range(8))
                   for a in range(8))
 _MINUS_I = 3  # -t1, read as -i in C
+# the units of R and C as Gaussian integers (re, im), in code order
+GAUSSIAN_INT_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# each unit code as a k x k block of Gaussian integers, by its nonzero
+# entries (row, column, re, im): the unit itself on R and C (k = 1), its
+# complex adjoint chi on H (k = 2)
+_UNIT_ENTRIES = {
+    RATIONAL: tuple(((0, 0) + u,) for u in GAUSSIAN_INT_UNITS[:2]),
+    GAUSSIAN: tuple(((0, 0) + u,) for u in GAUSSIAN_INT_UNITS),
+    QUATERNION: tuple(tuple((dr, dc, int(z.re), int(z.im))
+                            for dr, row in enumerate(quaternion_to_complex_block(u))
+                            for dc, z in enumerate(row) if z) for u in _Q8),
+}
 
 
 def _unit_multiples(c, tag):
@@ -242,14 +255,17 @@ class Representation:
         """Dense image of a basis blade (bitmask)."""
         return self.rho(self._element({blade: 1}))
 
-    def rho(self, mv: Multivector):
-        """Image of a multivector; its space must match the source algebra."""
+    def _check_source(self, mv):
         if self.is_complex:
             if not mv.is_complex or mv.n != self.complex_dim:
                 raise ValueError("multivector does not live in the source algebra")
         else:
             if mv.is_complex or mv.sig != self.sig:
                 raise ValueError("multivector does not live in the source algebra")
+
+    def rho(self, mv: Multivector):
+        """Image of a multivector; its space must match the source algebra."""
+        self._check_source(mv)
         t = self.target
         m = t.m
         # an entry's first term is stored as it is, not added to a zero
@@ -262,15 +278,50 @@ class Representation:
         zero = ZERO[t.ring_tag]
         return self._shape([zero if x is None else x for x in row] for row in rows)
 
+    def numerator_blocks(self, mv: Multivector):
+        """rho(mv) as Gaussian-integer rows (pairs (re, im) of int lists), one
+        list of rows per summand block, every entry times the same positive
+        integer.  A quaternion block is given by its complex adjoint chi, a
+        2m x 2m block over Q(i).  The rows are read off the monomial blade
+        images, with no ring element built."""
+        self._check_source(mv)
+        t = self.target
+        m = t.m
+        if self.is_complex:
+            _d, re, im = _gaussian_int_terms(mv.terms)
+            coeffs = [(b, re.get(b, 0), im.get(b, 0)) for b in mv.terms]
+        else:
+            coeffs = [(b, x, 0) for b, x in _int_terms(mv.terms)[1].items()]
+        units = _UNIT_ENTRIES[t.ring_tag]
+        k = 2 if t.ring_tag == QUATERNION else 1
+        w = k * m
+        # the rows of all blocks in order; row k i + dr is row dr of the
+        # k x k block of rho row i
+        rows = [([0] * w, [0] * w) for _ in range(t.summands * w)]
+        for b, x, y in coeffs:
+            for i, (j, c) in enumerate(zip(*self._blade(b))):
+                col = k * (j % m)
+                for dr, dc, u, v in units[c]:
+                    row_re, row_im = rows[k * i + dr]
+                    row_re[col + dc] += x * u - y * v
+                    row_im[col + dc] += x * v + y * u
+        return [rows[s:s + w] for s in range(0, len(rows), w)]
+
+    def ranks(self, mv: Multivector):
+        """Rank of each summand block of rho(mv) over the target's ring,
+        from ``numerator_blocks`` by the one Bareiss kernel; a quaternion
+        block A ranks as chi(A) / 2."""
+        k = 2 if self.target.ring_tag == QUATERNION else 1
+        return [len(linalg.echelon_numerators(rows, len(rows))) // k
+                for rows in self.numerator_blocks(mv)]
+
     def invertible(self, mv: Multivector):
         """Whether rho(mv) is invertible: every summand block has full rank.
 
         A compiled model is injective onto a ring of the same dimension, so
         this decides whether mv is invertible in the source algebra.
         """
-        img = self.rho(mv)
-        blocks = img if self.target.summands == 2 else (img,)
-        return all(linalg.rank(block) == self.target.m for block in blocks)
+        return all(r == self.target.m for r in self.ranks(mv))
 
     def preimage(self, matrix):
         """Multivector x with rho(x) = matrix, or None.

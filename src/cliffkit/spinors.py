@@ -3,13 +3,18 @@
 A Hermitian idempotent p = (e + s)/2 generates the left ideal A p; the ideal
 is minimal exactly when its complex dimension is 2^(n/2), and then left
 multiplication on it is equivalent to the compiled column model.  All linear
-algebra is exact over the Gaussian rationals.  The multiplication matrices
-the ideal and the conjugator equation need (rows e_b p, and g -> g p1 - p2 g)
-are built as Gaussian-integer numerator rows by
-``algebra.multiplication_numerators`` and enter the Bareiss kernel as
-integer rows (``linalg.rref_numerators``, ``linalg.nullspace_numerators``),
-so no Gaussian rational is built until the reduced rows come out.  After
-``left_ideal`` nothing is eliminated: coordinates are read off the pivots.
+algebra is exact over the Gaussian rationals, and the spinor chain runs on
+the monomial form of the compiled model: every rho(e_b) has one unit in each
+row and column (``Representation._blade``), so rho(x) for a whole
+multivector is needed only as Gaussian-integer numerator rows
+(``Representation.numerator_blocks``), for its rank and for the row space
+of rho(p).  The ideal is eliminated from the preimages of the matrices in
+rho(A p), one lookup per blade each, or from the rows e_b p where those
+hold fewer nonzero entries.  After ``left_ideal`` the only elimination is
+U^-1: coordinates, the left action and U are read off the pivots and the
+monomial columns.  The rows e_b p and the conjugator equation g p1 = p2 g
+are built as integer rows by ``algebra.multiplication_numerators``.  Every
+elimination runs the one Bareiss kernel of ``linalg`` on integer rows.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from fractions import Fraction
 from . import linalg
 from .algebra import (
     Multivector,
+    _gaussian_int_terms,
     complex_unit,
     from_coords,
     invert,
     multiplication_numerators,
 )
-from .reprs import Intertwiner, compile_complex_rep, compile_rep
+from .reprs import GAUSSIAN_INT_UNITS, Intertwiner, compile_complex_rep, compile_rep
 from .scalars import GAUSSIAN, GaussianRational
 
 
@@ -89,7 +95,16 @@ class SpinorSpace(namedtuple("SpinorSpace", "n p basis pivots")):
 
 def left_ideal(p) -> SpinorSpace:
     """Canonical basis of the left ideal generated by an idempotent (a
-    multivector of the complex algebra or a ``HermitianIdempotent``)."""
+    multivector of the complex algebra or a ``HermitianIdempotent``).
+
+    The basis is the reduced echelon form, which is unique, of one of two
+    spanning sets of A p, both 2^n wide: the 2^n rows e_b p of |p| terms
+    each, or the m * rank rho(p) preimages of ``_row_preimages``, of about
+    2^n / m terms per nonzero entry of a row space basis of rho(p).  The
+    elimination takes the set with fewer nonzero entries: the preimages for
+    a primitive p, whose image has rank 1, and the rows e_b p for a p of few
+    terms and high rank, such as (e + e1)/2.
+    """
     if isinstance(p, HermitianIdempotent):
         p = p.p
     if not p.is_complex:
@@ -97,13 +112,48 @@ def left_ideal(p) -> SpinorSpace:
     n = p.n
     if p * p != p:
         raise ValueError("not an idempotent")
-    # row b: the numerators of e_b p, whose span is the ideal
-    _d, rows = multiplication_numerators(p, "right", transpose=True)
+    rep = compile_complex_rep(n)
+    m = rep.target.m
+    bases = [linalg.echelon_numerators(block, m) for block in rep.numerator_blocks(p)]
+    nonzeros = sum(bool(x or y) for basis in bases for v in basis for x, y in zip(*v))
+    if nonzeros <= len(p.terms):
+        rows = _row_preimages(rep, bases)
+    else:
+        # row b: the numerators of e_b p
+        rows = multiplication_numerators(p, "right", transpose=True)[1]
     red, pivots = linalg.rref_numerators(rows, 1 << n, GaussianRational)
     basis = tuple(
         from_coords(Multivector.complex_alg(n, {}), row) for row in red
     )
     return SpinorSpace(n, p, basis, tuple(pivots))
+
+
+def _row_preimages(rep, bases):
+    """Numerators of the preimages of the matrices whose one nonzero row is
+    a row v of ``bases[s]``, at row i of block s; they span A p when
+    bases[s] is a basis of the row space of block s of rho(p).
+
+    rho is an isomorphism onto Mat(m, C), or Mat(m, C) + Mat(m, C) for odd
+    n, so rho(A p) = {Y rho(p)}.  By the trace formula of
+    ``Representation.preimage`` the coefficient of e_b is
+    conj(u) v[perm_b[i]] / size, u the unit of rho(e_b) in row i: one lookup
+    per blade.  The rows leave out the common factor 1 / size.
+    """
+    m = rep.target.m
+    dim = 1 << rep.n
+    # (row of rho, v, numerators of the preimage)
+    targets = [(s * m + i, v, ([0] * dim, [0] * dim))
+               for s, basis in enumerate(bases) for v in basis for i in range(m)]
+    units = GAUSSIAN_INT_UNITS
+    for b in range(dim):
+        perm, codes = rep._blade(b)
+        for i, (vre, vim), (re, im) in targets:
+            j = perm[i] % m
+            x, y = vre[j], vim[j]
+            if x or y:
+                u, w = units[codes[i]]
+                re[b], im[b] = x * u + y * w, y * u - x * w
+    return [row for _i, _v, row in targets]
 
 
 def is_minimal(space: SpinorSpace) -> bool:
@@ -150,7 +200,7 @@ def primitive_idempotent(n: int) -> HermitianIdempotent:
     def dfs(start, chosen, products):
         if len(chosen) == k:
             p = idempotent_from_factors(n, chosen)
-            if linalg.rank(rep.rho(p)) == 1:
+            if rep.ranks(p) == [1]:
                 return chosen
             return None
         for idx in range(start, len(candidates)):
@@ -182,44 +232,104 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     """Intertwiner between left multiplication on the ideal and the compiled
     column model: U L_i = rho(e^i) U with U invertible.
 
-    L_i is read off the pivots: A p is a left ideal, so e^i psi_j lies in
-    it and L_i[r][j] is the coefficient of e^i psi_j at pivots[r].
-    U is built, not solved for: U[:, j] = rho(psi_j) w, where psi_j is the
+    L_i is read off the pivots (``_left_action``) and U off the monomial
+    columns (``_column_model``): U[:, j] = rho(psi_j) w, where psi_j is the
     j-th canonical basis element of the ideal and w = rho(p)[:, k] the first
     nonzero column of rho(p).  Since psi_j = psi_j p, that is column k of
     rho(psi_j).  Then rho(e^i) U = U L_i because rho(e^i psi) = rho(e^i)
     rho(psi).  By Schur's lemma the intertwiners form a line, and U is scaled
     so that its last nonzero entry in row-major order is 1: the point of that
     line that ``solve_intertwiner`` picks.  That U is invertible and that
-    U L_i = rho(e^i) U (the same as U L_i U^-1 = rho(e^i) for invertible U,
-    with the monomial rho(e^i) as the sparse left factor) are checked
-    exactly.  The check also certifies every column of L_i: psi -> rho(psi) w
-    is injective on the ideal exactly when U is invertible, and
-    rho(e^i) U[:, j] is the image of e^i psi_j.  The result does not depend
+    U L_i = rho(e^i) U (the same as U L_i U^-1 = rho(e^i) for invertible U)
+    are checked exactly (``_intertwines``).  The check also certifies every
+    column of L_i: psi -> rho(psi) w is injective on the ideal exactly when U
+    is invertible, and rho(e^i) U[:, j] is the image of e^i psi_j.  No dense
+    rho image and no matrix product is built.  The result does not depend
     on ``seed``.
     """
     n = space.n
     if not is_minimal(space):
         raise ValueError("matrix model applies to minimal ideals")
     rep = compile_complex_rep(n)
-    N = space.dim
-    left = []
-    for i in range(1, n + 1):
-        gen = Multivector.complex_alg(n, {1 << (i - 1): GaussianRational(1)})
-        cols = [gen * psi for psi in space.basis]
-        left.append(tuple(tuple(col.coeff(piv) for col in cols) for piv in space.pivots))
-    k = next(j for j, col in enumerate(zip(*rep.rho(space.p))) if any(col))
-    images = [rep.rho(psi) for psi in space.basis]
-    U = [[img[r][k] for img in images] for r in range(N)]
-    last = next(x for row in reversed(U) for x in reversed(row) if x)
-    U = tuple(tuple(x / last for x in row) for row in U)
+    left = _left_action(space)
+    U = _column_model(rep, space)
     Uinv = linalg.inv(U)
-    if Uinv is None or not all(
-        linalg.mat_eq(linalg.matmul(U, L), linalg.matmul(g, U))
-        for L, g in zip(left, rep.gens)
-    ):
+    if Uinv is None or not _intertwines(rep, U, left):
         raise AssertionError("no invertible intertwiner onto the column model")
-    return SpinorModel(rep, tuple(left), Intertwiner(U, Uinv, GAUSSIAN))
+    return SpinorModel(rep, left, Intertwiner(U, Uinv, GAUSSIAN))
+
+
+def _left_action(space):
+    """L_i[r][j], the coefficient of e^i psi_j at pivots[r].  A p is a left
+    ideal, so e^i psi_j lies in it and these are its coordinates.  Since
+    e^i e_b = (-1)^t e_(b xor i), t the number of generators of b below i,
+    the entry is +-psi_j at pivots[r] xor i: one lookup, no product."""
+    out = []
+    for i in range(space.n):
+        bit = 1 << i
+        rows = []
+        for piv in space.pivots:
+            neg = (piv & (bit - 1)).bit_count() & 1
+            coeffs = (psi.coeff(piv ^ bit) for psi in space.basis)
+            rows.append(tuple(-c if neg and c else c for c in coeffs))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def _column_model(rep, space):
+    """U with U[:, j] = column k of rho(psi_j), k the first nonzero column
+    of rho(p), scaled so that its last nonzero entry in row-major order is 1.
+
+    Column k of rho(e_b) holds one unit u, in the row r with perm_b[r] = k,
+    so each blade of psi_j adds its coefficient times u to U[r][j].  The
+    sums run on Gaussian-integer numerators over one denominator, which the
+    scaling cancels."""
+    m = rep.target.m
+    [rho_p] = rep.numerator_blocks(space.p)
+    k = next(j for j in range(m) if any(re[j] or im[j] for re, im in rho_p))
+    _d, re, im = _gaussian_int_terms({(j, b): c for j, psi in enumerate(space.basis)
+                                      for b, c in psi.terms.items()})
+    num = [([0] * m, [0] * m) for _ in range(m)]
+    for j, b in re.keys() | im.keys():
+        x, y = re.get((j, b), 0), im.get((j, b), 0)
+        perm, codes = rep._blade(b)
+        r = perm.index(k)
+        u, w = GAUSSIAN_INT_UNITS[codes[r]]
+        num[r][0][j] += x * u - y * w
+        num[r][1][j] += x * w + y * u
+    last = next((x, y) for row in reversed(num) for x, y in reversed(list(zip(*row))) if x or y)
+    return tuple(tuple(linalg._reduced(row, last, GaussianRational)) for row in num)
+
+
+def _intertwines(rep, U, left):
+    """Whether U L_i = rho(e^i) U for every i, exactly.
+
+    Row r of rho(e^i) U is u_r times row perm[r] of U, u_r the unit of
+    rho(e^i) in row r.  Both sides run on Gaussian-integer numerators: U over
+    the lcm of its denominators, each column of L_i over its own lcm d, read
+    as its nonzero entries only; the left side over d is compared with d
+    times the right side."""
+    m = len(U)
+    _d, ure, uim = _gaussian_int_terms({(r, j): x for r, row in enumerate(U)
+                                        for j, x in enumerate(row) if x})
+    num = [[(ure.get((r, j), 0), uim.get((r, j), 0)) for j in range(m)] for r in range(m)]
+    for i, L in enumerate(left):
+        perm, codes = rep._blade(1 << i)
+        for j in range(m):
+            d, lre, lim = _gaussian_int_terms({k: L[k][j] for k in range(m) if L[k][j]})
+            col = [(k, lre.get(k, 0), lim.get(k, 0)) for k in lre.keys() | lim.keys()]
+            for r in range(m):
+                row = num[r]
+                x = y = 0
+                for k, a, b in col:
+                    c, e = row[k]
+                    x += c * a - e * b
+                    y += c * b + e * a
+                c, e = num[perm[r]][j]
+                u, w = GAUSSIAN_INT_UNITS[codes[r]]
+                if x != d * (c * u - e * w) or y != d * (c * w + e * u):
+                    return False
+    return True
 
 
 def find_conjugator(p1: Multivector, p2: Multivector, seed=0):

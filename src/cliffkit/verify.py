@@ -318,8 +318,8 @@ CRITERIA = (
     ("vector-action-soundness", check_vector_action, 2.5),
     ("double-cover", check_double_cover, 0.75),
     ("reflection-factorization", check_reflection_factorization, 4.0),
-    ("spinor-ideals", check_spinor_ideals, 0.15),
-    ("idempotent-conjugacy", check_idempotent_conjugacy, 1.0),
+    ("spinor-ideals", check_spinor_ideals, 0.06),
+    ("idempotent-conjugacy", check_idempotent_conjugacy, 0.6),
     ("even-subrings", check_even_subrings, None),
     ("cech-pin-obstruction", check_cech_obstruction, 0.1),
 )

@@ -127,9 +127,9 @@ def test_spinor_command(capsys, tmp_path):
 
 
 def test_spinor_model_at_the_size_bound(capsys):
-    code, out, _ = run(capsys, "spinor", "--complex", "10", "--model")
+    code, out, _ = run(capsys, "spinor", "--complex", "12", "--model")
     assert code == 0
-    assert "matrix model: Mat(32,C), intertwiner found" in out
+    assert "matrix model: Mat(64,C), intertwiner found" in out
 
 
 def test_spinor_nonminimal_idempotent(capsys, tmp_path):
@@ -304,9 +304,9 @@ def test_cech_cocycle_bad_complex_is_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (("--complex", "12"), "spinor supports N up to 10"),
-    (("--complex", "16"), "spinor supports N up to 10"),
-    (("--complex", "12", "--model"), "spinor supports N up to 10"),
+    (("--complex", "14"), "spinor supports N up to 12"),
+    (("--complex", "16"), "spinor supports N up to 12"),
+    (("--complex", "14", "--model"), "spinor supports N up to 12"),
 ])
 def test_spinor_size_bound_is_usage_error(capsys, argv, bound):
     code, out, err = run(capsys, "spinor", *argv)

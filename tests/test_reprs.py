@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffkit import linalg, reprs
 from cliffkit.algebra import Multivector, Signature
@@ -191,12 +193,16 @@ def test_complex_models_hermitian():
         compile_complex_rep(-1)
 
 
+def _matadd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
 def test_quaternion_block_embedding_is_homomorphism():
     x = Q(1, 2, -3, Fraction(1, 2))
     y = Q(0, -1, 1, 4)
     bx, by = quaternion_to_complex_block(x), quaternion_to_complex_block(y)
     assert linalg.mat_eq(quaternion_to_complex_block(x * y), linalg.matmul(bx, by))
-    assert linalg.mat_eq(quaternion_to_complex_block(x + y), linalg.matadd(bx, by))
+    assert linalg.mat_eq(quaternion_to_complex_block(x + y), _matadd(bx, by))
 
 
 def test_cl13_complexified_equivalent_to_dirac():
@@ -342,6 +348,52 @@ def test_invertible_matches_algebra_invert(source):
             seen.add(invertible)
             assert rep.invertible(x) == invertible
     assert seen == {True, False}
+
+
+# R + R, Mat(2, R), C, H, Mat(2, R) + Mat(2, R), H + H, Mat(2, C), Mat(2, H),
+# Mat(4, R) from real sources; Mat(2, C), Mat(2, C) + Mat(2, C), Mat(4, C)
+_RANK_SOURCES = (Signature(1, 0), Signature(2, 0), Signature(0, 1), Signature(0, 2),
+                 Signature(2, 1), Signature(0, 3), Signature(3, 0), Signature(1, 3),
+                 Signature(3, 1), 2, 3, 4)
+
+
+@st.composite
+def _source_elements(draw):
+    """(rep, x): x a small element, times a zero divisor 1 + e_b (e_b^2 = 1)
+    half of the time, so singular elements are drawn as often as regular
+    ones; H has no such e_b, and only x = 0 is singular there."""
+    source = draw(st.sampled_from(_RANK_SOURCES))
+    if isinstance(source, int):
+        rep = compile_complex_rep(source)
+        coeff = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+
+        def mv(terms):
+            return Multivector.complex_alg(source, terms)
+    else:
+        rep = compile_rep(source)
+        coeff = st.fractions(-2, 2, max_denominator=3)
+
+        def mv(terms):
+            return Multivector.real(source, terms)
+    size = 1 << rep.n
+    x = mv(draw(st.dictionaries(st.integers(0, size - 1), coeff, max_size=4)))
+    square_one = [b for b in range(1, size) if mv({b: 1}) * mv({b: 1}) == mv({0: 1})]
+    if square_one and draw(st.booleans()):
+        x = x * mv({0: 1, draw(st.sampled_from(square_one)): 1})
+    return rep, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_source_elements())
+def test_invertible_matches_dense_rank(case):
+    # the integer numerator blocks of rho(x) rank like the dense image, a
+    # quaternion block through chi, and invertible means full rank in each
+    rep, x = case
+    img = rep.rho(x)
+    blocks = img if rep.target.summands == 2 else (img,)
+    want = [linalg.rank(block) for block in blocks]
+    assert rep.ranks(x) == want
+    assert rep.invertible(x) == all(r == rep.target.m for r in want)
 
 
 def _cl20_doc():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffkit import linalg
+from cliffkit import linalg, spinors
 from cliffkit.algebra import (
     Multivector,
     Signature,
@@ -14,6 +14,7 @@ from cliffkit.algebra import (
     complex_unit,
     from_coords,
     invert,
+    multiplication_numerators,
     multivector_to_json,
 )
 from cliffkit.groups import chiral_rep
@@ -30,6 +31,8 @@ from cliffkit.sampling import random_unitary_versor, rng_from_seed
 from cliffkit.spinors import (
     SpinorSpace,
     _conjugator_basis,
+    _intertwines,
+    _row_preimages,
     find_conjugator,
     idempotent_from_factors,
     is_minimal,
@@ -206,6 +209,52 @@ def test_left_action_recombines_the_products():
                 for r, psi_r in enumerate(space.basis):
                     combo = combo + psi_r * L[r][j]
                 assert complex_basis_vector(space.n, i) * psi == combo
+
+
+def _dense_intertwines(rep, U, left):
+    # the dense products the monomial check replaced
+    return all(linalg.mat_eq(linalg.matmul(U, L), linalg.matmul(g, U))
+               for L, g in zip(left, rep.gens))
+
+
+def _corrupted(mat, r, j):
+    rows = [list(row) for row in mat]
+    rows[r][j] = rows[r][j] + GI
+    return tuple(tuple(row) for row in rows)
+
+
+def test_intertwiner_check_matches_dense_products():
+    # U L_i = rho(e^i) U read row by row off the monomial rho(e^i) agrees
+    # with the dense products on every model up to n = 8, and on each with
+    # one entry of one L_i or of U changed
+    for space in _left_action_cases():
+        model = spinor_matrix_model(space, seed=0)
+        rep, U, left = model.rep, model.intertwiner.matrix, model.left_action
+        assert _intertwines(rep, U, left) and _dense_intertwines(rep, U, left)
+        m = len(U)
+        for r, j in ((0, 0), (m - 1, m // 2)):
+            for i in (0, space.n - 1):
+                bad = left[:i] + (_corrupted(left[i], r, j),) + left[i + 1:]
+                assert not _intertwines(rep, U, bad)
+                assert not _dense_intertwines(rep, U, bad)
+            bad_u = _corrupted(U, r, j)
+            assert not _intertwines(rep, bad_u, left)
+            assert not _dense_intertwines(rep, bad_u, left)
+
+
+@pytest.mark.parametrize("part", ["left action", "intertwiner"])
+def test_spinor_matrix_model_rejects_one_corrupted_entry(monkeypatch, part):
+    space = left_ideal(primitive_idempotent(4))
+    if part == "left action":
+        built = spinors._left_action
+        monkeypatch.setattr(spinors, "_left_action",
+                            lambda sp: built(sp)[:1] + (_corrupted(built(sp)[1], 2, 1),) + built(sp)[2:])
+    else:
+        built = spinors._column_model
+        monkeypatch.setattr(spinors, "_column_model",
+                            lambda rep, sp: _corrupted(built(rep, sp), 2, 1))
+    with pytest.raises(AssertionError, match="no invertible intertwiner"):
+        spinor_matrix_model(space)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -390,13 +439,35 @@ def _dense_left_ideal(p):
 
 
 def test_left_ideal_matches_dense_rref():
+    # the ideal against the dense elimination of all rows e_b p, and both
+    # spanning sets left_ideal picks from, the preimages of rho(A p) and the
+    # integer rows e_b p, reduced on their own: even n up to 10, and odd n,
+    # where rho(p) has two blocks, through (e + e1)/2, a two-factor product
+    # and the central (e + s)/2 with s a multiple of omega, whose image has
+    # rank zero in one block
+    idems = [primitive_idempotent(n).p for n in (2, 4, 6, 8, 10)]
+    for n, omega in ((3, GI), (5, G1)):
+        e = complex_unit(n)
+        idems.append((e + complex_basis_vector(n, 1)) * (G1 / 2))
+        idems.append(idempotent_from_factors(n, [
+            complex_basis_vector(n, 1),
+            complex_basis_vector(n, 2) * complex_basis_vector(n, 3) * GI]))
+        idems.append(idempotent_from_factors(n, [
+            Multivector.complex_alg(n, {(1 << n) - 1: omega})]))
     e = complex_unit(4)
-    idems = [primitive_idempotent(n).p for n in (2, 4, 6, 8)]
     idems.append((e + complex_basis_vector(4, 1)) * (G1 / 2))
     for p in idems:
+        want = _dense_left_ideal(p)
         space = left_ideal(p)
         rows = tuple(coords_vector(psi) for psi in space.basis)
-        assert (rows, space.pivots) == _dense_left_ideal(p)
+        assert (rows, space.pivots) == want
+        rep = compile_complex_rep(p.n)
+        bases = [linalg.echelon_numerators(block, rep.target.m)
+                 for block in rep.numerator_blocks(p)]
+        for spanning in (_row_preimages(rep, bases),
+                         multiplication_numerators(p, "right", transpose=True)[1]):
+            red, pivots = linalg.rref_numerators(spanning, 1 << p.n, GaussianRational)
+            assert (tuple(map(tuple, red)), tuple(pivots)) == want
     assert space.dim == 8
 
 
