@@ -4,10 +4,12 @@ A multivector lives either in a real algebra over a signature (p, q), with
 rational coefficients, or in the complexified algebra of dimension n, with
 Gaussian rational coefficients and a Euclidean metric.  Blades are bitmasks:
 bit i-1 set means the generator with index i (1-based) is present, and the
-stored blade is always the ascending-index product.  Products run
-fraction-free: integer (real) or Gaussian-integer (complex) numerators over
-one common denominator per operand, with one Fraction or GaussianRational
-built per output term.
+stored blade is always the ascending-index product.  A multivector is held
+as integer numerators over one positive denominator (real and imaginary
+numerators in the complex algebra), reduced by their gcd, and every
+operation runs on those ints: a product multiplies the numerators and the
+denominators and builds no Fraction.  The Fraction or GaussianRational
+coefficients (``terms``) are a view built only when read.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ def blade_mul(b1, b2, sig):
         sig = Signature(sig, 0)
     # Multivector.real raises ValueError for a blade outside the algebra
     prod = Multivector.real(sig, {b1: 1}) * Multivector.real(sig, {b2: 1})
-    [(blade, sign)] = prod.terms.items()
-    return int(sign), blade
+    [(blade, sign)] = prod.re.items()
+    return sign, blade
 
 
 def blade_indices(blade):
@@ -90,22 +92,37 @@ def blade_from_indices(indices):
 
 
 class Multivector:
-    """Immutable sparse multivector.  Zero coefficients are never stored."""
+    """Immutable sparse multivector, held as integer numerators over one
+    denominator: the coefficient of e_b is (re[b] + i im[b]) / den, with
+    ``im`` empty in a real algebra.
 
-    __slots__ = ("sig", "n", "ring", "terms", "_neg_mask")
+    The triple is canonical: den > 0, gcd(den, every numerator) = 1 and no
+    zero numerator is stored, so ``==`` and ``hash`` compare it directly.
+    ``terms`` is the Fraction (real) or GaussianRational (complex) view,
+    built on first read and cached.  ``re`` and ``im`` are owned by the
+    multivector and must not be mutated.
+    """
 
-    def __init__(self, sig, n, ring, terms):
-        # use the .real / .complex_alg constructors in client code
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-        if sig is None:
-            object.__setattr__(self, "_neg_mask", 0)
-        else:
-            object.__setattr__(
-                self, "_neg_mask", ((1 << n) - 1) ^ ((1 << sig.p) - 1)
-            )
+    __slots__ = ("sig", "n", "ring", "den", "re", "im", "_neg_mask", "_terms")
+
+    def __init__(self, sig, n, ring, den, re, im):
+        # use the .real / .complex_alg constructors in client code: den > 0,
+        # and re and im hold nonzero ints; the triple is reduced by the gcd
+        g = math.gcd(den, *re.values(), *im.values())
+        if g != 1:
+            den //= g
+            re = {b: c // g for b, c in re.items()}
+            im = {b: c // g for b, c in im.items()}
+        set_ = object.__setattr__
+        set_(self, "sig", sig)
+        set_(self, "n", n)
+        set_(self, "ring", ring)
+        set_(self, "den", den)
+        set_(self, "re", re)
+        set_(self, "im", im)
+        set_(self, "_terms", None)
+        # the generators squaring to -1 (none in the complex algebra)
+        set_(self, "_neg_mask", 0 if sig is None else ((1 << n) - 1) ^ ((1 << sig.p) - 1))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -124,7 +141,8 @@ class Multivector:
                 raise ValueError("blade out of range for the signature")
             if c:
                 clean[b] = c
-        return cls(sig, sig.n, RATIONAL, clean)
+        d, re = _int_terms(clean)
+        return cls(sig, sig.n, RATIONAL, d, re, {})
 
     @classmethod
     def complex_alg(cls, n, terms=None):
@@ -140,11 +158,22 @@ class Multivector:
                 raise ValueError("blade out of range for the algebra dimension")
             if c:
                 clean[b] = c
-        return cls(None, n, GAUSSIAN, clean)
+        return cls(None, n, GAUSSIAN, *_gaussian_int_terms(clean))
 
-    def _wrap(self, terms):
-        clean = {b: c for b, c in terms.items() if c}
-        return Multivector(self.sig, self.n, self.ring, clean)
+    @property
+    def terms(self):
+        """The coefficients as a dict blade -> Fraction (real algebra) or
+        GaussianRational (complex algebra), zeros never stored."""
+        terms = self._terms
+        if terms is None:
+            d, re, im = self.den, self.re, self.im
+            if self.ring == RATIONAL:
+                terms = {b: Fraction(c, d) for b, c in re.items()}
+            else:
+                terms = {b: GaussianRational(Fraction(re.get(b, 0), d), Fraction(im.get(b, 0), d))
+                         for b in re | im}
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     @property
     def is_complex(self):
@@ -159,65 +188,63 @@ class Multivector:
         if self.space_key() != other.space_key():
             raise ValueError("signature or ring mismatch between multivectors")
 
+    def _like(self, den, re, im):
+        """A multivector of the same space from numerators over den."""
+        return Multivector(self.sig, self.n, self.ring, den, re, im)
+
+    def _signed(self, flip, conjugate=False):
+        """The coefficient of e_b negated where flip(b) is 1 (or True), and
+        conjugated too with ``conjugate``."""
+        return self._like(self.den, {b: -c if flip(b) else c for b, c in self.re.items()},
+                          {b: -c if flip(b) != conjugate else c for b, c in self.im.items()})
+
     # -- basic ring structure ------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
         self._check_space(other)
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            nv = terms.get(b, 0) + c
-            if nv:
-                terms[b] = nv
-            else:
-                terms.pop(b, None)
-        return Multivector(self.sig, self.n, self.ring, terms)
+        d = math.lcm(self.den, other.den)
+        f, g = d // self.den, sign * (d // other.den)
+        return self._like(d, _merge(_merge({}, self.re, f), other.re, g),
+                          _merge(_merge({}, self.im, f), other.im, g))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + -other
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Multivector(self.sig, self.n, self.ring, {b: -c for b, c in self.terms.items()})
+        return self._signed(lambda b: True)
 
     def scale(self, c):
-        if self.ring == RATIONAL and not isinstance(c, (int, Fraction)):
-            raise TypeError("real multivector scaled by a non-rational")
-        if self.ring == GAUSSIAN and isinstance(c, (int, Fraction)):
+        # c = (x + i y) / d with integers x, y and d > 0
+        if self.ring == RATIONAL:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("real multivector scaled by a non-rational")
+            x, y, d = c.numerator, 0, c.denominator
+        else:
             c = GaussianRational.coerce(c)
-        if not c:
-            return Multivector(self.sig, self.n, self.ring, {})
-        return Multivector(self.sig, self.n, self.ring, {b: c * v for b, v in self.terms.items()})
+            d = math.lcm(c.re.denominator, c.im.denominator)
+            x = c.re.numerator * (d // c.re.denominator)
+            y = c.im.numerator * (d // c.im.denominator)
+        return self._like(self.den * d, _merge(_merge({}, self.re, x), self.im, -y),
+                          _merge(_merge({}, self.im, x), self.re, y))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check_space(other)
-        # fraction-free: multiply integer numerators over one common
-        # denominator per operand, and divide each output term once
+        # (r1 + i i1)(r2 + i i2) over d1 d2, on the integer numerators; the
+        # imaginary parts are empty in a real algebra
         mask = self._neg_mask
-        if self.ring == RATIONAL:
-            d1, t1 = _int_terms(self.terms)
-            d2, t2 = _int_terms(other.terms)
-            d = d1 * d2
-            acc = _blade_products(t1, t2, mask)
-            return Multivector(self.sig, self.n, self.ring,
-                               {b: Fraction(c, d) for b, c in acc.items()})
-        # Gaussian: (r1 + i i1)(r2 + i i2) on the integer real and imaginary
-        # parts, whose terms are only the nonzero ones
-        d1, r1, i1 = _gaussian_int_terms(self.terms)
-        d2, r2, i2 = _gaussian_int_terms(other.terms)
-        d = d1 * d2
+        r1, i1, r2, i2 = self.re, self.im, other.re, other.im
         re = _blade_products(r1, r2, mask)
-        for b, c in _blade_products(i1, i2, mask).items():
-            re[b] = re.get(b, 0) - c
-        im = _blade_products(r1, i2, mask)
-        for b, c in _blade_products(i1, r2, mask).items():
-            im[b] = im.get(b, 0) + c
-        terms = {}
-        for b in re | im:
-            x, y = re.get(b, 0), im.get(b, 0)
-            if x or y:
-                terms[b] = GaussianRational(Fraction(x, d), Fraction(y, d))
-        return Multivector(self.sig, self.n, self.ring, terms)
+        im = {}
+        if i1 or i2:
+            _merge(re, _blade_products(i1, i2, mask), -1)
+            im = _merge(_blade_products(r1, i2, mask), _blade_products(i1, r2, mask), 1)
+        return self._like(self.den * other.den, re, im)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -234,13 +261,15 @@ class Multivector:
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.space_key() == other.space_key() and self.terms == other.terms
+        return (self.space_key() == other.space_key() and self.den == other.den
+                and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.sig, self.n, self.ring, frozenset(self.terms.items())))
+        return hash((self.sig, self.n, self.ring, self.den,
+                     frozenset(self.re.items()), frozenset(self.im.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.re or self.im)
 
     # -- queries -------------------------------------------------------------
 
@@ -251,56 +280,60 @@ class Multivector:
         return self.coeff(0)
 
     def grades(self):
-        return sorted({b.bit_count() for b in self.terms})
+        return sorted({b.bit_count() for b in self.re | self.im})
 
     def grade_project(self, k):
-        return self._wrap({b: c for b, c in self.terms.items() if b.bit_count() == k})
+        return self._like(self.den, {b: c for b, c in self.re.items() if b.bit_count() == k},
+                          {b: c for b, c in self.im.items() if b.bit_count() == k})
 
     def is_scalar(self):
-        return all(b == 0 for b in self.terms)
+        return all(b == 0 for b in self.re | self.im)
 
     def vector_coords(self):
         """Coordinates on the grade-1 basis; errors if other grades appear."""
-        if any(b.bit_count() != 1 for b in self.terms):
+        if any(b.bit_count() != 1 for b in self.re | self.im):
             raise ValueError("multivector is not homogeneous of grade 1")
         zero = ZERO[self.ring]
         return tuple(self.terms.get(1 << (i - 1), zero) for i in range(1, self.n + 1))
 
+    def vector_numerators(self):
+        """Integer coordinates u of a grade-1 element of a real algebra, which
+        is u / den; errors if other grades appear."""
+        u = [0] * self.n
+        for b, c in self.re.items():
+            if b.bit_count() != 1:
+                raise ValueError("multivector is not homogeneous of grade 1")
+            u[b.bit_length() - 1] = c
+        return u
+
     # -- involutions ----------------------------------------------------------
 
     def reversion(self):
-        out = {}
-        for b, c in self.terms.items():
-            k = b.bit_count()
-            out[b] = -c if (k * (k - 1) // 2) & 1 else c
-        return Multivector(self.sig, self.n, self.ring, out)
+        return self._signed(_reversion_flip)
 
     def star(self):
         """Hermitian involution: conjugate coefficients and reverse blades."""
         if self.ring != GAUSSIAN:
             raise ValueError("star involution is defined on the complex algebra only")
-        out = {}
-        for b, c in self.terms.items():
-            k = b.bit_count()
-            cc = c.conjugate()
-            out[b] = -cc if (k * (k - 1) // 2) & 1 else cc
-        return Multivector(self.sig, self.n, self.ring, out)
+        return self._signed(_reversion_flip, conjugate=True)
 
     def grade_involution(self):
-        out = {}
-        for b, c in self.terms.items():
-            out[b] = -c if b.bit_count() & 1 else c
-        return Multivector(self.sig, self.n, self.ring, out)
+        return self._signed(lambda b: b.bit_count() & 1)
 
     def __repr__(self):
         space = f"C({self.n})" if self.is_complex else f"Cl{self.sig}"
-        if not self.terms:
+        if not self:
             return f"<{space} 0>"
         bits = []
         for b in sorted(self.terms, key=lambda x: (x.bit_count(), x)):
             name = "e" if b == 0 else "e" + "".join(str(i) for i in blade_indices(b))
             bits.append(f"({self.terms[b]})*{name}")
         return f"<{space} " + " + ".join(bits) + ">"
+
+
+def _reversion_flip(b):
+    """Whether reversing blade b flips its sign: k(k-1)/2 odd for k = |b|."""
+    return (b.bit_count() >> 1) & 1
 
 
 def _int_terms(terms):
@@ -320,6 +353,19 @@ def _gaussian_int_terms(terms):
     re = {b: x.numerator * (d // x.denominator) for b, x, _y in parts if x}
     im = {b: y.numerator * (d // y.denominator) for b, _x, y in parts if y}
     return d, re, im
+
+
+def _merge(acc, terms, factor):
+    """acc += factor * terms in place on integer numerators, dropping the
+    sums that cancel; returns acc."""
+    if factor:
+        for b, c in terms.items():
+            nv = acc.get(b, 0) + factor * c
+            if nv:
+                acc[b] = nv
+            else:
+                acc.pop(b, None)
+    return acc
 
 
 def _blade_products(t1, t2, neg_mask):
@@ -402,22 +448,17 @@ def complexify_embed(a):
     """
     if a.is_complex:
         raise ValueError("multivector is already complex")
-    sig = a.sig
-    n = sig.n
-    neg_mask = ((1 << n) - 1) ^ ((1 << sig.p) - 1)
-    i_pow = (GaussianRational(1), GaussianRational(0, 1),
-             GaussianRational(-1), GaussianRational(0, -1))
-    terms = {}
-    for b, c in a.terms.items():
-        t = (b & neg_mask).bit_count()
-        terms[b] = i_pow[t & 3] * c
-    return Multivector.complex_alg(n, terms)
+    # i^t c is real for even t and imaginary for odd t, negated for t = 2, 3 mod 4
+    re, im = {}, {}
+    for b, c in a.re.items():
+        t = (b & a._neg_mask).bit_count()
+        (im if t & 1 else re)[b] = -c if t & 2 else c
+    return Multivector(None, a.n, GAUSSIAN, a.den, re, im)
 
 
 def multiplication_numerators(a, side, transpose=False):
     """(d, rows): the matrix of x -> a x (side "left") or x -> x a (side
-    "right") on the blade basis as Gaussian-integer rows over d, the lcm of
-    the denominators of a.
+    "right") on the blade basis as Gaussian-integer rows over d = a.den.
 
     Row y is a pair (re, im) of int lists whose entry x is d times the
     coefficient of e_y in the image of e_x (imaginary parts are zero for a
@@ -427,11 +468,7 @@ def multiplication_numerators(a, side, transpose=False):
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if a.is_complex:
-        d, re, im = _gaussian_int_terms(a.terms)
-    else:
-        d, re = _int_terms(a.terms)
-        im = {}
+    d, re, im = a.den, a.re, a.im
     dim = 1 << a.n
     mask = a._neg_mask
     out_re = [[0] * dim for _ in range(dim)]
@@ -480,7 +517,7 @@ def invert(a):
     if None in blocks:
         return None
     inv_mv = rep.preimage(blocks if pair else blocks[0])
-    unit_mv = a._wrap({0: ONE[a.ring]})
+    unit_mv = a._like(1, {0: 1}, {})
     if inv_mv is None or a * inv_mv != unit_mv or inv_mv * a != unit_mv:
         raise AssertionError("inverse read back from the matrix model is wrong")
     return inv_mv

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import _blade_products, signature_from_json
+from .algebra import signature_from_json
 from .groups import PseudoOrthogonalMatrix, Versor, lift_to_pin
 
 
@@ -309,13 +309,13 @@ def subgroup_reduction_check(coc: GroupCocycle, h: dict, member):
 def canonical_sign(v: Versor) -> Versor:
     """Normalize so the lowest-blade nonzero coefficient is positive.
 
-    The sign is read off the integer numerators of ``v.int_product``, whose
+    The sign is read off the integer numerators of ``v.product``, whose
     denominator is positive.
     """
-    _den, acc = v.int_product
-    if not acc:
+    num = v.product.re
+    if not num:
         raise AssertionError("versor product is zero")
-    if acc[min(acc)] < 0:
+    if num[min(num)] < 0:
         return v.negated()
     return v
 
@@ -324,20 +324,16 @@ def _triangle_scalar(lifts, t):
     """The sign (+1 or -1) of the scalar s with L_ij L_jk = s L_ik on
     triangle t = (i, j, k).
 
-    This is the discrepancy L_ij L_jk L_ik^-1 read with one product, run on
-    integer numerators: P = A B for the numerators A, B of L_ij, L_jk and
-    C those of L_ik, whose denominators are positive.  With lead the lowest
-    blade of C, L_ij L_jk is a scalar multiple of L_ik exactly when P and C
-    have the same blades and P[b] C[lead] == C[b] P[lead] for every b; then
-    s has the sign of P[lead] C[lead].
+    This is the discrepancy L_ij L_jk L_ik^-1 read with one product, on
+    integer numerators: P those of L_ij L_jk and C those of L_ik, whose
+    denominators are positive.  With lead the lowest blade of C, L_ij L_jk
+    is a scalar multiple of L_ik exactly when P and C have the same blades
+    and P[b] C[lead] == C[b] P[lead] for every b; then s has the sign of
+    P[lead] C[lead].
     """
     i, j, k = t
-    target = lifts[(i, k)]
-    sig = target.sig
-    # the generators squaring to -1, as in Multivector
-    neg_mask = ((1 << sig.n) - 1) ^ ((1 << sig.p) - 1)
-    P = _blade_products(lifts[(i, j)].int_product[1], lifts[(j, k)].int_product[1], neg_mask)
-    C = target.int_product[1]
+    P = (lifts[(i, j)].product * lifts[(j, k)].product).re
+    C = lifts[(i, k)].product.re
     if not P:
         raise AssertionError("triangle discrepancy is zero")
     lead = min(C)

@@ -14,21 +14,21 @@ gcd(d, N) = 1, with a Fraction view built only when asked for.  ``zeta``,
 its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
 (|Q(u)| d), reduced by a gcd.  ``reflection_product`` applies it to the
 identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way from
-the factors' integer numerators.  A ``Versor`` multiplies its factors out
-only when its product is read, and holds it as integer numerators over one
-denominator (``int_product``); ``product`` is the Fraction view of that
-pair, built only when read.  Its inverse is the reversion over the product
-of the factor norms, so ``zeta`` and ``lift_to_pin`` multiply no
-multivectors.  The form M^T eta M = eta is checked where a matrix enters
-from outside (the public constructor, so also JSON, cocycles and the CLI);
-the integer paths build only products, inverses and reflections, which
-preserve it.  The sandwich g e_a g^-1 is kept only as the oracle
-(``verify._matches_definition`` and the tests' ``_dense_zeta_columns``),
-and the dense ``reflection_matrix`` only as the reference that the
-recomposition checks multiply out.  Lifting goes the other way: a
-pseudo-orthogonal matrix is factored into reflections (constructive, at
-most 2n of them) and the product of the reflection vectors, patched by
-omega when the count is odd, is a versor mapping onto it.
+the factors' integer numerators (a Multivector is held as numerators over
+one denominator, so nothing is converted).  A ``Versor`` multiplies its
+factors out only when its product is read.  Its inverse is the reversion
+over the product of the factor norms, so ``zeta`` and ``lift_to_pin``
+multiply no multivectors.  The form M^T eta M = eta is checked where a
+matrix enters from outside (the public constructor, so also JSON, cocycles
+and the CLI); the integer paths build only products, inverses and
+reflections, which preserve it.  The sandwich g e_a g^-1 is kept only as
+the oracle (``verify._matches_definition`` and the tests'
+``_dense_zeta_columns``), and the dense ``reflection_matrix`` only as the
+reference that the recomposition checks multiply out.  Lifting goes the
+other way: a pseudo-orthogonal matrix is factored into reflections
+(constructive, at most 2n of them) and the product of the reflection
+vectors, patched by omega when the count is odd, is a versor mapping onto
+it.
 """
 
 from __future__ import annotations
@@ -36,20 +36,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import mul
 
 from . import linalg
-from .algebra import (
-    Multivector,
-    Signature,
-    _blade_products,
-    _int_terms,
-    basis_vector,
-    invert,
-    signature_from_json,
-    vector,
-)
+from .algebra import Multivector, Signature, basis_vector, invert, signature_from_json, unit
 from .reprs import Representation, TargetRing, _checked
 from .scalars import RATIONAL, GaussianRational, format_rational, parse_rational
 
@@ -286,7 +278,7 @@ def reflection_matrix(w: Multivector) -> PseudoOrthogonalMatrix:
     sig = w.sig
     if sig is None:
         raise ValueError("reflections are defined in the real algebra")
-    u = _primitive(w.vector_coords())
+    u = _primitive_int(w.vector_numerators())
     qu = _bform(sig, u, u)
     if qu == 0:
         raise ValueError("cannot reflect across an isotropic vector")
@@ -301,80 +293,50 @@ def reflection_matrix(w: Multivector) -> PseudoOrthogonalMatrix:
 class Versor:
     """Product of anisotropic grade-1 elements of a real algebra.
 
-    The factors are checked and their norms read off integer numerators
-    when the versor is built.  The product v_1 ... v_k is multiplied out
-    only on first access, in one fraction-free chain, and cached as
-    ``int_product``: integer numerators over one denominator.  ``product``
-    is the Fraction view of that pair, built only when read.
+    The factors are checked and their norms read off their integer
+    numerators when the versor is built.  ``product`` is the ordinary chain
+    v_1 ... v_k (1 for no factors), multiplied out only on first access and
+    cached.
     """
 
-    __slots__ = ("sig", "factors", "parity", "pin_normalized", "_ints", "_norm",
-                 "_int_product", "_product")
+    __slots__ = ("sig", "factors", "parity", "pin_normalized", "_norm", "_product")
 
     def __init__(self, sig: Signature, factors):
         factors = tuple(factors)
-        ints = []
         norm_num = norm_den = 1
         normalized = True
         for v in factors:
             if v.sig != sig:
                 raise ValueError("factor signature mismatch")
-            if any(b.bit_count() != 1 for b in v.terms):
-                raise ValueError("multivector is not homogeneous of grade 1")
-            # v = t / d with integer coefficients t; Q(v) = Q(t) / d^2
-            d, t = _int_terms(v.terms)
-            qt = sum(sig.square(b.bit_length()) * c * c for b, c in t.items())
-            if qt == 0:
+            # v = u / d with integer coordinates u; Q(v) = Q(u) / d^2
+            u, d = v.vector_numerators(), v.den
+            qu = _bform(sig, u, u)
+            if qu == 0:
                 raise ValueError("versor factors must be anisotropic vectors")
-            if qt != d * d and qt != -d * d:
+            if qu != d * d and qu != -d * d:
                 normalized = False
-            ints.append((d, t))
-            norm_num *= qt
+            norm_num *= qu
             norm_den *= d * d
-        self._set(sig, factors, normalized, tuple(ints), Fraction(norm_num, norm_den))
+        self._set(sig, factors, normalized, Fraction(norm_num, norm_den))
 
-    def _set(self, sig, factors, normalized, ints, norm):
+    def _set(self, sig, factors, normalized, norm):
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "parity", len(factors) % 2)
         object.__setattr__(self, "pin_normalized", normalized)
-        object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_norm", norm)
-        object.__setattr__(self, "_int_product", None)
         object.__setattr__(self, "_product", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Versor is immutable")
 
     @property
-    def int_product(self):
-        """(den, acc): v_1 v_2 ... v_k = sum of acc[b] e_b / den.
-
-        The factors' integer numerators are multiplied left to right and
-        den is the product of their denominators (den > 0, not reduced), so
-        the sign of a coefficient is the sign of its numerator.  Computed
-        once and cached; ``acc`` is shared with every reader and must not be
-        mutated.
-        """
-        ip = self._int_product
-        if ip is None:
-            acc, den = {0: 1}, 1
-            for v, (d, t) in zip(self.factors, self._ints):
-                acc = _blade_products(acc, t, v._neg_mask)
-                den *= d
-            ip = (den, acc)
-            object.__setattr__(self, "_int_product", ip)
-        return ip
-
-    @property
     def product(self):
-        """v_1 v_2 ... v_k as a Multivector: the Fraction view of
-        ``int_product``, one Fraction per term, built on first read."""
+        """v_1 v_2 ... v_k as a Multivector, built on first read."""
         prod = self._product
         if prod is None:
-            sig = self.sig
-            den, acc = self.int_product
-            prod = Multivector(sig, sig.n, RATIONAL, {b: Fraction(c, den) for b, c in acc.items()})
+            factors = self.factors
+            prod = reduce(mul, factors[1:], factors[0]) if factors else unit(self.sig)
             object.__setattr__(self, "_product", prod)
         return prod
 
@@ -396,23 +358,18 @@ class Versor:
     def negated(self):
         """A versor whose product is the negative of this one.
 
-        The first factor is negated; the other factors, their numerators
-        and the norm are this versor's, already checked, so nothing is
-        validated again.  A product already multiplied out is carried over
-        negated, in new dicts: the two versors share no cached product.
+        The first factor is negated; the other factors and the norm are
+        this versor's, already checked, so nothing is validated again.  A
+        product already multiplied out is carried over negated.
         """
         if self.factors:
-            (d, t), *rest = self._ints
             neg = object.__new__(Versor)
             neg._set(self.sig, (-self.factors[0],) + self.factors[1:], self.pin_normalized,
-                     ((d, {b: -c for b, c in t.items()}), *rest), self._norm)
+                     self._norm)
         else:
             # the empty product is 1, and v1 (-Q(v1) v1) = -1
             v1 = basis_vector(self.sig, 1)
             neg = Versor(self.sig, (v1, -v1 * Fraction(self.sig.square(1))))
-        ip = self._int_product
-        if ip is not None:
-            object.__setattr__(neg, "_int_product", (ip[0], {b: -c for b, c in ip[1].items()}))
         if self._product is not None:
             object.__setattr__(neg, "_product", -self._product)
         return neg
@@ -435,8 +392,7 @@ def zeta(g: Versor) -> PseudoOrthogonalMatrix:
     integer numerators.  The sandwich itself is the oracle in
     ``verify._matches_definition`` and the tests' ``_dense_zeta_columns``.
     """
-    n = g.sig.n
-    us = [_primitive_int([t.get(1 << i, 0) for i in range(n)]) for _d, t in g._ints]
+    us = [_primitive_int(v.vector_numerators()) for v in g.factors]
     return _reflection_chain(g.sig, us, -1 if g.parity else 1)
 
 
@@ -477,8 +433,9 @@ def cartan_dieudonne(M: PseudoOrthogonalMatrix) -> CDResult:
     def apply_reflection(v, den):
         # reflect every column across v / den (v integer) and record that vector
         nonlocal cols, d
-        cols, d = _reflect(sig, _primitive(v), cols, d)
-        vectors.append(vector(sig, [Fraction(vi, den) for vi in v]))
+        cols, d = _reflect(sig, _primitive_int(v), cols, d)
+        terms = {1 << i: vi for i, vi in enumerate(v) if vi}
+        vectors.append(Multivector(sig, n, RATIONAL, den, terms, {}))
 
     for a, e_a in enumerate(eye):
         x = cols[a]

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Multivector, Signature, _gaussian_int_terms, _int_terms, basis_vector
+from .algebra import Multivector, Signature, basis_vector
 from .scalars import (
     GAUSSIAN,
     ONE,
@@ -280,18 +280,15 @@ class Representation:
 
     def numerator_blocks(self, mv: Multivector):
         """rho(mv) as Gaussian-integer rows (pairs (re, im) of int lists), one
-        list of rows per summand block, every entry times the same positive
-        integer.  A quaternion block is given by its complex adjoint chi, a
-        2m x 2m block over Q(i).  The rows are read off the monomial blade
-        images, with no ring element built."""
+        list of rows per summand block, every entry times mv.den.  A
+        quaternion block is given by its complex adjoint chi, a 2m x 2m block
+        over Q(i).  The rows are read off the monomial blade images and the
+        numerators of mv, with no ring element built."""
         self._check_source(mv)
         t = self.target
         m = t.m
-        if self.is_complex:
-            _d, re, im = _gaussian_int_terms(mv.terms)
-            coeffs = [(b, re.get(b, 0), im.get(b, 0)) for b in mv.terms]
-        else:
-            coeffs = [(b, x, 0) for b, x in _int_terms(mv.terms)[1].items()]
+        re, im = mv.re, mv.im
+        coeffs = [(b, re.get(b, 0), im.get(b, 0)) for b in re | im]
         units = _UNIT_ENTRIES[t.ring_tag]
         k = 2 if t.ring_tag == QUATERNION else 1
         w = k * m

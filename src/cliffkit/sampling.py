@@ -18,19 +18,17 @@ def rng_from_seed(seed) -> random.Random:
     return random.Random(seed)
 
 
-def random_vector(sig: Signature, rng, lo=-3, hi=3) -> Multivector:
+def _anisotropic_coords(sig: Signature, rng, lo=-3, hi=3):
+    """Integer coordinates in [lo, hi] of a vector with Q(v) != 0, drawn
+    until one is found (the zero vector is isotropic, so never returned)."""
     while True:
         coords = [rng.randint(lo, hi) for _ in range(sig.n)]
-        if any(coords):
-            return vector(sig, coords)
+        if _bform(sig, coords, coords) != 0:
+            return coords
 
 
 def random_anisotropic_vector(sig: Signature, rng, lo=-3, hi=3) -> Multivector:
-    while True:
-        v = random_vector(sig, rng, lo, hi)
-        coords = v.vector_coords()
-        if _bform(sig, coords, coords) != 0:
-            return v
+    return vector(sig, _anisotropic_coords(sig, rng, lo, hi))
 
 
 def random_versor(sig: Signature, rng, num_factors=2) -> Versor:
@@ -42,7 +40,7 @@ def random_versor(sig: Signature, rng, num_factors=2) -> Versor:
 def random_pseudo_orthogonal(sig: Signature, rng, num_reflections=None) -> PseudoOrthogonalMatrix:
     if num_reflections is None:
         num_reflections = rng.randint(1, max(1, sig.n))
-    ws = [random_anisotropic_vector(sig, rng).vector_coords() for _ in range(num_reflections)]
+    ws = [_anisotropic_coords(sig, rng) for _ in range(num_reflections)]
     return reflection_product(sig, ws)
 
 

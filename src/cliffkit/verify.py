@@ -317,7 +317,7 @@ CRITERIA = (
     ("irrep-dimensions", check_irrep_dimensions, None),
     ("vector-action-soundness", check_vector_action, 2.5),
     ("double-cover", check_double_cover, 0.75),
-    ("reflection-factorization", check_reflection_factorization, 4.0),
+    ("reflection-factorization", check_reflection_factorization, 3.0),
     ("spinor-ideals", check_spinor_ideals, 0.06),
     ("idempotent-conjugacy", check_idempotent_conjugacy, 0.6),
     ("even-subrings", check_even_subrings, None),

@@ -1,6 +1,7 @@
 """Blade arithmetic, involutions and inversion in the core algebra."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -182,6 +183,52 @@ def rational_operands(draw):
     return [Multivector.real(sig, draw(terms)) for _ in range(3)]
 
 
+def _unreduced(x, k):
+    """The rational x as a Fraction whose numerator and denominator are
+    both multiplied by k (Fraction itself would reduce them)."""
+    f = Fraction()
+    f._numerator, f._denominator = x.numerator * k, x.denominator * k
+    return f
+
+
+def _spellings(a):
+    """a rebuilt from its coefficients given as ints where integral, as
+    reduced Fractions and as unreduced Fractions."""
+    def build(f):
+        if a.is_complex:
+            return Multivector.complex_alg(a.n, {b: GaussianRational(f(c.re), f(c.im))
+                                                 for b, c in a.terms.items()})
+        return Multivector.real(a.sig, {b: f(c) for b, c in a.terms.items()})
+    as_int = (lambda x: int(x) if x.denominator == 1 else x)
+    return [build(as_int), build(Fraction), build(lambda x: _unreduced(x, 6))]
+
+
+def _assert_canonical_layout(ops, scalars):
+    """Numerators over one denominator, canonical after every operation."""
+    results = [y for a in ops for y in _spellings(a)]
+    for x in ops:
+        results += [x.reversion(), x.grade_involution(), -x]
+        results += [x.grade_project(k) for k in range(x.n + 1)]
+        results += [x.scale(s) for s in scalars] + [x / s for s in scalars if s]
+        results += [x + y for y in ops] + [x - y for y in ops] + [x * y for y in ops]
+        if x.is_complex:
+            results.append(x.star())
+    for x in results:
+        nums = [*x.re.values(), *x.im.values()]
+        assert x.den > 0 and math.gcd(x.den, *nums) == 1 and 0 not in nums
+        assert all(type(c) is int for c in nums)
+        if not x.is_complex:
+            assert not x.im and all(type(v) is Fraction for v in x.terms.values())
+    # a == b exactly when a.terms == b.terms, and equal values hash alike
+    by_terms = {}
+    for x in results:
+        by_terms.setdefault((x.space_key(), frozenset(x.terms.items())), []).append(x)
+    for first, *rest in by_terms.values():
+        assert all(x == first and hash(x) == hash(first) for x in rest)
+    firsts = [xs[0] for xs in by_terms.values()]
+    assert all((x == y) == (x is y) for x, y in itertools.product(firsts, repeat=2))
+
+
 @settings(deadline=None, max_examples=200)
 @given(rational_operands())
 def test_rational_product_matches_fraction_schoolbook(ops):
@@ -191,6 +238,7 @@ def test_rational_product_matches_fraction_schoolbook(ops):
         xy = x * y
         assert xy.terms == _schoolbook(x, y)
         assert all(type(v) is Fraction for v in xy.terms.values())
+    _assert_canonical_layout(ops, (0, 3, Fraction(-4, 6), _unreduced(Fraction(5, 3), 4)))
 
 
 @st.composite
@@ -216,6 +264,8 @@ def test_gaussian_product_matches_schoolbook(ops):
         xy = x * y
         assert xy.terms == _schoolbook(x, y)
         assert all(type(v) is GaussianRational for v in xy.terms.values())
+    _assert_canonical_layout(ops, (0, Fraction(2, 6), GaussianRational(0, 2),
+                                   GaussianRational(Fraction(-1, 2), _unreduced(Fraction(3, 4), 2))))
 
 
 def test_gaussian_product_int_coefficients():
@@ -333,6 +383,14 @@ def test_complexify_embed_is_homomorphism():
     # and its image still squares to -e
     img = complexify_embed(v3)
     assert img * img == complex_unit(3) * GaussianRational(-1)
+    # a blade with t negative-square generators picks up i^t, t = 0 ... 3
+    sig = Signature(1, 3)
+    i_pow = (1, GaussianRational(0, 1), -1, GaussianRational(0, -1))
+    for blade in range(1 << sig.n):
+        t = (blade >> 1).bit_count()
+        e_b = Multivector.real(sig, {blade: Fraction(-2, 3)})
+        want = Multivector.complex_alg(4, {blade: i_pow[t] * Fraction(-2, 3)})
+        assert complexify_embed(e_b) == want
 
 
 def test_invert():

@@ -354,27 +354,24 @@ def test_negated_shares_no_cached_product():
     gs = [random_versor(sig, rng, k) for sig in sigs for k in (1, 2, 4)]
     gs += [Versor(sig, []) for sig in sigs]
     for g in gs:
-        den, acc = g.int_product
         prod = g.product
-        acc_before = dict(acc)
-        ints_before = [(d, dict(t)) for d, t in g._ints]
+        prod_before = (prod.den, dict(prod.re))
+        factors_before = [(v.den, dict(v.re)) for v in g.factors]
         neg = g.negated()
-        neg_den, neg_acc = neg.int_product
-        assert neg_den == den and neg_acc == {b: -c for b, c in acc_before.items()}
-        assert neg_acc is not acc
-        # writing into the negation's caches leaves the original untouched
-        neg_acc[0] = neg_acc.get(0, 0) + 1
-        for _d, t in neg._ints[:1]:
-            t[1] = t.get(1, 0) + 1
-        assert g.int_product == (den, acc_before) and g.int_product[1] is acc
-        assert [(d, dict(t)) for d, t in g._ints] == ints_before
-        assert g.product is prod
+        assert neg._product == -prod
+        assert neg.product.re is not prod.re
+        # writing into the negation's numerators leaves the original untouched
+        neg.product.re[0] = neg.product.re.get(0, 0) + 1
+        for v in neg.factors[:1]:
+            v.re[1] = v.re.get(1, 0) + 1
+        assert g.product is prod and (prod.den, prod.re) == prod_before
+        assert [(v.den, v.re) for v in g.factors] == factors_before
         assert g.negated().product == -g.product
-        # a negation built from the carried caches equals one rebuilt from scratch
+        # a negation that carries the product equals one rebuilt from scratch
         h = canonical_sign(g).negated()
         fresh = Versor(g.sig, h.factors)
-        assert h.product == fresh.product and h.int_product == fresh.int_product
-        assert h._ints == fresh._ints and h._norm == fresh._norm
+        assert h._product is not None and h.product == fresh.product
+        assert h._norm == fresh._norm
         assert (h.parity, h.pin_normalized) == (fresh.parity, fresh.pin_normalized)
         assert zeta(g) == zeta(g.negated())
 
