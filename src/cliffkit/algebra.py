@@ -368,6 +368,18 @@ def _merge(acc, terms, factor):
     return acc
 
 
+def _flips(b1, neg_mask):
+    """Bit j is the sign parity of e_b1 e_j sorted into ascending order:
+    the generators of b1 above j, and j itself when b1 holds it and it
+    squares to -1 (bits of ``neg_mask``)."""
+    above = b1 >> 1
+    k = 1
+    while above >> k:
+        above ^= above >> k
+        k <<= 1
+    return above ^ (b1 & neg_mask)
+
+
 def _blade_products(t1, t2, neg_mask):
     """Coefficients of (sum t1[b] e_b)(sum t2[b] e_b), zeros dropped.
 
@@ -379,13 +391,7 @@ def _blade_products(t1, t2, neg_mask):
     """
     acc = {}
     for b1, c1 in t1.items():
-        # bit j of above: parity of the generators of b1 above j
-        above = b1 >> 1
-        k = 1
-        while above >> k:
-            above ^= above >> k
-            k <<= 1
-        flips = above ^ (b1 & neg_mask)
+        flips = _flips(b1, neg_mask)
         for b2, c2 in t2.items():
             c = c1 * c2
             if (flips & b2).bit_count() & 1:
@@ -458,46 +464,42 @@ def complexify_embed(a):
 
 def multiplication_numerators(a, side, transpose=False):
     """(d, rows): the matrix of x -> a x (side "left") or x -> x a (side
-    "right") on the blade basis as Gaussian-integer rows over d = a.den.
+    "right") on the blade basis as sparse Gaussian-integer rows over d =
+    a.den: row y maps x to d times the (re, im) coefficient of e_y in the
+    image of e_x; with ``transpose`` row x holds the image of e_x."""
+    return a.den, multiplication_rows([(a, side, 1)], transpose)
 
-    Row y is a pair (re, im) of int lists whose entry x is d times the
-    coefficient of e_y in the image of e_x (imaginary parts are zero for a
-    real algebra); with ``transpose`` row x holds the image of e_x instead.
-    A blade times a multivector is a signed permutation of its terms, so the
-    rows are read off ``_blade_products`` with no rational arithmetic.
+
+def multiplication_rows(parts, transpose=False):
+    """Sparse Gaussian-integer rows of sum f N(a) over the (a, side, f) of
+    ``parts``, N(a) the numerator rows of ``multiplication_numerators``.
+
+    A blade times a multivector is a signed permutation of its terms, so row
+    r has one entry per blade b of each a, at column r xor b, with the sign
+    of e_b e_x (side "left") or e_x e_b ("right") for the blade x that a
+    multiplies: one ``_flips`` lookup and one parity per entry.  Entries that
+    cancel are dropped.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    d, re, im = a.den, a.re, a.im
-    dim = 1 << a.n
-    mask = a._neg_mask
-    out_re = [[0] * dim for _ in range(dim)]
-    out_im = [[0] * dim for _ in range(dim)]
-    for part, out in ((re, out_re), (im, out_im)):
-        if not part:
-            continue
-        for x in range(dim):
-            blade = {x: 1}
-            if side == "left":
-                image = _blade_products(part, blade, mask)
-            else:
-                image = _blade_products(blade, part, mask)
-            if transpose:
-                row = out[x]
-                for y, c in image.items():
-                    row[y] = c
-            else:
-                for y, c in image.items():
-                    out[y][x] = c
-    return d, list(zip(out_re, out_im))
-
-
-def from_coords(model, coords):
-    """Multivector in the same space as ``model`` from dense coordinates."""
-    terms = {b: c for b, c in enumerate(coords) if c}
-    if model.is_complex:
-        return Multivector.complex_alg(model.n, terms)
-    return Multivector.real(model.sig, terms)
+    first = parts[0][0]
+    flips = [_flips(x, first._neg_mask) for x in range(1 << first.n)]
+    rows = [{} for _ in flips]
+    for a, side, f in parts:
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        for b in a.re | a.im:
+            fb, re, im = flips[b], f * a.re.get(b, 0), f * a.im.get(b, 0)
+            for r, row in enumerate(rows):
+                x = r if transpose else r ^ b
+                u, v = re, im
+                if ((flips[x] & b) if side == "right" else (fb & x)).bit_count() & 1:
+                    u, v = -u, -v
+                y = r ^ b
+                if y in row:
+                    p, q = row.pop(y)
+                    u, v = p + u, q + v
+                if u or v:
+                    row[y] = (u, v)
+    return rows
 
 
 def invert(a):

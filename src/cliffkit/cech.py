@@ -320,7 +320,7 @@ def canonical_sign(v: Versor) -> Versor:
     return v
 
 
-def _triangle_scalar(lifts, t):
+def _triangle_scalar(lifts, t, given=False):
     """The sign (+1 or -1) of the scalar s with L_ij L_jk = s L_ik on
     triangle t = (i, j, k).
 
@@ -329,7 +329,9 @@ def _triangle_scalar(lifts, t):
     denominators are positive.  With lead the lowest blade of C, L_ij L_jk
     is a scalar multiple of L_ik exactly when P and C have the same blades
     and P[b] C[lead] == C[b] P[lead] for every b; then s has the sign of
-    P[lead] C[lead].
+    P[lead] C[lead].  ker zeta on versors is the nonzero scalars, so no such
+    s means g_ij g_jk != g_ik for the lifts of the ``given`` edges (a
+    ValueError), and an internal error for any other lifts.
     """
     i, j, k = t
     P = (lifts[(i, j)].product * lifts[(j, k)].product).re
@@ -339,6 +341,8 @@ def _triangle_scalar(lifts, t):
     lead = min(C)
     p_lead, c_lead = P.get(lead, 0), C[lead]
     if P.keys() != C.keys() or any(P[b] * c_lead != c * p_lead for b, c in C.items()):
+        if given:
+            raise ValueError(f"cocycle condition fails on triangle {list(t)}")
         raise AssertionError("triangle discrepancy is not scalar")
     return 1 if (p_lead > 0) == (c_lead > 0) else -1
 
@@ -355,7 +359,8 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     sign is the Z2 discrepancy cocycle w.  If w = delta eta for some edge
     cochain eta, resigning by eta yields a consistent Pin-valued cocycle and
     2^dim H^1 inequivalent lifts; otherwise the obstruction class in H^2 is
-    nonzero and no lift exists.
+    nonzero and no lift exists.  Edges that are not a cocycle raise
+    ValueError in the raw triangle pass.
     """
     c = coc.complex
     sig = coc.sig
@@ -364,7 +369,7 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     raw = {e: canonical_sign(lift_to_pin(coc.edges[e])) for e in c.edges}
     w_values = {}
     for t in c.triangles:
-        if _triangle_scalar(raw, t) < 0:
+        if _triangle_scalar(raw, t, given=True) < 0:
             w_values[t] = 1
     w = Z2Cochain(c, 2, w_values)
     if not w.coboundary().is_zero():

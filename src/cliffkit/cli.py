@@ -37,12 +37,11 @@ CHECK_FAILED = 1
 # matrices: at n = 16 a 13.7 MB file in 1-1.5 s and 97 MB, at n = 14 4.6 MB
 # and 37 MB, about three times more per two steps up (Python 3.11, 2 CPUs)
 MAX_COMPILE_DIM = 16
-# largest N that spinor accepts, with or without --model: the ideal of the
-# primitive idempotent is eliminated from 2^(N/2) integer rows over 2^N
-# columns, and the model reads U off the monomial columns; N = 12 takes about
-# 1.3 s and 32 MB, and with --model about 1.4-1.6 s and 32 MB.  A user
-# idempotent of few terms and high rank goes through the 2^N rows e_b p:
-# (e + e1)/2 at N = 12 takes about 11 s and 340 MB (Python 3.11, 2 CPUs)
+# largest N that spinor accepts, with or without --model: the ideal is
+# eliminated on sparse integer rows and the model reads U off the monomial
+# columns; N = 12 takes about 0.6 s and 32 MB with or without --model, and
+# (e + e1)/2, eliminated from the 2^N rows e_b p, 0.4 s and 20 MB (Python
+# 3.11, 2 CPUs)
 MAX_SPINOR_DIM = 12
 
 

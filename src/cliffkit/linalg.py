@@ -1,17 +1,16 @@
-"""Exact dense linear algebra over the scalar rings.
+"""Exact linear algebra over the scalar rings.
 
 Entries are ints, Fractions, GaussianRationals or Quaternions; no routine
-returns a float.  Every elimination runs one integer kernel, ``_bareiss``:
-each row over Q or Q(i) (int, Fraction and GaussianRational entries)
-becomes Gaussian-integer numerators over the lcm of its denominators
-(imaginary parts zero over Q), eliminated fraction-free with exact division
-by the previous pivot, and one Fraction or GaussianRational is built per
-output entry, so the output ring follows the input.  Callers that already
-hold numerators enter the kernel directly through ``rref_numerators`` and
-``nullspace_numerators``: the spinor side's multiplication matrices (left
-ideals and the conjugator equation) go in as integer rows and are never
-built as Gaussian rationals.  A quaternion (H) matrix A enters through its
-complex adjoint chi(A) (``complex_adjoint``), the injective ring
+returns a float.  Every elimination runs one kernel, ``_bareiss``, on
+sparse Gaussian-integer rows: dicts mapping a column to the (re, im) ints of
+its nonzero entry, so a combination costs the nonzero entries of its two
+rows, whatever the width.  Rows over Q or Q(i) become numerators over the
+lcm of their denominators, are eliminated fraction-free, and one Fraction
+or GaussianRational is built per output entry, so the output ring follows
+the input.  Callers that hold numerators (the spinor side) enter through
+``echelon_numerators`` and ``nullspace_numerators`` and read the reduced
+rows as numerators over one denominator.  A quaternion (H) matrix A enters
+through its complex adjoint chi(A) (``complex_adjoint``), the injective ring
 homomorphism Mat(m, H) -> Mat(2m, C) with rank chi(A) = 2 rank A (Zhang,
 Linear Algebra Appl. 251, 1997): ``rank`` halves the complex rank and
 ``inv`` reads A^-1 back from chi(A)^-1 block by block.  ``rref``,
@@ -20,6 +19,7 @@ Linear Algebra Appl. 251, 1997): ``rank`` halves the complex rank and
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -60,67 +60,64 @@ def mat_eq(a, b):
 
 
 def _gaussian_rows(rows):
-    """(numerator rows, scales) for entries in Q or Q(i): row i is a pair
-    (re, im) of int lists with rows[i] = (re + i im) / scales[i]."""
+    """(numerator rows, scales) for dense rows with entries in Q or Q(i):
+    row i is a sparse Gaussian-integer row with rows[i] = row / scales[i]."""
     out, scales = [], []
     for row in rows:
         nz = [(j, x.re, x.im) if isinstance(x, GaussianRational) else (j, x, 0)
               for j, x in enumerate(row) if x]
         d = math.lcm(*(x.denominator for _j, x, _y in nz),
                      *(y.denominator for _j, _x, y in nz))
-        re, im = [0] * len(row), [0] * len(row)
-        for j, x, y in nz:
-            re[j] = x.numerator * (d // x.denominator)
-            im[j] = y.numerator * (d // y.denominator)
-        out.append((re, im))
+        out.append({j: (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
+                    for j, x, y in nz})
         scales.append(d)
     return out, scales
 
 
-def _at(row, c):
-    """Entry c of a Gaussian-integer row as an (re, im) pair, None if zero."""
-    x, y = row[0][c], row[1][c]
-    return (x, y) if x or y else None
-
-
-def _lin(row, a, f, prow, d, start):
-    """(a row - f prow) / d over Z[i] from column ``start`` on (f None:
-    a row / d), with earlier entries kept.  Dividing by d is multiplying by
+def _lin(row, a, f, prow, d):
+    """(a row - f prow) / d over Z[i] on sparse rows (f None: a row / d),
+    dropping the entries that cancel.  Dividing by d is multiplying by
     conj(d) and integer-dividing by |d|^2; the caller ensures it is exact."""
-    xr, xi = row[0][start:], row[1][start:]
     ar, ai = a
+    if ai:
+        out = {j: (ar * u - ai * v, ar * v + ai * u) for j, (u, v) in row.items()}
+    else:
+        out = {j: (ar * u, ar * v) for j, (u, v) in row.items()}
     if f:
         fr, fi = f
-        yr, yi = prow[0][start:], prow[1][start:]
-        tr = [ar * u - ai * v - fr * s + fi * t for u, v, s, t in zip(xr, xi, yr, yi)]
-        ti = [ar * v + ai * u - fr * t - fi * s for u, v, s, t in zip(xr, xi, yr, yi)]
-    else:
-        tr = [ar * u - ai * v for u, v in zip(xr, xi)]
-        ti = [ar * v + ai * u for u, v in zip(xr, xi)]
+        get = out.get
+        for j, (s, t) in prow.items():
+            x, y = get(j, (0, 0))
+            out[j] = (x - fr * s + fi * t, y - fr * t - fi * s)
     dr, di = d
     if di:
         nn = dr * dr + di * di
-        tr, ti = ([(u * dr + v * di) // nn for u, v in zip(tr, ti)],
-                  [(v * dr - u * di) // nn for u, v in zip(tr, ti)])
-    elif dr != 1:
-        tr = [u // dr for u in tr]
-        ti = [v // dr for v in ti]
-    return row[0][:start] + tr, row[1][:start] + ti
+        return {j: ((x * dr + y * di) // nn, (y * dr - x * di) // nn)
+                for j, (x, y) in out.items() if x or y}
+    if dr == 1:
+        return {j: e for j, e in out.items() if e[0] or e[1]}
+    return {j: (x // dr, y // dr) for j, (x, y) in out.items() if x or y}
 
 
-def _reduced(row, d, ring):
-    """The Gaussian-integer row divided by the Gaussian integer d, entry by
-    entry, in ``ring``: Fractions when the input had no GaussianRational
-    entry (then row and d are real), else GaussianRationals (times conj(d),
-    over |d|^2)."""
-    dr, di = d
-    if ring is Fraction:
-        zero = Fraction(0)
-        return [Fraction(x, dr) if x else zero for x in row[0]]
-    nn = dr * dr + di * di
-    zero = GaussianRational(0)
-    return [GaussianRational(Fraction(x * dr + y * di, nn), Fraction(y * dr - x * di, nn))
-            if x or y else zero for x, y in zip(*row)]
+def reduced_numerators(row, b):
+    """row / b for a sparse Gaussian-integer row and a Gaussian integer b,
+    as (den, re, im): entry j is (re[j] + i im[j]) / den, den > 0, zeros
+    left out.  1 / b is sign(b) / |b| for a real b, else conj(b) / |b|^2."""
+    br, bi = b
+    (ur, ui), den = ((br, -bi), br * br + bi * bi) if bi else ((1 if br > 0 else -1, 0), abs(br))
+    re = {j: s for j, (x, y) in row.items() if (s := x * ur - y * ui)}
+    im = {j: t for j, (x, y) in row.items() if (t := x * ui + y * ur)}
+    return den, re, im
+
+
+def dense_row(den, re, im, ring, n_cols):
+    """The n_cols entries (re[j] + i im[j]) / den in ``ring``, Fraction (im
+    empty) or GaussianRational."""
+    out = [ring(0)] * n_cols
+    for j in re.keys() | im.keys():
+        x = Fraction(re.get(j, 0), den)
+        out[j] = x if ring is Fraction else GaussianRational(x, Fraction(im.get(j, 0), den))
+    return out
 
 
 def _entry_ring(rows):
@@ -135,18 +132,20 @@ def _entry_ring(rows):
     return None
 
 
-def _bareiss(rows, n_cols):
-    """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows.
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination of sparse Gaussian-integer rows.
 
-    Step k takes the first remaining row with a nonzero entry a_k in the
-    next column c as pivot row and maps every other row to
-    (a_k row - row[c] pivot) / a_(k-1), with a_0 = 1 (Bareiss, Math. Comp.
-    22, 1968).  Every entry stays a minor of the integer rows, so each
-    division is exact.  A row with row[c] = 0 would only be multiplied by a_k / a_(k-1),
-    so it is left as stored, together with the pivot b it was last brought
-    to: its true value is stored * a_now / b, and when it is next combined,
+    Step k takes the lowest column c where a remaining row is nonzero, and
+    the first such row in input order as pivot row, and maps every other row
+    to (a_k row - row[c] pivot) / a_(k-1), a_k the pivot entry and a_0 = 1
+    (Bareiss, Math. Comp. 22, 1968).  Every entry stays a minor of the
+    integer rows, so each division is exact.  A row with row[c] = 0 would
+    only be multiplied by a_k / a_(k-1), so it is left as stored, together
+    with the pivot b it was last brought to: its true value is
+    stored * a_now / b, and when it is next combined,
     (a stored - stored[c] pivot) / b is exact for the same reason.  Rows that
-    vanish are dropped.
+    vanish are dropped; the others wait in buckets by leading column, so a
+    step combines only the bucket of c and the reduced rows with an entry at c.
 
     Returns (done, sign, last): ``done`` lists (row, b, c) per pivot, in
     column order, where row / b is the reduced row with pivot column c;
@@ -154,51 +153,50 @@ def _bareiss(rows, n_cols):
     ``last`` the last pivot, so for a square input of full rank the
     determinant of the input rows is sign * last.
     """
-    at, lin = _at, _lin
     one = (1, 0)
-    rest = [(row, one) for row in rows]
-    done = []
-    sign = 1
-    prev = one
-    for c in range(n_cols):
-        if not rest:
-            break
-        for k, (row, _b) in enumerate(rest):
-            if at(row, c):
-                break
-        else:
-            continue
-        prow, b = rest.pop(k)
+    stored = [(row, one) for row in rows]
+    # the remaining rows by index, in input order, for the sign
+    alive = list(range(len(rows)))
+    buckets = {}
+    for i, row in enumerate(rows):
+        if row:
+            buckets.setdefault(min(row), []).append(i)
+    cols = sorted(buckets)
+    done, sign, prev = [], 1, one
+    while cols:
+        c = cols.pop(0)
+        first, *others = sorted(buckets.pop(c))
+        k = bisect.bisect_left(alive, first)
+        del alive[k]
         if k & 1:
             sign = -sign
+        prow, b = stored[first]
         if b != prev:
-            prow = lin(prow, prev, None, None, b, c)
-        a = at(prow, c)
+            prow = _lin(prow, prev, None, None, b)
+        a = prow[c]
         for j, (row, b, col) in enumerate(done):
-            f = at(row, c)
+            f = row.get(c)
             if f:
-                done[j] = (lin(row, a, f, prow, b, 0), a, col)
-        kept = []
-        for row, b in rest:
-            f = at(row, c)
-            if not f:
-                kept.append((row, b))
+                done[j] = (_lin(row, a, f, prow, b), a, col)
+        for i in others:
+            row, b = stored[i]
+            row = _lin(row, a, row[c], prow, b)
+            if not row:
+                del alive[bisect.bisect_left(alive, i)]
                 continue
-            row = lin(row, a, f, prow, b, c)
-            if any(row[0]) or any(row[1]):
-                kept.append((row, a))
-        rest = kept
+            stored[i] = (row, a)
+            lead = min(row)
+            if lead not in buckets:
+                bisect.insort(cols, lead)
+            buckets.setdefault(lead, []).append(i)
         done.append((prow, a, c))
         prev = a
     return done, sign, prev
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_column_list).
-
-    Matrices over Q or Q(i) run the integer kernel through ``rref_numerators``
-    and build one Fraction or GaussianRational per output entry.
-    """
+    """Reduced row echelon form over Q or Q(i), through ``rref_numerators``.
+    Returns (rows, pivot_column_list)."""
     if not rows:
         return [], []
     ring = _entry_ring(rows)
@@ -211,65 +209,68 @@ def rref(rows):
 
 
 def rref_numerators(rows, n_cols, ring):
-    """Nonzero rows of the reduced row echelon form of Gaussian-integer
-    rows, and the pivot columns.
-
-    Each row is a pair (re, im) of int lists, the numerators of a row over
-    Q or Q(i) scaled by any nonzero integer; the scale does not change the
-    (unique) reduced form.  The entries are built in ``ring``: Fraction when
-    every imaginary part is zero, else GaussianRational.
-    """
-    done, _sign, _last = _bareiss(rows, n_cols)
-    return [_reduced(row, b, ring) for row, b, _c in done], [c for _row, _b, c in done]
+    """Nonzero rows of the reduced row echelon form of sparse
+    Gaussian-integer rows, dense in ``ring``, and the pivot columns.  A
+    nonzero integer scale of a row does not change the (unique) form."""
+    done = _bareiss(rows)[0]
+    return ([dense_row(*reduced_numerators(row, b), ring, n_cols) for row, b, _c in done],
+            [c for _row, _b, c in done])
 
 
-def echelon_numerators(rows, n_cols):
-    """Nonzero rows of the reduced row echelon form of Gaussian-integer rows,
-    read as in ``rref_numerators``, each left times a nonzero Gaussian
-    integer: a basis of the row space as Gaussian-integer rows, as many as
-    the rank."""
-    return [row for row, _b, _c in _bareiss(rows, n_cols)[0]]
+def echelon_numerators(rows):
+    """``_bareiss``'s reduced form of sparse Gaussian-integer rows: (row, b,
+    c) per pivot, row / b the reduced row with pivot column c."""
+    return _bareiss(rows)[0]
 
 
 def rank(rows):
     """Rank over Q or Q(i), read off ``_bareiss``; a quaternion matrix A has
     rank rank chi(A) / 2."""
-    if not rows:
-        return 0
     if _entry_ring(rows) is None:
         return rank(complex_adjoint(rows)) // 2
-    return len(echelon_numerators(_gaussian_rows(rows)[0], len(rows[0])))
+    return len(_bareiss(_gaussian_rows(rows)[0])[0])
 
 
 def nullspace(rows):
     """Basis of the right nullspace over Q or Q(i)."""
-    red, pivots = rref(rows)
-    if not red:
+    if not rows:
         return []
-    one = next((x / x for row in red for x in row if x), Fraction(1))
-    return _nullspace_basis(red, pivots, len(red[0]), one)
+    ring = _entry_ring(rows)
+    if ring is None:
+        raise TypeError("nullspace needs int, Fraction or GaussianRational entries")
+    n_cols = len(rows[0])
+    free, point = nullspace_numerators(_gaussian_rows(rows)[0], n_cols)
+    return [tuple(dense_row(*point([(1, c)]), ring, n_cols)) for c in free]
 
 
-def nullspace_numerators(rows, n_cols, ring):
-    """Basis of the right nullspace of Gaussian-integer rows, read as in
-    ``rref_numerators``; entries in ``ring``."""
-    red, pivots = rref_numerators(rows, n_cols, ring)
-    return _nullspace_basis(red, pivots, n_cols, ring(1))
+def nullspace_numerators(rows, n_cols):
+    """(free, point) for the right nullspace of sparse Gaussian-integer rows.
 
+    ``free`` lists the free columns; the basis vector v_c of a free column c
+    is 1 at c, 0 at the other free columns and minus the reduced rows'
+    entries at c on their pivots.  ``point(terms)`` reads sum f v_c over the
+    (f, c) pairs of ``terms`` straight off the reduced rows, as (den, re, im)
+    in the form of ``reduced_numerators`` over the lcm of the rows'
+    denominators: no vector is built unasked.
+    """
+    done = _bareiss(rows)[0]
+    free = sorted(set(range(n_cols)).difference(c for _row, _b, c in done))
+    reduced = [(c, *reduced_numerators(row, b)) for row, b, c in done]
+    den = math.lcm(*(d for _c, d, _re, _im in reduced))
 
-def _nullspace_basis(red, pivots, n_cols, one):
-    """One basis vector per free column of a reduced echelon form."""
-    zero = one - one
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [zero] * n_cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
+    def point(terms):
+        re = {j: f * den for f, j in terms}
+        im = {}
+        for c, d, row_re, row_im in reduced:
+            x = sum(f * row_re.get(j, 0) for f, j in terms) * (den // d)
+            y = sum(f * row_im.get(j, 0) for f, j in terms) * (den // d)
+            if x:
+                re[c] = -x
+            if y:
+                im[c] = -y
+        return den, re, im
+
+    return free, point
 
 
 def inv(a):
@@ -316,42 +317,43 @@ def det(a):
     if ring is None:
         raise TypeError("det needs int, Fraction or GaussianRational entries")
     rows, scales = _gaussian_rows(a)
-    done, sign, last = _bareiss(rows, len(a))
+    done, sign, last = _bareiss(rows)
     if len(done) < len(a):
         return ring(0)
-    return _reduced(([last[0]], [last[1]]), (sign * math.prod(scales), 0), ring)[0]
+    return dense_row(*reduced_numerators({0: last}, (sign * math.prod(scales), 0)), ring, 1)[0]
 
 
-def first_accepted(basis, accept, seed=0):
+def first_accepted(basis, accept, seed=0, combine=None):
     """First non-None ``accept(v)`` over points v of the span of ``basis``.
 
-    The points are flat vectors, tried lazily in a fixed order: each basis
-    vector, then the running sums b0, b0 + b1, ..., then 100 combinations
-    with integer coefficients in [-3, 3] drawn from ``random.Random(seed)``
-    (a combination whose coefficients are all zero is skipped).  Returns
-    None when every point is rejected.
+    The points are tried lazily in a fixed order: each basis vector, then
+    the running sums b0, b0 + b1, ..., then 100 combinations with integer
+    coefficients in [-3, 3] drawn from ``random.Random(seed)`` (a
+    combination whose coefficients are all zero is skipped).  ``combine``
+    builds a point from its nonzero (coefficient, item) pairs, so an item
+    may stand for a vector built only when a point uses it; by default items
+    are flat vectors.  Returns None when every point is rejected.
     """
 
     def points():
-        yield from basis
-        acc = None
         for v in basis:
-            acc = v if acc is None else tuple(x + y for x, y in zip(acc, v))
-            yield acc
+            yield [(1, v)]
+        for k in range(len(basis)):
+            yield [(1, v) for v in basis[:k + 1]]
         rng = random.Random(seed)
         for _ in range(100):
-            combo = None
-            for v in basis:
-                f = rng.randint(-3, 3)
-                if f:
-                    term = tuple(f * x for x in v)
-                    combo = term if combo is None else tuple(x + y for x, y in zip(combo, term))
-            if combo is not None:
-                yield combo
+            terms = [(f, v) for f, v in ((rng.randint(-3, 3), v) for v in basis) if f]
+            if terms:
+                yield terms
 
-    for v in points():
-        found = accept(v)
+    for terms in points():
+        found = accept((combine or _flat_combination)(terms))
         if found is not None:
             return found
     return None
 
+
+def _flat_combination(terms):
+    """sum f v over the (f, v) pairs of ``terms``, v flat vectors."""
+    coeffs, vectors = zip(*terms)
+    return tuple(sum(f * x for f, x in zip(coeffs, xs)) for xs in zip(*vectors))

@@ -279,29 +279,30 @@ class Representation:
         return self._shape([zero if x is None else x for x in row] for row in rows)
 
     def numerator_blocks(self, mv: Multivector):
-        """rho(mv) as Gaussian-integer rows (pairs (re, im) of int lists), one
-        list of rows per summand block, every entry times mv.den.  A
-        quaternion block is given by its complex adjoint chi, a 2m x 2m block
-        over Q(i).  The rows are read off the monomial blade images and the
-        numerators of mv, with no ring element built."""
+        """rho(mv) as sparse Gaussian-integer rows (column -> (re, im), no
+        zeros), one list of rows per summand block, every entry times mv.den.
+        A quaternion block is given by its complex adjoint chi, a 2m x 2m
+        block over Q(i).  The rows are read off the monomial blade images and
+        the numerators of mv, with no ring element built."""
         self._check_source(mv)
         t = self.target
         m = t.m
         re, im = mv.re, mv.im
-        coeffs = [(b, re.get(b, 0), im.get(b, 0)) for b in re | im]
         units = _UNIT_ENTRIES[t.ring_tag]
         k = 2 if t.ring_tag == QUATERNION else 1
         w = k * m
         # the rows of all blocks in order; row k i + dr is row dr of the
         # k x k block of rho row i
-        rows = [([0] * w, [0] * w) for _ in range(t.summands * w)]
-        for b, x, y in coeffs:
+        rows = [{} for _ in range(t.summands * w)]
+        for b in re | im:
+            x, y = re.get(b, 0), im.get(b, 0)
             for i, (j, c) in enumerate(zip(*self._blade(b))):
                 col = k * (j % m)
                 for dr, dc, u, v in units[c]:
-                    row_re, row_im = rows[k * i + dr]
-                    row_re[col + dc] += x * u - y * v
-                    row_im[col + dc] += x * v + y * u
+                    row = rows[k * i + dr]
+                    p, q = row.get(col + dc, (0, 0))
+                    row[col + dc] = (p + x * u - y * v, q + x * v + y * u)
+        rows = [{j: e for j, e in row.items() if e[0] or e[1]} for row in rows]
         return [rows[s:s + w] for s in range(0, len(rows), w)]
 
     def ranks(self, mv: Multivector):
@@ -309,7 +310,7 @@ class Representation:
         from ``numerator_blocks`` by the one Bareiss kernel; a quaternion
         block A ranks as chi(A) / 2."""
         k = 2 if self.target.ring_tag == QUATERNION else 1
-        return [len(linalg.echelon_numerators(rows, len(rows))) // k
+        return [len(linalg.echelon_numerators(rows)) // k
                 for rows in self.numerator_blocks(mv)]
 
     def invertible(self, mv: Multivector):

@@ -3,22 +3,21 @@
 A Hermitian idempotent p = (e + s)/2 generates the left ideal A p; the ideal
 is minimal exactly when its complex dimension is 2^(n/2), and then left
 multiplication on it is equivalent to the compiled column model.  All linear
-algebra is exact over the Gaussian rationals, and the spinor chain runs on
-the monomial form of the compiled model: every rho(e_b) has one unit in each
-row and column (``Representation._blade``), so rho(x) for a whole
-multivector is needed only as Gaussian-integer numerator rows
-(``Representation.numerator_blocks``), for its rank and for the row space
-of rho(p).  The ideal is eliminated from the preimages of the matrices in
-rho(A p), one lookup per blade each, or from the rows e_b p where those
-hold fewer nonzero entries.  After ``left_ideal`` the only elimination is
-U^-1: coordinates, the left action and U are read off the pivots and the
-monomial columns.  The rows e_b p and the conjugator equation g p1 = p2 g
-are built as integer rows by ``algebra.multiplication_numerators``.  Every
-elimination runs the one Bareiss kernel of ``linalg`` on integer rows.
+algebra is exact, and the spinor chain runs on the monomial form of the
+compiled model: every rho(e_b) has one unit in each row and column
+(``Representation._blade``), so rho(x) is needed only as sparse
+Gaussian-integer rows (``Representation.numerator_blocks``).  Every
+elimination runs the sparse Bareiss kernel of ``linalg`` on rows that hold
+their nonzero entries only: the rows e_b p or the preimages of rho(A p) for
+the ideal, and rows of |p1| + |p2| entries for g p1 = p2 g; the reduced rows
+are read straight into multivector numerators.  After ``left_ideal`` the
+only elimination is U^-1: coordinates, the left action and U are read off
+the pivots and the monomial columns.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -27,9 +26,9 @@ from .algebra import (
     Multivector,
     _gaussian_int_terms,
     complex_unit,
-    from_coords,
     invert,
     multiplication_numerators,
+    multiplication_rows,
 )
 from .reprs import GAUSSIAN_INT_UNITS, Intertwiner, compile_complex_rep, compile_rep
 from .scalars import GAUSSIAN, GaussianRational
@@ -98,12 +97,12 @@ def left_ideal(p) -> SpinorSpace:
     multivector of the complex algebra or a ``HermitianIdempotent``).
 
     The basis is the reduced echelon form, which is unique, of one of two
-    spanning sets of A p, both 2^n wide: the 2^n rows e_b p of |p| terms
-    each, or the m * rank rho(p) preimages of ``_row_preimages``, of about
-    2^n / m terms per nonzero entry of a row space basis of rho(p).  The
-    elimination takes the set with fewer nonzero entries: the preimages for
-    a primitive p, whose image has rank 1, and the rows e_b p for a p of few
-    terms and high rank, such as (e + e1)/2.
+    sparse spanning sets of A p: the 2^n rows e_b p, of |p| entries each, or
+    the m * rank rho(p) preimages of ``_row_preimages``, of about 2^n / m
+    entries per nonzero entry of a row space basis of rho(p).  The
+    elimination takes the set with fewer nonzero entries, with no dense
+    width: the preimages for a primitive p, whose image has rank 1, and the
+    rows e_b p for a p of few terms and high rank, such as (e + e1)/2.
     """
     if isinstance(p, HermitianIdempotent):
         p = p.p
@@ -113,19 +112,17 @@ def left_ideal(p) -> SpinorSpace:
     if p * p != p:
         raise ValueError("not an idempotent")
     rep = compile_complex_rep(n)
-    m = rep.target.m
-    bases = [linalg.echelon_numerators(block, m) for block in rep.numerator_blocks(p)]
-    nonzeros = sum(bool(x or y) for basis in bases for v in basis for x, y in zip(*v))
-    if nonzeros <= len(p.terms):
+    bases = [[row for row, _b, _c in linalg.echelon_numerators(block)]
+             for block in rep.numerator_blocks(p)]
+    if sum(len(v) for basis in bases for v in basis) <= len(p.re.keys() | p.im.keys()):
         rows = _row_preimages(rep, bases)
     else:
         # row b: the numerators of e_b p
         rows = multiplication_numerators(p, "right", transpose=True)[1]
-    red, pivots = linalg.rref_numerators(rows, 1 << n, GaussianRational)
-    basis = tuple(
-        from_coords(Multivector.complex_alg(n, {}), row) for row in red
-    )
-    return SpinorSpace(n, p, basis, tuple(pivots))
+    done = linalg.echelon_numerators(rows)
+    basis = tuple(Multivector(None, n, GAUSSIAN, *linalg.reduced_numerators(row, b))
+                  for row, b, _c in done)
+    return SpinorSpace(n, p, basis, tuple(c for _row, _b, c in done))
 
 
 def _row_preimages(rep, bases):
@@ -140,19 +137,15 @@ def _row_preimages(rep, bases):
     per blade.  The rows leave out the common factor 1 / size.
     """
     m = rep.target.m
-    dim = 1 << rep.n
     # (row of rho, v, numerators of the preimage)
-    targets = [(s * m + i, v, ([0] * dim, [0] * dim))
-               for s, basis in enumerate(bases) for v in basis for i in range(m)]
-    units = GAUSSIAN_INT_UNITS
-    for b in range(dim):
+    targets = [(s * m + i, v, {}) for s, basis in enumerate(bases) for v in basis for i in range(m)]
+    for b in range(1 << rep.n):
         perm, codes = rep._blade(b)
-        for i, (vre, vim), (re, im) in targets:
-            j = perm[i] % m
-            x, y = vre[j], vim[j]
-            if x or y:
-                u, w = units[codes[i]]
-                re[b], im[b] = x * u + y * w, y * u - x * w
+        for i, v, row in targets:
+            e = v.get(perm[i] % m)
+            if e:
+                u, w = GAUSSIAN_INT_UNITS[codes[i]]
+                row[b] = (e[0] * u + e[1] * w, e[1] * u - e[0] * w)
     return [row for _i, _v, row in targets]
 
 
@@ -166,20 +159,13 @@ def is_minimal(space: SpinorSpace) -> bool:
 # deterministic primitive idempotent search
 
 def _candidate_roots(n):
-    """Hermitian square roots of e among signed blades: +-e^i and +-i e^a e^b."""
-    out = []
-    for i in range(1, n + 1):
-        blade = 1 << (i - 1)
-        for sign in (1, -1):
-            out.append(Multivector.complex_alg(n, {blade: GaussianRational(sign)}))
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            blade = (1 << (a - 1)) | (1 << (b - 1))
-            for sign in (1, -1):
-                out.append(
-                    Multivector.complex_alg(n, {blade: GaussianRational(0, sign)})
-                )
-    return out
+    """Hermitian square roots of e among signed blades, +-e^i and
+    +-i e^a e^b, as (blade, root) pairs."""
+    gens = [1 << i for i in range(n)]
+    pairs = [a | b for k, a in enumerate(gens) for b in gens[k + 1:]]
+    coeffs = [(b, s) for b in gens for s in (1, -1)]
+    coeffs += [(b, GaussianRational(0, s)) for b in pairs for s in (1, -1)]
+    return [(b, Multivector.complex_alg(n, {b: c})) for b, c in coeffs]
 
 
 def primitive_idempotent(n: int) -> HermitianIdempotent:
@@ -188,38 +174,37 @@ def primitive_idempotent(n: int) -> HermitianIdempotent:
 
     A candidate p is primitive when rank rho(p) = 1 in the compiled model:
     rho is an isomorphism onto Mat(m, C), so dim A p = m rank rho(p), and
-    the minimal dimension m = 2^(n/2) is rank 1.
+    the minimal dimension m = 2^(n/2) is rank 1.  Commutation and
+    independence are read off the blades.  A root s is independent of the
+    chosen ones when it is not +-pr for a product pr of them; s = c pr with
+    c a unit exactly when both have the same blade, and then c = +-1,
+    since s and pr commute and both square to e.
     """
     if n <= 0 or n % 2:
         raise ValueError("primitive idempotent search needs positive even n")
-    k = n // 2
-    candidates = _candidate_roots(n)
-    e = complex_unit(n)
+    roots = _candidate_roots(n)
     rep = compile_complex_rep(n)
 
     def dfs(start, chosen, products):
-        if len(chosen) == k:
-            p = idempotent_from_factors(n, chosen)
-            if rep.ranks(p) == [1]:
-                return chosen
-            return None
-        for idx in range(start, len(candidates)):
-            s = candidates[idx]
-            if any(s * c != c * s for c in chosen):
+        if len(chosen) == n // 2:
+            p = idempotent_from_factors(n, [s for _b, s in chosen])
+            return p if rep.ranks(p) == [1] else None
+        for idx in range(start, len(roots)):
+            blade, _s = roots[idx]
+            k = blade.bit_count()
+            # e_A e_B = (-1)^(|A| |B| + |A & B|) e_B e_A
+            if blade in products or any((k * c.bit_count() + (blade & c).bit_count()) & 1
+                                        for c, _s in chosen):
                 continue
-            # independence: s must not lie in the group generated so far
-            if any(s == pr or s == -pr for pr in products):
-                continue
-            res = dfs(idx + 1, chosen + [s], products + [pr * s for pr in products])
+            res = dfs(idx + 1, chosen + [roots[idx]], products + [b ^ blade for b in products])
             if res is not None:
                 return res
         return None
 
-    chosen = dfs(0, [], [e])
-    if chosen is None:
+    p = dfs(0, [], [0])
+    if p is None:
         raise AssertionError("no primitive idempotent found in the candidate set")
-    p = idempotent_from_factors(n, chosen)
-    return HermitianIdempotent(n, p * 2 - e, p)
+    return HermitianIdempotent(n, p * 2 - complex_unit(n), p)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +248,19 @@ def _left_action(space):
     """L_i[r][j], the coefficient of e^i psi_j at pivots[r].  A p is a left
     ideal, so e^i psi_j lies in it and these are its coordinates.  Since
     e^i e_b = (-1)^t e_(b xor i), t the number of generators of b below i,
-    the entry is +-psi_j at pivots[r] xor i: one lookup, no product."""
+    the entry is +-psi_j at pivots[r] xor i: one lookup in the numerators,
+    no product."""
+    zero = GaussianRational(0)
     out = []
     for i in range(space.n):
         bit = 1 << i
         rows = []
         for piv in space.pivots:
-            neg = (piv & (bit - 1)).bit_count() & 1
-            coeffs = (psi.coeff(piv ^ bit) for psi in space.basis)
-            rows.append(tuple(-c if neg and c else c for c in coeffs))
+            b = piv ^ bit
+            s = -1 if (piv & (bit - 1)).bit_count() & 1 else 1
+            rows.append(tuple(GaussianRational(Fraction(s * psi.re.get(b, 0), psi.den),
+                                               Fraction(s * psi.im.get(b, 0), psi.den))
+                              if b in psi.re or b in psi.im else zero for psi in space.basis))
         out.append(tuple(rows))
     return tuple(out)
 
@@ -282,23 +271,26 @@ def _column_model(rep, space):
 
     Column k of rho(e_b) holds one unit u, in the row r with perm_b[r] = k,
     so each blade of psi_j adds its coefficient times u to U[r][j].  The
-    sums run on Gaussian-integer numerators over one denominator, which the
-    scaling cancels."""
+    sums run on the numerators of the psi_j over the lcm of their
+    denominators, which the scaling cancels."""
     m = rep.target.m
     [rho_p] = rep.numerator_blocks(space.p)
-    k = next(j for j in range(m) if any(re[j] or im[j] for re, im in rho_p))
-    _d, re, im = _gaussian_int_terms({(j, b): c for j, psi in enumerate(space.basis)
-                                      for b, c in psi.terms.items()})
-    num = [([0] * m, [0] * m) for _ in range(m)]
-    for j, b in re.keys() | im.keys():
-        x, y = re.get((j, b), 0), im.get((j, b), 0)
-        perm, codes = rep._blade(b)
-        r = perm.index(k)
-        u, w = GAUSSIAN_INT_UNITS[codes[r]]
-        num[r][0][j] += x * u - y * w
-        num[r][1][j] += x * w + y * u
-    last = next((x, y) for row in reversed(num) for x, y in reversed(list(zip(*row))) if x or y)
-    return tuple(tuple(linalg._reduced(row, last, GaussianRational)) for row in num)
+    k = min(min(row) for row in rho_p if row)
+    d = math.lcm(*(psi.den for psi in space.basis))
+    num = [{} for _ in range(m)]
+    for j, psi in enumerate(space.basis):
+        f = d // psi.den
+        for b in psi.re.keys() | psi.im.keys():
+            x, y = f * psi.re.get(b, 0), f * psi.im.get(b, 0)
+            perm, codes = rep._blade(b)
+            r = perm.index(k)
+            u, w = GAUSSIAN_INT_UNITS[codes[r]]
+            p, q = num[r].get(j, (0, 0))
+            num[r][j] = (p + x * u - y * w, q + x * w + y * u)
+    num = [{j: e for j, e in row.items() if e[0] or e[1]} for row in num]
+    last = next(row[max(row)] for row in reversed(num) if row)
+    return tuple(tuple(linalg.dense_row(*linalg.reduced_numerators(row, last), GaussianRational, m))
+                 for row in num)
 
 
 def _intertwines(rep, U, left):
@@ -336,43 +328,39 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
     """Invertible g with g p1 g^-1 = p2, or None.
 
     Solves the exact linear system g p1 = p2 g in the algebra
-    (``_conjugator_basis``) and picks an invertible point of the solution
-    space, in ``linalg.first_accepted`` order.  A point g is accepted when
-    g p1 = p2 g holds exactly and rho(g) is invertible in the compiled
-    matrix model (``Representation.invertible``), which decides
+    (``_conjugator_rows``) and picks an invertible point of the solution
+    space, in ``linalg.first_accepted`` order, each point read off the
+    reduced rows straight into multivector numerators.  A point g is
+    accepted when g p1 = p2 g holds exactly and rho(g) is invertible in the
+    compiled matrix model (``Representation.invertible``), which decides
     invertibility of g because rho is an isomorphism onto the target ring;
-    no inverse is computed.  Every real signature and every
-    complex dimension has a compiled model, odd n included.
+    no inverse is computed.  Every real signature and every complex
+    dimension has a compiled model, odd n included.
     """
     if p1.space_key() != p2.space_key():
         raise ValueError("idempotents live in different algebras")
     rep = compile_complex_rep(p1.n) if p1.is_complex else compile_rep(p1.sig)
-    basis = _conjugator_basis(p1, p2)
+    free, point = linalg.nullspace_numerators(_conjugator_rows(p1, p2), 1 << p1.n)
 
-    def conjugates(v):
-        g = from_coords(p1, v)
-        if not g or not rep.invertible(g):
+    def conjugates(g):
+        if not rep.invertible(g):
             return None
         return g if g * p1 == p2 * g else None
 
-    return linalg.first_accepted(basis, conjugates, seed=seed)
+    return linalg.first_accepted(free, conjugates, seed=seed,
+                                 combine=lambda terms: Multivector(*p1.space_key(), *point(terms)))
 
 
-def _conjugator_basis(p1, p2):
-    """Nullspace basis of g -> g p1 - p2 g on the blade basis.
+def _conjugator_rows(p1, p2):
+    """The rows of g -> g p1 - p2 g on the blade basis, times d1 d2.
 
     The map is R(p1) - L(p2) = (d2 N_R - d1 N_L) / (d1 d2), with N_R and N_L
-    the numerator matrices of right multiplication by p1 and left
-    multiplication by p2 over their denominators d1 and d2.  The scale
-    d1 d2 does not change the (unique) reduced form, so the integer rows give
-    the basis of the rational matrix.
+    the numerator rows of right multiplication by p1 and left
+    multiplication by p2 over their denominators d1 and d2: row y holds the
+    entries at x = y xor b for the blades b of p1 and of p2.  The scale
+    d1 d2 does not change the (unique) reduced form.
     """
-    d1, right = multiplication_numerators(p1, "right")
-    d2, left = multiplication_numerators(p2, "left")
-    rows = [tuple([d2 * u - d1 * v for u, v in zip(r, l)] for r, l in zip(rr, ll))
-            for rr, ll in zip(right, left)]
-    ring = GaussianRational if p1.is_complex else Fraction
-    return linalg.nullspace_numerators(rows, 1 << p1.n, ring)
+    return multiplication_rows([(p1, "right", p2.den), (p2, "left", -p1.den)])
 
 
 def stabilizer_membership(g: Multivector, space: SpinorSpace) -> bool:

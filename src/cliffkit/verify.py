@@ -319,7 +319,7 @@ CRITERIA = (
     ("double-cover", check_double_cover, 0.75),
     ("reflection-factorization", check_reflection_factorization, 3.0),
     ("spinor-ideals", check_spinor_ideals, 0.06),
-    ("idempotent-conjugacy", check_idempotent_conjugacy, 0.6),
+    ("idempotent-conjugacy", check_idempotent_conjugacy, 0.3),
     ("even-subrings", check_even_subrings, None),
     ("cech-pin-obstruction", check_cech_obstruction, 0.1),
 )

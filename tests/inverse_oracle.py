@@ -2,8 +2,10 @@
 
 ``map_matrix`` builds the matrix of a linear map on the algebra one image
 at a time, in field arithmetic, from the dense columns ``coords_vector``.
-The tests compare the integer rows of ``algebra.multiplication_numerators``
-and the spinor-side eliminations with it, and ``dense_inverse`` checks
+The tests compare the sparse integer rows of
+``algebra.multiplication_numerators`` and the spinor-side eliminations with
+it, ``from_coords`` reads a dense coordinate vector back into a
+multivector, and ``dense_inverse`` checks
 ``algebra.invert`` against the left regular representation: x = a^-1 solves
 a x = 1, so it is column 0 of the inverse of the matrix of x -> a x.
 """
@@ -11,13 +13,21 @@ a x = 1, so it is column 0 of the inverse of the matrix of x -> a x.
 from fractions import Fraction
 
 from cliffkit import linalg
-from cliffkit.algebra import Multivector, from_coords
+from cliffkit.algebra import Multivector
 from cliffkit.scalars import ZERO, GaussianRational
 
 
 def coords_vector(a):
     """Dense coordinate column of a on the blade basis."""
     return tuple(a.terms.get(b, ZERO[a.ring]) for b in range(1 << a.n))
+
+
+def from_coords(model, coords):
+    """Multivector in the same space as ``model`` from dense coordinates."""
+    terms = {b: c for b, c in enumerate(coords) if c}
+    if model.is_complex:
+        return Multivector.complex_alg(model.n, terms)
+    return Multivector.real(model.sig, terms)
 
 
 def map_matrix(model, f):

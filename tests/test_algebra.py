@@ -120,25 +120,27 @@ def _random_element(space, rng):
     ids=str,
 )
 def test_multiplication_numerators_match_map_matrix(space):
-    # the integer rows over d are the dense oracle's left and right
-    # multiplication matrices, row by row and (transposed) column by column
+    # the sparse integer rows over d are the dense oracle's left and right
+    # multiplication matrices, row by row and (transposed) column by column,
+    # with every nonzero entry stored and no zero one
     rng = random.Random(23)
     for _ in range(4):
         a = _random_element(space, rng)
+        dim = 1 << a.n
         for side, f in (("left", lambda x: a * x), ("right", lambda x: x * a)):
             d, rows = multiplication_numerators(a, side)
+            assert len(rows) == dim
+            assert all(0 <= x < dim and (u or v) for row in rows for x, (u, v) in row.items())
             if a.is_complex:
-                got = tuple(tuple(GaussianRational(Fraction(x, d), Fraction(y, d))
-                                  for x, y in zip(*row)) for row in rows)
+                got = tuple(tuple(GaussianRational(Fraction(u, d), Fraction(v, d))
+                                  for u, v in (row.get(x, (0, 0)) for x in range(dim))) for row in rows)
             else:
-                assert not any(any(im) for _re, im in rows)
-                got = tuple(tuple(Fraction(x, d) for x in re) for re, _im in rows)
+                assert not any(v for row in rows for _u, v in row.values())
+                got = tuple(tuple(Fraction(row.get(x, (0, 0))[0], d) for x in range(dim)) for row in rows)
             assert got == map_matrix(a, f)
             d_t, cols = multiplication_numerators(a, side, transpose=True)
             assert d_t == d
-            for part in (0, 1):
-                assert [list(c) for c in zip(*(row[part] for row in rows))] == [
-                    col[part] for col in cols]
+            assert cols == [{y: row[x] for y, row in enumerate(rows) if x in row} for x in range(dim)]
     with pytest.raises(ValueError):
         multiplication_numerators(a, "both")
 

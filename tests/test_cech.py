@@ -5,6 +5,7 @@ cochains, so the bitmask elimination never certifies itself.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -279,8 +280,47 @@ def test_pin_lift_rejects_a_non_proportional_edge_lift(monkeypatch):
         # g e1 e2 is not a scalar multiple of g
         return Versor(SIG, g.factors + (e1, e2)) if m is bad else g
 
+    # the raw lifts are where the cocycle condition is read: with ker zeta
+    # the nonzero scalars, a discrepancy that is not scalar means edges that
+    # fail it, so the first triangle on the bad edge is reported as bad input
     monkeypatch.setattr(cech, "lift_to_pin", lift_with_one_bad_edge)
-    with pytest.raises(AssertionError, match="not scalar"):
+    with pytest.raises(ValueError, match=r"cocycle condition fails on triangle \[0, 1, 2\]"):
+        pin_lift_cocycle(coc)
+
+
+def test_pin_lift_rejects_edges_that_are_not_a_cocycle():
+    # the raw triangle pass reports the triangle check_cocycle finds first
+    rng = rng_from_seed(2)
+    coc, _ = _coboundary_cocycle(tetrahedron_boundary(), rng)
+    bad = dict(coc.edges)
+    bad[(1, 2)] = bad[(1, 2)] * PseudoOrthogonalMatrix(SIG, [[Fraction(3, 5), Fraction(-4, 5)],
+                                                           [Fraction(4, 5), Fraction(3, 5)]])
+    broken = GroupCocycle.build(coc.complex, SIG, bad)
+    ok, tri = check_cocycle(broken)
+    assert not ok
+    with pytest.raises(ValueError, match=re.escape(f"cocycle condition fails on triangle {list(tri)}")):
+        pin_lift_cocycle(broken)
+
+
+@pytest.mark.parametrize("fault", ["sign", "not scalar"])
+def test_pin_lift_resigned_pass_is_an_internal_check(monkeypatch, fault):
+    # after resigning by eta every triangle must be +1 and scalar; a wrong
+    # eta (one edge bit flipped) or a resign that is not a negation is an
+    # internal error, never a usage error
+    rng = rng_from_seed(3)
+    coc, _ = _coboundary_cocycle(tetrahedron_boundary(), rng)
+    preimage = Z2Cochain.coboundary_preimage
+    e1, e2 = basis_vector(SIG, 1), basis_vector(SIG, 2)
+
+    def wrong_preimage(w):
+        # called after the raw pass, so only the resigned lifts change
+        if fault == "not scalar":
+            monkeypatch.setattr(Versor, "negated", lambda g: Versor(SIG, g.factors + (e1, e2)))
+        return preimage(w) ^ 1
+
+    monkeypatch.setattr(Z2Cochain, "coboundary_preimage", wrong_preimage)
+    match = "triangle discrepancy is not scalar" if fault == "not scalar" else "sign correction failed"
+    with pytest.raises(AssertionError, match=match):
         pin_lift_cocycle(coc)
 
 

@@ -1,6 +1,7 @@
 """Command line interface: outputs, file I/O and exit codes."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,30 @@ def test_cech_lift_succeeds_on_sphere(capsys, tmp_path):
     assert "1 inequivalent lifts" in out
     doc = json.loads(out_file.read_text())
     assert doc["success"] is True and doc["lift_count"] == 1
+
+
+def test_cech_lift_on_edges_that_are_not_a_cocycle_is_usage_error(capsys, tmp_path):
+    # seeded random rational rotations on the tetrahedron boundary: check
+    # reports the failing triangle, and lift exits 2 with the same message
+    # instead of an internal error
+    rng = random.Random(4)
+    rotations = [[["1", "0"], ["0", "1"]]] + [
+        [[f"{c}/{h}", f"{-s}/{h}"], [f"{s}/{h}", f"{c}/{h}"]]
+        for c, s, h in ((3, 4, 5), (5, 12, 13), (-4, 3, 5), (8, -15, 17))]
+    tetra = tetrahedron_boundary()
+    coc_file = tmp_path / "rotations.json"
+    coc_file.write_text(json.dumps({
+        "complex": tetra.to_json(), "signature": [2, 0],
+        "edges": [{"e": list(e), "matrix": rng.choice(rotations)} for e in tetra.edges],
+    }))
+    code, out, _ = run(capsys, "cech", "check", str(coc_file))
+    assert code == 1
+    [line] = out.splitlines()
+    assert line.startswith("cocycle condition fails on triangle")
+    code, out, err = run(capsys, "cech", "lift", str(coc_file))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {line}"
 
 
 def test_seed_determinism(capsys):

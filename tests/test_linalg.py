@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cliffkit import linalg
 from cliffkit.scalars import GaussianRational, Quaternion
+import bareiss_oracle
 from rank_oracle import SparseRankAccumulator
 
 
@@ -43,16 +44,21 @@ def test_nullspace_rational():
 @pytest.mark.parametrize("ring", [Fraction, GaussianRational])
 def test_nullspace_numerators_of_zero_matrix_is_standard_basis(ring):
     n = 4
-    rows = [([0] * n, [0] * n) for _ in range(3)]
-    basis = linalg.nullspace_numerators(rows, n, ring)
+    rows = [{} for _ in range(3)]
+    free, point = linalg.nullspace_numerators(rows, n)
+    assert free == list(range(n))
+    assert [point([(1, c)]) for c in free] == [(1, {c: 1}, {}) for c in range(n)]
+    assert linalg.nullspace_numerators([], n)[0] == free
+    assert linalg.rref_numerators(rows, n, ring) == ([], [])
+    basis = linalg.nullspace([[ring(0)] * n for _ in range(3)])
     assert basis == [tuple(ring(int(i == j)) for j in range(n)) for i in range(n)]
     assert all(type(x) is ring for v in basis for x in v)
-    assert linalg.nullspace_numerators([], n, ring) == basis
-    assert linalg.rref_numerators(rows, n, ring) == ([], [])
 
 
 def test_numerator_entry_points_match_rref_and_nullspace():
-    # scaled integer rows give the rref and nullspace of the rational rows
+    # scaled integer rows give the rref and nullspace of the rational rows,
+    # and a point of the span read off the reduced rows is the combination
+    # of the basis vectors
     rng = random.Random(31)
     for ring in (Fraction, GaussianRational):
         for _ in range(20):
@@ -65,10 +71,19 @@ def test_numerator_entry_points_match_rref_and_nullspace():
             rows = [[ring(Fraction(x, d), Fraction(y, d)) if ring is GaussianRational
                      else Fraction(x, d) for x, y in zip(r, i)] for r, i in zip(re, im)]
             scale = rng.choice([1, -3, 6])
-            num = [([scale * x for x in r], [scale * y for y in i]) for r, i in zip(re, im)]
+            num = [{j: (scale * x, scale * y) for j, (x, y) in enumerate(zip(r, i)) if x or y}
+                   for r, i in zip(re, im)]
             red, pivots = linalg.rref(rows)
             assert linalg.rref_numerators(num, n_cols, ring) == (red[: len(pivots)], pivots)
-            assert linalg.nullspace_numerators(num, n_cols, ring) == linalg.nullspace(rows)
+            basis = linalg.nullspace(rows)
+            free, point = linalg.nullspace_numerators(num, n_cols)
+            assert len(free) == len(basis)
+            assert [tuple(linalg.dense_row(*point([(1, c)]), ring, n_cols)) for c in free] == basis
+            coeffs = [rng.choice([-2, -1, 1, 3]) for _ in free]
+            want = [sum((f * v[j] for f, v in zip(coeffs, basis)), ring(0)) for j in range(n_cols)]
+            den, pre, pim = point(list(zip(coeffs, free)))
+            assert den > 0 and all(pre.values()) and all(pim.values())
+            assert linalg.dense_row(den, pre, pim, ring, n_cols) == want
 
 
 def test_inverse_rational():
@@ -429,11 +444,91 @@ def test_content_heavy_rows_stay_within_hadamard_bound():
         rows.append([g * GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
                      for _ in range(8)])
     ints, _scales = linalg._gaussian_rows(rows)
-    bound = math.prod(sum(x * x + y * y for x, y in zip(*row)) for row in ints)
-    done, _sign, _last = linalg._bareiss(ints, 8)
+    bound = math.prod(sum(x * x + y * y for x, y in row.values()) for row in ints)
+    done, _sign, _last = linalg._bareiss(ints)
     assert len(done) == 8
-    assert all(x * x + y * y <= bound for row, _b, _c in done for x, y in zip(*row))
+    assert all(x * x + y * y <= bound for row, _b, _c in done for x, y in row.values())
+    assert _as_dense(done, 8) == bareiss_oracle.bareiss(bareiss_oracle.gaussian_rows(rows)[0], 8)[0]
     assert linalg.rref(rows) == _oracle_rref(rows)
     inverse = linalg.inv(rows)
     assert inverse == _oracle_inv(rows)
     assert linalg.mat_eq(linalg.matmul(inverse, rows), linalg.identity(8, GaussianRational(1)))
+
+
+# -- the sparse kernel against the dense Bareiss oracle ----------------------
+
+def _as_dense(done, n_cols):
+    return [(bareiss_oracle.dense(row, n_cols), b, c) for row, b, c in done]
+
+
+_PAIR = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+_NONZERO_PAIR = _PAIR.filter(any)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(rows, n_cols) of sparse Gaussian-integer rows: scattered entries,
+    fully dense rows, zero rows among the others, parity-block-diagonal
+    systems (a row lives on the columns of one popcount parity, like the
+    rows of an even or odd element), pivots with nonzero imaginary parts,
+    and rows that are integer combinations of the rows above them."""
+    shape = draw(st.sampled_from(["scattered", "dense", "zero-rows", "parity", "gaussian", "deficient"]))
+    n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(1, 8))
+    rows = []
+    for i in range(n_rows):
+        if shape == "dense":
+            row = {j: draw(_NONZERO_PAIR) for j in range(n_cols)}
+        elif shape == "gaussian":
+            entry = st.tuples(st.integers(-4, 4), st.integers(-4, 4).filter(bool))
+            row = {j: draw(entry) for j in range(n_cols) if draw(st.booleans())}
+        else:
+            row = {j: draw(_NONZERO_PAIR) for j in range(n_cols) if draw(st.booleans())}
+        if shape == "zero-rows" and draw(st.booleans()):
+            row = {}
+        elif shape == "parity":
+            parity = draw(st.integers(0, 1))
+            row = {j: e for j, e in row.items() if j.bit_count() & 1 == parity}
+        elif shape == "deficient" and i >= 2:
+            f, g = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            row = {}
+            for j in range(n_cols):
+                (a, b), (c, e) = rows[i - 1].get(j, (0, 0)), rows[i - 2].get(j, (0, 0))
+                if f * a + g * c or f * b + g * e:
+                    row[j] = (f * a + g * c, f * b + g * e)
+        rows.append(row)
+    return rows, n_cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_systems())
+def test_sparse_kernel_matches_dense_oracle(case):
+    rows, n_cols = case
+    before = [dict(row) for row in rows]
+    done, sign, last = linalg._bareiss(rows)
+    want_done, want_sign, want_last = bareiss_oracle.bareiss(
+        [bareiss_oracle.dense(row, n_cols) for row in rows], n_cols)
+    assert _as_dense(done, n_cols) == want_done
+    assert (sign, last) == (want_sign, want_last)
+    assert all(x or y for row, _b, _c in done for x, y in row.values())
+    assert rows == before  # the input rows are not mutated
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems(), st.integers(1, 6), st.booleans())
+def test_public_routines_match_dense_oracle(case, d, real):
+    rows, n_cols = case
+    if not rows:
+        return
+    # the rows over d, in Q (real parts only) or Q(i)
+    dense = [list(zip(*bareiss_oracle.dense(row, n_cols))) for row in rows]
+    if real:
+        rows = [[Fraction(x, d) for x, _y in row] for row in dense]
+    else:
+        rows = [[GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in row] for row in dense]
+    assert linalg.rref(rows) == bareiss_oracle.rref(rows)
+    assert linalg.nullspace(rows) == bareiss_oracle.nullspace(rows)
+    assert linalg.rank(rows) == bareiss_oracle.rank(rows)
+    sq = _square(rows)
+    assert linalg.inv(sq) == bareiss_oracle.inv(sq)
+    assert linalg.det(sq) == bareiss_oracle.det(sq)
+    assert linalg.det(sq[::-1]) == bareiss_oracle.det(sq[::-1])

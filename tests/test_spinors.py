@@ -12,7 +12,6 @@ from cliffkit.algebra import (
     Signature,
     complex_basis_vector,
     complex_unit,
-    from_coords,
     invert,
     multiplication_numerators,
     multivector_to_json,
@@ -30,7 +29,7 @@ from cliffkit.reprs import (
 from cliffkit.sampling import random_unitary_versor, rng_from_seed
 from cliffkit.spinors import (
     SpinorSpace,
-    _conjugator_basis,
+    _conjugator_rows,
     _intertwines,
     _row_preimages,
     find_conjugator,
@@ -43,7 +42,7 @@ from cliffkit.spinors import (
     stabilizer_membership,
 )
 from cliffkit.scalars import GAUSSIAN, GaussianRational, format_scalar
-from inverse_oracle import coords_vector, dense_inverse, map_matrix
+from inverse_oracle import coords_vector, dense_inverse, from_coords, map_matrix
 
 G1 = GaussianRational(1)
 GI = GaussianRational(0, 1)
@@ -425,10 +424,38 @@ def test_conjugator_basis_matches_dense_nullspace(kind):
     pairs = _complex_pairs() if kind == "complex" else _real_pairs()
     for seed, (p1, p2) in enumerate(pairs):
         want = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
-        assert _conjugator_basis(p1, p2) == want
+        free, point = linalg.nullspace_numerators(_conjugator_rows(p1, p2), 1 << p1.n)
+        assert [coords_vector(Multivector(*p1.space_key(), *point([(1, c)]))) for c in free] == want
         if p1.n <= 4:
             assert find_conjugator(p1, p2, seed=seed) == _dense_conjugator(p1, p2, seed)
     assert [find_conjugator(p1, p2) is None for p1, p2 in pairs].count(True) >= 1
+
+
+@pytest.mark.parametrize("case", ["C2", "C3", "C4", "real"])
+def test_conjugator_rows_match_map_matrix(case):
+    # row y of the sparse system is d1 d2 times row y of the dense matrix of
+    # g -> g p1 - p2 g, every nonzero entry stored and no zero one
+    if case == "real":
+        # Cl(1,1), Cl(1,0), Cl(0,2) and Cl(0,3), with generators squaring to -1
+        pairs = _real_pairs()
+    else:
+        n = int(case[1:])
+        pairs = [pair for pair in _complex_pairs() if pair[0].n == n]
+        e, e1 = complex_unit(n), complex_basis_vector(n, 1)
+        pairs.append(((e + e1) * (G1 / 2), (e - e1) * (G1 / 2)))
+    assert pairs
+    for p1, p2 in pairs:
+        scale = p1.den * p2.den
+        want = []
+        for row in map_matrix(p1, lambda g: g * p1 - p2 * g):
+            entries = {}
+            for x, c in enumerate(row):
+                c = GaussianRational.coerce(c) * scale
+                if c:
+                    assert c.re.denominator == c.im.denominator == 1
+                    entries[x] = (int(c.re), int(c.im))
+            want.append(entries)
+        assert _conjugator_rows(p1, p2) == want
 
 
 def _dense_left_ideal(p):
@@ -462,7 +489,7 @@ def test_left_ideal_matches_dense_rref():
         rows = tuple(coords_vector(psi) for psi in space.basis)
         assert (rows, space.pivots) == want
         rep = compile_complex_rep(p.n)
-        bases = [linalg.echelon_numerators(block, rep.target.m)
+        bases = [[row for row, _b, _c in linalg.echelon_numerators(block)]
                  for block in rep.numerator_blocks(p)]
         for spanning in (_row_preimages(rep, bases),
                          multiplication_numerators(p, "right", transpose=True)[1]):
@@ -499,6 +526,30 @@ def test_rep_preimage_inverts_rho():
             for b in range(1 << sig.n) if rng.random() < 0.5
         })):
             assert rep.preimage(rep.rho(x)) == x
+
+
+def test_spinor_space_golden_digest():
+    # sha256 over the pivots and the basis (JSON terms and canonical
+    # numerators) of left ideals up to n = 10: the primitive idempotent, the
+    # high-rank (e + e1)/2, which goes through the rows e_b p, and a
+    # two-factor product, so neither spanning set nor the kernel that
+    # reduces it can change a byte of the space
+    h = hashlib.sha256()
+    for n in range(1, 11):
+        e = complex_unit(n)
+        idems = [primitive_idempotent(n).p] if n % 2 == 0 else []
+        idems.append((e + complex_basis_vector(n, 1)) * (G1 / 2))
+        if n >= 3:
+            idems.append(idempotent_from_factors(n, [
+                complex_basis_vector(n, 1),
+                complex_basis_vector(n, 2) * complex_basis_vector(n, 3) * GI]))
+        for p in idems:
+            space = left_ideal(p)
+            h.update(json.dumps([
+                list(space.pivots), [multivector_to_json(psi) for psi in space.basis],
+                [[psi.den, sorted(psi.re.items()), sorted(psi.im.items())] for psi in space.basis],
+            ]).encode())
+    assert h.hexdigest() == "d4e5109bb806f75d002eab135e94e530533434b3b6f912edd55cf3a885720974"
 
 
 def test_solver_choices_golden_digest():
