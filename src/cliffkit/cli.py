@@ -33,10 +33,12 @@ from .spinors import (
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 # largest p + q (or complex N) that compile accepts: --verify reads only the
-# generators and omega (n = 16: 0.2 s, 17 MB), but --json writes n dense
-# matrices: at n = 16 a 13.7 MB file in 1-1.5 s and 97 MB, at n = 14 4.6 MB
-# and 37 MB, about three times more per two steps up (Python 3.11, 2 CPUs)
-MAX_COMPILE_DIM = 16
+# generators and omega (n = 18: 0.4 s, 17 MB), and --json writes the n
+# generators straight off the monomial form, so the JSON encoder dominates:
+# compile 18 0 and compile --complex 18 with --verify --json write 61 MB in
+# 2.4-3.0 s and 53 MB; an H target writes each entry as a list, and
+# compile 0 18 writes 94 MB in 6.2 s and 134 MB (Python 3.11, 2 CPUs)
+MAX_COMPILE_DIM = 18
 # largest N that spinor accepts, with or without --model: the ideal is
 # eliminated on sparse integer rows and the model reads U off the monomial
 # columns; N = 12 takes about 0.6 s and 32 MB with or without --model, and
@@ -151,6 +153,8 @@ def _cmd_classify(args):
 
 def _cmd_compile(args):
     if args.complex_dim is not None:
+        if args.p is not None:
+            raise ValueError("compile takes p q or --complex N, not both")
         n, label = args.complex_dim, f"C({args.complex_dim})"
     elif args.p is None or args.q is None:
         raise ValueError("compile needs p q or --complex N")

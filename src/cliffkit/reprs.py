@@ -113,26 +113,6 @@ _UNIT_ENTRIES = {
 }
 
 
-def _unit_multiples(c, tag):
-    """c u in the ring ``tag`` for each unit u, in code order, by a sign flip
-    or a component swap and a sign; c is rational, or Gaussian rational on a
-    C target."""
-    if tag == RATIONAL:
-        c = Fraction(c) if isinstance(c, int) else c
-        return c, -c
-    if tag == GAUSSIAN:
-        c = GaussianRational.coerce(c)
-        ic = GaussianRational(-c.im, c.re)
-        return c, -c, ic, -ic
-    out = []
-    for axis in range(4):
-        u = [0, 0, 0, 0]
-        u[axis] = c
-        q = Quaternion(*u)
-        out += (q, -q)
-    return tuple(out)
-
-
 def _mono_mul(x, y):
     p1, c1 = x
     p2, c2 = y
@@ -173,11 +153,11 @@ class Representation:
     The constructor takes dense matrices (a pair of them per generator for a
     direct-sum target).  Each must be monomial with unit entries; it is
     stored as (perm, codes), and products, relations and injectivity run on
-    that form.  Dense matrices are built only where callers read them, and
-    only by ``rho``: ``blade_image(b)`` is rho of the unit blade and
-    ``gens`` are the images of the generators.  Instances are immutable
-    (compiled models are cached and shared); the monomial blade images and
-    ``gens`` are caches filled on first use.
+    that form.  ``numerator_blocks`` is the one reading of rho(x); ``rho``
+    is its dense view.  ``gens``, ``blade_image(b)`` and ``rep_to_json``
+    write a monomial image out as it is, through ``_dense``.  Instances
+    are immutable (compiled models are cached and shared); the monomial
+    blade images are a cache filled on first use.
     """
 
     def __init__(self, sig, complex_dim, target, gens):
@@ -198,7 +178,6 @@ class Representation:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_monos", monos)
         object.__setattr__(self, "_blades", {0: (tuple(range(size)), (0,) * size)})
-        object.__setattr__(self, "_gens", None)
         if len(monos) != self.n:
             raise ValueError("generator count does not match the algebra")
 
@@ -216,9 +195,7 @@ class Representation:
     @property
     def gens(self):
         """Dense generator images."""
-        if self._gens is None:
-            object.__setattr__(self, "_gens", tuple(self.blade_image(1 << i) for i in range(self.n)))
-        return self._gens
+        return tuple(self.blade_image(1 << i) for i in range(self.n))
 
     def gen_square(self, i):
         return self.sig.square(i) if self.sig is not None else 1
@@ -245,6 +222,15 @@ class Representation:
         rows = tuple(tuple(r) for r in rows)
         return (rows[:m], rows[m:]) if self.target.summands == 2 else rows
 
+    def _dense(self, mono, units, zero):
+        """The rows of a monomial image as lists: units[code] at column
+        perm[i] % m of row i, ``zero`` elsewhere."""
+        m = self.target.m
+        rows = [[zero] * m for _ in mono[0]]
+        for row, j, c in zip(rows, *mono):
+            row[j % m] = units[c]
+        return rows
+
     def _element(self, terms):
         """The source algebra element with the given blade coefficients."""
         if self.is_complex:
@@ -253,38 +239,31 @@ class Representation:
 
     def blade_image(self, blade):
         """Dense image of a basis blade (bitmask)."""
-        return self.rho(self._element({blade: 1}))
-
-    def _check_source(self, mv):
-        if self.is_complex:
-            if not mv.is_complex or mv.n != self.complex_dim:
-                raise ValueError("multivector does not live in the source algebra")
-        else:
-            if mv.is_complex or mv.sig != self.sig:
-                raise ValueError("multivector does not live in the source algebra")
+        tag = self.target.ring_tag
+        return self._shape(self._dense(self._blade(blade), _RING_UNITS[tag], ZERO[tag]))
 
     def rho(self, mv: Multivector):
-        """Image of a multivector; its space must match the source algebra."""
-        self._check_source(mv)
-        t = self.target
-        m = t.m
-        # an entry's first term is stored as it is, not added to a zero
-        rows = [[None] * m for _ in range(t.summands * m)]
-        for b, c in mv.terms.items():
-            scaled = _unit_multiples(c, t.ring_tag)
-            for row, j, u in zip(rows, *self._blade(b)):
-                x = row[j % m]
-                row[j % m] = scaled[u] if x is None else x + scaled[u]
-        zero = ZERO[t.ring_tag]
-        return self._shape([zero if x is None else x for x in row] for row in rows)
+        """Image of a multivector of the source algebra, the dense view of
+        ``numerator_blocks``: each row over mv.den, a quaternion block read
+        back from chi."""
+        tag = self.target.ring_tag
+        ring = Fraction if tag == RATIONAL else GaussianRational
+        blocks = []
+        for rows in self.numerator_blocks(mv):
+            block = tuple(tuple(linalg.dense_row(*linalg.reduced_numerators(row, (mv.den, 0)),
+                                                 ring, len(rows))) for row in rows)
+            blocks.append(linalg._from_complex_adjoint(block) if tag == QUATERNION else block)
+        return tuple(blocks) if self.target.summands == 2 else blocks[0]
 
     def numerator_blocks(self, mv: Multivector):
         """rho(mv) as sparse Gaussian-integer rows (column -> (re, im), no
         zeros), one list of rows per summand block, every entry times mv.den.
         A quaternion block is given by its complex adjoint chi, a 2m x 2m
         block over Q(i).  The rows are read off the monomial blade images and
-        the numerators of mv, with no ring element built."""
-        self._check_source(mv)
+        the numerators of mv, with no ring element built.  mv must live in
+        the source algebra."""
+        if (mv.sig, mv.n) != (self.sig, self.n):
+            raise ValueError("multivector does not live in the source algebra")
         t = self.target
         m = t.m
         re, im = mv.re, mv.im
@@ -627,11 +606,18 @@ def even_subring_rep(sig: Signature):
 
 
 def quaternion_complexify(r: Representation) -> Representation:
-    """Replace quaternion entries by 2x2 complex blocks (Mat(m,H) -> Mat(2m,C))."""
+    """Replace quaternion entries by 2x2 complex blocks (Mat(m,H) -> Mat(2m,C)):
+    each unit code becomes its chi block, a 2x2 monomial of Gaussian units."""
     if r.target.kind != "MatH" or r.target.summands != 1:
         raise ValueError("complexification applies to single quaternionic targets")
-    gens = [linalg.complex_adjoint(g) for g in r.gens]
-    return _checked(Representation(r.sig, r.complex_dim, TargetRing("MatC", 2 * r.target.m), gens),
+    code = {u: k for k, u in enumerate(GAUSSIAN_INT_UNITS)}
+    # chi(unit) has one entry per row, listed in row order: the (column,
+    # code) of rows 2i and 2i + 1
+    gens = [tuple(zip(*[(2 * j + dc, code[u, v]) for j, c in zip(perm, codes)
+                        for _dr, dc, u, v in _UNIT_ENTRIES[QUATERNION][c]]))
+            for perm, codes in r._monos]
+    return _checked(Representation._from_monos(r.sig, r.complex_dim,
+                                               TargetRing("MatC", 2 * r.target.m), gens),
                     "complexified model")
 
 
@@ -648,10 +634,13 @@ def factor_projections(r: Representation):
     """
     if r.target.summands != 2:
         raise ValueError("representation target is not a direct sum")
-    t = TargetRing(r.target.kind, r.target.m)
+    m = r.target.m
+    t = TargetRing(r.target.kind, m)
     out = []
-    for idx in (0, 1):
-        rep = Representation(r.sig, r.complex_dim, t, [g[idx] for g in r.gens])
+    for idx, lo in enumerate((0, m)):  # factor idx: rows and columns lo .. lo + m - 1
+        gens = [(tuple(j - lo for j in perm[lo:lo + m]), codes[lo:lo + m])
+                for perm, codes in r._monos]
+        rep = Representation._from_monos(r.sig, r.complex_dim, t, gens)
         if not rep.check_relations():
             raise AssertionError(f"factor {idx} breaks the anticommutation relations")
         out.append(rep)
@@ -740,15 +729,13 @@ def rep_equivalence(r1: Representation, r2: Representation, seed=0):
 # ---------------------------------------------------------------------------
 # JSON interface
 
-def _matrix_to_json(mat, ring_tag):
-    return [[format_scalar(ring_tag, x) for x in row] for row in mat]
-
-
 def _matrix_from_json(rows, ring_tag):
     return tuple(tuple(parse_scalar(ring_tag, x) for x in row) for row in rows)
 
 
 def rep_to_json(r: Representation):
+    """The model as JSON, written off the monomial form: the ring's units
+    and zero are formatted once, and no ring element is built."""
     t = r.target
     doc = {}
     if r.sig is not None:
@@ -758,12 +745,15 @@ def rep_to_json(r: Representation):
     doc["target"] = {"kind": t.kind, "m": t.m}
     if t.summands == 2:
         doc["target"]["summands"] = 2
-        doc["generators"] = [
-            [_matrix_to_json(g[0], t.ring_tag), _matrix_to_json(g[1], t.ring_tag)]
-            for g in r.gens
-        ]
-    else:
-        doc["generators"] = [_matrix_to_json(g, t.ring_tag) for g in r.gens]
+    units = [format_scalar(t.ring_tag, u) for u in _RING_UNITS[t.ring_tag]]
+    zero = format_scalar(t.ring_tag, ZERO[t.ring_tag])
+    gens = []
+    for mono in r._monos:
+        rows = r._dense(mono, units, zero)
+        if t.ring_tag == QUATERNION:  # a quaternion is a list: one per entry
+            rows = [[list(x) for x in row] for row in rows]
+        gens.append([rows[:t.m], rows[t.m:]] if t.summands == 2 else rows)
+    doc["generators"] = gens
     return doc
 
 

@@ -312,7 +312,7 @@ def check_cech_obstruction(seed=0):
 
 CRITERIA = (
     ("classification-table", check_classification_table, 0.1),
-    ("complex-models", check_complex_models, 0.1),
+    ("complex-models", check_complex_models, 0.02),
     ("named-isomorphisms", check_named_isomorphisms, None),
     ("irrep-dimensions", check_irrep_dimensions, None),
     ("vector-action-soundness", check_vector_action, 2.5),

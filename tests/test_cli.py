@@ -62,26 +62,30 @@ def test_compile_odd_complex_dimension(capsys):
 
 
 def test_compile_usage_error(capsys):
-    code, _, err = run(capsys, "compile")
-    assert code == 2
-    assert "error" in err
+    # no algebra, or both a signature (or part of one) and --complex
+    for argv, message in [((), "needs p q"), (("2", "1", "--complex", "3"), "not both"),
+                          (("2", "--complex", "3"), "not both")]:
+        code, out, err = run(capsys, "compile", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err and message in err
 
 
-@pytest.mark.parametrize("argv", [("17", "0"), ("8", "9"), ("0", "20"), ("--complex", "17")])
+@pytest.mark.parametrize("argv", [("19", "0"), ("9", "10"), ("0", "20"), ("--complex", "19")])
 def test_compile_size_bound_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "compile", *argv)
     assert code == 2
     assert out == ""
-    assert "up to 16" in err
+    assert "up to 18" in err
 
 
 def test_compile_verifies_at_the_size_bound(capsys):
-    code, out, _ = run(capsys, "compile", "16", "0", "--verify")
+    code, out, _ = run(capsys, "compile", "18", "0", "--verify")
     assert code == 0
-    assert out == "Cl(16,0) -> Mat(256,R)\nverified: relations and injectivity exact\n"
-    code, out, _ = run(capsys, "compile", "--complex", "16", "--verify")
+    assert out == "Cl(18,0) -> Mat(512,R)\nverified: relations and injectivity exact\n"
+    code, out, _ = run(capsys, "compile", "--complex", "18", "--verify")
     assert code == 0
-    assert out == "C(16) -> Mat(256,C)\nverified: relations and injectivity exact\n"
+    assert out == "C(18) -> Mat(512,C)\nverified: relations and injectivity exact\n"
 
 
 def test_zeta_command(capsys, tmp_path):

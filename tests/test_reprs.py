@@ -44,6 +44,7 @@ from cliffkit.scalars import (
     quaternion_to_complex_block,
 )
 from cliffkit.spinors import left_ideal, primitive_idempotent, spinor_matrix_model
+import dense_model_oracle
 from inverse_oracle import dense_inverse
 from rank_oracle import blades_independent
 
@@ -269,14 +270,88 @@ def test_factor_projections_inequivalent():
 
 
 def test_rep_json_roundtrip():
-    for sig in (Signature(1, 3), Signature(3, 1), Signature(0, 3)):
+    # Mat(2, H), Mat(4, R), H + H, R + R (twice), Mat(2, C) and C + C targets
+    for sig in (Signature(1, 3), Signature(3, 1), Signature(0, 3), Signature(2, 1),
+                Signature(1, 0)):
         rep = compile_rep(sig)
         back = rep_from_json(rep_to_json(rep))
         assert back.sig == sig and back.target == rep.target
         assert back.gens == rep.gens
-    rep = compile_complex_rep(2)
-    back = rep_from_json(rep_to_json(rep))
-    assert back.complex_dim == 2 and back.gens == rep.gens
+    for n in (2, 3):
+        rep = compile_complex_rep(n)
+        back = rep_from_json(rep_to_json(rep))
+        assert back.complex_dim == n and back.target == rep.target
+        assert back.gens == rep.gens
+
+
+def test_rho_rejects_elements_of_another_algebra():
+    real, cx = compile_rep(Signature(2, 1)), compile_complex_rep(3)
+    for rep, mv in [(real, Multivector.complex_alg(3, {1: 1})),
+                    (real, Multivector.real(Signature(1, 2), {1: 1})),
+                    (cx, Multivector.real(Signature(2, 1), {1: 1})),
+                    (cx, Multivector.complex_alg(2, {1: 1}))]:
+        with pytest.raises(ValueError, match="source algebra"):
+            rep.rho(mv)
+        with pytest.raises(ValueError, match="source algebra"):
+            rep.ranks(mv)
+
+
+def _all_models():
+    """Every compiled model with p + q <= 10, then C(0) ... C(10)."""
+    reps = [compile_rep(Signature(p, n - p)) for n in range(11) for p in range(n + 1)]
+    return reps + [compile_complex_rep(n) for n in range(11)]
+
+
+def _lists(doc):
+    """Every list inside a JSON document, outermost first."""
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _lists(v)]
+    if isinstance(doc, list):
+        return [doc] + [x for v in doc for x in _lists(v)]
+    return []
+
+
+def test_rep_to_json_matches_dense_oracle():
+    # equal to the document formatted entry by entry from rho(e_i), lists
+    # where it has lists, and no list shared between two places
+    for rep in _all_models():
+        doc = rep_to_json(rep)
+        assert doc == dense_model_oracle.json_by_dense_gens(rep), (rep.sig, rep.complex_dim)
+        lists = _lists(doc["generators"])
+        assert len({id(x) for x in lists}) == len(lists), (rep.sig, rep.complex_dim)
+
+
+def test_gens_match_rho_of_the_generators():
+    for rep in _all_models():
+        assert list(rep.gens) == dense_model_oracle.dense_gens(rep), (rep.sig, rep.complex_dim)
+
+
+def test_factor_projections_match_dense_slices():
+    # every direct-sum model with n <= 10, real and complex sources
+    count = 0
+    for rep in _all_models():
+        if rep.target.summands != 2:
+            continue
+        count += 1
+        for got, want in zip(factor_projections(rep), dense_model_oracle.factors_by_slicing(rep)):
+            assert (got.sig, got.complex_dim, got.target) == (want.sig, want.complex_dim,
+                                                             want.target)
+            assert got._monos == want._monos and got.gens == want.gens
+    assert count == 20
+
+
+def test_quaternion_complexify_matches_dense_adjoint():
+    # every model with n <= 10 onto a single Mat(m, H)
+    count = 0
+    for rep in _all_models():
+        if rep.target.kind != "MatH" or rep.target.summands != 1:
+            continue
+        count += 1
+        got, want = quaternion_complexify(rep), dense_model_oracle.complexify_by_adjoint(rep)
+        assert (got.sig, got.target) == (want.sig, want.target)
+        assert got._monos == want._monos and got.gens == want.gens
+        assert got.verify()
+    assert count == 17
 
 
 def test_unit_code_table_matches_quaternion_products():
@@ -555,19 +630,6 @@ def test_double_rep_rejects_a_model_that_does_not_verify():
                          [(((F1,),), ((F1,),))])
     with pytest.raises(ValueError):
         double_rep(rep)
-
-
-@pytest.mark.parametrize("tag", [RATIONAL, GAUSSIAN, QUATERNION])
-def test_unit_multiples_match_unit_products(tag):
-    # the sign flips and component swaps give c * u for every unit code
-    cs = [3, Fraction(-5, 7)]
-    if tag == GAUSSIAN:
-        cs += [GaussianRational(Fraction(2, 3), -4), GaussianRational(0, 1)]
-    for c in cs:
-        got = reprs._unit_multiples(c, tag)
-        want = tuple(c * u for u in reprs._RING_UNITS[tag])
-        assert got == want
-        assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def _rho_by_products(rep, mv):
