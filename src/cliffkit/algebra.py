@@ -506,21 +506,20 @@ def invert(a):
     """Exact inverse through the compiled matrix model; None if singular.
 
     rho is an isomorphism onto the target ring, so a is invertible exactly
-    when every summand block of rho(a) is; the inverse blocks are read back
-    with ``Representation.preimage``, and a x = x a = 1 is checked.
+    when every summand block of rho(a) is.  The numerator blocks are
+    inverted by ``linalg.inverse_numerators``, read back with
+    ``Representation._trace_preimage``, and a x = x a = 1 is checked.
     """
     from . import linalg
     from .reprs import compile_complex_rep, compile_rep
 
     rep = compile_complex_rep(a.n) if a.is_complex else compile_rep(a.sig)
-    img = rep.rho(a)
-    pair = rep.target.summands == 2
-    blocks = [linalg.inv(block) for block in (img if pair else (img,))]
+    blocks = [linalg.inverse_numerators(a.den, rows) for rows in rep.numerator_blocks(a)]
     if None in blocks:
         return None
-    inv_mv = rep.preimage(blocks if pair else blocks[0])
+    inv_mv = rep._trace_preimage(blocks)
     unit_mv = a._like(1, {0: 1}, {})
-    if inv_mv is None or a * inv_mv != unit_mv or inv_mv * a != unit_mv:
+    if a * inv_mv != unit_mv or inv_mv * a != unit_mv:
         raise AssertionError("inverse read back from the matrix model is wrong")
     return inv_mv
 

@@ -144,7 +144,11 @@ class PseudoOrthogonalMatrix:
         return PseudoOrthogonalMatrix._from_int(self.sig, inv, self.den)
 
     def det(self):
-        return linalg.det(self.mat)
+        """sign * last / den^n: ``linalg._bareiss`` gives det N = sign * last
+        for the invertible integer rows N."""
+        _done, sign, last = linalg._bareiss([{j: (x, 0) for j, x in enumerate(row) if x}
+                                            for row in self.num])
+        return Fraction(sign * last[0], self.den ** self.sig.n)
 
     def column(self, a):
         """Image coordinates of basis vector a (0-based)."""

@@ -1,20 +1,19 @@
-"""Exact linear algebra over the scalar rings.
+"""Exact linear algebra on sparse Gaussian-integer rows.
 
-Entries are ints, Fractions, GaussianRationals or Quaternions; no routine
-returns a float.  Every elimination runs one kernel, ``_bareiss``, on
-sparse Gaussian-integer rows: dicts mapping a column to the (re, im) ints of
-its nonzero entry, so a combination costs the nonzero entries of its two
-rows, whatever the width.  Rows over Q or Q(i) become numerators over the
-lcm of their denominators, are eliminated fraction-free, and one Fraction
-or GaussianRational is built per output entry, so the output ring follows
-the input.  Callers that hold numerators (the spinor side) enter through
-``echelon_numerators`` and ``nullspace_numerators`` and read the reduced
-rows as numerators over one denominator.  A quaternion (H) matrix A enters
-through its complex adjoint chi(A) (``complex_adjoint``), the injective ring
+An elimination takes one matrix format: sparse rows over Z[i], dicts mapping
+a column to the (re, im) ints of its nonzero entry, so a combination costs
+the nonzero entries of its two rows, whatever the width.  Every elimination
+runs one fraction-free kernel, ``_bareiss``, whose reduced rows are read as
+numerators over one denominator: ``echelon_numerators``,
+``nullspace_numerators`` and ``inverse_numerators``.  A matrix over Q, Q(i)
+or H is the pair (den, rows): the rows over a positive int den.  Ring
+elements cross at two edges only: ``numerator_matrix`` turns a dense matrix
+into that pair and ``dense_matrix`` reads the pair back.  A quaternion (H)
+matrix A crosses as its complex adjoint chi(A), the injective ring
 homomorphism Mat(m, H) -> Mat(2m, C) with rank chi(A) = 2 rank A (Zhang,
-Linear Algebra Appl. 251, 1997): ``rank`` halves the complex rank and
-``inv`` reads A^-1 back from chi(A)^-1 block by block.  ``rref``,
-``nullspace`` and ``det`` take Q or Q(i) entries only.
+Linear Algebra Appl. 251, 1997), so its rank is half the complex rank and
+chi(A^-1) = chi(A)^-1.  ``matmul`` and ``mat_eq`` work on dense matrices
+over any of the rings; no routine returns a float.
 """
 
 from __future__ import annotations
@@ -24,14 +23,14 @@ import math
 import random
 from fractions import Fraction
 
-from .scalars import GaussianRational, Quaternion, quaternion_to_complex_block
-
-
-def identity(n, one=Fraction(1)):
-    zero = one - one
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
+from .scalars import (
+    QUATERNION,
+    RATIONAL,
+    ZERO,
+    GaussianRational,
+    Quaternion,
+    quaternion_to_complex_block,
+)
 
 
 def matmul(a, b):
@@ -59,19 +58,55 @@ def mat_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _gaussian_rows(rows):
-    """(numerator rows, scales) for dense rows with entries in Q or Q(i):
-    row i is a sparse Gaussian-integer row with rows[i] = row / scales[i]."""
-    out, scales = [], []
+def numerator_matrix(matrix, ring_tag):
+    """(den, rows): a dense matrix (a sequence of rows) over Q, Q(i) or H,
+    ``ring_tag`` naming the ring, as sparse Gaussian-integer rows over the
+    lcm den of the denominators.  An m x n quaternion matrix becomes chi of
+    it, 2m x 2n: entry (i, j) is the block ``quaternion_to_complex_block``
+    at rows 2i, 2i + 1 and columns 2j, 2j + 1."""
+    if ring_tag == QUATERNION:
+        chi = []
+        for row in matrix:
+            blocks = [quaternion_to_complex_block(x) for x in row]
+            chi += [[z for blk in blocks for z in blk[r]] for r in (0, 1)]
+        matrix = chi
+    parts = [[(j, x.re, x.im) if isinstance(x, GaussianRational) else (j, x, 0)
+              for j, x in enumerate(row) if x] for row in matrix]
+    den = math.lcm(*(x.denominator for row in parts for _j, *xy in row for x in xy))
+    return den, [{j: (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+                  for j, x, y in row} for row in parts]
+
+
+def dense_matrix(den, rows, ring_tag):
+    """The square matrix rows / den over Q, Q(i) or H, a tuple of row
+    tuples: the inverse of ``numerator_matrix``.  Quaternion rows are chi of
+    the matrix, and each entry is read off the first row of its block;
+    AssertionError if a second row is not the one chi gives."""
+    if ring_tag == QUATERNION:
+        return _from_chi(den, rows)
+    out = []
     for row in rows:
-        nz = [(j, x.re, x.im) if isinstance(x, GaussianRational) else (j, x, 0)
-              for j, x in enumerate(row) if x]
-        d = math.lcm(*(x.denominator for _j, x, _y in nz),
-                     *(y.denominator for _j, _x, y in nz))
-        out.append({j: (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator))
-                    for j, x, y in nz})
-        scales.append(d)
-    return out, scales
+        entries = [ZERO[ring_tag]] * len(rows)
+        for j, (x, y) in row.items():
+            entries[j] = (Fraction(x, den) if ring_tag == RATIONAL
+                          else GaussianRational(Fraction(x, den), Fraction(y, den)))
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def _from_chi(den, rows):
+    # chi(a + b t1 + c t2 + d t3) has the rows (z, w) = (a - d i, -c - b i)
+    # and (-conj w, conj z): the first row fixes the entry and the second
+    out = []
+    for top, bottom in zip(rows[::2], rows[1::2]):
+        if bottom != {j ^ 1: (-x, y) if j & 1 else (x, -y) for j, (x, y) in top.items()}:
+            raise AssertionError("complex matrix is not the adjoint of a quaternion matrix")
+        entries = []
+        for j in range(0, len(rows), 2):
+            (zr, zi), (wr, wi) = top.get(j, (0, 0)), top.get(j + 1, (0, 0))
+            entries.append(Quaternion(*(Fraction(v, den) for v in (zr, -wi, -wr, -zi))))
+        out.append(tuple(entries))
+    return tuple(out)
 
 
 def _lin(row, a, f, prow, d):
@@ -108,28 +143,6 @@ def reduced_numerators(row, b):
     re = {j: s for j, (x, y) in row.items() if (s := x * ur - y * ui)}
     im = {j: t for j, (x, y) in row.items() if (t := x * ui + y * ur)}
     return den, re, im
-
-
-def dense_row(den, re, im, ring, n_cols):
-    """The n_cols entries (re[j] + i im[j]) / den in ``ring``, Fraction (im
-    empty) or GaussianRational."""
-    out = [ring(0)] * n_cols
-    for j in re.keys() | im.keys():
-        x = Fraction(re.get(j, 0), den)
-        out[j] = x if ring is Fraction else GaussianRational(x, Fraction(im.get(j, 0), den))
-    return out
-
-
-def _entry_ring(rows):
-    """The ring the results of ``_bareiss`` are built in: Fraction for int
-    and Fraction entries, GaussianRational when any entry is one, None for
-    other entries (Quaternions)."""
-    types = {type(x) for row in rows for x in row}
-    if types <= {int, Fraction}:
-        return Fraction
-    if types <= {int, Fraction, GaussianRational}:
-        return GaussianRational
-    return None
 
 
 def _bareiss(rows):
@@ -194,53 +207,10 @@ def _bareiss(rows):
     return done, sign, prev
 
 
-def rref(rows):
-    """Reduced row echelon form over Q or Q(i), through ``rref_numerators``.
-    Returns (rows, pivot_column_list)."""
-    if not rows:
-        return [], []
-    ring = _entry_ring(rows)
-    if ring is None:
-        raise TypeError("rref needs int, Fraction or GaussianRational entries")
-    n_cols = len(rows[0])
-    red, pivots = rref_numerators(_gaussian_rows(rows)[0], n_cols, ring)
-    red += [[ring(0)] * n_cols for _ in range(len(rows) - len(red))]
-    return red, pivots
-
-
-def rref_numerators(rows, n_cols, ring):
-    """Nonzero rows of the reduced row echelon form of sparse
-    Gaussian-integer rows, dense in ``ring``, and the pivot columns.  A
-    nonzero integer scale of a row does not change the (unique) form."""
-    done = _bareiss(rows)[0]
-    return ([dense_row(*reduced_numerators(row, b), ring, n_cols) for row, b, _c in done],
-            [c for _row, _b, c in done])
-
-
 def echelon_numerators(rows):
     """``_bareiss``'s reduced form of sparse Gaussian-integer rows: (row, b,
     c) per pivot, row / b the reduced row with pivot column c."""
     return _bareiss(rows)[0]
-
-
-def rank(rows):
-    """Rank over Q or Q(i), read off ``_bareiss``; a quaternion matrix A has
-    rank rank chi(A) / 2."""
-    if _entry_ring(rows) is None:
-        return rank(complex_adjoint(rows)) // 2
-    return len(_bareiss(_gaussian_rows(rows)[0])[0])
-
-
-def nullspace(rows):
-    """Basis of the right nullspace over Q or Q(i)."""
-    if not rows:
-        return []
-    ring = _entry_ring(rows)
-    if ring is None:
-        raise TypeError("nullspace needs int, Fraction or GaussianRational entries")
-    n_cols = len(rows[0])
-    free, point = nullspace_numerators(_gaussian_rows(rows)[0], n_cols)
-    return [tuple(dense_row(*point([(1, c)]), ring, n_cols)) for c in free]
 
 
 def nullspace_numerators(rows, n_cols):
@@ -273,57 +243,26 @@ def nullspace_numerators(rows, n_cols):
     return free, point
 
 
-def inv(a):
-    """Matrix inverse by Gauss-Jordan; None if singular.  A quaternion
-    matrix is inverted through its complex adjoint: chi(A^-1) = chi(A)^-1."""
-    ring = _entry_ring(a)
-    if ring is None:
-        c = inv(complex_adjoint(a))
-        return None if c is None else _from_complex_adjoint(c)
-    n = len(a)
-    rows = _gaussian_rows([list(row) + [int(i == j) for j in range(n)]
-                           for i, row in enumerate(a)])[0]
-    red, pivots = rref_numerators(rows, 2 * n, ring)
-    if pivots != list(range(n)):
+def inverse_numerators(den, rows):
+    """(den, rows) of A^-1 for the square matrix A = rows / den, or None
+    when A is singular.  ``_bareiss`` brings [N | I] to [I | N^-1] exactly
+    when N = rows is invertible, and A^-1 = den N^-1, read over the lcm of
+    the reduced rows' denominators."""
+    n = len(rows)
+    done = _bareiss([{**row, n + i: (1, 0)} for i, row in enumerate(rows)])[0]
+    if [c for _row, _b, c in done] != list(range(n)):
         return None
-    return tuple(tuple(row[n:]) for row in red)
-
-
-def complex_adjoint(a):
-    """chi(A) in Mat(2m, C) for a quaternion matrix A: entry (i, j) becomes
-    the 2x2 block ``quaternion_to_complex_block(A[i][j])`` at rows 2i, 2i+1
-    and columns 2j, 2j+1."""
+    reduced = [reduced_numerators({j - n: e for j, e in row.items() if j >= n}, b)
+               for row, b, _c in done]
+    out_den = math.lcm(*(d for d, _re, _im in reduced))
     out = []
-    for row in a:
-        blocks = [quaternion_to_complex_block(x) for x in row]
-        out += [tuple(x for blk in blocks for x in blk[r]) for r in (0, 1)]
-    return tuple(out)
+    for d, re, im in reduced:
+        f = den * (out_den // d)
+        out.append({j: (f * re.get(j, 0), f * im.get(j, 0)) for j in re.keys() | im.keys()})
+    return out_den, out
 
 
-def _from_complex_adjoint(c):
-    """The quaternion matrix A with chi(A) = c, read off the first row of
-    each 2x2 block; AssertionError if c is not of that form."""
-    a = tuple(tuple(Quaternion(z.re, -w.im, -w.re, -z.im) for z, w in zip(row[::2], row[1::2]))
-              for row in c[::2])
-    if complex_adjoint(a) != tuple(map(tuple, c)):
-        raise AssertionError("complex matrix is not the adjoint of a quaternion matrix")
-    return a
-
-
-def det(a):
-    """Determinant of a matrix over Q or Q(i), read off ``_bareiss``: the
-    last pivot, times the sign of the row order, over the row scales."""
-    ring = _entry_ring(a)
-    if ring is None:
-        raise TypeError("det needs int, Fraction or GaussianRational entries")
-    rows, scales = _gaussian_rows(a)
-    done, sign, last = _bareiss(rows)
-    if len(done) < len(a):
-        return ring(0)
-    return dense_row(*reduced_numerators({0: last}, (sign * math.prod(scales), 0)), ring, 1)[0]
-
-
-def first_accepted(basis, accept, seed=0, combine=None):
+def first_accepted(basis, accept, combine, seed=0):
     """First non-None ``accept(v)`` over points v of the span of ``basis``.
 
     The points are tried lazily in a fixed order: each basis vector, then
@@ -331,8 +270,8 @@ def first_accepted(basis, accept, seed=0, combine=None):
     coefficients in [-3, 3] drawn from ``random.Random(seed)`` (a
     combination whose coefficients are all zero is skipped).  ``combine``
     builds a point from its nonzero (coefficient, item) pairs, so an item
-    may stand for a vector built only when a point uses it; by default items
-    are flat vectors.  Returns None when every point is rejected.
+    may stand for a vector built only when a point uses it.  Returns None
+    when every point is rejected.
     """
 
     def points():
@@ -347,13 +286,7 @@ def first_accepted(basis, accept, seed=0, combine=None):
                 yield terms
 
     for terms in points():
-        found = accept((combine or _flat_combination)(terms))
+        found = accept(combine(terms))
         if found is not None:
             return found
     return None
-
-
-def _flat_combination(terms):
-    """sum f v over the (f, v) pairs of ``terms``, v flat vectors."""
-    coeffs, vectors = zip(*terms)
-    return tuple(sum(f * x for f, x in zip(coeffs, xs)) for xs in zip(*vectors))

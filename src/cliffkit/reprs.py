@@ -10,6 +10,7 @@ shifts (an index flip and a (p, q) -> (p - 4, q + 4) move), then stacks
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -101,15 +102,14 @@ _UNIT_MUL = tuple(tuple(_AXIS_MUL[a >> 1][b >> 1] ^ ((a ^ b) & 1) for b in range
 _MINUS_I = 3  # -t1, read as -i in C
 # the units of R and C as Gaussian integers (re, im), in code order
 GAUSSIAN_INT_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-# each unit code as a k x k block of Gaussian integers, by its nonzero
-# entries (row, column, re, im): the unit itself on R and C (k = 1), its
-# complex adjoint chi on H (k = 2)
+# each unit code as a k x k monomial block of Gaussian integers, row by row:
+# the (column, re, im) of the one entry of each row; the unit itself on R
+# and C (k = 1), its complex adjoint chi on H (k = 2)
 _UNIT_ENTRIES = {
-    RATIONAL: tuple(((0, 0) + u,) for u in GAUSSIAN_INT_UNITS[:2]),
-    GAUSSIAN: tuple(((0, 0) + u,) for u in GAUSSIAN_INT_UNITS),
-    QUATERNION: tuple(tuple((dr, dc, int(z.re), int(z.im))
-                            for dr, row in enumerate(quaternion_to_complex_block(u))
-                            for dc, z in enumerate(row) if z) for u in _Q8),
+    RATIONAL: tuple(((0,) + u,) for u in GAUSSIAN_INT_UNITS[:2]),
+    GAUSSIAN: tuple(((0,) + u,) for u in GAUSSIAN_INT_UNITS),
+    QUATERNION: tuple(tuple(next((dc, int(z.re), int(z.im)) for dc, z in enumerate(row) if z)
+                            for row in quaternion_to_complex_block(u)) for u in _Q8),
 }
 
 
@@ -153,9 +153,11 @@ class Representation:
     The constructor takes dense matrices (a pair of them per generator for a
     direct-sum target).  Each must be monomial with unit entries; it is
     stored as (perm, codes), and products, relations and injectivity run on
-    that form.  ``numerator_blocks`` is the one reading of rho(x); ``rho``
-    is its dense view.  ``gens``, ``blade_image(b)`` and ``rep_to_json``
-    write a monomial image out as it is, through ``_dense``.  Instances
+    that form.  ``numerator_blocks`` is the one reading of rho(x) and
+    ``_row_traces`` the one reading of rho^-1, both on the numerator rows of
+    ``linalg``; ``rho`` and ``preimage`` cross to dense matrices at its two
+    edges.  ``gens``, ``blade_image(b)`` and ``rep_to_json`` write a
+    monomial image out as it is, through ``_dense``.  Instances
     are immutable (compiled models are cached and shared); the monomial
     blade images are a cache filled on first use.
     """
@@ -231,29 +233,17 @@ class Representation:
             row[j % m] = units[c]
         return rows
 
-    def _element(self, terms):
-        """The source algebra element with the given blade coefficients."""
-        if self.is_complex:
-            return Multivector.complex_alg(self.n, terms)
-        return Multivector.real(self.sig, terms)
-
     def blade_image(self, blade):
         """Dense image of a basis blade (bitmask)."""
         tag = self.target.ring_tag
         return self._shape(self._dense(self._blade(blade), _RING_UNITS[tag], ZERO[tag]))
 
     def rho(self, mv: Multivector):
-        """Image of a multivector of the source algebra, the dense view of
-        ``numerator_blocks``: each row over mv.den, a quaternion block read
-        back from chi."""
-        tag = self.target.ring_tag
-        ring = Fraction if tag == RATIONAL else GaussianRational
-        blocks = []
-        for rows in self.numerator_blocks(mv):
-            block = tuple(tuple(linalg.dense_row(*linalg.reduced_numerators(row, (mv.den, 0)),
-                                                 ring, len(rows))) for row in rows)
-            blocks.append(linalg._from_complex_adjoint(block) if tag == QUATERNION else block)
-        return tuple(blocks) if self.target.summands == 2 else blocks[0]
+        """Image of a multivector of the source algebra, the dense view
+        (``linalg.dense_matrix``) of ``numerator_blocks`` over mv.den."""
+        blocks = tuple(linalg.dense_matrix(mv.den, rows, self.target.ring_tag)
+                       for rows in self.numerator_blocks(mv))
+        return blocks if self.target.summands == 2 else blocks[0]
 
     def numerator_blocks(self, mv: Multivector):
         """rho(mv) as sparse Gaussian-integer rows (column -> (re, im), no
@@ -277,7 +267,7 @@ class Representation:
             x, y = re.get(b, 0), im.get(b, 0)
             for i, (j, c) in enumerate(zip(*self._blade(b))):
                 col = k * (j % m)
-                for dr, dc, u, v in units[c]:
+                for dr, (dc, u, v) in enumerate(units[c]):
                     row = rows[k * i + dr]
                     p, q = row.get(col + dc, (0, 0))
                     row[col + dc] = (p + x * u - y * v, q + x * v + y * u)
@@ -303,35 +293,75 @@ class Representation:
     def preimage(self, matrix):
         """Multivector x with rho(x) = matrix, or None.
 
-        The coefficient of e_b is tr(rho(e_b)^-1 X) / size, size = summands
-        * m, and a real source takes its real part.  When X = rho(x) these
-        are the coefficients of x: rho(e_b)^-1 rho(e_c) = +-rho(e_(b xor c)),
-        and tr rho(e_C) = 0 for C != 0 by the relations and, for omega at odd
-        n, ``check_injective`` (its real part for a real source, whose
-        coefficients are real).
-        rho(e_b)^-1 is the conjugate transpose of a unit monomial, so each
-        coefficient costs O(size).  x is returned only after rho(x) = matrix
-        is checked exactly.
+        ``matrix`` is m x m over the target's ring, a pair of them for a
+        direct sum (ValueError otherwise).  x is read off its numerator rows
+        by ``_trace_preimage`` and returned once rho(x) = matrix holds
+        exactly, on the numerators.
         """
         t = self.target
-        rows = tuple(matrix[0]) + tuple(matrix[1]) if t.summands == 2 else tuple(matrix)
-        units = _RING_UNITS[t.ring_tag]
-        conj = [units[c ^ 1 if c > 1 else c] for c in range(len(units))]
-        zero = ZERO[t.ring_tag]
-        scale = Fraction(1, len(rows))
         m = t.m
-        terms = {}
+        blocks = matrix if t.summands == 2 else (matrix,)
+        if not (_has_len(blocks, t.summands) and all(
+                _has_len(block, m) and all(_has_len(row, m) for row in block) for block in blocks)):
+            shape = f"a pair of {m}x{m} matrices" if t.summands == 2 else f"a {m}x{m} matrix"
+            raise ValueError(f"preimage expects {shape} over the target ring")
+        den, rows = linalg.numerator_matrix([row for block in blocks for row in block], t.ring_tag)
+        x = self._trace_preimage([(den, rows)])
+        image = [row for block in self.numerator_blocks(x) for row in block]
+        if all({j: (a * den, b * den) for j, (a, b) in got.items()}
+               == {j: (a * x.den, b * x.den) for j, (a, b) in want.items()}
+               for got, want in zip(image, rows)):
+            return x
+        return None
+
+    def _trace_preimage(self, blocks):
+        """x with coefficient tr(rho(e_b)^-1 X) / (summands * m) at e_b, its
+        real part for a real source, X stacked from the rows / den of the
+        (den, rows) pairs of ``blocks`` as ``numerator_blocks`` stacks them:
+        the sum of ``_row_traces`` over the rows of X.  For X = rho(x) this
+        is x: rho(e_b)^-1 rho(e_c) = +-rho(e_(b xor c)), and tr rho(e_C) = 0
+        for C != 0 by the relations and, for omega at odd n,
+        ``check_injective`` (its real part for a real source).
+        """
+        t = self.target
+        den = math.lcm(*(d for d, _rows in blocks))
+        scaled = [(den // d, row) for d, rows in blocks for row in rows]
+        pairs = [(r, row) for r, (_f, row) in enumerate(scaled) if row]
+        re, im = {}, {}
+        for (r, _row), tr in zip(pairs, self._row_traces(pairs)):
+            f = scaled[r][0]
+            for b, (x, y) in tr.items():
+                re[b] = re.get(b, 0) + f * x
+                im[b] = im.get(b, 0) + f * y
+        real = not self.is_complex
+        k = 2 if t.ring_tag == QUATERNION else 1
+        return Multivector(self.sig, self.n, RATIONAL if real else GAUSSIAN, den * k * t.summands * t.m,
+                           {b: x for b, x in re.items() if x},
+                           {} if real else {b: y for b, y in im.items() if y})
+
+    def _row_traces(self, rows):
+        """For each (r, row) of ``rows``, a dict b -> (re, im) of k
+        tr(rho(e_b)^-1 X) without zeros, X the matrix whose one nonzero
+        numerator row is ``row`` at r (counted as in ``numerator_blocks``);
+        k = 2 on H, through chi, else 1.  rho(e_b)^-1 is the conjugate
+        transpose of a unit monomial, so the trace is conj(u) X[r][perm_b[r]],
+        u the unit of rho(e_b) in row r: one lookup per blade.
+        """
+        t = self.target
+        m = t.m
+        k = 2 if t.ring_tag == QUATERNION else 1
+        # by_row[dr][code]: the (column, re, im) of row dr of the unit's block
+        by_row = list(zip(*_UNIT_ENTRIES[t.ring_tag]))
+        kcol = [k * (j % m) for j in range(t.summands * m)]
+        entries = [(r // k, by_row[r % k], row.get, {}) for r, row in rows]
         for b in range(1 << self.n):
-            tr = zero
-            for i, (j, c) in enumerate(zip(*self._blade(b))):
-                x = rows[i][j % m]
-                if x:
-                    tr = tr + conj[c] * x
-            if not self.is_complex and t.ring_tag != RATIONAL:
-                tr = tr.re if t.ring_tag == GAUSSIAN else tr.a
-            terms[b] = tr * scale
-        x = self._element(terms)
-        return x if self.rho(x) == self._shape(rows) else None
+            perm, codes = self._blade(b)
+            for i, units, get, acc in entries:
+                dc, u, v = units[codes[i]]
+                e = get(kcol[perm[i]] + dc)
+                if e:
+                    acc[b] = (u * e[0] + v * e[1], u * e[1] - v * e[0])
+        return [acc for _i, _units, _get, acc in entries]
 
     def check_relations(self):
         """v^a v^b + v^b v^a = 2 eta^{ab} e, exactly.
@@ -389,6 +419,10 @@ class Representation:
     def verify(self):
         """Anticommutation relations and injectivity, both exact."""
         return self.check_relations() and self.check_injective()
+
+
+def _has_len(x, n):
+    return isinstance(x, (tuple, list)) and len(x) == n
 
 
 def _checked(rep, what):
@@ -614,7 +648,7 @@ def quaternion_complexify(r: Representation) -> Representation:
     # chi(unit) has one entry per row, listed in row order: the (column,
     # code) of rows 2i and 2i + 1
     gens = [tuple(zip(*[(2 * j + dc, code[u, v]) for j, c in zip(perm, codes)
-                        for _dr, dc, u, v in _UNIT_ENTRIES[QUATERNION][c]]))
+                        for dc, u, v in _UNIT_ENTRIES[QUATERNION][c]]))
             for perm, codes in r._monos]
     return _checked(Representation._from_monos(r.sig, r.complex_dim,
                                                TargetRing("MatC", 2 * r.target.m), gens),
@@ -657,19 +691,20 @@ class Intertwiner(namedtuple("Intertwiner", "matrix inverse ring_tag")):
 
 
 def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
-    """Basis of {S : S A_g = B_g S} as flat coordinate vectors, and the map
-    from such a vector to its matrix S.
+    """``linalg.nullspace_numerators`` of {S : S A_g = B_g S}, the unknowns
+    the flat coordinates of S: k per entry, entry (i, j) first at column
+    (i m + j) k.
 
     Column (r, c, u) of the system holds the coordinates of E A_g - B_g E
     for E with the unit u at (r, c) and zeros elsewhere, one row per
     coordinate of each entry (i, j).  Over R and C the only unit is 1 and
     an entry is its own coordinate, so this is the system over the field;
-    over H it linearizes the problem over Q.
+    over H it linearizes the problem over Q, in the units 1, t1, t2, t3.
     """
     if ring_tag == QUATERNION:
-        units, coords, from_coords = _Q8[::2], Quaternion.coords, lambda xs: Quaternion(*xs)
+        units, coords = _Q8[::2], Quaternion.coords
     else:
-        units, coords, from_coords = (ONE[ring_tag],), lambda x: (x,), lambda xs: xs[0]
+        units, coords = (ONE[ring_tag],), lambda x: (x,)
     k = len(units)
     zero = coords(ZERO[ring_tag])[0]
     rows = []
@@ -684,26 +719,48 @@ def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
                             row[(i * m + t) * k + w] += x
                             row[(t * m + j) * k + w] -= y
                 rows += block
+    system = linalg.numerator_matrix(rows, RATIONAL if ring_tag == QUATERNION else ring_tag)[1]
+    return linalg.nullspace_numerators(system, k * m * m)
 
-    def to_matrix(v):
-        entries = [from_coords(v[x:x + k]) for x in range(0, k * m * m, k)]
-        return tuple(tuple(entries[i * m:(i + 1) * m]) for i in range(m))
-    return linalg.nullspace(rows), to_matrix
+
+def _coords_to_rows(point, m, ring_tag):
+    """(den, rows) of the m x m matrix S with the flat coordinates of
+    ``_intertwiner_nullspace`` given as a point (den, re, im); on H, chi(S)
+    is the sum of the coordinates times the chi blocks of 1, t1, t2, t3."""
+    den, re, im = point
+    k = 4 if ring_tag == QUATERNION else 1
+    units = _UNIT_ENTRIES[ring_tag]
+    h = len(units[0])
+    rows = [{} for _ in range(h * m)]
+    for x in re.keys() | im.keys():
+        e, w = divmod(x, k)
+        i, j = divmod(e, m)
+        a, b = re.get(x, 0), im.get(x, 0)
+        for dr, (dc, u, v) in enumerate(units[2 * w]):
+            row, col = rows[h * i + dr], h * j + dc
+            p, q = row.get(col, (0, 0))
+            row[col] = (p + a * u - b * v, q + a * v + b * u)
+    return den, [{j: e for j, e in row.items() if e[0] or e[1]} for row in rows]
 
 
 def solve_intertwiner(gens1, gens2, m, ring_tag, seed=0):
-    """Invertible S with S A_g S^-1 = B_g, or None if none exists."""
-    basis, to_matrix = _intertwiner_nullspace(gens1, gens2, m, ring_tag)
+    """Invertible S with S A_g S^-1 = B_g, or None if none exists.
+
+    S is the first point of the solution space, in ``linalg.first_accepted``
+    order, whose numerator rows have an inverse; S and S^-1 are their dense
+    views, on which S A_g S^-1 = B_g is checked exactly.
+    """
+    free, point = _intertwiner_nullspace(gens1, gens2, m, ring_tag)
 
     def invertible(v):
-        s = to_matrix(v)
-        sinv = linalg.inv(s)
+        s = _coords_to_rows(v, m, ring_tag)
+        sinv = linalg.inverse_numerators(*s)
         return None if sinv is None else (s, sinv)
 
-    found = linalg.first_accepted(basis, invertible, seed=seed)
+    found = linalg.first_accepted(free, invertible, point, seed=seed)
     if found is None:
         return None
-    s, sinv = found
+    s, sinv = (linalg.dense_matrix(*x, ring_tag) for x in found)
     for A, B in zip(gens1, gens2):
         if not linalg.mat_eq(linalg.matmul(linalg.matmul(s, A), sinv), B):
             return None

@@ -12,19 +12,19 @@ their nonzero entries only: the rows e_b p or the preimages of rho(A p) for
 the ideal, and rows of |p1| + |p2| entries for g p1 = p2 g; the reduced rows
 are read straight into multivector numerators.  After ``left_ideal`` the
 only elimination is U^-1: coordinates, the left action and U are read off
-the pivots and the monomial columns.
+the pivots and the monomial columns as numerator rows, stay so through the
+inverse and the intertwining check, and cross to dense matrices only in
+the returned ``SpinorModel``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import linalg
 from .algebra import (
     Multivector,
-    _gaussian_int_terms,
     complex_unit,
     invert,
     multiplication_numerators,
@@ -131,22 +131,13 @@ def _row_preimages(rep, bases):
     bases[s] is a basis of the row space of block s of rho(p).
 
     rho is an isomorphism onto Mat(m, C), or Mat(m, C) + Mat(m, C) for odd
-    n, so rho(A p) = {Y rho(p)}.  By the trace formula of
-    ``Representation.preimage`` the coefficient of e_b is
-    conj(u) v[perm_b[i]] / size, u the unit of rho(e_b) in row i: one lookup
-    per blade.  The rows leave out the common factor 1 / size.
+    n, so rho(A p) = {Y rho(p)}.  The preimages are read by the trace
+    formula (``Representation._row_traces``), one lookup per blade, and
+    leave out its common factor 1 / size.
     """
     m = rep.target.m
-    # (row of rho, v, numerators of the preimage)
-    targets = [(s * m + i, v, {}) for s, basis in enumerate(bases) for v in basis for i in range(m)]
-    for b in range(1 << rep.n):
-        perm, codes = rep._blade(b)
-        for i, v, row in targets:
-            e = v.get(perm[i] % m)
-            if e:
-                u, w = GAUSSIAN_INT_UNITS[codes[i]]
-                row[b] = (e[0] * u + e[1] * w, e[1] * u - e[0] * w)
-    return [row for _i, _v, row in targets]
+    return rep._row_traces([(s * m + i, v) for s, basis in enumerate(bases)
+                            for v in basis for i in range(m)])
 
 
 def is_minimal(space: SpinorSpace) -> bool:
@@ -229,8 +220,8 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     are checked exactly (``_intertwines``).  The check also certifies every
     column of L_i: psi -> rho(psi) w is injective on the ideal exactly when U
     is invertible, and rho(e^i) U[:, j] is the image of e^i psi_j.  No dense
-    rho image and no matrix product is built.  The result does not depend
-    on ``seed``.
+    rho image is built: U, U^-1 and the L_i stay numerator rows up to the
+    dense views returned.  The result does not depend on ``seed``.
     """
     n = space.n
     if not is_minimal(space):
@@ -238,19 +229,23 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     rep = compile_complex_rep(n)
     left = _left_action(space)
     U = _column_model(rep, space)
-    Uinv = linalg.inv(U)
-    if Uinv is None or not _intertwines(rep, U, left):
+    Uinv = linalg.inverse_numerators(*U)
+    if Uinv is None or not _intertwines(rep, U[1], left):
         raise AssertionError("no invertible intertwiner onto the column model")
-    return SpinorModel(rep, left, Intertwiner(U, Uinv, GAUSSIAN))
+    return SpinorModel(rep, tuple(linalg.dense_matrix(*L, GAUSSIAN) for L in left),
+                       Intertwiner(linalg.dense_matrix(*U, GAUSSIAN),
+                                   linalg.dense_matrix(*Uinv, GAUSSIAN), GAUSSIAN))
 
 
 def _left_action(space):
-    """L_i[r][j], the coefficient of e^i psi_j at pivots[r].  A p is a left
-    ideal, so e^i psi_j lies in it and these are its coordinates.  Since
-    e^i e_b = (-1)^t e_(b xor i), t the number of generators of b below i,
-    the entry is +-psi_j at pivots[r] xor i: one lookup in the numerators,
-    no product."""
-    zero = GaussianRational(0)
+    """(d, rows) per generator: L_i as numerator rows over d, the lcm of the
+    basis denominators.  L_i[r][j] is the coefficient of e^i psi_j at
+    pivots[r]; A p is a left ideal, so e^i psi_j lies in it and these are its
+    coordinates.  Since e^i e_b = (-1)^t e_(b xor i), t the number of
+    generators of b below i, the entry is +-psi_j at pivots[r] xor i: one
+    lookup in the numerators, no product."""
+    d = math.lcm(*(psi.den for psi in space.basis))
+    scaled = [(d // psi.den, psi) for psi in space.basis]
     out = []
     for i in range(space.n):
         bit = 1 << i
@@ -258,16 +253,16 @@ def _left_action(space):
         for piv in space.pivots:
             b = piv ^ bit
             s = -1 if (piv & (bit - 1)).bit_count() & 1 else 1
-            rows.append(tuple(GaussianRational(Fraction(s * psi.re.get(b, 0), psi.den),
-                                               Fraction(s * psi.im.get(b, 0), psi.den))
-                              if b in psi.re or b in psi.im else zero for psi in space.basis))
-        out.append(tuple(rows))
+            rows.append({j: (s * f * psi.re.get(b, 0), s * f * psi.im.get(b, 0))
+                         for j, (f, psi) in enumerate(scaled) if b in psi.re or b in psi.im})
+        out.append((d, rows))
     return tuple(out)
 
 
 def _column_model(rep, space):
-    """U with U[:, j] = column k of rho(psi_j), k the first nonzero column
-    of rho(p), scaled so that its last nonzero entry in row-major order is 1.
+    """(den, rows) of U, U[:, j] = column k of rho(psi_j), k the first
+    nonzero column of rho(p), scaled so that its last nonzero entry in
+    row-major order is 1.
 
     Column k of rho(e_b) holds one unit u, in the row r with perm_b[r] = k,
     so each blade of psi_j adds its coefficient times u to U[r][j].  The
@@ -289,38 +284,33 @@ def _column_model(rep, space):
             num[r][j] = (p + x * u - y * w, q + x * w + y * u)
     num = [{j: e for j, e in row.items() if e[0] or e[1]} for row in num]
     last = next(row[max(row)] for row in reversed(num) if row)
-    return tuple(tuple(linalg.dense_row(*linalg.reduced_numerators(row, last), GaussianRational, m))
-                 for row in num)
+    rows = []
+    for row in num:
+        den, re, im = linalg.reduced_numerators(row, last)
+        rows.append({j: (re.get(j, 0), im.get(j, 0)) for j in re.keys() | im.keys()})
+    return den, rows
 
 
 def _intertwines(rep, U, left):
-    """Whether U L_i = rho(e^i) U for every i, exactly.
+    """Whether U L_i = rho(e^i) U for every i, exactly, on numerators.
 
-    Row r of rho(e^i) U is u_r times row perm[r] of U, u_r the unit of
-    rho(e^i) in row r.  Both sides run on Gaussian-integer numerators: U over
-    the lcm of its denominators, each column of L_i over its own lcm d, read
-    as its nonzero entries only; the left side over d is compared with d
-    times the right side."""
-    m = len(U)
-    _d, ure, uim = _gaussian_int_terms({(r, j): x for r, row in enumerate(U)
-                                        for j, x in enumerate(row) if x})
-    num = [[(ure.get((r, j), 0), uim.get((r, j), 0)) for j in range(m)] for r in range(m)]
-    for i, L in enumerate(left):
+    U is given by its numerator rows N, at any scale, and L_i by its (d,
+    rows).  Row r of U L_i is the sum of U[r][k] times row k of L_i, and row
+    r of rho(e^i) U is u_r times row perm[r] of U, u_r the unit of rho(e^i)
+    in row r; so row r of N L_i times d is compared with d u_r times row
+    perm[r] of N, the nonzero entries only."""
+    for i, (d, L) in enumerate(left):
         perm, codes = rep._blade(1 << i)
-        for j in range(m):
-            d, lre, lim = _gaussian_int_terms({k: L[k][j] for k in range(m) if L[k][j]})
-            col = [(k, lre.get(k, 0), lim.get(k, 0)) for k in lre.keys() | lim.keys()]
-            for r in range(m):
-                row = num[r]
-                x = y = 0
-                for k, a, b in col:
-                    c, e = row[k]
-                    x += c * a - e * b
-                    y += c * b + e * a
-                c, e = num[perm[r]][j]
-                u, w = GAUSSIAN_INT_UNITS[codes[r]]
-                if x != d * (c * u - e * w) or y != d * (c * w + e * u):
-                    return False
+        for r, row in enumerate(U):
+            acc = {}
+            for k, (a, b) in row.items():
+                for j, (c, e) in L[k].items():
+                    x, y = acc.get(j, (0, 0))
+                    acc[j] = (x + a * c - b * e, y + a * e + b * c)
+            u, w = GAUSSIAN_INT_UNITS[codes[r]]
+            want = {j: (d * (a * u - b * w), d * (a * w + b * u)) for j, (a, b) in U[perm[r]].items()}
+            if {j: e for j, e in acc.items() if e[0] or e[1]} != want:
+                return False
     return True
 
 
@@ -347,8 +337,8 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
             return None
         return g if g * p1 == p2 * g else None
 
-    return linalg.first_accepted(free, conjugates, seed=seed,
-                                 combine=lambda terms: Multivector(*p1.space_key(), *point(terms)))
+    return linalg.first_accepted(free, conjugates, lambda terms: Multivector(*p1.space_key(), *point(terms)),
+                                 seed=seed)
 
 
 def _conjugator_rows(p1, p2):

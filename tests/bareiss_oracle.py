@@ -4,15 +4,18 @@ This is the elimination ``linalg._bareiss`` ran before it moved to sparse
 rows, kept whole: a Gaussian-integer row is a pair (re, im) of int lists of
 the full width, and every combination runs over all columns from the pivot
 on.  ``rref``, ``rank``, ``nullspace``, ``inv`` and ``det`` are built on it
-the way ``linalg`` builds them, so the tests can compare the sparse kernel's
-(done, sign, last) and each public routine with it, entry for entry.  Entries
-are ints, Fractions or GaussianRationals.
+the way ``linalg`` once built them, so the tests can compare the sparse
+kernel's (done, sign, last) and each numerator entry point with it, entry for
+entry.  Entries are ints, Fractions or GaussianRationals; a quaternion matrix
+enters through ``complex_adjoint``.  ``dense_row`` and ``combination`` are the
+dense views of a point of a span, read off numerators or summed from flat
+vectors.
 """
 
 import math
 from fractions import Fraction
 
-from cliffkit.scalars import GaussianRational
+from cliffkit.scalars import GaussianRational, quaternion_to_complex_block
 
 
 def gaussian_rows(rows):
@@ -170,3 +173,30 @@ def det(a):
     if len(done) < len(a):
         return ring(0)
     return _reduced(([last[0]], [last[1]]), (sign * math.prod(scales), 0), ring)[0]
+
+
+def complex_adjoint(a):
+    """chi(A) in Mat(2m, C) for a quaternion matrix A: entry (i, j) becomes
+    the 2 x 2 block ``quaternion_to_complex_block(A[i][j])`` at rows 2i,
+    2i + 1 and columns 2j, 2j + 1."""
+    out = []
+    for row in a:
+        blocks = [quaternion_to_complex_block(x) for x in row]
+        out += [tuple(x for blk in blocks for x in blk[r]) for r in (0, 1)]
+    return tuple(out)
+
+
+def dense_row(den, re, im, ring, n_cols):
+    """The n_cols entries (re[j] + i im[j]) / den in ``ring``, Fraction (im
+    empty) or GaussianRational."""
+    out = [ring(0)] * n_cols
+    for j in re.keys() | im.keys():
+        x = Fraction(re.get(j, 0), den)
+        out[j] = x if ring is Fraction else GaussianRational(x, Fraction(im.get(j, 0), den))
+    return out
+
+
+def combination(terms):
+    """sum f v over the (f, v) pairs of ``terms``, v flat vectors."""
+    coeffs, vectors = zip(*terms)
+    return tuple(sum(f * x for f, x in zip(coeffs, xs)) for xs in zip(*vectors))

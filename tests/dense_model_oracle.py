@@ -10,14 +10,17 @@ its public constructor.  ``rep_to_json``, ``factor_projections`` and
 of these matrices.
 """
 
-from cliffkit import linalg
+from cliffkit.algebra import Multivector
 from cliffkit.reprs import Representation, TargetRing
 from cliffkit.scalars import format_scalar
+import bareiss_oracle
 
 
 def dense_gens(rep):
     """rho(e_i) for each generator e_i, read through ``rho``."""
-    return [rep.rho(rep._element({1 << i: 1})) for i in range(rep.n)]
+    if rep.is_complex:
+        return [rep.rho(Multivector.complex_alg(rep.n, {1 << i: 1})) for i in range(rep.n)]
+    return [rep.rho(Multivector.real(rep.sig, {1 << i: 1})) for i in range(rep.n)]
 
 
 def _matrix_json(mat, ring_tag):
@@ -53,4 +56,4 @@ def factors_by_slicing(rep):
 def complexify_by_adjoint(rep):
     """Mat(m, H) -> Mat(2m, C) through the dense complex adjoint chi."""
     return Representation(rep.sig, rep.complex_dim, TargetRing("MatC", 2 * rep.target.m),
-                          [linalg.complex_adjoint(g) for g in dense_gens(rep)])
+                          [bareiss_oracle.complex_adjoint(g) for g in dense_gens(rep)])

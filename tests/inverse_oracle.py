@@ -12,9 +12,9 @@ a x = 1, so it is column 0 of the inverse of the matrix of x -> a x.
 
 from fractions import Fraction
 
-from cliffkit import linalg
 from cliffkit.algebra import Multivector
 from cliffkit.scalars import ZERO, GaussianRational
+import bareiss_oracle
 
 
 def coords_vector(a):
@@ -44,7 +44,7 @@ def map_matrix(model, f):
 def dense_inverse(a):
     """Inverse of a by elimination on its left regular matrix; None if
     singular."""
-    left_inv = linalg.inv(map_matrix(a, lambda x: a * x))
+    left_inv = bareiss_oracle.inv(map_matrix(a, lambda x: a * x))
     if left_inv is None:
         return None
     return from_coords(a, [row[0] for row in left_inv])

@@ -47,6 +47,7 @@ from cliffkit.sampling import (
     random_versor,
     rng_from_seed,
 )
+import bareiss_oracle
 
 F = Fraction
 E2 = Signature(2, 0)
@@ -131,8 +132,25 @@ def test_layout_product_and_inverse_match_fraction_linalg(data, sig):
     a = data.draw(pseudo_orthogonal(sig))
     b = data.draw(pseudo_orthogonal(sig))
     assert (a * b).mat == linalg.matmul(a.mat, b.mat)
-    assert a.inverse().mat == linalg.inv(a.mat)
+    assert a.inverse().mat == bareiss_oracle.inv(a.mat)
     assert (a * a.inverse()).is_identity()
+
+
+def test_det_matches_dense_oracle():
+    # sign * last / den^n off the sparse kernel on the integer rows, against
+    # the dense Bareiss determinant of the Fraction view, for every
+    # signature with 1 <= n <= 6; an odd number of reflections gives -1
+    signs = set()
+    for n in range(1, 7):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            rng = rng_from_seed(40 + 10 * n + p)
+            for _ in range(4):
+                m = random_pseudo_orthogonal(sig, rng)
+                d = m.det()
+                assert type(d) is Fraction and d == bareiss_oracle.det(m.mat)
+                signs.add(d)
+    assert signs == {1, -1}
 
 
 @settings(max_examples=100, deadline=None)

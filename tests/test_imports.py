@@ -48,6 +48,17 @@ def test_import_loads_every_layer_without_dataclasses():
     assert out[1] == "False"
 
 
+def test_cli_loads_verify_only_for_verify_all():
+    # verify and the sampling it draws from load inside the verify-all
+    # command, so the other commands, each a fresh process, skip them
+    code = "import sys, cliffkit.cli; print(*sorted(m for m in sys.modules if m.startswith('cliffkit.')))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "cliffkit.cli" in out
+    assert "cliffkit.verify" not in out and "cliffkit.sampling" not in out
+
+
 RECORDS = {
     "algebra.Signature": "p q",
     "reprs.TargetRing": "kind m summands",

@@ -1,4 +1,10 @@
-"""Exact linear algebra over the three scalar rings."""
+"""Exact linear algebra on sparse Gaussian-integer rows.
+
+The dense helpers below run a dense matrix through the numerator entry
+points of ``linalg`` (``numerator_matrix`` in, the reduced rows or
+``dense_matrix`` out); the tests compare them with hand values and with the
+dense oracles of ``bareiss_oracle`` and of this module.
+"""
 
 import itertools
 import math
@@ -10,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffkit import linalg
-from cliffkit.scalars import GaussianRational, Quaternion
+from cliffkit.scalars import GAUSSIAN, QUATERNION, RATIONAL, GaussianRational, Quaternion
 import bareiss_oracle
 from rank_oracle import SparseRankAccumulator
 
@@ -19,22 +25,82 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def _tag(rows):
+    """GAUSSIAN when an entry is a GaussianRational, else RATIONAL."""
+    return GAUSSIAN if any(isinstance(x, GaussianRational) for row in rows for x in row) else RATIONAL
+
+
+def _ring(rows):
+    return GaussianRational if _tag(rows) == GAUSSIAN else Fraction
+
+
+def identity(n, one=Fraction(1)):
+    return tuple(tuple(one if i == j else one - one for j in range(n)) for i in range(n))
+
+
+def rref(rows):
+    """(red, pivots) of a dense matrix over Q or Q(i) off ``echelon_numerators``,
+    zero rows appended as in ``bareiss_oracle.rref``."""
+    if not rows:
+        return [], []
+    ring, n_cols = _ring(rows), len(rows[0])
+    done = linalg.echelon_numerators(linalg.numerator_matrix(rows, _tag(rows))[1])
+    red = [bareiss_oracle.dense_row(*linalg.reduced_numerators(row, b), ring, n_cols)
+           for row, b, _c in done]
+    red += [[ring(0)] * n_cols for _ in range(len(rows) - len(red))]
+    return red, [c for _row, _b, c in done]
+
+
+def rank(rows, tag=None):
+    """Rank off ``echelon_numerators``; a quaternion matrix through chi."""
+    tag = tag or _tag(rows)
+    return len(linalg.echelon_numerators(linalg.numerator_matrix(rows, tag)[1])) // (
+        2 if tag == QUATERNION else 1)
+
+
+def nullspace(rows):
+    """The nullspace basis read off ``nullspace_numerators``."""
+    if not rows:
+        return []
+    ring, n_cols = _ring(rows), len(rows[0])
+    free, point = linalg.nullspace_numerators(linalg.numerator_matrix(rows, _tag(rows))[1], n_cols)
+    return [tuple(bareiss_oracle.dense_row(*point([(1, c)]), ring, n_cols)) for c in free]
+
+
+def inv(a, tag=None):
+    """``inverse_numerators`` between the two edges, or None."""
+    tag = tag or _tag(a)
+    found = linalg.inverse_numerators(*linalg.numerator_matrix(a, tag))
+    return None if found is None else linalg.dense_matrix(*found, tag)
+
+
+def det(a):
+    """sign * last / den^n off ``_bareiss``, 0 below full rank."""
+    den, rows = linalg.numerator_matrix(a, _tag(a))
+    done, sign, last = linalg._bareiss(rows)
+    if len(done) < len(a):
+        return _ring(a)(0)
+    x, y = (sign * v for v in last)
+    d = den ** len(a)
+    return Fraction(x, d) if _tag(a) == RATIONAL else GaussianRational(Fraction(x, d), Fraction(y, d))
+
+
 def test_rref_and_rank_rational():
     rows = [
         [F(1), F(2), F(3)],
         [F(2), F(4), F(6)],
         [F(0), F(1), F(1)],
     ]
-    red, pivots = linalg.rref(rows)
+    red, pivots = rref(rows)
     assert pivots == [0, 1]
     assert red[0] == [F(1), F(0), F(1)]
     assert red[1] == [F(0), F(1), F(1)]
-    assert linalg.rank(rows) == 2
+    assert rank(rows) == 2
 
 
 def test_nullspace_rational():
     rows = [[F(1), F(2), F(3)], [F(0), F(1), F(1)]]
-    basis = linalg.nullspace(rows)
+    basis = nullspace(rows)
     assert len(basis) == 1
     v = basis[0]
     for row in rows:
@@ -49,8 +115,10 @@ def test_nullspace_numerators_of_zero_matrix_is_standard_basis(ring):
     assert free == list(range(n))
     assert [point([(1, c)]) for c in free] == [(1, {c: 1}, {}) for c in range(n)]
     assert linalg.nullspace_numerators([], n)[0] == free
-    assert linalg.rref_numerators(rows, n, ring) == ([], [])
-    basis = linalg.nullspace([[ring(0)] * n for _ in range(3)])
+    assert linalg.echelon_numerators(rows) == []
+    zero = [[ring(0)] * n for _ in range(3)]
+    assert linalg.numerator_matrix(zero, GAUSSIAN if ring is GaussianRational else RATIONAL) == (1, rows)
+    basis = [tuple(bareiss_oracle.dense_row(*point([(1, c)]), ring, n)) for c in free]
     assert basis == [tuple(ring(int(i == j)) for j in range(n)) for i in range(n)]
     assert all(type(x) is ring for v in basis for x in v)
 
@@ -73,31 +141,34 @@ def test_numerator_entry_points_match_rref_and_nullspace():
             scale = rng.choice([1, -3, 6])
             num = [{j: (scale * x, scale * y) for j, (x, y) in enumerate(zip(r, i)) if x or y}
                    for r, i in zip(re, im)]
-            red, pivots = linalg.rref(rows)
-            assert linalg.rref_numerators(num, n_cols, ring) == (red[: len(pivots)], pivots)
-            basis = linalg.nullspace(rows)
+            red, pivots = bareiss_oracle.rref(rows)
+            done = linalg.echelon_numerators(num)
+            assert [bareiss_oracle.dense_row(*linalg.reduced_numerators(row, b), ring, n_cols)
+                    for row, b, _c in done] == red[: len(pivots)]
+            assert [c for _row, _b, c in done] == pivots
+            basis = bareiss_oracle.nullspace(rows)
             free, point = linalg.nullspace_numerators(num, n_cols)
             assert len(free) == len(basis)
-            assert [tuple(linalg.dense_row(*point([(1, c)]), ring, n_cols)) for c in free] == basis
+            assert [tuple(bareiss_oracle.dense_row(*point([(1, c)]), ring, n_cols)) for c in free] == basis
             coeffs = [rng.choice([-2, -1, 1, 3]) for _ in free]
             want = [sum((f * v[j] for f, v in zip(coeffs, basis)), ring(0)) for j in range(n_cols)]
             den, pre, pim = point(list(zip(coeffs, free)))
             assert den > 0 and all(pre.values()) and all(pim.values())
-            assert linalg.dense_row(den, pre, pim, ring, n_cols) == want
+            assert bareiss_oracle.dense_row(den, pre, pim, ring, n_cols) == want
 
 
 def test_inverse_rational():
     a = [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]
-    ainv = linalg.inv(a)
-    assert linalg.mat_eq(linalg.matmul(a, ainv), linalg.identity(2))
+    ainv = inv(a)
+    assert linalg.mat_eq(linalg.matmul(a, ainv), identity(2))
     singular = [[F(1), F(2)], [F(2), F(4)]]
-    assert linalg.inv(singular) is None
+    assert inv(singular) is None
 
 
 def test_det():
     a = [[F(1), F(2)], [F(3), F(4)]]
-    assert linalg.det(a) == F(-2)
-    assert linalg.det([[F(0), F(1)], [F(0), F(2)]]) == 0
+    assert det(a) == F(-2)
+    assert det([[F(0), F(1)], [F(0), F(2)]]) == 0
 
 
 def _flat(x):
@@ -108,11 +179,11 @@ def _flat(x):
 
 # int matrices are read as Fractions: no routine divides ints into floats
 INT_CASES = {
-    "det": (lambda: linalg.det([[2, 1], [1, 3]]), F(5)),
-    "det-singular": (lambda: linalg.det([[0, 1], [0, 2]]), F(0)),
-    "inv": (lambda: linalg.inv([[2, 0], [1, 3]]), ((F(1, 2), F(0)), (F(-1, 6), F(1, 3)))),
-    "rref": (lambda: linalg.rref([[2, 4, 1], [3, 5, 1]])[0], [[1, 0, F(-1, 2)], [0, 1, F(1, 2)]]),
-    "nullspace": (lambda: linalg.nullspace([[2, 4, 1], [3, 5, 1]]), [(F(1, 2), F(-1, 2), F(1))]),
+    "det": (lambda: det([[2, 1], [1, 3]]), F(5)),
+    "det-singular": (lambda: det([[0, 1], [0, 2]]), F(0)),
+    "inv": (lambda: inv([[2, 0], [1, 3]]), ((F(1, 2), F(0)), (F(-1, 6), F(1, 3)))),
+    "rref": (lambda: rref([[2, 4, 1], [3, 5, 1]])[0], [[1, 0, F(-1, 2)], [0, 1, F(1, 2)]]),
+    "nullspace": (lambda: nullspace([[2, 4, 1], [3, 5, 1]]), [(F(1, 2), F(-1, 2), F(1))]),
 }
 
 
@@ -129,8 +200,8 @@ def test_gaussian_matrix_inverse():
     one = GaussianRational(1)
     zero = GaussianRational(0)
     a = ((one, i), (zero, one))
-    ainv = linalg.inv(a)
-    assert linalg.mat_eq(linalg.matmul(a, ainv), linalg.identity(2, one))
+    ainv = inv(a)
+    assert linalg.mat_eq(linalg.matmul(a, ainv), identity(2, one))
     assert ainv[0][1] == -i
 
 
@@ -140,8 +211,8 @@ def test_quaternion_matrix_inverse_noncommutative():
     one = Quaternion(1)
     zero = Quaternion(0)
     a = ((t1, one), (zero, t2))
-    ainv = linalg.inv(a)
-    ident = linalg.identity(2, one)
+    ainv = inv(a, QUATERNION)
+    ident = identity(2, one)
     assert linalg.mat_eq(linalg.matmul(a, ainv), ident)
     assert linalg.mat_eq(linalg.matmul(ainv, a), ident)
 
@@ -168,9 +239,9 @@ def elementary_products(draw, m):
     """A product of up to four invertible elementary m x m quaternion
     matrices: a row swap, a row scaled by a nonzero quaternion, or I plus a
     quaternion at an off-diagonal place."""
-    prod = linalg.identity(m, Quaternion(1))
+    prod = identity(m, Quaternion(1))
     for _ in range(draw(st.integers(0, 4))):
-        e = [list(row) for row in linalg.identity(m, Quaternion(1))]
+        e = [list(row) for row in identity(m, Quaternion(1))]
         kind, i, j = draw(st.integers(0, 2)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
         if kind == 0:
             e[i], e[j] = e[j], e[i]
@@ -186,10 +257,12 @@ def elementary_products(draw, m):
 @given(quaternion_matrices())
 def test_quaternion_inverse_exists_exactly_at_full_rank(case):
     m, a = case
-    ainv = linalg.inv(a)
-    assert (ainv is None) == (linalg.rank(a) < m)
+    ainv = inv(a, QUATERNION)
+    r = rank(a, QUATERNION)
+    assert 2 * r == bareiss_oracle.rank(bareiss_oracle.complex_adjoint(a))
+    assert (ainv is None) == (r < m)
     if ainv is not None:
-        ident = linalg.identity(m, Quaternion(1))
+        ident = identity(m, Quaternion(1))
         assert linalg.mat_eq(linalg.matmul(a, ainv), ident)
         assert linalg.mat_eq(linalg.matmul(ainv, a), ident)
 
@@ -202,29 +275,24 @@ def test_quaternion_rank_is_invariant_under_elementary_products(data, m):
     d = [[units[i] if i == j and i < r else Quaternion(0) for j in range(m)] for i in range(m)]
     b, c = data.draw(elementary_products(m)), data.draw(elementary_products(m))
     a = linalg.matmul(linalg.matmul(b, d), c)
-    assert linalg.rank(a) == r
-    assert (linalg.inv(a) is None) == (r < m)
-
-
-def test_quaternion_entries_have_no_rref_nullspace_or_det():
-    a = [[Quaternion(0, 1), Quaternion(1)], [Quaternion(0), Quaternion(0, 0, 1)]]
-    for fn in (linalg.rref, linalg.nullspace, linalg.det):
-        with pytest.raises(TypeError):
-            fn(a)
+    assert rank(a, QUATERNION) == r
+    assert (inv(a, QUATERNION) is None) == (r < m)
 
 
 def test_complex_adjoint_read_back_checks_block_shape():
-    a = ((Quaternion(1, 2, -3, 4), Quaternion(0, 1)), (Quaternion(5), Quaternion(0, 0, 0, -1)))
-    chi = linalg.complex_adjoint(a)
-    assert linalg._from_complex_adjoint(chi) == a
+    a = ((Quaternion(1, 2, -F(3, 2), 4), Quaternion(0, 1)), (Quaternion(5), Quaternion(0, 0, 0, -1)))
+    den, chi = linalg.numerator_matrix(a, QUATERNION)
+    assert den == 2
+    assert chi == linalg.numerator_matrix(bareiss_oracle.complex_adjoint(a), GAUSSIAN)[1]
+    assert linalg.dense_matrix(den, chi, QUATERNION) == a
     # block (1, 1) of a no longer has a + d i under a - d i
-    bad = [list(row) for row in chi]
-    bad[3][3] = bad[3][3] + GaussianRational(0, 1)
+    bad = [dict(row) for row in chi]
+    x, y = bad[3][3]
+    bad[3][3] = (x, y + 1)
     with pytest.raises(AssertionError):
-        linalg._from_complex_adjoint(bad)
-    g = GaussianRational
+        linalg.dense_matrix(den, bad, QUATERNION)
     with pytest.raises(AssertionError):
-        linalg._from_complex_adjoint(((g(1), g(0)), (g(0), g(-1))))
+        linalg.dense_matrix(1, [{0: (1, 0)}, {1: (-1, 0)}], QUATERNION)
 
 
 def test_matmul_shapes_and_transpose():
@@ -254,15 +322,15 @@ def test_sparse_rank_accumulator_matches_dense_rank(rows):
     acc = SparseRankAccumulator()
     grew = [acc.add({j: v for j, v in enumerate(row) if v}) for row in rows]
     dense = [[Fraction(v) for v in row] for row in rows]
-    assert acc.rank == linalg.rank(dense) == sum(grew)
+    assert acc.rank == bareiss_oracle.rank(dense) == sum(grew)
     for k in range(len(dense)):
-        assert grew[k] == (linalg.rank(dense[:k + 1]) > linalg.rank(dense[:k]))
+        assert grew[k] == (bareiss_oracle.rank(dense[:k + 1]) > bareiss_oracle.rank(dense[:k]))
 
 
 def test_first_accepted_order_and_rejection():
     basis = [(F(1), F(0), F(2)), (F(0), F(1), F(-1)), (F(1), F(1), F(0))]
     seen = []
-    assert linalg.first_accepted(basis, lambda v: seen.append(v), seed=4) is None
+    assert linalg.first_accepted(basis, seen.append, bareiss_oracle.combination, seed=4) is None
     # the same points computed here: basis, running sums, seeded combinations
     want = list(basis)
     acc = (F(0),) * 3
@@ -286,13 +354,13 @@ def test_first_accepted_stops_at_first_hit():
         seen.append(v)
         return "hit" if v == (F(1), F(1)) else None
     # the first running sum that is not a basis vector is b0 + b1
-    assert linalg.first_accepted(basis, accept) == "hit"
+    assert linalg.first_accepted(basis, accept, bareiss_oracle.combination) == "hit"
     assert seen == [basis[0], basis[1], basis[0], (F(1), F(1))]
 
 
 def test_first_accepted_empty_basis():
     calls = []
-    assert linalg.first_accepted([], calls.append, seed=3) is None
+    assert linalg.first_accepted([], calls.append, bareiss_oracle.combination, seed=3) is None
     assert calls == []
 
 
@@ -413,7 +481,7 @@ def _square(rows):
 @given(kernel_matrices())
 def test_rref_matches_field_oracle(case):
     ring, rows = case
-    red, pivots = linalg.rref(rows)
+    red, pivots = rref(rows)
     assert (red, pivots) == _oracle_rref(rows)
     want = GaussianRational if ring == "gaussian" and any(
         type(x) is GaussianRational for x in _flat(rows)) else Fraction
@@ -424,11 +492,11 @@ def test_rref_matches_field_oracle(case):
 @given(kernel_matrices())
 def test_nullspace_inv_det_match_field_oracle(case):
     _ring, rows = case
-    assert linalg.nullspace(rows) == _oracle_nullspace(rows)
+    assert nullspace(rows) == _oracle_nullspace(rows)
     sq = _square(rows)
-    assert linalg.inv(sq) == _oracle_inv(sq)
-    assert linalg.det(sq) == _oracle_det(sq)
-    assert linalg.det(sq[::-1]) == _oracle_det(sq[::-1])
+    assert inv(sq) == _oracle_inv(sq)
+    assert det(sq) == _oracle_det(sq)
+    assert det(sq[::-1]) == _oracle_det(sq[::-1])
 
 
 def test_content_heavy_rows_stay_within_hadamard_bound():
@@ -443,16 +511,17 @@ def test_content_heavy_rows_stay_within_hadamard_bound():
             g = g * _CONTENT[rng.randrange(2)]
         rows.append([g * GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
                      for _ in range(8)])
-    ints, _scales = linalg._gaussian_rows(rows)
+    ints = [{j: (x, y) for j, (x, y) in enumerate(zip(re, im)) if x or y}
+            for re, im in bareiss_oracle.gaussian_rows(rows)[0]]
     bound = math.prod(sum(x * x + y * y for x, y in row.values()) for row in ints)
     done, _sign, _last = linalg._bareiss(ints)
     assert len(done) == 8
     assert all(x * x + y * y <= bound for row, _b, _c in done for x, y in row.values())
     assert _as_dense(done, 8) == bareiss_oracle.bareiss(bareiss_oracle.gaussian_rows(rows)[0], 8)[0]
-    assert linalg.rref(rows) == _oracle_rref(rows)
-    inverse = linalg.inv(rows)
+    assert rref(rows) == _oracle_rref(rows)
+    inverse = inv(rows)
     assert inverse == _oracle_inv(rows)
-    assert linalg.mat_eq(linalg.matmul(inverse, rows), linalg.identity(8, GaussianRational(1)))
+    assert linalg.mat_eq(linalg.matmul(inverse, rows), identity(8, GaussianRational(1)))
 
 
 # -- the sparse kernel against the dense Bareiss oracle ----------------------
@@ -525,10 +594,10 @@ def test_public_routines_match_dense_oracle(case, d, real):
         rows = [[Fraction(x, d) for x, _y in row] for row in dense]
     else:
         rows = [[GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in row] for row in dense]
-    assert linalg.rref(rows) == bareiss_oracle.rref(rows)
-    assert linalg.nullspace(rows) == bareiss_oracle.nullspace(rows)
-    assert linalg.rank(rows) == bareiss_oracle.rank(rows)
+    assert rref(rows) == bareiss_oracle.rref(rows)
+    assert nullspace(rows) == bareiss_oracle.nullspace(rows)
+    assert rank(rows) == bareiss_oracle.rank(rows)
     sq = _square(rows)
-    assert linalg.inv(sq) == bareiss_oracle.inv(sq)
-    assert linalg.det(sq) == bareiss_oracle.det(sq)
-    assert linalg.det(sq[::-1]) == bareiss_oracle.det(sq[::-1])
+    assert inv(sq) == bareiss_oracle.inv(sq)
+    assert det(sq) == bareiss_oracle.det(sq)
+    assert det(sq[::-1]) == bareiss_oracle.det(sq[::-1])

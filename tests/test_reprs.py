@@ -41,9 +41,11 @@ from cliffkit.scalars import (
     ZERO,
     GaussianRational,
     Quaternion,
+    format_scalar,
     quaternion_to_complex_block,
 )
 from cliffkit.spinors import left_ideal, primitive_idempotent, spinor_matrix_model
+import bareiss_oracle
 import dense_model_oracle
 from inverse_oracle import dense_inverse
 from rank_oracle import blades_independent
@@ -466,7 +468,10 @@ def test_invertible_matches_dense_rank(case):
     rep, x = case
     img = rep.rho(x)
     blocks = img if rep.target.summands == 2 else (img,)
-    want = [linalg.rank(block) for block in blocks]
+    if rep.target.ring_tag == QUATERNION:
+        want = [bareiss_oracle.rank(bareiss_oracle.complex_adjoint(block)) // 2 for block in blocks]
+    else:
+        want = [bareiss_oracle.rank(block) for block in blocks]
     assert rep.ranks(x) == want
     assert rep.invertible(x) == all(r == rep.target.m for r in want)
 
@@ -536,6 +541,14 @@ def test_preimage_checks_the_image():
     assert low.preimage(((F1 * 2,),)) is None
     two = Multivector.real(Signature(1, 0), {0: 2})
     assert rep.preimage(rep.rho(two)) == two
+    # outside input of the wrong shape: one block for a direct sum, and a
+    # 1 x 1 or 3 x 3 matrix on the Mat(2, R) model of Cl(2,0)
+    with pytest.raises(ValueError, match="a pair of 1x1 matrices"):
+        rep.preimage(((F1 * 2,),))
+    cl20 = compile_rep(Signature(2, 0))
+    for bad in (((F1,),), tuple(tuple(F1 * (i == j) for j in range(3)) for i in range(3))):
+        with pytest.raises(ValueError, match="a 2x2 matrix"):
+            cl20.preimage(bad)
 
 
 def _direct_sum_models():
@@ -710,7 +723,7 @@ def _intertwiner_cases():
         one = ONE[ring]
         s = tuple(tuple(one * (1 if i == j else (i + 2 * j) % 3 - 1) for j in range(m))
                   for i in range(m))
-        sinv = linalg.inv(s)
+        sinv = bareiss_oracle.inv(s)
         conj = [linalg.matmul(linalg.matmul(s, a), sinv) for a in gens[0]]
         cases += [(gens[0], gens[0], m, ring), (gens[0], conj, m, ring),
                   (gens[-1], gens[0], m, ring)]
@@ -724,16 +737,55 @@ def test_intertwiner_system_matches_field_oracle():
     cases = _intertwiner_cases()
     nontrivial = 0
     for gens1, gens2, m, ring in cases:
-        basis, to_matrix = reprs._intertwiner_nullspace(gens1, gens2, m, ring)
-        assert basis == linalg.nullspace(_field_intertwiner_rows(gens1, gens2, m, ring))
-        for v in basis:
-            s = to_matrix(v)
+        free, point = reprs._intertwiner_nullspace(gens1, gens2, m, ring)
+        field = Fraction if ring == RATIONAL else GaussianRational
+        basis = [tuple(bareiss_oracle.dense_row(*point([(1, c)]), field, m * m)) for c in free]
+        assert basis == bareiss_oracle.nullspace(_field_intertwiner_rows(gens1, gens2, m, ring))
+        for c in free:
+            s = linalg.dense_matrix(*reprs._coords_to_rows(point([(1, c)]), m, ring), ring)
+            assert s == tuple(tuple(basis[free.index(c)][i * m:(i + 1) * m]) for i in range(m))
             assert all(linalg.mat_eq(linalg.matmul(s, a), linalg.matmul(b, s))
                        for a, b in zip(gens1, gens2))
         nontrivial += bool(basis)
     # only the factors of R + R over Cl(1,0), Cl(2,1) and of C(1), C(3)
     # are inequivalent
     assert nontrivial == len(cases) - 4
+
+
+# a fixed monomial quaternion matrix per m: row i holds units[i] in column
+# perm[i], so its inverse is its conjugate transpose
+_H_MONOMIALS = {
+    2: ((1, 0), (Q(0, 1), Q(0, 0, -1))),
+    4: ((2, 0, 3, 1), (Q(0, 1), Q(-1), Q(0, 0, 0, 1), Q(0, 0, -1))),
+}
+# sha256 over S and S^-1 of both cases, as picked by the solver
+_H_INTERTWINER_DIGESTS = {
+    "(1,3)": "fe54b8843570bb3838fcb20f72088e93095ec000b7cf3fc4ba09bc617de4ba3a",
+    "(0,4)": "fe54b8843570bb3838fcb20f72088e93095ec000b7cf3fc4ba09bc617de4ba3a",
+    "(2,4)": "1e83befd6be1c0d857edf842c83a85762453310ba23dc16c9c5556fa4a8c1cd3",
+}
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 3), Signature(0, 4), Signature(2, 4)], ids=str)
+def test_quaternion_intertwiners_at_larger_m(sig):
+    # Mat(2, H) and Mat(4, H) models against themselves and against their
+    # conjugate by a monomial quaternion matrix P with unit entries
+    rep = compile_rep(sig)
+    m = rep.target.m
+    perm, units = _H_MONOMIALS[m]
+    P = tuple(tuple(units[i] if j == perm[i] else Q(0) for j in range(m)) for i in range(m))
+    PH = tuple(tuple(P[j][i].conjugate() for j in range(m)) for i in range(m))
+    moved = Representation(sig, None, rep.target,
+                           [linalg.matmul(linalg.matmul(P, g), PH) for g in rep.gens])
+    h = hashlib.sha256()
+    for other in (rep, moved):
+        inter = rep_equivalence(rep, other)
+        assert inter is not None and inter.ring_tag == QUATERNION
+        for a, b in zip(rep.gens, other.gens):
+            assert linalg.matmul(linalg.matmul(inter.matrix, a), inter.inverse) == b
+        h.update(json.dumps([[[format_scalar(QUATERNION, x) for x in row] for row in mat]
+                             for mat in (inter.matrix, inter.inverse)]).encode())
+    assert h.hexdigest() == _H_INTERTWINER_DIGESTS[str(sig)]
 
 
 # the blocks of 1, t1, t2, t3 under quaternion_to_complex_block

@@ -42,6 +42,7 @@ from cliffkit.spinors import (
     stabilizer_membership,
 )
 from cliffkit.scalars import GAUSSIAN, GaussianRational, format_scalar
+import bareiss_oracle
 from inverse_oracle import coords_vector, dense_inverse, from_coords, map_matrix
 
 G1 = GaussianRational(1)
@@ -222,6 +223,21 @@ def _corrupted(mat, r, j):
     return tuple(tuple(row) for row in rows)
 
 
+def _corrupted_numerators(matrix, r, j):
+    # (den, rows) with i added at (r, j)
+    den, rows = matrix
+    rows = [dict(row) for row in rows]
+    x, y = rows[r].get(j, (0, 0))
+    rows[r][j] = (x, y + den)
+    return den, rows
+
+
+def _numerator_intertwines(rep, U, left):
+    # the numerator check on dense U and L_i, through the input edge
+    return _intertwines(rep, linalg.numerator_matrix(U, GAUSSIAN)[1],
+                        [linalg.numerator_matrix(L, GAUSSIAN) for L in left])
+
+
 def test_intertwiner_check_matches_dense_products():
     # U L_i = rho(e^i) U read row by row off the monomial rho(e^i) agrees
     # with the dense products on every model up to n = 8, and on each with
@@ -229,15 +245,15 @@ def test_intertwiner_check_matches_dense_products():
     for space in _left_action_cases():
         model = spinor_matrix_model(space, seed=0)
         rep, U, left = model.rep, model.intertwiner.matrix, model.left_action
-        assert _intertwines(rep, U, left) and _dense_intertwines(rep, U, left)
+        assert _numerator_intertwines(rep, U, left) and _dense_intertwines(rep, U, left)
         m = len(U)
         for r, j in ((0, 0), (m - 1, m // 2)):
             for i in (0, space.n - 1):
                 bad = left[:i] + (_corrupted(left[i], r, j),) + left[i + 1:]
-                assert not _intertwines(rep, U, bad)
+                assert not _numerator_intertwines(rep, U, bad)
                 assert not _dense_intertwines(rep, U, bad)
             bad_u = _corrupted(U, r, j)
-            assert not _intertwines(rep, bad_u, left)
+            assert not _numerator_intertwines(rep, bad_u, left)
             assert not _dense_intertwines(rep, bad_u, left)
 
 
@@ -247,11 +263,12 @@ def test_spinor_matrix_model_rejects_one_corrupted_entry(monkeypatch, part):
     if part == "left action":
         built = spinors._left_action
         monkeypatch.setattr(spinors, "_left_action",
-                            lambda sp: built(sp)[:1] + (_corrupted(built(sp)[1], 2, 1),) + built(sp)[2:])
+                            lambda sp: built(sp)[:1] + (_corrupted_numerators(built(sp)[1], 2, 1),)
+                            + built(sp)[2:])
     else:
         built = spinors._column_model
         monkeypatch.setattr(spinors, "_column_model",
-                            lambda rep, sp: _corrupted(built(rep, sp), 2, 1))
+                            lambda rep, sp: _corrupted_numerators(built(rep, sp), 2, 1))
     with pytest.raises(AssertionError, match="no invertible intertwiner"):
         spinor_matrix_model(space)
 
@@ -262,7 +279,7 @@ def test_spinor_matrix_model_rejects_a_right_ideal(n):
     # rho(p x) w lies in the line rho(p) maps onto, so U is singular
     p = primitive_idempotent(n).p
     rows = [coords_vector(p * Multivector.complex_alg(n, {b: G1})) for b in range(1 << n)]
-    red, pivots = linalg.rref(rows)
+    red, pivots = bareiss_oracle.rref(rows)
     basis = tuple(from_coords(p, row) for row in red[: len(pivots)])
     space = SpinorSpace(n, p, basis, tuple(pivots))
     assert is_minimal(space)
@@ -351,7 +368,7 @@ def test_spinor_matrix_model_matches_solved_intertwiner(case):
 
 def _dense_conjugator(p1, p2, seed):
     # g p1 g^-1 = p2 with the inverse from the dense left regular matrix
-    basis = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
+    basis = bareiss_oracle.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
 
     def conjugates(v):
         g = from_coords(p1, v)
@@ -360,7 +377,7 @@ def _dense_conjugator(p1, p2, seed):
         ginv = dense_inverse(g)
         return g if ginv is not None and g * p1 * ginv == p2 else None
 
-    return linalg.first_accepted(basis, conjugates, seed=seed)
+    return linalg.first_accepted(basis, conjugates, bareiss_oracle.combination, seed=seed)
 
 
 def test_find_conjugator_matches_dense_inverse_acceptance():
@@ -423,7 +440,7 @@ def test_conjugator_basis_matches_dense_nullspace(kind):
     # (checked against the dense inverse up to n = 4, where it is cheap)
     pairs = _complex_pairs() if kind == "complex" else _real_pairs()
     for seed, (p1, p2) in enumerate(pairs):
-        want = linalg.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
+        want = bareiss_oracle.nullspace(map_matrix(p1, lambda g: g * p1 - p2 * g))
         free, point = linalg.nullspace_numerators(_conjugator_rows(p1, p2), 1 << p1.n)
         assert [coords_vector(Multivector(*p1.space_key(), *point([(1, c)]))) for c in free] == want
         if p1.n <= 4:
@@ -461,7 +478,7 @@ def test_conjugator_rows_match_map_matrix(case):
 def _dense_left_ideal(p):
     n = p.n
     rows = [coords_vector(Multivector.complex_alg(n, {b: G1}) * p) for b in range(1 << n)]
-    red, pivots = linalg.rref(rows)
+    red, pivots = bareiss_oracle.rref(rows)
     return tuple(tuple(r) for r in red[: len(pivots)]), tuple(pivots)
 
 
@@ -493,8 +510,10 @@ def test_left_ideal_matches_dense_rref():
                  for block in rep.numerator_blocks(p)]
         for spanning in (_row_preimages(rep, bases),
                          multiplication_numerators(p, "right", transpose=True)[1]):
-            red, pivots = linalg.rref_numerators(spanning, 1 << p.n, GaussianRational)
-            assert (tuple(map(tuple, red)), tuple(pivots)) == want
+            done = linalg.echelon_numerators(spanning)
+            red = [bareiss_oracle.dense_row(*linalg.reduced_numerators(row, b), GaussianRational, 1 << p.n)
+                   for row, b, _c in done]
+            assert (tuple(map(tuple, red)), tuple(c for _row, _b, c in done)) == want
     assert space.dim == 8
 
 
