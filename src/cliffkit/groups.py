@@ -579,7 +579,7 @@ def spin_block_check(g: Versor, sig: Signature) -> SpinBlockResult:
             tuple((tr if i == j else GaussianRational(0)) - astar[i][j] for j in range(2))
             for i in range(2)
         )
-        relation_ok = off_zero and linalg.mat_eq(D, want)
+        relation_ok = off_zero and D == want
         if g.pin_normalized and det_a == 1:
             component = "restricted"
         elif g.pin_normalized:

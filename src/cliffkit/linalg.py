@@ -12,8 +12,8 @@ into that pair and ``dense_matrix`` reads the pair back.  A quaternion (H)
 matrix A crosses as its complex adjoint chi(A), the injective ring
 homomorphism Mat(m, H) -> Mat(2m, C) with rank chi(A) = 2 rank A (Zhang,
 Linear Algebra Appl. 251, 1997), so its rank is half the complex rank and
-chi(A^-1) = chi(A)^-1.  ``matmul`` and ``mat_eq`` work on dense matrices
-over any of the rings; no routine returns a float.
+chi(A^-1) = chi(A)^-1.  No routine multiplies dense matrices or returns a
+float.
 """
 
 from __future__ import annotations
@@ -31,31 +31,6 @@ from .scalars import (
     Quaternion,
     quaternion_to_complex_block,
 )
-
-
-def matmul(a, b):
-    # row-major accumulation skipping zero entries of a, so a sparse left
-    # factor saves its inner loops
-    m = len(b[0])
-    zero = a[0][0] - a[0][0]
-    out = []
-    for ai in a:
-        row = [zero] * m
-        for k, x in enumerate(ai):
-            if not x:
-                continue
-            bk = b[k]
-            for j, y in enumerate(bk):
-                if y:
-                    row[j] = row[j] + x * y
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_eq(a, b):
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def numerator_matrix(matrix, ring_tag):

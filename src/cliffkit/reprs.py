@@ -18,7 +18,6 @@ from . import linalg
 from .algebra import Multivector, Signature, basis_vector
 from .scalars import (
     GAUSSIAN,
-    ONE,
     QUATERNION,
     RATIONAL,
     TAU1,
@@ -644,15 +643,21 @@ def quaternion_complexify(r: Representation) -> Representation:
     each unit code becomes its chi block, a 2x2 monomial of Gaussian units."""
     if r.target.kind != "MatH" or r.target.summands != 1:
         raise ValueError("complexification applies to single quaternionic targets")
+    return _checked(Representation._from_monos(r.sig, r.complex_dim,
+                                               TargetRing("MatC", 2 * r.target.m),
+                                               _chi_monos(r._monos)),
+                    "complexified model")
+
+
+def _chi_monos(monos):
+    """The complex adjoints chi of quaternion monomials, as Gaussian-unit
+    monomials of twice the size."""
     code = {u: k for k, u in enumerate(GAUSSIAN_INT_UNITS)}
     # chi(unit) has one entry per row, listed in row order: the (column,
     # code) of rows 2i and 2i + 1
-    gens = [tuple(zip(*[(2 * j + dc, code[u, v]) for j, c in zip(perm, codes)
+    return [tuple(zip(*[(2 * j + dc, code[u, v]) for j, c in zip(perm, codes)
                         for dc, u, v in _UNIT_ENTRIES[QUATERNION][c]]))
-            for perm, codes in r._monos]
-    return _checked(Representation._from_monos(r.sig, r.complex_dim,
-                                               TargetRing("MatC", 2 * r.target.m), gens),
-                    "complexified model")
+            for perm, codes in monos]
 
 
 def real_irrep_dim(sig: Signature) -> int:
@@ -690,37 +695,41 @@ class Intertwiner(namedtuple("Intertwiner", "matrix inverse ring_tag")):
     __slots__ = ()
 
 
-def _intertwiner_nullspace(gens1, gens2, m, ring_tag):
-    """``linalg.nullspace_numerators`` of {S : S A_g = B_g S}, the unknowns
-    the flat coordinates of S: k per entry, entry (i, j) first at column
-    (i m + j) k.
+def _intertwiner_nullspace(monos1, monos2, m, ring_tag):
+    """``linalg.nullspace_numerators`` of {S : S A_g = B_g S} for the unit
+    monomials A_g of ``monos1`` and B_g of ``monos2``, the unknowns the flat
+    coordinates of S: k per entry, entry (i, j) first at column (i m + j) k.
 
-    Column (r, c, u) of the system holds the coordinates of E A_g - B_g E
-    for E with the unit u at (r, c) and zeros elsewhere, one row per
-    coordinate of each entry (i, j).  Over R and C the only unit is 1 and
-    an entry is its own coordinate, so this is the system over the field;
-    over H it linearizes the problem over Q, in the units 1, t1, t2, t3.
+    Row t of A_g holds a_t at column pi_A(t) and row i of B_g holds b_i at
+    pi_B(i), so entry (i, pi_A(t)) of S A_g - B_g S is
+    S[i][t] a_t - b_i S[pi_B(i)][pi_A(t)]: each equation ties two entries.
+    Over R and C an entry is its own coordinate (k = 1), and the equation is
+    one row holding the Gaussian units a_t and -b_i.  Over H (k = 4) the
+    coordinates are those in 1, t1, t2, t3; a unit times a basis unit is
+    +- a basis unit (``_UNIT_MUL``), so the equation is one rational row
+    per coordinate, again of two entries.
     """
     if ring_tag == QUATERNION:
-        units, coords = _Q8[::2], Quaternion.coords
+        basis, split = (0, 2, 4, 6), lambda c: (c >> 1, GAUSSIAN_INT_UNITS[c & 1])
     else:
-        units, coords = (ONE[ring_tag],), lambda x: (x,)
-    k = len(units)
-    zero = coords(ZERO[ring_tag])[0]
+        basis, split = (0,), lambda c: (0, GAUSSIAN_INT_UNITS[c])
+    k = len(basis)
     rows = []
-    for A, B in zip(gens1, gens2):
+    for (perm_a, codes_a), (perm_b, codes_b) in zip(monos1, monos2):
         for i in range(m):
-            for j in range(m):
-                # E A_g is nonzero only in row r = i, B_g E only in column c = j
-                block = [[zero] * (k * m * m) for _ in range(k)]
-                for t in range(m):
-                    for w, u in enumerate(units):
-                        for row, x, y in zip(block, coords(u * A[t][j]), coords(B[i][t] * u)):
-                            row[(i * m + t) * k + w] += x
-                            row[(t * m + j) * k + w] -= y
-                rows += block
-    system = linalg.numerator_matrix(rows, RATIONAL if ring_tag == QUATERNION else ring_tag)[1]
-    return linalg.nullspace_numerators(system, k * m * m)
+            times_b = _UNIT_MUL[codes_b[i]]
+            for t in range(m):
+                # the k coordinate rows of entry (i, pi_A(t))
+                block = [{} for _ in range(k)]
+                left, right = (i * m + t) * k, (perm_b[i] * m + perm_a[t]) * k
+                for w, u in enumerate(basis):
+                    z, e = split(_UNIT_MUL[u][codes_a[t]])
+                    block[z][left + w] = e
+                    z, (x, y) = split(times_b[u])
+                    p, q = block[z].get(right + w, (0, 0))
+                    block[z][right + w] = (p - x, q - y)
+                rows += [{j: e for j, e in row.items() if e[0] or e[1]} for row in block]
+    return linalg.nullspace_numerators(rows, k * m * m)
 
 
 def _coords_to_rows(point, m, ring_tag):
@@ -743,14 +752,17 @@ def _coords_to_rows(point, m, ring_tag):
     return den, [{j: e for j, e in row.items() if e[0] or e[1]} for row in rows]
 
 
-def solve_intertwiner(gens1, gens2, m, ring_tag, seed=0):
-    """Invertible S with S A_g S^-1 = B_g, or None if none exists.
+def solve_intertwiner(monos1, monos2, m, ring_tag, seed=0):
+    """Invertible S with S A_g S^-1 = B_g, or None if none exists, for the
+    m x m unit monomials A_g of ``monos1`` and B_g of ``monos2``.
 
     S is the first point of the solution space, in ``linalg.first_accepted``
-    order, whose numerator rows have an inverse; S and S^-1 are their dense
-    views, on which S A_g S^-1 = B_g is checked exactly.
+    order, whose numerator rows have an inverse; S and S^-1 are returned as
+    their dense views.  S A_g = B_g S is checked exactly on the numerator
+    rows (``_intertwines``, on chi over H), and a failure is a solver fault:
+    AssertionError.
     """
-    free, point = _intertwiner_nullspace(gens1, gens2, m, ring_tag)
+    free, point = _intertwiner_nullspace(monos1, monos2, m, ring_tag)
 
     def invertible(v):
         s = _coords_to_rows(v, m, ring_tag)
@@ -760,11 +772,35 @@ def solve_intertwiner(gens1, gens2, m, ring_tag, seed=0):
     found = linalg.first_accepted(free, invertible, point, seed=seed)
     if found is None:
         return None
-    s, sinv = (linalg.dense_matrix(*x, ring_tag) for x in found)
-    for A, B in zip(gens1, gens2):
-        if not linalg.mat_eq(linalg.matmul(linalg.matmul(s, A), sinv), B):
-            return None
-    return Intertwiner(s, sinv, ring_tag)
+    if ring_tag == QUATERNION:
+        monos1, monos2 = _chi_monos(monos1), _chi_monos(monos2)
+    left = [(1, [{j: GAUSSIAN_INT_UNITS[c]} for j, c in zip(*a)]) for a in monos1]
+    if not _intertwines(found[0][1], left, monos2):
+        raise AssertionError("the solved intertwiner fails S A_g = B_g S")
+    return Intertwiner(*(linalg.dense_matrix(*x, ring_tag) for x in found), ring_tag)
+
+
+def _intertwines(U, left, monos):
+    """Whether U L_i = M_i U for every i, exactly, on numerators.
+
+    U is given by its numerator rows N, at any scale, L_i by its (d, rows)
+    in ``left`` and M_i by its Gaussian-unit monomial (perm, codes) in
+    ``monos``.  Row r of U L_i is the sum of U[r][k] times row k of L_i, and
+    row r of M_i U is u_r times row perm[r] of U, u_r the unit of M_i in
+    row r; so row r of N L_i times d is compared with d u_r times row
+    perm[r] of N, the nonzero entries only."""
+    for (d, L), (perm, codes) in zip(left, monos):
+        for r, row in enumerate(U):
+            acc = {}
+            for k, (a, b) in row.items():
+                for j, (c, e) in L[k].items():
+                    x, y = acc.get(j, (0, 0))
+                    acc[j] = (x + a * c - b * e, y + a * e + b * c)
+            u, w = GAUSSIAN_INT_UNITS[codes[r]]
+            want = {j: (d * (a * u - b * w), d * (a * w + b * u)) for j, (a, b) in U[perm[r]].items()}
+            if {j: e for j, e in acc.items() if e[0] or e[1]} != want:
+                return False
+    return True
 
 
 def rep_equivalence(r1: Representation, r2: Representation, seed=0):
@@ -779,7 +815,7 @@ def rep_equivalence(r1: Representation, r2: Representation, seed=0):
         raise ValueError("representations target different matrix rings")
     if (r1.sig, r1.complex_dim) != (r2.sig, r2.complex_dim):
         raise ValueError("representations have different source algebras")
-    return solve_intertwiner(r1.gens, r2.gens, r1.target.m, r1.target.ring_tag,
+    return solve_intertwiner(r1._monos, r2._monos, r1.target.m, r1.target.ring_tag,
                              seed=seed)
 
 

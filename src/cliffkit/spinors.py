@@ -30,7 +30,13 @@ from .algebra import (
     multiplication_numerators,
     multiplication_rows,
 )
-from .reprs import GAUSSIAN_INT_UNITS, Intertwiner, compile_complex_rep, compile_rep
+from .reprs import (
+    GAUSSIAN_INT_UNITS,
+    Intertwiner,
+    _intertwines,
+    compile_complex_rep,
+    compile_rep,
+)
 from .scalars import GAUSSIAN, GaussianRational
 
 
@@ -230,7 +236,7 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     left = _left_action(space)
     U = _column_model(rep, space)
     Uinv = linalg.inverse_numerators(*U)
-    if Uinv is None or not _intertwines(rep, U[1], left):
+    if Uinv is None or not _intertwines(U[1], left, rep._monos):
         raise AssertionError("no invertible intertwiner onto the column model")
     return SpinorModel(rep, tuple(linalg.dense_matrix(*L, GAUSSIAN) for L in left),
                        Intertwiner(linalg.dense_matrix(*U, GAUSSIAN),
@@ -289,29 +295,6 @@ def _column_model(rep, space):
         den, re, im = linalg.reduced_numerators(row, last)
         rows.append({j: (re.get(j, 0), im.get(j, 0)) for j in re.keys() | im.keys()})
     return den, rows
-
-
-def _intertwines(rep, U, left):
-    """Whether U L_i = rho(e^i) U for every i, exactly, on numerators.
-
-    U is given by its numerator rows N, at any scale, and L_i by its (d,
-    rows).  Row r of U L_i is the sum of U[r][k] times row k of L_i, and row
-    r of rho(e^i) U is u_r times row perm[r] of U, u_r the unit of rho(e^i)
-    in row r; so row r of N L_i times d is compared with d u_r times row
-    perm[r] of N, the nonzero entries only."""
-    for i, (d, L) in enumerate(left):
-        perm, codes = rep._blade(1 << i)
-        for r, row in enumerate(U):
-            acc = {}
-            for k, (a, b) in row.items():
-                for j, (c, e) in L[k].items():
-                    x, y = acc.get(j, (0, 0))
-                    acc[j] = (x + a * c - b * e, y + a * e + b * c)
-            u, w = GAUSSIAN_INT_UNITS[codes[r]]
-            want = {j: (d * (a * u - b * w), d * (a * w + b * u)) for j, (a, b) in U[perm[r]].items()}
-            if {j: e for j, e in acc.items() if e[0] or e[1]} != want:
-                return False
-    return True
 
 
 def find_conjugator(p1: Multivector, p2: Multivector, seed=0):

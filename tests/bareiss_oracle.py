@@ -9,7 +9,8 @@ kernel's (done, sign, last) and each numerator entry point with it, entry for
 entry.  Entries are ints, Fractions or GaussianRationals; a quaternion matrix
 enters through ``complex_adjoint``.  ``dense_row`` and ``combination`` are the
 dense views of a point of a span, read off numerators or summed from flat
-vectors.
+vectors.  ``matmul`` and ``mat_eq`` are the dense matrix product and equality
+the tests check the numerator rows against.
 """
 
 import math
@@ -200,3 +201,25 @@ def combination(terms):
     """sum f v over the (f, v) pairs of ``terms``, v flat vectors."""
     coeffs, vectors = zip(*terms)
     return tuple(sum(f * x for f, x in zip(coeffs, xs)) for xs in zip(*vectors))
+
+
+def matmul(a, b):
+    """The dense product of two matrices over any of the rings, row by row,
+    skipping the zero entries of a."""
+    m = len(b[0])
+    zero = a[0][0] - a[0][0]
+    out = []
+    for ai in a:
+        row = [zero] * m
+        for k, x in enumerate(ai):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        row[j] = row[j] + x * y
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mat_eq(a, b):
+    return len(a) == len(b) and len(a[0]) == len(b[0]) and all(
+        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

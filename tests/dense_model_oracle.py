@@ -7,12 +7,15 @@ formatted entry by entry, sliced into summand blocks or mapped entry-wise
 through the complex adjoint, and parsed back into a ``Representation`` by
 its public constructor.  ``rep_to_json``, ``factor_projections`` and
 ``quaternion_complexify`` must give the same results without building any
-of these matrices.
+of these matrices.  ``solve_intertwiner`` solves S A_g = B_g S over the
+field R or C for dense A_g and B_g, which need not be monomial: the
+system the monomial one in ``reprs`` replaced.
 """
 
+from cliffkit import linalg
 from cliffkit.algebra import Multivector
-from cliffkit.reprs import Representation, TargetRing
-from cliffkit.scalars import format_scalar
+from cliffkit.reprs import Intertwiner, Representation, TargetRing
+from cliffkit.scalars import ONE, format_scalar
 import bareiss_oracle
 
 
@@ -57,3 +60,41 @@ def complexify_by_adjoint(rep):
     """Mat(m, H) -> Mat(2m, C) through the dense complex adjoint chi."""
     return Representation(rep.sig, rep.complex_dim, TargetRing("MatC", 2 * rep.target.m),
                           [bareiss_oracle.complex_adjoint(g) for g in dense_gens(rep)])
+
+
+def field_intertwiner_rows(gens1, gens2, m, ring_tag):
+    """S A_g - B_g S = 0 written over the field R or C: row (g, i, j),
+    column r m + c holds the coefficient of S[r][c] in entry (i, j)."""
+    zero = ONE[ring_tag] * 0
+    rows = []
+    for A, B in zip(gens1, gens2):
+        for i in range(m):
+            for j in range(m):
+                row = [zero] * (m * m)
+                for c in range(m):
+                    row[i * m + c] = row[i * m + c] + A[c][j]
+                for r in range(m):
+                    row[r * m + j] = row[r * m + j] - B[i][r]
+                rows.append(row)
+    return rows
+
+
+def solve_intertwiner(gens1, gens2, m, ring_tag, seed=0):
+    """Intertwiner with S A_g S^-1 = B_g for dense m x m matrices over R or
+    C, or None: the first point of the field nullspace of
+    ``field_intertwiner_rows``, in ``linalg.first_accepted`` order, with a
+    dense inverse."""
+    basis = bareiss_oracle.nullspace(field_intertwiner_rows(gens1, gens2, m, ring_tag))
+
+    def invertible(v):
+        s = tuple(tuple(v[i * m:(i + 1) * m]) for i in range(m))
+        sinv = bareiss_oracle.inv(s)
+        return None if sinv is None else (s, sinv)
+
+    found = linalg.first_accepted(basis, invertible, bareiss_oracle.combination, seed=seed)
+    if found is None:
+        return None
+    s, sinv = found
+    assert all(bareiss_oracle.mat_eq(bareiss_oracle.matmul(bareiss_oracle.matmul(s, a), sinv), b)
+               for a, b in zip(gens1, gens2))
+    return Intertwiner(s, sinv, ring_tag)

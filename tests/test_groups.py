@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cliffkit import linalg
 from cliffkit.algebra import (
     Multivector,
     Signature,
@@ -131,7 +130,7 @@ def test_layout_is_canonical_num_over_den(data, sig, k):
 def test_layout_product_and_inverse_match_fraction_linalg(data, sig):
     a = data.draw(pseudo_orthogonal(sig))
     b = data.draw(pseudo_orthogonal(sig))
-    assert (a * b).mat == linalg.matmul(a.mat, b.mat)
+    assert (a * b).mat == bareiss_oracle.matmul(a.mat, b.mat)
     assert a.inverse().mat == bareiss_oracle.inv(a.mat)
     assert (a * a.inverse()).is_identity()
 

@@ -160,7 +160,7 @@ def test_numerator_entry_points_match_rref_and_nullspace():
 def test_inverse_rational():
     a = [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]
     ainv = inv(a)
-    assert linalg.mat_eq(linalg.matmul(a, ainv), identity(2))
+    assert bareiss_oracle.mat_eq(bareiss_oracle.matmul(a, ainv), identity(2))
     singular = [[F(1), F(2)], [F(2), F(4)]]
     assert inv(singular) is None
 
@@ -201,7 +201,7 @@ def test_gaussian_matrix_inverse():
     zero = GaussianRational(0)
     a = ((one, i), (zero, one))
     ainv = inv(a)
-    assert linalg.mat_eq(linalg.matmul(a, ainv), identity(2, one))
+    assert bareiss_oracle.mat_eq(bareiss_oracle.matmul(a, ainv), identity(2, one))
     assert ainv[0][1] == -i
 
 
@@ -213,8 +213,8 @@ def test_quaternion_matrix_inverse_noncommutative():
     a = ((t1, one), (zero, t2))
     ainv = inv(a, QUATERNION)
     ident = identity(2, one)
-    assert linalg.mat_eq(linalg.matmul(a, ainv), ident)
-    assert linalg.mat_eq(linalg.matmul(ainv, a), ident)
+    assert bareiss_oracle.mat_eq(bareiss_oracle.matmul(a, ainv), ident)
+    assert bareiss_oracle.mat_eq(bareiss_oracle.matmul(ainv, a), ident)
 
 
 _QCOMP = st.integers(-2, 2)
@@ -249,7 +249,7 @@ def elementary_products(draw, m):
             e[i][i] = draw(quaternions(nonzero=True))
         elif i != j:
             e[i][j] = draw(quaternions())
-        prod = linalg.matmul(prod, e)
+        prod = bareiss_oracle.matmul(prod, e)
     return prod
 
 
@@ -263,8 +263,8 @@ def test_quaternion_inverse_exists_exactly_at_full_rank(case):
     assert (ainv is None) == (r < m)
     if ainv is not None:
         ident = identity(m, Quaternion(1))
-        assert linalg.mat_eq(linalg.matmul(a, ainv), ident)
-        assert linalg.mat_eq(linalg.matmul(ainv, a), ident)
+        assert bareiss_oracle.mat_eq(bareiss_oracle.matmul(a, ainv), ident)
+        assert bareiss_oracle.mat_eq(bareiss_oracle.matmul(ainv, a), ident)
 
 
 @settings(max_examples=100, deadline=None)
@@ -274,7 +274,7 @@ def test_quaternion_rank_is_invariant_under_elementary_products(data, m):
     units = [data.draw(st.sampled_from(_QUNITS)) for _ in range(r)]
     d = [[units[i] if i == j and i < r else Quaternion(0) for j in range(m)] for i in range(m)]
     b, c = data.draw(elementary_products(m)), data.draw(elementary_products(m))
-    a = linalg.matmul(linalg.matmul(b, d), c)
+    a = bareiss_oracle.matmul(bareiss_oracle.matmul(b, d), c)
     assert rank(a, QUATERNION) == r
     assert (inv(a, QUATERNION) is None) == (r < m)
 
@@ -298,7 +298,7 @@ def test_complex_adjoint_read_back_checks_block_shape():
 def test_matmul_shapes_and_transpose():
     a = ((F(1), F(2)), (F(3), F(4)))
     b = ((F(0), F(1)), (F(1), F(0)))
-    assert linalg.matmul(a, b) == ((F(2), F(1)), (F(4), F(3)))
+    assert bareiss_oracle.matmul(a, b) == ((F(2), F(1)), (F(4), F(3)))
 
 
 def test_sparse_rank_accumulator():
@@ -521,7 +521,7 @@ def test_content_heavy_rows_stay_within_hadamard_bound():
     assert rref(rows) == _oracle_rref(rows)
     inverse = inv(rows)
     assert inverse == _oracle_inv(rows)
-    assert linalg.mat_eq(linalg.matmul(inverse, rows), identity(8, GaussianRational(1)))
+    assert bareiss_oracle.mat_eq(bareiss_oracle.matmul(inverse, rows), identity(8, GaussianRational(1)))
 
 
 # -- the sparse kernel against the dense Bareiss oracle ----------------------

@@ -31,11 +31,9 @@ from cliffkit.reprs import (
     rep_from_json,
     rep_to_json,
     signature_shift,
-    solve_intertwiner,
 )
 from cliffkit.scalars import (
     GAUSSIAN,
-    ONE,
     QUATERNION,
     RATIONAL,
     ZERO,
@@ -204,8 +202,8 @@ def test_quaternion_block_embedding_is_homomorphism():
     x = Q(1, 2, -3, Fraction(1, 2))
     y = Q(0, -1, 1, 4)
     bx, by = quaternion_to_complex_block(x), quaternion_to_complex_block(y)
-    assert linalg.mat_eq(quaternion_to_complex_block(x * y), linalg.matmul(bx, by))
-    assert linalg.mat_eq(quaternion_to_complex_block(x + y), _matadd(bx, by))
+    assert bareiss_oracle.mat_eq(quaternion_to_complex_block(x * y), bareiss_oracle.matmul(bx, by))
+    assert bareiss_oracle.mat_eq(quaternion_to_complex_block(x + y), _matadd(bx, by))
 
 
 def test_cl13_complexified_equivalent_to_dirac():
@@ -225,11 +223,11 @@ def test_cl13_complexified_equivalent_to_dirac():
     dirac = [gamma0, gamma(s1), gamma(s2), gamma(s3)]
     cx = quaternion_complexify(compile_rep(Signature(1, 3)))
     assert cx.target == TargetRing("MatC", 4)
-    inter = solve_intertwiner(cx.gens, dirac, 4, GAUSSIAN)
+    inter = rep_equivalence(cx, Representation(Signature(1, 3), None, cx.target, dirac))
     assert inter is not None
     for a, b in zip(cx.gens, dirac):
-        lhs = linalg.matmul(linalg.matmul(inter.matrix, a), inter.inverse)
-        assert linalg.mat_eq(lhs, b)
+        lhs = bareiss_oracle.matmul(bareiss_oracle.matmul(inter.matrix, a), inter.inverse)
+        assert bareiss_oracle.mat_eq(lhs, b)
 
 
 def test_real_irrep_dims():
@@ -380,8 +378,8 @@ def test_blade_images_match_dense_products(source):
 
     def mul(x, y):
         if rep.target.summands == 2:
-            return (linalg.matmul(x[0], y[0]), linalg.matmul(x[1], y[1]))
-        return linalg.matmul(x, y)
+            return (bareiss_oracle.matmul(x[0], y[0]), bareiss_oracle.matmul(x[1], y[1]))
+        return bareiss_oracle.matmul(x, y)
 
     for b in range(1, 1 << rep.n):
         want = None
@@ -687,69 +685,102 @@ def test_rho_matches_multiplying_form(space):
 
 
 
-def _field_intertwiner_rows(gens1, gens2, m, ring_tag):
-    # S A_g - B_g S = 0 written over the field R or C: row (g, i, j),
-    # column r m + c holds the coefficient of S[r][c] in entry (i, j)
-    zero = ONE[ring_tag] * 0
-    rows = []
-    for A, B in zip(gens1, gens2):
-        for i in range(m):
-            for j in range(m):
-                row = [zero] * (m * m)
-                for c in range(m):
-                    row[i * m + c] = row[i * m + c] + A[c][j]
-                for r in range(m):
-                    row[r * m + j] = row[r * m + j] - B[i][r]
-                rows.append(row)
-    return rows
+def _conjugate_by_monomial(rep, perm, units):
+    """rep conjugated by the monomial matrix P with the unit units[i] at
+    (i, perm[i]): P A P^-1 for each generator A, by the dense products,
+    with P^-1 the conjugate transpose of P."""
+    m = rep.target.m
+    P = tuple(tuple(units[i] if j == perm[i] else units[i] * 0 for j in range(m)) for i in range(m))
+    PH = tuple(tuple(P[j][i].conjugate() for j in range(m)) for i in range(m))
+    return Representation(rep.sig, rep.complex_dim, rep.target,
+                          [bareiss_oracle.matmul(bareiss_oracle.matmul(P, g), PH) for g in rep.gens])
+
+
+def _monomial_conjugate(rep, rng):
+    """rep conjugated by a seeded monomial matrix whose units are signed on
+    R, Gaussian on C and Q8 units on H."""
+    m = rep.target.m
+    units = reprs._RING_UNITS[rep.target.ring_tag]
+    return _conjugate_by_monomial(rep, rng.sample(range(m), m), [rng.choice(units) for _ in range(m)])
 
 
 def _intertwiner_cases():
-    """(gens1, gens2, m, ring) for every model with n <= 4 on an R or C
-    target, real and complex sources: the model against itself, against
-    its conjugate by a fixed invertible matrix and, for a direct sum,
-    each factor against the other; then the spinor left actions at
-    n = 4, 6 against the column model."""
+    """(rep1, rep2) for every model with n <= 4 on an R or C target, real
+    and complex sources: the model against itself, against its conjugate
+    by a seeded monomial matrix and, for a direct sum, each factor against
+    the other; then the spinor left actions at n = 4, 6 against the column
+    model, whose L_i are monomial."""
     reps = [compile_rep(Signature(p, n - p)) for n in range(5) for p in range(n + 1)]
     reps += [compile_complex_rep(n) for n in range(5)]
+    rng = random.Random(3)
     cases = []
     for rep in reps:
         t = rep.target
         if t.kind == "MatH" or rep.n == 0:
             continue
         factors = factor_projections(rep) if t.summands == 2 else [rep]
-        gens = [f.gens for f in factors]
-        m, ring = t.m, t.ring_tag
-        one = ONE[ring]
-        s = tuple(tuple(one * (1 if i == j else (i + 2 * j) % 3 - 1) for j in range(m))
-                  for i in range(m))
-        sinv = bareiss_oracle.inv(s)
-        conj = [linalg.matmul(linalg.matmul(s, a), sinv) for a in gens[0]]
-        cases += [(gens[0], gens[0], m, ring), (gens[0], conj, m, ring),
-                  (gens[-1], gens[0], m, ring)]
+        cases += [(factors[0], factors[0]), (factors[0], _monomial_conjugate(factors[0], rng)),
+                  (factors[-1], factors[0])]
     for n in (4, 6):
         model = spinor_matrix_model(left_ideal(primitive_idempotent(n)))
-        cases.append((model.left_action, model.rep.gens, model.rep.target.m, GAUSSIAN))
+        cases.append((Representation(None, n, model.rep.target, model.left_action), model.rep))
     return cases
 
 
 def test_intertwiner_system_matches_field_oracle():
     cases = _intertwiner_cases()
     nontrivial = 0
-    for gens1, gens2, m, ring in cases:
-        free, point = reprs._intertwiner_nullspace(gens1, gens2, m, ring)
+    for rep1, rep2 in cases:
+        m, ring = rep1.target.m, rep1.target.ring_tag
+        free, point = reprs._intertwiner_nullspace(rep1._monos, rep2._monos, m, ring)
         field = Fraction if ring == RATIONAL else GaussianRational
         basis = [tuple(bareiss_oracle.dense_row(*point([(1, c)]), field, m * m)) for c in free]
-        assert basis == bareiss_oracle.nullspace(_field_intertwiner_rows(gens1, gens2, m, ring))
+        rows = dense_model_oracle.field_intertwiner_rows(rep1.gens, rep2.gens, m, ring)
+        assert basis == bareiss_oracle.nullspace(rows)
         for c in free:
             s = linalg.dense_matrix(*reprs._coords_to_rows(point([(1, c)]), m, ring), ring)
             assert s == tuple(tuple(basis[free.index(c)][i * m:(i + 1) * m]) for i in range(m))
-            assert all(linalg.mat_eq(linalg.matmul(s, a), linalg.matmul(b, s))
-                       for a, b in zip(gens1, gens2))
+            assert all(bareiss_oracle.mat_eq(bareiss_oracle.matmul(s, a), bareiss_oracle.matmul(b, s))
+                       for a, b in zip(rep1.gens, rep2.gens))
+        assert rep_equivalence(rep1, rep2) == dense_model_oracle.solve_intertwiner(
+            rep1.gens, rep2.gens, m, ring)
         nontrivial += bool(basis)
     # only the factors of R + R over Cl(1,0), Cl(2,1) and of C(1), C(3)
     # are inequivalent
     assert nontrivial == len(cases) - 4
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_models_are_equivalent_to_their_monomial_conjugates(n):
+    # every compiled model with p + q = n and C(n), each factor of a direct
+    # sum on its own, against its conjugate by a seeded monomial matrix: S
+    # conjugates each generator onto the other by the dense products, and
+    # the two factors of a direct sum are inequivalent
+    rng = random.Random(n)
+    for rep in [compile_rep(Signature(p, n - p)) for p in range(n + 1)] + [compile_complex_rep(n)]:
+        factors = factor_projections(rep) if rep.target.summands == 2 else [rep]
+        for f in factors:
+            other = _monomial_conjugate(f, rng)
+            inter = rep_equivalence(f, other)
+            assert inter is not None and inter.ring_tag == f.target.ring_tag
+            for a, b in zip(f.gens, other.gens):
+                assert bareiss_oracle.matmul(bareiss_oracle.matmul(inter.matrix, a), inter.inverse) == b
+        if len(factors) == 2:
+            assert rep_equivalence(factors[0], factors[1]) is None
+            assert rep_equivalence(factors[1], _monomial_conjugate(factors[0], rng)) is None
+
+
+@pytest.mark.parametrize("source", [Signature(3, 1), 4, Signature(2, 4)], ids=str)
+def test_intertwiner_check_failure_is_a_solver_fault(monkeypatch, source):
+    # a system that leaves out the first generator's equations admits an S
+    # that breaks S A_1 = B_1 S on an R, a C and an H target: the exact
+    # check raises, and does not report the models inequivalent
+    built = reprs._intertwiner_nullspace
+    monkeypatch.setattr(reprs, "_intertwiner_nullspace",
+                        lambda gens1, gens2, m, tag: built(gens1[1:], gens2[1:], m, tag))
+    rep = compile_complex_rep(source) if isinstance(source, int) else compile_rep(source)
+    with pytest.raises(AssertionError, match="fails S A_g = B_g S"):
+        rep_equivalence(rep, _monomial_conjugate(rep, random.Random(0)))
 
 
 # a fixed monomial quaternion matrix per m: row i holds units[i] in column
@@ -771,18 +802,13 @@ def test_quaternion_intertwiners_at_larger_m(sig):
     # Mat(2, H) and Mat(4, H) models against themselves and against their
     # conjugate by a monomial quaternion matrix P with unit entries
     rep = compile_rep(sig)
-    m = rep.target.m
-    perm, units = _H_MONOMIALS[m]
-    P = tuple(tuple(units[i] if j == perm[i] else Q(0) for j in range(m)) for i in range(m))
-    PH = tuple(tuple(P[j][i].conjugate() for j in range(m)) for i in range(m))
-    moved = Representation(sig, None, rep.target,
-                           [linalg.matmul(linalg.matmul(P, g), PH) for g in rep.gens])
+    moved = _conjugate_by_monomial(rep, *_H_MONOMIALS[rep.target.m])
     h = hashlib.sha256()
     for other in (rep, moved):
         inter = rep_equivalence(rep, other)
         assert inter is not None and inter.ring_tag == QUATERNION
         for a, b in zip(rep.gens, other.gens):
-            assert linalg.matmul(linalg.matmul(inter.matrix, a), inter.inverse) == b
+            assert bareiss_oracle.matmul(bareiss_oracle.matmul(inter.matrix, a), inter.inverse) == b
         h.update(json.dumps([[[format_scalar(QUATERNION, x) for x in row] for row in mat]
                              for mat in (inter.matrix, inter.inverse)]).encode())
     assert h.hexdigest() == _H_INTERTWINER_DIGESTS[str(sig)]
