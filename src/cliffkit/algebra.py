@@ -462,17 +462,12 @@ def complexify_embed(a):
     return Multivector(None, a.n, GAUSSIAN, a.den, re, im)
 
 
-def multiplication_numerators(a, side, transpose=False):
-    """(d, rows): the matrix of x -> a x (side "left") or x -> x a (side
-    "right") on the blade basis as sparse Gaussian-integer rows over d =
-    a.den: row y maps x to d times the (re, im) coefficient of e_y in the
-    image of e_x; with ``transpose`` row x holds the image of e_x."""
-    return a.den, multiplication_rows([(a, side, 1)], transpose)
-
-
 def multiplication_rows(parts, transpose=False):
     """Sparse Gaussian-integer rows of sum f N(a) over the (a, side, f) of
-    ``parts``, N(a) the numerator rows of ``multiplication_numerators``.
+    ``parts``.  N(a) is a.den times the matrix of x -> a x (side "left") or
+    x -> x a (side "right") on the blade basis: row y maps x to a.den times
+    the (re, im) coefficient of e_y in the image of e_x; with ``transpose``
+    row x holds the image of e_x.
 
     A blade times a multivector is a signed permutation of its terms, so row
     r has one entry per blade b of each a, at column r xor b, with the sign
@@ -550,9 +545,24 @@ def signature_from_json(doc):
 
 
 def multivector_from_json(doc):
+    """A multivector from JSON.  The algebra is read first, so a blade
+    index outside 1..n is rejected before its bit is built."""
     if not isinstance(doc, dict):
         raise ValueError("multivector JSON must be an object")
     ring = doc.get("ring", RATIONAL)
+    if "signature" in doc:
+        sig = signature_from_json(doc["signature"])
+        if ring != RATIONAL:
+            raise ValueError("real multivectors use the rational ring")
+        n = sig.n
+    elif "complex_dim" in doc:
+        if ring != GAUSSIAN:
+            raise ValueError("complex multivectors use the gaussian ring")
+        sig, n = None, doc["complex_dim"]
+        if not isinstance(n, int):
+            raise ValueError("'complex_dim' must be an integer")
+    else:
+        raise ValueError("multivector JSON needs 'signature' or 'complex_dim'")
     terms_doc = doc.get("terms", [])
     if not isinstance(terms_doc, list):
         raise ValueError("multivector 'terms' must be a list")
@@ -562,18 +572,9 @@ def multivector_from_json(doc):
                 and all(isinstance(i, int) for i in t["blade"])
                 and isinstance(t.get("coeff"), str)):
             raise ValueError("a term needs a 'blade' list of integers and a 'coeff' string")
+        if not all(1 <= i <= n for i in t["blade"]):
+            raise ValueError(f"blade index out of range 1..{n}")
         b = blade_from_indices(t["blade"])
         c = parse_scalar(ring, t["coeff"])
         terms[b] = terms.get(b, 0) + c if b in terms else c
-    if "signature" in doc:
-        sig = signature_from_json(doc["signature"])
-        if ring != RATIONAL:
-            raise ValueError("real multivectors use the rational ring")
-        return Multivector.real(sig, terms)
-    if "complex_dim" in doc:
-        if ring != GAUSSIAN:
-            raise ValueError("complex multivectors use the gaussian ring")
-        if not isinstance(doc["complex_dim"], int):
-            raise ValueError("'complex_dim' must be an integer")
-        return Multivector.complex_alg(doc["complex_dim"], terms)
-    raise ValueError("multivector JSON needs 'signature' or 'complex_dim'")
+    return Multivector.complex_alg(n, terms) if sig is None else Multivector.real(sig, terms)

@@ -40,7 +40,6 @@ from functools import reduce
 from itertools import chain
 from operator import mul
 
-from . import linalg
 from .algebra import Multivector, Signature, basis_vector, invert, signature_from_json, unit
 from .reprs import Representation, TargetRing, _checked
 from .scalars import RATIONAL, GaussianRational, format_rational, parse_rational
@@ -144,11 +143,10 @@ class PseudoOrthogonalMatrix:
         return PseudoOrthogonalMatrix._from_int(self.sig, inv, self.den)
 
     def det(self):
-        """sign * last / den^n: ``linalg._bareiss`` gives det N = sign * last
-        for the invertible integer rows N."""
-        _done, sign, last = linalg._bareiss([{j: (x, 0) for j, x in enumerate(row) if x}
-                                            for row in self.num])
-        return Fraction(sign * last[0], self.den ** self.sig.n)
+        """(-1)^r as a Fraction, r the number of reflections of
+        ``cartan_dieudonne``: M is their product, and each reflection has
+        determinant -1."""
+        return Fraction(-1) ** cartan_dieudonne(self).r
 
     def column(self, a):
         """Image coordinates of basis vector a (0-based)."""
@@ -180,8 +178,11 @@ class PseudoOrthogonalMatrix:
             rows = doc
         elif isinstance(doc, dict):
             rows = doc["matrix"]
-            if sig is None and "signature" in doc:
-                sig = signature_from_json(doc["signature"])
+            if "signature" in doc:
+                doc_sig = signature_from_json(doc["signature"])
+                if sig is not None and doc_sig != sig:
+                    raise ValueError(f"matrix signature {doc_sig} conflicts with {sig}")
+                sig = doc_sig
         else:
             raise ValueError("matrix JSON must be a list of rows or an object")
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):

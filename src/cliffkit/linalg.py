@@ -3,10 +3,10 @@
 An elimination takes one matrix format: sparse rows over Z[i], dicts mapping
 a column to the (re, im) ints of its nonzero entry, so a combination costs
 the nonzero entries of its two rows, whatever the width.  Every elimination
-runs one fraction-free kernel, ``_bareiss``, whose reduced rows are read as
-numerators over one denominator: ``echelon_numerators``,
-``nullspace_numerators`` and ``inverse_numerators``.  A matrix over Q, Q(i)
-or H is the pair (den, rows): the rows over a positive int den.  Ring
+runs one fraction-free kernel, ``echelon_numerators``, which returns the
+reduced rows only; ``nullspace_numerators`` and ``inverse_numerators`` read
+them as numerators over one denominator.  A matrix over Q, Q(i) or H is
+the pair (den, rows): the rows over a positive int den.  Ring
 elements cross at two edges only: ``numerator_matrix`` turns a dense matrix
 into that pair and ``dense_matrix`` reads the pair back.  A quaternion (H)
 matrix A crosses as its complex adjoint chi(A), the injective ring
@@ -120,8 +120,9 @@ def reduced_numerators(row, b):
     return den, re, im
 
 
-def _bareiss(rows):
-    """Fraction-free Gauss-Jordan elimination of sparse Gaussian-integer rows.
+def echelon_numerators(rows):
+    """Fraction-free Gauss-Jordan elimination of sparse Gaussian-integer
+    rows: the one elimination kernel.
 
     Step k takes the lowest column c where a remaining row is nonzero, and
     the first such row in input order as pivot row, and maps every other row
@@ -135,29 +136,20 @@ def _bareiss(rows):
     vanish are dropped; the others wait in buckets by leading column, so a
     step combines only the bucket of c and the reduced rows with an entry at c.
 
-    Returns (done, sign, last): ``done`` lists (row, b, c) per pivot, in
-    column order, where row / b is the reduced row with pivot column c;
-    ``sign`` is the sign of the order the pivot rows were taken in and
-    ``last`` the last pivot, so for a square input of full rank the
-    determinant of the input rows is sign * last.
+    Returns (row, b, c) per pivot, in column order, where row / b is the
+    reduced row with pivot column c.
     """
     one = (1, 0)
     stored = [(row, one) for row in rows]
-    # the remaining rows by index, in input order, for the sign
-    alive = list(range(len(rows)))
     buckets = {}
     for i, row in enumerate(rows):
         if row:
             buckets.setdefault(min(row), []).append(i)
     cols = sorted(buckets)
-    done, sign, prev = [], 1, one
+    done, prev = [], one
     while cols:
         c = cols.pop(0)
         first, *others = sorted(buckets.pop(c))
-        k = bisect.bisect_left(alive, first)
-        del alive[k]
-        if k & 1:
-            sign = -sign
         prow, b = stored[first]
         if b != prev:
             prow = _lin(prow, prev, None, None, b)
@@ -170,7 +162,6 @@ def _bareiss(rows):
             row, b = stored[i]
             row = _lin(row, a, row[c], prow, b)
             if not row:
-                del alive[bisect.bisect_left(alive, i)]
                 continue
             stored[i] = (row, a)
             lead = min(row)
@@ -179,13 +170,7 @@ def _bareiss(rows):
             buckets.setdefault(lead, []).append(i)
         done.append((prow, a, c))
         prev = a
-    return done, sign, prev
-
-
-def echelon_numerators(rows):
-    """``_bareiss``'s reduced form of sparse Gaussian-integer rows: (row, b,
-    c) per pivot, row / b the reduced row with pivot column c."""
-    return _bareiss(rows)[0]
+    return done
 
 
 def nullspace_numerators(rows, n_cols):
@@ -198,7 +183,7 @@ def nullspace_numerators(rows, n_cols):
     in the form of ``reduced_numerators`` over the lcm of the rows'
     denominators: no vector is built unasked.
     """
-    done = _bareiss(rows)[0]
+    done = echelon_numerators(rows)
     free = sorted(set(range(n_cols)).difference(c for _row, _b, c in done))
     reduced = [(c, *reduced_numerators(row, b)) for row, b, c in done]
     den = math.lcm(*(d for _c, d, _re, _im in reduced))
@@ -220,11 +205,11 @@ def nullspace_numerators(rows, n_cols):
 
 def inverse_numerators(den, rows):
     """(den, rows) of A^-1 for the square matrix A = rows / den, or None
-    when A is singular.  ``_bareiss`` brings [N | I] to [I | N^-1] exactly
-    when N = rows is invertible, and A^-1 = den N^-1, read over the lcm of
-    the reduced rows' denominators."""
+    when A is singular.  ``echelon_numerators`` brings [N | I] to
+    [I | N^-1] exactly when N = rows is invertible, and A^-1 = den N^-1,
+    read over the lcm of the reduced rows' denominators."""
     n = len(rows)
-    done = _bareiss([{**row, n + i: (1, 0)} for i, row in enumerate(rows)])[0]
+    done = echelon_numerators([{**row, n + i: (1, 0)} for i, row in enumerate(rows)])
     if [c for _row, _b, c in done] != list(range(n)):
         return None
     reduced = [reduced_numerators({j - n: e for j, e in row.items() if j >= n}, b)

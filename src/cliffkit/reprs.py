@@ -752,7 +752,7 @@ def _coords_to_rows(point, m, ring_tag):
     return den, [{j: e for j, e in row.items() if e[0] or e[1]} for row in rows]
 
 
-def solve_intertwiner(monos1, monos2, m, ring_tag, seed=0):
+def solve_intertwiner(monos1, monos2, m, ring_tag):
     """Invertible S with S A_g S^-1 = B_g, or None if none exists, for the
     m x m unit monomials A_g of ``monos1`` and B_g of ``monos2``.
 
@@ -769,7 +769,7 @@ def solve_intertwiner(monos1, monos2, m, ring_tag, seed=0):
         sinv = linalg.inverse_numerators(*s)
         return None if sinv is None else (s, sinv)
 
-    found = linalg.first_accepted(free, invertible, point, seed=seed)
+    found = linalg.first_accepted(free, invertible, point)
     if found is None:
         return None
     if ring_tag == QUATERNION:
@@ -803,7 +803,7 @@ def _intertwines(U, left, monos):
     return True
 
 
-def rep_equivalence(r1: Representation, r2: Representation, seed=0):
+def rep_equivalence(r1: Representation, r2: Representation):
     """Exact intertwiner between two representations, or None.
 
     Both must have the same single-factor target ring and dimension; use
@@ -815,8 +815,7 @@ def rep_equivalence(r1: Representation, r2: Representation, seed=0):
         raise ValueError("representations target different matrix rings")
     if (r1.sig, r1.complex_dim) != (r2.sig, r2.complex_dim):
         raise ValueError("representations have different source algebras")
-    return solve_intertwiner(r1._monos, r2._monos, r1.target.m, r1.target.ring_tag,
-                             seed=seed)
+    return solve_intertwiner(r1._monos, r2._monos, r1.target.m, r1.target.ring_tag)
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,17 @@ def rng_from_seed(seed) -> random.Random:
     return random.Random(seed)
 
 
-def _anisotropic_coords(sig: Signature, rng, lo=-3, hi=3):
-    """Integer coordinates in [lo, hi] of a vector with Q(v) != 0, drawn
+def _anisotropic_coords(sig: Signature, rng):
+    """Integer coordinates in [-3, 3] of a vector with Q(v) != 0, drawn
     until one is found (the zero vector is isotropic, so never returned)."""
     while True:
-        coords = [rng.randint(lo, hi) for _ in range(sig.n)]
+        coords = [rng.randint(-3, 3) for _ in range(sig.n)]
         if _bform(sig, coords, coords) != 0:
             return coords
 
 
-def random_anisotropic_vector(sig: Signature, rng, lo=-3, hi=3) -> Multivector:
-    return vector(sig, _anisotropic_coords(sig, rng, lo, hi))
+def random_anisotropic_vector(sig: Signature, rng) -> Multivector:
+    return vector(sig, _anisotropic_coords(sig, rng))
 
 
 def random_versor(sig: Signature, rng, num_factors=2) -> Versor:
@@ -37,17 +37,17 @@ def random_versor(sig: Signature, rng, num_factors=2) -> Versor:
     )
 
 
-def random_pseudo_orthogonal(sig: Signature, rng, num_reflections=None) -> PseudoOrthogonalMatrix:
-    if num_reflections is None:
-        num_reflections = rng.randint(1, max(1, sig.n))
-    ws = [_anisotropic_coords(sig, rng) for _ in range(num_reflections)]
+def random_pseudo_orthogonal(sig: Signature, rng) -> PseudoOrthogonalMatrix:
+    """The product of 1 to max(1, n) reflections, the count drawn first."""
+    ws = [_anisotropic_coords(sig, rng) for _ in range(rng.randint(1, max(1, sig.n)))]
     return reflection_product(sig, ws)
 
 
-def rational_unit_vector(n, rng, lo=-4, hi=4):
-    """A rational point on the unit sphere S^(n-1), by stereographic projection."""
+def rational_unit_vector(n, rng):
+    """A rational point on the unit sphere S^(n-1), by stereographic
+    projection of a point with integer coordinates in [-4, 4]."""
     while True:
-        t = [Fraction(rng.randint(lo, hi)) for _ in range(n - 1)]
+        t = [Fraction(rng.randint(-4, 4)) for _ in range(n - 1)]
         norm2 = sum(x * x for x in t)
         denom = norm2 + 1
         coords = [2 * x / denom for x in t] + [(norm2 - 1) / denom]
@@ -55,10 +55,10 @@ def rational_unit_vector(n, rng, lo=-4, hi=4):
             return coords
 
 
-def random_unitary_versor(n, rng, num_factors=2) -> Multivector:
-    """Product of real unit vectors in the complex algebra: g* = g^-1."""
+def random_unitary_versor(n, rng) -> Multivector:
+    """Product of two real unit vectors in the complex algebra: g* = g^-1."""
     g = Multivector.complex_alg(n, {0: GaussianRational(1)})
-    for _ in range(num_factors):
+    for _ in range(2):
         coords = rational_unit_vector(n, rng)
         v = Multivector.complex_alg(
             n,

@@ -27,7 +27,6 @@ from .algebra import (
     Multivector,
     complex_unit,
     invert,
-    multiplication_numerators,
     multiplication_rows,
 )
 from .reprs import (
@@ -124,7 +123,7 @@ def left_ideal(p) -> SpinorSpace:
         rows = _row_preimages(rep, bases)
     else:
         # row b: the numerators of e_b p
-        rows = multiplication_numerators(p, "right", transpose=True)[1]
+        rows = multiplication_rows([(p, "right", 1)], transpose=True)
     done = linalg.echelon_numerators(rows)
     basis = tuple(Multivector(None, n, GAUSSIAN, *linalg.reduced_numerators(row, b))
                   for row, b, _c in done)

@@ -1,13 +1,14 @@
 """Dense Bareiss kernel: the oracle for the sparse kernel of ``linalg``.
 
-This is the elimination ``linalg._bareiss`` ran before it moved to sparse
-rows, kept whole: a Gaussian-integer row is a pair (re, im) of int lists of
-the full width, and every combination runs over all columns from the pivot
-on.  ``rref``, ``rank``, ``nullspace``, ``inv`` and ``det`` are built on it
+This is the elimination ``linalg.echelon_numerators`` ran before it moved
+to sparse rows, kept whole: a Gaussian-integer row is a pair (re, im) of int
+lists of the full width, and every combination runs over all columns from
+the pivot on.  ``rref``, ``rank``, ``nullspace`` and ``inv`` are built on it
 the way ``linalg`` once built them, so the tests can compare the sparse
-kernel's (done, sign, last) and each numerator entry point with it, entry for
-entry.  Entries are ints, Fractions or GaussianRationals; a quaternion matrix
-enters through ``complex_adjoint``.  ``dense_row`` and ``combination`` are the
+kernel's reduced rows and each numerator entry point with it, entry for
+entry; ``det`` reads the row-order sign and the last pivot, the oracle for
+``PseudoOrthogonalMatrix.det``.  Entries are ints, Fractions or
+GaussianRationals; a quaternion matrix enters through ``complex_adjoint``.  ``dense_row`` and ``combination`` are the
 dense views of a point of a span, read off numerators or summed from flat
 vectors.  ``matmul`` and ``mat_eq`` are the dense matrix product and equality
 the tests check the numerator rows against.
@@ -75,8 +76,11 @@ def _lin(row, a, f, prow, d, start):
 
 
 def bareiss(rows, n_cols):
-    """Dense fraction-free Gauss-Jordan elimination; the same (done, sign,
-    last) contract as ``linalg._bareiss``, with dense rows in ``done``."""
+    """Dense fraction-free Gauss-Jordan elimination: (done, sign, last).
+    ``done`` is what ``linalg.echelon_numerators`` returns, with dense rows;
+    ``sign`` is the sign of the order the pivot rows were taken in and
+    ``last`` the last pivot, so a square input of full rank has determinant
+    sign * last."""
     one = (1, 0)
     rest = [(row, one) for row in rows]
     done = []

@@ -21,7 +21,7 @@ from cliffkit.algebra import (
     complexify_embed,
     eta,
     invert,
-    multiplication_numerators,
+    multiplication_rows,
     multivector_from_json,
     multivector_to_json,
     unit,
@@ -128,7 +128,7 @@ def test_multiplication_numerators_match_map_matrix(space):
         a = _random_element(space, rng)
         dim = 1 << a.n
         for side, f in (("left", lambda x: a * x), ("right", lambda x: x * a)):
-            d, rows = multiplication_numerators(a, side)
+            d, rows = a.den, multiplication_rows([(a, side, 1)])
             assert len(rows) == dim
             assert all(0 <= x < dim and (u or v) for row in rows for x, (u, v) in row.items())
             if a.is_complex:
@@ -138,11 +138,10 @@ def test_multiplication_numerators_match_map_matrix(space):
                 assert not any(v for row in rows for _u, v in row.values())
                 got = tuple(tuple(Fraction(row.get(x, (0, 0))[0], d) for x in range(dim)) for row in rows)
             assert got == map_matrix(a, f)
-            d_t, cols = multiplication_numerators(a, side, transpose=True)
-            assert d_t == d
+            cols = multiplication_rows([(a, side, 1)], transpose=True)
             assert cols == [{y: row[x] for y, row in enumerate(rows) if x in row} for x in range(dim)]
     with pytest.raises(ValueError):
-        multiplication_numerators(a, "both")
+        multiplication_rows([(a, "both", 1)])
 
 
 def _schoolbook(a, b):

@@ -269,6 +269,63 @@ def test_matrix_not_a_list_is_usage_error(capsys, tmp_path, command):
     assert "list of rows" in err
 
 
+def test_matrix_with_other_signature_is_usage_error(capsys, tmp_path):
+    # diag(1, -1) preserves the forms of (2,0) and (1,1) alike, so only the
+    # signature check can tell the file from the command line
+    mat_file = tmp_path / "m.json"
+    mat_file.write_text(json.dumps({"signature": [1, 1], "matrix": [["1", "0"], ["0", "-1"]]}))
+    for command in ("decompose", "lift"):
+        code, out, err = run(capsys, command, "--sig", "2,0", "--matrix", str(mat_file))
+        assert code == 2
+        assert out == ""
+        assert "conflicts" in err
+    # the same matrix as an object with its signature is read as before
+    mat_file.write_text(json.dumps({"signature": [2, 0], "matrix": [["1", "0"], ["0", "-1"]]}))
+    code, out, _ = run(capsys, "decompose", "--sig", "2,0", "--matrix", str(mat_file))
+    assert code == 0 and "reflections: 1" in out
+
+
+@pytest.mark.parametrize("command", ["check", "lift"])
+def test_cech_edge_matrix_with_other_signature_is_usage_error(capsys, tmp_path, command):
+    doc = _sphere_cocycle_doc()
+    doc["edges"][0]["matrix"] = {"signature": [1, 1], "matrix": doc["edges"][0]["matrix"]}
+    coc_file = tmp_path / "coc.json"
+    coc_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cech", command, str(coc_file))
+    assert code == 2
+    assert out == ""
+    assert "conflicts" in err
+
+
+# 1 << (10**18 - 1) would need an integer of 10**18 bits: the index must be
+# rejected before its bit is built
+_HUGE_INDEX = 10 ** 18
+
+
+@pytest.mark.parametrize("blade", [[_HUGE_INDEX], [1, _HUGE_INDEX], [3], [0]])
+def test_zeta_blade_index_out_of_range_is_usage_error(capsys, tmp_path, blade):
+    versor_file = tmp_path / "versor.json"
+    versor_file.write_text(json.dumps([
+        {"ring": "rational", "signature": [2, 0], "terms": [{"blade": blade, "coeff": "1"}]},
+    ]))
+    code, out, err = run(capsys, "zeta", "--sig", "2,0", "--versor", str(versor_file))
+    assert code == 2
+    assert out == ""
+    assert "out of range 1..2" in err
+
+
+@pytest.mark.parametrize("blade", [[_HUGE_INDEX], [5], [0]])
+def test_spinor_idempotent_blade_index_out_of_range_is_usage_error(capsys, tmp_path, blade):
+    idem_file = tmp_path / "idem.json"
+    idem_file.write_text(json.dumps({
+        "ring": "gaussian", "complex_dim": 4, "terms": [{"blade": blade, "coeff": "1"}],
+    }))
+    code, out, err = run(capsys, "spinor", "--complex", "4", "--idempotent", str(idem_file))
+    assert code == 2
+    assert out == ""
+    assert "out of range 1..4" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "cech", "betti", "/nonexistent/complex.json", "--k", "1")
     assert code == 2

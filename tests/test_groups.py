@@ -136,9 +136,9 @@ def test_layout_product_and_inverse_match_fraction_linalg(data, sig):
 
 
 def test_det_matches_dense_oracle():
-    # sign * last / den^n off the sparse kernel on the integer rows, against
-    # the dense Bareiss determinant of the Fraction view, for every
-    # signature with 1 <= n <= 6; an odd number of reflections gives -1
+    # (-1)^r from the reflection count, against the dense Bareiss
+    # determinant of the Fraction view, for every signature with
+    # 1 <= n <= 6; an odd number of reflections gives -1
     signs = set()
     for n in range(1, 7):
         for p in range(n + 1):

@@ -6,7 +6,6 @@ points of ``linalg`` (``numerator_matrix`` in, the reduced rows or
 dense oracles of ``bareiss_oracle`` and of this module.
 """
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -72,17 +71,6 @@ def inv(a, tag=None):
     tag = tag or _tag(a)
     found = linalg.inverse_numerators(*linalg.numerator_matrix(a, tag))
     return None if found is None else linalg.dense_matrix(*found, tag)
-
-
-def det(a):
-    """sign * last / den^n off ``_bareiss``, 0 below full rank."""
-    den, rows = linalg.numerator_matrix(a, _tag(a))
-    done, sign, last = linalg._bareiss(rows)
-    if len(done) < len(a):
-        return _ring(a)(0)
-    x, y = (sign * v for v in last)
-    d = den ** len(a)
-    return Fraction(x, d) if _tag(a) == RATIONAL else GaussianRational(Fraction(x, d), Fraction(y, d))
 
 
 def test_rref_and_rank_rational():
@@ -165,12 +153,6 @@ def test_inverse_rational():
     assert inv(singular) is None
 
 
-def test_det():
-    a = [[F(1), F(2)], [F(3), F(4)]]
-    assert det(a) == F(-2)
-    assert det([[F(0), F(1)], [F(0), F(2)]]) == 0
-
-
 def _flat(x):
     if isinstance(x, (list, tuple)):
         return [y for item in x for y in _flat(item)]
@@ -179,8 +161,6 @@ def _flat(x):
 
 # int matrices are read as Fractions: no routine divides ints into floats
 INT_CASES = {
-    "det": (lambda: det([[2, 1], [1, 3]]), F(5)),
-    "det-singular": (lambda: det([[0, 1], [0, 2]]), F(0)),
     "inv": (lambda: inv([[2, 0], [1, 3]]), ((F(1, 2), F(0)), (F(-1, 6), F(1, 3)))),
     "rref": (lambda: rref([[2, 4, 1], [3, 5, 1]])[0], [[1, 0, F(-1, 2)], [0, 1, F(1, 2)]]),
     "nullspace": (lambda: nullspace([[2, 4, 1], [3, 5, 1]]), [(F(1, 2), F(-1, 2), F(1))]),
@@ -419,18 +399,6 @@ def _oracle_inv(a):
     return tuple(tuple(row[n:]) for row in red)
 
 
-def _oracle_det(a):
-    """Leibniz formula: signed sum over permutations."""
-    total = 0
-    for perm in itertools.permutations(range(len(a))):
-        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
-        term = -1 if inversions & 1 else 1
-        for i, j in enumerate(perm):
-            term = term * a[i][j]
-        total = total + term
-    return total
-
-
 _part = st.fractions(-4, 4, max_denominator=6)
 _ENTRIES = {
     "int": st.one_of(st.just(0), st.integers(-5, 5)),
@@ -495,8 +463,6 @@ def test_nullspace_inv_det_match_field_oracle(case):
     assert nullspace(rows) == _oracle_nullspace(rows)
     sq = _square(rows)
     assert inv(sq) == _oracle_inv(sq)
-    assert det(sq) == _oracle_det(sq)
-    assert det(sq[::-1]) == _oracle_det(sq[::-1])
 
 
 def test_content_heavy_rows_stay_within_hadamard_bound():
@@ -514,7 +480,7 @@ def test_content_heavy_rows_stay_within_hadamard_bound():
     ints = [{j: (x, y) for j, (x, y) in enumerate(zip(re, im)) if x or y}
             for re, im in bareiss_oracle.gaussian_rows(rows)[0]]
     bound = math.prod(sum(x * x + y * y for x, y in row.values()) for row in ints)
-    done, _sign, _last = linalg._bareiss(ints)
+    done = linalg.echelon_numerators(ints)
     assert len(done) == 8
     assert all(x * x + y * y <= bound for row, _b, _c in done for x, y in row.values())
     assert _as_dense(done, 8) == bareiss_oracle.bareiss(bareiss_oracle.gaussian_rows(rows)[0], 8)[0]
@@ -573,11 +539,9 @@ def sparse_systems(draw):
 def test_sparse_kernel_matches_dense_oracle(case):
     rows, n_cols = case
     before = [dict(row) for row in rows]
-    done, sign, last = linalg._bareiss(rows)
-    want_done, want_sign, want_last = bareiss_oracle.bareiss(
-        [bareiss_oracle.dense(row, n_cols) for row in rows], n_cols)
+    done = linalg.echelon_numerators(rows)
+    want_done = bareiss_oracle.bareiss([bareiss_oracle.dense(row, n_cols) for row in rows], n_cols)[0]
     assert _as_dense(done, n_cols) == want_done
-    assert (sign, last) == (want_sign, want_last)
     assert all(x or y for row, _b, _c in done for x, y in row.values())
     assert rows == before  # the input rows are not mutated
 
@@ -599,5 +563,3 @@ def test_public_routines_match_dense_oracle(case, d, real):
     assert rank(rows) == bareiss_oracle.rank(rows)
     sq = _square(rows)
     assert inv(sq) == bareiss_oracle.inv(sq)
-    assert det(sq) == bareiss_oracle.det(sq)
-    assert det(sq[::-1]) == bareiss_oracle.det(sq[::-1])

@@ -750,7 +750,7 @@ def test_intertwiner_system_matches_field_oracle():
     assert nontrivial == len(cases) - 4
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_models_are_equivalent_to_their_monomial_conjugates(n):
     # every compiled model with p + q = n and C(n), each factor of a direct
     # sum on its own, against its conjugate by a seeded monomial matrix: S

@@ -13,7 +13,7 @@ from cliffkit.algebra import (
     complex_basis_vector,
     complex_unit,
     invert,
-    multiplication_numerators,
+    multiplication_rows,
     multivector_to_json,
 )
 from cliffkit.groups import chiral_rep
@@ -516,7 +516,7 @@ def test_left_ideal_matches_dense_rref():
         bases = [[row for row, _b, _c in linalg.echelon_numerators(block)]
                  for block in rep.numerator_blocks(p)]
         for spanning in (_row_preimages(rep, bases),
-                         multiplication_numerators(p, "right", transpose=True)[1]):
+                         multiplication_rows([(p, "right", 1)], transpose=True)):
             done = linalg.echelon_numerators(spanning)
             red = [bareiss_oracle.dense_row(*linalg.reduced_numerators(row, b), GaussianRational, 1 << p.n)
                    for row, b, _c in done]
