@@ -544,9 +544,11 @@ def signature_from_json(doc):
     return Signature(*doc)
 
 
-def multivector_from_json(doc):
+def multivector_from_json(doc, algebra=None):
     """A multivector from JSON.  The algebra is read first, so a blade
-    index outside 1..n is rejected before its bit is built."""
+    index outside 1..n is rejected before its bit is built.  ``algebra``,
+    a Signature or a complex dimension N, is the one the document must
+    name; any other is rejected before a term is read."""
     if not isinstance(doc, dict):
         raise ValueError("multivector JSON must be an object")
     ring = doc.get("ring", RATIONAL)
@@ -563,6 +565,10 @@ def multivector_from_json(doc):
             raise ValueError("'complex_dim' must be an integer")
     else:
         raise ValueError("multivector JSON needs 'signature' or 'complex_dim'")
+    if algebra is not None and (n if sig is None else sig) != algebra:
+        found = f"C({n})" if sig is None else f"Cl{sig}"
+        want = f"Cl{algebra}" if isinstance(algebra, Signature) else f"C({algebra})"
+        raise ValueError(f"multivector of {found} where {want} is expected")
     terms_doc = doc.get("terms", [])
     if not isinstance(terms_doc, list):
         raise ValueError("multivector 'terms' must be a list")

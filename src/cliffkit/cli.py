@@ -182,7 +182,7 @@ def _cmd_zeta(args):
     factors_doc = doc["factors"] if isinstance(doc, dict) else doc
     if not isinstance(factors_doc, list):
         raise ValueError("versor JSON must be a list of factors")
-    factors = [multivector_from_json(d) for d in factors_doc]
+    factors = [multivector_from_json(d, sig) for d in factors_doc]
     g = Versor(sig, factors)
     m = zeta(g)
     if args.json:
@@ -234,9 +234,7 @@ def _cmd_spinor(args, seed):
     if args.idempotent == "auto":
         idem = primitive_idempotent(n)
     else:
-        s = multivector_from_json(_load_json(args.idempotent))
-        if not s.is_complex or s.n != n:
-            raise ValueError(f"idempotent file is not an element of C({n})")
+        s = multivector_from_json(_load_json(args.idempotent), n)
         idem = make_idempotent(s)
     space = left_ideal(idem)
     minimal = is_minimal(space)

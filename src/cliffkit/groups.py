@@ -7,28 +7,26 @@ across its orthogonal hyperplane, and the total reflection
 omega = v^1 ... v^n acts (for even n) as -identity.
 
 The O(p,q) side runs on Python ints.  A ``PseudoOrthogonalMatrix`` is held
-as an integer matrix N over one denominator d > 0, reduced so that
-gcd(d, N) = 1, with a Fraction view built only when asked for.  ``zeta``,
+as an integer matrix N over one denominator d > 0 with gcd(d, N) = 1, and a
+``Versor`` as one integer vector u and denominator d per factor u / d; their
+Fraction and Multivector views are built only when read.  ``zeta``,
 ``cartan_dieudonne`` and the sampler reflect through one integer step,
 ``_reflect``: a rational w is replaced by the primitive integer vector u on
 its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
-(|Q(u)| d), reduced by a gcd.  ``reflection_product`` applies it to the
-identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way from
-the factors' integer numerators (a Multivector is held as numerators over
-one denominator, so nothing is converted).  A ``Versor`` multiplies its
-factors out only when its product is read.  Its inverse is the reversion
-over the product of the factor norms, so ``zeta`` and ``lift_to_pin``
-multiply no multivectors.  The form M^T eta M = eta is checked where a
-matrix enters from outside (the public constructor, so also JSON, cocycles
-and the CLI); the integer paths build only products, inverses and
-reflections, which preserve it.  The sandwich g e_a g^-1 is kept only as
-the oracle (``verify._matches_definition`` and the tests'
-``_dense_zeta_columns``), and the dense ``reflection_matrix`` only as the
-reference that the recomposition checks multiply out.  Lifting goes the
-other way: a pseudo-orthogonal matrix is factored into reflections
-(constructive, at most 2n of them) and the product of the reflection
-vectors, patched by omega when the count is odd, is a versor mapping onto
-it.
+(|Q(u)| d), reduced by a gcd; across +-e_i it only negates coordinate i.
+``reflection_product`` applies it to the identity, and ``zeta`` is
+(-1)^k R(v_1) ... R(v_k) built that way from the versor's integer vectors.
+A versor's inverse is the reversion over the product of the factor norms,
+so ``zeta`` and ``lift_to_pin`` multiply no multivectors.  The form
+M^T eta M = eta is checked where a matrix enters from outside (the public
+constructor, so also JSON, cocycles and the CLI); the integer paths build
+only products, inverses and reflections, which preserve it.  The sandwich
+g e_a g^-1 is kept only as the oracle (``verify._matches_definition`` and
+the tests' ``_dense_zeta_columns``), and the dense ``reflection_matrix``
+only as the reference that the recomposition checks multiply out.  Lifting
+goes the other way: a pseudo-orthogonal matrix is factored into at most 2n
+reflections on integer vectors, and the versor of those vectors, patched by
+omega when the count is odd, maps onto it.
 """
 
 from __future__ import annotations
@@ -36,11 +34,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import cache
 from itertools import chain
 from operator import mul
 
-from .algebra import Multivector, Signature, basis_vector, invert, signature_from_json, unit
+from .algebra import Multivector, Signature, _blade_products, invert, signature_from_json
 from .reprs import Representation, TargetRing, _checked
 from .scalars import RATIONAL, GaussianRational, format_rational, parse_rational
 
@@ -64,7 +62,8 @@ class PseudoOrthogonalMatrix:
 
     def __new__(cls, sig: Signature, mat):
         n = sig.n
-        rows = [[Fraction(x) for x in row] for row in mat]
+        # ints and Fractions give their numerator and denominator directly
+        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in mat]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix shape does not match the signature")
         d = math.lcm(*(x.denominator for row in rows for x in row))
@@ -146,7 +145,7 @@ class PseudoOrthogonalMatrix:
         """(-1)^r as a Fraction, r the number of reflections of
         ``cartan_dieudonne``: M is their product, and each reflection has
         determinant -1."""
-        return Fraction(-1) ** cartan_dieudonne(self).r
+        return Fraction(-1) ** len(_cartan_dieudonne(self)[0])
 
     def column(self, a):
         """Image coordinates of basis vector a (0-based)."""
@@ -227,8 +226,12 @@ def _reflect(sig, u, cols, d):
     |Q(u)| X - 2 sgn(Q(u)) B(u,X) u over |Q(u)| d, returned as (X', d')
     divided by the gcd of d' and every entry: all integer arithmetic.
     B(u,x) is the dot product of eta u with x, so 2 sgn(Q(u)) eta u is
-    formed once and each column costs one dot product.
+    formed once and each column costs one dot product.  R(+-e_i) only
+    negates coordinate i, so a reduced X/d stays reduced.
     """
+    if u.count(0) == len(u) - 1:
+        i = next(i for i, x in enumerate(u) if x)
+        return [x[:i] + [-x[i]] + x[i + 1:] for x in cols], d
     qu = _bform(sig, u, u)
     if qu == 0:
         raise ValueError("cannot reflect across an isotropic vector")
@@ -298,50 +301,69 @@ def reflection_matrix(w: Multivector) -> PseudoOrthogonalMatrix:
 class Versor:
     """Product of anisotropic grade-1 elements of a real algebra.
 
-    The factors are checked and their norms read off their integer
-    numerators when the versor is built.  ``product`` is the ordinary chain
-    v_1 ... v_k (1 for no factors), multiplied out only on first access and
-    cached.
+    ``vecs`` holds each factor v = u / d as the pair (u, d), u a tuple of
+    ints, read by the public constructor or handed to ``_from_vecs``; both
+    check every Q(u).  ``factors`` (Multivector views) and ``product``, the
+    chain v_1 ... v_k (1 for no factors), are built on first read.
     """
 
-    __slots__ = ("sig", "factors", "parity", "pin_normalized", "_norm", "_product")
+    __slots__ = ("sig", "vecs", "parity", "pin_normalized", "_norm", "_factors", "_product")
 
     def __init__(self, sig: Signature, factors):
         factors = tuple(factors)
-        norm_num = norm_den = 1
-        normalized = True
-        for v in factors:
-            if v.sig != sig:
-                raise ValueError("factor signature mismatch")
-            # v = u / d with integer coordinates u; Q(v) = Q(u) / d^2
-            u, d = v.vector_numerators(), v.den
-            qu = _bform(sig, u, u)
-            if qu == 0:
-                raise ValueError("versor factors must be anisotropic vectors")
-            if qu != d * d and qu != -d * d:
-                normalized = False
-            norm_num *= qu
-            norm_den *= d * d
-        self._set(sig, factors, normalized, Fraction(norm_num, norm_den))
+        if any(v.sig != sig for v in factors):
+            raise ValueError("factor signature mismatch")
+        self._set(sig, tuple((tuple(v.vector_numerators()), v.den) for v in factors))
+        object.__setattr__(self, "_factors", factors)
 
-    def _set(self, sig, factors, normalized, norm):
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "parity", len(factors) % 2)
-        object.__setattr__(self, "pin_normalized", normalized)
-        object.__setattr__(self, "_norm", norm)
-        object.__setattr__(self, "_product", None)
+    @classmethod
+    def _from_vecs(cls, sig, vecs, norm=None):
+        """The versor of the factors u / d, (u, d) in ``vecs``; ``norm``, that is
+        (pin_normalized, Q(v_1) ... Q(v_k)), is passed for checked factors."""
+        self = object.__new__(cls)
+        self._set(sig, vecs, norm)
+        return self
+
+    def _set(self, sig, vecs, norm=None):
+        if norm is None:
+            # v = u / d has Q(v) = Q(u) / d^2
+            normalized, norm_num, norm_den = True, 1, 1
+            for u, d in vecs:
+                qu, d2 = _bform(sig, u, u), d * d
+                if qu == 0:
+                    raise ValueError("versor factors must be anisotropic vectors")
+                normalized = normalized and (qu == d2 or qu == -d2)
+                norm_num *= qu
+                norm_den *= d2
+            norm = normalized, Fraction(norm_num, norm_den)
+        # in slot order: no factor views and no product yet
+        for name, value in zip(Versor.__slots__, (sig, vecs, len(vecs) % 2, *norm, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Versor is immutable")
 
     @property
+    def factors(self):
+        """The factors as Multivectors, built on first read."""
+        factors = self._factors
+        if factors is None:
+            factors = tuple(_vector_mv(self.sig, u, d) for u, d in self.vecs)
+            object.__setattr__(self, "_factors", factors)
+        return factors
+
+    @property
     def product(self):
-        """v_1 v_2 ... v_k as a Multivector, built on first read."""
+        """v_1 v_2 ... v_k as a Multivector, built on first read: the
+        numerators are folded over the integer vectors and reduced once."""
         prod = self._product
         if prod is None:
-            factors = self.factors
-            prod = reduce(mul, factors[1:], factors[0]) if factors else unit(self.sig)
+            sig = self.sig
+            mask = ((1 << sig.q) - 1) << sig.p  # the generators squaring to -1
+            num = {0: 1}
+            for u, _ in self.vecs:
+                num = _blade_products(num, {1 << i: x for i, x in enumerate(u) if x}, mask)
+            prod = Multivector(sig, sig.n, RATIONAL, math.prod(d for _, d in self.vecs), num, {})
             object.__setattr__(self, "_product", prod)
         return prod
 
@@ -358,7 +380,8 @@ class Versor:
             return NotImplemented
         if other.sig != self.sig:
             raise ValueError("signature mismatch")
-        return Versor(self.sig, self.factors + other.factors)
+        return Versor._from_vecs(self.sig, self.vecs + other.vecs, (
+            self.pin_normalized and other.pin_normalized, self._norm * other._norm))
 
     def negated(self):
         """A versor whose product is the negative of this one.
@@ -367,24 +390,34 @@ class Versor:
         this versor's, already checked, so nothing is validated again.  A
         product already multiplied out is carried over negated.
         """
-        if self.factors:
-            neg = object.__new__(Versor)
-            neg._set(self.sig, (-self.factors[0],) + self.factors[1:], self.pin_normalized,
-                     self._norm)
+        if self.vecs:
+            (u, d), *rest = self.vecs
+            neg = Versor._from_vecs(self.sig, ((tuple(-x for x in u), d), *rest),
+                                    (self.pin_normalized, self._norm))
         else:
-            # the empty product is 1, and v1 (-Q(v1) v1) = -1
-            v1 = basis_vector(self.sig, 1)
-            neg = Versor(self.sig, (v1, -v1 * Fraction(self.sig.square(1))))
+            # the empty product is 1, and e_1 (-Q(e_1) e_1) = -1
+            s, e1 = -self.sig.square(1), _unit_vecs(self.sig.n)[0][0]
+            neg = Versor._from_vecs(self.sig, ((e1, 1), (tuple(s * x for x in e1), 1)))
         if self._product is not None:
             object.__setattr__(neg, "_product", -self._product)
         return neg
 
     def __repr__(self):
-        return f"Versor({self.sig}, {len(self.factors)} factors, {self.product!r})"
+        return f"Versor({self.sig}, {len(self.vecs)} factors, {self.product!r})"
+
+
+def _vector_mv(sig, u, d):
+    """The grade-1 Multivector u / d for integer coordinates u and d > 0."""
+    return Multivector(sig, sig.n, RATIONAL, d, {1 << i: x for i, x in enumerate(u) if x}, {})
+
+
+def _unit_vecs(n):
+    """e_1, ..., e_n as (u, 1) pairs."""
+    return [(tuple(int(i == a) for i in range(n)), 1) for a in range(n)]
 
 
 def total_reflection_versor(sig: Signature) -> Versor:
-    return Versor(sig, [basis_vector(sig, i) for i in range(1, sig.n + 1)])
+    return Versor._from_vecs(sig, tuple(_unit_vecs(sig.n)))
 
 
 def zeta(g: Versor) -> PseudoOrthogonalMatrix:
@@ -393,11 +426,11 @@ def zeta(g: Versor) -> PseudoOrthogonalMatrix:
     A single vector v acts as x -> v x v^-1 = -R(v) x, minus the reflection
     x -> x - 2 B(v,x)/Q(v) v, so for g = v_1 ... v_k
     zeta(g) = (-1)^k R(v_1) ... R(v_k), built by ``_reflection_chain`` from
-    the primitive integer vectors on the factors' rays, read off their
-    integer numerators.  The sandwich itself is the oracle in
+    the primitive integer vectors on the rays of the versor's stored
+    vectors.  The sandwich itself is the oracle in
     ``verify._matches_definition`` and the tests' ``_dense_zeta_columns``.
     """
-    us = [_primitive_int(v.vector_numerators()) for v in g.factors]
+    us = [_primitive_int(u) for u, _ in g.vecs]
     return _reflection_chain(g.sig, us, -1 if g.parity else 1)
 
 
@@ -426,21 +459,27 @@ def cartan_dieudonne(M: PseudoOrthogonalMatrix) -> CDResult:
     reflecting across x - e_a when that vector is anisotropic and otherwise
     across x + e_a followed by e_a (two reflections, the isotropic fallback).
     """
+    vecs, fallbacks = _cartan_dieudonne(M)
+    return CDResult(tuple(_vector_mv(M.sig, u, d) for u, d in vecs), fallbacks)
+
+
+def _cartan_dieudonne(M):
+    """``cartan_dieudonne`` on integers: the reflection vectors w = u / d as
+    (u, d) pairs, and the isotropic fallback count."""
     sig = M.sig
     n = sig.n
     eye = [[int(i == a) for i in range(n)] for a in range(n)]
     # the columns of M as integer columns over its denominator d
     d = M.den
     cols = [list(col) for col in zip(*M.num)]
-    vectors = []
+    vecs = []
     fallbacks = 0
 
     def apply_reflection(v, den):
         # reflect every column across v / den (v integer) and record that vector
         nonlocal cols, d
         cols, d = _reflect(sig, _primitive_int(v), cols, d)
-        terms = {1 << i: vi for i, vi in enumerate(v) if vi}
-        vectors.append(Multivector(sig, n, RATIONAL, den, terms, {}))
+        vecs.append((tuple(v), den))
 
     for a, e_a in enumerate(eye):
         x = cols[a]
@@ -457,7 +496,7 @@ def cartan_dieudonne(M: PseudoOrthogonalMatrix) -> CDResult:
             raise AssertionError("reflection step failed to fix the basis vector")
     if d != 1 or cols != eye:
         raise AssertionError("factorization left a nonidentity residue")
-    return CDResult(tuple(vectors), fallbacks)
+    return vecs, fallbacks
 
 
 def lift_to_pin(M: PseudoOrthogonalMatrix) -> Versor:
@@ -470,11 +509,10 @@ def lift_to_pin(M: PseudoOrthogonalMatrix) -> Versor:
     sig = M.sig
     if sig.n % 2:
         raise ValueError("pin lifting is supported for even n only")
-    cd = cartan_dieudonne(M)
-    factors = list(cd.vectors)
-    if len(factors) % 2:
-        factors.extend(basis_vector(sig, i) for i in range(1, sig.n + 1))
-    g = Versor(sig, factors)
+    vecs, _ = _cartan_dieudonne(M)
+    if len(vecs) % 2:
+        vecs += _unit_vecs(sig.n)
+    g = Versor._from_vecs(sig, tuple(vecs))
     if zeta(g) != M:
         raise AssertionError("lift does not map back onto the input matrix")
     return g
@@ -527,15 +565,7 @@ def chiral_rep(sig: Signature) -> Representation:
                     f"chiral model of {sig}")
 
 
-_CHIRAL_CACHE = {}
-
-
-def _chiral(sig):
-    rep = _CHIRAL_CACHE.get(sig)
-    if rep is None:
-        rep = chiral_rep(sig)
-        _CHIRAL_CACHE[sig] = rep
-    return rep
+_chiral = cache(chiral_rep)  # one checked model per signature
 
 
 def _conj_transpose(m):

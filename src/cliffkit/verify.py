@@ -315,7 +315,7 @@ CRITERIA = (
     ("complex-models", check_complex_models, 0.02),
     ("named-isomorphisms", check_named_isomorphisms, None),
     ("irrep-dimensions", check_irrep_dimensions, None),
-    ("vector-action-soundness", check_vector_action, 2.5),
+    ("vector-action-soundness", check_vector_action, 2.0),
     ("double-cover", check_double_cover, 0.75),
     ("reflection-factorization", check_reflection_factorization, 3.0),
     ("spinor-ideals", check_spinor_ideals, 0.06),

@@ -326,6 +326,42 @@ def test_spinor_idempotent_blade_index_out_of_range_is_usage_error(capsys, tmp_p
     assert "out of range 1..4" in err
 
 
+# a document naming an algebra of 10**18 generators would need a 10**18-bit
+# blade mask: the command's own algebra rejects it before any term is read
+def test_zeta_factor_of_a_huge_algebra_is_usage_error(capsys, tmp_path):
+    versor_file = tmp_path / "versor.json"
+    versor_file.write_text(json.dumps([{
+        "ring": "rational", "signature": [_HUGE_INDEX, 0],
+        "terms": [{"blade": [_HUGE_INDEX], "coeff": "1"}],
+    }]))
+    code, out, err = run(capsys, "zeta", "--sig", "2,0", "--versor", str(versor_file))
+    assert code == 2
+    assert out == ""
+    assert f"Cl({_HUGE_INDEX},0)" in err and "Cl(2,0) is expected" in err
+
+
+def test_spinor_idempotent_of_a_huge_algebra_is_usage_error(capsys, tmp_path):
+    idem_file = tmp_path / "idem.json"
+    idem_file.write_text(json.dumps({
+        "ring": "gaussian", "complex_dim": _HUGE_INDEX,
+        "terms": [{"blade": [_HUGE_INDEX], "coeff": "1"}],
+    }))
+    code, out, err = run(capsys, "spinor", "--complex", "4", "--idempotent", str(idem_file))
+    assert code == 2
+    assert out == ""
+    assert f"C({_HUGE_INDEX})" in err and "C(4) is expected" in err
+
+
+def test_multivector_from_json_checks_the_expected_algebra():
+    real = {"ring": "rational", "signature": [2, 0], "terms": [{"blade": [1], "coeff": "1"}]}
+    cplx = {"ring": "gaussian", "complex_dim": 2, "terms": [{"blade": [1], "coeff": "1"}]}
+    assert multivector_from_json(real, Signature(2, 0)) == multivector_from_json(real)
+    assert multivector_from_json(cplx, 2) == multivector_from_json(cplx)
+    for doc, algebra in [(real, Signature(1, 1)), (real, 2), (cplx, 4), (cplx, Signature(2, 0))]:
+        with pytest.raises(ValueError, match="is expected"):
+            multivector_from_json(doc, algebra)
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "cech", "betti", "/nonexistent/complex.json", "--k", "1")
     assert code == 2

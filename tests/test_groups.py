@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -101,17 +103,29 @@ def pseudo_orthogonal(draw, sig):
     return reflection_product(sig, ws, draw(st.sampled_from((1, -1))))
 
 
+def _int_if_whole(x):
+    """x as an int when it is whole, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), signatures(), st.integers(1, 6))
 def test_layout_is_canonical_num_over_den(data, sig, k):
     m = data.draw(pseudo_orthogonal(sig))
     assert m.den > 0 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
     # the same matrix written over the common denominator k d, as strings,
-    # as Fractions, through JSON and as the unreduced integer pair
+    # as Fractions, as ints where whole, as a drawn mix of the three (ints
+    # and Fractions are read directly, the rest through Fraction), through
+    # JSON and as the unreduced integer pair
     rows = [[f"{k * x}/{k * m.den}" for x in row] for row in m.num]
+    forms = (str, Fraction, _int_if_whole)
+    mixed = [[data.draw(st.sampled_from(forms))(x) for x in row] for row in rows]
     builds = [
         PseudoOrthogonalMatrix(sig, rows),
         PseudoOrthogonalMatrix(sig, [[Fraction(x) for x in row] for row in rows]),
+        PseudoOrthogonalMatrix(sig, [[_int_if_whole(x) for x in row] for row in rows]),
+        PseudoOrthogonalMatrix(sig, mixed),
         PseudoOrthogonalMatrix.from_json(rows, sig=sig),
         PseudoOrthogonalMatrix._from_int(sig, [[k * x for x in row] for row in m.num], k * m.den),
     ]
@@ -164,8 +178,15 @@ def test_layout_rejects_non_orthogonal_rows(data, sig):
     assume(delta != -2 * m.mat[i][j])
     rows = [list(row) for row in m.mat]
     rows[i][j] += delta
-    with pytest.raises(ValueError):
-        PseudoOrthogonalMatrix(sig, rows)
+    # Fractions, ints where whole, and strings fail alike, on the form or,
+    # with a row or column dropped, on the shape
+    whole = [[_int_if_whole(x) for x in row] for row in rows]
+    for bad in (rows, whole, [[str(x) for x in row] for row in rows]):
+        with pytest.raises(ValueError, match="preserve"):
+            PseudoOrthogonalMatrix(sig, bad)
+        for cut in (bad[1:], [row[1:] for row in bad]):
+            with pytest.raises(ValueError, match="shape"):
+                PseudoOrthogonalMatrix(sig, cut)
     with pytest.raises(ValueError):
         PseudoOrthogonalMatrix.from_json([[str(x) for x in row] for row in rows], sig=sig)
 
@@ -391,6 +412,78 @@ def test_negated_shares_no_cached_product():
         assert h._norm == fresh._norm
         assert (h.parity, h.pin_normalized) == (fresh.parity, fresh.pin_normalized)
         assert zeta(g) == zeta(g.negated())
+
+
+def _fold(sig, factors):
+    """The product as a left fold of Multivector products, 1 for no factors."""
+    return reduce(mul, factors[1:], factors[0]) if factors else unit(sig)
+
+
+def _check_versor(g, factors):
+    """g against the oracles for the versor of the Multivectors ``factors``."""
+    sig = g.sig
+    norms = [(v * v).scalar_part() for v in factors]
+    assert g.factors == tuple(factors)
+    assert g.product == _fold(sig, factors)
+    assert g.parity == len(factors) % 2 and g.is_spin == (g.parity == 0)
+    assert g.pin_normalized == all(abs(q) == 1 for q in norms)
+    assert g.inverse_mv() == g.product.reversion() / reduce(mul, norms, F(1))
+    assert g.product * g.inverse_mv() == unit(sig)
+    m = zeta(g)
+    assert [m.column(a) for a in range(sig.n)] == _dense_zeta_columns(g)
+
+
+@st.composite
+def lift_inputs(draw):
+    """A signature with p + q <= 8 and, for even n, a matrix to lift: a
+    product of 0 to 3 reflections (an odd count takes the omega patch),
+    possibly times a null rotation that takes the isotropic fallback."""
+    sig = draw(st.sampled_from([Signature(p, n - p) for n in range(1, 9) for p in range(n + 1)]))
+    n, p = sig.n, sig.p
+    if n % 2:
+        return sig, None
+    coords = anisotropic_coords(sig)
+    if p >= 2 and sig.q >= 1 and draw(st.booleans()):
+        # R(e_1 + k/2) R(e_1) with k = e_2 + e_(p+1) null sends e_1 to e_1 + k,
+        # and reflections across vectors orthogonal to e_1 keep it there, so
+        # the first step takes the isotropic fallback
+        null = [[F(int(i == 0)) + F(1, 2) * (i in (1, p)) for i in range(n)],
+                [int(i == 0) for i in range(n)]]
+        coords = coords.map(lambda c: [0] + c[1:]).filter(
+            lambda c: sum(sig.square(i + 1) * x * x for i, x in enumerate(c)))
+    else:
+        null = []
+    ws = [draw(coords) for _ in range(draw(st.integers(0, 3)))]
+    return sig, reflection_product(sig, null + ws)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lift_inputs(), st.data())
+def test_integer_versor_matches_the_multivector_oracles(inputs, data):
+    sig, m = inputs
+    n = sig.n
+    drawn = [vector(sig, data.draw(anisotropic_coords(sig))) for _ in range(data.draw(st.integers(0, 3)))]
+    built = [(Versor(sig, drawn), drawn), (Versor(sig, []), [])]
+    if m is not None:
+        g = lift_to_pin(m)
+        cd = cartan_dieudonne(m)
+        want = list(cd.vectors)
+        if cd.r % 2:
+            want += [basis_vector(sig, i) for i in range(1, n + 1)]
+        assert zeta(g) == m
+        built += [(g, want), (Versor(sig, want), want)]
+    for g, factors in list(built):
+        for h, h_factors in built[:2]:
+            built.append((g * h, factors + h_factors))
+    for g, factors in built:
+        _check_versor(g, factors)
+        # negated before and after the product is read; the empty versor
+        # becomes e_1 (-Q(e_1) e_1)
+        neg_factors = ([-factors[0]] + factors[1:] if factors
+                       else [basis_vector(sig, 1), basis_vector(sig, 1) * -sig.square(1)])
+        _check_versor(Versor(sig, factors).negated(), neg_factors)
+        _check_versor(g.negated(), neg_factors)
+        assert g.negated().product == -g.product
 
 
 def test_random_pseudo_orthogonal_is_the_dense_reflection_product():
