@@ -121,8 +121,7 @@ class Multivector:
         set_(self, "re", re)
         set_(self, "im", im)
         set_(self, "_terms", None)
-        # the generators squaring to -1 (none in the complex algebra)
-        set_(self, "_neg_mask", 0 if sig is None else ((1 << n) - 1) ^ ((1 << sig.p) - 1))
+        set_(self, "_neg_mask", 0 if sig is None else _neg_mask(sig))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -405,6 +404,23 @@ def _blade_products(t1, t2, neg_mask):
     return acc
 
 
+def _neg_mask(sig):
+    """The bits of the generators squaring to -1 in Cl(p, q): the last q."""
+    return ((1 << sig.q) - 1) << sig.p
+
+
+def vector_chain(sig, vecs):
+    """The product v_1 ... v_k (1 for k = 0) of the grade-1 elements
+    v = u / d of Cl(sig), given as (u, d) pairs of integer coordinates u
+    and d > 0: the numerators are folded vector by vector and the
+    Multivector is built and reduced once."""
+    mask = _neg_mask(sig)
+    num = {0: 1}
+    for u, _ in vecs:
+        num = _blade_products(num, {1 << i: x for i, x in enumerate(u) if x}, mask)
+    return Multivector(sig, sig.n, RATIONAL, math.prod(d for _, d in vecs), num, {})
+
+
 # ---------------------------------------------------------------------------
 # convenience constructors
 
@@ -544,11 +560,11 @@ def signature_from_json(doc):
     return Signature(*doc)
 
 
-def multivector_from_json(doc, algebra=None):
-    """A multivector from JSON.  The algebra is read first, so a blade
-    index outside 1..n is rejected before its bit is built.  ``algebra``,
-    a Signature or a complex dimension N, is the one the document must
-    name; any other is rejected before a term is read."""
+def multivector_from_json(doc, algebra):
+    """A multivector of ``algebra``, a Signature or a complex dimension N,
+    from JSON.  The algebra the document names is read first and must be
+    that one, so a document of any other, or with a blade index outside
+    1..n, is rejected before a term's bit is built."""
     if not isinstance(doc, dict):
         raise ValueError("multivector JSON must be an object")
     ring = doc.get("ring", RATIONAL)
@@ -565,7 +581,7 @@ def multivector_from_json(doc, algebra=None):
             raise ValueError("'complex_dim' must be an integer")
     else:
         raise ValueError("multivector JSON needs 'signature' or 'complex_dim'")
-    if algebra is not None and (n if sig is None else sig) != algebra:
+    if (n if sig is None else sig) != algebra:
         found = f"C({n})" if sig is None else f"Cl{sig}"
         want = f"Cl{algebra}" if isinstance(algebra, Signature) else f"C({algebra})"
         raise ValueError(f"multivector of {found} where {want} is expected")

@@ -13,20 +13,20 @@ Fraction and Multivector views are built only when read.  ``zeta``,
 ``cartan_dieudonne`` and the sampler reflect through one integer step,
 ``_reflect``: a rational w is replaced by the primitive integer vector u on
 its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
-(|Q(u)| d), reduced by a gcd; across +-e_i it only negates coordinate i.
-``reflection_product`` applies it to the identity, and ``zeta`` is
-(-1)^k R(v_1) ... R(v_k) built that way from the versor's integer vectors.
-A versor's inverse is the reversion over the product of the factor norms,
-so ``zeta`` and ``lift_to_pin`` multiply no multivectors.  The form
-M^T eta M = eta is checked where a matrix enters from outside (the public
-constructor, so also JSON, cocycles and the CLI); the integer paths build
-only products, inverses and reflections, which preserve it.  The sandwich
-g e_a g^-1 is kept only as the oracle (``verify._matches_definition`` and
-the tests' ``_dense_zeta_columns``), and the dense ``reflection_matrix``
-only as the reference that the recomposition checks multiply out.  Lifting
-goes the other way: a pseudo-orthogonal matrix is factored into at most 2n
-reflections on integer vectors, and the versor of those vectors, patched by
-omega when the count is odd, maps onto it.
+(|Q(u)| d), reduced by a gcd.  ``reflection_product`` applies it to the
+identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way from the
+versor's integer vectors.  A versor's inverse is the reversion over the
+product of the factor norms, so ``zeta`` and ``lift_to_pin`` multiply no
+multivectors.  The form M^T eta M = eta is checked where a matrix enters
+from outside (the public constructor, so also JSON, cocycles and the CLI);
+the integer paths build only products, inverses and reflections, which
+preserve it.  The sandwich g e_a g^-1 is kept only as the oracle
+(``verify._matches_definition`` and the tests' ``_dense_zeta_columns``),
+and the dense ``reflection_matrix`` only as the reference that the
+recomposition checks multiply out.  Lifting goes the other way: a
+pseudo-orthogonal matrix is factored into at most 2n reflections on
+integer vectors, and the versor of those vectors, patched by omega when
+the count is odd, maps onto it.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from operator import mul
 
-from .algebra import Multivector, Signature, _blade_products, invert, signature_from_json
+from .algebra import Multivector, Signature, invert, signature_from_json, vector_chain
 from .reprs import Representation, TargetRing, _checked
 from .scalars import RATIONAL, GaussianRational, format_rational, parse_rational
 
@@ -226,12 +225,8 @@ def _reflect(sig, u, cols, d):
     |Q(u)| X - 2 sgn(Q(u)) B(u,X) u over |Q(u)| d, returned as (X', d')
     divided by the gcd of d' and every entry: all integer arithmetic.
     B(u,x) is the dot product of eta u with x, so 2 sgn(Q(u)) eta u is
-    formed once and each column costs one dot product.  R(+-e_i) only
-    negates coordinate i, so a reduced X/d stays reduced.
+    formed once and each column costs one dot product.
     """
-    if u.count(0) == len(u) - 1:
-        i = next(i for i, x in enumerate(u) if x)
-        return [x[:i] + [-x[i]] + x[i + 1:] for x in cols], d
     qu = _bform(sig, u, u)
     if qu == 0:
         raise ValueError("cannot reflect across an isotropic vector")
@@ -302,9 +297,11 @@ class Versor:
     """Product of anisotropic grade-1 elements of a real algebra.
 
     ``vecs`` holds each factor v = u / d as the pair (u, d), u a tuple of
-    ints, read by the public constructor or handed to ``_from_vecs``; both
-    check every Q(u).  ``factors`` (Multivector views) and ``product``, the
-    chain v_1 ... v_k (1 for no factors), are built on first read.
+    ints, read by the public constructor or handed to ``_from_vecs``.  Both
+    check every Q(u), except that ``_from_vecs`` takes the norm of factors
+    already checked when its caller passes it (``__mul__``, ``negated``).
+    ``factors`` (Multivector views) and ``product``, the chain v_1 ... v_k
+    (1 for no factors), are built on first read.
     """
 
     __slots__ = ("sig", "vecs", "parity", "pin_normalized", "_norm", "_factors", "_product")
@@ -354,16 +351,11 @@ class Versor:
 
     @property
     def product(self):
-        """v_1 v_2 ... v_k as a Multivector, built on first read: the
-        numerators are folded over the integer vectors and reduced once."""
+        """v_1 v_2 ... v_k as a Multivector, built on first read by
+        ``algebra.vector_chain`` from the integer vectors."""
         prod = self._product
         if prod is None:
-            sig = self.sig
-            mask = ((1 << sig.q) - 1) << sig.p  # the generators squaring to -1
-            num = {0: 1}
-            for u, _ in self.vecs:
-                num = _blade_products(num, {1 << i: x for i, x in enumerate(u) if x}, mask)
-            prod = Multivector(sig, sig.n, RATIONAL, math.prod(d for _, d in self.vecs), num, {})
+            prod = vector_chain(self.sig, self.vecs)
             object.__setattr__(self, "_product", prod)
         return prod
 
@@ -565,7 +557,15 @@ def chiral_rep(sig: Signature) -> Representation:
                     f"chiral model of {sig}")
 
 
-_chiral = cache(chiral_rep)  # one checked model per signature
+_CHIRAL_CACHE = {}
+
+
+def _chiral(sig):
+    rep = _CHIRAL_CACHE.get(sig)
+    if rep is None:
+        rep = chiral_rep(sig)
+        _CHIRAL_CACHE[sig] = rep
+    return rep
 
 
 def _conj_transpose(m):

@@ -462,10 +462,10 @@ def test_space_mismatch_errors():
 def test_json_roundtrip_real_and_complex():
     sig = Signature(2, 1)
     a = Multivector.real(sig, {0: Fraction(1, 2), 0b101: Fraction(-3)})
-    assert multivector_from_json(multivector_to_json(a)) == a
+    assert multivector_from_json(multivector_to_json(a), sig) == a
     b = Multivector.complex_alg(
         2, {0b01: GaussianRational(1, 2), 0b11: GaussianRational(0, Fraction(-1, 3))}
     )
-    assert multivector_from_json(multivector_to_json(b)) == b
+    assert multivector_from_json(multivector_to_json(b), 2) == b
     with pytest.raises(ValueError):
-        multivector_from_json({"ring": "rational", "terms": []})
+        multivector_from_json({"ring": "rational", "terms": []}, sig)

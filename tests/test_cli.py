@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffkit.algebra import Signature, multivector_from_json
+from cliffkit.algebra import (
+    Signature,
+    basis_vector,
+    complex_basis_vector,
+    multivector_from_json,
+    signature_from_json,
+)
 from cliffkit.cech import (
     Complex,
     GroupCocycle,
@@ -355,8 +361,8 @@ def test_spinor_idempotent_of_a_huge_algebra_is_usage_error(capsys, tmp_path):
 def test_multivector_from_json_checks_the_expected_algebra():
     real = {"ring": "rational", "signature": [2, 0], "terms": [{"blade": [1], "coeff": "1"}]}
     cplx = {"ring": "gaussian", "complex_dim": 2, "terms": [{"blade": [1], "coeff": "1"}]}
-    assert multivector_from_json(real, Signature(2, 0)) == multivector_from_json(real)
-    assert multivector_from_json(cplx, 2) == multivector_from_json(cplx)
+    assert multivector_from_json(real, Signature(2, 0)) == basis_vector(Signature(2, 0), 1)
+    assert multivector_from_json(cplx, 2) == complex_basis_vector(2, 1)
     for doc, algebra in [(real, Signature(1, 1)), (real, 2), (cplx, 4), (cplx, Signature(2, 0))]:
         with pytest.raises(ValueError, match="is expected"):
             multivector_from_json(doc, algebra)
@@ -524,6 +530,14 @@ _COCYCLE = _mostly(st.fixed_dictionaries({
 }))
 
 
+def _read_multivector(doc):
+    # the CLI passes the algebra of its options; here it is the one the
+    # document names, so that a well-formed document reaches its terms
+    named = doc.get("signature", doc.get("complex_dim")) if isinstance(doc, dict) else None
+    algebra = signature_from_json(named) if isinstance(named, list) else named
+    return multivector_from_json(doc, algebra)
+
+
 def _read_matrix(doc):
     # a bare list of rows needs the signature from outside, as on the CLI
     sig = Signature(2, 0) if isinstance(doc, list) else None
@@ -531,7 +545,7 @@ def _read_matrix(doc):
 
 
 @pytest.mark.parametrize("reader, docs", [
-    (multivector_from_json, _MULTIVECTOR),
+    (_read_multivector, _MULTIVECTOR),
     (_read_matrix, _MATRIX),
     (Complex.from_json, _COMPLEX),
     (GroupCocycle.from_json, _COCYCLE),
