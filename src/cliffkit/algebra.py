@@ -25,6 +25,7 @@ from .scalars import (
     ZERO,
     GaussianRational,
     format_scalar,
+    is_json_int,
     parse_scalar,
 )
 
@@ -555,7 +556,7 @@ def multivector_to_json(a):
 def signature_from_json(doc):
     """Signature from a JSON [p, q] pair of integers."""
     if not (isinstance(doc, list) and len(doc) == 2
-            and all(isinstance(x, int) for x in doc)):
+            and all(is_json_int(x) for x in doc)):
         raise ValueError("signature must be a [p, q] pair of integers")
     return Signature(*doc)
 
@@ -577,7 +578,7 @@ def multivector_from_json(doc, algebra):
         if ring != GAUSSIAN:
             raise ValueError("complex multivectors use the gaussian ring")
         sig, n = None, doc["complex_dim"]
-        if not isinstance(n, int):
+        if not is_json_int(n):
             raise ValueError("'complex_dim' must be an integer")
     else:
         raise ValueError("multivector JSON needs 'signature' or 'complex_dim'")
@@ -591,7 +592,7 @@ def multivector_from_json(doc, algebra):
     terms = {}
     for t in terms_doc:
         if not (isinstance(t, dict) and isinstance(t.get("blade"), list)
-                and all(isinstance(i, int) for i in t["blade"])
+                and all(is_json_int(i) for i in t["blade"])
                 and isinstance(t.get("coeff"), str)):
             raise ValueError("a term needs a 'blade' list of integers and a 'coeff' string")
         if not all(1 <= i <= n for i in t["blade"]):

@@ -14,6 +14,7 @@ from collections import namedtuple
 
 from .algebra import signature_from_json
 from .groups import PseudoOrthogonalMatrix, Versor, lift_to_pin
+from .scalars import is_json_int
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +132,14 @@ class Complex(namedtuple("Complex", "vertices edges triangles tetrahedra")):
         if not isinstance(doc, dict):
             raise ValueError("complex JSON must be an object")
         vertices = doc["vertices"]
-        if not isinstance(vertices, int) or isinstance(vertices, bool) or vertices < 0:
+        if not is_json_int(vertices) or vertices < 0:
             raise ValueError("'vertices' must be a non-negative integer")
         s = doc.get("simplices", {})
         if not isinstance(s, dict):
             raise ValueError("'simplices' must be an object keyed by dimension")
         for k, simplices in s.items():
+            if k not in ("1", "2", "3"):
+                raise ValueError(f"unknown simplices key {k!r}: expected '1', '2' or '3'")
             if not (isinstance(simplices, list)
                     and all(_is_vertex_list(x) for x in simplices)):
                 raise ValueError(f"simplices {k!r} must be a list of vertex lists")
@@ -149,7 +152,7 @@ class Complex(namedtuple("Complex", "vertices edges triangles tetrahedra")):
 
 
 def _is_vertex_list(x):
-    return isinstance(x, list) and all(isinstance(v, int) for v in x)
+    return isinstance(x, list) and all(is_json_int(v) for v in x)
 
 
 def _faces(simplex):

@@ -87,6 +87,7 @@ def build_parser():
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("compile", help="exact matrix model of an algebra")
     p.add_argument("p", type=int, nargs="?")
@@ -96,22 +97,26 @@ def build_parser():
     p.add_argument("--verify", action="store_true",
                    help="re-verify relations and injectivity")
     p.add_argument("--json", metavar="PATH", help="write the model to PATH")
+    p.set_defaults(run=_cmd_compile)
 
     p = sub.add_parser("zeta", help="pseudo-orthogonal image of a versor")
     p.add_argument("--sig", required=True)
     p.add_argument("--versor", required=True, metavar="FILE",
                    help="JSON list of grade-1 factors")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_zeta)
 
     p = sub.add_parser("decompose", help="reflection factorization of a matrix")
     p.add_argument("--sig", required=True)
     p.add_argument("--matrix", required=True, metavar="FILE")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_decompose)
 
     p = sub.add_parser("lift", help="versor lifting a pseudo-orthogonal matrix")
     p.add_argument("--sig", required=True)
     p.add_argument("--matrix", required=True, metavar="FILE")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_lift)
 
     p = sub.add_parser("spinor", help="spinor ideal of the complex algebra")
     p.add_argument("--complex", type=int, dest="complex_dim", required=True, metavar="N")
@@ -120,8 +125,10 @@ def build_parser():
     p.add_argument("--model", action="store_true",
                    help="also compute the matrix model intertwiner")
     p.add_argument("--json", metavar="PATH", help="write results to PATH")
+    p.set_defaults(run=_cmd_spinor)
 
     p = sub.add_parser("cech", help="Z2 cohomology and Pin lift obstruction")
+    p.set_defaults(run=_cmd_cech)
     csub = p.add_subparsers(dest="cech_command", required=True)
     pb = csub.add_parser("betti", help="dim H^k over Z2")
     pb.add_argument("file", metavar="FILE")
@@ -134,6 +141,7 @@ def build_parser():
 
     p = sub.add_parser("verify-all", help="run every acceptance check")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_verify_all)
 
     return ap
 
@@ -227,7 +235,7 @@ def _cmd_lift(args):
     return 0
 
 
-def _cmd_spinor(args, seed):
+def _cmd_spinor(args):
     n = args.complex_dim
     if n > MAX_SPINOR_DIM:
         raise ValueError(f"C({n}): spinor supports N up to {MAX_SPINOR_DIM}")
@@ -250,7 +258,7 @@ def _cmd_spinor(args, seed):
         if not minimal:
             print("matrix model requires a minimal ideal")
             return CHECK_FAILED
-        model = spinor_matrix_model(space, seed=seed)
+        model = spinor_matrix_model(space)
         print(f"matrix model: {model.rep.target}, intertwiner found")
         doc["model_target"] = {"kind": model.rep.target.kind, "m": model.rep.target.m}
     if args.json:
@@ -298,11 +306,11 @@ def _cmd_cech(args):
     return CHECK_FAILED
 
 
-def _cmd_verify_all(args, seed):
+def _cmd_verify_all(args):
     from . import verify  # with the sampling it draws from: loaded for this command only
-    results = verify.run_all(seed=seed)
+    results = verify.run_all(seed=args.seed)
     if args.json:
-        _print_json({"seed": seed, "results": results})
+        _print_json({"seed": args.seed, "results": results})
     else:
         for r in results:
             verdict = "pass" if r["ok"] else "FAIL"
@@ -313,32 +321,14 @@ def _cmd_verify_all(args, seed):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.seed is not None:
-        seed = args.seed
-    else:
+    if args.seed is None:
         try:
-            seed = int(os.environ.get("CLIFFKIT_SEED", "0"))
+            args.seed = int(os.environ.get("CLIFFKIT_SEED", "0"))
         except ValueError:
             print("error: CLIFFKIT_SEED must be an integer", file=sys.stderr)
             return USAGE_ERROR
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "compile":
-            return _cmd_compile(args)
-        if args.command == "zeta":
-            return _cmd_zeta(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "lift":
-            return _cmd_lift(args)
-        if args.command == "spinor":
-            return _cmd_spinor(args, seed)
-        if args.command == "cech":
-            return _cmd_cech(args)
-        if args.command == "verify-all":
-            return _cmd_verify_all(args, seed)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from operator import mul
 
@@ -557,15 +558,7 @@ def chiral_rep(sig: Signature) -> Representation:
                     f"chiral model of {sig}")
 
 
-_CHIRAL_CACHE = {}
-
-
-def _chiral(sig):
-    rep = _CHIRAL_CACHE.get(sig)
-    if rep is None:
-        rep = chiral_rep(sig)
-        _CHIRAL_CACHE[sig] = rep
-    return rep
+_chiral = cache(chiral_rep)
 
 
 def _conj_transpose(m):

@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Multivector, Signature, basis_vector
+from .algebra import Multivector, Signature, basis_vector, signature_from_json
 from .scalars import (
     GAUSSIAN,
     QUATERNION,
@@ -27,6 +27,7 @@ from .scalars import (
     GaussianRational,
     Quaternion,
     format_scalar,
+    is_json_int,
     parse_scalar,
     quaternion_to_complex_block,
 )
@@ -855,9 +856,11 @@ def rep_from_json(doc):
     sig = None
     complex_dim = None
     if "signature" in doc:
-        sig = Signature(*doc["signature"])
+        sig = signature_from_json(doc["signature"])
     else:
         complex_dim = doc["complex_dim"]
+        if not is_json_int(complex_dim):
+            raise ValueError("'complex_dim' must be an integer")
     ring = target.ring_tag
     gens = []
     for g in doc["generators"]:

@@ -1,13 +1,18 @@
 """Exact scalar rings: rationals, Gaussian rationals and rational quaternions.
 
 Rationals are plain ``fractions.Fraction`` (ints are accepted everywhere and
-mix freely).  The two division rings defined here follow the same operator
-protocol so the generic matrix code does not care which ring it works over.
+mix freely).  The core runs on integer numerators; the two division rings
+here are the value types of the API and JSON edge: ``Multivector.terms``,
+dense model matrices and the parsed and formatted JSON scalars.  Their
+operator protocol is written once, in ``_DivisionRing``, on each element's
+tuple of rational coordinates (real part first); a subclass adds only its
+slots, constructor, ``coords()`` and product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 RATIONAL = "rational"
 GAUSSIAN = "gaussian"
@@ -22,7 +27,82 @@ def _as_fraction(x):
     raise TypeError(f"expected a rational number, got {type(x).__name__}")
 
 
-class GaussianRational:
+class _DivisionRing:
+    """Immutable element of an exact division ring over Q, read through
+    ``coords()``; the rationals embed as the real part, so a real element
+    equals and hashes like its Fraction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def coerce(cls, x):
+        if isinstance(x, cls):
+            return x
+        return cls(_as_fraction(x))
+
+    def conjugate(self):
+        re, *im = self.coords()
+        return type(self)(re, *(-x for x in im))
+
+    def norm(self):
+        return sum(x * x for x in self.coords())
+
+    def __bool__(self):
+        return any(self.coords())
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.coords() == other.coords()
+        if isinstance(other, (int, Fraction)):
+            c = self.coords()
+            return c[0] == other and not any(c[1:])
+        return NotImplemented
+
+    def __hash__(self):
+        c = self.coords()
+        return hash(c) if any(c[1:]) else hash(c[0])
+
+    def __add__(self, other):
+        return type(self)(*map(add, self.coords(), self.coerce(other).coords()))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return type(self)(*map(sub, self.coords(), self.coerce(other).coords()))
+
+    def __rsub__(self, other):
+        return self.coerce(other) - self
+
+    def __neg__(self):
+        return type(self)(*(-x for x in self.coords()))
+
+    def __rmul__(self, other):
+        # scalars commute with everything
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError(f"division by zero {type(self).__name__}")
+        return self.conjugate() * (1 / n)
+
+    def __truediv__(self, other):
+        # right division: self * other^-1
+        return self * self.coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.coerce(other) * self.inverse()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self.coords()))})"
+
+
+class GaussianRational(_DivisionRing):
     """a + b*i with exact rational a, b."""
 
     __slots__ = ("re", "im")
@@ -31,48 +111,8 @@ class GaussianRational:
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(_as_fraction(x))
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self):
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+    def coords(self):
+        return (self.re, self.im)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -84,28 +124,6 @@ class GaussianRational:
             )
         return NotImplemented
 
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        c = other.conjugate()
-        return GaussianRational(
-            (self.re * c.re - self.im * c.im) / n,
-            (self.re * c.im + self.im * c.re) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
     def __str__(self):
         return format_gaussian(self)
 
@@ -113,7 +131,7 @@ class GaussianRational:
 I = GaussianRational(0, 1)
 
 
-class Quaternion:
+class Quaternion(_DivisionRing):
     """a + b*t1 + c*t2 + d*t3 with exact rational components.
 
     The imaginary units satisfy t1*t2 = t3 = -t2*t1 and (tk)^2 = -1.
@@ -127,51 +145,8 @@ class Quaternion:
         object.__setattr__(self, "c", _as_fraction(c))
         object.__setattr__(self, "d", _as_fraction(d))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, Quaternion):
-            return x
-        return Quaternion(_as_fraction(x))
-
-    def conjugate(self):
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def norm(self):
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
     def coords(self):
         return (self.a, self.b, self.c, self.d)
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b) or bool(self.c) or bool(self.d)
-
-    def __eq__(self, other):
-        if isinstance(other, Quaternion):
-            return self.coords() == other.coords()
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.c == 0 and self.d == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if not (self.b or self.c or self.d):
-            return hash(self.a)
-        return hash(self.coords())
-
-    def __add__(self, other):
-        other = Quaternion.coerce(other)
-        return Quaternion(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Quaternion.coerce(other)
-        return Quaternion(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def __rsub__(self, other):
-        return Quaternion.coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -186,31 +161,6 @@ class Quaternion:
                 a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
             )
         return NotImplemented
-
-    def __rmul__(self, other):
-        # scalars commute with everything
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quaternion")
-        return Quaternion(self.a / n, -self.b / n, -self.c / n, -self.d / n)
-
-    def __truediv__(self, other):
-        # right division: self * other^-1
-        return self * Quaternion.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return Quaternion.coerce(other) * self.inverse()
-
-    def __repr__(self):
-        return f"Quaternion({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
 def quaternion_to_complex_block(x):
@@ -233,6 +183,12 @@ ONE = {RATIONAL: Fraction(1), GAUSSIAN: GaussianRational(1), QUATERNION: Quatern
 
 # ---------------------------------------------------------------------------
 # string formats used in the JSON interfaces
+
+def is_json_int(x) -> bool:
+    """Whether a parsed JSON value is an integer: JSON's true and false
+    parse as bool, a subclass of int, and are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
 
 def format_rational(x) -> str:
     return str(_as_fraction(x))

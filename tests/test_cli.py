@@ -394,6 +394,7 @@ def _sphere_cocycle_doc():
     (5, "'edges' must be a list"),
     ([5], "'edges' must be a list"),
     ([{"e": 3, "matrix": [["1", "0"], ["0", "1"]]}], "edge 'e'"),
+    ([{"e": [False, True], "matrix": [["1", "0"], ["0", "1"]]}], "edge 'e'"),
 ])
 def test_cech_bad_edges_is_usage_error(capsys, tmp_path, command, edges, message):
     doc = _sphere_cocycle_doc()
@@ -412,12 +413,39 @@ def test_cech_bad_edges_is_usage_error(capsys, tmp_path, command, edges, message
     ({"vertices": "x"}, "'vertices' must be a non-negative integer"),
     ({"complex": {"vertices": -1}}, "'vertices' must be a non-negative integer"),
     ([0, 1], "must be a JSON object"),
+    ({"vertices": 2, "simplices": {"1": [[False, True]]}}, "list of vertex lists"),
+    ({"vertices": 3, "simplices": {"1": [[0, 1], [0, 2], [1, 2]], "triangles": [[0, 1, 2]]}},
+     "unknown simplices key 'triangles'"),
 ])
 def test_cech_bad_complex_is_usage_error(capsys, tmp_path, doc, message):
     cx_file = tmp_path / "complex.json"
     cx_file.write_text(json.dumps(doc))
     code, _, err = run(capsys, "cech", "betti", str(cx_file), "--k", "1")
     assert code == 2
+    assert message in err
+
+
+# JSON true and false parse as bool, a subclass of int, and are not integers
+@pytest.mark.parametrize("argv, doc, message", [
+    (("zeta", "--sig", "1,0", "--versor"),
+     [{"ring": "rational", "signature": [True, False], "terms": [{"blade": [1], "coeff": "1"}]}],
+     "signature must be a [p, q] pair"),
+    (("zeta", "--sig", "1,0", "--versor"),
+     [{"ring": "rational", "signature": [1, 0], "terms": [{"blade": [True], "coeff": "1"}]}],
+     "'blade' list of integers"),
+    (("spinor", "--complex", "1", "--idempotent"),
+     {"ring": "gaussian", "complex_dim": True, "terms": [{"blade": [], "coeff": "1"}]},
+     "'complex_dim' must be an integer"),
+    (("cech", "check"),
+     {"complex": {"vertices": 2, "simplices": {"1": [[0, 1]]}}, "signature": [True, False],
+      "edges": [{"e": [0, 1], "matrix": [["1"]]}]}, "signature must be a [p, q] pair"),
+], ids=["signature", "blade-index", "complex-dim", "cocycle-signature"])
+def test_json_boolean_is_not_an_integer(capsys, tmp_path, argv, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
     assert message in err
 
 

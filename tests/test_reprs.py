@@ -492,6 +492,17 @@ def test_rep_from_json_rejects_non_monomial(entries):
     rep_from_json(_cl20_doc())
 
 
+def test_rep_from_json_rejects_booleans():
+    doc = _cl20_doc()
+    doc["signature"] = [2, False]
+    with pytest.raises(ValueError, match="pair of integers"):
+        rep_from_json(doc)
+    doc = rep_to_json(compile_complex_rep(1))
+    doc["complex_dim"] = True
+    with pytest.raises(ValueError, match="'complex_dim' must be an integer"):
+        rep_from_json(doc)
+
+
 def test_relations_and_injectivity_failures_are_caught():
     # Cl(1,0) -> R + R with e1 -> (1, 1): the relation holds, but the images
     # of 1 and e1 coincide

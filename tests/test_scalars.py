@@ -98,6 +98,53 @@ def test_scalars_mix_with_ints_and_fractions():
     assert Fraction(1, 3) * Quaternion(3) == Quaternion(1)
 
 
+def _embed(z):
+    """a + b*i -> a + b*t1: the field embedding of Q(i) into H."""
+    return Quaternion(z.re, z.im)
+
+
+@settings(deadline=None, max_examples=60)
+@given(gaussians, gaussians)
+def test_gaussian_embedding_into_quaternions_is_a_homomorphism(x, y):
+    assert _embed(x + y) == _embed(x) + _embed(y)
+    assert _embed(x - y) == _embed(x) - _embed(y)
+    assert _embed(x * y) == _embed(x) * _embed(y)
+    assert _embed(-x) == -_embed(x)
+    assert _embed(x.conjugate()) == _embed(x).conjugate()
+    assert _embed(x).norm() == x.norm()
+    assert (_embed(x) == _embed(y)) == (x == y)
+    if y:
+        assert _embed(y.inverse()) == _embed(y).inverse()
+        assert _embed(x / y) == _embed(x) / _embed(y)
+
+
+@pytest.mark.parametrize("zero", [GaussianRational(0), Quaternion(0)], ids=["gaussian", "quaternion"])
+def test_division_by_zero_raises(zero):
+    one = type(zero)(1)
+    for divide in (lambda: one / zero, lambda: one / 0, lambda: 1 / zero,
+                   lambda: Fraction(1, 2) / zero, zero.inverse):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+
+
+@pytest.mark.parametrize("ring", [GaussianRational, Quaternion])
+@pytest.mark.parametrize("real", [0, 3, -2, Fraction(1, 2), Fraction(-7, 3)])
+def test_real_elements_equal_and_hash_like_their_rationals(ring, real):
+    x = ring(real)
+    assert x == real and real == x
+    assert not (x != real) and not (real != x)
+    assert hash(x) == hash(real) == hash(Fraction(real))
+    y = ring(real, 1)
+    assert y != real and real != y
+
+
+def test_rational_keyed_tables_find_real_gaussians():
+    table = {Fraction(1, 2): "half", 3: "three"}
+    assert table[GaussianRational(Fraction(1, 2))] == "half"
+    assert table[GaussianRational(3)] == "three"
+    assert GaussianRational(Fraction(1, 2), 1) not in table
+
+
 def test_immutability():
     with pytest.raises(AttributeError):
         GaussianRational(1).re = Fraction(2)
