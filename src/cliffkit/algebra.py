@@ -9,7 +9,8 @@ as integer numerators over one positive denominator (real and imaginary
 numerators in the complex algebra), reduced by their gcd, and every
 operation runs on those ints: a product multiplies the numerators and the
 denominators and builds no Fraction.  The Fraction or GaussianRational
-coefficients (``terms``) are a view built only when read.
+coefficients (``terms``) are a view built only when read.  The ring and
+the sign mask (``_neg_mask``) follow from the signature and are not stored.
 """
 
 from __future__ import annotations
@@ -99,14 +100,15 @@ class Multivector:
 
     The triple is canonical: den > 0, gcd(den, every numerator) = 1 and no
     zero numerator is stored, so ``==`` and ``hash`` compare it directly.
-    ``terms`` is the Fraction (real) or GaussianRational (complex) view,
-    built on first read and cached.  ``re`` and ``im`` are owned by the
-    multivector and must not be mutated.
+    ``ring`` and the sign mask follow from ``sig``, None in the complex
+    algebra.  ``terms`` is the Fraction (real) or GaussianRational (complex)
+    view, built on first read and cached.  ``re`` and ``im`` are owned by
+    the multivector and must not be mutated.
     """
 
-    __slots__ = ("sig", "n", "ring", "den", "re", "im", "_neg_mask", "_terms")
+    __slots__ = ("sig", "n", "den", "re", "im", "_terms")
 
-    def __init__(self, sig, n, ring, den, re, im):
+    def __init__(self, sig, n, den, re, im):
         # use the .real / .complex_alg constructors in client code: den > 0,
         # and re and im hold nonzero ints; the triple is reduced by the gcd
         g = math.gcd(den, *re.values(), *im.values())
@@ -117,12 +119,10 @@ class Multivector:
         set_ = object.__setattr__
         set_(self, "sig", sig)
         set_(self, "n", n)
-        set_(self, "ring", ring)
         set_(self, "den", den)
         set_(self, "re", re)
         set_(self, "im", im)
         set_(self, "_terms", None)
-        set_(self, "_neg_mask", 0 if sig is None else _neg_mask(sig))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -142,7 +142,7 @@ class Multivector:
             if c:
                 clean[b] = c
         d, re = _int_terms(clean)
-        return cls(sig, sig.n, RATIONAL, d, re, {})
+        return cls(sig, sig.n, d, re, {})
 
     @classmethod
     def complex_alg(cls, n, terms=None):
@@ -158,7 +158,11 @@ class Multivector:
                 raise ValueError("blade out of range for the algebra dimension")
             if c:
                 clean[b] = c
-        return cls(None, n, GAUSSIAN, *_gaussian_int_terms(clean))
+        return cls(None, n, *_gaussian_int_terms(clean))
+
+    @property
+    def ring(self):
+        return GAUSSIAN if self.sig is None else RATIONAL
 
     @property
     def terms(self):
@@ -180,7 +184,7 @@ class Multivector:
         return self.sig is None
 
     def space_key(self):
-        return (self.sig, self.n, self.ring)
+        return (self.sig, self.n)
 
     def _check_space(self, other):
         if not isinstance(other, Multivector):
@@ -190,7 +194,7 @@ class Multivector:
 
     def _like(self, den, re, im):
         """A multivector of the same space from numerators over den."""
-        return Multivector(self.sig, self.n, self.ring, den, re, im)
+        return Multivector(self.sig, self.n, den, re, im)
 
     def _signed(self, flip, conjugate=False):
         """The coefficient of e_b negated where flip(b) is 1 (or True), and
@@ -237,7 +241,7 @@ class Multivector:
         self._check_space(other)
         # (r1 + i i1)(r2 + i i2) over d1 d2, on the integer numerators; the
         # imaginary parts are empty in a real algebra
-        mask = self._neg_mask
+        mask = _neg_mask(self.sig)
         r1, i1, r2, i2 = self.re, self.im, other.re, other.im
         re = _blade_products(r1, r2, mask)
         im = {}
@@ -252,10 +256,6 @@ class Multivector:
         return NotImplemented
 
     def __truediv__(self, c):
-        if isinstance(c, int):
-            c = Fraction(c)
-        if self.ring == GAUSSIAN:
-            c = GaussianRational.coerce(c)
         return self.scale(ONE[self.ring] / c)
 
     def __eq__(self, other):
@@ -265,7 +265,7 @@ class Multivector:
                 and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash((self.sig, self.n, self.ring, self.den,
+        return hash((self.sig, self.n, self.den,
                      frozenset(self.re.items()), frozenset(self.im.items())))
 
     def __bool__(self):
@@ -406,8 +406,8 @@ def _blade_products(t1, t2, neg_mask):
 
 
 def _neg_mask(sig):
-    """The bits of the generators squaring to -1 in Cl(p, q): the last q."""
-    return ((1 << sig.q) - 1) << sig.p
+    """The bits of the generators squaring to -1: the last q of Cl(p, q), none in C(n)."""
+    return 0 if sig is None else ((1 << sig.q) - 1) << sig.p
 
 
 def vector_chain(sig, vecs):
@@ -419,7 +419,7 @@ def vector_chain(sig, vecs):
     num = {0: 1}
     for u, _ in vecs:
         num = _blade_products(num, {1 << i: x for i, x in enumerate(u) if x}, mask)
-    return Multivector(sig, sig.n, RATIONAL, math.prod(d for _, d in vecs), num, {})
+    return Multivector(sig, sig.n, math.prod(d for _, d in vecs), num, {})
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +472,11 @@ def complexify_embed(a):
     if a.is_complex:
         raise ValueError("multivector is already complex")
     # i^t c is real for even t and imaginary for odd t, negated for t = 2, 3 mod 4
-    re, im = {}, {}
+    re, im, mask = {}, {}, _neg_mask(a.sig)
     for b, c in a.re.items():
-        t = (b & a._neg_mask).bit_count()
+        t = (b & mask).bit_count()
         (im if t & 1 else re)[b] = -c if t & 2 else c
-    return Multivector(None, a.n, GAUSSIAN, a.den, re, im)
+    return Multivector(None, a.n, a.den, re, im)
 
 
 def multiplication_rows(parts, transpose=False):
@@ -493,7 +493,8 @@ def multiplication_rows(parts, transpose=False):
     cancel are dropped.
     """
     first = parts[0][0]
-    flips = [_flips(x, first._neg_mask) for x in range(1 << first.n)]
+    mask = _neg_mask(first.sig)
+    flips = [_flips(x, mask) for x in range(1 << first.n)]
     rows = [{} for _ in flips]
     for a, side, f in parts:
         if side not in ("left", "right"):

@@ -149,10 +149,7 @@ def build_parser():
 def _cmd_classify(args):
     t = classify(Signature(args.p, args.q))
     if args.json:
-        doc = {"kind": t.kind, "m": t.m}
-        if t.summands == 2:
-            doc["summands"] = 2
-        _print_json({"signature": [args.p, args.q], "target": doc})
+        _print_json({"signature": [args.p, args.q], "target": t.to_json()})
     else:
         print(t)
     return 0
@@ -260,7 +257,7 @@ def _cmd_spinor(args):
             return CHECK_FAILED
         model = spinor_matrix_model(space)
         print(f"matrix model: {model.rep.target}, intertwiner found")
-        doc["model_target"] = {"kind": model.rep.target.kind, "m": model.rep.target.m}
+        doc["model_target"] = model.rep.target.to_json()
     if args.json:
         _dump_json(doc, args.json)
     return 0

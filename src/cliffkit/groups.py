@@ -9,7 +9,11 @@ omega = v^1 ... v^n acts (for even n) as -identity.
 The O(p,q) side runs on Python ints.  A ``PseudoOrthogonalMatrix`` is held
 as an integer matrix N over one denominator d > 0 with gcd(d, N) = 1, and a
 ``Versor`` as one integer vector u and denominator d per factor u / d; their
-Fraction and Multivector views are built only when read.  ``zeta``,
+Fraction and Multivector views are built only when read.  Q(u) != 0 is
+checked once, by the public ``Versor`` constructor; ``Versor._from_vecs``
+checks nothing, as ``lift_to_pin`` (after ``_reflect``), ``__mul__`` and
+``negated`` (of checked versors) and ``total_reflection_versor`` (unit
+vectors) pass it vectors anisotropic by construction.  ``zeta``,
 ``cartan_dieudonne`` and the sampler reflect through one integer step,
 ``_reflect``: a rational w is replaced by the primitive integer vector u on
 its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
@@ -40,7 +44,7 @@ from operator import mul
 
 from .algebra import Multivector, Signature, invert, signature_from_json, vector_chain
 from .reprs import Representation, TargetRing, _checked
-from .scalars import RATIONAL, GaussianRational, format_rational, parse_rational
+from .scalars import GaussianRational, format_rational, parse_rational
 
 
 class PseudoOrthogonalMatrix:
@@ -298,45 +302,33 @@ class Versor:
     """Product of anisotropic grade-1 elements of a real algebra.
 
     ``vecs`` holds each factor v = u / d as the pair (u, d), u a tuple of
-    ints, read by the public constructor or handed to ``_from_vecs``.  Both
-    check every Q(u), except that ``_from_vecs`` takes the norm of factors
-    already checked when its caller passes it (``__mul__``, ``negated``).
-    ``factors`` (Multivector views) and ``product``, the chain v_1 ... v_k
-    (1 for no factors), are built on first read.
+    ints; ``parity``, ``pin_normalized`` and ``_norm`` are read off it.  The
+    public constructor is the one check of the signature and of Q(u) != 0.
+    ``_from_vecs`` checks nothing: ``lift_to_pin``, ``__mul__``, ``negated``
+    and ``total_reflection_versor`` pass it anisotropic vectors.  ``factors``
+    (Multivector views) and ``product``, the chain v_1 ... v_k (1 for no
+    factors), are built on first read.
     """
 
-    __slots__ = ("sig", "vecs", "parity", "pin_normalized", "_norm", "_factors", "_product")
+    __slots__ = ("sig", "vecs", "_factors", "_product")
 
     def __init__(self, sig: Signature, factors):
         factors = tuple(factors)
         if any(v.sig != sig for v in factors):
             raise ValueError("factor signature mismatch")
-        self._set(sig, tuple((tuple(v.vector_numerators()), v.den) for v in factors))
-        object.__setattr__(self, "_factors", factors)
+        vecs = tuple((tuple(v.vector_numerators()), v.den) for v in factors)
+        if any(_bform(sig, u, u) == 0 for u, _ in vecs):
+            raise ValueError("versor factors must be anisotropic vectors")
+        for name, value in ("sig", sig), ("vecs", vecs), ("_factors", factors), ("_product", None):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _from_vecs(cls, sig, vecs, norm=None):
-        """The versor of the factors u / d, (u, d) in ``vecs``; ``norm``, that is
-        (pin_normalized, Q(v_1) ... Q(v_k)), is passed for checked factors."""
+    def _from_vecs(cls, sig, vecs):
+        """The versor of the anisotropic factors u / d, (u, d) in ``vecs``."""
         self = object.__new__(cls)
-        self._set(sig, vecs, norm)
-        return self
-
-    def _set(self, sig, vecs, norm=None):
-        if norm is None:
-            # v = u / d has Q(v) = Q(u) / d^2
-            normalized, norm_num, norm_den = True, 1, 1
-            for u, d in vecs:
-                qu, d2 = _bform(sig, u, u), d * d
-                if qu == 0:
-                    raise ValueError("versor factors must be anisotropic vectors")
-                normalized = normalized and (qu == d2 or qu == -d2)
-                norm_num *= qu
-                norm_den *= d2
-            norm = normalized, Fraction(norm_num, norm_den)
-        # in slot order: no factor views and no product yet
-        for name, value in zip(Versor.__slots__, (sig, vecs, len(vecs) % 2, *norm, None, None)):
+        for name, value in ("sig", sig), ("vecs", vecs), ("_factors", None), ("_product", None):
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Versor is immutable")
@@ -361,8 +353,23 @@ class Versor:
         return prod
 
     @property
+    def parity(self):
+        return len(self.vecs) % 2
+
+    @property
     def is_spin(self):
         return self.parity == 0
+
+    @property
+    def pin_normalized(self):
+        """Whether every factor v = u / d has Q(v) = +-1, that is |Q(u)| = d^2."""
+        return all(abs(_bform(self.sig, u, u)) == d * d for u, d in self.vecs)
+
+    @property
+    def _norm(self):
+        """Q(v_1) ... Q(v_k) as a Fraction, with Q(u / d) = Q(u) / d^2."""
+        return Fraction(math.prod(_bform(self.sig, u, u) for u, _ in self.vecs),
+                        math.prod(d * d for _, d in self.vecs))
 
     def inverse_mv(self):
         """Inverse of the product: its reversion v_k ... v_1 over Q(v_1) ... Q(v_k)."""
@@ -373,20 +380,14 @@ class Versor:
             return NotImplemented
         if other.sig != self.sig:
             raise ValueError("signature mismatch")
-        return Versor._from_vecs(self.sig, self.vecs + other.vecs, (
-            self.pin_normalized and other.pin_normalized, self._norm * other._norm))
+        return Versor._from_vecs(self.sig, self.vecs + other.vecs)
 
     def negated(self):
-        """A versor whose product is the negative of this one.
-
-        The first factor is negated; the other factors and the norm are
-        this versor's, already checked, so nothing is validated again.  A
-        product already multiplied out is carried over negated.
-        """
+        """A versor whose product is the negative of this one: its first
+        factor negated, and a product already multiplied out carried over."""
         if self.vecs:
             (u, d), *rest = self.vecs
-            neg = Versor._from_vecs(self.sig, ((tuple(-x for x in u), d), *rest),
-                                    (self.pin_normalized, self._norm))
+            neg = Versor._from_vecs(self.sig, ((tuple(-x for x in u), d), *rest))
         else:
             # the empty product is 1, and e_1 (-Q(e_1) e_1) = -1
             s, e1 = -self.sig.square(1), _unit_vecs(self.sig.n)[0][0]
@@ -401,7 +402,7 @@ class Versor:
 
 def _vector_mv(sig, u, d):
     """The grade-1 Multivector u / d for integer coordinates u and d > 0."""
-    return Multivector(sig, sig.n, RATIONAL, d, {1 << i: x for i, x in enumerate(u) if x}, {})
+    return Multivector(sig, sig.n, d, {1 << i: x for i, x in enumerate(u) if x}, {})
 
 
 def _unit_vecs(n):
@@ -596,6 +597,7 @@ def spin_block_check(g: Versor, sig: Signature) -> SpinBlockResult:
     D = tuple(tuple(m[i][j] for j in range(2, 4)) for i in range(2, 4))
     det_a = _det2(A)
     det_d = _det2(D)
+    normalized = g.pin_normalized
     if sig == Signature(1, 3):
         astar = _conj_transpose(A)
         tr = astar[0][0] + astar[1][1]
@@ -604,13 +606,8 @@ def spin_block_check(g: Versor, sig: Signature) -> SpinBlockResult:
             for i in range(2)
         )
         relation_ok = off_zero and D == want
-        if g.pin_normalized and det_a == 1:
-            component = "restricted"
-        elif g.pin_normalized:
-            component = "other"
-        else:
-            component = "unnormalized"
+        component = ("restricted" if det_a == 1 else "other") if normalized else "unnormalized"
     else:
-        relation_ok = off_zero and (not g.pin_normalized or (det_a == 1 and det_d == 1))
-        component = "restricted" if g.pin_normalized else "unnormalized"
+        relation_ok = off_zero and (not normalized or (det_a == 1 and det_d == 1))
+        component = "restricted" if normalized else "unnormalized"
     return SpinBlockResult(off_zero, A, D, det_a, det_d, relation_ok, component)

@@ -42,11 +42,23 @@ class TargetRing(namedtuple("TargetRing", "kind m summands")):
     __slots__ = ()
 
     def __new__(cls, kind, m, summands=1):
-        if kind not in KIND_RING:
+        if not (isinstance(kind, str) and kind in KIND_RING):
             raise ValueError(f"unknown matrix ring kind {kind!r}")
-        if m < 1 or summands not in (1, 2):
+        if not (is_json_int(m) and is_json_int(summands)) or m < 1 or summands not in (1, 2):
             raise ValueError("bad target ring shape")
         return tuple.__new__(cls, (kind, m, summands))
+
+    def to_json(self):
+        doc = {"kind": self.kind, "m": self.m}
+        if self.summands == 2:
+            doc["summands"] = 2
+        return doc
+
+    @classmethod
+    def from_json(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError("target must be an object with 'kind' and 'm'")
+        return cls(doc["kind"], doc["m"], doc.get("summands", 1))
 
     @property
     def ring_tag(self):
@@ -335,7 +347,7 @@ class Representation:
                 im[b] = im.get(b, 0) + f * y
         real = not self.is_complex
         k = 2 if t.ring_tag == QUATERNION else 1
-        return Multivector(self.sig, self.n, RATIONAL if real else GAUSSIAN, den * k * t.summands * t.m,
+        return Multivector(self.sig, self.n, den * k * t.summands * t.m,
                            {b: x for b, x in re.items() if x},
                            {} if real else {b: y for b, y in im.items() if y})
 
@@ -823,6 +835,10 @@ def rep_equivalence(r1: Representation, r2: Representation):
 # JSON interface
 
 def _matrix_from_json(rows, ring_tag):
+    entry = list if ring_tag == QUATERNION else str
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and all(isinstance(x, entry) for row in rows for x in row)):
+        raise ValueError(f"a generator must be a list of rows of {entry.__name__} entries")
     return tuple(tuple(parse_scalar(ring_tag, x) for x in row) for row in rows)
 
 
@@ -835,9 +851,7 @@ def rep_to_json(r: Representation):
         doc["signature"] = [r.sig.p, r.sig.q]
     else:
         doc["complex_dim"] = r.complex_dim
-    doc["target"] = {"kind": t.kind, "m": t.m}
-    if t.summands == 2:
-        doc["target"]["summands"] = 2
+    doc["target"] = t.to_json()
     units = [format_scalar(t.ring_tag, u) for u in _RING_UNITS[t.ring_tag]]
     zero = format_scalar(t.ring_tag, ZERO[t.ring_tag])
     gens = []
@@ -851,8 +865,11 @@ def rep_to_json(r: Representation):
 
 
 def rep_from_json(doc):
-    tdoc = doc["target"]
-    target = TargetRing(tdoc["kind"], tdoc["m"], tdoc.get("summands", 1))
+    """The model of a ``rep_to_json`` document; ValueError, or KeyError for a
+    missing key, on any other document."""
+    if not isinstance(doc, dict):
+        raise ValueError("model JSON must be an object")
+    target = TargetRing.from_json(doc["target"])
     sig = None
     complex_dim = None
     if "signature" in doc:
@@ -862,10 +879,14 @@ def rep_from_json(doc):
         if not is_json_int(complex_dim):
             raise ValueError("'complex_dim' must be an integer")
     ring = target.ring_tag
+    if not isinstance(doc["generators"], list):
+        raise ValueError("'generators' must be a list")
     gens = []
     for g in doc["generators"]:
         if target.summands == 2:
-            gens.append((_matrix_from_json(g[0], ring), _matrix_from_json(g[1], ring)))
+            if not (isinstance(g, list) and len(g) == 2):
+                raise ValueError("a direct-sum generator must be a pair of matrices")
+            gens.append(tuple(_matrix_from_json(x, ring) for x in g))
         else:
             gens.append(_matrix_from_json(g, ring))
     return Representation(sig, complex_dim, target, gens)

@@ -125,7 +125,7 @@ def left_ideal(p) -> SpinorSpace:
         # row b: the numerators of e_b p
         rows = multiplication_rows([(p, "right", 1)], transpose=True)
     done = linalg.echelon_numerators(rows)
-    basis = tuple(Multivector(None, n, GAUSSIAN, *linalg.reduced_numerators(row, b))
+    basis = tuple(Multivector(None, n, *linalg.reduced_numerators(row, b))
                   for row, b, _c in done)
     return SpinorSpace(n, p, basis, tuple(c for _row, _b, c in done))
 
@@ -303,24 +303,22 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
     (``_conjugator_rows``) and picks an invertible point of the solution
     space, in ``linalg.first_accepted`` order, each point read off the
     reduced rows straight into multivector numerators.  A point g is
-    accepted when g p1 = p2 g holds exactly and rho(g) is invertible in the
-    compiled matrix model (``Representation.invertible``), which decides
-    invertibility of g because rho is an isomorphism onto the target ring;
-    no inverse is computed.  Every real signature and every complex
-    dimension has a compiled model, odd n included.
+    accepted when rho(g) is invertible in the compiled matrix model
+    (``Representation.invertible``), which decides invertibility of g
+    because rho is an isomorphism onto the target ring; no inverse is
+    computed.  g p1 = p2 g is checked exactly on the accepted point, and a
+    failure is a solver fault: AssertionError.  Every real signature and
+    every complex dimension has a compiled model, odd n included.
     """
     if p1.space_key() != p2.space_key():
         raise ValueError("idempotents live in different algebras")
     rep = compile_complex_rep(p1.n) if p1.is_complex else compile_rep(p1.sig)
     free, point = linalg.nullspace_numerators(_conjugator_rows(p1, p2), 1 << p1.n)
-
-    def conjugates(g):
-        if not rep.invertible(g):
-            return None
-        return g if g * p1 == p2 * g else None
-
-    return linalg.first_accepted(free, conjugates, lambda terms: Multivector(*p1.space_key(), *point(terms)),
-                                 seed=seed)
+    g = linalg.first_accepted(free, lambda g: g if rep.invertible(g) else None,
+                              lambda terms: Multivector(*p1.space_key(), *point(terms)), seed=seed)
+    if g is not None and g * p1 != p2 * g:
+        raise AssertionError("the solved conjugator fails g p1 = p2 g")
+    return g
 
 
 def _conjugator_rows(p1, p2):

@@ -23,6 +23,7 @@ from cliffkit.cech import (
 )
 from cliffkit.cli import main
 from cliffkit.groups import PseudoOrthogonalMatrix
+from cliffkit.reprs import rep_from_json
 
 
 def run(capsys, *argv):
@@ -543,6 +544,18 @@ _MULTIVECTOR = _mostly(st.one_of(
 _ROWS = _mostly(st.lists(_mostly(st.lists(_SCALAR | st.integers(-1, 1), min_size=2, max_size=2)),
                          min_size=2, max_size=2))
 _MATRIX = st.one_of(_ROWS, _mostly(st.fixed_dictionaries({"matrix": _ROWS, "signature": _SIGNATURE})))
+# a model generator: rows of scalar strings (R, C) or of four-string lists (H),
+# or a pair of such matrices for a direct-sum target
+_MODEL_ROWS = _mostly(st.lists(_mostly(st.lists(_SCALAR | st.lists(_SCALAR, min_size=4, max_size=4),
+                                                min_size=1, max_size=2)), min_size=1, max_size=2))
+_MODEL = _mostly(st.fixed_dictionaries(
+    {"target": _mostly(st.fixed_dictionaries(
+        {"kind": _mostly(st.sampled_from(["MatR", "MatC", "MatH"])), "m": _mostly(st.integers(1, 2))},
+        optional={"summands": _mostly(st.integers(1, 2))})),
+     "generators": _mostly(st.lists(_mostly(_MODEL_ROWS | st.lists(_MODEL_ROWS, min_size=2, max_size=2)),
+                                    max_size=3))},
+    optional={"signature": _SIGNATURE, "complex_dim": _mostly(st.integers(0, 2))},
+))
 _SIMPLICES = _mostly(st.lists(_mostly(st.lists(st.integers(0, 4), min_size=1, max_size=4)),
                               max_size=6))
 _COMPLEX = _mostly(st.fixed_dictionaries(
@@ -577,7 +590,8 @@ def _read_matrix(doc):
     (_read_matrix, _MATRIX),
     (Complex.from_json, _COMPLEX),
     (GroupCocycle.from_json, _COCYCLE),
-], ids=["multivector", "matrix", "complex", "cocycle"])
+    (rep_from_json, _MODEL),
+], ids=["multivector", "matrix", "complex", "cocycle", "model"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_json_readers_raise_only_usage_errors(reader, docs, data):

@@ -427,6 +427,7 @@ def _check_versor(g, factors):
     assert g.product == _fold(sig, factors)
     assert g.parity == len(factors) % 2 and g.is_spin == (g.parity == 0)
     assert g.pin_normalized == all(abs(q) == 1 for q in norms)
+    assert g._norm == reduce(mul, norms, F(1))
     assert g.inverse_mv() == g.product.reversion() / reduce(mul, norms, F(1))
     assert g.product * g.inverse_mv() == unit(sig)
     m = zeta(g)

@@ -503,6 +503,51 @@ def test_rep_from_json_rejects_booleans():
         rep_from_json(doc)
 
 
+def _set(keys, value):
+    """An edit of a model document: the entry at the path ``keys`` set to ``value``."""
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(["target", "m"], True),
+    _set(["target", "m"], "2"),
+    _set(["target", "summands"], True),
+    _set(["generators"], 5),
+    _set(["generators"], [[["1"]]]),
+    _set(["target"], "MatC"),
+    _set(["generators", 0, 0], [[1]]),
+    _set(["generators", 0, 0], [["1"], "1"]),
+], ids=["m-true", "m-string", "summands-true", "generators-int", "generator-not-a-pair",
+        "target-string", "entry-int", "row-string"])
+def test_rep_from_json_rejects_undefined_documents(edit):
+    doc = rep_to_json(compile_complex_rep(1))
+    assert rep_from_json(doc).target == TargetRing("MatC", 1, summands=2)
+    edit(doc)
+    with pytest.raises(ValueError):
+        rep_from_json(doc)
+
+
+def test_target_ring_json_form():
+    targets = {classify(Signature(p, n - p)) for n in range(9) for p in range(n + 1)}
+    assert len(targets) > 10
+    for t in targets:
+        doc = t.to_json()
+        assert list(doc) == (["kind", "m", "summands"] if t.summands == 2 else ["kind", "m"])
+        assert TargetRing.from_json(json.loads(json.dumps(doc))) == t
+    for bad in [("MatR", True), ("MatR", 2, True), ("MatR", 2.0), ("MatR", "2"), (["MatR"], 2), ("MatR", 0)]:
+        with pytest.raises(ValueError):
+            TargetRing(*bad)
+    for doc in ["MatC", ["MatC", 1], {"kind": "MatC", "m": 1, "summands": 3}]:
+        with pytest.raises(ValueError):
+            TargetRing.from_json(doc)
+    with pytest.raises(KeyError):
+        TargetRing.from_json({"kind": "MatC"})
+
+
 def test_relations_and_injectivity_failures_are_caught():
     # Cl(1,0) -> R + R with e1 -> (1, 1): the relation holds, but the images
     # of 1 and e1 coincide

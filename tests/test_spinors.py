@@ -305,6 +305,23 @@ def test_find_conjugator_simple_pair():
     assert g * p1 * invert(g) == p2
 
 
+def test_find_conjugator_raises_on_a_bad_solver_point(monkeypatch):
+    # every point of the solution space read as the unit: it is invertible,
+    # but 1 p1 != p2 1, which only a solver fault can produce
+    solve = linalg.nullspace_numerators
+
+    def unit_points(rows, ncols):
+        free, _point = solve(rows, ncols)
+        return free, lambda terms: (1, {0: 1}, {})
+
+    e = complex_unit(2)
+    p1 = (e + complex_basis_vector(2, 1)) * (G1 / 2)
+    p2 = (e - complex_basis_vector(2, 1)) * (G1 / 2)
+    monkeypatch.setattr(linalg, "nullspace_numerators", unit_points)
+    with pytest.raises(AssertionError, match="fails g p1 = p2 g"):
+        find_conjugator(p1, p2)
+
+
 def test_find_conjugator_unitary_orbit():
     n = 4
     rng = rng_from_seed(5)
