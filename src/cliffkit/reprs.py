@@ -879,10 +879,11 @@ def rep_from_json(doc):
         if not is_json_int(complex_dim):
             raise ValueError("'complex_dim' must be an integer")
     ring = target.ring_tag
-    if not isinstance(doc["generators"], list):
+    gens_doc = doc["generators"]
+    if not isinstance(gens_doc, list):
         raise ValueError("'generators' must be a list")
     gens = []
-    for g in doc["generators"]:
+    for g in gens_doc:
         if target.summands == 2:
             if not (isinstance(g, list) and len(g) == 2):
                 raise ValueError("a direct-sum generator must be a pair of matrices")
