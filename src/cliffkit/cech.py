@@ -203,15 +203,11 @@ class Z2Cochain(namedtuple("Z2Cochain", "complex degree values")):
         return not any(self.values.values())
 
     def coboundary(self):
+        rows, _ = coboundary_matrix(self.complex, self.degree)
+        x = sum(1 << i for i, s in enumerate(self.complex.simplices(self.degree)) if self.bit(s))
         upper = self.complex.simplices(self.degree + 1)
-        out = {}
-        for s in upper:
-            v = 0
-            for f in _faces(s):
-                v ^= self.bit(f)
-            if v:
-                out[s] = 1
-        return Z2Cochain(self.complex, self.degree + 1, out)
+        return Z2Cochain(self.complex, self.degree + 1,
+                         {s: 1 for s, row in zip(upper, rows) if (row & x).bit_count() & 1})
 
     def coboundary_preimage(self):
         """A (k-1)-cochain eta with delta eta = self, as a bitmask over the

@@ -28,7 +28,6 @@ from .scalars import (
     Quaternion,
     format_scalar,
     is_json_int,
-    parse_scalar,
     quaternion_to_complex_block,
 )
 
@@ -834,14 +833,6 @@ def rep_equivalence(r1: Representation, r2: Representation):
 # ---------------------------------------------------------------------------
 # JSON interface
 
-def _matrix_from_json(rows, ring_tag):
-    entry = list if ring_tag == QUATERNION else str
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
-            and all(isinstance(x, entry) for row in rows for x in row)):
-        raise ValueError(f"a generator must be a list of rows of {entry.__name__} entries")
-    return tuple(tuple(parse_scalar(ring_tag, x) for x in row) for row in rows)
-
-
 def rep_to_json(r: Representation):
     """The model as JSON, written off the monomial form: the ring's units
     and zero are formatted once, and no ring element is built."""
@@ -865,29 +856,35 @@ def rep_to_json(r: Representation):
 
 
 def rep_from_json(doc):
-    """The model of a ``rep_to_json`` document; ValueError, or KeyError for a
-    missing key, on any other document."""
+    """The cached compiled model of the algebra ``doc`` names, if ``doc`` is
+    exactly its ``rep_to_json`` document.  The target, the generator count
+    and the first generator's shape are checked first, so the document's own
+    size bounds the work.  ValueError, or KeyError for a missing key, on any
+    other document, including a valid model that is not the compiled one."""
     if not isinstance(doc, dict):
         raise ValueError("model JSON must be an object")
-    target = TargetRing.from_json(doc["target"])
-    sig = None
-    complex_dim = None
     if "signature" in doc:
-        sig = signature_from_json(doc["signature"])
+        key = signature_from_json(doc["signature"])
+        n, want, compile_model = key.n, classify(key), compile_rep
     else:
-        complex_dim = doc["complex_dim"]
-        if not is_json_int(complex_dim):
-            raise ValueError("'complex_dim' must be an integer")
-    ring = target.ring_tag
-    gens_doc = doc["generators"]
-    if not isinstance(gens_doc, list):
-        raise ValueError("'generators' must be a list")
-    gens = []
-    for g in gens_doc:
-        if target.summands == 2:
-            if not (isinstance(g, list) and len(g) == 2):
-                raise ValueError("a direct-sum generator must be a pair of matrices")
-            gens.append(tuple(_matrix_from_json(x, ring) for x in g))
-        else:
-            gens.append(_matrix_from_json(g, ring))
-    return Representation(sig, complex_dim, target, gens)
+        key = n = doc["complex_dim"]
+        if not is_json_int(n) or n < 0:
+            raise ValueError("'complex_dim' must be an integer >= 0")
+        want, compile_model = TargetRing("MatC", 1 << (n // 2), 1 + n % 2), compile_complex_rep
+    target = TargetRing.from_json(doc["target"])
+    if target != want:
+        raise ValueError(f"target {target} is not {want}, the class of the algebra")
+    gens = doc["generators"]
+    if not _has_len(gens, n):
+        raise ValueError(f"'generators' must be a list of {n} matrices")
+    m = target.m
+    for g in gens[:1]:  # its m x m entries bound the n m^2 that rep_to_json writes
+        if target.summands == 2 and not _has_len(g, 2):
+            raise ValueError("a direct-sum generator must be a pair of matrices")
+        rows = g[0] if target.summands == 2 else g
+        if not (_has_len(rows, m) and all(_has_len(row, m) for row in rows)):
+            raise ValueError(f"a generator must have {m} rows of {m} entries")
+    model = compile_model(key)
+    if rep_to_json(model) != doc:
+        raise ValueError("the document is not the compiled model of its algebra")
+    return model

@@ -270,18 +270,11 @@ def test_factor_projections_inequivalent():
 
 
 def test_rep_json_roundtrip():
-    # Mat(2, H), Mat(4, R), H + H, R + R (twice), Mat(2, C) and C + C targets
-    for sig in (Signature(1, 3), Signature(3, 1), Signature(0, 3), Signature(2, 1),
-                Signature(1, 0)):
-        rep = compile_rep(sig)
-        back = rep_from_json(rep_to_json(rep))
-        assert back.sig == sig and back.target == rep.target
-        assert back.gens == rep.gens
-    for n in (2, 3):
-        rep = compile_complex_rep(n)
-        back = rep_from_json(rep_to_json(rep))
-        assert back.complex_dim == n and back.target == rep.target
-        assert back.gens == rep.gens
+    # every compiled model with p + q <= 6 and C(0) ... C(6), through JSON
+    # text, reads back as the cached model itself
+    reps = [compile_rep(Signature(p, n - p)) for n in range(7) for p in range(n + 1)]
+    for rep in reps + [compile_complex_rep(n) for n in range(7)]:
+        assert rep_from_json(json.loads(json.dumps(rep_to_json(rep)))) is rep, rep
 
 
 def test_rho_rejects_elements_of_another_algebra():
@@ -521,14 +514,55 @@ def _set(keys, value):
     _set(["target"], "MatC"),
     _set(["generators", 0, 0], [[1]]),
     _set(["generators", 0, 0], [["1"], "1"]),
+    _set(["complex_dim"], -1),
+    _set(["generators"], []),
+    _set(["generators", 0], [[], []]),
+    _set(["extra"], 1),
 ], ids=["m-true", "m-string", "summands-true", "generators-int", "generator-not-a-pair",
-        "target-string", "entry-int", "row-string"])
+        "target-string", "entry-int", "row-string", "dim-negative", "too-few-generators",
+        "summand-rows", "extra-key"])
 def test_rep_from_json_rejects_undefined_documents(edit):
     doc = rep_to_json(compile_complex_rep(1))
     assert rep_from_json(doc).target == TargetRing("MatC", 1, summands=2)
     edit(doc)
     with pytest.raises(ValueError):
         rep_from_json(doc)
+
+
+def test_rep_from_json_rejects_a_model_that_does_not_verify():
+    # R + R is the class of Cl(1,0): the one-summand target is refused
+    doc = {"signature": [1, 0], "target": {"kind": "MatR", "m": 1}, "generators": [[["1"]]]}
+    with pytest.raises(ValueError, match="class of the algebra"):
+        rep_from_json(doc)
+
+
+def test_rep_from_json_rejects_an_oversized_target_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr(Representation, "_setup", refuse)
+    doc = {"signature": [0, 0], "target": {"kind": "MatR", "m": 3000}, "generators": []}
+    with pytest.raises(ValueError, match="class of the algebra"):
+        rep_from_json(doc)
+
+
+def test_rep_from_json_checks_the_first_generator_before_compiling(monkeypatch):
+    def refuse(sig):
+        raise AssertionError("a model was compiled")
+    monkeypatch.setattr(reprs, "compile_rep", refuse)
+    for first in ([["1"], ["0"]], [["0", "1"]], [[], []]):
+        doc = _cl20_doc()
+        doc["generators"][0] = first
+        with pytest.raises(ValueError, match="2 rows of 2 entries"):
+            rep_from_json(doc)
+
+
+def test_rep_from_json_rejects_a_valid_model_that_is_not_compiled():
+    rep = compile_rep(Signature(2, 0))
+    negated = Representation(rep.sig, None, rep.target,
+                             [tuple(tuple(-x for x in row) for row in g) for g in rep.gens])
+    assert negated.verify()
+    with pytest.raises(ValueError, match="not the compiled model"):
+        rep_from_json(rep_to_json(negated))
 
 
 def test_target_ring_json_form():
