@@ -230,13 +230,8 @@ def _reflect(sig, u, cols, d):
     |Q(u)| X - 2 sgn(Q(u)) B(u,X) u over |Q(u)| d, returned as (X', d')
     divided by the gcd of d' and every entry: all integer arithmetic.
     B(u,x) is the dot product of eta u with x, so 2 sgn(Q(u)) eta u is
-    formed once and each column costs one dot product.  An axis vector
-    u = +-e_a only negates coordinate a of new columns, keeping d and the gcd.
+    formed once and each column costs one dot product.
     """
-    axes = [a for a, x in enumerate(u) if x]
-    if len(axes) == 1:
-        a = axes[0]
-        return [x[:a] + [-x[a]] + x[a + 1:] for x in cols], d
     qu = _bform(sig, u, u)
     if qu == 0:
         raise ValueError("cannot reflect across an isotropic vector")

@@ -857,7 +857,7 @@ def rep_to_json(r: Representation):
 
 def rep_from_json(doc):
     """The cached compiled model of the algebra ``doc`` names, if ``doc`` is
-    exactly its ``rep_to_json`` document.  The target, the generator count
+    exactly its ``rep_to_json`` document.  The generator count, the target
     and the first generator's shape are checked first, so the document's own
     size bounds the work.  ValueError, or KeyError for a missing key, on any
     other document, including a valid model that is not the compiled one."""
@@ -865,18 +865,21 @@ def rep_from_json(doc):
         raise ValueError("model JSON must be an object")
     if "signature" in doc:
         key = signature_from_json(doc["signature"])
-        n, want, compile_model = key.n, classify(key), compile_rep
+        n = key.n
     else:
         key = n = doc["complex_dim"]
         if not is_json_int(n) or n < 0:
             raise ValueError("'complex_dim' must be an integer >= 0")
+    gens = doc["generators"]
+    if not _has_len(gens, n):  # a list of n generators bounds n before 2^(n/2) is formed
+        raise ValueError(f"'generators' must be a list of {n} matrices")
+    if isinstance(key, Signature):
+        want, compile_model = classify(key), compile_rep
+    else:
         want, compile_model = TargetRing("MatC", 1 << (n // 2), 1 + n % 2), compile_complex_rep
     target = TargetRing.from_json(doc["target"])
     if target != want:
         raise ValueError(f"target {target} is not {want}, the class of the algebra")
-    gens = doc["generators"]
-    if not _has_len(gens, n):
-        raise ValueError(f"'generators' must be a list of {n} matrices")
     m = target.m
     for g in gens[:1]:  # its m x m entries bound the n m^2 that rep_to_json writes
         if target.summands == 2 and not _has_len(g, 2):

@@ -529,10 +529,25 @@ def test_rep_from_json_rejects_undefined_documents(edit):
         rep_from_json(doc)
 
 
-def test_rep_from_json_rejects_a_model_that_does_not_verify():
+def test_rep_from_json_rejects_a_cl10_model_that_does_not_verify():
     # R + R is the class of Cl(1,0): the one-summand target is refused
     doc = {"signature": [1, 0], "target": {"kind": "MatR", "m": 1}, "generators": [[["1"]]]}
     with pytest.raises(ValueError, match="class of the algebra"):
+        rep_from_json(doc)
+    # the right target and shape, but e1 -> (1, 1) is not faithful
+    doc = {"signature": [1, 0], "target": {"kind": "MatR", "m": 1, "summands": 2},
+           "generators": [[[["1"]], [["1"]]]]}
+    with pytest.raises(ValueError, match="not the compiled model"):
+        rep_from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"complex_dim": 10**12, "target": {"kind": "MatC", "m": 1}, "generators": []},
+    {"signature": [0, 10**12], "target": {"kind": "MatR", "m": 1}, "generators": []},
+], ids=["complex-dim", "signature"])
+def test_rep_from_json_counts_generators_before_forming_the_class(doc):
+    # 2^(n/2) for n = 10^12 would not fit in memory: the empty list refuses n first
+    with pytest.raises(ValueError, match="list of 1000000000000 matrices"):
         rep_from_json(doc)
 
 
