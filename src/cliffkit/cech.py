@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import signature_from_json
+from .algebra import _blade_products, _neg_mask, signature_from_json
 from .groups import PseudoOrthogonalMatrix, Versor, lift_to_pin
 from .scalars import is_json_int
 
@@ -324,16 +324,18 @@ def _triangle_scalar(lifts, t, given=False):
     triangle t = (i, j, k).
 
     This is the discrepancy L_ij L_jk L_ik^-1 read with one product, on
-    integer numerators: P those of L_ij L_jk and C those of L_ik, whose
-    denominators are positive.  With lead the lowest blade of C, L_ij L_jk
-    is a scalar multiple of L_ik exactly when P and C have the same blades
-    and P[b] C[lead] == C[b] P[lead] for every b; then s has the sign of
-    P[lead] C[lead].  ker zeta on versors is the nonzero scalars, so no such
-    s means g_ij g_jk != g_ik for the lifts of the ``given`` edges (a
-    ValueError), and an internal error for any other lifts.
+    integer numerators: P the unreduced product of those of L_ij and L_jk,
+    and C those of L_ik, whose denominators are positive.  With lead the
+    lowest blade of C, L_ij L_jk is a scalar multiple of L_ik exactly when
+    P and C have the same blades and P[b] C[lead] == C[b] P[lead] for every
+    b; then s has the sign of P[lead] C[lead].  Neither test changes under
+    a positive factor of P.  ker zeta on versors is the nonzero scalars, so
+    no such s means g_ij g_jk != g_ik for the lifts of the ``given`` edges
+    (a ValueError), and an internal error for any other lifts.
     """
     i, j, k = t
-    P = (lifts[(i, j)].product * lifts[(j, k)].product).re
+    a = lifts[(i, j)]
+    P = _blade_products(a.product.re, lifts[(j, k)].product.re, _neg_mask(a.sig))
     C = lifts[(i, k)].product.re
     if not P:
         raise AssertionError("triangle discrepancy is zero")

@@ -44,6 +44,8 @@ MAX_COMPILE_DIM = 18
 # (e + e1)/2, eliminated from the 2^N rows e_b p, 0.4 s and 20 MB (Python
 # 3.11, 2 CPUs)
 MAX_SPINOR_DIM = 12
+# largest p + q that classify accepts: it prints the matrix size 2^(n/2) in full
+MAX_CLASSIFY_DIM = 4096
 
 
 def _parse_sig(text) -> Signature:
@@ -147,6 +149,8 @@ def build_parser():
 
 
 def _cmd_classify(args):
+    if args.p + args.q > MAX_CLASSIFY_DIM:
+        raise ValueError(f"classify supports p + q up to {MAX_CLASSIFY_DIM}")
     t = classify(Signature(args.p, args.q))
     if args.json:
         _print_json({"signature": [args.p, args.q], "target": t.to_json()})

@@ -17,14 +17,16 @@ vectors) pass it vectors anisotropic by construction.  ``zeta``,
 ``cartan_dieudonne`` and the sampler reflect through one integer step,
 ``_reflect``: a rational w is replaced by the primitive integer vector u on
 its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
-(|Q(u)| d), reduced by a gcd.  ``reflection_product`` applies it to the
-identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way from the
-versor's integer vectors.  A versor's inverse is the reversion over the
-product of the factor norms, so ``zeta`` and ``lift_to_pin`` multiply no
-multivectors.  The form M^T eta M = eta is checked where a matrix enters
-from outside (the public constructor, so also JSON, cocycles and the CLI);
-the integer paths build only products, inverses and reflections, which
-preserve it.  The sandwich g e_a g^-1 is kept only as the oracle
+(|Q(u)| d), reduced by a gcd.  The step reads only the support S of u: on
+n columns it costs O(n |S|) plus the scaling by |Q(u)| when |Q(u)| != 1,
+so an axis vector +-e_a is a sign flip.  ``reflection_product`` applies it
+to the identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way
+from the versor's integer vectors.  A versor's inverse is the reversion
+over the product of the factor norms, so ``zeta`` and ``lift_to_pin``
+multiply no multivectors.  The form M^T eta M = eta is checked where a
+matrix enters from outside (the public constructor, so also JSON, cocycles
+and the CLI); the integer paths build only products, inverses and
+reflections, which preserve it.  The sandwich g e_a g^-1 is kept only as the oracle
 (``verify._matches_definition`` and the tests' ``_dense_zeta_columns``),
 and the dense ``reflection_matrix`` only as the reference that the
 recomposition checks multiply out.  Lifting goes the other way: a
@@ -66,12 +68,13 @@ class PseudoOrthogonalMatrix:
 
     def __new__(cls, sig: Signature, mat):
         n = sig.n
-        # ints and Fractions give their numerator and denominator directly
-        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in mat]
+        # each entry as its (numerator, denominator) pair, read once
+        rows = [[(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+                 for x in row] for row in mat]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix shape does not match the signature")
-        d = math.lcm(*(x.denominator for row in rows for x in row))
-        num = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+        d = math.lcm(*(b for row in rows for _, b in row))
+        num = [[a * (d // b) for a, b in row] for row in rows]
         self = cls._from_int(sig, num, d)
         if not self.preserves_form():
             raise ValueError("matrix does not preserve the bilinear form")
@@ -227,27 +230,36 @@ def _reflect(sig, u, cols, d):
     """R(u) on the columns of X/d, for integer u, X and d > 0.
 
     R(u) x = (Q(u) x - 2 B(u,x) u)/Q(u), so the new columns are
-    |Q(u)| X - 2 sgn(Q(u)) B(u,X) u over |Q(u)| d, returned as (X', d')
-    divided by the gcd of d' and every entry: all integer arithmetic.
-    B(u,x) is the dot product of eta u with x, so 2 sgn(Q(u)) eta u is
-    formed once and each column costs one dot product.
+    |Q(u)| X - 2 sgn(Q(u)) B(u,X) u over |Q(u)| d, returned as new lists
+    (X', d') divided by the gcd of d' and every entry.  Q(u) and
+    2 sgn(Q(u)) eta u are formed on the support S of u, and only the rows
+    in S change beyond the scaling: O(n |S|) on n columns, plus n^2 when
+    |Q(u)| != 1, so an axis vector +-e_a is a sign flip of row a.
     """
-    qu = _bform(sig, u, u)
+    p = sig.p
+    supp = [(i, x, x if i < p else -x) for i, x in enumerate(u) if x]
+    qu = sum(x * e for _, x, e in supp)
     if qu == 0:
         raise ValueError("cannot reflect across an isotropic vector")
     q = abs(qu)
     two = 2 if qu > 0 else -2
-    p = sig.p
-    eta_u = [two * x for x in u[:p]] + [-two * x for x in u[p:]]
+    supp = [(i, x, two * e) for i, x, e in supp]
     out = []
     for x in cols:
-        f = sum(map(mul, eta_u, x))
-        out.append([q * xi - f * ui for xi, ui in zip(x, u)])
+        f = 0
+        for i, _, c in supp:
+            f += c * x[i]
+        y = [q * xi for xi in x] if q != 1 else list(x)
+        if f:
+            for i, ui, _ in supp:
+                y[i] -= f * ui
+        out.append(y)
     d *= q
-    g = math.gcd(d, *chain.from_iterable(out))
-    if g != 1:
-        out = [[xi // g for xi in x] for x in out]
-        d //= g
+    if d != 1:
+        g = math.gcd(d, *chain.from_iterable(out))
+        if g != 1:
+            out = [[xi // g for xi in x] for x in out]
+            d //= g
     return out, d
 
 

@@ -21,7 +21,7 @@ from cliffkit.cech import (
     projective_plane,
     tetrahedron_boundary,
 )
-from cliffkit.cli import main
+from cliffkit.cli import MAX_CLASSIFY_DIM, main
 from cliffkit.groups import PseudoOrthogonalMatrix
 from cliffkit.reprs import rep_from_json
 
@@ -43,6 +43,13 @@ def test_classify_output(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["target"] == {"kind": "MatR", "m": 4}
+
+
+def test_classify_refuses_a_dimension_past_its_bound(capsys):
+    # refused before classify builds the matrix size 2^(n/2)
+    code, out, err = run(capsys, "classify", "0", "100000000")
+    assert code == 2 and out == ""
+    assert f"classify supports p + q up to {MAX_CLASSIFY_DIM}" in err
 
 
 def test_compile_verify_and_json(capsys, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cliffkit import groups
 from cliffkit.algebra import (
     Multivector,
     Signature,
@@ -222,6 +223,68 @@ def test_reflection_matrix():
     assert reflection_product(E2, [(F(1), F(0))], sign=-1) == zeta(Versor(E2, [basis_vector(E2, 1)]))
     with pytest.raises(ValueError):
         reflection_product(M11, [(F(1), F(1))])
+
+
+@st.composite
+def supported_vectors(draw, sig):
+    """An integer vector with a drawn support of 1 to n coordinates."""
+    n = sig.n
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    u = [0] * n
+    for i in support:
+        u[i] = draw(st.integers(-3, 3).filter(bool))
+    return u
+
+
+def _dense_reflect_columns(sig, u, cols, d):
+    """The columns of R(u) X / d, with R(u) the dense ``reflection_matrix``."""
+    r = reflection_matrix(vector(sig, u)).mat
+    return [[sum(F(r_ij * x_j, d) for r_ij, x_j in zip(row, x)) for row in r] for x in cols]
+
+
+def _check_reflect(sig, u, cols, d):
+    """``_reflect`` against the dense reflection in Fractions: the same
+    matrix as a reduced pair, and no input list changed or returned."""
+    before = [list(x) for x in cols]
+    out, d_out = groups._reflect(sig, u, cols, d)
+    assert cols == before
+    assert out is not cols and all(y is not x for y in out for x in cols)
+    assert d_out > 0 and math.gcd(d_out, *(y_i for y in out for y_i in y)) == 1
+    assert [[F(y_i, d_out) for y_i in y] for y in out] == _dense_reflect_columns(sig, u, cols, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), signatures(max_n=5))
+def test_reflect_matches_the_dense_reflection(data, sig):
+    u = data.draw(supported_vectors(sig))
+    assume(sum(sig.square(i + 1) * x * x for i, x in enumerate(u)) != 0)
+    n = sig.n
+    cols = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                              min_size=1, max_size=n + 1))
+    _check_reflect(sig, u, cols, data.draw(st.integers(1, 6)))
+
+
+@pytest.mark.parametrize("sig, u, cols, d", [
+    # axis vectors: a sign flip of one row, over d = 1 and d > 1
+    (Signature(2, 1), [0, -1, 0], [[2, -1, 3], [0, 4, 1]], 3),
+    (Signature(1, 2), [0, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+    # |Q(u)| = 1 on a support of 3, and |Q(u)| > 1 on a support of 1 and of 2
+    (Signature(2, 1), [1, 1, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+    (Signature(1, 2), [0, 0, 2], [[2, -2, 6]], 2),
+    (Signature(2, 2), [0, 1, 0, 3], [[1, 2, 3, 4], [0, 0, 0, 0]], 5),
+])
+def test_reflect_on_axis_and_unit_vectors(sig, u, cols, d):
+    _check_reflect(sig, u, cols, d)
+
+
+@pytest.mark.parametrize("sig, u", [
+    (M11, [1, 1]), (M11, [2, -2]), (Signature(2, 2), [1, 0, 0, 1]),
+    (Signature(2, 2), [1, 1, 1, 1]), (E2, [0, 0]), (M11, [0, 0]), (Signature(0, 3), [0, 0, 0]),
+])
+def test_reflect_refuses_isotropic_and_zero_vectors(sig, u):
+    cols = [[int(i == a) for i in range(sig.n)] for a in range(sig.n)]
+    with pytest.raises(ValueError, match="isotropic"):
+        groups._reflect(sig, u, cols, 1)
 
 
 def test_versor_construction_rules():
