@@ -260,12 +260,6 @@ def format_quaternion(q) -> list:
     return [str(x) for x in q.coords()]
 
 
-def parse_quaternion(v) -> Quaternion:
-    if not isinstance(v, (list, tuple)) or len(v) != 4:
-        raise ValueError("quaternion must be a list [a, b, c, d]")
-    return Quaternion(*[_fraction(str(x)) for x in v])
-
-
 def format_scalar(ring_tag, x):
     if ring_tag == RATIONAL:
         return format_rational(x)
@@ -275,8 +269,6 @@ def format_scalar(ring_tag, x):
 
 
 def parse_scalar(ring_tag, s):
-    if ring_tag == RATIONAL:
-        return parse_rational(s)
-    if ring_tag == GAUSSIAN:
-        return parse_gaussian(s)
-    return parse_quaternion(s)
+    """A rational or Gaussian rational from its string; multivector
+    documents hold no other ring."""
+    return parse_rational(s) if ring_tag == RATIONAL else parse_gaussian(s)

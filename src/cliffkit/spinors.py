@@ -152,54 +152,37 @@ def is_minimal(space: SpinorSpace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# deterministic primitive idempotent search
-
-def _candidate_roots(n):
-    """Hermitian square roots of e among signed blades, +-e^i and
-    +-i e^a e^b, as (blade, root) pairs."""
-    gens = [1 << i for i in range(n)]
-    pairs = [a | b for k, a in enumerate(gens) for b in gens[k + 1:]]
-    coeffs = [(b, s) for b in gens for s in (1, -1)]
-    coeffs += [(b, GaussianRational(0, s)) for b in pairs for s in (1, -1)]
-    return [(b, Multivector.complex_alg(n, {b: c})) for b, c in coeffs]
-
+# primitive idempotent
 
 def primitive_idempotent(n: int) -> HermitianIdempotent:
-    """First (in a fixed candidate order) primitive Hermitian idempotent
-    built from n/2 commuting independent signed-blade square roots.
+    """The primitive Hermitian idempotent
+    p = (e + e^1)/2 * prod_{j=1}^{n/2-1} (e + i e^(2j) e^(2j+1))/2.
 
-    A candidate p is primitive when rank rho(p) = 1 in the compiled model:
-    rho is an isomorphism onto Mat(m, C), so dim A p = m rank rho(p), and
-    the minimal dimension m = 2^(n/2) is rank 1.  Commutation and
-    independence are read off the blades.  A root s is independent of the
-    chosen ones when it is not +-pr for a product pr of them; s = c pr with
-    c a unit exactly when both have the same blade, and then c = +-1,
-    since s and pr commute and both square to e.
+    Its n/2 roots commute, since e^1 and the disjoint bivectors share no
+    generator; they are Hermitian, since (i e^a e^b)* = -i e^b e^a =
+    i e^a e^b; they square to e and are independent, so every product of
+    distinct roots is a signed nonscalar blade and the scalar part of p is
+    2^(-n/2).  rho(e_b) is traceless for b != 0 in the compiled model
+    Mat(m, C), m = 2^(n/2), so rank rho(p) = tr rho(p) = m 2^(-n/2) = 1:
+    p is primitive, and dim A p = m.  ``idempotent_from_factors`` checks
+    the roots and p exactly, and rank rho(p) = 1 is checked exactly.
+
+    p is also the first such product in a depth-first search over the
+    signed blade roots +e^1, -e^1, ..., +e^n, -e^n, then +-i e^a e^b with
+    a < b in lexicographic order: once e^1 is chosen, every +-e^j and
+    every i e^1 e^b anticommutes with it, so the first root that
+    commutes with e^1 and is independent of it is +i e^2 e^3; after that,
+    each pair sharing exactly one index with a chosen pair anticommutes
+    with it, which leaves (4, 5), (6, 7), and so on.
     """
     if n <= 0 or n % 2:
         raise ValueError("primitive idempotent search needs positive even n")
-    roots = _candidate_roots(n)
-    rep = compile_complex_rep(n)
-
-    def dfs(start, chosen, products):
-        if len(chosen) == n // 2:
-            p = idempotent_from_factors(n, [s for _b, s in chosen])
-            return p if rep.ranks(p) == [1] else None
-        for idx in range(start, len(roots)):
-            blade, _s = roots[idx]
-            k = blade.bit_count()
-            # e_A e_B = (-1)^(|A| |B| + |A & B|) e_B e_A
-            if blade in products or any((k * c.bit_count() + (blade & c).bit_count()) & 1
-                                        for c, _s in chosen):
-                continue
-            res = dfs(idx + 1, chosen + [roots[idx]], products + [b ^ blade for b in products])
-            if res is not None:
-                return res
-        return None
-
-    p = dfs(0, [], [0])
-    if p is None:
-        raise AssertionError("no primitive idempotent found in the candidate set")
+    roots = [Multivector.complex_alg(n, {1: 1})]
+    roots += [Multivector.complex_alg(n, {3 << (2 * j - 1): GaussianRational(0, 1)})
+              for j in range(1, n // 2)]
+    p = idempotent_from_factors(n, roots)
+    if compile_complex_rep(n).ranks(p) != [1]:
+        raise AssertionError("the product idempotent is not primitive")
     return HermitianIdempotent(n, p * 2 - complex_unit(n), p)
 
 

@@ -34,7 +34,7 @@ from cliffkit.reprs import (
     rep_equivalence,
     signature_shift,
 )
-from cliffkit.scalars import GaussianRational, parse_quaternion
+from cliffkit.scalars import GaussianRational
 from cliffkit.spinors import (
     find_conjugator,
     is_minimal,
@@ -140,9 +140,6 @@ CASES = {
     "cocycle-non-edge": (lambda: GroupCocycle.build(Complex.build(3, [(0, 1)]), S20,
                                                     {(2, 1): PseudoOrthogonalMatrix.identity(S20)}),
                          ValueError, "matrix given for a non-edge (1, 2)"),
-    # scalars
-    "quaternion-non-list": (lambda: parse_quaternion("1"),
-                            ValueError, "quaternion must be a list [a, b, c, d]"),
 }
 
 

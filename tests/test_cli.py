@@ -21,7 +21,7 @@ from cliffkit.cech import (
     projective_plane,
     tetrahedron_boundary,
 )
-from cliffkit.cli import MAX_CLASSIFY_DIM, main
+from cliffkit.cli import MAX_CECH_VERTICES, MAX_CLASSIFY_DIM, MAX_ZETA_DIM, main
 from cliffkit.groups import PseudoOrthogonalMatrix
 from cliffkit.reprs import rep_from_json
 
@@ -254,6 +254,30 @@ def test_seed_determinism(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_zeta_refuses_a_dimension_past_its_bound(capsys, tmp_path):
+    # refused before the factor, a vector of length p + q, is read
+    versor_file = tmp_path / "versor.json"
+    versor_file.write_text(json.dumps([
+        {"signature": [10**9, 0], "terms": [{"blade": [1], "coeff": "1"}]},
+    ]))
+    code, out, err = run(capsys, "zeta", "--sig", "1000000000,0", "--versor", str(versor_file))
+    assert code == 2 and out == ""
+    assert f"zeta supports p + q up to {MAX_ZETA_DIM}" in err
+
+
+@pytest.mark.parametrize("argv", [["betti", "--k", "0"], ["check"], ["lift"]])
+@pytest.mark.parametrize("nested", [False, True], ids=["complex", "cocycle"])
+def test_cech_refuses_a_vertex_count_past_its_bound(capsys, tmp_path, argv, nested):
+    # refused before the complex is built
+    complex_doc = {"vertices": 10**12}
+    doc = {"complex": complex_doc, "signature": [2, 0], "edges": []} if nested else complex_doc
+    doc_file = tmp_path / "cech.json"
+    doc_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cech", argv[0], str(doc_file), *argv[1:])
+    assert code == 2 and out == ""
+    assert f"cech supports up to {MAX_CECH_VERTICES} vertices" in err
 
 
 def test_zeta_factors_not_a_list_is_usage_error(capsys, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cliffkit.scalars import (
     GAUSSIAN,
-    QUATERNION,
     RATIONAL,
     GaussianRational,
     Quaternion,
@@ -20,7 +19,6 @@ from cliffkit.scalars import (
     format_rational,
     format_scalar,
     parse_gaussian,
-    parse_quaternion,
     parse_rational,
     parse_scalar,
 )
@@ -166,8 +164,9 @@ def test_gaussian_format_roundtrip(z):
 
 @settings(deadline=None, max_examples=60)
 @given(quaternions)
-def test_quaternion_format_roundtrip(q):
-    assert parse_quaternion(format_quaternion(q)) == q
+def test_quaternion_format(q):
+    assert format_quaternion(q) == [str(q.a), str(q.b), str(q.c), str(q.d)]
+    assert format_quaternion(Quaternion(1, -2, Fraction(1, 5), 0)) == ["1", "-2", "1/5", "0"]
 
 
 def test_gaussian_parse_examples():
@@ -186,5 +185,3 @@ def test_scalar_dispatch():
     assert parse_scalar(RATIONAL, format_scalar(RATIONAL, Fraction(-7, 3))) == Fraction(-7, 3)
     z = GaussianRational(2, -3)
     assert parse_scalar(GAUSSIAN, format_scalar(GAUSSIAN, z)) == z
-    q = Quaternion(1, -2, Fraction(1, 5), 0)
-    assert parse_scalar(QUATERNION, format_scalar(QUATERNION, q)) == q

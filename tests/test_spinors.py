@@ -100,17 +100,33 @@ def test_minimal_ideal_dimension(n):
         assert space.contains(complex_basis_vector(n, i) * idem.p)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", range(2, 17, 2))
 def test_primitive_idempotent_factors_are_pinned(n):
-    # the first primitive candidate is e^1, i e^2 e^3, i e^4 e^5, ...: the
-    # rank-1 test of rho(p) picks what eliminating the ideal A p picked
-    factors = [complex_basis_vector(n, 1)] + [
+    # p is the product of (e + s)/2 over the roots e^1, i e^2 e^3, i e^4 e^5,
+    # ..., formed here with plain products, not with idempotent_from_factors
+    e = complex_unit(n)
+    roots = [complex_basis_vector(n, 1)] + [
         complex_basis_vector(n, 2 * j) * complex_basis_vector(n, 2 * j + 1) * GI
         for j in range(1, n // 2)
     ]
+    product = e
+    for s in roots:
+        product = product * (e + s) * (G1 / 2)
     idem = primitive_idempotent(n)
-    assert idem.p == idempotent_from_factors(n, factors)
-    assert left_ideal(idem).dim == 1 << (n // 2)
+    assert idem.p == product
+    assert idem.s == idem.p * 2 - e
+    for k, s in enumerate(roots):
+        assert s.star() == s and s * s == e
+        assert all(s * t == t * s for t in roots[k + 1:])
+    # independent: the products of distinct sets of roots have distinct blades
+    blades = {0}
+    for s in roots:
+        [b] = s.re.keys() | s.im.keys()
+        blades |= {c ^ b for c in blades}
+    assert len(blades) == 1 << len(roots)
+    assert compile_complex_rep(n).ranks(idem.p) == [1]
+    if n <= 12:
+        assert is_minimal(left_ideal(idem))
 
 
 def test_single_factor_idempotent_not_minimal_at_n4():
