@@ -1,11 +1,13 @@
 """Finite Cech machinery over Z2 and the Pin-lift obstruction.
 
 Complexes are finite simplicial complexes with simplices of dimension at
-most 3.  Cochains and coboundaries are over Z2 (rows are int bitmasks, so
-elimination is xor).  A matrix-valued cocycle on the edges lifts to versors
-edge by edge; the triangle discrepancies form a Z2 2-cocycle, and the lift
-extends to a genuine Pin-valued cocycle exactly when that class vanishes,
-in which case the number of inequivalent lifts is 2^dim H^1.
+most 3.  Cochains and coboundaries are over Z2: a coboundary row is an int
+bitmask over the faces, and ``gf2_echelon`` is the one elimination, by xor,
+behind the Betti numbers, coboundary preimages and nontrivial 1-cocycles.
+A matrix-valued cocycle on the edges lifts to versors edge by edge; the
+triangle discrepancies form a Z2 2-cocycle, and the lift extends to a
+genuine Pin-valued cocycle exactly when that class vanishes, in which case
+the number of inequivalent lifts is 2^dim H^1.
 """
 
 from __future__ import annotations
@@ -18,65 +20,46 @@ from .scalars import is_json_int
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra on int bitmask rows
+# GF(2) elimination on int bitmask rows
 
-def gf2_rref(rows, ncols):
-    """Reduced echelon form; returns (rows, pivot columns).
+def gf2_echelon(rows):
+    """The reduced echelon form of the span of ``rows``, as its nonzero rows
+    in pivot order; each row's pivot is its lowest set bit.
 
-    Rows may carry extra high bits (augmented columns) beyond ncols; those
-    are xored along but never pivoted on.
+    Rows are inserted in turn into a dict keyed by lowest bit.  When two
+    rows share a lowest bit, the larger stays as the pivot row and the
+    smaller is xored with it, so a sorted star of rows does not chain one
+    pivot through every row.  Back-substitution then runs from the highest
+    pivot down, clearing from each row, top bit first, the pivot bits of the
+    rows already reduced.  The set of pivots does not depend on which rows
+    were kept and the reduced echelon form is unique, so neither does the
+    result.  The cost follows the fill of the rows, not rows x columns.
+    Pivots are keyed by bit length: a large int hashes in linear time.
     """
-    rows = [r for r in rows if r]
-    pivots = []
-    out = []
-    for c in range(ncols):
-        pr = None
-        for idx, r in enumerate(rows):
-            if (r >> c) & 1:
-                pr = idx
+    pivot_rows = {}
+    for r in rows:
+        while r:
+            low = (r & -r).bit_length()
+            p = pivot_rows.get(low)
+            if p is None:
+                pivot_rows[low] = r
                 break
-        if pr is None:
-            continue
-        piv = rows.pop(pr)
-        out = [r ^ piv if (r >> c) & 1 else r for r in out]
-        rows = [r ^ piv if (r >> c) & 1 else r for r in rows]
-        out.append(piv)
-        pivots.append(c)
-    out.extend(r for r in rows if r)
-    return out, pivots
-
-
-def gf2_rank(rows, ncols):
-    return len(gf2_rref(rows, ncols)[1])
-
-
-def gf2_solve(rows, rhs, ncols):
-    """Solve (rows) x = rhs over GF(2); returns solution bitmask or None."""
-    aug = [r | (b << ncols) for r, b in zip(rows, rhs)]
-    red, pivots = gf2_rref(aug, ncols)
-    sol = 0
-    for row in red[len(pivots):]:
-        if row >> ncols:
-            return None
-    for row, c in zip(red, pivots):
-        if row >> ncols:
-            sol |= 1 << c
-    return sol
-
-
-def gf2_nullspace(rows, ncols):
-    red, pivots = gf2_rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = 1 << fc
-        for row, c in zip(red, pivots):
-            if (row >> fc) & 1:
-                v |= 1 << c
-        basis.append(v)
-    return basis
+            if r > p:
+                pivot_rows[low] = r
+                r, p = p, r
+            r ^= p
+    reduced = {}
+    mask = 0
+    for low in sorted(pivot_rows, reverse=True):
+        r = pivot_rows[low]
+        hit = r & mask
+        while hit:
+            top = hit.bit_length()
+            r ^= reduced[top]
+            hit ^= 1 << (top - 1)
+        reduced[low] = r
+        mask |= 1 << (low - 1)
+    return [reduced[low] for low in sorted(reduced)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +163,9 @@ def z2_betti(c: Complex, k: int) -> int:
     """dim H^k(c; Z2) = dim ker(delta_k) - rank(delta_{k-1})."""
     if not 0 <= k <= 3:
         raise ValueError("cohomology degree out of range")
-    n_k = len(c.simplices(k))
-    up_rows, _ = coboundary_matrix(c, k) if k < 3 else ([], 0)
-    rank_up = gf2_rank(up_rows, n_k)
-    if k == 0:
-        rank_down = 0
-    else:
-        down_rows, _ = coboundary_matrix(c, k - 1)
-        rank_down = gf2_rank(down_rows, len(c.simplices(k - 1)))
-    return (n_k - rank_up) - rank_down
+    rank_up = len(gf2_echelon(coboundary_matrix(c, k)[0])) if k < 3 else 0
+    rank_down = len(gf2_echelon(coboundary_matrix(c, k - 1)[0])) if k else 0
+    return (len(c.simplices(k)) - rank_up) - rank_down
 
 
 class Z2Cochain(namedtuple("Z2Cochain", "complex degree values")):
@@ -217,8 +194,12 @@ class Z2Cochain(namedtuple("Z2Cochain", "complex degree values")):
         if self.degree == 0:
             return 0 if self.is_zero() else None
         rows, ncols = coboundary_matrix(self.complex, self.degree - 1)
-        rhs = [self.bit(s) for s in self.complex.simplices(self.degree)]
-        return gf2_solve(rows, rhs, ncols)
+        rhs = 1 << ncols
+        red = gf2_echelon(r | rhs if self.bit(s) else r
+                          for r, s in zip(rows, self.complex.simplices(self.degree)))
+        if red and red[-1] == rhs:
+            return None
+        return sum(r & -r for r in red if r & rhs)
 
     def is_coboundary(self):
         """Whether this cochain is delta of a (k-1)-cochain."""
@@ -241,6 +222,8 @@ class GroupCocycle(namedtuple("GroupCocycle", "complex sig edges")):
             e = tuple(sorted(e))
             if e not in known:
                 raise ValueError(f"matrix given for a non-edge {e}")
+            if e in clean:
+                raise ValueError(f"matrix given twice for edge {e}")
             if not isinstance(m, PseudoOrthogonalMatrix):
                 m = PseudoOrthogonalMatrix(sig, m)
             if m.sig != sig:
@@ -274,7 +257,9 @@ class GroupCocycle(namedtuple("GroupCocycle", "complex sig edges")):
         for item in items:
             if not _is_vertex_list(item["e"]):
                 raise ValueError("edge 'e' must be a list of vertex integers")
-            e = tuple(item["e"])
+            e = tuple(sorted(item["e"]))
+            if e in edges:
+                raise ValueError(f"matrix given twice for edge {e}")
             edges[e] = PseudoOrthogonalMatrix.from_json(item["matrix"], sig=sig)
         return cls.build(complex_, sig, edges)
 
@@ -362,6 +347,11 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     2^dim H^1 inequivalent lifts; otherwise the obstruction class in H^2 is
     nonzero and no lift exists.  Edges that are not a cocycle raise
     ValueError in the raw triangle pass.
+
+    The second triangle pass multiplies the resigned lifts again instead of
+    reusing the first pass's products with their signs flipped by eta: it
+    proves with fresh products, independently of the GF(2) solve, that the
+    resigned lifts form a cocycle.
     """
     c = coc.complex
     sig = coc.sig
@@ -414,8 +404,16 @@ def projective_plane() -> Complex:
 def nontrivial_1cocycle(c: Complex):
     """A Z2 1-cocycle that is not a coboundary, as a Z2Cochain, or None."""
     rows, ncols = coboundary_matrix(c, 1)
-    for v in gf2_nullspace(rows, ncols):
-        cochain = Z2Cochain(c, 1, {e: 1 for i, e in enumerate(c.edges) if (v >> i) & 1})
+    red = gf2_echelon(rows)
+    pivots = sum(r & -r for r in red)
+    for i in range(ncols):
+        free = 1 << i
+        if free & pivots:
+            continue
+        # the kernel vector at a free column: its bit and the pivot bits of
+        # the reduced rows that hold it
+        v = free | sum(r & -r for r in red if r & free)
+        cochain = Z2Cochain(c, 1, {e: 1 for j, e in enumerate(c.edges) if (v >> j) & 1})
         if not cochain.is_coboundary():
             return cochain
     return None

@@ -50,10 +50,12 @@ MAX_CLASSIFY_DIM = 4096
 # factor is a length-n vector and zeta builds n columns of length n; one
 # factor at n = 512 takes 0.7 s and 49 MB (Python 3.11, 2 CPUs)
 MAX_ZETA_DIM = 512
-# most vertices that the cech commands accept, checked before the complex is
-# built: {"vertices": 100000} alone takes 0.1-0.25 s and 17-36 MB for betti,
-# check and lift (Python 3.11, 2 CPUs)
-MAX_CECH_VERTICES = 100_000
+# most vertices plus listed simplices that the cech commands accept, checked
+# before the complex is built: on the 70 x 70 grid torus (29,400 simplices)
+# betti --k 1 takes 0.6-1.0 s and 69 MB, check 0.6-1.0 s and 43 MB, and lift
+# of a rotation-valued coboundary 2.6-3.3 s and 99 MB, 119 MB with --json
+# (wall time and peak RSS of the child process; Python 3.11, 2 CPUs)
+MAX_CECH_SIMPLICES = 30_000
 
 
 def _parse_sig(text) -> Signature:
@@ -278,14 +280,26 @@ def _cmd_spinor(args):
     return 0
 
 
+def _cech_size(complex_doc):
+    """The vertices plus every listed simplex of a complex document, read
+    before it is validated: malformed parts count 0 and are refused later."""
+    if not isinstance(complex_doc, dict):
+        return 0
+    vertices = complex_doc.get("vertices")
+    size = vertices if isinstance(vertices, int) else 0
+    simplices = complex_doc.get("simplices")
+    if isinstance(simplices, dict):
+        size += sum(len(s) for s in simplices.values() if isinstance(s, list))
+    return size
+
+
 def _cmd_cech(args):
     doc = _load_json(args.file)
     if not isinstance(doc, dict):
         raise ValueError("cech input must be a JSON object")
     complex_doc = doc.get("complex", doc)
-    vertices = complex_doc.get("vertices") if isinstance(complex_doc, dict) else None
-    if isinstance(vertices, int) and vertices > MAX_CECH_VERTICES:
-        raise ValueError(f"cech supports up to {MAX_CECH_VERTICES} vertices")
+    if _cech_size(complex_doc) > MAX_CECH_SIMPLICES:
+        raise ValueError(f"cech supports up to {MAX_CECH_SIMPLICES} simplices, vertices included")
     if args.cech_command == "betti":
         c = cech_mod.Complex.from_json(complex_doc)
         print(cech_mod.z2_betti(c, args.k))

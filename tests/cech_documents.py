@@ -1,0 +1,67 @@
+"""Large Cech documents for the cech commands near their size bound.
+
+    python tests/cech_documents.py path N OUT.json
+    python tests/cech_documents.py torus M OUT.json
+    python tests/cech_documents.py torus-cocycle M OUT.json
+
+``path`` writes a path on N vertices (2N - 1 simplices) and ``torus`` the
+M x M grid torus (M^2 vertices, 3 M^2 edges, 2 M^2 triangles).
+``torus-cocycle`` writes a coboundary g_ij = h_i^-1 h_j of seeded random
+rational rotations h_i in O(2,0) on the edges of that torus, the input of
+``cech check`` and ``cech lift``.
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+
+# (a, b, c) with a^2 + b^2 = c^2: the rotation [[a, -b], [b, a]] / c
+PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
+
+
+def path_doc(n):
+    return {"vertices": n, "simplices": {"1": [[i, i + 1] for i in range(n - 1)]}}
+
+
+def torus_doc(m):
+    """The grid torus: each square (i, j) of the m x m grid, with vertex
+    (i, j) at i m + j and indices mod m, is cut into two triangles along its
+    diagonal.  Needs m >= 3."""
+    v = lambda i, j: (i % m) * m + j % m
+    tris = []
+    for i in range(m):
+        for j in range(m):
+            tris.append(sorted((v(i, j), v(i + 1, j), v(i + 1, j + 1))))
+            tris.append(sorted((v(i, j), v(i, j + 1), v(i + 1, j + 1))))
+    edges = sorted({(t[a], t[b]) for t in tris for a, b in ((0, 1), (0, 2), (1, 2))})
+    return {"vertices": m * m, "simplices": {"1": [list(e) for e in edges], "2": tris}}
+
+
+def _rotation(angle):
+    a, b, c = angle
+    return (Fraction(a, c), Fraction(b, c))
+
+
+def _compose(x, y):
+    # rotations as (cos, sin): the angles add
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def torus_cocycle_doc(m, seed=0):
+    complex_doc = torus_doc(m)
+    rng = random.Random(seed)
+    h = [_rotation(rng.choice(PYTHAGOREAN)) for _ in range(m * m)]
+    edges = []
+    for i, j in complex_doc["simplices"]["1"]:
+        # h_i^-1 h_j: the rotation by angle(h_j) - angle(h_i)
+        c, s = _compose((h[i][0], -h[i][1]), h[j])
+        edges.append({"e": [i, j], "matrix": [[str(c), str(-s)], [str(s), str(c)]]})
+    return {"complex": complex_doc, "signature": [2, 0], "edges": edges}
+
+
+if __name__ == "__main__":
+    kind, size, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+    build = {"path": path_doc, "torus": torus_doc, "torus-cocycle": torus_cocycle_doc}[kind]
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(build(size), fh)

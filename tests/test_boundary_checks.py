@@ -140,6 +140,16 @@ CASES = {
     "cocycle-non-edge": (lambda: GroupCocycle.build(Complex.build(3, [(0, 1)]), S20,
                                                     {(2, 1): PseudoOrthogonalMatrix.identity(S20)}),
                          ValueError, "matrix given for a non-edge (1, 2)"),
+    "cocycle-edge-twice": (lambda: GroupCocycle.build(Complex.build(2, [(0, 1)]), S20, {
+                               (0, 1): PseudoOrthogonalMatrix.identity(S20),
+                               (1, 0): PseudoOrthogonalMatrix.identity(S20)}),
+                           ValueError, "matrix given twice for edge (0, 1)"),
+    "cocycle-json-edge-twice": (lambda: GroupCocycle.from_json({
+                                    "complex": {"vertices": 2, "simplices": {"1": [[0, 1]]}},
+                                    "signature": [2, 0],
+                                    "edges": [{"e": [0, 1], "matrix": [["1", "0"], ["0", "1"]]},
+                                              {"e": [0, 1], "matrix": [["1", "0"], ["0", "1"]]}]}),
+                                ValueError, "matrix given twice for edge (0, 1)"),
 }
 
 

@@ -22,10 +22,7 @@ from cliffkit.cech import (
     check_cocycle,
     coboundary_matrix,
     filled_triangle,
-    gf2_nullspace,
-    gf2_rank,
-    gf2_rref,
-    gf2_solve,
+    gf2_echelon,
     nontrivial_1cocycle,
     pin_lift_cocycle,
     projective_plane,
@@ -40,15 +37,41 @@ F = Fraction
 SIG = Signature(2, 0)
 
 
-def test_gf2_helpers():
-    rows = [0b011, 0b110, 0b101]
-    red, pivots = gf2_rref(rows, 3)
-    assert pivots == [0, 1]
-    assert gf2_rank(rows, 3) == 2
-    ns = gf2_nullspace(rows, 3)
-    assert len(ns) == 1 and ns[0] == 0b111
-    assert gf2_solve([0b01, 0b11], [1, 0], 2) == 0b11
-    assert gf2_solve([0b11, 0b11], [1, 0], 2) is None
+def test_gf2_echelon_hand_values():
+    # delta_0 of the hollow triangle has pivots at bits 0 and 1; its free
+    # column 2, with the pivot bits of the rows that hold it, gives the
+    # nullspace vector 0b111, the constant 0-cochain
+    red = gf2_echelon([0b011, 0b110, 0b101])
+    assert red == [0b101, 0b110]
+    hollow = Complex.build(3, edges=[(0, 1), (0, 2), (1, 2)])
+    assert z2_betti(hollow, 0) == 1 and z2_betti(hollow, 1) == 1
+    # [0b01, 0b11] x = [1, 0] with the right-hand side at bit 2: both rows
+    # hold it, so x is the OR of their pivot bits, 0b11
+    assert gf2_echelon([0b101, 0b011]) == [0b101, 0b110]
+    # [0b11, 0b11] x = [1, 0] has no solution: the last row is bit 2 alone
+    assert gf2_echelon([0b111, 0b011]) == [0b011, 0b100]
+
+
+def _echelon_oracle(rows):
+    """The reduced echelon form read off the whole span: the pivots are the
+    lowest bits of its nonzero elements, and the row at pivot b is the one
+    element whose lowest bit is b and which holds no other pivot bit."""
+    span = {0}
+    for r in rows:
+        span |= {x ^ r for x in span}
+    pivots = sorted({x & -x for x in span if x})
+    mask = sum(pivots)
+    out = []
+    for b in pivots:
+        [row] = [x for x in span if x & -x == b and not x & mask & ~b]
+        out.append(row)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=10))
+def test_gf2_echelon_matches_brute_force(rows):
+    assert gf2_echelon(rows) == _echelon_oracle(rows)
 
 
 def _brute_force_betti(c, k):
@@ -134,10 +157,27 @@ def test_cochain_coboundary_and_membership():
 def test_nontrivial_1cocycle_of_projective_plane_is_pinned():
     a = nontrivial_1cocycle(projective_plane())
     assert sorted(e for e, b in a.values.items() if b) == [(0, 1), (0, 3), (1, 4), (2, 3), (2, 4)]
-    # the preimage of delta eta is eta or, on a connected complex, eta + 1
+    # the preimage of delta eta is eta or, on a connected complex, eta + 1;
+    # the reduced echelon form picks eta, with no pivot on the last vertex
     eta = Z2Cochain(tetrahedron_boundary(), 0, {(0,): 1, (2,): 1})
-    assert eta.coboundary().coboundary_preimage() in (0b0101, 0b1010)
+    assert eta.coboundary().coboundary_preimage() == 0b0101
     assert a.coboundary_preimage() is None
+
+
+@pytest.mark.parametrize("builder, triangles, eta", [
+    ("torus", [(0, 1, 3), (0, 2, 6), (0, 4, 6), (3, 5, 6)], 0x1081B),
+    ("rp2", [(0, 2, 5), (1, 2, 4), (1, 2, 5), (2, 3, 4)], 0x222),
+    ("rp2", [(1, 2, 4)], None),
+])
+def test_coboundary_preimage_of_a_discrepancy_is_pinned(builder, triangles, eta):
+    # discrepancies that pin_lift_cocycle finds on seeded conjugate cocycles;
+    # the resigned lifts follow from eta, so eta itself is pinned
+    c = _torus() if builder == "torus" else projective_plane()
+    w = Z2Cochain(c, 2, {t: 1 for t in triangles})
+    assert w.coboundary_preimage() == eta
+    if eta is not None:
+        lifted = Z2Cochain(c, 1, {e: 1 for i, e in enumerate(c.edges) if (eta >> i) & 1})
+        assert lifted.coboundary() == w
 
 
 def test_degree0_coboundary_is_only_zero():

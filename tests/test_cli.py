@@ -17,11 +17,12 @@ from cliffkit.algebra import (
 from cliffkit.cech import (
     Complex,
     GroupCocycle,
+    filled_triangle,
     nontrivial_1cocycle,
     projective_plane,
     tetrahedron_boundary,
 )
-from cliffkit.cli import MAX_CECH_VERTICES, MAX_CLASSIFY_DIM, MAX_ZETA_DIM, main
+from cliffkit.cli import MAX_CECH_SIMPLICES, MAX_CLASSIFY_DIM, MAX_ZETA_DIM, main
 from cliffkit.groups import PseudoOrthogonalMatrix
 from cliffkit.reprs import rep_from_json
 
@@ -277,7 +278,40 @@ def test_cech_refuses_a_vertex_count_past_its_bound(capsys, tmp_path, argv, nest
     doc_file.write_text(json.dumps(doc))
     code, out, err = run(capsys, "cech", argv[0], str(doc_file), *argv[1:])
     assert code == 2 and out == ""
-    assert f"cech supports up to {MAX_CECH_VERTICES} vertices" in err
+    assert f"cech supports up to {MAX_CECH_SIMPLICES} simplices, vertices included" in err
+
+
+@pytest.mark.parametrize("extra, code_want", [(0, 0), (1, 2)], ids=["at-bound", "past-bound"])
+def test_cech_refuses_a_simplex_count_past_its_bound(capsys, tmp_path, extra, code_want):
+    # two vertices and one edge listed over and over: the complex it builds
+    # is small, so it is refused on the listed count alone
+    edges = [[0, 1]] * (MAX_CECH_SIMPLICES - 2 + extra)
+    doc_file = tmp_path / "complex.json"
+    doc_file.write_text(json.dumps({"vertices": 2, "simplices": {"1": edges}}))
+    code, out, err = run(capsys, "cech", "betti", str(doc_file), "--k", "0")
+    assert code == code_want
+    if extra:
+        assert out == "" and f"cech supports up to {MAX_CECH_SIMPLICES} simplices" in err
+    else:
+        assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("command", ["check", "lift"])
+def test_cech_edge_given_twice_is_usage_error(capsys, tmp_path, command):
+    # a second entry for (0, 1), written as [1, 0], must not replace the
+    # first: check would then report a triangle over a matrix never given
+    ident = [["1", "0"], ["0", "1"]]
+    doc = {
+        "complex": filled_triangle().to_json(), "signature": [2, 0],
+        "edges": [{"e": [0, 1], "matrix": ident}, {"e": [0, 2], "matrix": ident},
+                  {"e": [1, 2], "matrix": ident}, {"e": [1, 0], "matrix": [["-1", "0"], ["0", "-1"]]}],
+    }
+    coc_file = tmp_path / "coc.json"
+    coc_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cech", command, str(coc_file))
+    assert code == 2
+    assert out == ""
+    assert "matrix given twice for edge (0, 1)" in err
 
 
 def test_zeta_factors_not_a_list_is_usage_error(capsys, tmp_path):
