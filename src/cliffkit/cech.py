@@ -159,12 +159,25 @@ def coboundary_matrix(c: Complex, k: int):
     return rows, len(lower)
 
 
+def _coboundary_solve(c: Complex, k: int, w: int = 0):
+    """(rank delta_k, eta) from one elimination of delta_k's rows with the
+    (k+1)-cochain bitmask w at bit ncols.  w is not a coboundary, and eta is
+    None, when the last reduced row is that bit alone; otherwise eta, the OR
+    of the pivot bits of the rows that hold it, has delta eta = w."""
+    rows, ncols = coboundary_matrix(c, k)
+    rhs = 1 << ncols
+    red = gf2_echelon(r | rhs if (w >> i) & 1 else r for i, r in enumerate(rows))
+    if red and red[-1] == rhs:
+        return len(red) - 1, None
+    return len(red), sum(r & -r for r in red if r & rhs)
+
+
 def z2_betti(c: Complex, k: int) -> int:
     """dim H^k(c; Z2) = dim ker(delta_k) - rank(delta_{k-1})."""
     if not 0 <= k <= 3:
         raise ValueError("cohomology degree out of range")
-    rank_up = len(gf2_echelon(coboundary_matrix(c, k)[0])) if k < 3 else 0
-    rank_down = len(gf2_echelon(coboundary_matrix(c, k - 1)[0])) if k else 0
+    rank_up = _coboundary_solve(c, k)[0] if k < 3 else 0
+    rank_down = _coboundary_solve(c, k - 1)[0] if k else 0
     return (len(c.simplices(k)) - rank_up) - rank_down
 
 
@@ -179,9 +192,12 @@ class Z2Cochain(namedtuple("Z2Cochain", "complex degree values")):
     def is_zero(self):
         return not any(self.values.values())
 
+    def _mask(self):
+        return sum(1 << i for i, s in enumerate(self.complex.simplices(self.degree)) if self.bit(s))
+
     def coboundary(self):
         rows, _ = coboundary_matrix(self.complex, self.degree)
-        x = sum(1 << i for i, s in enumerate(self.complex.simplices(self.degree)) if self.bit(s))
+        x = self._mask()
         upper = self.complex.simplices(self.degree + 1)
         return Z2Cochain(self.complex, self.degree + 1,
                          {s: 1 for s, row in zip(upper, rows) if (row & x).bit_count() & 1})
@@ -193,13 +209,7 @@ class Z2Cochain(namedtuple("Z2Cochain", "complex degree values")):
         a coboundary."""
         if self.degree == 0:
             return 0 if self.is_zero() else None
-        rows, ncols = coboundary_matrix(self.complex, self.degree - 1)
-        rhs = 1 << ncols
-        red = gf2_echelon(r | rhs if self.bit(s) else r
-                          for r, s in zip(rows, self.complex.simplices(self.degree)))
-        if red and red[-1] == rhs:
-            return None
-        return sum(r & -r for r in red if r & rhs)
+        return _coboundary_solve(self.complex, self.degree - 1, self._mask())[1]
 
     def is_coboundary(self):
         """Whether this cochain is delta of a (k-1)-cochain."""
@@ -365,7 +375,7 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     w = Z2Cochain(c, 2, w_values)
     if not w.coboundary().is_zero():
         raise AssertionError("discrepancy is not a 2-cocycle")
-    eta = w.coboundary_preimage()
+    rank1, eta = _coboundary_solve(c, 1, w._mask())
     if eta is None:
         return PinLiftResult(False, {}, w, 0, True)
     lifts = {e: raw[e].negated() if (eta >> i) & 1 else raw[e]
@@ -373,7 +383,7 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     for t in c.triangles:
         if _triangle_scalar(lifts, t) < 0:
             raise AssertionError("sign correction failed on a triangle")
-    count = 1 << z2_betti(c, 1)
+    count = 1 << (len(c.edges) - rank1 - _coboundary_solve(c, 0)[0])
     return PinLiftResult(True, lifts, w, count, False)
 
 
@@ -413,7 +423,6 @@ def nontrivial_1cocycle(c: Complex):
         # the kernel vector at a free column: its bit and the pivot bits of
         # the reduced rows that hold it
         v = free | sum(r & -r for r in red if r & free)
-        cochain = Z2Cochain(c, 1, {e: 1 for j, e in enumerate(c.edges) if (v >> j) & 1})
-        if not cochain.is_coboundary():
-            return cochain
+        if _coboundary_solve(c, 0, v)[1] is None:
+            return Z2Cochain(c, 1, {e: 1 for j, e in enumerate(c.edges) if (v >> j) & 1})
     return None

@@ -53,7 +53,7 @@ MAX_ZETA_DIM = 512
 # most vertices plus listed simplices that the cech commands accept, checked
 # before the complex is built: on the 70 x 70 grid torus (29,400 simplices)
 # betti --k 1 takes 0.6-1.0 s and 69 MB, check 0.6-1.0 s and 43 MB, and lift
-# of a rotation-valued coboundary 2.6-3.3 s and 99 MB, 119 MB with --json
+# of a rotation-valued coboundary 1.7-2.8 s and 98 MB, 118 MB with --json
 # (wall time and peak RSS of the child process; Python 3.11, 2 CPUs)
 MAX_CECH_SIMPLICES = 30_000
 
@@ -314,11 +314,13 @@ def _cmd_cech(args):
         return CHECK_FAILED
     res = cech_mod.pin_lift_cocycle(coc)
     if res.success:
-        print(f"lift exists: {res.lift_count} inequivalent lifts")
+        # 2^dim H^1 as a power: in decimal it can pass Python's 4,300 digits
+        h1_dim = res.lift_count.bit_length() - 1
+        print(f"lift exists: 2^{h1_dim} inequivalent lifts")
         if args.json:
             _dump_json({
                 "success": True,
-                "lift_count": res.lift_count,
+                "h1_dim": h1_dim,
                 "lifts": [
                     {"e": list(e), "product": multivector_to_json(v.product)}
                     for e, v in sorted(res.lifts.items())

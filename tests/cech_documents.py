@@ -3,12 +3,15 @@
     python tests/cech_documents.py path N OUT.json
     python tests/cech_documents.py torus M OUT.json
     python tests/cech_documents.py torus-cocycle M OUT.json
+    python tests/cech_documents.py complete N OUT.json
 
 ``path`` writes a path on N vertices (2N - 1 simplices) and ``torus`` the
 M x M grid torus (M^2 vertices, 3 M^2 edges, 2 M^2 triangles).
 ``torus-cocycle`` writes a coboundary g_ij = h_i^-1 h_j of seeded random
 rational rotations h_i in O(2,0) on the edges of that torus, the input of
-``cech check`` and ``cech lift``.
+``cech check`` and ``cech lift``.  ``complete`` writes the identity of
+O(2,0) on every edge of the complete graph K_N (N + N(N - 1)/2 simplices),
+whose H^1 has dimension (N - 1)(N - 2)/2.
 """
 
 import json
@@ -60,8 +63,16 @@ def torus_cocycle_doc(m, seed=0):
     return {"complex": complex_doc, "signature": [2, 0], "edges": edges}
 
 
+def complete_cocycle_doc(n):
+    edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    ident = [["1", "0"], ["0", "1"]]
+    return {"complex": {"vertices": n, "simplices": {"1": edges}}, "signature": [2, 0],
+            "edges": [{"e": e, "matrix": ident} for e in edges]}
+
+
 if __name__ == "__main__":
     kind, size, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-    build = {"path": path_doc, "torus": torus_doc, "torus-cocycle": torus_cocycle_doc}[kind]
+    build = {"path": path_doc, "torus": torus_doc, "torus-cocycle": torus_cocycle_doc,
+             "complete": complete_cocycle_doc}[kind]
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(build(size), fh)

@@ -269,6 +269,34 @@ def _conjugate_cocycle(c, sig, rng, twist=None):
     return GroupCocycle.build(c, sig, edges)
 
 
+@pytest.mark.parametrize("builder, h1", [
+    (tetrahedron_boundary, 0), (_torus, 2), (projective_plane, 1)],
+    ids=["sphere", "torus", "rp2"])
+def test_pin_lift_eliminates_delta1_once(monkeypatch, builder, h1):
+    # one elimination of delta_1 with the discrepancy appended gives both
+    # eta and rank delta_1, so a successful lift builds delta_1 once and
+    # eliminates twice: delta_1 with w, then delta_0 for the count
+    c = builder()
+    coc = _conjugate_cocycle(c, SIG, rng_from_seed(5))
+    calls = {"delta1": 0, "echelon": 0}
+    build, echelon = cech.coboundary_matrix, cech.gf2_echelon
+
+    def counted_build(c, k):
+        calls["delta1"] += k == 1
+        return build(c, k)
+
+    def counted_echelon(rows):
+        calls["echelon"] += 1
+        return echelon(rows)
+
+    monkeypatch.setattr(cech, "coboundary_matrix", counted_build)
+    monkeypatch.setattr(cech, "gf2_echelon", counted_echelon)
+    res = pin_lift_cocycle(coc)
+    monkeypatch.undo()
+    assert res.success and calls == {"delta1": 1, "echelon": 2}
+    assert z2_betti(c, 1) == h1 and res.lift_count == 1 << h1
+
+
 def _three_factor_signs(coc):
     """The discrepancy as the scalar L_ij L_jk L_ik^-1, with L_ik^-1 the
     chain v_k ... v_1 over Q(v_1) ... Q(v_k); returns (signs, lift count)."""
@@ -349,16 +377,17 @@ def test_pin_lift_resigned_pass_is_an_internal_check(monkeypatch, fault):
     # internal error, never a usage error
     rng = rng_from_seed(3)
     coc, _ = _coboundary_cocycle(tetrahedron_boundary(), rng)
-    preimage = Z2Cochain.coboundary_preimage
+    solve = cech._coboundary_solve
     e1, e2 = basis_vector(SIG, 1), basis_vector(SIG, 2)
 
-    def wrong_preimage(w):
-        # called after the raw pass, so only the resigned lifts change
+    def wrong_solve(c, k, w=0):
+        # called for eta after the raw pass, so only the resigned lifts change
         if fault == "not scalar":
             monkeypatch.setattr(Versor, "negated", lambda g: Versor(SIG, g.factors + (e1, e2)))
-        return preimage(w) ^ 1
+        rank, eta = solve(c, k, w)
+        return rank, eta ^ 1
 
-    monkeypatch.setattr(Z2Cochain, "coboundary_preimage", wrong_preimage)
+    monkeypatch.setattr(cech, "_coboundary_solve", wrong_solve)
     match = "triangle discrepancy is not scalar" if fault == "not scalar" else "sign correction failed"
     with pytest.raises(AssertionError, match=match):
         pin_lift_cocycle(coc)

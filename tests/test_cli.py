@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cech_documents
 from cliffkit.algebra import (
     Signature,
     basis_vector,
@@ -219,9 +220,22 @@ def test_cech_lift_succeeds_on_sphere(capsys, tmp_path):
     out_file = tmp_path / "lifts.json"
     code, out, _ = run(capsys, "cech", "lift", str(coc_file), "--json", str(out_file))
     assert code == 0
-    assert "1 inequivalent lifts" in out
+    assert "lift exists: 2^0 inequivalent lifts" in out
     doc = json.loads(out_file.read_text())
-    assert doc["success"] is True and doc["lift_count"] == 1
+    assert doc["success"] is True and doc["h1_dim"] == 0
+
+
+def test_cech_lift_count_is_a_power_past_the_int_string_limit(capsys, tmp_path):
+    # the 1-skeleton of K171 (14,706 simplices): 2^14365 lifts has more
+    # decimal digits than Python converts, so the count is written as 2^k
+    coc_file = tmp_path / "k171.json"
+    coc_file.write_text(json.dumps(cech_documents.complete_cocycle_doc(171)))
+    out_file = tmp_path / "lifts.json"
+    code, out, _ = run(capsys, "cech", "lift", str(coc_file), "--json", str(out_file))
+    assert code == 0
+    assert out.strip() == "lift exists: 2^14365 inequivalent lifts"
+    doc = json.loads(out_file.read_text())
+    assert doc["h1_dim"] == 14365 and len(doc["lifts"]) == 14535
 
 
 def test_cech_lift_on_edges_that_are_not_a_cocycle_is_usage_error(capsys, tmp_path):
