@@ -1,9 +1,9 @@
 """Finite Cech machinery over Z2 and the Pin-lift obstruction.
 
-Complexes are finite simplicial complexes with simplices of dimension at
-most 3.  Cochains and coboundaries are over Z2: a coboundary row is an int
-bitmask over the faces, and ``gf2_echelon`` is the one elimination, by xor,
-behind the Betti numbers, coboundary preimages and nontrivial 1-cocycles.
+Complexes are finite simplicial complexes of dimension at most 3, and a Z2
+coboundary row is an int bitmask over the faces.  The one elimination,
+``gf2_echelon``, keeps forward pivot rows only: a rank is their count, and a
+preimage or kernel vector is completed off them, highest pivot first.
 A matrix-valued cocycle on the edges lifts to versors edge by edge; the
 triangle discrepancies form a Z2 2-cocycle, and the lift extends to a
 genuine Pin-valued cocycle exactly when that class vanishes, in which case
@@ -23,19 +23,14 @@ from .scalars import is_json_int
 # GF(2) elimination on int bitmask rows
 
 def gf2_echelon(rows):
-    """The reduced echelon form of the span of ``rows``, as its nonzero rows
-    in pivot order; each row's pivot is its lowest set bit.
-
-    Rows are inserted in turn into a dict keyed by lowest bit.  When two
-    rows share a lowest bit, the larger stays as the pivot row and the
-    smaller is xored with it, so a sorted star of rows does not chain one
-    pivot through every row.  Back-substitution then runs from the highest
-    pivot down, clearing from each row, top bit first, the pivot bits of the
-    rows already reduced.  The set of pivots does not depend on which rows
-    were kept and the reduced echelon form is unique, so neither does the
-    result.  The cost follows the fill of the rows, not rows x columns.
-    Pivots are keyed by bit length: a large int hashes in linear time.
-    """
+    """The forward echelon of the span of ``rows``, as a dict from each
+    pivot (a bit length: a large int hashes in linear time) to the kept row
+    whose lowest set bit it is.  Rows are inserted in turn; when two share a
+    lowest bit, the larger stays and the smaller is xored with it, so a
+    sorted star of rows does not chain one pivot through every row.  The
+    pivots, so the rank, do not depend on which rows were kept, and
+    ``_complete`` reads solutions off any such rows.  The cost follows the
+    fill of the rows, not rows x columns."""
     pivot_rows = {}
     for r in rows:
         while r:
@@ -48,18 +43,17 @@ def gf2_echelon(rows):
                 pivot_rows[low] = r
                 r, p = p, r
             r ^= p
-    reduced = {}
-    mask = 0
+    return pivot_rows
+
+
+def _complete(pivot_rows, x):
+    """The one x' that agrees with x off the pivots and has even parity
+    against every pivot row: from the highest pivot down, the pivot's bit
+    is set when the row's parity with x is odd.  x holds no pivot bit."""
     for low in sorted(pivot_rows, reverse=True):
-        r = pivot_rows[low]
-        hit = r & mask
-        while hit:
-            top = hit.bit_length()
-            r ^= reduced[top]
-            hit ^= 1 << (top - 1)
-        reduced[low] = r
-        mask |= 1 << (low - 1)
-    return [reduced[low] for low in sorted(reduced)]
+        if (pivot_rows[low] & x).bit_count() & 1:
+            x |= 1 << (low - 1)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +154,16 @@ def coboundary_matrix(c: Complex, k: int):
 
 
 def _coboundary_solve(c: Complex, k: int, w: int = 0):
-    """(rank delta_k, eta) from one elimination of delta_k's rows with the
-    (k+1)-cochain bitmask w at bit ncols.  w is not a coboundary, and eta is
-    None, when the last reduced row is that bit alone; otherwise eta, the OR
-    of the pivot bits of the rows that hold it, has delta eta = w."""
+    """(rank delta_k, eta) from one forward elimination of delta_k's rows
+    with the (k+1)-cochain bitmask w at bit ncols.  w is not a coboundary,
+    and eta is None, when that bit alone is a pivot row; otherwise eta, the
+    completion of that bit, is the preimage of w that vanishes off the pivots."""
     rows, ncols = coboundary_matrix(c, k)
     rhs = 1 << ncols
-    red = gf2_echelon(r | rhs if (w >> i) & 1 else r for i, r in enumerate(rows))
-    if red and red[-1] == rhs:
-        return len(red) - 1, None
-    return len(red), sum(r & -r for r in red if r & rhs)
+    pivot_rows = gf2_echelon(r | rhs if (w >> i) & 1 else r for i, r in enumerate(rows))
+    if ncols + 1 in pivot_rows:
+        return len(pivot_rows) - 1, None
+    return len(pivot_rows), _complete(pivot_rows, rhs) ^ rhs
 
 
 def z2_betti(c: Complex, k: int) -> int:
@@ -412,17 +406,23 @@ def projective_plane() -> Complex:
 
 
 def nontrivial_1cocycle(c: Complex):
-    """A Z2 1-cocycle that is not a coboundary, as a Z2Cochain, or None."""
+    """A Z2 1-cocycle that is not a coboundary, as a Z2Cochain, or None:
+    the first kernel vector of delta_1, completed from its free columns in
+    order, that does not reduce to 0 against the forward echelon of the
+    vertex stars (the columns of delta_0, which span the coboundaries)."""
     rows, ncols = coboundary_matrix(c, 1)
-    red = gf2_echelon(rows)
-    pivots = sum(r & -r for r in red)
-    for i in range(ncols):
-        free = 1 << i
-        if free & pivots:
-            continue
-        # the kernel vector at a free column: its bit and the pivot bits of
-        # the reduced rows that hold it
-        v = free | sum(r & -r for r in red if r & free)
-        if _coboundary_solve(c, 0, v)[1] is None:
+    pivot_rows = gf2_echelon(rows)
+    stars = [0] * c.vertices
+    for i, (a, b) in enumerate(c.edges):
+        stars[a] |= 1 << i
+        stars[b] |= 1 << i
+    star_rows = gf2_echelon(stars)
+    if ncols == len(pivot_rows) + len(star_rows):
+        return None
+    for free in sorted(set(range(1, ncols + 1)) - pivot_rows.keys()):
+        v = u = _complete(pivot_rows, 1 << (free - 1))
+        while p := star_rows.get((u & -u).bit_length()):
+            u ^= p
+        if u:
             return Z2Cochain(c, 1, {e: 1 for j, e in enumerate(c.edges) if (v >> j) & 1})
-    return None
+    raise AssertionError("dim H^1 > 0 but every kernel vector of delta_1 is a coboundary")

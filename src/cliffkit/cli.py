@@ -50,12 +50,20 @@ MAX_CLASSIFY_DIM = 4096
 # factor is a length-n vector and zeta builds n columns of length n; one
 # factor at n = 512 takes 0.7 s and 49 MB (Python 3.11, 2 CPUs)
 MAX_ZETA_DIM = 512
+# largest p + q that lift accepts, checked before the matrix is read: it
+# prints the versor product, of up to 2^(n-1) terms; on a random O(n,0)
+# matrix it takes 0.14 s at n = 12, 0.43 s at n = 14, 1.7-2.0 s and 35 MB
+# at n = 16 (84 MB with --json) and 7.8 s and 86 MB at n = 18, and about 4x
+# more for each further step of 2 (Python 3.11, 2 CPUs)
+MAX_LIFT_DIM = 16
 # most vertices plus listed simplices that the cech commands accept, checked
-# before the complex is built: on the 70 x 70 grid torus (29,400 simplices)
-# betti --k 1 takes 0.6-1.0 s and 69 MB, check 0.6-1.0 s and 43 MB, and lift
-# of a rotation-valued coboundary 1.7-2.8 s and 98 MB, 118 MB with --json
-# (wall time and peak RSS of the child process; Python 3.11, 2 CPUs)
-MAX_CECH_SIMPLICES = 30_000
+# before the complex is built: on the 100 x 100 grid torus (60,000
+# simplices) betti --k 1 takes 0.6-0.9 s and 145 MB, check 1.3-1.6 s and
+# 72 MB, and lift of a rotation-valued coboundary 3.0-4.6 s and 205 MB
+# (median 4.6 s with --json); at 110 x 110 (72,600) lift --json takes a
+# median 5.5 s (wall time and peak RSS of the child process; Python 3.11,
+# 2 CPUs)
+MAX_CECH_SIMPLICES = 60_000
 
 
 def _parse_sig(text) -> Signature:
@@ -234,6 +242,8 @@ def _cmd_decompose(args):
 
 def _cmd_lift(args):
     sig = _parse_sig(args.sig)
+    if sig.n > MAX_LIFT_DIM:
+        raise ValueError(f"lift supports p + q up to {MAX_LIFT_DIM}")
     m = PseudoOrthogonalMatrix.from_json(_load_json(args.matrix), sig=sig)
     g = lift_to_pin(m)
     if args.json:

@@ -17,9 +17,10 @@ vectors) pass it vectors anisotropic by construction.  ``zeta``,
 ``cartan_dieudonne`` and the sampler reflect through one integer step,
 ``_reflect``: a rational w is replaced by the primitive integer vector u on
 its ray (R(u) = R(w)), so N/d -> (|Q(u)| N - 2 sgn(Q(u)) B(u,N) u) /
-(|Q(u)| d), reduced by a gcd.  The step reads only the support S of u: on
-n columns it costs O(n |S|) plus the scaling by |Q(u)| when |Q(u)| != 1,
-so an axis vector +-e_a is a sign flip.  ``reflection_product`` applies it
+(|Q(u)| d), reduced by a gcd.  Its arithmetic reads only the support S of
+u: O(n |S|) on n columns plus the scaling by |Q(u)| when |Q(u)| != 1, so an
+axis vector +-e_a is a sign flip, though copying the n columns of length n
+keeps each step O(n^2).  ``reflection_product`` applies it
 to the identity, and ``zeta`` is (-1)^k R(v_1) ... R(v_k) built that way
 from the versor's integer vectors.  A versor's inverse is the reversion
 over the product of the factor norms, so ``zeta`` and ``lift_to_pin``
@@ -233,8 +234,9 @@ def _reflect(sig, u, cols, d):
     |Q(u)| X - 2 sgn(Q(u)) B(u,X) u over |Q(u)| d, returned as new lists
     (X', d') divided by the gcd of d' and every entry.  Q(u) and
     2 sgn(Q(u)) eta u are formed on the support S of u, and only the rows
-    in S change beyond the scaling: O(n |S|) on n columns, plus n^2 when
-    |Q(u)| != 1, so an axis vector +-e_a is a sign flip of row a.
+    in S change beyond the scaling: the arithmetic is O(n |S|) on n columns,
+    plus n^2 when |Q(u)| != 1, so an axis vector +-e_a is a sign flip of
+    row a.  Every column is still copied, so a step costs O(n^2) in all.
     """
     p = sig.p
     supp = [(i, x, x if i < p else -x) for i, x in enumerate(u) if x]

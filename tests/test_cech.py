@@ -7,6 +7,7 @@ cochains, so the bitmask elimination never certifies itself.
 import itertools
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,28 +38,44 @@ F = Fraction
 SIG = Signature(2, 0)
 
 
+def _solve_system(rows, ncols, w):
+    """``cech._coboundary_solve`` on a given system: ``rows`` over ``ncols``
+    columns, with bit i of ``w`` the right-hand side of row i."""
+    with mock.patch.object(cech, "coboundary_matrix", lambda c, k: (rows, ncols)):
+        return cech._coboundary_solve(None, 0, w)
+
+
 def test_gf2_echelon_hand_values():
-    # delta_0 of the hollow triangle has pivots at bits 0 and 1; its free
-    # column 2, with the pivot bits of the rows that hold it, gives the
-    # nullspace vector 0b111, the constant 0-cochain
-    red = gf2_echelon([0b011, 0b110, 0b101])
-    assert red == [0b101, 0b110]
+    # delta_0 of the hollow triangle has pivots at bits 0 and 1 (bit lengths
+    # 1 and 2); 0b101 stays over the smaller 0b011, which becomes 0b110.
+    # Completing its free column 2 gives the nullspace vector 0b111, the
+    # constant 0-cochain
+    pivot_rows = gf2_echelon([0b011, 0b110, 0b101])
+    assert pivot_rows == {1: 0b101, 2: 0b110}
+    assert cech._complete(pivot_rows, 0b100) == 0b111
     hollow = Complex.build(3, edges=[(0, 1), (0, 2), (1, 2)])
     assert z2_betti(hollow, 0) == 1 and z2_betti(hollow, 1) == 1
-    # [0b01, 0b11] x = [1, 0] with the right-hand side at bit 2: both rows
-    # hold it, so x is the OR of their pivot bits, 0b11
-    assert gf2_echelon([0b101, 0b011]) == [0b101, 0b110]
-    # [0b11, 0b11] x = [1, 0] has no solution: the last row is bit 2 alone
-    assert gf2_echelon([0b111, 0b011]) == [0b011, 0b100]
+    # [0b01, 0b11] x = [1, 0] with the right-hand side at bit 2: completing
+    # that bit sets bit 1 (row 0b110), then bit 0 (row 0b101), so x = 0b11
+    assert gf2_echelon([0b101, 0b011]) == {1: 0b101, 2: 0b110}
+    assert _solve_system([0b01, 0b11], 2, 0b01) == (2, 0b11)
+    # [0b11, 0b11] x = [1, 0] has no solution: bit 2 alone is a pivot row
+    assert gf2_echelon([0b111, 0b011]) == {1: 0b111, 3: 0b100}
+    assert _solve_system([0b11, 0b11], 2, 0b01) == (1, None)
+
+
+def _span(rows):
+    span = {0}
+    for r in rows:
+        span |= {x ^ r for x in span}
+    return span
 
 
 def _echelon_oracle(rows):
     """The reduced echelon form read off the whole span: the pivots are the
     lowest bits of its nonzero elements, and the row at pivot b is the one
     element whose lowest bit is b and which holds no other pivot bit."""
-    span = {0}
-    for r in rows:
-        span |= {x ^ r for x in span}
+    span = _span(rows)
     pivots = sorted({x & -x for x in span if x})
     mask = sum(pivots)
     out = []
@@ -71,7 +88,33 @@ def _echelon_oracle(rows):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 255), max_size=10))
 def test_gf2_echelon_matches_brute_force(rows):
-    assert gf2_echelon(rows) == _echelon_oracle(rows)
+    # forward rows are not unique: each is keyed by its lowest bit, and
+    # together they have the oracle's pivots and span
+    pivot_rows = gf2_echelon(rows)
+    want = _echelon_oracle(rows)
+    assert all(low == (r & -r).bit_length() for low, r in pivot_rows.items())
+    assert sorted(pivot_rows) == [(r & -r).bit_length() for r in want]
+    assert _span(pivot_rows.values()) == _span(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 6))
+def test_coboundary_solve_matches_brute_force(data, ncols):
+    # eta is the one solution that vanishes on the free columns, and None
+    # exactly when no x solves the system
+    rows = data.draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=8))
+    w = data.draw(st.integers(0, (1 << len(rows)) - 1))
+    pivots = _echelon_oracle(rows)
+    free = (1 << ncols) - 1 - sum(r & -r for r in pivots)
+    solutions = [x for x in range(1 << ncols)
+                 if all((r & x).bit_count() % 2 == (w >> i) & 1 for i, r in enumerate(rows))]
+    rank, eta = _solve_system(rows, ncols, w)
+    assert rank == len(pivots)
+    if solutions:
+        [want] = [x for x in solutions if not x & free]
+        assert eta == want
+    else:
+        assert eta is None
 
 
 def _brute_force_betti(c, k):
@@ -295,6 +338,64 @@ def test_pin_lift_eliminates_delta1_once(monkeypatch, builder, h1):
     monkeypatch.undo()
     assert res.success and calls == {"delta1": 1, "echelon": 2}
     assert z2_betti(c, 1) == h1 and res.lift_count == 1 << h1
+
+
+@pytest.mark.parametrize("builder", [projective_plane, _torus], ids=["rp2", "torus"])
+def test_nontrivial_1cocycle_eliminates_twice(monkeypatch, builder):
+    # delta_1 once for the kernel vectors and the vertex stars once for the
+    # coboundaries; each candidate is reduced against the stars, not solved
+    c = builder()
+    calls = []
+    echelon = cech.gf2_echelon
+
+    def counted_echelon(rows):
+        calls.append(1)
+        return echelon(rows)
+
+    def no_solve(*args):
+        raise AssertionError("nontrivial_1cocycle ran a coboundary solve")
+
+    monkeypatch.setattr(cech, "gf2_echelon", counted_echelon)
+    monkeypatch.setattr(cech, "_coboundary_solve", no_solve)
+    a = nontrivial_1cocycle(c)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert a.coboundary().is_zero() and not a.is_coboundary()
+
+
+def test_nontrivial_1cocycle_of_a_long_path_is_none():
+    # dim H^1 = 0 is read off the two ranks before any candidate is tested
+    n = 2000
+    path = Complex.build(n, edges=[(i, i + 1) for i in range(n - 1)])
+    assert nontrivial_1cocycle(path) is None
+
+
+def test_nontrivial_1cocycle_without_a_survivor_is_an_internal_error(monkeypatch):
+    # dim H^1 = 1 on RP^2, so a candidate must survive; kernel vectors
+    # completed to 0 are all coboundaries
+    monkeypatch.setattr(cech, "_complete", lambda pivot_rows, x: 0)
+    with pytest.raises(AssertionError, match="every kernel vector of delta_1 is a coboundary"):
+        nontrivial_1cocycle(projective_plane())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.sampled_from(list(itertools.combinations(range(n), 3)))))))
+def test_nontrivial_1cocycle_matches_brute_force(shape):
+    # on random 2-complexes: None exactly when H^1 = 0, else a cocycle that
+    # no 0-cochain bounds
+    n, tris = shape
+    edges = {f for t in tris for f in itertools.combinations(t, 2)} | {(i, i + 1) for i in range(n - 1)}
+    c = Complex.build(n, edges=edges, triangles=tris)
+    a = nontrivial_1cocycle(c)
+    if _brute_force_betti(c, 1) == 0:
+        assert a is None
+        return
+    assert a.coboundary().is_zero()
+    support = {e for e, b in a.values.items() if b}
+    for bits in range(1 << n):
+        eta = Z2Cochain(c, 0, {(v,): 1 for v in range(n) if (bits >> v) & 1})
+        assert set(eta.coboundary().values) != support
 
 
 def _three_factor_signs(coc):

@@ -1,5 +1,6 @@
 """Command line interface: outputs, file I/O and exit codes."""
 
+import argparse
 import json
 import random
 
@@ -23,7 +24,16 @@ from cliffkit.cech import (
     projective_plane,
     tetrahedron_boundary,
 )
-from cliffkit.cli import MAX_CECH_SIMPLICES, MAX_CLASSIFY_DIM, MAX_ZETA_DIM, main
+from cliffkit.cli import (
+    MAX_CECH_SIMPLICES,
+    MAX_CLASSIFY_DIM,
+    MAX_COMPILE_DIM,
+    MAX_LIFT_DIM,
+    MAX_SPINOR_DIM,
+    MAX_ZETA_DIM,
+    build_parser,
+    main,
+)
 from cliffkit.groups import PseudoOrthogonalMatrix
 from cliffkit.reprs import rep_from_json
 
@@ -269,6 +279,42 @@ def test_seed_determinism(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# every command, its bound and its smallest refused input; FILE does not
+# exist and PAST is a complex of bound + 1 vertices, so an input refused
+# with the bound's message was refused before its file was read
+_BOUNDS = {
+    "classify": (MAX_CLASSIFY_DIM, lambda b: ["classify", "0", str(b + 1)]),
+    "compile": (MAX_COMPILE_DIM, lambda b: ["compile", "0", str(b + 1)]),
+    "zeta": (MAX_ZETA_DIM, lambda b: ["zeta", "--sig", f"{b + 1},0", "--versor", "FILE"]),
+    "lift": (MAX_LIFT_DIM, lambda b: ["lift", "--sig", f"{b + 1},0", "--matrix", "FILE"]),
+    "spinor": (MAX_SPINOR_DIM, lambda b: ["spinor", "--complex", str(b + 1)]),
+    "cech betti": (MAX_CECH_SIMPLICES, lambda b: ["cech", "betti", "PAST", "--k", "0"]),
+    "cech check": (MAX_CECH_SIMPLICES, lambda b: ["cech", "check", "PAST"]),
+    "cech lift": (MAX_CECH_SIMPLICES, lambda b: ["cech", "lift", "PAST"]),
+    # polynomial in n: lift_to_pin at n = 32 takes 0.04 s
+    "decompose": (None, None),
+    # fixed inputs drawn from the seed
+    "verify-all": (None, None),
+}
+
+
+def test_bound_table_names_every_command():
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = {name.split()[0] for name in _BOUNDS}
+    assert listed == set(commands.choices)
+
+
+@pytest.mark.parametrize("command", [c for c, (bound, _) in _BOUNDS.items() if bound is not None])
+def test_every_bounded_command_refuses_its_smallest_input_past_the_bound(capsys, tmp_path, command):
+    bound, argv = _BOUNDS[command]
+    past = tmp_path / "past.json"
+    past.write_text(json.dumps({"vertices": bound + 1}))
+    names = {"FILE": str(tmp_path / "never_read.json"), "PAST": str(past)}
+    code, out, err = run(capsys, *(names.get(a, a) for a in argv(bound)))
+    assert code == 2 and out == ""
+    assert f"up to {bound}" in err
 
 
 def test_zeta_refuses_a_dimension_past_its_bound(capsys, tmp_path):
