@@ -110,6 +110,7 @@ _UNIT_CODE = {tag: {u: k for k, u in enumerate(units)} for tag, units in _RING_U
 _AXIS_MUL = [[_UNIT_CODE[QUATERNION][x * y] for y in _Q8[::2]] for x in _Q8[::2]]
 _UNIT_MUL = tuple(tuple(_AXIS_MUL[a >> 1][b >> 1] ^ ((a ^ b) & 1) for b in range(8))
                   for a in range(8))
+_UNIT_INV = tuple(row.index(0) for row in _UNIT_MUL)
 _MINUS_I = 3  # -t1, read as -i in C
 # the units of R and C as Gaussian integers (re, im), in code order
 GAUSSIAN_INT_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -707,61 +708,61 @@ class Intertwiner(namedtuple("Intertwiner", "matrix inverse ring_tag")):
     __slots__ = ()
 
 
-def _intertwiner_nullspace(monos1, monos2, m, ring_tag):
-    """``linalg.nullspace_numerators`` of {S : S A_g = B_g S} for the unit
-    monomials A_g of ``monos1`` and B_g of ``monos2``, the unknowns the flat
-    coordinates of S: k per entry, entry (i, j) first at column (i m + j) k.
-
-    Row t of A_g holds a_t at column pi_A(t) and row i of B_g holds b_i at
-    pi_B(i), so entry (i, pi_A(t)) of S A_g - B_g S is
-    S[i][t] a_t - b_i S[pi_B(i)][pi_A(t)]: each equation ties two entries.
-    Over R and C an entry is its own coordinate (k = 1), and the equation is
-    one row holding the Gaussian units a_t and -b_i.  Over H (k = 4) the
-    coordinates are those in 1, t1, t2, t3; a unit times a basis unit is
-    +- a basis unit (``_UNIT_MUL``), so the equation is one rational row
-    per coordinate, again of two entries.
+def _intertwiner_space(monos1, monos2, m, ring_tag):
+    """(free, combine) for {S : S A_g = B_g S}, A_g the unit monomials of
+    ``monos1`` and B_g those of ``monos2``, by a walk over the equations.
+    S has k coordinates per entry, entry (i, j) first at column (i m + j) k:
+    k = 4 on H, the real parts in 1, t1, t2, t3, else 1.  Entry (i, pi_A(t))
+    reads S[pi_B(i)][pi_A(t)] = b_i^-1 S[i][t] a_t, a_t in row t of A_g, b_i
+    in row i of B_g; a unit times a basis unit is +- a basis unit, so each
+    generator permutes the coordinates, times units.  The walk from the
+    lowest unvisited column x_0 thus closes its connected set and gives each
+    x in it a unit code lam[x], x = lam[x] x_0 (on H, x's axis is lam[x] >> 1
+    and its sign lam[x] & 1).  The set is free exactly when every step
+    agrees with the code recorded; otherwise x_0 = u x_0 for a unit u != 1,
+    and the set holds only 0.  A free set's solutions are a line with no
+    zero coordinate, so the reduced echelon form pivots on all its columns
+    but the highest, c: ``free`` lists each c in increasing order, and v_c
+    is lam[x] / lam[c] at each x of c's set (on H the sign only, as the
+    coordinates are real).  ``combine(terms)`` is (1, rows) for sum f v_c
+    over the (f, c) pairs of ``terms``: the numerator rows of S (chi on H).
     """
-    if ring_tag == QUATERNION:
-        basis, split = (0, 2, 4, 6), lambda c: (c >> 1, GAUSSIAN_INT_UNITS[c & 1])
-    else:
-        basis, split = (0,), lambda c: (0, GAUSSIAN_INT_UNITS[c])
-    k = len(basis)
-    rows = []
-    for (perm_a, codes_a), (perm_b, codes_b) in zip(monos1, monos2):
-        for i in range(m):
-            times_b = _UNIT_MUL[codes_b[i]]
-            for t in range(m):
-                # the k coordinate rows of entry (i, pi_A(t))
-                block = [{} for _ in range(k)]
-                left, right = (i * m + t) * k, (perm_b[i] * m + perm_a[t]) * k
-                for w, u in enumerate(basis):
-                    z, e = split(_UNIT_MUL[u][codes_a[t]])
-                    block[z][left + w] = e
-                    z, (x, y) = split(times_b[u])
-                    p, q = block[z].get(right + w, (0, 0))
-                    block[z][right + w] = (p - x, q - y)
-                rows += [{j: e for j, e in row.items() if e[0] or e[1]} for row in block]
-    return linalg.nullspace_numerators(rows, k * m * m)
-
-
-def _coords_to_rows(point, m, ring_tag):
-    """(den, rows) of the m x m matrix S with the flat coordinates of
-    ``_intertwiner_nullspace`` given as a point (den, re, im); on H, chi(S)
-    is the sum of the coordinates times the chi blocks of 1, t1, t2, t3."""
-    den, re, im = point
-    k = 4 if ring_tag == QUATERNION else 1
+    k, h = (4, 2) if ring_tag == QUATERNION else (1, 1)  # h: rows of a unit's block
     units = _UNIT_ENTRIES[ring_tag]
-    h = len(units[0])
-    rows = [{} for _ in range(h * m)]
-    for x in re.keys() | im.keys():
-        e, w = divmod(x, k)
-        i, j = divmod(e, m)
-        a, b = re.get(x, 0), im.get(x, 0)
-        for dr, (dc, u, v) in enumerate(units[2 * w]):
-            row, col = rows[h * i + dr], h * j + dc
-            p, q = row.get(col, (0, 0))
-            row[col] = (p + a * u - b * v, q + a * v + b * u)
-    return den, [{j: e for j, e in row.items() if e[0] or e[1]} for row in rows]
+    steps = [(perm_a, codes_a, perm_b, [_UNIT_INV[c] for c in codes_b])
+             for (perm_a, codes_a), (perm_b, codes_b) in zip(monos1, monos2)]
+    lam = [None] * (k * m * m)
+    sets = {}
+    for root in range(k * m * m):
+        if lam[root] is None:
+            lam[root] = 2 * (root % k)
+            seen, free = [root], True
+            for x in seen:  # seen grows as it is walked
+                i, t = divmod(x // k, m)
+                for perm_a, codes_a, perm_b, inv_b in steps:
+                    u = _UNIT_MUL[_UNIT_MUL[inv_b[i]][lam[x]]][codes_a[t]]
+                    # the axis of u picks the coordinate on H; k - 1 = 0 on R, C
+                    y = (perm_b[i] * m + perm_a[t]) * k + (u >> 1 & k - 1)
+                    if lam[y] is None:
+                        lam[y] = u
+                        seen.append(y)
+                    free = free and lam[y] == u
+            if free:
+                c = max(seen)
+                div = lam[c] & 1 if k == 4 else _UNIT_INV[lam[c]]
+                # v_c as (row, column, re, im): the unit's block at each entry
+                sets[c] = [(h * (x // k // m) + dr, h * (x // k % m) + dc, re, im) for x in seen
+                           for dr, (dc, re, im) in enumerate(units[_UNIT_MUL[lam[x]][div]])]
+
+    def combine(terms):
+        rows = [{} for _ in range(h * m)]
+        for f, c in terms:
+            for r, col, re, im in sets[c]:
+                p, q = rows[r].get(col, (0, 0))
+                rows[r][col] = (p + f * re, q + f * im)
+        return 1, rows
+
+    return sorted(sets), combine
 
 
 def solve_intertwiner(monos1, monos2, m, ring_tag):
@@ -774,14 +775,13 @@ def solve_intertwiner(monos1, monos2, m, ring_tag):
     rows (``_intertwines``, on chi over H), and a failure is a solver fault:
     AssertionError.
     """
-    free, point = _intertwiner_nullspace(monos1, monos2, m, ring_tag)
+    free, combine = _intertwiner_space(monos1, monos2, m, ring_tag)
 
-    def invertible(v):
-        s = _coords_to_rows(v, m, ring_tag)
+    def invertible(s):
         sinv = linalg.inverse_numerators(*s)
         return None if sinv is None else (s, sinv)
 
-    found = linalg.first_accepted(free, invertible, point)
+    found = linalg.first_accepted(free, invertible, combine)
     if found is None:
         return None
     if ring_tag == QUATERNION:

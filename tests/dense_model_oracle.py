@@ -9,13 +9,15 @@ its public constructor.  ``rep_to_json``, ``factor_projections`` and
 ``quaternion_complexify`` must give the same results without building any
 of these matrices.  ``solve_intertwiner`` solves S A_g = B_g S over the
 field R or C for dense A_g and B_g, which need not be monomial: the
-system the monomial one in ``reprs`` replaced.
+system the monomial one in ``reprs`` replaced.  ``monomial_intertwiner_rows``
+writes the monomial system as rows for the one elimination kernel: the
+reference for the walk in ``reprs`` that solves it without eliminating.
 """
 
 from cliffkit import linalg
 from cliffkit.algebra import Multivector
-from cliffkit.reprs import Intertwiner, Representation, TargetRing
-from cliffkit.scalars import ONE, format_scalar
+from cliffkit.reprs import GAUSSIAN_INT_UNITS, _UNIT_MUL, Intertwiner, Representation, TargetRing
+from cliffkit.scalars import ONE, QUATERNION, format_scalar
 import bareiss_oracle
 
 
@@ -98,3 +100,40 @@ def solve_intertwiner(gens1, gens2, m, ring_tag, seed=0):
     assert all(bareiss_oracle.mat_eq(bareiss_oracle.matmul(bareiss_oracle.matmul(s, a), sinv), b)
                for a, b in zip(gens1, gens2))
     return Intertwiner(s, sinv, ring_tag)
+
+
+def monomial_intertwiner_rows(monos1, monos2, m, ring_tag):
+    """S A_g - B_g S = 0 for the unit monomials A_g of ``monos1`` and B_g of
+    ``monos2``, as sparse Gaussian-integer rows over the flat coordinates of
+    S: k per entry, entry (i, j) first at column (i m + j) k.
+
+    Row t of A_g holds a_t at column pi_A(t) and row i of B_g holds b_i at
+    pi_B(i), so entry (i, pi_A(t)) of S A_g - B_g S is
+    S[i][t] a_t - b_i S[pi_B(i)][pi_A(t)]: each equation ties two entries.
+    Over R and C an entry is its own coordinate (k = 1), and the equation is
+    one row holding the Gaussian units a_t and -b_i.  Over H (k = 4) the
+    coordinates are those in 1, t1, t2, t3; a unit times a basis unit is
+    +- a basis unit, so the equation is one rational row per coordinate,
+    again of two entries.  Rows whose entries cancel come out empty.
+    """
+    if ring_tag == QUATERNION:
+        basis, split = (0, 2, 4, 6), lambda c: (c >> 1, GAUSSIAN_INT_UNITS[c & 1])
+    else:
+        basis, split = (0,), lambda c: (0, GAUSSIAN_INT_UNITS[c])
+    k = len(basis)
+    rows = []
+    for (perm_a, codes_a), (perm_b, codes_b) in zip(monos1, monos2):
+        for i in range(m):
+            times_b = _UNIT_MUL[codes_b[i]]
+            for t in range(m):
+                # the k coordinate rows of entry (i, pi_A(t))
+                block = [{} for _ in range(k)]
+                left, right = (i * m + t) * k, (perm_b[i] * m + perm_a[t]) * k
+                for w, u in enumerate(basis):
+                    z, e = split(_UNIT_MUL[u][codes_a[t]])
+                    block[z][left + w] = e
+                    z, (x, y) = split(times_b[u])
+                    p, q = block[z].get(right + w, (0, 0))
+                    block[z][right + w] = (p - x, q - y)
+                rows += [{j: e for j, e in row.items() if e[0] or e[1]} for row in block]
+    return rows

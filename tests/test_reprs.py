@@ -837,14 +837,13 @@ def test_intertwiner_system_matches_field_oracle():
     nontrivial = 0
     for rep1, rep2 in cases:
         m, ring = rep1.target.m, rep1.target.ring_tag
-        free, point = reprs._intertwiner_nullspace(rep1._monos, rep2._monos, m, ring)
-        field = Fraction if ring == RATIONAL else GaussianRational
-        basis = [tuple(bareiss_oracle.dense_row(*point([(1, c)]), field, m * m)) for c in free]
+        free, combine = reprs._intertwiner_space(rep1._monos, rep2._monos, m, ring)
         rows = dense_model_oracle.field_intertwiner_rows(rep1.gens, rep2.gens, m, ring)
-        assert basis == bareiss_oracle.nullspace(rows)
-        for c in free:
-            s = linalg.dense_matrix(*reprs._coords_to_rows(point([(1, c)]), m, ring), ring)
-            assert s == tuple(tuple(basis[free.index(c)][i * m:(i + 1) * m]) for i in range(m))
+        basis = bareiss_oracle.nullspace(rows)
+        assert len(free) == len(basis)
+        for c, want in zip(free, basis):
+            s = linalg.dense_matrix(*combine([(1, c)]), ring)
+            assert s == tuple(tuple(want[i * m:(i + 1) * m]) for i in range(m))
             assert all(bareiss_oracle.mat_eq(bareiss_oracle.matmul(s, a), bareiss_oracle.matmul(b, s))
                        for a, b in zip(rep1.gens, rep2.gens))
         assert rep_equivalence(rep1, rep2) == dense_model_oracle.solve_intertwiner(
@@ -853,6 +852,85 @@ def test_intertwiner_system_matches_field_oracle():
     # only the factors of R + R over Cl(1,0), Cl(2,1) and of C(1), C(3)
     # are inequivalent
     assert nontrivial == len(cases) - 4
+
+
+def _flat_coordinates(s, ring):
+    """The flat coordinates of a dense S as the kernel numbers them: its
+    entries row by row, each as its 1, t1, t2, t3 parts on H."""
+    return [x for row in s for e in row for x in (e.coords() if ring == QUATERNION else (e,))]
+
+
+def _walk_cases():
+    """(monos1, monos2, m, ring, free column count) on R, C and H targets:
+    self-equivalences (one free column), three models against a seeded
+    monomial conjugate (one, with a unit other than 1 at the free column),
+    both factors of three direct sums against themselves (one) and against
+    each other (none), and systems with a forced inconsistent cycle, one
+    unit negated in one row (none)."""
+    def model(space):
+        return compile_complex_rep(space) if isinstance(space, int) else compile_rep(space)
+
+    cases = []
+    for space in (Signature(3, 3), Signature(0, 6), 8, Signature(5, 5), Signature(2, 6), 10):
+        rep = model(space)
+        cases.append((rep._monos, rep._monos, rep.target.m, rep.target.ring_tag, 1))
+    rng = random.Random(7)
+    for space in (Signature(3, 3), 8, Signature(2, 6)):
+        rep = model(space)
+        other = _monomial_conjugate(rep, rng)
+        cases.append((rep._monos, other._monos, rep.target.m, rep.target.ring_tag, 1))
+    for sig in (Signature(0, 3), Signature(0, 7), Signature(4, 3)):
+        factors = factor_projections(compile_rep(sig))
+        cases += [(f1._monos, f2._monos, f1.target.m, f1.target.ring_tag, int(f1 is f2))
+                  for f1 in factors for f2 in factors]
+    for space in (Signature(3, 3), 8, Signature(2, 6)):
+        rep = model(space)
+        m = rep.target.m
+        for g, (perm, codes) in enumerate(rep._monos):
+            row = g % m
+            negated = (perm, codes[:row] + (codes[row] ^ 1,) + codes[row + 1:])
+            monos2 = rep._monos[:g] + (negated,) + rep._monos[g + 1:]
+            cases.append((rep._monos, monos2, m, rep.target.ring_tag, 0))
+    return cases
+
+
+def test_intertwiner_walk_matches_the_kernel():
+    # the walk's free columns and basis vectors, read as rationals, are the
+    # one elimination kernel's on the two-entry rows of the same system
+    for monos1, monos2, m, ring, n_free in _walk_cases():
+        k = 4 if ring == QUATERNION else 1
+        rows = dense_model_oracle.monomial_intertwiner_rows(monos1, monos2, m, ring)
+        want_free, point = linalg.nullspace_numerators(rows, k * m * m)
+        free, combine = reprs._intertwiner_space(monos1, monos2, m, ring)
+        assert free == want_free and len(free) == n_free
+        field = GaussianRational if ring == GAUSSIAN else Fraction
+        for c in free:
+            s = linalg.dense_matrix(*combine([(1, c)]), ring)
+            assert _flat_coordinates(s, ring) == bareiss_oracle.dense_row(
+                *point([(1, c)]), field, k * m * m)
+        if not free:
+            assert reprs.solve_intertwiner(monos1, monos2, m, ring) is None
+
+
+@pytest.mark.parametrize("source", [Signature(3, 3), 8, Signature(2, 6)], ids=str)
+def test_rep_equivalence_eliminates_only_the_points_it_inverts(monkeypatch, source):
+    # on an R, a C and an H model the intertwiner solve runs the one kernel
+    # only on the [S | I] systems of the points whose inverse it tries: each
+    # inverse_numerators call eliminates once, and nothing else does
+    echelon, inverse = linalg.echelon_numerators, linalg.inverse_numerators
+    calls = {"echelon": 0, "inverse": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(linalg, "echelon_numerators", counted("echelon", echelon))
+    monkeypatch.setattr(linalg, "inverse_numerators", counted("inverse", inverse))
+    rep = compile_complex_rep(source) if isinstance(source, int) else compile_rep(source)
+    assert rep_equivalence(rep, rep) is not None
+    assert calls["echelon"] == calls["inverse"] >= 1
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -880,8 +958,8 @@ def test_intertwiner_check_failure_is_a_solver_fault(monkeypatch, source):
     # a system that leaves out the first generator's equations admits an S
     # that breaks S A_1 = B_1 S on an R, a C and an H target: the exact
     # check raises, and does not report the models inequivalent
-    built = reprs._intertwiner_nullspace
-    monkeypatch.setattr(reprs, "_intertwiner_nullspace",
+    built = reprs._intertwiner_space
+    monkeypatch.setattr(reprs, "_intertwiner_space",
                         lambda gens1, gens2, m, tag: built(gens1[1:], gens2[1:], m, tag))
     rep = compile_complex_rep(source) if isinstance(source, int) else compile_rep(source)
     with pytest.raises(AssertionError, match="fails S A_g = B_g S"):
