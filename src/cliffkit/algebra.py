@@ -27,6 +27,7 @@ from .scalars import (
     GaussianRational,
     format_scalar,
     is_json_int,
+    numerators,
     parse_scalar,
 )
 
@@ -131,6 +132,7 @@ class Multivector:
 
     @classmethod
     def real(cls, sig, terms=None):
+        """The multivector of rational ``terms``, read by ``scalars.numerators``."""
         if not isinstance(sig, Signature):
             raise TypeError("real multivector needs a Signature")
         clean = {}
@@ -141,11 +143,13 @@ class Multivector:
                 raise ValueError("blade out of range for the signature")
             if c:
                 clean[b] = c
-        d, re = _int_terms(clean)
-        return cls(sig, sig.n, d, re, {})
+        d, re = numerators(clean.values())
+        return cls(sig, sig.n, d, dict(zip(clean, re)), {})
 
     @classmethod
     def complex_alg(cls, n, terms=None):
+        """The multivector of Gaussian rational ``terms`` (ints and Fractions
+        coerced), their real and imaginary parts read by ``scalars.numerators``."""
         if n < 0:
             raise ValueError("complex algebra dimension must be nonnegative")
         clean = {}
@@ -158,7 +162,9 @@ class Multivector:
                 raise ValueError("blade out of range for the algebra dimension")
             if c:
                 clean[b] = c
-        return cls(None, n, *_gaussian_int_terms(clean))
+        d, xy = numerators(x for c in clean.values() for x in (c.re, c.im))
+        return cls(None, n, d, {b: x for b, x in zip(clean, xy[0::2]) if x},
+                   {b: y for b, y in zip(clean, xy[1::2]) if y})
 
     @property
     def ring(self):
@@ -226,12 +232,10 @@ class Multivector:
         if self.ring == RATIONAL:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("real multivector scaled by a non-rational")
-            x, y, d = c.numerator, 0, c.denominator
+            d, (x, y) = numerators((c, 0))
         else:
             c = GaussianRational.coerce(c)
-            d = math.lcm(c.re.denominator, c.im.denominator)
-            x = c.re.numerator * (d // c.re.denominator)
-            y = c.im.numerator * (d // c.im.denominator)
+            d, (x, y) = numerators((c.re, c.im))
         return self._like(self.den * d, _merge(_merge({}, self.re, x), self.im, -y),
                           _merge(_merge({}, self.im, x), self.re, y))
 
@@ -334,25 +338,6 @@ class Multivector:
 def _reversion_flip(b):
     """Whether reversing blade b flips its sign: k(k-1)/2 odd for k = |b|."""
     return (b.bit_count() >> 1) & 1
-
-
-def _int_terms(terms):
-    """(d, numerators): the rational coefficients of ``terms`` are
-    numerators[b] / d, with d the lcm of their denominators."""
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    return d, {b: c.numerator * (d // c.denominator) for b, c in terms.items()}
-
-
-def _gaussian_int_terms(terms):
-    """(d, re, im): the Gaussian rational coefficients of ``terms`` are
-    (re[b] + i im[b]) / d, with d the lcm of the denominators of their parts;
-    re and im keep only nonzero numerators."""
-    parts = [(b, c.re, c.im) for b, c in terms.items()]
-    d = math.lcm(*(x.denominator for _b, x, _y in parts),
-                 *(y.denominator for _b, _x, y in parts))
-    re = {b: x.numerator * (d // x.denominator) for b, x, _y in parts if x}
-    im = {b: y.numerator * (d // y.denominator) for b, _x, y in parts if y}
-    return d, re, im
 
 
 def _merge(acc, terms, factor):

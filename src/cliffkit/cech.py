@@ -361,7 +361,9 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     sig = coc.sig
     if sig.n % 2:
         raise ValueError("pin lifting is supported for even n only")
-    raw = {e: canonical_sign(lift_to_pin(coc.edges[e])) for e in c.edges}
+    # each distinct edge matrix is lifted once: matrices and versors are immutable
+    lifted = {m: canonical_sign(lift_to_pin(m)) for m in dict.fromkeys(map(coc.edges.get, c.edges))}
+    raw = {e: lifted[coc.edges[e]] for e in c.edges}
     w_values = {}
     for t in c.triangles:
         if _triangle_scalar(raw, t, given=True) < 0:

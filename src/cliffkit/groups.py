@@ -47,7 +47,7 @@ from operator import mul
 
 from .algebra import Multivector, Signature, invert, signature_from_json, vector_chain
 from .reprs import Representation, TargetRing, _checked
-from .scalars import GaussianRational, format_rational, parse_rational
+from .scalars import GaussianRational, format_rational, numerators, parse_rational
 
 
 class PseudoOrthogonalMatrix:
@@ -57,7 +57,8 @@ class PseudoOrthogonalMatrix:
     int d > 0 with gcd(d, every entry of N) = 1, so the pair is canonical
     and ``==`` and ``hash`` compare it directly.  The public constructor
     (rational rows, also behind ``from_json``, ``GroupCocycle.build`` and
-    the CLI) is the trust boundary: it runs the integer ``preserves_form``.
+    the CLI) reads its entries through ``Fraction`` and ``scalars.numerators``
+    and is the trust boundary: it runs the integer ``preserves_form``.
     ``reflection_product``, ``reflection_matrix``, ``__mul__``, ``inverse``
     and ``identity`` build through ``_from_int``, which only reduces by the
     gcd: products and inverses of form-preserving matrices and products of
@@ -69,14 +70,11 @@ class PseudoOrthogonalMatrix:
 
     def __new__(cls, sig: Signature, mat):
         n = sig.n
-        # each entry as its (numerator, denominator) pair, read once
-        rows = [[(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
-                 for x in row] for row in mat]
+        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in mat]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix shape does not match the signature")
-        d = math.lcm(*(b for row in rows for _, b in row))
-        num = [[a * (d // b) for a, b in row] for row in rows]
-        self = cls._from_int(sig, num, d)
+        d, flat = numerators(chain.from_iterable(rows))
+        self = cls._from_int(sig, [flat[i:i + n] for i in range(0, n * n, n)], d)
         if not self.preserves_form():
             raise ValueError("matrix does not preserve the bilinear form")
         return self
@@ -211,14 +209,12 @@ def _bform(sig, x, y):
 
 
 def _primitive(w):
-    """The primitive integer vector on the ray of a rational vector w.
-
-    R(lambda w) = R(w) for every lambda != 0, so reflecting across it is
-    reflecting across w.  The zero vector stays zero (``_reflect`` rejects
-    it as isotropic).
+    """The primitive integer vector on the ray of a rational vector w: its
+    ``scalars.numerators`` over their gcd.  R(lambda w) = R(w) for every
+    lambda != 0, so reflecting across it is reflecting across w.  The zero
+    vector stays zero (``_reflect`` rejects it as isotropic).
     """
-    d = math.lcm(*(x.denominator for x in w))
-    return _primitive_int([x.numerator * (d // x.denominator) for x in w])
+    return _primitive_int(numerators(w)[1])
 
 
 def _primitive_int(u):

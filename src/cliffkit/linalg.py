@@ -29,6 +29,7 @@ from .scalars import (
     ZERO,
     GaussianRational,
     Quaternion,
+    numerators,
     quaternion_to_complex_block,
 )
 
@@ -36,9 +37,10 @@ from .scalars import (
 def numerator_matrix(matrix, ring_tag):
     """(den, rows): a dense matrix (a sequence of rows) over Q, Q(i) or H,
     ``ring_tag`` naming the ring, as sparse Gaussian-integer rows over the
-    lcm den of the denominators.  An m x n quaternion matrix becomes chi of
-    it, 2m x 2n: entry (i, j) is the block ``quaternion_to_complex_block``
-    at rows 2i, 2i + 1 and columns 2j, 2j + 1."""
+    den that ``scalars.numerators`` gives for the real and imaginary parts.
+    An m x n quaternion matrix becomes chi of it, 2m x 2n: entry (i, j) is
+    the block ``quaternion_to_complex_block`` at rows 2i, 2i + 1 and
+    columns 2j, 2j + 1."""
     if ring_tag == QUATERNION:
         chi = []
         for row in matrix:
@@ -47,9 +49,9 @@ def numerator_matrix(matrix, ring_tag):
         matrix = chi
     parts = [[(j, x.re, x.im) if isinstance(x, GaussianRational) else (j, x, 0)
               for j, x in enumerate(row) if x] for row in matrix]
-    den = math.lcm(*(x.denominator for row in parts for _j, *xy in row for x in xy))
-    return den, [{j: (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-                  for j, x, y in row} for row in parts]
+    den, xy = numerators(x for row in parts for _j, *re_im in row for x in re_im)
+    pairs = zip(xy[0::2], xy[1::2])
+    return den, [{j: next(pairs) for j, _x, _y in row} for row in parts]
 
 
 def dense_matrix(den, rows, ring_tag):

@@ -1,22 +1,34 @@
 """Exact scalar rings: rationals, Gaussian rationals and rational quaternions.
 
 Rationals are plain ``fractions.Fraction`` (ints are accepted everywhere and
-mix freely).  The core runs on integer numerators; the two division rings
-here are the value types of the API and JSON edge: ``Multivector.terms``,
-dense model matrices and the parsed and formatted JSON scalars.  Their
-operator protocol is written once, in ``_DivisionRing``, on each element's
-tuple of rational coordinates (real part first); a subclass adds only its
-slots, constructor, ``coords()`` and product.
+mix freely).  The core runs on integer numerators, and ``numerators`` is the
+one way in: every constructor that holds its entries as ints over one
+denominator reads its rationals there.  The two division rings here are the
+value types of the API and JSON edge: ``Multivector.terms``, dense model
+matrices and the parsed and formatted JSON scalars.  Their operator protocol
+is written once, in ``_DivisionRing``, on each element's tuple of rational
+coordinates (real part first); a subclass adds only its slots, constructor,
+``coords()`` and product.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, sub
 
 RATIONAL = "rational"
 GAUSSIAN = "gaussian"
 QUATERNION = "quaternion"
+
+
+def numerators(values):
+    """(d, ints): the ints and Fractions ``values`` as integer numerators
+    over d, the lcm of their denominators (1 for no values), so that
+    values[i] == Fraction(ints[i], d)."""
+    pairs = [x.as_integer_ratio() for x in values]
+    d = math.lcm(*(b for _a, b in pairs))
+    return d, [a * (d // b) for a, b in pairs]
 
 
 def _as_fraction(x):

@@ -3,13 +3,18 @@
     python tests/cech_documents.py path N OUT.json
     python tests/cech_documents.py torus M OUT.json
     python tests/cech_documents.py torus-cocycle M OUT.json
+    python tests/cech_documents.py distinct-cocycle M OUT.json
     python tests/cech_documents.py complete N OUT.json
 
 ``path`` writes a path on N vertices (2N - 1 simplices) and ``torus`` the
 M x M grid torus (M^2 vertices, 3 M^2 edges, 2 M^2 triangles).
 ``torus-cocycle`` writes a coboundary g_ij = h_i^-1 h_j of seeded random
 rational rotations h_i in O(2,0) on the edges of that torus, the input of
-``cech check`` and ``cech lift``.  ``complete`` writes the identity of
+``cech check`` and ``cech lift``; its 3 M^2 edges carry at most 21 distinct
+matrices.  ``distinct-cocycle`` writes g_ij = h_i^-1 h_j on the same torus
+with seeded h_i in O(4,0), each a product of one to four reflections across
+small random integer vectors, and asserts that no two edges carry the same
+matrix.  ``complete`` writes the identity of
 O(2,0) on every edge of the complete graph K_N (N + N(N - 1)/2 simplices),
 whose H^1 has dimension (N - 1)(N - 2)/2.
 """
@@ -63,6 +68,39 @@ def torus_cocycle_doc(m, seed=0):
     return {"complex": complex_doc, "signature": [2, 0], "edges": edges}
 
 
+def _reflection(u):
+    # x -> x - 2 (u.x) / (u.u) u, as the matrix I - 2 u u^T / (u.u)
+    q = sum(x * x for x in u)
+    return [[int(i == j) - Fraction(2 * a * b, q) for j, b in enumerate(u)]
+            for i, a in enumerate(u)]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def distinct_cocycle_doc(m, seed=0):
+    complex_doc = torus_doc(m)
+    rng = random.Random(seed)
+    h = []
+    for _ in range(m * m):
+        g = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+        for _ in range(rng.randint(1, 4)):
+            u = [0] * 4
+            while not any(u):
+                u = [rng.randint(-3, 3) for _ in range(4)]
+            g = _matmul(g, _reflection(u))
+        h.append(g)
+    edges, seen = [], set()
+    for i, j in complex_doc["simplices"]["1"]:
+        # h_i is orthogonal: h_i^-1 = h_i^T
+        g = tuple(tuple(row) for row in _matmul([list(col) for col in zip(*h[i])], h[j]))
+        assert g not in seen, f"edge {[i, j]} repeats a matrix"
+        seen.add(g)
+        edges.append({"e": [i, j], "matrix": [[str(x) for x in row] for row in g]})
+    return {"complex": complex_doc, "signature": [4, 0], "edges": edges}
+
+
 def complete_cocycle_doc(n):
     edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
     ident = [["1", "0"], ["0", "1"]]
@@ -73,6 +111,6 @@ def complete_cocycle_doc(n):
 if __name__ == "__main__":
     kind, size, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
     build = {"path": path_doc, "torus": torus_doc, "torus-cocycle": torus_cocycle_doc,
-             "complete": complete_cocycle_doc}[kind]
+             "distinct-cocycle": distinct_cocycle_doc, "complete": complete_cocycle_doc}[kind]
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(build(size), fh)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cech_documents
 from cliffkit import cech
 from cliffkit.algebra import Signature, basis_vector, unit, vector
 from cliffkit.cech import (
@@ -338,6 +339,30 @@ def test_pin_lift_eliminates_delta1_once(monkeypatch, builder, h1):
     monkeypatch.undo()
     assert res.success and calls == {"delta1": 1, "echelon": 2}
     assert z2_betti(c, 1) == h1 and res.lift_count == 1 << h1
+
+
+@pytest.mark.parametrize("doc, distinct_count, h1", [
+    (cech_documents.torus_cocycle_doc(5), 20, 2), (cech_documents.distinct_cocycle_doc(3), 27, 2),
+    (cech_documents.complete_cocycle_doc(171), 1, 14365)], ids=["torus", "distinct", "K171"])
+def test_pin_lift_lifts_each_distinct_edge_matrix_once(monkeypatch, doc, distinct_count, h1):
+    # edge matrices and versors are immutable, so the edges that carry one
+    # matrix share its lift; every edge of K171 carries the identity
+    coc = GroupCocycle.from_json(doc)
+    lifted = []
+
+    def counted_lift(m):
+        lifted.append(m)
+        return lift_to_pin(m)
+
+    monkeypatch.setattr(cech, "lift_to_pin", counted_lift)
+    res = pin_lift_cocycle(coc)
+    monkeypatch.undo()
+    distinct = set(coc.edges.values())
+    assert len(lifted) == len(set(lifted)) == len(distinct) == distinct_count
+    assert res.success and res.lift_count == 1 << h1
+    fresh = {m: canonical_sign(lift_to_pin(m)) for m in distinct}
+    for e, m in coc.edges.items():
+        assert res.lifts[e].vecs in (fresh[m].vecs, fresh[m].negated().vecs)
 
 
 @pytest.mark.parametrize("builder", [projective_plane, _torus], ids=["rp2", "torus"])

@@ -1,6 +1,8 @@
 """Ring axioms and string formats for the exact scalar types."""
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from cliffkit.scalars import (
     format_quaternion,
     format_rational,
     format_scalar,
+    numerators,
     parse_gaussian,
     parse_rational,
     parse_scalar,
@@ -28,6 +31,7 @@ rationals = st.builds(
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=1, max_value=12),
 )
+ints = st.integers(min_value=-10**6, max_value=10**6)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 quaternions = st.builds(Quaternion, rationals, rationals, rationals, rationals)
 
@@ -76,6 +80,19 @@ def test_quaternion_inverse(x):
 def test_quaternion_conjugate_antihomomorphism(x, y):
     assert (x * y).conjugate() == y.conjugate() * x.conjugate()
     assert x.norm() == (x * x.conjugate()).a
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(st.lists(ints), st.lists(rationals), st.lists(st.one_of(ints, rationals))))
+def test_numerators_are_ints_over_the_lcm_of_the_denominators(values):
+    d, nums = numerators(iter(values))
+    lcm = reduce(lambda a, b: a * b // math.gcd(a, b), (Fraction(x).denominator for x in values), 1)
+    assert d == lcm and len(nums) == len(values)
+    assert all(type(a) is int and Fraction(a, d) == x for a, x in zip(nums, values))
+
+
+def test_numerators_of_no_values():
+    assert numerators([]) == (1, [])
 
 
 def test_quaternion_unit_relations():
