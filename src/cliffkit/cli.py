@@ -12,22 +12,14 @@ import json
 import os
 import sys
 
-from . import cech as cech_mod
+from . import cech, groups, spinors
 from .algebra import (
     Signature,
     multivector_from_json,
     multivector_to_json,
 )
-from .groups import PseudoOrthogonalMatrix, Versor, cartan_dieudonne, lift_to_pin, zeta
 from .reprs import classify, compile_complex_rep, compile_rep, rep_to_json
 from .scalars import format_rational
-from .spinors import (
-    is_minimal,
-    left_ideal,
-    make_idempotent,
-    primitive_idempotent,
-    spinor_matrix_model,
-)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -213,8 +205,8 @@ def _cmd_zeta(args):
     if not isinstance(factors_doc, list):
         raise ValueError("versor JSON must be a list of factors")
     factors = [multivector_from_json(d, sig) for d in factors_doc]
-    g = Versor(sig, factors)
-    m = zeta(g)
+    g = groups.Versor(sig, factors)
+    m = groups.zeta(g)
     if args.json:
         _print_json(m.to_json())
     else:
@@ -225,8 +217,8 @@ def _cmd_zeta(args):
 
 def _cmd_decompose(args):
     sig = _parse_sig(args.sig)
-    m = PseudoOrthogonalMatrix.from_json(_load_json(args.matrix), sig=sig)
-    cd = cartan_dieudonne(m)
+    m = groups.PseudoOrthogonalMatrix.from_json(_load_json(args.matrix), sig=sig)
+    cd = groups.cartan_dieudonne(m)
     if args.json:
         _print_json({
             "reflections": cd.r,
@@ -244,8 +236,8 @@ def _cmd_lift(args):
     sig = _parse_sig(args.sig)
     if sig.n > MAX_LIFT_DIM:
         raise ValueError(f"lift supports p + q up to {MAX_LIFT_DIM}")
-    m = PseudoOrthogonalMatrix.from_json(_load_json(args.matrix), sig=sig)
-    g = lift_to_pin(m)
+    m = groups.PseudoOrthogonalMatrix.from_json(_load_json(args.matrix), sig=sig)
+    g = groups.lift_to_pin(m)
     if args.json:
         _print_json({
             "factors": [multivector_to_json(v) for v in g.factors],
@@ -264,12 +256,12 @@ def _cmd_spinor(args):
     if n > MAX_SPINOR_DIM:
         raise ValueError(f"C({n}): spinor supports N up to {MAX_SPINOR_DIM}")
     if args.idempotent == "auto":
-        idem = primitive_idempotent(n)
+        idem = spinors.primitive_idempotent(n)
     else:
         s = multivector_from_json(_load_json(args.idempotent), n)
-        idem = make_idempotent(s)
-    space = left_ideal(idem)
-    minimal = is_minimal(space)
+        idem = spinors.make_idempotent(s)
+    space = spinors.left_ideal(idem)
+    minimal = spinors.is_minimal(space)
     print(f"ideal dimension: {space.dim} "
           f"({'minimal' if minimal else 'not minimal'})")
     doc = {
@@ -282,7 +274,7 @@ def _cmd_spinor(args):
         if not minimal:
             print("matrix model requires a minimal ideal")
             return CHECK_FAILED
-        model = spinor_matrix_model(space)
+        model = spinors.spinor_matrix_model(space)
         print(f"matrix model: {model.rep.target}, intertwiner found")
         doc["model_target"] = model.rep.target.to_json()
     if args.json:
@@ -311,18 +303,18 @@ def _cmd_cech(args):
     if _cech_size(complex_doc) > MAX_CECH_SIMPLICES:
         raise ValueError(f"cech supports up to {MAX_CECH_SIMPLICES} simplices, vertices included")
     if args.cech_command == "betti":
-        c = cech_mod.Complex.from_json(complex_doc)
-        print(cech_mod.z2_betti(c, args.k))
+        c = cech.Complex.from_json(complex_doc)
+        print(cech.z2_betti(c, args.k))
         return 0
-    coc = cech_mod.GroupCocycle.from_json(doc)
+    coc = cech.GroupCocycle.from_json(doc)
     if args.cech_command == "check":
-        ok, tri = cech_mod.check_cocycle(coc)
+        ok, tri = cech.check_cocycle(coc)
         if ok:
             print("cocycle condition holds on all triangles")
             return 0
         print(f"cocycle condition fails on triangle {list(tri)}")
         return CHECK_FAILED
-    res = cech_mod.pin_lift_cocycle(coc)
+    res = cech.pin_lift_cocycle(coc)
     if res.success:
         # 2^dim H^1 as a power: in decimal it can pass Python's 4,300 digits
         h1_dim = res.lift_count.bit_length() - 1

@@ -176,7 +176,7 @@ def primitive_idempotent(n: int) -> HermitianIdempotent:
     with it, which leaves (4, 5), (6, 7), and so on.
     """
     if n <= 0 or n % 2:
-        raise ValueError("primitive idempotent search needs positive even n")
+        raise ValueError("primitive idempotent needs positive even n")
     roots = [Multivector.complex_alg(n, {1: 1})]
     roots += [Multivector.complex_alg(n, {3 << (2 * j - 1): GaussianRational(0, 1)})
               for j in range(1, n // 2)]

@@ -125,9 +125,9 @@ CASES = {
     "minimal-at-odd-n": (lambda: is_minimal(left_ideal(_half_plus_e1(3))),
                          ValueError, "minimality criterion implemented for even n"),
     "primitive-at-odd-n": (lambda: primitive_idempotent(3),
-                           ValueError, "primitive idempotent search needs positive even n"),
+                           ValueError, "primitive idempotent needs positive even n"),
     "primitive-at-zero": (lambda: primitive_idempotent(0),
-                          ValueError, "primitive idempotent search needs positive even n"),
+                          ValueError, "primitive idempotent needs positive even n"),
     "conjugator-across-algebras": (lambda: find_conjugator(_half_plus_e1(2), _half_plus_e1(4)),
                                    ValueError, "idempotents live in different algebras"),
     # cech

@@ -1,5 +1,6 @@
-"""Every module-level import in src/cliffkit is used by its module, and
-importing the package loads every layer eagerly and nothing heavier."""
+"""Every module-level import in src/cliffkit is used by its module, the
+package registers every layer but runs one only when it is used, and it
+re-exports each public name from the layer that defines it."""
 
 import ast
 import importlib
@@ -27,34 +28,82 @@ def _unused_imports(path):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-# __init__.py only re-exports
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
 
 
-def test_import_loads_every_layer_without_dataclasses():
-    # the layers load eagerly, since callers such as a span recorder read them
-    # from sys.modules right after "import cliffkit"; the CLI adds no
-    # dataclasses either
-    code = ("import sys, cliffkit; print(*sorted(m for m in sys.modules if m.startswith('cliffkit.'))); "
-            "import cliffkit.cli; print('dataclasses' in sys.modules)")
+def _child(code):
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True).stdout.splitlines()
+    return subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def test_cli_registers_every_layer_and_runs_only_those_it_calls():
+    # every layer is in sys.modules once the CLI is imported, since callers
+    # such as a span recorder read them from there; a lazy layer is still a
+    # types.ModuleType subclass until its first attribute access runs it,
+    # and compile --verify runs neither groups, spinors, cech nor linalg
+    code = ("import sys, types, cliffkit.cli as cli; print(*sorted(sys.modules)); "
+            "cli.main(['compile', '8', '0', '--verify']); "
+            "print(*(m for m in sorted(sys.modules) if m.startswith('cliffkit.') "
+            "and type(sys.modules[m]) is types.ModuleType))")
+    out = _child(code)
     layers = {"algebra", "linalg", "reprs", "groups", "spinors", "cech"}
     assert {f"cliffkit.{name}" for name in layers} <= set(out[0].split())
-    assert out[1] == "False"
+    assert "dataclasses" not in out[0].split()
+    ran = set(out[-1].split())
+    assert {"cliffkit.algebra", "cliffkit.reprs", "cliffkit.cli"} <= ran
+    assert not ran & {"cliffkit.groups", "cliffkit.spinors", "cliffkit.cech", "cliffkit.linalg"}
+
+
+def test_first_public_name_binds_every_name_and_runs_every_layer():
+    # dir() lists the names before they are bound
+    code = ("import sys, types, cliffkit; print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); "
+            "print(sum(n in dir(cliffkit) for n in cliffkit.__all__)); "
+            "cliffkit.zeta; print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); "
+            "print(*(m for m in sorted(sys.modules) if m.startswith('cliffkit.') "
+            "and type(sys.modules[m]) is not types.ModuleType))")
+    assert _child(code) == ["0", "53", "53", ""]
+
+
+PUBLIC = {
+    "algebra": "Multivector Signature basis_vector blade_mul complex_basis_vector complex_unit "
+               "complexify_embed eta invert multivector_from_json multivector_to_json unit vector",
+    "cech": "Complex GroupCocycle Z2Cochain check_cocycle pin_lift_cocycle subgroup_reduction_check "
+            "z2_betti",
+    "groups": "CDResult PseudoOrthogonalMatrix Versor adjoint_automorphism cartan_dieudonne lift_to_pin "
+              "spin_block_check total_reflection_versor zeta",
+    "reprs": "Intertwiner Representation TargetRing classify compile_complex_rep compile_rep double_rep "
+             "even_subring_rep factor_projections quaternion_complexify real_irrep_dim rep_equivalence "
+             "signature_shift",
+    "scalars": "GaussianRational Quaternion",
+    "spinors": "HermitianIdempotent SpinorSpace find_conjugator is_minimal left_ideal make_idempotent "
+               "primitive_idempotent spinor_matrix_model stabilizer_membership",
+}
+
+
+def test_package_exports_each_public_name_from_its_layer():
+    import cliffkit
+
+    names = {name: layer for layer, names in PUBLIC.items() for name in names.split()}
+    assert len(names) == 53 and sorted(cliffkit.__all__) == sorted(names)
+    for name, layer in names.items():
+        obj = getattr(cliffkit, name)
+        assert obj is vars(importlib.import_module(f"cliffkit.{layer}"))[name]
+        assert obj.__module__ == f"cliffkit.{layer}"
+    star = {}
+    exec("from cliffkit import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cliffkit.no_such_name
 
 
 def test_cli_loads_verify_only_for_verify_all():
     # verify and the sampling it draws from load inside the verify-all
     # command, so the other commands, each a fresh process, skip them
     code = "import sys, cliffkit.cli; print(*sorted(m for m in sys.modules if m.startswith('cliffkit.')))"
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True).stdout.split()
+    out = _child(code)[0].split()
     assert "cliffkit.cli" in out
     assert "cliffkit.verify" not in out and "cliffkit.sampling" not in out
 
