@@ -24,11 +24,11 @@ from .scalars import format_rational
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 # largest p + q (or complex N) that compile accepts: --verify reads only the
-# generators and omega (n = 18: 0.4 s, 17 MB), and --json writes the n
-# generators straight off the monomial form, so the JSON encoder dominates:
-# compile 18 0 and compile --complex 18 with --verify --json write 61 MB in
-# 2.4-3.0 s and 53 MB; an H target writes each entry as a list, and
-# compile 0 18 writes 94 MB in 6.2 s and 134 MB (Python 3.11, 2 CPUs)
+# generators and omega (n = 18: 0.4 s, 17 MB), and --json streams the n
+# generators as text straight off the monomial form: compile 18 0 and
+# compile --complex 18 with --verify --json write 61 MB in 0.4-0.5 s and
+# 31-34 MB; an H target writes each entry as a list, and compile 0 18
+# writes 94 MB in 0.4-0.5 s and 41 MB (Python 3.11, 2 CPUs)
 MAX_COMPILE_DIM = 18
 # largest N that spinor accepts, with or without --model: the ideal is
 # eliminated on sparse integer rows and the model reads U off the monomial
@@ -51,10 +51,9 @@ MAX_LIFT_DIM = 16
 # most vertices plus listed simplices that the cech commands accept, checked
 # before the complex is built: on the 100 x 100 grid torus (60,000
 # simplices) betti --k 1 takes 0.6-0.9 s and 145 MB, check 1.3-1.6 s and
-# 72 MB, and lift of a rotation-valued coboundary 3.0-4.6 s and 205 MB
-# (median 4.6 s with --json); at 110 x 110 (72,600) lift --json takes a
-# median 5.5 s (wall time and peak RSS of the child process; Python 3.11,
-# 2 CPUs)
+# 72 MB, and lift of a rotation-valued coboundary 2.0-2.7 s and 185 MB;
+# --json adds about 0.1 s, as it renders each of the 21 distinct products
+# once (wall time and peak RSS of the child process; Python 3.11, 2 CPUs)
 MAX_CECH_SIMPLICES = 60_000
 
 
@@ -71,14 +70,19 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _dump_json(doc, path):
+def _dump_json(chunks, path):
+    """Write the JSON text ``chunks`` to ``path``, then a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.writelines(chunks)
         fh.write("\n")
 
 
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _print_json(doc):
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
 
 
 def _matrix_strs(mat):
@@ -278,7 +282,7 @@ def _cmd_spinor(args):
         print(f"matrix model: {model.rep.target}, intertwiner found")
         doc["model_target"] = model.rep.target.to_json()
     if args.json:
-        _dump_json(doc, args.json)
+        _dump_json((_dumps(doc),), args.json)
     return 0
 
 
@@ -293,6 +297,27 @@ def _cech_size(complex_doc):
     if isinstance(simplices, dict):
         size += sum(len(s) for s in simplices.values() if isinstance(s, list))
     return size
+
+
+def _lift_chunks(h1_dim, lifts):
+    """The lift document {"success": true, "h1_dim", "lifts": [{"e",
+    "product"}, ...]} as text chunks, one per edge in edge order, that join
+    to its ``_dumps``.  Edges share few products, so each distinct product
+    is rendered once; resigned edges hold new versors, so the cache is
+    keyed by the product itself."""
+    # the text around the one null, where the lift list goes
+    head, tail = _dumps({"success": True, "h1_dim": h1_dim, "lifts": None}).split("null")
+    yield head + ("[" if lifts else "[]")
+    texts = {}
+    sep = "\n    "
+    for (i, j), v in sorted(lifts.items()):
+        text = texts.get(v.product)
+        if text is None:
+            text = texts[v.product] = _dumps(multivector_to_json(v.product)).replace("\n", "\n      ")
+        yield (f'{sep}{{\n      "e": [\n        {i},\n        {j}\n      ],'
+               f'\n      "product": {text}\n    }}')
+        sep = ",\n    "
+    yield ("\n  ]" if lifts else "") + tail
 
 
 def _cmd_cech(args):
@@ -320,23 +345,16 @@ def _cmd_cech(args):
         h1_dim = res.lift_count.bit_length() - 1
         print(f"lift exists: 2^{h1_dim} inequivalent lifts")
         if args.json:
-            _dump_json({
-                "success": True,
-                "h1_dim": h1_dim,
-                "lifts": [
-                    {"e": list(e), "product": multivector_to_json(v.product)}
-                    for e, v in sorted(res.lifts.items())
-                ],
-            }, args.json)
+            _dump_json(_lift_chunks(h1_dim, res.lifts), args.json)
         return 0
     bad = sorted(t for t, b in res.discrepancy.values.items() if b)
     print("no lift: obstruction class in H^2 is nonzero")
     print(f"discrepancy supported on triangles: {[list(t) for t in bad]}")
     if args.json:
-        _dump_json({
+        _dump_json((_dumps({
             "success": False,
             "obstruction_triangles": [list(t) for t in bad],
-        }, args.json)
+        }),), args.json)
     return CHECK_FAILED
 
 
@@ -363,7 +381,10 @@ def main(argv=None):
             return USAGE_ERROR
     try:
         return args.run(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -10,12 +10,13 @@ shifts (an index flip and a (p, q) -> (p - 4, q + 4) move), then stacks
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .algebra import Multivector, Signature, basis_vector, signature_from_json
+from .algebra import Multivector, Signature, basis_vector
 from .scalars import (
     GAUSSIAN,
     QUATERNION,
@@ -52,12 +53,6 @@ class TargetRing(namedtuple("TargetRing", "kind m summands")):
         if self.summands == 2:
             doc["summands"] = 2
         return doc
-
-    @classmethod
-    def from_json(cls, doc):
-        if not isinstance(doc, dict):
-            raise ValueError("target must be an object with 'kind' and 'm'")
-        return cls(doc["kind"], doc["m"], doc.get("summands", 1))
 
     @property
     def ring_tag(self):
@@ -833,61 +828,42 @@ def rep_equivalence(r1: Representation, r2: Representation):
 # ---------------------------------------------------------------------------
 # JSON interface
 
+def _json_list(items, depth):
+    """The JSON texts ``items``, at least one, as a list nested ``depth``
+    levels deep, laid out as ``json.dumps`` does with ``indent=2``."""
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
 def rep_to_json(r: Representation):
-    """The model as JSON, written off the monomial form: the ring's units
-    and zero are formatted once, and no ring element is built."""
+    """The model as JSON text chunks, one per generator, written off the
+    monomial form: the ring's units and zero are formatted once, and no
+    ring element is built.  The chunks join to ``json.dumps`` of the model
+    document {"signature": [p, q]} or {"complex_dim": N}, with "target"
+    and "generators", under ``indent=2, sort_keys=True``."""
     t = r.target
-    doc = {}
+    doc = {"target": t.to_json(), "generators": None}
     if r.sig is not None:
         doc["signature"] = [r.sig.p, r.sig.q]
     else:
         doc["complex_dim"] = r.complex_dim
-    doc["target"] = t.to_json()
-    units = [format_scalar(t.ring_tag, u) for u in _RING_UNITS[t.ring_tag]]
-    zero = format_scalar(t.ring_tag, ZERO[t.ring_tag])
-    gens = []
+    # the text around the one null, where the generator list goes
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).split("null")
+    # an entry sits below the generator list, a summand pair and a matrix row
+    depth = 4 + (t.summands == 2)
+
+    def text(x):
+        return json.dumps(format_scalar(t.ring_tag, x), indent=2).replace("\n", "\n" + "  " * depth)
+
+    units, zero = [text(u) for u in _RING_UNITS[t.ring_tag]], text(ZERO[t.ring_tag])
+    yield head + ("[" if r._monos else "[]")
+    sep = "\n    "
     for mono in r._monos:
-        rows = r._dense(mono, units, zero)
-        if t.ring_tag == QUATERNION:  # a quaternion is a list: one per entry
-            rows = [[list(x) for x in row] for row in rows]
-        gens.append([rows[:t.m], rows[t.m:]] if t.summands == 2 else rows)
-    doc["generators"] = gens
-    return doc
-
-
-def rep_from_json(doc):
-    """The cached compiled model of the algebra ``doc`` names, if ``doc`` is
-    exactly its ``rep_to_json`` document.  The generator count, the target
-    and the first generator's shape are checked first, so the document's own
-    size bounds the work.  ValueError, or KeyError for a missing key, on any
-    other document, including a valid model that is not the compiled one."""
-    if not isinstance(doc, dict):
-        raise ValueError("model JSON must be an object")
-    if "signature" in doc:
-        key = signature_from_json(doc["signature"])
-        n = key.n
-    else:
-        key = n = doc["complex_dim"]
-        if not is_json_int(n) or n < 0:
-            raise ValueError("'complex_dim' must be an integer >= 0")
-    gens = doc["generators"]
-    if not _has_len(gens, n):  # a list of n generators bounds n before 2^(n/2) is formed
-        raise ValueError(f"'generators' must be a list of {n} matrices")
-    if isinstance(key, Signature):
-        want, compile_model = classify(key), compile_rep
-    else:
-        want, compile_model = TargetRing("MatC", 1 << (n // 2), 1 + n % 2), compile_complex_rep
-    target = TargetRing.from_json(doc["target"])
-    if target != want:
-        raise ValueError(f"target {target} is not {want}, the class of the algebra")
-    m = target.m
-    for g in gens[:1]:  # its m x m entries bound the n m^2 that rep_to_json writes
-        if target.summands == 2 and not _has_len(g, 2):
-            raise ValueError("a direct-sum generator must be a pair of matrices")
-        rows = g[0] if target.summands == 2 else g
-        if not (_has_len(rows, m) and all(_has_len(row, m) for row in rows)):
-            raise ValueError(f"a generator must have {m} rows of {m} entries")
-    model = compile_model(key)
-    if rep_to_json(model) != doc:
-        raise ValueError("the document is not the compiled model of its algebra")
-    return model
+        rows = [_json_list(row, depth - 1) for row in r._dense(mono, units, zero)]
+        if t.summands == 2:
+            gen = _json_list([_json_list(rows[:t.m], 3), _json_list(rows[t.m:], 3)], 2)
+        else:
+            gen = _json_list(rows, 2)
+        yield sep + gen
+        sep = ",\n    "
+    yield ("\n  ]" if r._monos else "") + tail

@@ -14,6 +14,7 @@ from cliffkit.algebra import (
     basis_vector,
     complex_basis_vector,
     multivector_from_json,
+    multivector_to_json,
     signature_from_json,
 )
 from cliffkit.cech import (
@@ -21,6 +22,7 @@ from cliffkit.cech import (
     GroupCocycle,
     filled_triangle,
     nontrivial_1cocycle,
+    pin_lift_cocycle,
     projective_plane,
     tetrahedron_boundary,
 )
@@ -35,7 +37,6 @@ from cliffkit.cli import (
     main,
 )
 from cliffkit.groups import PseudoOrthogonalMatrix
-from cliffkit.reprs import rep_from_json
 
 
 def run(capsys, *argv):
@@ -202,16 +203,8 @@ def test_cech_betti_and_check(capsys, tmp_path):
 
 
 def test_cech_lift_obstructed(capsys, tmp_path):
-    rp2 = projective_plane()
-    a = nontrivial_1cocycle(rp2)
-    edges = []
-    for e in rp2.edges:
-        m = [["-1", "0"], ["0", "-1"]] if a.bit(e) else [["1", "0"], ["0", "1"]]
-        edges.append({"e": list(e), "matrix": m})
     coc_file = tmp_path / "rp2.json"
-    coc_file.write_text(json.dumps({
-        "complex": rp2.to_json(), "signature": [2, 0], "edges": edges,
-    }))
+    coc_file.write_text(json.dumps(_rp2_cocycle_doc()))
     code, out, _ = run(capsys, "cech", "check", str(coc_file))
     assert code == 0
     code, out, _ = run(capsys, "cech", "lift", str(coc_file))
@@ -246,6 +239,68 @@ def test_cech_lift_count_is_a_power_past_the_int_string_limit(capsys, tmp_path):
     assert out.strip() == "lift exists: 2^14365 inequivalent lifts"
     doc = json.loads(out_file.read_text())
     assert doc["h1_dim"] == 14365 and len(doc["lifts"]) == 14535
+
+
+def _rp2_cocycle_doc():
+    # -I on the edges of the nontrivial 1-cocycle of RP^2: no lift exists
+    rp2 = projective_plane()
+    a = nontrivial_1cocycle(rp2)
+    edges = [{"e": list(e), "matrix": [["-1", "0"], ["0", "-1"]] if a.bit(e) else [["1", "0"], ["0", "1"]]}
+             for e in rp2.edges]
+    return {"complex": rp2.to_json(), "signature": [2, 0], "edges": edges}
+
+
+def _dihedral_torus_cocycle_doc():
+    # g_ij = h_i^-1 h_j on the 3 x 3 grid torus, h_i seeded from the 8
+    # symmetries of the square: 27 edges share a few matrices, and the
+    # reflections make the first lifts disagree, so some edges are resigned
+    square = [((a, -b), (b, a)) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    square += [((a, b), (b, -a)) for (a, _), (b, _) in square]
+    rng = random.Random(0)
+    h = [rng.choice(square) for _ in range(9)]
+    complex_doc = cech_documents.torus_doc(3)
+    edges = [{"e": [i, j], "matrix": [[str(sum(x * y for x, y in zip(col_i, col_j))) for col_j in zip(*h[j])]
+                                      for col_i in zip(*h[i])]}
+             for i, j in complex_doc["simplices"]["1"]]
+    return {"complex": complex_doc, "signature": [2, 0], "edges": edges}
+
+
+def _lift_json_by_dict(doc):
+    """What ``cech lift --json`` writes, built as one dict and encoded by
+    ``json.dumps``: the oracle for the streamed writer."""
+    res = pin_lift_cocycle(GroupCocycle.from_json(doc))
+    if res.success:
+        out = {"success": True, "h1_dim": res.lift_count.bit_length() - 1,
+               "lifts": [{"e": list(e), "product": multivector_to_json(v.product)}
+                         for e, v in sorted(res.lifts.items())]}
+    else:
+        out = {"success": False,
+               "obstruction_triangles": [list(t) for t, b in sorted(res.discrepancy.values.items()) if b]}
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("make_doc", [
+    _dihedral_torus_cocycle_doc,
+    lambda: cech_documents.distinct_cocycle_doc(3),
+    lambda: {"complex": {"vertices": 2}, "signature": [2, 0], "edges": []},
+    _rp2_cocycle_doc,
+], ids=["shared-and-resigned", "distinct", "no-edges", "obstructed"])
+def test_cech_lift_json_matches_the_dict_form(capsys, tmp_path, make_doc):
+    doc = make_doc()
+    coc_file, out_file = tmp_path / "cocycle.json", tmp_path / "lifts.json"
+    coc_file.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "cech", "lift", str(coc_file), "--json", str(out_file))
+    assert code == (1 if make_doc is _rp2_cocycle_doc else 0)
+    assert out_file.read_text() == _lift_json_by_dict(doc)
+
+
+def test_the_shared_lift_case_resigns_edges():
+    # one versor per distinct matrix is shared, and resigning makes new
+    # versors: equal products held by two versors mean a resigned edge
+    # shares its product with another edge
+    lifts = pin_lift_cocycle(GroupCocycle.from_json(_dihedral_torus_cocycle_doc())).lifts
+    products = {v.product for v in lifts.values()}
+    assert len(products) < len({id(v) for v in lifts.values()}) < len(lifts)
 
 
 def test_cech_lift_on_edges_that_are_not_a_cocycle_is_usage_error(capsys, tmp_path):
@@ -500,6 +555,18 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, doc, key", [
+    (("cech", "lift", "FILE"), {"vertices": 3}, "complex"),
+    (("zeta", "--sig", "2,0", "--versor", "FILE"), {"signature": [2, 0]}, "factors"),
+], ids=["cech-lift-bare-complex", "zeta-without-factors"])
+def test_missing_json_key_names_the_key(capsys, tmp_path, argv, doc, key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: missing key '{key}'\n"
+
+
 def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["classify", "one", "three"])
@@ -669,18 +736,6 @@ _MULTIVECTOR = _mostly(st.one_of(
 _ROWS = _mostly(st.lists(_mostly(st.lists(_SCALAR | st.integers(-1, 1), min_size=2, max_size=2)),
                          min_size=2, max_size=2))
 _MATRIX = st.one_of(_ROWS, _mostly(st.fixed_dictionaries({"matrix": _ROWS, "signature": _SIGNATURE})))
-# a model generator: rows of scalar strings (R, C) or of four-string lists (H),
-# or a pair of such matrices for a direct-sum target
-_MODEL_ROWS = _mostly(st.lists(_mostly(st.lists(_SCALAR | st.lists(_SCALAR, min_size=4, max_size=4),
-                                                min_size=1, max_size=2)), min_size=1, max_size=2))
-_MODEL = _mostly(st.fixed_dictionaries(
-    {"target": _mostly(st.fixed_dictionaries(
-        {"kind": _mostly(st.sampled_from(["MatR", "MatC", "MatH"])), "m": _mostly(st.integers(1, 2))},
-        optional={"summands": _mostly(st.integers(1, 2))})),
-     "generators": _mostly(st.lists(_mostly(_MODEL_ROWS | st.lists(_MODEL_ROWS, min_size=2, max_size=2)),
-                                    max_size=3))},
-    optional={"signature": _SIGNATURE, "complex_dim": _mostly(st.integers(0, 2))},
-))
 _SIMPLICES = _mostly(st.lists(_mostly(st.lists(st.integers(0, 4), min_size=1, max_size=4)),
                               max_size=6))
 _COMPLEX = _mostly(st.fixed_dictionaries(
@@ -715,8 +770,7 @@ def _read_matrix(doc):
     (_read_matrix, _MATRIX),
     (Complex.from_json, _COMPLEX),
     (GroupCocycle.from_json, _COCYCLE),
-    (rep_from_json, _MODEL),
-], ids=["multivector", "matrix", "complex", "cocycle", "model"])
+], ids=["multivector", "matrix", "complex", "cocycle"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_json_readers_raise_only_usage_errors(reader, docs, data):
