@@ -39,6 +39,8 @@ from cliffkit.scalars import (
     GaussianRational,
     Quaternion,
     format_scalar,
+    parse_rational,
+    parse_scalar,
     quaternion_to_complex_block,
 )
 from cliffkit.spinors import left_ideal, primitive_idempotent, spinor_matrix_model
@@ -292,6 +294,31 @@ def test_rep_to_json_matches_dense_oracle():
     for rep in _all_models():
         want = json.dumps(dense_model_oracle.json_by_dense_gens(rep), indent=2, sort_keys=True)
         assert "".join(rep_to_json(rep)) == want, (rep.sig, rep.complex_dim)
+
+
+def _entry(ring_tag, x):
+    """A ring element from its JSON form: a string, or a quaternion's four."""
+    return Quaternion(*map(parse_rational, x)) if isinstance(x, list) else parse_scalar(ring_tag, x)
+
+
+def test_rep_json_roundtrip():
+    # every compiled model with p + q <= 6 and C(0) ... C(6), through JSON
+    # text and the public constructor, has the cached model's generators
+    reps = [compile_rep(Signature(p, n - p)) for n in range(7) for p in range(n + 1)]
+    for rep in reps + [compile_complex_rep(n) for n in range(7)]:
+        doc = json.loads("".join(rep_to_json(rep)))
+        target = TargetRing(**doc["target"])
+        tag = target.ring_tag
+
+        def matrix(rows):
+            return [[_entry(tag, x) for x in row] for row in rows]
+
+        gens = [tuple(matrix(b) for b in g) if target.summands == 2 else matrix(g)
+                for g in doc["generators"]]
+        sig = Signature(*doc["signature"]) if "signature" in doc else None
+        back = Representation(sig, doc.get("complex_dim"), target, gens)
+        assert (back.sig, back.complex_dim, back.target) == (rep.sig, rep.complex_dim, rep.target)
+        assert back._monos == rep._monos and back.gens == rep.gens, (rep.sig, rep.complex_dim)
 
 
 def test_gens_match_rho_of_the_generators():
