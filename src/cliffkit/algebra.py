@@ -57,17 +57,16 @@ class Signature(namedtuple("Signature", "p q")):
 
 
 def blade_mul(b1, b2, sig):
-    """Product of two basis blades; returns (sign, blade bitmask).
+    """Product of two basis blades; returns (sign, blade bitmask), the sign
+    read off the bitmasks by ``_flips`` as ``_blade_products`` reads it.
 
     ``sig`` may be a Signature or an int n (complex algebra, all squares +1,
     which has the sign rule of the signature (n, 0)).
     """
-    if not isinstance(sig, Signature):
-        sig = Signature(sig, 0)
-    # Multivector.real raises ValueError for a blade outside the algebra
-    prod = Multivector.real(sig, {b1: 1}) * Multivector.real(sig, {b2: 1})
-    [(blade, sign)] = prod.re.items()
-    return sign, blade
+    n, mask = (sig.n, _neg_mask(sig)) if isinstance(sig, Signature) else (sig, 0)
+    if b1 < 0 or b2 < 0 or (b1 | b2) >> n:
+        raise ValueError("blade out of range for the algebra")
+    return -1 if (_flips(b1, mask) & b2).bit_count() & 1 else 1, b1 ^ b2
 
 
 def blade_indices(blade):
@@ -498,28 +497,6 @@ def multiplication_rows(parts, transpose=False):
                 if u or v:
                     row[y] = (u, v)
     return rows
-
-
-def invert(a):
-    """Exact inverse through the compiled matrix model; None if singular.
-
-    rho is an isomorphism onto the target ring, so a is invertible exactly
-    when every summand block of rho(a) is.  The numerator blocks are
-    inverted by ``linalg.inverse_numerators``, read back with
-    ``Representation._trace_preimage``, and a x = x a = 1 is checked.
-    """
-    from . import linalg
-    from .reprs import compile_complex_rep, compile_rep
-
-    rep = compile_complex_rep(a.n) if a.is_complex else compile_rep(a.sig)
-    blocks = [linalg.inverse_numerators(a.den, rows) for rows in rep.numerator_blocks(a)]
-    if None in blocks:
-        return None
-    inv_mv = rep._trace_preimage(blocks)
-    unit_mv = a._like(1, {0: 1}, {})
-    if a * inv_mv != unit_mv or inv_mv * a != unit_mv:
-        raise AssertionError("inverse read back from the matrix model is wrong")
-    return inv_mv
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 a check failed or an obstruction was found,
 2 usage or input errors.  All output is deterministic for a fixed seed
-(--seed, falling back to the CLIFFKIT_SEED environment variable).
+(--seed, default 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cech, groups, spinors
@@ -19,7 +18,7 @@ from .algebra import (
     multivector_to_json,
 )
 from .reprs import classify, compile_complex_rep, compile_rep, rep_to_json
-from .scalars import format_rational
+from .scalars import format_rational, json_chunks, json_text
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -77,14 +76,6 @@ def _dump_json(chunks, path):
         fh.write("\n")
 
 
-def _dumps(doc):
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _print_json(doc):
-    print(_dumps(doc))
-
-
 def _matrix_strs(mat):
     return [[format_rational(x) for x in row] for row in mat]
 
@@ -95,8 +86,7 @@ def build_parser():
         description="Exact Clifford algebra workbench: matrix models, "
         "Pin/Spin lifting, spinor ideals and Cech Z2 obstructions.",
     )
-    ap.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (default: CLIFFKIT_SEED or 0)")
+    ap.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="matrix ring class of Cl(p,q)")
@@ -168,7 +158,7 @@ def _cmd_classify(args):
         raise ValueError(f"classify supports p + q up to {MAX_CLASSIFY_DIM}")
     t = classify(Signature(args.p, args.q))
     if args.json:
-        _print_json({"signature": [args.p, args.q], "target": t.to_json()})
+        print(json_text({"signature": [args.p, args.q], "target": t.to_json()}))
     else:
         print(t)
     return 0
@@ -212,7 +202,7 @@ def _cmd_zeta(args):
     g = groups.Versor(sig, factors)
     m = groups.zeta(g)
     if args.json:
-        _print_json(m.to_json())
+        print(json_text(m.to_json()))
     else:
         for row in _matrix_strs(m.mat):
             print(" ".join(row))
@@ -224,11 +214,11 @@ def _cmd_decompose(args):
     m = groups.PseudoOrthogonalMatrix.from_json(_load_json(args.matrix), sig=sig)
     cd = groups.cartan_dieudonne(m)
     if args.json:
-        _print_json({
+        print(json_text({
             "reflections": cd.r,
             "fallbacks": cd.fallback_count,
             "vectors": [multivector_to_json(w) for w in cd.vectors],
-        })
+        }))
     else:
         print(f"reflections: {cd.r} (isotropic fallbacks: {cd.fallback_count})")
         for w in cd.vectors:
@@ -243,11 +233,11 @@ def _cmd_lift(args):
     m = groups.PseudoOrthogonalMatrix.from_json(_load_json(args.matrix), sig=sig)
     g = groups.lift_to_pin(m)
     if args.json:
-        _print_json({
+        print(json_text({
             "factors": [multivector_to_json(v) for v in g.factors],
             "product": multivector_to_json(g.product),
             "spin": g.is_spin,
-        })
+        }))
     else:
         print(f"versor with {len(g.factors)} factors "
               f"({'even' if g.is_spin else 'odd'})")
@@ -282,7 +272,7 @@ def _cmd_spinor(args):
         print(f"matrix model: {model.rep.target}, intertwiner found")
         doc["model_target"] = model.rep.target.to_json()
     if args.json:
-        _dump_json((_dumps(doc),), args.json)
+        _dump_json((json_text(doc),), args.json)
     return 0
 
 
@@ -299,25 +289,17 @@ def _cech_size(complex_doc):
     return size
 
 
-def _lift_chunks(h1_dim, lifts):
-    """The lift document {"success": true, "h1_dim", "lifts": [{"e",
-    "product"}, ...]} as text chunks, one per edge in edge order, that join
-    to its ``_dumps``.  Edges share few products, so each distinct product
-    is rendered once; resigned edges hold new versors, so the cache is
-    keyed by the product itself."""
-    # the text around the one null, where the lift list goes
-    head, tail = _dumps({"success": True, "h1_dim": h1_dim, "lifts": None}).split("null")
-    yield head + ("[" if lifts else "[]")
+def _lift_texts(lifts):
+    """The {"e", "product"} item of each edge of the lift document, in edge
+    order, as ``json_chunks`` takes it.  Edges share few products, so each
+    distinct product is rendered once; resigned edges hold new versors, so
+    the cache is keyed by the product itself."""
     texts = {}
-    sep = "\n    "
     for (i, j), v in sorted(lifts.items()):
         text = texts.get(v.product)
         if text is None:
-            text = texts[v.product] = _dumps(multivector_to_json(v.product)).replace("\n", "\n      ")
-        yield (f'{sep}{{\n      "e": [\n        {i},\n        {j}\n      ],'
-               f'\n      "product": {text}\n    }}')
-        sep = ",\n    "
-    yield ("\n  ]" if lifts else "") + tail
+            text = texts[v.product] = json_text(multivector_to_json(v.product)).replace("\n", "\n      ")
+        yield f'{{\n      "e": [\n        {i},\n        {j}\n      ],\n      "product": {text}\n    }}'
 
 
 def _cmd_cech(args):
@@ -345,13 +327,14 @@ def _cmd_cech(args):
         h1_dim = res.lift_count.bit_length() - 1
         print(f"lift exists: 2^{h1_dim} inequivalent lifts")
         if args.json:
-            _dump_json(_lift_chunks(h1_dim, res.lifts), args.json)
+            _dump_json(json_chunks({"success": True, "h1_dim": h1_dim}, "lifts", _lift_texts(res.lifts)),
+                       args.json)
         return 0
     bad = sorted(t for t, b in res.discrepancy.values.items() if b)
     print("no lift: obstruction class in H^2 is nonzero")
     print(f"discrepancy supported on triangles: {[list(t) for t in bad]}")
     if args.json:
-        _dump_json((_dumps({
+        _dump_json((json_text({
             "success": False,
             "obstruction_triangles": [list(t) for t in bad],
         }),), args.json)
@@ -362,7 +345,7 @@ def _cmd_verify_all(args):
     from . import verify  # with the sampling it draws from: loaded for this command only
     results = verify.run_all(seed=args.seed)
     if args.json:
-        _print_json({"seed": args.seed, "results": results})
+        print(json_text({"seed": args.seed, "results": results}))
     else:
         for r in results:
             verdict = "pass" if r["ok"] else "FAIL"
@@ -373,12 +356,6 @@ def _cmd_verify_all(args):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.seed is None:
-        try:
-            args.seed = int(os.environ.get("CLIFFKIT_SEED", "0"))
-        except ValueError:
-            print("error: CLIFFKIT_SEED must be an integer", file=sys.stderr)
-            return USAGE_ERROR
     try:
         return args.run(args)
     except KeyError as exc:

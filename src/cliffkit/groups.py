@@ -45,9 +45,9 @@ from functools import cache
 from itertools import chain
 from operator import mul
 
-from .algebra import Multivector, Signature, invert, signature_from_json, vector_chain
-from .reprs import Representation, TargetRing, _checked
-from .scalars import GaussianRational, format_rational, numerators, parse_rational
+from .algebra import Multivector, Signature, signature_from_json, vector_chain
+from .reprs import Representation, TargetRing, _checked, invert
+from .scalars import GaussianRational, format_rational, is_json_int, numerators, parse_rational
 
 
 class PseudoOrthogonalMatrix:
@@ -194,7 +194,9 @@ class PseudoOrthogonalMatrix:
             raise ValueError("matrix must be a list of rows")
         if sig is None:
             raise ValueError("signature required to read a matrix")
-        return cls(sig, [[parse_rational(str(x)) for x in row] for row in rows])
+        if not all(is_json_int(x) or isinstance(x, str) for row in rows for x in row):
+            raise ValueError("matrix entries must be integers or rational strings")
+        return cls(sig, [[x if is_json_int(x) else parse_rational(x) for x in row] for row in rows])
 
 
 def _eta(sig):

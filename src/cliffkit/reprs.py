@@ -10,7 +10,6 @@ shifts (an index flip and a (p, q) -> (p - 4, q + 4) move), then stacks
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -29,6 +28,8 @@ from .scalars import (
     Quaternion,
     format_scalar,
     is_json_int,
+    json_chunks,
+    json_text,
     quaternion_to_complex_block,
 )
 
@@ -118,6 +119,8 @@ _UNIT_ENTRIES = {
     QUATERNION: tuple(tuple(next((dc, int(z.re), int(z.im)) for dc, z in enumerate(row) if z)
                             for row in quaternion_to_complex_block(u)) for u in _Q8),
 }
+# k, the rows of each unit's block: the numerator rows that one row of rho takes
+_UNIT_ROWS = {tag: len(units[0]) for tag, units in _UNIT_ENTRIES.items()}
 
 
 def _mono_mul(x, y):
@@ -264,8 +267,7 @@ class Representation:
         t = self.target
         m = t.m
         re, im = mv.re, mv.im
-        units = _UNIT_ENTRIES[t.ring_tag]
-        k = 2 if t.ring_tag == QUATERNION else 1
+        units, k = _UNIT_ENTRIES[t.ring_tag], _UNIT_ROWS[t.ring_tag]
         w = k * m
         # the rows of all blocks in order; row k i + dr is row dr of the
         # k x k block of rho row i
@@ -285,8 +287,7 @@ class Representation:
         """Rank of each summand block of rho(mv) over the target's ring,
         from ``numerator_blocks`` by the one Bareiss kernel; a quaternion
         block A ranks as chi(A) / 2."""
-        k = 2 if self.target.ring_tag == QUATERNION else 1
-        return [len(linalg.echelon_numerators(rows)) // k
+        return [len(linalg.echelon_numerators(rows)) // _UNIT_ROWS[self.target.ring_tag]
                 for rows in self.numerator_blocks(mv)]
 
     def invertible(self, mv: Multivector):
@@ -341,8 +342,7 @@ class Representation:
                 re[b] = re.get(b, 0) + f * x
                 im[b] = im.get(b, 0) + f * y
         real = not self.is_complex
-        k = 2 if t.ring_tag == QUATERNION else 1
-        return Multivector(self.sig, self.n, den * k * t.summands * t.m,
+        return Multivector(self.sig, self.n, den * _UNIT_ROWS[t.ring_tag] * t.summands * t.m,
                            {b: x for b, x in re.items() if x},
                            {} if real else {b: y for b, y in im.items() if y})
 
@@ -356,7 +356,7 @@ class Representation:
         """
         t = self.target
         m = t.m
-        k = 2 if t.ring_tag == QUATERNION else 1
+        k = _UNIT_ROWS[t.ring_tag]
         # by_row[dr][code]: the (column, re, im) of row dr of the unit's block
         by_row = list(zip(*_UNIT_ENTRIES[t.ring_tag]))
         kcol = [k * (j % m) for j in range(t.summands * m)]
@@ -617,6 +617,26 @@ def compile_complex_rep(n: int) -> Representation:
     return rep
 
 
+def invert(a):
+    """Exact inverse of a multivector through its compiled matrix model;
+    None if singular.
+
+    rho is an isomorphism onto the target ring, so a is invertible exactly
+    when every summand block of rho(a) is.  The numerator blocks are
+    inverted by ``linalg.inverse_numerators``, read back with
+    ``Representation._trace_preimage``, and a x = x a = 1 is checked.
+    """
+    rep = compile_complex_rep(a.n) if a.is_complex else compile_rep(a.sig)
+    blocks = [linalg.inverse_numerators(a.den, rows) for rows in rep.numerator_blocks(a)]
+    if None in blocks:
+        return None
+    inv_mv = rep._trace_preimage(blocks)
+    unit_mv = a._like(1, {0: 1}, {})
+    if a * inv_mv != unit_mv or inv_mv * a != unit_mv:
+        raise AssertionError("inverse read back from the matrix model is wrong")
+    return inv_mv
+
+
 def even_subring_rep(sig: Signature):
     """Even subring generators w^i = v^1 v^i and their derived signature.
 
@@ -722,7 +742,7 @@ def _intertwiner_space(monos1, monos2, m, ring_tag):
     coordinates are real).  ``combine(terms)`` is (1, rows) for sum f v_c
     over the (f, c) pairs of ``terms``: the numerator rows of S (chi on H).
     """
-    k, h = (4, 2) if ring_tag == QUATERNION else (1, 1)  # h: rows of a unit's block
+    k, h = (4 if ring_tag == QUATERNION else 1), _UNIT_ROWS[ring_tag]
     units = _UNIT_ENTRIES[ring_tag]
     steps = [(perm_a, codes_a, perm_b, [_UNIT_INV[c] for c in codes_b])
              for (perm_a, codes_a), (perm_b, codes_b) in zip(monos1, monos2)]
@@ -838,32 +858,27 @@ def _json_list(items, depth):
 def rep_to_json(r: Representation):
     """The model as JSON text chunks, one per generator, written off the
     monomial form: the ring's units and zero are formatted once, and no
-    ring element is built.  The chunks join to ``json.dumps`` of the model
+    ring element is built.  The chunks join to ``json_text`` of the model
     document {"signature": [p, q]} or {"complex_dim": N}, with "target"
-    and "generators", under ``indent=2, sort_keys=True``."""
+    and "generators"."""
     t = r.target
-    doc = {"target": t.to_json(), "generators": None}
+    doc = {"target": t.to_json()}
     if r.sig is not None:
         doc["signature"] = [r.sig.p, r.sig.q]
     else:
         doc["complex_dim"] = r.complex_dim
-    # the text around the one null, where the generator list goes
-    head, tail = json.dumps(doc, indent=2, sort_keys=True).split("null")
     # an entry sits below the generator list, a summand pair and a matrix row
     depth = 4 + (t.summands == 2)
 
     def text(x):
-        return json.dumps(format_scalar(t.ring_tag, x), indent=2).replace("\n", "\n" + "  " * depth)
+        return json_text(format_scalar(t.ring_tag, x)).replace("\n", "\n" + "  " * depth)
 
     units, zero = [text(u) for u in _RING_UNITS[t.ring_tag]], text(ZERO[t.ring_tag])
-    yield head + ("[" if r._monos else "[]")
-    sep = "\n    "
-    for mono in r._monos:
+
+    def generator(mono):
         rows = [_json_list(row, depth - 1) for row in r._dense(mono, units, zero)]
         if t.summands == 2:
-            gen = _json_list([_json_list(rows[:t.m], 3), _json_list(rows[t.m:], 3)], 2)
-        else:
-            gen = _json_list(rows, 2)
-        yield sep + gen
-        sep = ",\n    "
-    yield ("\n  ]" if r._monos else "") + tail
+            return _json_list([_json_list(rows[:t.m], 3), _json_list(rows[t.m:], 3)], 2)
+        return _json_list(rows, 2)
+
+    return json_chunks(doc, "generators", map(generator, r._monos))

@@ -13,6 +13,7 @@ coordinates (real part first); a subclass adds only its slots, constructor,
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from operator import add, sub
@@ -195,6 +196,25 @@ ONE = {RATIONAL: Fraction(1), GAUSSIAN: GaussianRational(1), QUATERNION: Quatern
 
 # ---------------------------------------------------------------------------
 # string formats used in the JSON interfaces
+
+def json_text(doc) -> str:
+    """``doc`` in the layout of every JSON document cliffkit writes."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def json_chunks(doc, key, items):
+    """The text of ``json_text`` for ``doc`` with the list of ``items`` at
+    the key ``key``, streamed: one chunk per item, each item a JSON text
+    already laid out at depth 2, inside that list.  ``doc`` holds no other
+    null."""
+    head, tail = json_text({**doc, key: None}).split("null")
+    yield head + "["
+    sep, close = "\n    ", "]"
+    for text in items:
+        yield sep + text
+        sep, close = ",\n    ", "\n  ]"
+    yield close + tail
+
 
 def is_json_int(x) -> bool:
     """Whether a parsed JSON value is an integer: JSON's true and false

@@ -25,8 +25,8 @@ from collections import namedtuple
 from . import linalg
 from .algebra import (
     Multivector,
+    blade_mul,
     complex_unit,
-    invert,
     multiplication_rows,
 )
 from .reprs import (
@@ -35,6 +35,7 @@ from .reprs import (
     _intertwines,
     compile_complex_rep,
     compile_rep,
+    invert,
 )
 from .scalars import GAUSSIAN, GaussianRational
 
@@ -229,20 +230,22 @@ def _left_action(space):
     """(d, rows) per generator: L_i as numerator rows over d, the lcm of the
     basis denominators.  L_i[r][j] is the coefficient of e^i psi_j at
     pivots[r]; A p is a left ideal, so e^i psi_j lies in it and these are its
-    coordinates.  Since e^i e_b = (-1)^t e_(b xor i), t the number of
-    generators of b below i, the entry is +-psi_j at pivots[r] xor i: one
+    coordinates.  Since e^i e_b = s e_(b xor i), s read off the two
+    bitmasks by ``blade_mul``, the entry is s psi_j at pivots[r] xor i: one
     lookup in the numerators, no product."""
     d = math.lcm(*(psi.den for psi in space.basis))
-    scaled = [(d // psi.den, psi) for psi in space.basis]
+    # blade -> (j, re, im) over d for each psi_j that holds it, j ascending
+    at = {}
+    for j, psi in enumerate(space.basis):
+        f = d // psi.den
+        for b in psi.re.keys() | psi.im.keys():
+            at.setdefault(b, []).append((j, f * psi.re.get(b, 0), f * psi.im.get(b, 0)))
     out = []
     for i in range(space.n):
-        bit = 1 << i
         rows = []
         for piv in space.pivots:
-            b = piv ^ bit
-            s = -1 if (piv & (bit - 1)).bit_count() & 1 else 1
-            rows.append({j: (s * f * psi.re.get(b, 0), s * f * psi.im.get(b, 0))
-                         for j, (f, psi) in enumerate(scaled) if b in psi.re or b in psi.im})
+            s, b = blade_mul(1 << i, piv, space.n)
+            rows.append({j: (s * x, s * y) for j, x, y in at.get(b, ())})
         out.append((d, rows))
     return tuple(out)
 

@@ -4,6 +4,7 @@
     python tests/cech_documents.py torus M OUT.json
     python tests/cech_documents.py torus-cocycle M OUT.json
     python tests/cech_documents.py distinct-cocycle M OUT.json
+    python tests/cech_documents.py dihedral-cocycle M OUT.json
     python tests/cech_documents.py complete N OUT.json
 
 ``path`` writes a path on N vertices (2N - 1 simplices) and ``torus`` the
@@ -14,7 +15,11 @@ rational rotations h_i in O(2,0) on the edges of that torus, the input of
 matrices.  ``distinct-cocycle`` writes g_ij = h_i^-1 h_j on the same torus
 with seeded h_i in O(4,0), each a product of one to four reflections across
 small random integer vectors, and asserts that no two edges carry the same
-matrix.  ``complete`` writes the identity of
+matrix.  ``dihedral-cocycle`` writes g_ij = h_i^-1 h_j on the same torus
+with h_i seeded from the 8 symmetries of the square, rotations and
+reflections: its edges carry at most 8 distinct matrices, and the
+reflections make the lifts of some triangles disagree in sign, so
+``cech lift`` resigns edges by eta.  ``complete`` writes the identity of
 O(2,0) on every edge of the complete graph K_N (N + N(N - 1)/2 simplices),
 whose H^1 has dimension (N - 1)(N - 2)/2.
 """
@@ -101,6 +106,20 @@ def distinct_cocycle_doc(m, seed=0):
     return {"complex": complex_doc, "signature": [4, 0], "edges": edges}
 
 
+def dihedral_cocycle_doc(m, seed=0):
+    square = [((a, -b), (b, a)) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    square += [((a, b), (b, -a)) for (a, _), (b, _) in square]
+    rng = random.Random(seed)
+    h = [rng.choice(square) for _ in range(m * m)]
+    complex_doc = torus_doc(m)
+    # h_i is orthogonal: h_i^-1 h_j = h_i^T h_j, whose entries are the
+    # products of the columns of h_i and h_j
+    edges = [{"e": [i, j], "matrix": [[str(sum(x * y for x, y in zip(col_i, col_j))) for col_j in zip(*h[j])]
+                                      for col_i in zip(*h[i])]}
+             for i, j in complex_doc["simplices"]["1"]]
+    return {"complex": complex_doc, "signature": [2, 0], "edges": edges}
+
+
 def complete_cocycle_doc(n):
     edges = [[i, j] for i in range(n) for j in range(i + 1, n)]
     ident = [["1", "0"], ["0", "1"]]
@@ -111,6 +130,7 @@ def complete_cocycle_doc(n):
 if __name__ == "__main__":
     kind, size, out = sys.argv[1], int(sys.argv[2]), sys.argv[3]
     build = {"path": path_doc, "torus": torus_doc, "torus-cocycle": torus_cocycle_doc,
-             "distinct-cocycle": distinct_cocycle_doc, "complete": complete_cocycle_doc}[kind]
+             "distinct-cocycle": distinct_cocycle_doc, "dihedral-cocycle": dihedral_cocycle_doc,
+             "complete": complete_cocycle_doc}[kind]
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(build(size), fh)

@@ -20,13 +20,13 @@ from cliffkit.algebra import (
     complex_unit,
     complexify_embed,
     eta,
-    invert,
     multiplication_rows,
     multivector_from_json,
     multivector_to_json,
     unit,
     vector,
 )
+from cliffkit.reprs import invert
 from cliffkit.scalars import GaussianRational
 from inverse_oracle import dense_inverse, map_matrix
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from cliffkit.algebra import (
 from cliffkit.cech import (
     Complex,
     GroupCocycle,
+    canonical_sign,
     filled_triangle,
     nontrivial_1cocycle,
     pin_lift_cocycle,
@@ -36,7 +38,7 @@ from cliffkit.cli import (
     build_parser,
     main,
 )
-from cliffkit.groups import PseudoOrthogonalMatrix
+from cliffkit.groups import PseudoOrthogonalMatrix, lift_to_pin
 
 
 def run(capsys, *argv):
@@ -250,21 +252,6 @@ def _rp2_cocycle_doc():
     return {"complex": rp2.to_json(), "signature": [2, 0], "edges": edges}
 
 
-def _dihedral_torus_cocycle_doc():
-    # g_ij = h_i^-1 h_j on the 3 x 3 grid torus, h_i seeded from the 8
-    # symmetries of the square: 27 edges share a few matrices, and the
-    # reflections make the first lifts disagree, so some edges are resigned
-    square = [((a, -b), (b, a)) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1))]
-    square += [((a, b), (b, -a)) for (a, _), (b, _) in square]
-    rng = random.Random(0)
-    h = [rng.choice(square) for _ in range(9)]
-    complex_doc = cech_documents.torus_doc(3)
-    edges = [{"e": [i, j], "matrix": [[str(sum(x * y for x, y in zip(col_i, col_j))) for col_j in zip(*h[j])]
-                                      for col_i in zip(*h[i])]}
-             for i, j in complex_doc["simplices"]["1"]]
-    return {"complex": complex_doc, "signature": [2, 0], "edges": edges}
-
-
 def _lift_json_by_dict(doc):
     """What ``cech lift --json`` writes, built as one dict and encoded by
     ``json.dumps``: the oracle for the streamed writer."""
@@ -280,7 +267,7 @@ def _lift_json_by_dict(doc):
 
 
 @pytest.mark.parametrize("make_doc", [
-    _dihedral_torus_cocycle_doc,
+    lambda: cech_documents.dihedral_cocycle_doc(3),
     lambda: cech_documents.distinct_cocycle_doc(3),
     lambda: {"complex": {"vertices": 2}, "signature": [2, 0], "edges": []},
     _rp2_cocycle_doc,
@@ -297,10 +284,14 @@ def test_cech_lift_json_matches_the_dict_form(capsys, tmp_path, make_doc):
 def test_the_shared_lift_case_resigns_edges():
     # one versor per distinct matrix is shared, and resigning makes new
     # versors: equal products held by two versors mean a resigned edge
-    # shares its product with another edge
-    lifts = pin_lift_cocycle(GroupCocycle.from_json(_dihedral_torus_cocycle_doc())).lifts
+    # shares its product with another edge, and its lift is the negation of
+    # its matrix's canonical lift.  CI lifts this document, written by
+    # tests/cech_documents.py dihedral-cocycle, at the cech bound
+    coc = GroupCocycle.from_json(cech_documents.dihedral_cocycle_doc(3))
+    lifts = pin_lift_cocycle(coc).lifts
     products = {v.product for v in lifts.values()}
     assert len(products) < len({id(v) for v in lifts.values()}) < len(lifts)
+    assert any(v.product == -canonical_sign(lift_to_pin(coc.edges[e])).product for e, v in lifts.items())
 
 
 def test_cech_lift_on_edges_that_are_not_a_cocycle_is_usage_error(capsys, tmp_path):
@@ -327,13 +318,38 @@ def test_cech_lift_on_edges_that_are_not_a_cocycle_is_usage_error(capsys, tmp_pa
     assert err.strip() == f"error: {line}"
 
 
-def test_seed_determinism(capsys):
-    outs = []
-    for _ in range(2):
-        code, out, _ = run(capsys, "--seed", "17", "spinor", "--complex", "2", "--model")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+def test_seed_reaches_verify_all(capsys, monkeypatch):
+    # verify-all is the one command that draws: it gets --seed, 0 without
+    # it, and the environment has no say in any command
+    from cliffkit import verify
+
+    seeds = []
+    monkeypatch.setattr(verify, "run_all", lambda seed: seeds.append(seed) or [])
+    monkeypatch.setenv("CLIFFKIT_SEED", "abc")
+    assert run(capsys, "--seed", "17", "verify-all") == (0, "", "")
+    assert run(capsys, "verify-all") == (0, "", "")
+    assert seeds == [17, 0]
+    assert run(capsys, "classify", "1", "3") == (0, "Mat(2,H)\n", "")
+
+
+@pytest.mark.parametrize("command", ["decompose", "cech lift"])
+def test_matrix_entries_are_integers_or_rational_strings(capsys, tmp_path, command):
+    # a JSON float is not exact: 0.6 is refused, not read as 3/5
+    path = tmp_path / "input.json"
+    for rows, code_want in (([[0.6, -0.8], [0.8, 0.6]], 2), ([[True, False], [False, True]], 2),
+                            ([["3/5", "-4/5"], ["4/5", "3/5"]], 0), ([[0, -1], [1, "0"]], 0)):
+        doc = {"complex": {"vertices": 2, "simplices": {"1": [[0, 1]]}}, "signature": [2, 0],
+               "edges": [{"e": [0, 1], "matrix": rows}]}
+        path.write_text(json.dumps(doc if command == "cech lift" else rows))
+        argv = ["cech", "lift"] if command == "cech lift" else ["decompose", "--sig", "2,0", "--matrix"]
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == code_want
+        if code == 2:
+            assert out == "" and err == "error: matrix entries must be integers or rational strings\n"
+    read = lambda rows: PseudoOrthogonalMatrix.from_json(rows, sig=Signature(2, 0)).mat
+    f = Fraction(1, 5)
+    assert read([["3/5", "-4/5"], ["4/5", "3/5"]]) == ((3 * f, -4 * f), (4 * f, 3 * f))
+    assert read([[0, -1], [1, "0"]]) == ((0, -1), (1, 0))
 
 
 # every command, its bound and its smallest refused input; FILE does not

@@ -69,14 +69,14 @@ def test_first_public_name_binds_every_name_and_runs_every_layer():
 
 PUBLIC = {
     "algebra": "Multivector Signature basis_vector blade_mul complex_basis_vector complex_unit "
-               "complexify_embed eta invert multivector_from_json multivector_to_json unit vector",
+               "complexify_embed eta multivector_from_json multivector_to_json unit vector",
     "cech": "Complex GroupCocycle Z2Cochain check_cocycle pin_lift_cocycle subgroup_reduction_check "
             "z2_betti",
     "groups": "CDResult PseudoOrthogonalMatrix Versor adjoint_automorphism cartan_dieudonne lift_to_pin "
               "spin_block_check total_reflection_versor zeta",
     "reprs": "Intertwiner Representation TargetRing classify compile_complex_rep compile_rep double_rep "
-             "even_subring_rep factor_projections quaternion_complexify real_irrep_dim rep_equivalence "
-             "signature_shift",
+             "even_subring_rep factor_projections invert quaternion_complexify real_irrep_dim "
+             "rep_equivalence signature_shift",
     "scalars": "GaussianRational Quaternion",
     "spinors": "HermitianIdempotent SpinorSpace find_conjugator is_minimal left_ideal make_idempotent "
                "primitive_idempotent spinor_matrix_model stabilizer_membership",

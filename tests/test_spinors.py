@@ -12,7 +12,6 @@ from cliffkit.algebra import (
     Signature,
     complex_basis_vector,
     complex_unit,
-    invert,
     multiplication_rows,
     multivector_to_json,
 )
@@ -23,6 +22,7 @@ from cliffkit.reprs import (
     compile_complex_rep,
     compile_rep,
     factor_projections,
+    invert,
     quaternion_complexify,
     rep_equivalence,
 )
