@@ -20,15 +20,16 @@ _API = {
     "complexify_embed eta multivector_from_json multivector_to_json unit vector",
     "cech": "Complex GroupCocycle Z2Cochain check_cocycle pin_lift_cocycle "
     "subgroup_reduction_check z2_betti",
-    "groups": "CDResult PseudoOrthogonalMatrix Versor adjoint_automorphism cartan_dieudonne "
-    "lift_to_pin spin_block_check total_reflection_versor zeta",
+    "groups": "CDResult PseudoOrthogonalMatrix Versor cartan_dieudonne lift_to_pin "
+    "total_reflection_versor zeta",
     "linalg": "",
     "reprs": "Intertwiner Representation TargetRing classify compile_complex_rep compile_rep "
     "double_rep even_subring_rep factor_projections invert quaternion_complexify real_irrep_dim "
     "rep_equivalence signature_shift",
     "scalars": "GaussianRational Quaternion",
-    "spinors": "HermitianIdempotent SpinorSpace find_conjugator is_minimal left_ideal "
-    "make_idempotent primitive_idempotent spinor_matrix_model stabilizer_membership",
+    "spinors": "HermitianIdempotent SpinorSpace adjoint_automorphism find_conjugator is_minimal "
+    "left_ideal make_idempotent primitive_idempotent spin_block_check spinor_matrix_model "
+    "stabilizer_membership",
 }
 __all__ = [name for names in _API.values() for name in names.split()]
 __version__ = "0.1.0"

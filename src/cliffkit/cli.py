@@ -11,13 +11,12 @@ import argparse
 import json
 import sys
 
-from . import cech, groups, spinors
+from . import cech, groups, reprs, spinors
 from .algebra import (
     Signature,
     multivector_from_json,
     multivector_to_json,
 )
-from .reprs import classify, compile_complex_rep, compile_rep, rep_to_json
 from .scalars import format_rational, json_chunks, json_text
 
 USAGE_ERROR = 2
@@ -66,7 +65,10 @@ def _parse_sig(text) -> Signature:
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _dump_json(chunks, path):
@@ -156,7 +158,7 @@ def build_parser():
 def _cmd_classify(args):
     if args.p + args.q > MAX_CLASSIFY_DIM:
         raise ValueError(f"classify supports p + q up to {MAX_CLASSIFY_DIM}")
-    t = classify(Signature(args.p, args.q))
+    t = reprs.classify(Signature(args.p, args.q))
     if args.json:
         print(json_text({"signature": [args.p, args.q], "target": t.to_json()}))
     else:
@@ -176,9 +178,9 @@ def _cmd_compile(args):
     if n > MAX_COMPILE_DIM:
         raise ValueError(f"{label}: compile supports p + q (or N) up to {MAX_COMPILE_DIM}")
     if args.complex_dim is not None:
-        rep = compile_complex_rep(n)
+        rep = reprs.compile_complex_rep(n)
     else:
-        rep = compile_rep(Signature(args.p, args.q))
+        rep = reprs.compile_rep(Signature(args.p, args.q))
     if args.verify and not rep.verify():
         print(f"{label}: verification FAILED")
         return CHECK_FAILED
@@ -186,7 +188,7 @@ def _cmd_compile(args):
     if args.verify:
         print("verified: relations and injectivity exact")
     if args.json:
-        _dump_json(rep_to_json(rep), args.json)
+        _dump_json(reprs.rep_to_json(rep), args.json)
     return 0
 
 

@@ -41,13 +41,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from operator import mul
 
 from .algebra import Multivector, Signature, signature_from_json, vector_chain
-from .reprs import Representation, TargetRing, _checked, invert
-from .scalars import GaussianRational, format_rational, is_json_int, numerators, parse_rational
+from .scalars import format_rational, is_json_int, numerators, parse_rational
 
 
 class PseudoOrthogonalMatrix:
@@ -263,13 +261,13 @@ def _reflect(sig, u, cols, d):
     return out, d
 
 
-def reflection_product(sig, ws, sign=1) -> PseudoOrthogonalMatrix:
-    """sign * R(w_1) ... R(w_r) for rational coordinate vectors w_1, ..., w_r.
+def reflection_product(sig, ws) -> PseudoOrthogonalMatrix:
+    """R(w_1) ... R(w_r) for rational coordinate vectors w_1, ..., w_r.
 
     The reflections run across the primitive integer vectors of the w_i,
     through ``_reflection_chain``.
     """
-    return _reflection_chain(sig, [_primitive(w) for w in ws], sign)
+    return _reflection_chain(sig, [_primitive(w) for w in ws], 1)
 
 
 def _reflection_chain(sig, us, sign):
@@ -440,14 +438,6 @@ def zeta(g: Versor) -> PseudoOrthogonalMatrix:
     return _reflection_chain(g.sig, us, -1 if g.parity else 1)
 
 
-def adjoint_automorphism(g: Multivector, a: Multivector) -> Multivector:
-    """a -> g a g^-1 for any invertible multivector g."""
-    ginv = invert(g)
-    if ginv is None:
-        raise ValueError("adjoint by a non-invertible multivector")
-    return g * a * ginv
-
-
 class CDResult(namedtuple("CDResult", "vectors fallback_count")):
     """Reflection factorization: M = R(w_1) o ... o R(w_r)."""
 
@@ -523,103 +513,3 @@ def lift_to_pin(M: PseudoOrthogonalMatrix) -> Versor:
         raise AssertionError("lift does not map back onto the input matrix")
     return g
 
-
-# ---------------------------------------------------------------------------
-# block structure of Spin(1,3) and Spin(4,0) in the chiral matrix model
-
-_G0 = GaussianRational(0)
-_G1 = GaussianRational(1)
-_GI = GaussianRational(0, 1)
-
-PAULI1 = ((_G0, _G1), (_G1, _G0))
-PAULI2 = ((_G0, -_GI), (_GI, _G0))
-PAULI3 = ((_G1, _G0), (_G0, -_G1))
-
-
-def _chiral_gamma(j):
-    """Block form [[0, -sigma_j], [sigma_j, 0]] (j = 1, 2, 3)."""
-    s = (PAULI1, PAULI2, PAULI3)[j - 1]
-    rows = []
-    for i in range(2):
-        rows.append((_G0, _G0) + tuple(-x for x in s[i]))
-    for i in range(2):
-        rows.append(tuple(s[i]) + (_G0, _G0))
-    return tuple(rows)
-
-
-GAMMA0 = (
-    (_G0, _G0, _G1, _G0),
-    (_G0, _G0, _G0, _G1),
-    (_G1, _G0, _G0, _G0),
-    (_G0, _G1, _G0, _G0),
-)
-
-
-def chiral_rep(sig: Signature) -> Representation:
-    """Chiral 4x4 complex model of Cl(1,3) or Cl(4,0)."""
-    if sig == Signature(1, 3):
-        gens = [GAMMA0] + [_chiral_gamma(j) for j in (1, 2, 3)]
-    elif sig == Signature(4, 0):
-        minus_i = GaussianRational(0, -1)
-        gens = [GAMMA0] + [
-            tuple(tuple(minus_i * x for x in row) for row in _chiral_gamma(j))
-            for j in (1, 2, 3)
-        ]
-    else:
-        raise ValueError("chiral model available for (1,3) and (4,0) only")
-    return _checked(Representation(sig, None, TargetRing("MatC", 4), gens),
-                    f"chiral model of {sig}")
-
-
-_chiral = cache(chiral_rep)
-
-
-def _conj_transpose(m):
-    return tuple(
-        tuple(m[j][i].conjugate() for j in range(len(m))) for i in range(len(m[0]))
-    )
-
-
-def _det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-SpinBlockResult = namedtuple(
-    "SpinBlockResult", "block_diagonal A D det_A det_D relation_ok component")
-
-
-def spin_block_check(g: Versor, sig: Signature) -> SpinBlockResult:
-    """Image of an even versor in the chiral model, split into 2x2 blocks.
-
-    For (1,3) the lower block must be Tr(A*) 1 - A* with A* the conjugate
-    transpose, and pin-normalized versors have det A = +-1, the restricted
-    component being det A = +1.  For (4,0) both blocks of a pin-normalized
-    even versor are unimodular.
-    """
-    if g.sig != sig:
-        raise ValueError("versor signature mismatch")
-    if not g.is_spin:
-        raise ValueError("block structure applies to even versors")
-    rep = _chiral(sig)
-    m = rep.rho(g.product)
-    off_zero = all(
-        not m[i][j] for i in range(2) for j in range(2, 4)
-    ) and all(not m[i][j] for i in range(2, 4) for j in range(2))
-    A = tuple(tuple(m[i][j] for j in range(2)) for i in range(2))
-    D = tuple(tuple(m[i][j] for j in range(2, 4)) for i in range(2, 4))
-    det_a = _det2(A)
-    det_d = _det2(D)
-    normalized = g.pin_normalized
-    if sig == Signature(1, 3):
-        astar = _conj_transpose(A)
-        tr = astar[0][0] + astar[1][1]
-        want = tuple(
-            tuple((tr if i == j else GaussianRational(0)) - astar[i][j] for j in range(2))
-            for i in range(2)
-        )
-        relation_ok = off_zero and D == want
-        component = ("restricted" if det_a == 1 else "other") if normalized else "unnormalized"
-    else:
-        relation_ok = off_zero and (not normalized or (det_a == 1 and det_d == 1))
-        component = "restricted" if normalized else "unnormalized"
-    return SpinBlockResult(off_zero, A, D, det_a, det_d, relation_ok, component)

@@ -606,15 +606,18 @@ def compile_complex_rep(n: int) -> Representation:
         return cached
     k = n // 2
     real = compile_rep(Signature(n - k, k))
-    times_minus_i = _UNIT_MUL[_MINUS_I]
-    gens = list(real._monos[:n - k])
-    for perm, codes in real._monos[n - k:]:
-        gens.append((perm, tuple(times_minus_i[c] for c in codes)))
+    gens = real._monos[:n - k] + _times_minus_i(real._monos[n - k:])
     target = TargetRing("MatC", real.target.m, real.target.summands)
     rep = _checked(Representation._from_monos(None, n, target, gens),
                    f"complex model of C({n})")
     _COMPILE_CACHE[n] = rep
     return rep
+
+
+def _times_minus_i(monos):
+    """The Gaussian-unit monomials ``monos``, each times -i."""
+    times = _UNIT_MUL[_MINUS_I]
+    return tuple((perm, tuple(times[c] for c in codes)) for perm, codes in monos)
 
 
 def invert(a):

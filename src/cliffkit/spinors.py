@@ -14,7 +14,9 @@ are read straight into multivector numerators.  After ``left_ideal`` the
 only elimination is U^-1: coordinates, the left action and U are read off
 the pivots and the monomial columns as numerator rows, stay so through the
 inverse and the intertwining check, and cross to dense matrices only in
-the returned ``SpinorModel``.
+the returned ``SpinorModel``.  The chiral 4x4 model of Cl(1,3) and Cl(4,0)
+(``chiral_rep``) acts on C^2 + C^2: its two 2x2 blocks are the Weyl spinor
+spaces on which ``spin_block_check`` reads an even versor.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from collections import namedtuple
 from . import linalg
 from .algebra import (
     Multivector,
+    Signature,
     blade_mul,
     complex_unit,
     multiplication_rows,
@@ -32,7 +35,11 @@ from .algebra import (
 from .reprs import (
     GAUSSIAN_INT_UNITS,
     Intertwiner,
+    Representation,
+    TargetRing,
+    _checked,
     _intertwines,
+    _times_minus_i,
     compile_complex_rep,
     compile_rep,
     invert,
@@ -216,8 +223,9 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
     if not is_minimal(space):
         raise ValueError("matrix model applies to minimal ideals")
     rep = compile_complex_rep(n)
-    left = _left_action(space)
-    U = _column_model(rep, space)
+    d, at = _basis_numerators(space.basis)
+    left = _left_action(space, d, at)
+    U = _column_model(rep, space, at)
     Uinv = linalg.inverse_numerators(*U)
     if Uinv is None or not _intertwines(U[1], left, rep._monos):
         raise AssertionError("no invertible intertwiner onto the column model")
@@ -226,20 +234,27 @@ def spinor_matrix_model(space: SpinorSpace, seed=0) -> SpinorModel:
                                    linalg.dense_matrix(*Uinv, GAUSSIAN), GAUSSIAN))
 
 
-def _left_action(space):
-    """(d, rows) per generator: L_i as numerator rows over d, the lcm of the
-    basis denominators.  L_i[r][j] is the coefficient of e^i psi_j at
-    pivots[r]; A p is a left ideal, so e^i psi_j lies in it and these are its
-    coordinates.  Since e^i e_b = s e_(b xor i), s read off the two
-    bitmasks by ``blade_mul``, the entry is s psi_j at pivots[r] xor i: one
-    lookup in the numerators, no product."""
-    d = math.lcm(*(psi.den for psi in space.basis))
-    # blade -> (j, re, im) over d for each psi_j that holds it, j ascending
+def _basis_numerators(basis):
+    """(d, at): d the lcm of the denominators of the psi_j in ``basis``, and
+    at[b] the (j, re, im) of each psi_j that holds blade b, j ascending: the
+    numerators of psi_j at b over d."""
+    d = math.lcm(*(psi.den for psi in basis))
     at = {}
-    for j, psi in enumerate(space.basis):
+    for j, psi in enumerate(basis):
         f = d // psi.den
         for b in psi.re.keys() | psi.im.keys():
             at.setdefault(b, []).append((j, f * psi.re.get(b, 0), f * psi.im.get(b, 0)))
+    return d, at
+
+
+def _left_action(space, d, at):
+    """(d, rows) per generator: L_i as numerator rows over d, with the
+    basis numerators ``at`` over d (``_basis_numerators``).  L_i[r][j] is
+    the coefficient of e^i psi_j at pivots[r]; A p is a left ideal, so
+    e^i psi_j lies in it and these are its coordinates.  Since e^i e_b =
+    s e_(b xor i), s read off the two bitmasks by ``blade_mul``, the entry
+    is s psi_j at pivots[r] xor i: one lookup in the numerators, no
+    product."""
     out = []
     for i in range(space.n):
         rows = []
@@ -250,29 +265,28 @@ def _left_action(space):
     return tuple(out)
 
 
-def _column_model(rep, space):
+def _column_model(rep, space, at):
     """(den, rows) of U, U[:, j] = column k of rho(psi_j), k the first
     nonzero column of rho(p), scaled so that its last nonzero entry in
     row-major order is 1.
 
     Column k of rho(e_b) holds one unit u, in the row r with perm_b[r] = k,
-    so each blade of psi_j adds its coefficient times u to U[r][j].  The
-    sums run on the numerators of the psi_j over the lcm of their
-    denominators, which the scaling cancels."""
+    so each blade b adds its coefficient in psi_j times u to U[r][j], for
+    every psi_j that holds b: one row lookup per blade.  The sums run on
+    the basis numerators ``at`` (``_basis_numerators``), over a common
+    denominator that the scaling cancels."""
     m = rep.target.m
     [rho_p] = rep.numerator_blocks(space.p)
     k = min(min(row) for row in rho_p if row)
-    d = math.lcm(*(psi.den for psi in space.basis))
     num = [{} for _ in range(m)]
-    for j, psi in enumerate(space.basis):
-        f = d // psi.den
-        for b in psi.re.keys() | psi.im.keys():
-            x, y = f * psi.re.get(b, 0), f * psi.im.get(b, 0)
-            perm, codes = rep._blade(b)
-            r = perm.index(k)
-            u, w = GAUSSIAN_INT_UNITS[codes[r]]
-            p, q = num[r].get(j, (0, 0))
-            num[r][j] = (p + x * u - y * w, q + x * w + y * u)
+    for b, terms in at.items():
+        perm, codes = rep._blade(b)
+        r = perm.index(k)
+        u, w = GAUSSIAN_INT_UNITS[codes[r]]
+        row = num[r]
+        for j, x, y in terms:
+            p, q = row.get(j, (0, 0))
+            row[j] = (p + x * u - y * w, q + x * w + y * u)
     num = [{j: e for j, e in row.items() if e[0] or e[1]} for row in num]
     last = next(row[max(row)] for row in reversed(num) if row)
     rows = []
@@ -319,9 +333,88 @@ def _conjugator_rows(p1, p2):
     return multiplication_rows([(p1, "right", p2.den), (p2, "left", -p1.den)])
 
 
+def adjoint_automorphism(g: Multivector, a: Multivector) -> Multivector:
+    """a -> g a g^-1 for any invertible multivector g."""
+    ginv = invert(g)
+    if ginv is None:
+        raise ValueError("adjoint by a non-invertible multivector")
+    return g * a * ginv
+
+
 def stabilizer_membership(g: Multivector, space: SpinorSpace) -> bool:
     """Whether the adjoint by g maps the ideal into itself."""
     ginv = invert(g)
     if ginv is None:
         raise ValueError("stabilizer membership needs an invertible element")
     return all(space.contains(g * psi * ginv) for psi in space.basis)
+
+
+# ---------------------------------------------------------------------------
+# block structure of Spin(1,3) and Spin(4,0) in the chiral matrix model
+
+_G0, _G1, _GI = GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)
+# sigma^mu = (1, sigma_1, sigma_2, sigma_3): the identity, then the Pauli matrices
+SIGMA = (((_G1, _G0), (_G0, _G1)), ((_G0, _G1), (_G1, _G0)),
+         ((_G0, -_GI), (_GI, _G0)), ((_G1, _G0), (_G0, -_G1)))
+
+
+def _chiral_gamma(mu):
+    """gamma^mu = [[0, sigmabar^mu], [sigma^mu, 0]] in 2x2 blocks, with
+    sigmabar^mu = (1, -sigma_1, -sigma_2, -sigma_3)."""
+    s = SIGMA[mu]
+    bar = s if mu == 0 else tuple(tuple(-x for x in row) for row in s)
+    return tuple((_G0, _G0) + row for row in bar) + tuple(row + (_G0, _G0) for row in s)
+
+
+def chiral_rep(sig: Signature) -> Representation:
+    """Chiral 4x4 complex model of Cl(1,3) or Cl(4,0).  The Cl(4,0)
+    generators are the Cl(1,3) ones with gamma^1, gamma^2, gamma^3 times -i."""
+    if sig not in (Signature(1, 3), Signature(4, 0)):
+        raise ValueError("chiral model available for (1,3) and (4,0) only")
+    rep = Representation(Signature(1, 3), None, TargetRing("MatC", 4),
+                         [_chiral_gamma(mu) for mu in range(4)])
+    if sig == Signature(4, 0):
+        rep = Representation._from_monos(sig, None, rep.target,
+                                         rep._monos[:1] + _times_minus_i(rep._monos[1:]))
+    return _checked(rep, f"chiral model of {sig}")
+
+
+def _det2(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+SpinBlockResult = namedtuple(
+    "SpinBlockResult", "block_diagonal A D det_A det_D relation_ok component")
+
+
+def spin_block_check(g, sig: Signature) -> SpinBlockResult:
+    """Image of an even ``groups.Versor`` in the chiral model, split into
+    2x2 blocks.
+
+    For (1,3) the lower block must be Tr(A*) 1 - A* with A* the conjugate
+    transpose, and pin-normalized versors have det A = +-1, the restricted
+    component being det A = +1.  For (4,0) both blocks of a pin-normalized
+    even versor are unimodular.
+    """
+    if g.sig != sig:
+        raise ValueError("versor signature mismatch")
+    if not g.is_spin:
+        raise ValueError("block structure applies to even versors")
+    rep = chiral_rep(sig)
+    m = rep.rho(g.product)
+    off_zero = not any(m[i][j] for i in range(4) for j in range(4) if (i < 2) != (j < 2))
+    A = tuple(tuple(m[i][j] for j in range(2)) for i in range(2))
+    D = tuple(tuple(m[i][j] for j in range(2, 4)) for i in range(2, 4))
+    det_a = _det2(A)
+    det_d = _det2(D)
+    normalized = g.pin_normalized
+    if sig == Signature(1, 3):
+        # Tr(A*) 1 - A*, entry by entry
+        (a, b), (c, d) = A
+        want = ((d.conjugate(), -c.conjugate()), (-b.conjugate(), a.conjugate()))
+        relation_ok = off_zero and D == want
+        component = ("restricted" if det_a == 1 else "other") if normalized else "unnormalized"
+    else:
+        relation_ok = off_zero and (not normalized or (det_a == 1 and det_d == 1))
+        component = "restricted" if normalized else "unnormalized"
+    return SpinBlockResult(off_zero, A, D, det_a, det_d, relation_ok, component)

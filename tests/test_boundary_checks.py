@@ -19,12 +19,7 @@ from cliffkit.algebra import (
     vector,
 )
 from cliffkit.cech import Complex, GroupCocycle, z2_betti
-from cliffkit.groups import (
-    PseudoOrthogonalMatrix,
-    Versor,
-    reflection_matrix,
-    spin_block_check,
-)
+from cliffkit.groups import PseudoOrthogonalMatrix, Versor, reflection_matrix
 from cliffkit.reprs import (
     Representation,
     TargetRing,
@@ -41,6 +36,7 @@ from cliffkit.spinors import (
     left_ideal,
     make_idempotent,
     primitive_idempotent,
+    spin_block_check,
 )
 
 S20, S11, S13, S40 = Signature(2, 0), Signature(1, 1), Signature(1, 3), Signature(4, 0)

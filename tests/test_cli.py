@@ -412,6 +412,25 @@ def test_cech_refuses_a_vertex_count_past_its_bound(capsys, tmp_path, argv, nest
     assert f"cech supports up to {MAX_CECH_SIMPLICES} simplices, vertices included" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--sig", "2,0", "--versor", "DEEP"],
+    ["decompose", "--sig", "2,0", "--matrix", "DEEP"],
+    ["lift", "--sig", "2,0", "--matrix", "DEEP"],
+    ["spinor", "--complex", "4", "--idempotent", "DEEP"],
+    ["cech", "betti", "DEEP", "--k", "0"],
+    ["cech", "check", "DEEP"],
+    ["cech", "lift", "DEEP"],
+], ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")))
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, argv):
+    # json.load recurses once per level, so 200,000 open brackets exhaust
+    # the stack before the file is found to be truncated
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run(capsys, *(str(deep) if a == "DEEP" else a for a in argv))
+    assert code == 2 and out == ""
+    assert f"{deep}: JSON nested too deeply" in err
+
+
 @pytest.mark.parametrize("extra, code_want", [(0, 0), (1, 2)], ids=["at-bound", "past-bound"])
 def test_cech_refuses_a_simplex_count_past_its_bound(capsys, tmp_path, extra, code_want):
     # two vertices and one edge listed over and over: the complex it builds

@@ -33,13 +33,10 @@ from cliffkit.cech import (
 from cliffkit.groups import (
     PseudoOrthogonalMatrix,
     Versor,
-    adjoint_automorphism,
     cartan_dieudonne,
-    chiral_rep,
     lift_to_pin,
     reflection_matrix,
     reflection_product,
-    spin_block_check,
     total_reflection_versor,
     zeta,
 )
@@ -49,6 +46,7 @@ from cliffkit.sampling import (
     random_versor,
     rng_from_seed,
 )
+from cliffkit.spinors import adjoint_automorphism, chiral_rep, spin_block_check
 import bareiss_oracle
 
 F = Fraction
@@ -99,9 +97,12 @@ def anisotropic_coords(draw, sig):
 
 @st.composite
 def pseudo_orthogonal(draw, sig):
-    """+-R(w_1) ... R(w_r) for r <= 3 drawn anisotropic vectors."""
+    """R(w_1) ... R(w_r) for r <= 3 drawn anisotropic vectors, or zeta of the
+    versor on them, (-1)^r times that product."""
     ws = [draw(anisotropic_coords(sig)) for _ in range(draw(st.integers(0, 3)))]
-    return reflection_product(sig, ws, draw(st.sampled_from((1, -1))))
+    if draw(st.booleans()):
+        return zeta(Versor(sig, [vector(sig, w) for w in ws]))
+    return reflection_product(sig, ws)
 
 
 def _int_if_whole(x):
@@ -198,7 +199,8 @@ def test_every_unchecked_build_preserves_the_form(data, sig, seed):
     # _from_int does not run preserves_form; each path through it must
     # preserve the form by construction
     ws = [data.draw(anisotropic_coords(sig)) for _ in range(data.draw(st.integers(0, 3)))]
-    a, b = reflection_product(sig, ws, 1), reflection_product(sig, ws, -1)
+    # (-1)^r R(w_1) ... R(w_r): for odd r, the negated product
+    a, b = reflection_product(sig, ws), zeta(Versor(sig, [vector(sig, w) for w in ws]))
     g = Versor(sig, [vector(sig, data.draw(anisotropic_coords(sig)))
                      for _ in range(data.draw(st.integers(0, 3)))])
     built = [
@@ -220,7 +222,7 @@ def test_reflection_matrix():
     with pytest.raises(ValueError):
         reflection_matrix(vector(M11, [F(1), F(1)]))
     assert reflection_product(E2, [(F(1), F(0))]) == r
-    assert reflection_product(E2, [(F(1), F(0))], sign=-1) == zeta(Versor(E2, [basis_vector(E2, 1)]))
+    assert zeta(Versor(E2, [basis_vector(E2, 1)])) == PseudoOrthogonalMatrix(E2, [[1, 0], [0, -1]])
     with pytest.raises(ValueError):
         reflection_product(M11, [(F(1), F(1))])
 

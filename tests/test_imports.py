@@ -4,12 +4,15 @@ re-exports each public name from the layer that defines it."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import cech_documents
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cliffkit"
 
@@ -33,9 +36,9 @@ def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
 
 
-def _child(code):
+def _child(code, *args):
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True).stdout.splitlines()
 
 
@@ -57,6 +60,54 @@ def test_cli_registers_every_layer_and_runs_only_those_it_calls():
     assert not ran & {"cliffkit.groups", "cliffkit.spinors", "cliffkit.cech", "cliffkit.linalg"}
 
 
+def _package_imports(path):
+    """The layers a module imports from the package, at any depth in its
+    source: ``from .x import ...`` and ``from . import x``."""
+    layers = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            layers |= {node.module} if node.module else {alias.name for alias in node.names}
+    return layers
+
+
+def test_the_pin_side_imports_no_matrix_model():
+    # the O(p,q) and Cech layers stand on the algebra alone; the matrix
+    # models and spinor ideals sit beside them, not beneath
+    assert _package_imports(SRC / "groups.py") <= {"algebra", "scalars"}
+    assert not _package_imports(SRC / "cech.py") & {"reprs", "linalg", "spinors"}
+
+
+_PIN_SIDE_FILES = {
+    "versor.json": [{"signature": [2, 0], "terms": [{"blade": [1], "coeff": "1"}]}],
+    "matrix.json": {"signature": [2, 0], "matrix": [["0", "1"], ["1", "0"]]},
+    "torus.json": cech_documents.torus_doc(3),
+    "cocycle.json": cech_documents.dihedral_cocycle_doc(3),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--sig", "2,0", "--versor", "versor.json"],
+    ["decompose", "--sig", "2,0", "--matrix", "matrix.json"],
+    ["lift", "--sig", "2,0", "--matrix", "matrix.json"],
+    ["cech", "betti", "torus.json", "--k", "1"],
+    ["cech", "check", "cocycle.json"],
+    ["cech", "lift", "cocycle.json"],
+], ids=" ".join)
+def test_pin_side_commands_run_no_matrix_model(tmp_path, argv):
+    # a cold O(p,q) or cech command runs groups but leaves reprs, linalg and
+    # spinors unexecuted, and an O(p,q) command leaves cech so too
+    for name, doc in _PIN_SIDE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code = ("import sys, types, cliffkit.cli as cli; code = cli.main(sys.argv[1:]); "
+            "print(code, *(m for m in sorted(sys.modules) if m.startswith('cliffkit.') "
+            "and type(sys.modules[m]) is types.ModuleType))")
+    out = _child(code, *(str(tmp_path / a) if a in _PIN_SIDE_FILES else a for a in argv))
+    status, *ran = out[-1].split()
+    assert status == "0" and "cliffkit.groups" in ran
+    assert not set(ran) & {"cliffkit.reprs", "cliffkit.linalg", "cliffkit.spinors"}
+    assert ("cliffkit.cech" in ran) == (argv[0] == "cech")
+
+
 def test_first_public_name_binds_every_name_and_runs_every_layer():
     # dir() lists the names before they are bound
     code = ("import sys, types, cliffkit; print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); "
@@ -72,14 +123,15 @@ PUBLIC = {
                "complexify_embed eta multivector_from_json multivector_to_json unit vector",
     "cech": "Complex GroupCocycle Z2Cochain check_cocycle pin_lift_cocycle subgroup_reduction_check "
             "z2_betti",
-    "groups": "CDResult PseudoOrthogonalMatrix Versor adjoint_automorphism cartan_dieudonne lift_to_pin "
-              "spin_block_check total_reflection_versor zeta",
+    "groups": "CDResult PseudoOrthogonalMatrix Versor cartan_dieudonne lift_to_pin total_reflection_versor "
+              "zeta",
     "reprs": "Intertwiner Representation TargetRing classify compile_complex_rep compile_rep double_rep "
              "even_subring_rep factor_projections invert quaternion_complexify real_irrep_dim "
              "rep_equivalence signature_shift",
     "scalars": "GaussianRational Quaternion",
-    "spinors": "HermitianIdempotent SpinorSpace find_conjugator is_minimal left_ideal make_idempotent "
-               "primitive_idempotent spinor_matrix_model stabilizer_membership",
+    "spinors": "HermitianIdempotent SpinorSpace adjoint_automorphism find_conjugator is_minimal left_ideal "
+               "make_idempotent primitive_idempotent spin_block_check spinor_matrix_model "
+               "stabilizer_membership",
 }
 
 
@@ -113,7 +165,6 @@ RECORDS = {
     "reprs.TargetRing": "kind m summands",
     "reprs.Intertwiner": "matrix inverse ring_tag",
     "groups.CDResult": "vectors fallback_count",
-    "groups.SpinBlockResult": "block_diagonal A D det_A det_D relation_ok component",
     "cech.Complex": "vertices edges triangles tetrahedra",
     "cech.Z2Cochain": "complex degree values",
     "cech.GroupCocycle": "complex sig edges",
@@ -121,6 +172,7 @@ RECORDS = {
     "spinors.HermitianIdempotent": "n s p",
     "spinors.SpinorSpace": "n p basis pivots",
     "spinors.SpinorModel": "rep left_action intertwiner",
+    "spinors.SpinBlockResult": "block_diagonal A D det_A det_D relation_ok component",
 }
 
 

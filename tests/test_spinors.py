@@ -15,7 +15,6 @@ from cliffkit.algebra import (
     multiplication_rows,
     multivector_to_json,
 )
-from cliffkit.groups import chiral_rep
 from cliffkit.reprs import (
     Representation,
     _intertwines,
@@ -31,6 +30,7 @@ from cliffkit.spinors import (
     SpinorSpace,
     _conjugator_rows,
     _row_preimages,
+    chiral_rep,
     find_conjugator,
     idempotent_from_factors,
     is_minimal,
@@ -279,12 +279,12 @@ def test_spinor_matrix_model_rejects_one_corrupted_entry(monkeypatch, part):
     if part == "left action":
         built = spinors._left_action
         monkeypatch.setattr(spinors, "_left_action",
-                            lambda sp: built(sp)[:1] + (_corrupted_numerators(built(sp)[1], 2, 1),)
-                            + built(sp)[2:])
+                            lambda *a: built(*a)[:1] + (_corrupted_numerators(built(*a)[1], 2, 1),)
+                            + built(*a)[2:])
     else:
         built = spinors._column_model
         monkeypatch.setattr(spinors, "_column_model",
-                            lambda rep, sp: _corrupted_numerators(built(rep, sp), 2, 1))
+                            lambda *a: _corrupted_numerators(built(*a), 2, 1))
     with pytest.raises(AssertionError, match="no invertible intertwiner"):
         spinor_matrix_model(space)
 
