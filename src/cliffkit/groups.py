@@ -72,7 +72,7 @@ class PseudoOrthogonalMatrix:
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix shape does not match the signature")
         d, flat = numerators(chain.from_iterable(rows))
-        self = cls._from_int(sig, [flat[i:i + n] for i in range(0, n * n, n)], d)
+        self = cls._from_int(sig, [flat[i * n:(i + 1) * n] for i in range(n)], d)
         if not self.preserves_form():
             raise ValueError("matrix does not preserve the bilinear form")
         return self

@@ -140,6 +140,24 @@ def test_decompose_and_lift_commands(capsys, tmp_path):
     assert len(doc["factors"]) == 2
 
 
+def test_cl00_commands_read_the_empty_matrix(capsys, tmp_path):
+    # O(0,0) holds only the 0 x 0 identity: an even versor of no factors
+    mat_file = tmp_path / "empty.json"
+    mat_file.write_text(json.dumps({"signature": [0, 0], "matrix": []}))
+    code, out, _ = run(capsys, "decompose", "--sig", "0,0", "--matrix", str(mat_file))
+    assert code == 0 and out.strip() == "reflections: 0 (isotropic fallbacks: 0)"
+    code, out, _ = run(capsys, "lift", "--sig", "0,0", "--matrix", str(mat_file))
+    assert code == 0 and out.splitlines() == ["versor with 0 factors (even)", "product: <Cl(0,0) (1)*e>"]
+    tetra = tetrahedron_boundary()
+    coc_file = tmp_path / "cocycle.json"
+    coc_file.write_text(json.dumps({"complex": tetra.to_json(), "signature": [0, 0],
+                                    "edges": [{"e": list(e), "matrix": []} for e in tetra.edges]}))
+    code, out, _ = run(capsys, "cech", "check", str(coc_file))
+    assert code == 0 and out.strip() == "cocycle condition holds on all triangles"
+    code, out, _ = run(capsys, "cech", "lift", str(coc_file))
+    assert code == 0 and out.strip() == "lift exists: 2^0 inequivalent lifts"
+
+
 def test_lift_bad_signature(capsys, tmp_path):
     mat_file = tmp_path / "m.json"
     mat_file.write_text(json.dumps([["1", "0"], ["0", "1"]]))

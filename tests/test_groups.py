@@ -77,6 +77,16 @@ def test_pseudo_orthogonal_json_roundtrip():
         PseudoOrthogonalMatrix.from_json([["1", "0"], ["0", "1"]])
 
 
+def test_cl00_matrix_constructs_and_round_trips():
+    # O(0,0) holds the 0 x 0 matrix alone, which zeta of the empty versor returns
+    s00 = Signature(0, 0)
+    empty = PseudoOrthogonalMatrix(s00, [])
+    assert empty.mat == () and empty.is_identity() and empty.det() == 1
+    assert empty.to_json() == {"signature": [0, 0], "matrix": []}
+    z = zeta(Versor(s00, []))
+    assert PseudoOrthogonalMatrix.from_json(z.to_json()) == z == empty
+
+
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 

@@ -42,15 +42,19 @@ def _child(code, *args):
                           capture_output=True, text=True, check=True).stdout.splitlines()
 
 
+# prints the cliffkit modules whose code has run: exec_module sets
+# __builtins__ in a layer's namespace, and an unrun layer lacks it
+RAN = ("print(*(m for m in sorted(sys.modules) if m.startswith('cliffkit.') "
+       "and '__builtins__' in vars(sys.modules[m])))")
+
+
 def test_cli_registers_every_layer_and_runs_only_those_it_calls():
     # every layer is in sys.modules once the CLI is imported, since callers
-    # such as a span recorder read them from there; a lazy layer is still a
-    # types.ModuleType subclass until its first attribute access runs it,
-    # and compile --verify runs neither groups, spinors, cech nor linalg
-    code = ("import sys, types, cliffkit.cli as cli; print(*sorted(sys.modules)); "
-            "cli.main(['compile', '8', '0', '--verify']); "
-            "print(*(m for m in sorted(sys.modules) if m.startswith('cliffkit.') "
-            "and type(sys.modules[m]) is types.ModuleType))")
+    # such as a span recorder read them from there; a layer's code runs on
+    # the first read of a name it does not hold yet, and compile --verify
+    # runs neither groups, spinors, cech nor linalg
+    code = ("import sys, cliffkit.cli as cli; print(*sorted(sys.modules)); "
+            f"cli.main(['compile', '8', '0', '--verify']); {RAN}")
     out = _child(code)
     layers = {"algebra", "linalg", "reprs", "groups", "spinors", "cech"}
     assert {f"cliffkit.{name}" for name in layers} <= set(out[0].split())
@@ -98,24 +102,12 @@ def test_pin_side_commands_run_no_matrix_model(tmp_path, argv):
     # spinors unexecuted, and an O(p,q) command leaves cech so too
     for name, doc in _PIN_SIDE_FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    code = ("import sys, types, cliffkit.cli as cli; code = cli.main(sys.argv[1:]); "
-            "print(code, *(m for m in sorted(sys.modules) if m.startswith('cliffkit.') "
-            "and type(sys.modules[m]) is types.ModuleType))")
+    code = f"import sys, cliffkit.cli as cli; code = cli.main(sys.argv[1:]); print(code, end=' '); {RAN}"
     out = _child(code, *(str(tmp_path / a) if a in _PIN_SIDE_FILES else a for a in argv))
     status, *ran = out[-1].split()
     assert status == "0" and "cliffkit.groups" in ran
     assert not set(ran) & {"cliffkit.reprs", "cliffkit.linalg", "cliffkit.spinors"}
     assert ("cliffkit.cech" in ran) == (argv[0] == "cech")
-
-
-def test_first_public_name_binds_every_name_and_runs_every_layer():
-    # dir() lists the names before they are bound
-    code = ("import sys, types, cliffkit; print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); "
-            "print(sum(n in dir(cliffkit) for n in cliffkit.__all__)); "
-            "cliffkit.zeta; print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); "
-            "print(*(m for m in sorted(sys.modules) if m.startswith('cliffkit.') "
-            "and type(sys.modules[m]) is not types.ModuleType))")
-    assert _child(code) == ["0", "53", "53", ""]
 
 
 PUBLIC = {
@@ -149,6 +141,71 @@ def test_package_exports_each_public_name_from_its_layer():
     assert set(star) - {"__builtins__"} == set(names)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         cliffkit.no_such_name
+
+
+def test_a_public_name_binds_its_layer_and_runs_the_layers_it_imports():
+    # dir() lists the names before they are bound; reading zeta binds the
+    # groups names alone and runs groups with the layers it imports
+    code = ("import sys, cliffkit; print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); "
+            "print(sum(n in dir(cliffkit) for n in cliffkit.__all__)); "
+            f"cliffkit.zeta; print(*sorted(n for n in cliffkit.__all__ if n in vars(cliffkit))); {RAN}")
+    assert _child(code) == ["0", "53", " ".join(sorted(PUBLIC["groups"].split())),
+                            "cliffkit.algebra cliffkit.groups cliffkit.scalars"]
+
+
+def test_a_spinor_name_leaves_the_pin_side_unrun():
+    out = _child(f"import sys, cliffkit; cliffkit.find_conjugator; {RAN}")[0].split()
+    assert {"cliffkit.scalars", "cliffkit.algebra", "cliffkit.reprs", "cliffkit.spinors"} <= set(out)
+    assert not set(out) & {"cliffkit.groups", "cliffkit.cech"}
+
+
+def test_vars_of_an_unrun_layer_runs_nothing():
+    # an unrun layer holds only what module_from_spec set and the hook, and
+    # reading those namespaces runs no layer
+    code = ("import sys, cliffkit; layers = [m for m in sorted(sys.modules) if m.startswith('cliffkit.')]; "
+            "print(*layers); print(*sorted(set().union(*(vars(sys.modules[m]) for m in layers)))); "
+            f"{RAN}")
+    layers, names, ran = _child(code)
+    assert set(layers.split()) == {f"cliffkit.{layer}" for layer in [*PUBLIC, "linalg"]}
+    assert set(names.split()) <= {"__name__", "__doc__", "__package__", "__loader__", "__spec__",
+                                  "__file__", "__cached__", "__getattr__"}
+    assert ran == ""
+
+
+def test_star_import_binds_every_name():
+    code = ("import sys, cliffkit; from cliffkit import *; "
+            f"print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); {RAN}")
+    count, ran = _child(code)
+    assert count == "53"
+    assert set(ran.split()) == {f"cliffkit.{layer}" for layer in PUBLIC}
+
+
+def test_threads_reading_one_unrun_layer_get_its_objects():
+    # each thread waits at the barrier, then reads its own name from reprs
+    # while the first reader is running the layer; a second run would leave
+    # some thread holding an object the final namespace does not
+    code = """if True:
+        import sys, threading, cliffkit
+        sys.setswitchinterval(1e-6)
+        layer, names = sys.modules["cliffkit.reprs"], sys.argv[1:]
+        barrier = threading.Barrier(len(names), timeout=60)
+        got = {}
+
+        def read(name):
+            barrier.wait()
+            got[name] = getattr(layer, name)
+
+        threads = [threading.Thread(target=read, args=(n,)) for n in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        print(sum(t.is_alive() for t in threads))
+        print(sum(got.get(n) is vars(layer)[n] and got[n].__module__ == "cliffkit.reprs" for n in names))
+        print("__getattr__" in vars(layer))
+    """
+    names = PUBLIC["reprs"].split()
+    assert _child(code, *names) == ["0", str(len(names)), "False"]
 
 
 def test_cli_loads_verify_only_for_verify_all():
