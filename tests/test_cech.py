@@ -519,6 +519,55 @@ def test_pin_lift_resigned_pass_is_an_internal_check(monkeypatch, fault):
         pin_lift_cocycle(coc)
 
 
+M11 = Signature(1, 1)
+# e1 + e2 is isotropic in Cl(1,1): (e1 + e2)^2 = 0, though e1 + e2 is not zero
+NULL = ((1, 1), 1)
+
+
+def _identity_cocycle_m11():
+    tri = filled_triangle()
+    return GroupCocycle.build(tri, M11, {e: PseudoOrthogonalMatrix.identity(M11) for e in tri.edges})
+
+
+def test_canonical_sign_refuses_a_zero_product(monkeypatch):
+    # a versor of anisotropic factors is invertible, so only an unchecked
+    # isotropic pair reaches the guard, here as the lift of every edge
+    zero = Versor._from_vecs(M11, (NULL, NULL))
+    assert not zero.product.re
+    with pytest.raises(AssertionError, match="versor product is zero"):
+        canonical_sign(zero)
+    monkeypatch.setattr(cech, "lift_to_pin", lambda m: zero)
+    with pytest.raises(AssertionError, match="versor product is zero"):
+        pin_lift_cocycle(_identity_cocycle_m11())
+
+
+def test_triangle_scalar_refuses_a_zero_discrepancy(monkeypatch):
+    # each edge lifts to the nonzero e1 + e2, whose square L_01 L_12 is zero
+    monkeypatch.setattr(cech, "lift_to_pin", lambda m: Versor._from_vecs(M11, (NULL,)))
+    with pytest.raises(AssertionError, match="triangle discrepancy is zero"):
+        pin_lift_cocycle(_identity_cocycle_m11())
+
+
+def test_pin_lift_refuses_a_discrepancy_that_is_not_a_cocycle(monkeypatch):
+    # on a solid tetrahedron w is a 2-cocycle exactly when its four faces
+    # hold an even number of -1s: one face's scalar flipped makes that odd
+    rng = rng_from_seed(3)
+    tris = list(itertools.combinations(range(4), 3))
+    solid = Complex.build(4, edges=itertools.combinations(range(4), 2), triangles=tris,
+                          tetrahedra=[(0, 1, 2, 3)])
+    coc, _ = _coboundary_cocycle(solid, rng)
+    assert pin_lift_cocycle(coc).success
+    scalar = cech._triangle_scalar
+
+    def flipped(lifts, t, given=False):
+        s = scalar(lifts, t, given)
+        return -s if given and t == (0, 1, 2) else s
+
+    monkeypatch.setattr(cech, "_triangle_scalar", flipped)
+    with pytest.raises(AssertionError, match="discrepancy is not a 2-cocycle"):
+        pin_lift_cocycle(coc)
+
+
 def _fraction_triangle_scalar(lifts, t):
     """The discrepancy scalar s with L_ij L_jk = s L_ik from one Fraction
     product, as a reference for the integer ``cech._triangle_scalar``."""

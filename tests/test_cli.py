@@ -29,6 +29,7 @@ from cliffkit.cech import (
     tetrahedron_boundary,
 )
 from cliffkit.cli import (
+    CHECK_FAILED,
     MAX_CECH_SIMPLICES,
     MAX_CLASSIFY_DIM,
     MAX_COMPILE_DIM,
@@ -348,6 +349,23 @@ def test_seed_reaches_verify_all(capsys, monkeypatch):
     assert run(capsys, "verify-all") == (0, "", "")
     assert seeds == [17, 0]
     assert run(capsys, "classify", "1", "3") == (0, "Mat(2,H)\n", "")
+
+
+def test_verify_all_fails_when_the_lift_drops_the_omega_patch(capsys, monkeypatch):
+    # a lift that leaves an odd count unpatched maps onto -M: double-cover
+    # reports the round trip, and verify-all prints FAIL and exits 1
+    from cliffkit import groups, verify
+
+    def unpatched_lift(m):
+        return groups.Versor._from_vecs(m.sig, tuple(groups._cartan_dieudonne(m)[0]))
+
+    monkeypatch.setattr(verify, "lift_to_pin", unpatched_lift)
+    ok, detail = verify.check_double_cover()
+    assert not ok and detail.endswith("round trip failed")
+    monkeypatch.setattr(verify, "CRITERIA", [c for c in verify.CRITERIA if c[0] == "double-cover"])
+    code, out, err = run(capsys, "verify-all")
+    assert (code, err) == (CHECK_FAILED, "")
+    assert out.startswith("double-cover: FAIL [") and out.rstrip().endswith("round trip failed")
 
 
 @pytest.mark.parametrize("command", ["decompose", "cech lift"])

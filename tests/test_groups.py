@@ -21,10 +21,12 @@ from cliffkit.algebra import (
     unit,
     vector,
 )
+from cliffkit.cli import MAX_LIFT_DIM
 from cliffkit.cech import (
     Complex,
     GroupCocycle,
     canonical_sign,
+    filled_triangle,
     nontrivial_1cocycle,
     pin_lift_cocycle,
     projective_plane,
@@ -620,6 +622,86 @@ def test_lift_to_pin_round_trip_random():
         for _ in range(10):
             m = random_pseudo_orthogonal(sig, rng)
             assert zeta(lift_to_pin(m)) == m
+
+
+ROT = PseudoOrthogonalMatrix(E2, [[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]])
+
+
+def _corrupt_reflect(monkeypatch, step, col, row):
+    """Make the ``step``-th ``_reflect`` call (from 1) return one entry off:
+    row ``row`` of column ``col`` raised by 1."""
+    reflect, calls = groups._reflect, []
+
+    def corrupted(sig, u, cols, d):
+        out, d = reflect(sig, u, cols, d)
+        calls.append(u)
+        if len(calls) == step:
+            out[col][row] += 1
+        return out, d
+
+    monkeypatch.setattr(groups, "_reflect", corrupted)
+
+
+# the rotation factors as R(u_1) fixing column 0, then R(u_2) fixing column 1:
+# an entry off in column 0 at step 1 fails that step's check, and at step 2
+# only the residue check sees it
+_GUARDS = [(1, 0, 1, "reflection step failed to fix the basis vector"),
+           (2, 0, 0, "factorization left a nonidentity residue")]
+
+
+@pytest.mark.parametrize("step, col, row, match", _GUARDS)
+def test_cartan_dieudonne_guards_fire_on_a_corrupted_reflection(monkeypatch, step, col, row, match):
+    assert cartan_dieudonne(ROT).r == 2
+    _corrupt_reflect(monkeypatch, step, col, row)
+    with pytest.raises(AssertionError, match=match):
+        groups._cartan_dieudonne(ROT)
+
+
+@pytest.mark.parametrize("step, col, row, match", _GUARDS)
+def test_lift_passes_a_failed_factorization_on(monkeypatch, step, col, row, match):
+    # the residue check is the lift's one proof: a corrupted step reaches
+    # neither a versor from lift_to_pin nor a result from pin_lift_cocycle,
+    # whose first distinct edge matrix is the rotation
+    ident = PseudoOrthogonalMatrix.identity(E2)
+    coc = GroupCocycle.build(filled_triangle(), E2, {(0, 1): ROT, (0, 2): ROT, (1, 2): ident})
+    assert pin_lift_cocycle(coc).success
+    _corrupt_reflect(monkeypatch, step, col, row)
+    with pytest.raises(AssertionError, match=match):
+        lift_to_pin(ROT)
+    monkeypatch.undo()
+    _corrupt_reflect(monkeypatch, step, col, row)
+    with pytest.raises(AssertionError, match=match):
+        pin_lift_cocycle(coc)
+
+
+def test_lift_reflects_once_per_factorization_vector(monkeypatch):
+    # r reflections in the factorization, r calls of _reflect in the lift:
+    # the lift does not rebuild zeta(g) through the same kernel
+    rng = rng_from_seed(5)
+    reflect, calls = groups._reflect, []
+    monkeypatch.setattr(groups, "_reflect", lambda *args: calls.append(1) or reflect(*args))
+    seen = set()
+    for sig in (E2, M11, Signature(4, 0), Signature(2, 2), Signature(1, 3)):
+        for _ in range(12):
+            m = random_pseudo_orthogonal(sig, rng)
+            r = len(groups._cartan_dieudonne(m)[0])
+            del calls[:]
+            g = lift_to_pin(m)
+            assert len(calls) == r
+            assert len(g.vecs) == (r if r % 2 == 0 else r + sig.n)
+            seen.add(r % 2)
+    assert seen == {0, 1}
+
+
+def test_total_reflection_is_minus_identity_up_to_the_lift_bound():
+    # the constant behind the lift's odd-count patch: zeta(omega) = -I for
+    # every even n the lift accepts and every split p + q = n
+    for n in range(2, MAX_LIFT_DIM + 1, 2):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            minus = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
+            m = zeta(total_reflection_versor(sig))
+            assert (m.num, m.den) == (minus, 1)
 
 
 def test_adjoint_automorphism():
