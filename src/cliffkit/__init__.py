@@ -14,9 +14,12 @@ running that layer and the layers it imports: pin-side use (``zeta``,
 ``lift_to_pin``, the Cech names) runs ``scalars``, ``algebra``, ``groups``
 and ``cech`` at most; spinor-side use (``find_conjugator``,
 ``spinor_matrix_model``) runs ``scalars``, ``algebra``, ``linalg``,
-``reprs`` and ``spinors``.  Without a bytecode cache, a fresh process sets
-up the pin-lift benchmark in 24 ms against 42 ms when the first name read
-ran every layer (medians of 11 alternating runs, Python 3.11, 2 CPUs).
+``reprs`` and ``spinors``; a model compile (``compile_rep``, the CLI's
+``compile`` and ``classify``) runs ``scalars`` and ``reprs`` alone, since
+``reprs`` runs ``algebra`` only to build a multivector.  Without a bytecode
+cache, a fresh process sets up the pin-lift benchmark in 24 ms against
+42 ms when the first name read ran every layer (medians of 11 alternating
+runs, Python 3.11, 2 CPUs).
 """
 
 import _thread
@@ -26,7 +29,7 @@ import sys
 # each layer, registered unrun below -> the public names the package
 # re-exports from it (linalg has none)
 _API = {
-    "algebra": "Multivector Signature basis_vector blade_mul complex_basis_vector complex_unit "
+    "algebra": "Multivector basis_vector blade_mul complex_basis_vector complex_unit "
     "complexify_embed eta multivector_from_json multivector_to_json unit vector",
     "cech": "Complex GroupCocycle Z2Cochain check_cocycle pin_lift_cocycle "
     "subgroup_reduction_check z2_betti",
@@ -36,7 +39,7 @@ _API = {
     "reprs": "Intertwiner Representation TargetRing classify compile_complex_rep compile_rep "
     "double_rep even_subring_rep factor_projections invert quaternion_complexify real_irrep_dim "
     "rep_equivalence signature_shift",
-    "scalars": "GaussianRational Quaternion",
+    "scalars": "GaussianRational Quaternion Signature",
     "spinors": "HermitianIdempotent SpinorSpace adjoint_automorphism find_conjugator is_minimal "
     "left_ideal make_idempotent primitive_idempotent spin_block_check spinor_matrix_model "
     "stabilizer_membership",

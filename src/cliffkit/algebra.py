@@ -16,7 +16,6 @@ the sign mask (``_neg_mask``) follow from the signature and are not stored.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import (
@@ -25,35 +24,12 @@ from .scalars import (
     RATIONAL,
     ZERO,
     GaussianRational,
+    Signature,
     format_scalar,
     is_json_int,
     numerators,
     parse_scalar,
 )
-
-
-class Signature(namedtuple("Signature", "p q")):
-    """Number of generators squaring to +e and to -e."""
-
-    __slots__ = ()
-
-    def __new__(cls, p, q):
-        if p < 0 or q < 0:
-            raise ValueError("signature components must be nonnegative")
-        return tuple.__new__(cls, (p, q))
-
-    @property
-    def n(self):
-        return self.p + self.q
-
-    def square(self, i):
-        """Square of generator i (1-based): +1 or -1."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"generator index {i} out of range for {self}")
-        return 1 if i <= self.p else -1
-
-    def __str__(self):
-        return f"({self.p},{self.q})"
 
 
 def blade_mul(b1, b2, sig):

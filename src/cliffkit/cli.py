@@ -11,13 +11,8 @@ import argparse
 import json
 import sys
 
-from . import cech, groups, reprs, spinors
-from .algebra import (
-    Signature,
-    multivector_from_json,
-    multivector_to_json,
-)
-from .scalars import format_rational, json_chunks, json_text
+from . import algebra, cech, groups, reprs, spinors
+from .scalars import Signature, format_rational, json_chunks, json_text
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -200,7 +195,7 @@ def _cmd_zeta(args):
     factors_doc = doc["factors"] if isinstance(doc, dict) else doc
     if not isinstance(factors_doc, list):
         raise ValueError("versor JSON must be a list of factors")
-    factors = [multivector_from_json(d, sig) for d in factors_doc]
+    factors = [algebra.multivector_from_json(d, sig) for d in factors_doc]
     g = groups.Versor(sig, factors)
     m = groups.zeta(g)
     if args.json:
@@ -219,7 +214,7 @@ def _cmd_decompose(args):
         print(json_text({
             "reflections": cd.r,
             "fallbacks": cd.fallback_count,
-            "vectors": [multivector_to_json(w) for w in cd.vectors],
+            "vectors": [algebra.multivector_to_json(w) for w in cd.vectors],
         }))
     else:
         print(f"reflections: {cd.r} (isotropic fallbacks: {cd.fallback_count})")
@@ -236,8 +231,8 @@ def _cmd_lift(args):
     g = groups.lift_to_pin(m)
     if args.json:
         print(json_text({
-            "factors": [multivector_to_json(v) for v in g.factors],
-            "product": multivector_to_json(g.product),
+            "factors": [algebra.multivector_to_json(v) for v in g.factors],
+            "product": algebra.multivector_to_json(g.product),
             "spin": g.is_spin,
         }))
     else:
@@ -254,7 +249,7 @@ def _cmd_spinor(args):
     if args.idempotent == "auto":
         idem = spinors.primitive_idempotent(n)
     else:
-        s = multivector_from_json(_load_json(args.idempotent), n)
+        s = algebra.multivector_from_json(_load_json(args.idempotent), n)
         idem = spinors.make_idempotent(s)
     space = spinors.left_ideal(idem)
     minimal = spinors.is_minimal(space)
@@ -262,7 +257,7 @@ def _cmd_spinor(args):
           f"({'minimal' if minimal else 'not minimal'})")
     doc = {
         "n": n,
-        "idempotent": multivector_to_json(idem.p),
+        "idempotent": algebra.multivector_to_json(idem.p),
         "dimension": space.dim,
         "minimal": minimal,
     }
@@ -300,7 +295,8 @@ def _lift_texts(lifts):
     for (i, j), v in sorted(lifts.items()):
         text = texts.get(v.product)
         if text is None:
-            text = texts[v.product] = json_text(multivector_to_json(v.product)).replace("\n", "\n      ")
+            text = json_text(algebra.multivector_to_json(v.product)).replace("\n", "\n      ")
+            texts[v.product] = text
         yield f'{{\n      "e": [\n        {i},\n        {j}\n      ],\n      "product": {text}\n    }}'
 
 

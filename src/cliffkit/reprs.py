@@ -5,7 +5,9 @@ over R, C or H, or to a direct sum of two copies of one, and the target only
 depends on (p - q) mod 8.  ``compile_rep`` produces explicit generator
 matrices realizing that isomorphism: it reduces the signature with two exact
 shifts (an index flip and a (p, q) -> (p - 4, q + 4) move), then stacks
-(1, 1)-doublings over a small table of base cases.
+(1, 1)-doublings over a small table of base cases.  A compile reads blade
+bitmasks and monomials only, and ``algebra`` runs where a multivector is
+built, so a cold ``compile`` or ``classify`` leaves it unrun.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from . import linalg
-from .algebra import Multivector, Signature, basis_vector
+from . import algebra, linalg
 from .scalars import (
     GAUSSIAN,
     QUATERNION,
@@ -26,6 +27,7 @@ from .scalars import (
     ZERO,
     GaussianRational,
     Quaternion,
+    Signature,
     format_scalar,
     is_json_int,
     json_chunks,
@@ -248,14 +250,14 @@ class Representation:
         tag = self.target.ring_tag
         return self._shape(self._dense(self._blade(blade), _RING_UNITS[tag], ZERO[tag]))
 
-    def rho(self, mv: Multivector):
+    def rho(self, mv: algebra.Multivector):
         """Image of a multivector of the source algebra, the dense view
         (``linalg.dense_matrix``) of ``numerator_blocks`` over mv.den."""
         blocks = tuple(linalg.dense_matrix(mv.den, rows, self.target.ring_tag)
                        for rows in self.numerator_blocks(mv))
         return blocks if self.target.summands == 2 else blocks[0]
 
-    def numerator_blocks(self, mv: Multivector):
+    def numerator_blocks(self, mv: algebra.Multivector):
         """rho(mv) as sparse Gaussian-integer rows (column -> (re, im), no
         zeros), one list of rows per summand block, every entry times mv.den.
         A quaternion block is given by its complex adjoint chi, a 2m x 2m
@@ -283,14 +285,14 @@ class Representation:
         rows = [{j: e for j, e in row.items() if e[0] or e[1]} for row in rows]
         return [rows[s:s + w] for s in range(0, len(rows), w)]
 
-    def ranks(self, mv: Multivector):
+    def ranks(self, mv: algebra.Multivector):
         """Rank of each summand block of rho(mv) over the target's ring,
         from ``numerator_blocks`` by the one Bareiss kernel; a quaternion
         block A ranks as chi(A) / 2."""
         return [len(linalg.echelon_numerators(rows)) // _UNIT_ROWS[self.target.ring_tag]
                 for rows in self.numerator_blocks(mv)]
 
-    def invertible(self, mv: Multivector):
+    def invertible(self, mv: algebra.Multivector):
         """Whether rho(mv) is invertible: every summand block has full rank.
 
         A compiled model is injective onto a ring of the same dimension, so
@@ -342,9 +344,9 @@ class Representation:
                 re[b] = re.get(b, 0) + f * x
                 im[b] = im.get(b, 0) + f * y
         real = not self.is_complex
-        return Multivector(self.sig, self.n, den * _UNIT_ROWS[t.ring_tag] * t.summands * t.m,
-                           {b: x for b, x in re.items() if x},
-                           {} if real else {b: y for b, y in im.items() if y})
+        return algebra.Multivector(self.sig, self.n, den * _UNIT_ROWS[t.ring_tag] * t.summands * t.m,
+                                   {b: x for b, x in re.items() if x},
+                                   {} if real else {b: y for b, y in im.items() if y})
 
     def _row_traces(self, rows):
         """For each (r, row) of ``rows``, a dict b -> (re, im) of k
@@ -514,40 +516,42 @@ def double_rep(r: Representation) -> Representation:
                     f"doubled model of {sig}")
 
 
+def _shift_plan(sig: Signature, kind: str):
+    """(new_sig, blades): the generator substitution of a signature move,
+    each new generator (positives first) the blade bitmask b of the old
+    algebra whose ascending product e_b it is, with sign +1.
+
+    kind "flip": (m, k) -> (k+1, m-1), built from w1 = v1, wi = v1 vi.
+    kind "mod4": (p, q) -> (p-4, q+4), the first four positive generators are
+    replaced by the four complementary triple products v2 v3 v4, v1 v3 v4,
+    v1 v2 v4 and v1 v2 v3.
+    """
+    p, q = sig.p, sig.q
+    n = sig.n
+    if kind == "flip":
+        if p < 1 or n < 2:
+            raise ValueError("flip needs at least one positive generator and n > 1")
+        pairs = [1 | 1 << i for i in range(1, n)]  # v1 vi for i = 2 .. n
+        return Signature(q + 1, p - 1), [1] + pairs[p - 1:] + pairs[:p - 1]
+    if kind == "mod4":
+        if p < 4:
+            raise ValueError("mod4 shift needs at least four positive generators")
+        rest = [1 << i for i in range(4, n)]  # v5 .. vn
+        triples = [0b1110, 0b1101, 0b1011, 0b0111]
+        return Signature(p - 4, q + 4), rest[:p - 4] + triples + rest[p - 4:]
+    raise ValueError(f"unknown shift kind {kind!r}")
+
+
 def signature_shift(sig: Signature, kind: str):
     """Exact generator substitution realizing a signature move.
 
     Returns (new_sig, gen_map) where gen_map lists, for each generator of the
-    new signature (positives first), a multivector of the old algebra.
-
-    kind "flip": (m, k) -> (k+1, m-1), built from w1 = v1, wi = v1 vi.
-    kind "mod4": (p, q) -> (p-4, q+4), the first four positive generators are
-    replaced by the four complementary triple products.
+    new signature (positives first), a multivector of the old algebra: the
+    blade +e_b of each b in ``_shift_plan``, the one plan ``compile_rep``
+    reads.
     """
-    p, q = sig.p, sig.q
-    n = sig.n
-    v = [None] + [basis_vector(sig, i) for i in range(1, n + 1)]
-    if kind == "flip":
-        if p < 1 or n < 2:
-            raise ValueError("flip needs at least one positive generator and n > 1")
-        new_sig = Signature(q + 1, p - 1)
-        pos = [v[1]] + [v[1] * v[i] for i in range(p + 1, n + 1)]
-        neg = [v[1] * v[i] for i in range(2, p + 1)]
-        return new_sig, pos + neg
-    if kind == "mod4":
-        if p < 4:
-            raise ValueError("mod4 shift needs at least four positive generators")
-        new_sig = Signature(p - 4, q + 4)
-        pos = [v[i] for i in range(5, p + 1)]
-        triples = [
-            v[2] * v[3] * v[4],
-            v[1] * v[3] * v[4],
-            v[1] * v[2] * v[4],
-            v[1] * v[2] * v[3],
-        ]
-        neg = triples + [v[i] for i in range(p + 1, n + 1)]
-        return new_sig, pos + neg
-    raise ValueError(f"unknown shift kind {kind!r}")
+    new_sig, blades = _shift_plan(sig, kind)
+    return new_sig, [algebra.Multivector.real(sig, {b: 1}) for b in blades]
 
 
 # real models keyed by Signature, complex ones by their dimension n
@@ -578,10 +582,10 @@ def compile_rep(sig: Signature) -> Representation:
             src = Signature(sig.p + 4, sig.q - 4)
             kind = "mod4"
         src_rep = compile_rep(src)
-        new_sig, gen_map = signature_shift(src, kind)
+        new_sig, blades = _shift_plan(src, kind)
         if new_sig != sig:
             raise AssertionError("shift plan produced the wrong signature")
-        gens = [src_rep._signed_blade(mv) for mv in gen_map]
+        gens = [src_rep._blade(b) for b in blades]
         rep = _checked(Representation._from_monos(sig, None, src_rep.target, gens),
                        f"{kind}-shifted model of {sig}")
     want = classify(sig)
@@ -650,10 +654,10 @@ def even_subring_rep(sig: Signature):
     n = sig.n
     if n < 2:
         raise ValueError("even subring derivation needs n > 1")
-    v1 = basis_vector(sig, 1)
+    v1 = algebra.basis_vector(sig, 1)
     pos, neg = [], []
     for i in range(2, n + 1):
-        w = v1 * basis_vector(sig, i)
+        w = v1 * algebra.basis_vector(sig, i)
         sq = (w * w).scalar_part()
         if sq == 1:
             pos.append(w)

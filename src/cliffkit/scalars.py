@@ -8,19 +8,48 @@ value types of the API and JSON edge: ``Multivector.terms``, dense model
 matrices and the parsed and formatted JSON scalars.  Their operator protocol
 is written once, in ``_DivisionRing``, on each element's tuple of rational
 coordinates (real part first); a subclass adds only its slots, constructor,
-``coords()`` and product.
+``coords()`` and product.  ``Signature`` (p, q), the metric of a real
+algebra, lives here too, so a layer that names a signature but builds no
+multivector leaves ``algebra`` unrun.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, sub
 
 RATIONAL = "rational"
 GAUSSIAN = "gaussian"
 QUATERNION = "quaternion"
+
+
+class Signature(namedtuple("Signature", "p q")):
+    """Number of generators squaring to +e and to -e."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        if not (is_json_int(p) and is_json_int(q)):
+            raise TypeError("signature components must be integers")
+        if p < 0 or q < 0:
+            raise ValueError("signature components must be nonnegative")
+        return tuple.__new__(cls, (p, q))
+
+    @property
+    def n(self):
+        return self.p + self.q
+
+    def square(self, i):
+        """Square of generator i (1-based): +1 or -1."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"generator index {i} out of range for {self}")
+        return 1 if i <= self.p else -1
+
+    def __str__(self):
+        return f"({self.p},{self.q})"
 
 
 def numerators(values):

@@ -316,12 +316,12 @@ CRITERIA = (
     ("named-isomorphisms", check_named_isomorphisms, None),
     ("irrep-dimensions", check_irrep_dimensions, None),
     ("vector-action-soundness", check_vector_action, 2.0),
-    ("double-cover", check_double_cover, 0.75),
+    ("double-cover", check_double_cover, 0.2),
     ("reflection-factorization", check_reflection_factorization, 3.0),
-    ("spinor-ideals", check_spinor_ideals, 0.06),
+    ("spinor-ideals", check_spinor_ideals, 0.05),
     ("idempotent-conjugacy", check_idempotent_conjugacy, 0.3),
     ("even-subrings", check_even_subrings, None),
-    ("cech-pin-obstruction", check_cech_obstruction, 0.1),
+    ("cech-pin-obstruction", check_cech_obstruction, 0.04),
 )
 
 

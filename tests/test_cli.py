@@ -40,6 +40,7 @@ from cliffkit.cli import (
     main,
 )
 from cliffkit.groups import PseudoOrthogonalMatrix, lift_to_pin
+from cliffkit.reprs import Representation, compile_rep
 
 
 def run(capsys, *argv):
@@ -116,6 +117,15 @@ def test_compile_verifies_at_the_size_bound(capsys):
     code, out, _ = run(capsys, "compile", "--complex", "18", "--verify")
     assert code == 0
     assert out == "C(18) -> Mat(512,C)\nverified: relations and injectivity exact\n"
+
+
+def test_compile_reports_a_model_that_fails_verification(capsys, monkeypatch):
+    # the compiled model is cached; its verify() failing when --verify
+    # re-reads it is a failed check, not a success
+    compile_rep(Signature(2, 2))
+    monkeypatch.setattr(Representation, "verify", lambda r: False)
+    code, out, err = run(capsys, "compile", "2", "2", "--verify")
+    assert (code, out, err) == (CHECK_FAILED, "Cl(2,2): verification FAILED\n", "")
 
 
 def test_zeta_command(capsys, tmp_path):

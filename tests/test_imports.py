@@ -48,20 +48,23 @@ RAN = ("print(*(m for m in sorted(sys.modules) if m.startswith('cliffkit.') "
        "and '__builtins__' in vars(sys.modules[m])))")
 
 
-def test_cli_registers_every_layer_and_runs_only_those_it_calls():
+def test_cli_registers_every_layer_and_runs_only_those_it_calls(tmp_path):
     # every layer is in sys.modules once the CLI is imported, since callers
     # such as a span recorder read them from there; a layer's code runs on
-    # the first read of a name it does not hold yet, and compile --verify
-    # runs neither groups, spinors, cech nor linalg
+    # the first read of a name it does not hold yet, and a cold compile,
+    # real or complex, or classify runs no multivector code: not algebra,
+    # nor groups, spinors, cech or linalg
     code = ("import sys, cliffkit.cli as cli; print(*sorted(sys.modules)); "
-            f"cli.main(['compile', '8', '0', '--verify']); {RAN}")
-    out = _child(code)
+            f"print(cli.main(sys.argv[1:])); {RAN}")
     layers = {"algebra", "linalg", "reprs", "groups", "spinors", "cech"}
-    assert {f"cliffkit.{name}" for name in layers} <= set(out[0].split())
-    assert "dataclasses" not in out[0].split()
-    ran = set(out[-1].split())
-    assert {"cliffkit.algebra", "cliffkit.reprs", "cliffkit.cli"} <= ran
-    assert not ran & {"cliffkit.groups", "cliffkit.spinors", "cliffkit.cech", "cliffkit.linalg"}
+    for argv in (["compile", "8", "0", "--verify"],
+                 ["compile", "--complex", "7", "--verify", "--json", str(tmp_path / "c7.json")],
+                 ["classify", "0", "0"]):
+        out = _child(code, *argv)
+        assert {f"cliffkit.{name}" for name in layers} <= set(out[0].split())
+        assert "dataclasses" not in out[0].split()
+        assert out[-2] == "0"
+        assert set(out[-1].split()) == {"cliffkit.cli", "cliffkit.scalars", "cliffkit.reprs"}
 
 
 def _package_imports(path):
@@ -111,7 +114,7 @@ def test_pin_side_commands_run_no_matrix_model(tmp_path, argv):
 
 
 PUBLIC = {
-    "algebra": "Multivector Signature basis_vector blade_mul complex_basis_vector complex_unit "
+    "algebra": "Multivector basis_vector blade_mul complex_basis_vector complex_unit "
                "complexify_embed eta multivector_from_json multivector_to_json unit vector",
     "cech": "Complex GroupCocycle Z2Cochain check_cocycle pin_lift_cocycle subgroup_reduction_check "
             "z2_betti",
@@ -120,7 +123,7 @@ PUBLIC = {
     "reprs": "Intertwiner Representation TargetRing classify compile_complex_rep compile_rep double_rep "
              "even_subring_rep factor_projections invert quaternion_complexify real_irrep_dim "
              "rep_equivalence signature_shift",
-    "scalars": "GaussianRational Quaternion",
+    "scalars": "GaussianRational Quaternion Signature",
     "spinors": "HermitianIdempotent SpinorSpace adjoint_automorphism find_conjugator is_minimal left_ideal "
                "make_idempotent primitive_idempotent spin_block_check spinor_matrix_model "
                "stabilizer_membership",
@@ -218,7 +221,7 @@ def test_cli_loads_verify_only_for_verify_all():
 
 
 RECORDS = {
-    "algebra.Signature": "p q",
+    "scalars.Signature": "p q",
     "reprs.TargetRing": "kind m summands",
     "reprs.Intertwiner": "matrix inverse ring_tag",
     "groups.CDResult": "vectors fallback_count",

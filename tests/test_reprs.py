@@ -7,6 +7,7 @@ standard low-dimensional models (Pauli and quaternion blocks).
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffkit import linalg, reprs
-from cliffkit.algebra import Multivector, Signature
+from cliffkit.algebra import Multivector, basis_vector
 from cliffkit.reprs import (
     Representation,
     TargetRing,
@@ -38,6 +39,7 @@ from cliffkit.scalars import (
     ZERO,
     GaussianRational,
     Quaternion,
+    Signature,
     format_scalar,
     parse_rational,
     parse_scalar,
@@ -178,6 +180,64 @@ def test_signature_shift_mod4():
         signature_shift(Signature(2, 2), "mod4")
     with pytest.raises(ValueError):
         signature_shift(Signature(0, 2), "flip")
+
+
+def _shift_by_products(sig, kind):
+    """The substitutions of ``signature_shift``'s docstring, multiplied out."""
+    p, n = sig.p, sig.n
+    v = [None] + [basis_vector(sig, i) for i in range(1, n + 1)]
+    if kind == "flip":
+        return [v[1]] + [v[1] * v[i] for i in (*range(p + 1, n + 1), *range(2, p + 1))]
+    triples = [v[2] * v[3] * v[4], v[1] * v[3] * v[4], v[1] * v[2] * v[4], v[1] * v[2] * v[3]]
+    return v[5:p + 1] + triples + v[p + 1:]
+
+
+def test_signature_shift_is_the_blade_plan_that_compile_reads():
+    # compile_rep substitutes rho(e_b) for each blade b of the plan, with
+    # sign +1; signature_shift is that plan as multivectors, and each is the
+    # product it names
+    for n in range(13):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            for kind in [k for k, ok in (("flip", p >= 1 and n >= 2), ("mod4", p >= 4)) if ok]:
+                new_sig, blades = reprs._shift_plan(sig, kind)
+                shifted_sig, gen_map = signature_shift(sig, kind)
+                assert shifted_sig == new_sig
+                assert gen_map == [Multivector.real(sig, {b: 1}) for b in blades]
+                assert gen_map == _shift_by_products(sig, kind)
+                assert new_sig == (Signature(n - p + 1, p - 1) if kind == "flip"
+                                   else Signature(p - 4, n - p + 4))
+
+
+def test_a_shift_plan_of_the_wrong_signature_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(reprs, "_COMPILE_CACHE", {})
+    plan = reprs._shift_plan
+    monkeypatch.setattr(reprs, "_shift_plan", lambda sig, kind: (Signature(2, 1), plan(sig, kind)[1]))
+    with pytest.raises(AssertionError, match="shift plan produced the wrong signature"):
+        compile_rep(Signature(3, 0))
+
+
+def test_a_target_other_than_the_classified_one_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(reprs, "_COMPILE_CACHE", {})
+    monkeypatch.setattr(reprs, "classify", lambda sig: TargetRing("MatC", 1))
+    with pytest.raises(AssertionError, match=re.escape("compiled target Mat(2,R) != classified Mat(1,C)")):
+        compile_rep(Signature(1, 1))
+
+
+@pytest.mark.parametrize("sig, what", [
+    ((0, 0), "base model of (0,0)"),
+    ((2, 1), "doubled model of (2,1)"),
+    ((3, 0), "flip-shifted model of (3,0)"),
+    ((0, 4), "mod4-shifted model of (0,4)"),
+], ids=str)
+def test_a_model_that_fails_verification_is_refused(monkeypatch, sig, what):
+    # every compiled model returns through _checked: one whose verify()
+    # fails is an internal error, not a model
+    monkeypatch.setattr(reprs, "_COMPILE_CACHE", {})
+    sig, verify = Signature(*sig), Representation.verify
+    monkeypatch.setattr(Representation, "verify", lambda r: r.sig != sig and verify(r))
+    with pytest.raises(AssertionError, match=re.escape(f"{what} failed verification")):
+        compile_rep(sig)
 
 
 def test_complex_models_hermitian():

@@ -13,6 +13,7 @@ from cliffkit.scalars import (
     RATIONAL,
     GaussianRational,
     Quaternion,
+    Signature,
     TAU1,
     TAU2,
     TAU3,
@@ -202,3 +203,15 @@ def test_scalar_dispatch():
     assert parse_scalar(RATIONAL, format_scalar(RATIONAL, Fraction(-7, 3))) == Fraction(-7, 3)
     z = GaussianRational(2, -3)
     assert parse_scalar(GAUSSIAN, format_scalar(GAUSSIAN, z)) == z
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"], ids=repr)
+def test_signature_components_must_be_ints(bad):
+    # a float would pass the sign check and fail later in a blade's bit
+    # shift; bools are refused as is_json_int refuses them
+    for p, q in ((bad, 1), (1, bad)):
+        with pytest.raises(TypeError, match="signature components must be integers"):
+            Signature(p, q)
+    assert Signature(2, 1).n == 3
+    with pytest.raises(ValueError, match="signature components must be nonnegative"):
+        Signature(2, -1)
