@@ -14,12 +14,14 @@ running that layer and the layers it imports: pin-side use (``zeta``,
 ``lift_to_pin``, the Cech names) runs ``scalars``, ``algebra``, ``groups``
 and ``cech`` at most; spinor-side use (``find_conjugator``,
 ``spinor_matrix_model``) runs ``scalars``, ``algebra``, ``linalg``,
-``reprs`` and ``spinors``; a model compile (``compile_rep``, the CLI's
-``compile`` and ``classify``) runs ``scalars`` and ``reprs`` alone, since
-``reprs`` runs ``algebra`` only to build a multivector.  Without a bytecode
-cache, a fresh process sets up the pin-lift benchmark in 24 ms against
-42 ms when the first name read ran every layer (medians of 11 alternating
-runs, Python 3.11, 2 CPUs).
+``reprs``, ``intertwine`` and ``spinors``; a model compile
+(``compile_rep``, the CLI's ``compile`` and ``classify``) runs ``scalars``
+and ``reprs`` alone, since ``reprs`` holds only the code that builds, checks
+and writes a model and runs ``algebra`` only to build a multivector, and
+the CLI builds the argument parser of the one command it runs.  Without a
+bytecode cache, a fresh process sets up the pin-lift benchmark in 24 ms
+against 42 ms when the first name read ran every layer (medians of 11
+alternating runs, Python 3.11, 2 CPUs).
 """
 
 import _thread
@@ -35,10 +37,10 @@ _API = {
     "subgroup_reduction_check z2_betti",
     "groups": "CDResult PseudoOrthogonalMatrix Versor cartan_dieudonne lift_to_pin "
     "total_reflection_versor zeta",
+    "intertwine": "Intertwiner even_subring_rep factor_projections invert quaternion_complexify "
+    "real_irrep_dim rep_equivalence signature_shift",
     "linalg": "",
-    "reprs": "Intertwiner Representation TargetRing classify compile_complex_rep compile_rep "
-    "double_rep even_subring_rep factor_projections invert quaternion_complexify real_irrep_dim "
-    "rep_equivalence signature_shift",
+    "reprs": "Representation TargetRing classify compile_complex_rep compile_rep double_rep",
     "scalars": "GaussianRational Quaternion Signature",
     "spinors": "HermitianIdempotent SpinorSpace adjoint_automorphism find_conjugator is_minimal "
     "left_ideal make_idempotent primitive_idempotent spin_block_check spinor_matrix_model "

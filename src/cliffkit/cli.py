@@ -77,22 +77,14 @@ def _matrix_strs(mat):
     return [[format_rational(x) for x in row] for row in mat]
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="cliffkit",
-        description="Exact Clifford algebra workbench: matrix models, "
-        "Pin/Spin lifting, spinor ideals and Cech Z2 obstructions.",
-    )
-    ap.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="matrix ring class of Cl(p,q)")
+def _classify_args(p):
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_classify)
 
-    p = sub.add_parser("compile", help="exact matrix model of an algebra")
+
+def _compile_args(p):
     p.add_argument("p", type=int, nargs="?")
     p.add_argument("q", type=int, nargs="?")
     p.add_argument("--complex", type=int, dest="complex_dim", metavar="N",
@@ -102,26 +94,30 @@ def build_parser():
     p.add_argument("--json", metavar="PATH", help="write the model to PATH")
     p.set_defaults(run=_cmd_compile)
 
-    p = sub.add_parser("zeta", help="pseudo-orthogonal image of a versor")
+
+def _zeta_args(p):
     p.add_argument("--sig", required=True)
     p.add_argument("--versor", required=True, metavar="FILE",
                    help="JSON list of grade-1 factors")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_zeta)
 
-    p = sub.add_parser("decompose", help="reflection factorization of a matrix")
+
+def _decompose_args(p):
     p.add_argument("--sig", required=True)
     p.add_argument("--matrix", required=True, metavar="FILE")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_decompose)
 
-    p = sub.add_parser("lift", help="versor lifting a pseudo-orthogonal matrix")
+
+def _lift_args(p):
     p.add_argument("--sig", required=True)
     p.add_argument("--matrix", required=True, metavar="FILE")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_lift)
 
-    p = sub.add_parser("spinor", help="spinor ideal of the complex algebra")
+
+def _spinor_args(p):
     p.add_argument("--complex", type=int, dest="complex_dim", required=True, metavar="N")
     p.add_argument("--idempotent", default="auto", metavar="auto|FILE",
                    help="idempotent source (default: the primitive idempotent "
@@ -131,7 +127,8 @@ def build_parser():
     p.add_argument("--json", metavar="PATH", help="write results to PATH")
     p.set_defaults(run=_cmd_spinor)
 
-    p = sub.add_parser("cech", help="Z2 cohomology and Pin lift obstruction")
+
+def _cech_args(p):
     p.set_defaults(run=_cmd_cech)
     csub = p.add_subparsers(dest="cech_command", required=True)
     pb = csub.add_parser("betti", help="dim H^k over Z2")
@@ -143,10 +140,50 @@ def build_parser():
     pl.add_argument("file", metavar="FILE")
     pl.add_argument("--json", metavar="PATH", help="write lift data to PATH")
 
-    p = sub.add_parser("verify-all", help="run every acceptance check")
+
+def _verify_all_args(p):
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_verify_all)
 
+
+# each command -> (its help line, the function that adds its arguments), in
+# the order the full parser lists them
+COMMANDS = {
+    "classify": ("matrix ring class of Cl(p,q)", _classify_args),
+    "compile": ("exact matrix model of an algebra", _compile_args),
+    "zeta": ("pseudo-orthogonal image of a versor", _zeta_args),
+    "decompose": ("reflection factorization of a matrix", _decompose_args),
+    "lift": ("versor lifting a pseudo-orthogonal matrix", _lift_args),
+    "spinor": ("spinor ideal of the complex algebra", _spinor_args),
+    "cech": ("Z2 cohomology and Pin lift obstruction", _cech_args),
+    "verify-all": ("run every acceptance check", _verify_all_args),
+}
+
+
+def build_parser(argv=None):
+    """The parser for ``argv``, or for every command when argv[0] names none.
+
+    When argv[0] names a command, only that command's subparser is added,
+    so a cold command builds one parser, not all of them; its subparsers
+    action then shows the full choice list as its metavar, so a usage line
+    reads as the full parser's.  No arguments, -h, an unknown command and
+    --seed before the command get the full parser, whose metavar stays
+    unset: argparse names the action "command" in its invalid-choice and
+    missing-command errors only then.
+    """
+    ap = argparse.ArgumentParser(
+        prog="cliffkit",
+        description="Exact Clifford algebra workbench: matrix models, "
+        "Pin/Spin lifting, spinor ideals and Cech Z2 obstructions.",
+    )
+    ap.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    names, metavar = list(COMMANDS), None
+    if argv and argv[0] in COMMANDS:
+        names, metavar = argv[:1], "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_args = COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
     return ap
 
 
@@ -352,8 +389,8 @@ def _cmd_verify_all(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.run(args)
     except KeyError as exc:

@@ -32,17 +32,15 @@ from .algebra import (
     complex_unit,
     multiplication_rows,
 )
+from .intertwine import Intertwiner, _intertwines, invert
 from .reprs import (
     GAUSSIAN_INT_UNITS,
-    Intertwiner,
     Representation,
     TargetRing,
     _checked,
-    _intertwines,
     _times_minus_i,
     compile_complex_rep,
     compile_rep,
-    invert,
 )
 from .scalars import GAUSSIAN, GaussianRational
 

@@ -20,14 +20,8 @@ from .groups import (
     total_reflection_versor,
     zeta,
 )
-from .reprs import (
-    TargetRing,
-    classify,
-    compile_complex_rep,
-    compile_rep,
-    even_subring_rep,
-    real_irrep_dim,
-)
+from .intertwine import even_subring_rep, real_irrep_dim
+from .reprs import TargetRing, classify, compile_complex_rep, compile_rep
 from .sampling import (
     random_anisotropic_vector,
     random_pseudo_orthogonal,
@@ -311,7 +305,7 @@ def check_cech_obstruction(seed=0):
 
 
 CRITERIA = (
-    ("classification-table", check_classification_table, 0.1),
+    ("classification-table", check_classification_table, 0.08),
     ("complex-models", check_complex_models, 0.02),
     ("named-isomorphisms", check_named_isomorphisms, None),
     ("irrep-dimensions", check_irrep_dimensions, None),

@@ -9,14 +9,16 @@ its public constructor.  ``rep_to_json``, ``factor_projections`` and
 ``quaternion_complexify`` must give the same results without building any
 of these matrices.  ``solve_intertwiner`` solves S A_g = B_g S over the
 field R or C for dense A_g and B_g, which need not be monomial: the
-system the monomial one in ``reprs`` replaced.  ``monomial_intertwiner_rows``
-writes the monomial system as rows for the one elimination kernel: the
-reference for the walk in ``reprs`` that solves it without eliminating.
+system the monomial one in ``intertwine`` replaced.
+``monomial_intertwiner_rows`` writes the monomial system as rows for the one
+elimination kernel: the reference for the walk in ``intertwine`` that solves
+it without eliminating.
 """
 
 from cliffkit import linalg
 from cliffkit.algebra import Multivector
-from cliffkit.reprs import GAUSSIAN_INT_UNITS, _UNIT_MUL, Intertwiner, Representation, TargetRing
+from cliffkit.intertwine import Intertwiner
+from cliffkit.reprs import GAUSSIAN_INT_UNITS, _UNIT_MUL, Representation, TargetRing
 from cliffkit.scalars import ONE, QUATERNION, format_scalar
 import bareiss_oracle
 

@@ -5,7 +5,7 @@ at a time, in field arithmetic, from the dense columns ``coords_vector``.
 The tests compare the sparse integer rows of
 ``algebra.multiplication_rows`` and the spinor-side eliminations with it, ``from_coords`` reads a dense coordinate vector back into a
 multivector, and ``dense_inverse`` checks
-``reprs.invert`` against the left regular representation: x = a^-1 solves
+``intertwine.invert`` against the left regular representation: x = a^-1 solves
 a x = 1, so it is column 0 of the inverse of the matrix of x -> a x.
 """
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffkit import linalg
 from cliffkit.algebra import (
     Multivector,
     Signature,
@@ -26,7 +27,7 @@ from cliffkit.algebra import (
     unit,
     vector,
 )
-from cliffkit.reprs import invert
+from cliffkit.intertwine import invert
 from cliffkit.scalars import GaussianRational
 from inverse_oracle import dense_inverse, map_matrix
 
@@ -406,6 +407,20 @@ def test_invert():
     # isotropic vector in a split signature
     iso = vector(Signature(1, 1), [Fraction(1), Fraction(1)])
     assert invert(iso) is None
+
+
+def test_a_wrong_inverse_read_back_is_an_internal_error(monkeypatch):
+    # inverse blocks read at twice their denominator give x = a^-1 / 2, and
+    # the exact check a x = x a = 1 refuses it
+    inverse = linalg.inverse_numerators
+
+    def halved(den, rows):
+        out_den, out = inverse(den, rows)
+        return 2 * out_den, out
+
+    monkeypatch.setattr(linalg, "inverse_numerators", halved)
+    with pytest.raises(AssertionError, match="inverse read back from the matrix model is wrong"):
+        invert(vector(Signature(2, 0), [Fraction(3), Fraction(4)]))
 
 
 # every real signature with n <= 5, then C(0) ... C(5)

@@ -20,15 +20,13 @@ from cliffkit.algebra import (
 )
 from cliffkit.cech import Complex, GroupCocycle, z2_betti
 from cliffkit.groups import PseudoOrthogonalMatrix, Versor, reflection_matrix
-from cliffkit.reprs import (
-    Representation,
-    TargetRing,
-    compile_rep,
+from cliffkit.intertwine import (
     even_subring_rep,
     quaternion_complexify,
     rep_equivalence,
     signature_shift,
 )
+from cliffkit.reprs import Representation, TargetRing, compile_rep
 from cliffkit.scalars import GaussianRational
 from cliffkit.spinors import (
     find_conjugator,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cech_documents
+from cliffkit import cli
 from cliffkit.algebra import (
     Signature,
     basis_vector,
@@ -30,6 +31,7 @@ from cliffkit.cech import (
 )
 from cliffkit.cli import (
     CHECK_FAILED,
+    COMMANDS,
     MAX_CECH_SIMPLICES,
     MAX_CLASSIFY_DIM,
     MAX_COMPILE_DIM,
@@ -421,6 +423,50 @@ def test_bound_table_names_every_command():
     [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     listed = {name.split()[0] for name in _BOUNDS}
     assert listed == set(commands.choices)
+
+
+def _choices(argv):
+    [commands] = [a for a in build_parser(argv)._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(commands.choices)
+
+
+def test_a_named_command_builds_only_its_own_parser():
+    # the full parser lists the commands in table order, which the one-command
+    # parser's usage line spells out; no arguments, an unknown command, -h
+    # and --seed before the command still get every command
+    assert _choices(None) == list(COMMANDS) == [
+        "classify", "compile", "zeta", "decompose", "lift", "spinor", "cech", "verify-all"]
+    for name in COMMANDS:
+        assert _choices([name, "-h"]) == [name]
+    for argv in ([], ["bogus"], ["-h"], ["--seed", "3", "classify", "1", "1"]):
+        assert _choices(argv) == list(COMMANDS)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in COMMANDS),
+    ["cech", "betti", "-h"], ["cech", "check", "-h"], ["cech", "lift", "-h"],
+    ["classify"], ["classify", "1"], ["zeta"], ["decompose", "--sig", "2,0"], ["lift"],
+    ["spinor"], ["cech"], ["cech", "betti"], ["compile", "--complex", "x"],
+    ["compile", "4", "4", "--bogus"], ["classify", "1", "2", "3"], ["cech", "lift", "f", "--zzz"],
+    ["verify-all", "--bogus"], ["classify", "1", "3", "--seed", "2"], ["classify", "1", "3"],
+    [], ["-h"], ["bogus"], ["--seed", "3", "classify", "1", "1"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # stdout, stderr and the exit code of each argv, help and usage errors
+    # included, against the same argv parsed by the parser of every command
+    got = _outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert _outcome(capsys, argv) == got
 
 
 @pytest.mark.parametrize("command", [c for c, (bound, _) in _BOUNDS.items() if bound is not None])

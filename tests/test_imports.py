@@ -53,10 +53,10 @@ def test_cli_registers_every_layer_and_runs_only_those_it_calls(tmp_path):
     # such as a span recorder read them from there; a layer's code runs on
     # the first read of a name it does not hold yet, and a cold compile,
     # real or complex, or classify runs no multivector code: not algebra,
-    # nor groups, spinors, cech or linalg
+    # nor intertwine, groups, spinors, cech or linalg
     code = ("import sys, cliffkit.cli as cli; print(*sorted(sys.modules)); "
             f"print(cli.main(sys.argv[1:])); {RAN}")
-    layers = {"algebra", "linalg", "reprs", "groups", "spinors", "cech"}
+    layers = {"algebra", "linalg", "reprs", "intertwine", "groups", "spinors", "cech"}
     for argv in (["compile", "8", "0", "--verify"],
                  ["compile", "--complex", "7", "--verify", "--json", str(tmp_path / "c7.json")],
                  ["classify", "0", "0"]):
@@ -65,6 +65,15 @@ def test_cli_registers_every_layer_and_runs_only_those_it_calls(tmp_path):
         assert "dataclasses" not in out[0].split()
         assert out[-2] == "0"
         assert set(out[-1].split()) == {"cliffkit.cli", "cliffkit.scalars", "cliffkit.reprs"}
+
+
+def test_a_spinor_model_runs_the_layer_that_reads_compiled_models():
+    # spinor --model inverts and checks its intertwiner through intertwine,
+    # which a compile leaves unrun
+    out = _child(f"import sys, cliffkit.cli as cli; print(cli.main(sys.argv[1:])); {RAN}",
+                 "spinor", "--complex", "4", "--model")
+    assert out[-2] == "0"
+    assert {"cliffkit.reprs", "cliffkit.intertwine", "cliffkit.spinors"} <= set(out[-1].split())
 
 
 def _package_imports(path):
@@ -82,6 +91,24 @@ def test_the_pin_side_imports_no_matrix_model():
     # models and spinor ideals sit beside them, not beneath
     assert _package_imports(SRC / "groups.py") <= {"algebra", "scalars"}
     assert not _package_imports(SRC / "cech.py") & {"reprs", "linalg", "spinors"}
+
+
+# the modules imported the plain way, never registered: the package, the
+# entry points and what only verify-all loads
+_UNREGISTERED = {"__init__", "__main__", "cli", "verify", "sampling"}
+
+
+def test_every_layer_imports_only_registered_layers():
+    # an unregistered module that a layer imports lands in the package
+    # namespace when that layer first runs, and a caller that walks
+    # vars(cliffkit) while reading names from the layers in it (a span
+    # recorder does) fails with "dictionary changed size during iteration"
+    import cliffkit
+
+    layers = set(cliffkit._API)
+    assert {path.stem for path in SRC.glob("*.py")} == layers | _UNREGISTERED
+    for layer in sorted(layers):
+        assert _package_imports(SRC / f"{layer}.py") <= layers, layer
 
 
 _PIN_SIDE_FILES = {
@@ -120,9 +147,9 @@ PUBLIC = {
             "z2_betti",
     "groups": "CDResult PseudoOrthogonalMatrix Versor cartan_dieudonne lift_to_pin total_reflection_versor "
               "zeta",
-    "reprs": "Intertwiner Representation TargetRing classify compile_complex_rep compile_rep double_rep "
-             "even_subring_rep factor_projections invert quaternion_complexify real_irrep_dim "
-             "rep_equivalence signature_shift",
+    "intertwine": "Intertwiner even_subring_rep factor_projections invert quaternion_complexify "
+                  "real_irrep_dim rep_equivalence signature_shift",
+    "reprs": "Representation TargetRing classify compile_complex_rep compile_rep double_rep",
     "scalars": "GaussianRational Quaternion Signature",
     "spinors": "HermitianIdempotent SpinorSpace adjoint_automorphism find_conjugator is_minimal left_ideal "
                "make_idempotent primitive_idempotent spin_block_check spinor_matrix_model "
@@ -223,7 +250,7 @@ def test_cli_loads_verify_only_for_verify_all():
 RECORDS = {
     "scalars.Signature": "p q",
     "reprs.TargetRing": "kind m summands",
-    "reprs.Intertwiner": "matrix inverse ring_tag",
+    "intertwine.Intertwiner": "matrix inverse ring_tag",
     "groups.CDResult": "vectors fallback_count",
     "cech.Complex": "vertices edges triangles tetrahedra",
     "cech.Z2Cochain": "complex degree values",

@@ -14,8 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffkit import linalg, reprs
+from cliffkit import algebra, intertwine, linalg, reprs
 from cliffkit.algebra import Multivector, basis_vector
+from cliffkit.intertwine import (
+    even_subring_rep,
+    factor_projections,
+    quaternion_complexify,
+    real_irrep_dim,
+    rep_equivalence,
+    signature_shift,
+)
 from cliffkit.reprs import (
     Representation,
     TargetRing,
@@ -24,13 +32,7 @@ from cliffkit.reprs import (
     compile_complex_rep,
     compile_rep,
     double_rep,
-    even_subring_rep,
-    factor_projections,
-    quaternion_complexify,
-    real_irrep_dim,
-    rep_equivalence,
     rep_to_json,
-    signature_shift,
 )
 from cliffkit.scalars import (
     GAUSSIAN,
@@ -315,6 +317,27 @@ def test_even_subring_derived_signatures():
         # every substituted generator is an even element of the ambient algebra
         for w in gen_map:
             assert all(b.bit_count() == 2 for b in w.terms)
+
+
+def test_an_even_subring_generator_of_the_wrong_square_is_an_internal_error(monkeypatch):
+    # with v2 read as 2 e2, w = v1 v2 squares to -4, which no derived
+    # signature holds
+    vector = algebra.basis_vector
+    monkeypatch.setattr(algebra, "basis_vector",
+                        lambda sig, i: Multivector.real(sig, {2: 2}) if i == 2 else vector(sig, i))
+    with pytest.raises(AssertionError, match=re.escape("even subring generator square is not +-1")):
+        even_subring_rep(Signature(2, 0))
+
+
+def test_a_factor_that_breaks_the_relations_is_an_internal_error():
+    # factor_projections slices a model it does not verify: with the unit of
+    # the first generator in the second summand of Mat(1,H) + Mat(1,H) read
+    # as 1, that factor's generator squares to +1 where Cl(0,3) needs -1
+    rep = compile_rep(Signature(0, 3))
+    (perm, codes), *rest = rep._monos
+    bad = Representation._from_monos(rep.sig, None, rep.target, [(perm, codes[:1] + (0,)), *rest])
+    with pytest.raises(AssertionError, match="factor 1 breaks the anticommutation relations"):
+        factor_projections(bad)
 
 
 def test_factor_projections_inequivalent():
@@ -805,7 +828,7 @@ def test_intertwiner_system_matches_field_oracle():
     nontrivial = 0
     for rep1, rep2 in cases:
         m, ring = rep1.target.m, rep1.target.ring_tag
-        free, combine = reprs._intertwiner_space(rep1._monos, rep2._monos, m, ring)
+        free, combine = intertwine._intertwiner_space(rep1._monos, rep2._monos, m, ring)
         rows = dense_model_oracle.field_intertwiner_rows(rep1.gens, rep2.gens, m, ring)
         basis = bareiss_oracle.nullspace(rows)
         assert len(free) == len(basis)
@@ -869,7 +892,7 @@ def test_intertwiner_walk_matches_the_kernel():
         k = 4 if ring == QUATERNION else 1
         rows = dense_model_oracle.monomial_intertwiner_rows(monos1, monos2, m, ring)
         want_free, point = linalg.nullspace_numerators(rows, k * m * m)
-        free, combine = reprs._intertwiner_space(monos1, monos2, m, ring)
+        free, combine = intertwine._intertwiner_space(monos1, monos2, m, ring)
         assert free == want_free and len(free) == n_free
         field = GaussianRational if ring == GAUSSIAN else Fraction
         for c in free:
@@ -877,7 +900,7 @@ def test_intertwiner_walk_matches_the_kernel():
             assert _flat_coordinates(s, ring) == bareiss_oracle.dense_row(
                 *point([(1, c)]), field, k * m * m)
         if not free:
-            assert reprs.solve_intertwiner(monos1, monos2, m, ring) is None
+            assert intertwine.solve_intertwiner(monos1, monos2, m, ring) is None
 
 
 @pytest.mark.parametrize("source", [Signature(3, 3), 8, Signature(2, 6)], ids=str)
@@ -926,8 +949,8 @@ def test_intertwiner_check_failure_is_a_solver_fault(monkeypatch, source):
     # a system that leaves out the first generator's equations admits an S
     # that breaks S A_1 = B_1 S on an R, a C and an H target: the exact
     # check raises, and does not report the models inequivalent
-    built = reprs._intertwiner_space
-    monkeypatch.setattr(reprs, "_intertwiner_space",
+    built = intertwine._intertwiner_space
+    monkeypatch.setattr(intertwine, "_intertwiner_space",
                         lambda gens1, gens2, m, tag: built(gens1[1:], gens2[1:], m, tag))
     rep = compile_complex_rep(source) if isinstance(source, int) else compile_rep(source)
     with pytest.raises(AssertionError, match="fails S A_g = B_g S"):

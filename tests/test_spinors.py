@@ -15,16 +15,14 @@ from cliffkit.algebra import (
     multiplication_rows,
     multivector_to_json,
 )
-from cliffkit.reprs import (
-    Representation,
+from cliffkit.intertwine import (
     _intertwines,
-    compile_complex_rep,
-    compile_rep,
     factor_projections,
     invert,
     quaternion_complexify,
     rep_equivalence,
 )
+from cliffkit.reprs import Representation, compile_complex_rep, compile_rep
 from cliffkit.sampling import random_unitary_versor, rng_from_seed
 from cliffkit.spinors import (
     SpinorSpace,
@@ -127,6 +125,15 @@ def test_primitive_idempotent_factors_are_pinned(n):
     assert compile_complex_rep(n).ranks(idem.p) == [1]
     if n <= 12:
         assert is_minimal(left_ideal(idem))
+
+
+def test_a_product_idempotent_that_is_not_primitive_is_an_internal_error(monkeypatch):
+    # with its first root alone the product is (e + e1)/2, of rank m/2 = 2
+    # in Mat(4, C) at n = 4
+    built = spinors.idempotent_from_factors
+    monkeypatch.setattr(spinors, "idempotent_from_factors", lambda n, roots: built(n, roots[:1]))
+    with pytest.raises(AssertionError, match="the product idempotent is not primitive"):
+        primitive_idempotent(4)
 
 
 def test_single_factor_idempotent_not_minimal_at_n4():
