@@ -73,10 +73,6 @@ def _dump_json(chunks, path):
         fh.write("\n")
 
 
-def _matrix_strs(mat):
-    return [[format_rational(x) for x in row] for row in mat]
-
-
 def _classify_args(p):
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
@@ -238,7 +234,7 @@ def _cmd_zeta(args):
     if args.json:
         print(json_text(m.to_json()))
     else:
-        for row in _matrix_strs(m.mat):
+        for row in m.to_json()["matrix"]:
             print(" ".join(row))
     return 0
 

@@ -53,9 +53,10 @@ class PseudoOrthogonalMatrix:
     ``num`` is an integer matrix N (a tuple of row tuples) and ``den`` an
     int d > 0 with gcd(d, every entry of N) = 1, so the pair is canonical
     and ``==`` and ``hash`` compare it directly.  The public constructor
-    (rational rows, also behind ``from_json``, ``GroupCocycle.build`` and
-    the CLI) reads its entries through ``Fraction`` and ``scalars.numerators``
-    and is the trust boundary: it runs the integer ``preserves_form``.
+    (int, Fraction or str rows, a str read by ``parse_rational``, also
+    behind ``from_json``, ``GroupCocycle.build`` and the CLI) reads its
+    entries through ``scalars.numerators`` and is the trust boundary: it
+    runs the integer ``preserves_form``.
     ``reflection_product``, ``reflection_matrix``, ``__mul__``, ``inverse``
     and ``identity`` build through ``_from_int``, which only reduces by the
     gcd: products and inverses of form-preserving matrices and products of
@@ -67,7 +68,7 @@ class PseudoOrthogonalMatrix:
 
     def __new__(cls, sig: Signature, mat):
         n = sig.n
-        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in mat]
+        rows = [[x if isinstance(x, (int, Fraction)) else _entry(x) for x in row] for row in mat]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("matrix shape does not match the signature")
         d, flat = numerators(chain.from_iterable(rows))
@@ -193,7 +194,15 @@ class PseudoOrthogonalMatrix:
             raise ValueError("signature required to read a matrix")
         if not all(is_json_int(x) or isinstance(x, str) for row in rows for x in row):
             raise ValueError("matrix entries must be integers or rational strings")
-        return cls(sig, [[x if is_json_int(x) else parse_rational(x) for x in row] for row in rows])
+        return cls(sig, rows)
+
+
+def _entry(x):
+    """A str entry read as ``from_json`` reads it; TypeError on a float or
+    any other type that is not an int or Fraction."""
+    if not isinstance(x, str):
+        raise TypeError("matrix entries must be rational")
+    return parse_rational(x)
 
 
 def _eta(sig):

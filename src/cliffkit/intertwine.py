@@ -3,13 +3,14 @@
 A model compile never reaches this layer: ``reprs`` builds, checks and
 writes a model, and everything here reads one it has compiled.  Inverses
 read back through the model (``invert``), the even subring and its model
-(``even_subring_rep``), the substitution of a signature move as
-multivectors (``signature_shift``), the summands of a direct-sum target
-(``factor_projections``), the complex adjoint of a quaternion model
-(``quaternion_complexify``) and intertwiners between two models
-(``solve_intertwiner``, ``rep_equivalence``).  They work on the monomial
-form ``reprs`` stores, and ``algebra`` runs only where a multivector is
-built.
+(``even_subring_rep``, its blades and signs read off the signature, as
+``reprs._shift_plan`` reads a signature move's), the substitution of a
+signature move as multivectors (``signature_shift``), the summands of a
+direct-sum target (``factor_projections``), the complex adjoint of a
+quaternion model (``quaternion_complexify``) and intertwiners between two
+models (``solve_intertwiner``, ``rep_equivalence``).  They work on the
+monomial form ``reprs`` stores, and ``algebra`` runs only where a
+multivector is built.
 """
 
 from __future__ import annotations
@@ -69,30 +70,19 @@ def invert(a):
 def even_subring_rep(sig: Signature):
     """Even subring generators w^i = v^1 v^i and their derived signature.
 
-    Returns (derived_sig, gen_map, representation).  The derived signature is
-    computed from the exact squares (w^i)^2 = -eta^11 eta^ii e; generators
-    squaring to +e are listed first.
+    Returns (derived_sig, gen_map, representation).  w^i is the blade
+    1 | 1 << (i - 1) with sign +1; its square -eta^11 eta^ii e is read off
+    the signature, and generators squaring to +e are listed first.
     """
-    n = sig.n
-    if n < 2:
+    if sig.n < 2:
         raise ValueError("even subring derivation needs n > 1")
-    v1 = algebra.basis_vector(sig, 1)
-    pos, neg = [], []
-    for i in range(2, n + 1):
-        w = v1 * algebra.basis_vector(sig, i)
-        sq = (w * w).scalar_part()
-        if sq == 1:
-            pos.append(w)
-        elif sq == -1:
-            neg.append(w)
-        else:
-            raise AssertionError("even subring generator square is not +-1")
-    derived = Signature(len(pos), len(neg))
-    gen_map = pos + neg
+    pos = [1 | 1 << (i - 1) for i in range(2, sig.n + 1) if sig.square(i) != sig.square(1)]
+    neg = [1 | 1 << (i - 1) for i in range(2, sig.n + 1) if sig.square(i) == sig.square(1)]
+    derived, blades = Signature(len(pos), len(neg)), pos + neg
     ambient = compile_rep(sig)
-    gens = [ambient._signed_blade(w) for w in gen_map]
-    rep = Representation._from_monos(derived, None, ambient.target, gens)
-    return derived, gen_map, _checked(rep, f"even subring model of {sig}")
+    rep = Representation._from_monos(derived, None, ambient.target, [ambient._blade(b) for b in blades])
+    return (derived, [algebra.Multivector.real(sig, {b: 1}) for b in blades],
+            _checked(rep, f"even subring model of {sig}"))
 
 
 def quaternion_complexify(r: Representation) -> Representation:

@@ -5,15 +5,16 @@ over R, C or H, or to a direct sum of two copies of one, and the target only
 depends on (p - q) mod 8.  ``compile_rep`` produces explicit generator
 matrices realizing that isomorphism: it reduces the signature with two exact
 shifts (an index flip and a (p, q) -> (p - 4, q + 4) move), then stacks
-(1, 1)-doublings over a small table of base cases.  This layer holds what
-a compile runs and no more: the class table, the monomial ``Representation``
-with its checks and readers, the base cases, the structural moves and the
-JSON writer.  A compile reads blade bitmasks and monomials only, and
-``algebra`` runs where a multivector is built, so a cold ``compile`` or
-``classify`` runs ``cli``, ``scalars`` and this layer alone.  The code that
-starts from a compiled model and that no compile calls (inverses, the even
-subring model, factor projections, complexification, intertwiners) is in
-``intertwine``.
+(1, 1)-doublings over a small table of base cases, all on unit monomials:
+a doubling is the tensor product Cl(p + 1, q + 1) = Mat(2, R) (x) Cl(p, q)
+with the (1, 1) base model.  This layer holds what a compile runs and no
+more: the class table, the monomial ``Representation`` with its checks and
+readers, the base cases, the structural moves and the JSON writer.  A
+compile reads blade bitmasks and monomials only, and ``algebra`` runs where
+a multivector is built, so a cold ``compile`` or ``classify`` runs ``cli``,
+``scalars`` and this layer alone.  The code that starts from a compiled
+model and that no compile calls (inverses, the even subring model, factor
+projections, complexification, intertwiners) is in ``intertwine``.
 """
 
 from __future__ import annotations
@@ -226,15 +227,6 @@ class Representation:
             img = _mono_mul(self._monos[low.bit_length() - 1], self._blade(blade ^ low))
             self._blades[blade] = img
         return img
-
-    def _signed_blade(self, mv):
-        """Monomial image of a multivector +-blade."""
-        terms = list(mv.terms.items())
-        if len(terms) != 1 or terms[0][1] not in (1, -1):
-            raise ValueError("substitution is not a signed blade")
-        b, c = terms[0]
-        img = self._blade(b)
-        return img if c == 1 else _mono_neg(img)
 
     def _shape(self, rows):
         m = self.target.m
@@ -449,39 +441,46 @@ def _checked(rep, what):
 # ---------------------------------------------------------------------------
 # base cases
 
-F0, F1 = Fraction(0), Fraction(1)
-SIGMA1 = ((F0, F1), (F1, F0))
-SIGMA3 = ((F1, F0), (F0, -F1))
-TAU2_MAT = ((F0, -F1), (F1, F0))
-
-# (p, q) -> (target, generator images)
+# (p, q) -> (target, generator monomials): units on the diagonal up to (0, 3),
+# sigma1 and sigma3 for (2, 0), sigma1 and tau2 = [[0, -1], [1, 0]] for (1, 1)
 _BASES = {
     (0, 0): (TargetRing("MatR", 1), ()),
-    (1, 0): (TargetRing("MatR", 1, summands=2), [(((F1,),), ((-F1,),))]),
-    (0, 1): (TargetRing("MatC", 1), [((GaussianRational(0, 1),),)]),
-    (0, 2): (TargetRing("MatH", 1), [((TAU1,),), ((TAU2,),)]),
-    (1, 1): (TargetRing("MatR", 2), [SIGMA1, TAU2_MAT]),
-    (2, 0): (TargetRing("MatR", 2), [SIGMA1, SIGMA3]),
-    (0, 3): (TargetRing("MatH", 1, summands=2),
-             [(((t,),), ((-t,),)) for t in (TAU1, TAU2, TAU3)]),
+    (1, 0): (TargetRing("MatR", 1, summands=2), (((0, 1), (0, 1)),)),
+    (0, 1): (TargetRing("MatC", 1), (((0,), (2,)),)),
+    (0, 2): (TargetRing("MatH", 1), (((0,), (2,)), ((0,), (4,)))),
+    (1, 1): (TargetRing("MatR", 2), (((1, 0), (0, 0)), ((1, 0), (1, 0)))),
+    (2, 0): (TargetRing("MatR", 2), (((1, 0), (0, 0)), ((0, 1), (0, 1)))),
+    (0, 3): (TargetRing("MatH", 1, summands=2), tuple(((0, 1), (c, c + 1)) for c in (2, 4, 6))),
 }
 
 
 def base_rep(sig: Signature) -> Representation:
     if (sig.p, sig.q) not in _BASES:
         raise ValueError(f"{sig} is not a base case")
-    target, gens = _BASES[sig.p, sig.q]
-    return _checked(Representation(sig, None, target, gens), f"base model of {sig}")
+    target, monos = _BASES[sig.p, sig.q]
+    return _checked(Representation._from_monos(sig, None, target, monos), f"base model of {sig}")
 
 
 # ---------------------------------------------------------------------------
 # structural moves
 
-def double_rep(r: Representation) -> Representation:
-    """Representation of (p+1, q+1) on doubled matrices.
+def _kron(x, a, m):
+    """x (x) A on each summand block of the monomial A, m rows each: x is a
+    2 x 2 monomial, and block (r, x's column in row r) holds x's unit in row
+    r times A."""
+    (xp, xc), (ap, ac) = x, a
+    rows = [(s + xp[r] * m, xc[r], i) for s in range(0, len(ap), m) for r in (0, 1)
+            for i in range(s, s + m)]
+    return (tuple(col + ap[i] for col, _c, i in rows),
+            tuple(_UNIT_MUL[c][ac[i]] for _col, c, i in rows))
 
-    New generators: v+ = [[0, 1], [1, 0]], v- = [[0, -1], [1, 0]] and, for
-    each old generator image A, diag(A, -A).
+
+def double_rep(r: Representation) -> Representation:
+    """Representation of (p+1, q+1) on doubled matrices, Cl(p+1, q+1) =
+    Mat(2, R) (x) Cl(p, q), the 2 x 2 factors read off the (1, 1) base:
+    v+ (x) 1 and v- (x) 1 for its generators v+ = sigma1 = [[0, 1], [1, 0]]
+    and v- = tau2 = [[0, -1], [1, 0]], and diag(A, -A) = sigma3 (x) A, its
+    omega sigma3 = v+ v-, for each old generator image A.
     """
     if r.is_complex:
         raise ValueError("doubling applies to real representations")
@@ -489,35 +488,13 @@ def double_rep(r: Representation) -> Representation:
         raise ValueError("input representation does not verify")
     sig = Signature(r.sig.p + 1, r.sig.q + 1)
     t = r.target
-    m = t.m
-
-    def doubled(entry):
-        # entry(s, row) = (column, code) in that row of summand s, both local
-        # to the summand's 2m x 2m block
-        perm, codes = [], []
-        for s in range(t.summands):
-            for row in range(2 * m):
-                j, c = entry(s, row)
-                perm.append(2 * m * s + j)
-                codes.append(c)
-        return tuple(perm), tuple(codes)
-
-    def diag(g):
-        perm, codes = g
-
-        def entry(s, row):
-            lower = row // m  # the lower block holds -A
-            i = s * m + row % m
-            return perm[i] - s * m + lower * m, codes[i] ^ lower
-        return doubled(entry)
-
-    v_plus = doubled(lambda s, row: ((row + m) % (2 * m), 0))
-    v_minus = doubled(lambda s, row: ((row + m) % (2 * m), int(row < m)))
+    v_plus, v_minus = _BASES[1, 1][1]
+    sigma3, one = _mono_mul(v_plus, v_minus), r._blade(0)
+    old = [_kron(sigma3, g, t.m) for g in r._monos]
     # positives are v+ then old positives, negatives v- then old ones
-    pos = [v_plus] + [diag(g) for g in r._monos[:r.sig.p]]
-    neg = [v_minus] + [diag(g) for g in r._monos[r.sig.p:]]
-    target = TargetRing(t.kind, 2 * m, summands=t.summands)
-    return _checked(Representation._from_monos(sig, None, target, pos + neg),
+    gens = [_kron(v_plus, one, t.m), *old[:r.sig.p], _kron(v_minus, one, t.m), *old[r.sig.p:]]
+    target = TargetRing(t.kind, 2 * t.m, summands=t.summands)
+    return _checked(Representation._from_monos(sig, None, target, gens),
                     f"doubled model of {sig}")
 
 

@@ -314,7 +314,7 @@ CRITERIA = (
     ("reflection-factorization", check_reflection_factorization, 3.0),
     ("spinor-ideals", check_spinor_ideals, 0.05),
     ("idempotent-conjugacy", check_idempotent_conjugacy, 0.3),
-    ("even-subrings", check_even_subrings, None),
+    ("even-subrings", check_even_subrings, 0.03),
     ("cech-pin-obstruction", check_cech_obstruction, 0.04),
 )
 

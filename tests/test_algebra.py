@@ -329,6 +329,9 @@ def test_multivector_algebra_basics():
     with pytest.raises(ValueError):
         (a * b).vector_coords()
     assert a.vector_coords() == (Fraction(1), Fraction(2))
+    # a rational on the left scales through __rmul__
+    assert 2 * a == a + a == a * 2
+    assert Fraction(1, 2) * b == b.scale(Fraction(1, 2)) == vector(sig, [Fraction(3, 2), Fraction(-1, 2)])
 
 
 mv_terms = st.dictionaries(

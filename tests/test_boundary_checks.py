@@ -46,6 +46,12 @@ def _half_plus_e1(n):
     return (complex_unit(n) + complex_basis_vector(n, 1)) * HALF
 
 
+def _one_edge_cocycle(matrix):
+    """GroupCocycle.build on the single edge (0, 1) of Cl(2,0), with ``matrix``
+    a matrix object or raw rows."""
+    return GroupCocycle.build(Complex.build(2, [(0, 1)]), S20, {(0, 1): matrix})
+
+
 def _tetrahedron_missing_a_face():
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     return Complex.build(4, edges, [(0, 1, 2), (0, 1, 3), (0, 2, 3)], [(0, 1, 2, 3)])
@@ -64,11 +70,18 @@ CASES = {
                                  ValueError, "signature mismatch"),
     "reflection-of-complex": (lambda: reflection_matrix(complex_basis_vector(2, 1)),
                               ValueError, "reflections are defined in the real algebra"),
+    # raw rows take what from_json takes: ints, Fractions and rational strings
+    "matrix-float-entry": (lambda: PseudoOrthogonalMatrix(S20, [[1.0, 0.0], [0.0, -1.0]]),
+                           TypeError, "matrix entries must be rational"),
+    "matrix-exponent-entry": (lambda: PseudoOrthogonalMatrix(S20, [["1e0", 0], [0, "-1"]]),
+                              ValueError, "exponent notation is not accepted: '1e0'"),
     "spin-block-signature": (lambda: spin_block_check(Versor(S40, []), S13),
                              ValueError, "versor signature mismatch"),
     # algebra
     "real-needs-signature": (lambda: Multivector.real((2, 0)),
                              TypeError, "real multivector needs a Signature"),
+    "real-blade-range": (lambda: Multivector.real(S20, {4: 1}),
+                         ValueError, "blade out of range for the signature"),
     "complex-negative-dimension": (lambda: Multivector.complex_alg(-1),
                                    ValueError, "complex algebra dimension must be nonnegative"),
     "complex-non-gaussian": (lambda: Multivector.complex_alg(1, {0: 0.5}),
@@ -87,6 +100,9 @@ CASES = {
                            ValueError, "eta is defined on grade-1 elements only"),
     "complexify-complex": (lambda: complexify_embed(complex_unit(2)),
                            ValueError, "multivector is already complex"),
+    # scalars
+    "gaussian-float-part": (lambda: GaussianRational(0.5),
+                            TypeError, "expected a rational number, got float"),
     # reprs
     "rep-both-algebras": (lambda: Representation(Signature(1, 0), 1, TargetRing("MatR", 1), []),
                           ValueError, "exactly one of signature / complex_dim required"),
@@ -138,6 +154,12 @@ CASES = {
                                (0, 1): PseudoOrthogonalMatrix.identity(S20),
                                (1, 0): PseudoOrthogonalMatrix.identity(S20)}),
                            ValueError, "matrix given twice for edge (0, 1)"),
+    "cocycle-matrix-signature": (lambda: _one_edge_cocycle(PseudoOrthogonalMatrix.identity(S11)),
+                                 ValueError, "matrix signature mismatch"),
+    "cocycle-float-entry": (lambda: _one_edge_cocycle([[1.0, 0.0], [0.0, -1.0]]),
+                            TypeError, "matrix entries must be rational"),
+    "cocycle-exponent-entry": (lambda: _one_edge_cocycle([["1e0", 0], [0, "-1"]]),
+                               ValueError, "exponent notation is not accepted: '1e0'"),
     "cocycle-json-edge-twice": (lambda: GroupCocycle.from_json({
                                     "complex": {"vertices": 2, "simplices": {"1": [[0, 1]]}},
                                     "signature": [2, 0],

@@ -253,6 +253,19 @@ def test_group_cocycle_build_and_check():
         GroupCocycle.build(filled_triangle(), SIG, {})
 
 
+def test_group_cocycle_build_reads_raw_rational_rows():
+    # the rows as strings, Fractions and ints build the same cocycle as the
+    # matrix objects, as perfbench's pin-lift block passes them
+    complex_ = Complex.build(3, [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)])
+    rot = PseudoOrthogonalMatrix(SIG, [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+    raw = {(0, 1): [["3/5", "-4/5"], ["4/5", "3/5"]],
+           (1, 2): [[1, 0], [0, 1]],
+           (0, 2): [[Fraction(3, 5), "-4/5"], [" 4/5", Fraction(3, 5)]]}
+    coc = GroupCocycle.build(complex_, SIG, raw)
+    assert coc.edges == {(0, 1): rot, (1, 2): PseudoOrthogonalMatrix.identity(SIG), (0, 2): rot}
+    assert check_cocycle(coc) == (True, None)
+
+
 def test_subgroup_reduction_check():
     c = filled_triangle()
     ident = PseudoOrthogonalMatrix.identity(SIG)

@@ -312,6 +312,21 @@ def test_versor_construction_rules():
         Versor(E2, [unit(E2) + basis_vector(E2, 1)])
 
 
+def test_matrices_versors_and_multivectors_refuse_assignment():
+    # caches share these objects (a matrix's Fraction view, a versor's
+    # product, a multivector's term dict), so no attribute may be rebound
+    v = vector(E2, [F(3), F(4)])
+    m, g = reflection_matrix(v), Versor(E2, [v, basis_vector(E2, 2)])
+    mat, prod = m.mat, g.product
+    for obj, names in ((m, ("sig", "num", "den", "_mat")),
+                       (g, ("sig", "vecs", "_factors", "_product")),
+                       (prod, ("sig", "n", "den", "re", "im", "_terms"))):
+        for name in names:
+            with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+                setattr(obj, name, None)
+    assert m.mat is mat and g.product is prod and prod == v * basis_vector(E2, 2)
+
+
 def test_zeta_single_vector_is_minus_reflection():
     g = Versor(E2, [basis_vector(E2, 1)])
     m = zeta(g)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffkit import algebra, intertwine, linalg, reprs
+from cliffkit import intertwine, linalg, reprs
 from cliffkit.algebra import Multivector, basis_vector
 from cliffkit.intertwine import (
     even_subring_rep,
@@ -144,16 +144,45 @@ def test_compile_all_signatures_up_to_6():
             assert rep.verify()
 
 
+def _doubled_by_blocks(rep):
+    """The generators of double_rep(rep), written densely per summand block
+    of the old model: [[0, I], [I, 0]], [[0, -I], [I, 0]] and diag(A, -A)
+    for each old generator image A, positives first."""
+    zero = ZERO[rep.target.ring_tag]
+    pair = rep.target.summands == 2
+
+    def blocks(a, b, c, d):
+        return tuple(ra + rb for ra, rb in zip(a, b)) + tuple(rc + rd for rc, rd in zip(c, d))
+
+    def per_summand(f, *mats):
+        return tuple(map(f, *mats)) if pair else f(*mats)
+
+    def neg(a):
+        return tuple(tuple(-x for x in row) for row in a)
+
+    def zeros(a):
+        return tuple((zero,) * len(row) for row in a)
+
+    ident = rep.blade_image(0)
+    v_plus = per_summand(lambda i: blocks(zeros(i), i, i, zeros(i)), ident)
+    v_minus = per_summand(lambda i: blocks(zeros(i), neg(i), i, zeros(i)), ident)
+    old = [per_summand(lambda a: blocks(a, zeros(a), zeros(a), neg(a)), g) for g in rep.gens]
+    p = rep.sig.p
+    return (v_plus, *old[:p], v_minus, *old[p:])
+
+
 def test_double_rep_structure():
-    r = compile_rep(Signature(0, 1))
-    d = double_rep(r)
-    assert d.sig == Signature(1, 2)
-    assert d.target == TargetRing("MatC", 2)
+    # every base case, the direct sums (1,0) and (0,3) included
+    for (p, q), (target, _gens) in reprs._BASES.items():
+        r = base_rep(Signature(p, q))
+        d = double_rep(r)
+        assert d.sig == Signature(p + 1, q + 1)
+        assert d.target == TargetRing(target.kind, 2 * target.m, target.summands)
+        assert d.gens == _doubled_by_blocks(r)
+        assert d.verify()
     # generator order: v+ first, then v- and the old generator diag(i, -i)
-    assert d.gens[0] == ((G0, G1), (G1, G0))
-    assert d.gens[1] == ((G0, -G1), (G1, G0))
-    assert d.gens[2] == ((GI, G0), (G0, -GI))
-    assert d.verify()
+    d = double_rep(compile_rep(Signature(0, 1)))
+    assert d.gens == (((G0, G1), (G1, G0)), ((G0, -G1), (G1, G0)), ((GI, G0), (G0, -GI)))
     with pytest.raises(ValueError):
         double_rep(compile_complex_rep(2))
 
@@ -319,14 +348,36 @@ def test_even_subring_derived_signatures():
             assert all(b.bit_count() == 2 for b in w.terms)
 
 
-def test_an_even_subring_generator_of_the_wrong_square_is_an_internal_error(monkeypatch):
-    # with v2 read as 2 e2, w = v1 v2 squares to -4, which no derived
-    # signature holds
-    vector = algebra.basis_vector
-    monkeypatch.setattr(algebra, "basis_vector",
-                        lambda sig, i: Multivector.real(sig, {2: 2}) if i == 2 else vector(sig, i))
-    with pytest.raises(AssertionError, match=re.escape("even subring generator square is not +-1")):
+def test_an_even_subring_model_that_fails_verification_is_an_internal_error(monkeypatch):
+    # the image of w = v1 v2 = e12 with the unit of its first row negated:
+    # sigma1 sigma3 = [[0, -1], [1, 0]] becomes sigma1, which squares to +1
+    # where the derived signature (0,1) needs -1
+    blade = Representation._blade
+
+    def corrupted(self, b):
+        perm, codes = blade(self, b)
+        return (perm, (codes[0] ^ 1,) + codes[1:]) if b == 0b11 else (perm, codes)
+
+    monkeypatch.setattr(Representation, "_blade", corrupted)
+    with pytest.raises(AssertionError, match=re.escape("even subring model of (2,0) failed verification")):
         even_subring_rep(Signature(2, 0))
+
+
+def test_even_subring_matches_the_product_oracle():
+    # the squares the signature gives, against w = v1 vi multiplied out
+    for n in range(2, 9):
+        for q in range(n + 1):
+            sig = Signature(n - q, q)
+            derived, gen_map, rep = even_subring_rep(sig)
+            v1 = basis_vector(sig, 1)
+            ws = [v1 * basis_vector(sig, i) for i in range(2, n + 1)]
+            squares = [(w * w).scalar_part() for w in ws]
+            assert derived == Signature(squares.count(1), squares.count(-1))
+            assert gen_map == [w for w, sq in zip(ws, squares) if sq == 1] + \
+                [w for w, sq in zip(ws, squares) if sq == -1]
+            for i, w in enumerate(gen_map, start=1):
+                assert (w * w).scalar_part() == derived.square(i)
+            assert rep.sig == derived and rep.target == compile_rep(sig).target
 
 
 def test_a_factor_that_breaks_the_relations_is_an_internal_error():
