@@ -40,7 +40,7 @@ _API = {
     "intertwine": "Intertwiner even_subring_rep factor_projections invert quaternion_complexify "
     "real_irrep_dim rep_equivalence signature_shift",
     "linalg": "",
-    "reprs": "Representation TargetRing classify compile_complex_rep compile_rep double_rep",
+    "reprs": "Representation TargetRing classify compile_complex_rep compile_rep",
     "scalars": "GaussianRational Quaternion Signature",
     "spinors": "HermitianIdempotent SpinorSpace adjoint_automorphism find_conjugator is_minimal "
     "left_ideal make_idempotent primitive_idempotent spin_block_check spinor_matrix_model "

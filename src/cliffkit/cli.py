@@ -17,7 +17,7 @@ from .scalars import Signature, format_rational, json_chunks, json_text
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 # largest p + q (or complex N) that compile accepts: --verify reads only the
-# generators and omega (n = 18: 0.4 s, 17 MB), and --json streams the n
+# generators and omega (n = 18: 0.15 s, 16.5 MB), and --json streams the n
 # generators as text straight off the monomial form: compile 18 0 and
 # compile --complex 18 with --verify --json write 61 MB in 0.4-0.5 s and
 # 31-34 MB; an H target writes each entry as a list, and compile 0 18

@@ -7,12 +7,15 @@ matrices realizing that isomorphism: it reduces the signature with two exact
 shifts (an index flip and a (p, q) -> (p - 4, q + 4) move), then stacks
 (1, 1)-doublings over a small table of base cases, all on unit monomials:
 a doubling is the tensor product Cl(p + 1, q + 1) = Mat(2, R) (x) Cl(p, q)
-with the (1, 1) base model.  This layer holds what a compile runs and no
-more: the class table, the monomial ``Representation`` with its checks and
-readers, the base cases, the structural moves and the JSON writer.  A
-compile reads blade bitmasks and monomials only, and ``algebra`` runs where
-a multivector is built, so a cold ``compile`` or ``classify`` runs ``cli``,
-``scalars`` and this layer alone.  The code that starts from a compiled
+with the (1, 1) base model.  ``compile_rep`` proves each model it returns
+(relations, injectivity and the classified target) once, before it caches
+it; the base case and the doublings under it are not checked on their own.
+This layer holds what a compile runs and no more: the class table, the
+monomial ``Representation`` with its checks and readers, the base cases,
+the structural moves and the JSON writer.  A compile reads blade bitmasks
+and monomials only, and ``algebra`` runs where a multivector is built, so a
+cold ``compile`` or ``classify`` runs ``cli``, ``scalars`` and this layer
+alone.  The code that starts from a compiled
 model and that no compile calls (inverses, the even subring model, factor
 projections, complexification, intertwiners) is in ``intertwine``.
 """
@@ -432,7 +435,8 @@ def _has_len(x, n):
 
 
 def _checked(rep, what):
-    """``rep`` once it verifies; every model builder returns through here."""
+    """``rep`` once it verifies; every model builder returns through here,
+    ``compile_rep`` once per model it caches."""
     if not rep.verify():
         raise AssertionError(f"{what} failed verification")
     return rep
@@ -454,13 +458,6 @@ _BASES = {
 }
 
 
-def base_rep(sig: Signature) -> Representation:
-    if (sig.p, sig.q) not in _BASES:
-        raise ValueError(f"{sig} is not a base case")
-    target, monos = _BASES[sig.p, sig.q]
-    return _checked(Representation._from_monos(sig, None, target, monos), f"base model of {sig}")
-
-
 # ---------------------------------------------------------------------------
 # structural moves
 
@@ -475,17 +472,13 @@ def _kron(x, a, m):
             tuple(_UNIT_MUL[c][ac[i]] for _col, c, i in rows))
 
 
-def double_rep(r: Representation) -> Representation:
-    """Representation of (p+1, q+1) on doubled matrices, Cl(p+1, q+1) =
+def _double(r: Representation) -> Representation:
+    """The unchecked model of (p+1, q+1) on doubled matrices, Cl(p+1, q+1) =
     Mat(2, R) (x) Cl(p, q), the 2 x 2 factors read off the (1, 1) base:
     v+ (x) 1 and v- (x) 1 for its generators v+ = sigma1 = [[0, 1], [1, 0]]
     and v- = tau2 = [[0, -1], [1, 0]], and diag(A, -A) = sigma3 (x) A, its
-    omega sigma3 = v+ v-, for each old generator image A.
+    omega sigma3 = v+ v-, for each old generator image A of the real model r.
     """
-    if r.is_complex:
-        raise ValueError("doubling applies to real representations")
-    if not r.verify():
-        raise ValueError("input representation does not verify")
     sig = Signature(r.sig.p + 1, r.sig.q + 1)
     t = r.target
     v_plus, v_minus = _BASES[1, 1][1]
@@ -494,8 +487,7 @@ def double_rep(r: Representation) -> Representation:
     # positives are v+ then old positives, negatives v- then old ones
     gens = [_kron(v_plus, one, t.m), *old[:r.sig.p], _kron(v_minus, one, t.m), *old[r.sig.p:]]
     target = TargetRing(t.kind, 2 * t.m, summands=t.summands)
-    return _checked(Representation._from_monos(sig, None, target, gens),
-                    f"doubled model of {sig}")
+    return Representation._from_monos(sig, None, target, gens)
 
 
 def _shift_plan(sig: Signature, kind: str):
@@ -534,16 +526,21 @@ def compile_rep(sig: Signature) -> Representation:
     Plan: if p - q is within the base band [-3, 2], double the base case
     min(p, q) times.  Otherwise pull the signature into the band with flip
     (p - q >= 3) or mod4 (p - q <= -4) moves, compile the pulled-back
-    signature, and push the generators through the substitution.
+    signature, and push the generators through the substitution.  The base
+    case and the doublings are unchecked steps: the one proof is ``_checked``
+    and the classified target on the model returned and cached, so a shift
+    reads a source model that its own compile has proved.
     """
     cached = _COMPILE_CACHE.get(sig)
     if cached is not None:
         return cached
     d = sig.p - sig.q
     if -3 <= d <= 2:
-        rep = base_rep(Signature(max(d, 0), max(-d, 0)))
+        base = Signature(max(d, 0), max(-d, 0))
+        target, monos = _BASES[base.p, base.q]
+        rep, what = Representation._from_monos(base, None, target, monos), "base"
         for _ in range(min(sig.p, sig.q)):
-            rep = double_rep(rep)
+            rep, what = _double(rep), "doubled"
     else:
         if d >= 3:
             src = Signature(sig.q + 1, sig.p - 1)
@@ -556,8 +553,8 @@ def compile_rep(sig: Signature) -> Representation:
         if new_sig != sig:
             raise AssertionError("shift plan produced the wrong signature")
         gens = [src_rep._blade(b) for b in blades]
-        rep = _checked(Representation._from_monos(sig, None, src_rep.target, gens),
-                       f"{kind}-shifted model of {sig}")
+        rep, what = Representation._from_monos(sig, None, src_rep.target, gens), f"{kind}-shifted"
+    _checked(rep, f"{what} model of {sig}")
     want = classify(sig)
     if rep.target != want:
         raise AssertionError(f"compiled target {rep.target} != classified {want}")

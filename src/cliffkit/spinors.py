@@ -350,18 +350,12 @@ def stabilizer_membership(g: Multivector, space: SpinorSpace) -> bool:
 # ---------------------------------------------------------------------------
 # block structure of Spin(1,3) and Spin(4,0) in the chiral matrix model
 
-_G0, _G1, _GI = GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)
-# sigma^mu = (1, sigma_1, sigma_2, sigma_3): the identity, then the Pauli matrices
-SIGMA = (((_G1, _G0), (_G0, _G1)), ((_G0, _G1), (_G1, _G0)),
-         ((_G0, -_GI), (_GI, _G0)), ((_G1, _G0), (_G0, -_G1)))
-
-
-def _chiral_gamma(mu):
-    """gamma^mu = [[0, sigmabar^mu], [sigma^mu, 0]] in 2x2 blocks, with
-    sigmabar^mu = (1, -sigma_1, -sigma_2, -sigma_3)."""
-    s = SIGMA[mu]
-    bar = s if mu == 0 else tuple(tuple(-x for x in row) for row in s)
-    return tuple((_G0, _G0) + row for row in bar) + tuple(row + (_G0, _G0) for row in s)
+# gamma^mu = [[0, sigmabar^mu], [sigma^mu, 0]] in 2x2 blocks as (perm, codes) on
+# the Gaussian units (+1, -1, +i, -i), with sigma^mu = (1, sigma_1, sigma_2,
+# sigma_3), the identity and the Pauli matrices, and sigmabar^mu = (1, -sigma_1,
+# -sigma_2, -sigma_3)
+_CHIRAL_GAMMA = (((2, 3, 0, 1), (0, 0, 0, 0)), ((3, 2, 1, 0), (1, 1, 0, 0)),
+                 ((3, 2, 1, 0), (2, 3, 3, 2)), ((2, 3, 0, 1), (1, 0, 0, 1)))
 
 
 def chiral_rep(sig: Signature) -> Representation:
@@ -369,12 +363,11 @@ def chiral_rep(sig: Signature) -> Representation:
     generators are the Cl(1,3) ones with gamma^1, gamma^2, gamma^3 times -i."""
     if sig not in (Signature(1, 3), Signature(4, 0)):
         raise ValueError("chiral model available for (1,3) and (4,0) only")
-    rep = Representation(Signature(1, 3), None, TargetRing("MatC", 4),
-                         [_chiral_gamma(mu) for mu in range(4)])
+    gens = _CHIRAL_GAMMA
     if sig == Signature(4, 0):
-        rep = Representation._from_monos(sig, None, rep.target,
-                                         rep._monos[:1] + _times_minus_i(rep._monos[1:]))
-    return _checked(rep, f"chiral model of {sig}")
+        gens = gens[:1] + _times_minus_i(gens[1:])
+    return _checked(Representation._from_monos(sig, None, TargetRing("MatC", 4), gens),
+                    f"chiral model of {sig}")
 
 
 def _det2(m):

@@ -487,3 +487,16 @@ def test_json_roundtrip_real_and_complex():
     assert multivector_from_json(multivector_to_json(b), 2) == b
     with pytest.raises(ValueError):
         multivector_from_json({"ring": "rational", "terms": []}, sig)
+
+
+def test_multivector_repr_and_foreign_operands():
+    # a zero multivector prints as 0 in its algebra; a string is no scalar
+    # (__rmul__ declines it) and no multivector (__eq__ declines it)
+    sig = Signature(1, 1)
+    assert repr(Multivector.real(sig, {})) == "<Cl(1,1) 0>"
+    assert repr(Multivector.complex_alg(2, {})) == "<C(2) 0>"
+    assert repr(Multivector.real(sig, {3: 2})) == "<Cl(1,1) (2)*e12>"
+    e = unit(sig)
+    assert e != "e" and not (e == "e")
+    with pytest.raises(TypeError):
+        "e" * e

@@ -153,6 +153,25 @@ def test_decompose_and_lift_commands(capsys, tmp_path):
     assert len(doc["factors"]) == 2
 
 
+def test_zeta_and_decompose_json(capsys, tmp_path):
+    versor_file = tmp_path / "versor.json"
+    versor_file.write_text(json.dumps([
+        {"ring": "rational", "signature": [2, 0], "terms": [{"blade": [1], "coeff": "1"}]},
+    ]))
+    code, out, _ = run(capsys, "zeta", "--sig", "2,0", "--versor", str(versor_file), "--json")
+    assert code == 0
+    assert json.loads(out) == {"signature": [2, 0], "matrix": [["1", "0"], ["0", "-1"]]}
+    # the two reflection vectors of the rotation, as multivector documents
+    mat_file = tmp_path / "rot.json"
+    mat_file.write_text(json.dumps([["3/5", "-4/5"], ["4/5", "3/5"]]))
+    code, out, _ = run(capsys, "decompose", "--sig", "2,0", "--matrix", str(mat_file), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["reflections"], doc["fallbacks"]) == (2, 0)
+    vectors = [multivector_from_json(v, Signature(2, 0)).vector_coords() for v in doc["vectors"]]
+    assert vectors == [(Fraction(-2, 5), Fraction(4, 5)), (0, -2)]
+
+
 def test_cl00_commands_read_the_empty_matrix(capsys, tmp_path):
     # O(0,0) holds only the 0 x 0 identity: an even versor of no factors
     mat_file = tmp_path / "empty.json"
@@ -361,6 +380,23 @@ def test_seed_reaches_verify_all(capsys, monkeypatch):
     assert run(capsys, "verify-all") == (0, "", "")
     assert seeds == [17, 0]
     assert run(capsys, "classify", "1", "3") == (0, "Mat(2,H)\n", "")
+
+
+def test_verify_all_json(capsys, monkeypatch):
+    # the document tools/bench_record.py reads: the seed, then per criterion
+    # its name, verdict, detail, seconds and budget
+    from cliffkit import verify
+
+    monkeypatch.setattr(verify, "CRITERIA", [c for c in verify.CRITERIA
+                                             if c[0] in ("named-isomorphisms", "complex-models")])
+    code, out, err = run(capsys, "--seed", "3", "verify-all", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["seed"] == 3
+    assert [(r["name"], r["ok"], r["budget"]) for r in doc["results"]] == [
+        ("complex-models", True, 0.02), ("named-isomorphisms", True, None)]
+    assert doc["results"][1]["detail"] == "all named targets match"
+    assert all(isinstance(r["seconds"], float) for r in doc["results"])
 
 
 def test_verify_all_fails_when_the_lift_drops_the_omega_patch(capsys, monkeypatch):
@@ -767,6 +803,16 @@ def test_json_boolean_is_not_an_integer(capsys, tmp_path, argv, doc, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["betti", "check"])
+def test_cech_complex_that_is_not_an_object_is_usage_error(capsys, tmp_path, command):
+    # the size bound counts a non-object complex as 0, and the reader refuses it
+    assert cli._cech_size([[0, 1]] * 10) == cli._cech_size("x") == 0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"complex": [[0, 1]], "signature": [2, 0], "edges": []}))
+    argv = ("cech", command, str(path)) + (("--k", "0") if command == "betti" else ())
+    assert run(capsys, *argv) == (2, "", "error: complex JSON must be an object\n")
 
 
 def test_cech_cocycle_bad_complex_is_usage_error(capsys, tmp_path):

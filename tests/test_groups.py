@@ -48,6 +48,7 @@ from cliffkit.sampling import (
     random_versor,
     rng_from_seed,
 )
+from cliffkit.scalars import GaussianRational
 from cliffkit.spinors import adjoint_automorphism, chiral_rep, spin_block_check
 import bareiss_oracle
 
@@ -729,12 +730,44 @@ def test_adjoint_automorphism():
         adjoint_automorphism(unit(E2) + basis_vector(E2, 1), unit(E2))
 
 
+def test_versor_repr_and_foreign_operands():
+    # a string is no matrix and no versor: __mul__ and __eq__ decline it
+    g = Versor(E2, [vector(E2, (F(1), F(2)))])
+    assert repr(g) == "Versor((2,0), 1 factors, <Cl(2,0) (1)*e1 + (2)*e2>)"
+    m = PseudoOrthogonalMatrix.identity(E2)
+    assert m != "m" and not (m == "m")
+    for x in (g, m):
+        with pytest.raises(TypeError):
+            x * "x"
+
+
 def test_chiral_models_verify():
     for sig in (Signature(1, 3), Signature(4, 0)):
         rep = chiral_rep(sig)
         assert rep.verify()
     with pytest.raises(ValueError):
         chiral_rep(Signature(2, 2))
+
+
+def _chiral_gamma(mu):
+    """gamma^mu = [[0, sigmabar^mu], [sigma^mu, 0]] in dense 2x2 blocks, with
+    sigma^mu = (1, sigma_1, sigma_2, sigma_3) and sigmabar^mu = (1, -sigma_1,
+    -sigma_2, -sigma_3)."""
+    g0, g1, gi = GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)
+    s = (((g1, g0), (g0, g1)), ((g0, g1), (g1, g0)),
+         ((g0, -gi), (gi, g0)), ((g1, g0), (g0, -g1)))[mu]
+    bar = s if mu == 0 else tuple(tuple(-x for x in row) for row in s)
+    return tuple((g0, g0) + row for row in bar) + tuple(row + (g0, g0) for row in s)
+
+
+def test_chiral_models_match_the_dense_gamma_matrices():
+    # the monomial table against the Weyl-block formula; Cl(4,0) takes
+    # gamma^1, gamma^2, gamma^3 times -i
+    dense = tuple(_chiral_gamma(mu) for mu in range(4))
+    assert chiral_rep(Signature(1, 3)).gens == dense
+    minus_i = GaussianRational(0, -1)
+    want = dense[:1] + tuple(tuple(tuple(minus_i * x for x in row) for row in g) for g in dense[1:])
+    assert chiral_rep(Signature(4, 0)).gens == want
 
 
 def test_spin_block_structure_1_3():

@@ -27,11 +27,9 @@ from cliffkit.intertwine import (
 from cliffkit.reprs import (
     Representation,
     TargetRing,
-    base_rep,
     classify,
     compile_complex_rep,
     compile_rep,
-    double_rep,
     rep_to_json,
 )
 from cliffkit.scalars import (
@@ -94,12 +92,11 @@ def test_classify_depends_on_defect_mod_8():
 
 
 def test_base_reps_verify():
-    for p, q in [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 3)]:
-        rep = base_rep(Signature(p, q))
+    # a signature of the base table compiles to its base model, unchanged
+    for (p, q), (target, monos) in reprs._BASES.items():
+        rep = compile_rep(Signature(p, q))
         assert rep.verify()
-        assert rep.target == classify(Signature(p, q))
-    with pytest.raises(ValueError):
-        base_rep(Signature(3, 0))
+        assert rep.target == target == classify(Signature(p, q)) and rep._monos == monos
 
 
 def test_cl20_and_cl11_models():
@@ -145,7 +142,7 @@ def test_compile_all_signatures_up_to_6():
 
 
 def _doubled_by_blocks(rep):
-    """The generators of double_rep(rep), written densely per summand block
+    """The generators of rep doubled once, written densely per summand block
     of the old model: [[0, I], [I, 0]], [[0, -I], [I, 0]] and diag(A, -A)
     for each old generator image A, positives first."""
     zero = ZERO[rep.target.ring_tag]
@@ -172,19 +169,39 @@ def _doubled_by_blocks(rep):
 
 
 def test_double_rep_structure():
-    # every base case, the direct sums (1,0) and (0,3) included
+    # every base case, the direct sums (1,0) and (0,3) included, doubled once
     for (p, q), (target, _gens) in reprs._BASES.items():
-        r = base_rep(Signature(p, q))
-        d = double_rep(r)
-        assert d.sig == Signature(p + 1, q + 1)
+        d = compile_rep(Signature(p + 1, q + 1))
         assert d.target == TargetRing(target.kind, 2 * target.m, target.summands)
-        assert d.gens == _doubled_by_blocks(r)
-        assert d.verify()
+        assert d.gens == _doubled_by_blocks(compile_rep(Signature(p, q)))
     # generator order: v+ first, then v- and the old generator diag(i, -i)
-    d = double_rep(compile_rep(Signature(0, 1)))
+    d = compile_rep(Signature(1, 2))
     assert d.gens == (((G0, G1), (G1, G0)), ((G0, -G1), (G1, G0)), ((GI, G0), (G0, -GI)))
-    with pytest.raises(ValueError):
-        double_rep(compile_complex_rep(2))
+
+
+def test_compile_proves_each_model_it_caches_once(monkeypatch):
+    # the base case and the doublings are unchecked steps: one verify() per
+    # model the compile adds to the cache, none per step under it
+    calls, verify = [], Representation.verify
+    monkeypatch.setattr(Representation, "verify", lambda r: calls.append(r.sig) or verify(r))
+    monkeypatch.setattr(reprs, "_COMPILE_CACHE", {})
+    for sig in [Signature(p, n - p) for n in range(9) for p in range(n + 1)]:
+        compile_rep(sig)
+    assert len(calls) == 45 and sorted(calls) == sorted(reprs._COMPILE_CACHE)
+    monkeypatch.setattr(reprs, "_COMPILE_CACHE", {})
+    calls.clear()
+    compile_rep(Signature(18, 0))
+    assert calls == [Signature(9, 9), Signature(5, 13), Signature(1, 17), Signature(18, 0)]
+
+
+def test_a_corrupted_doubling_is_refused(monkeypatch):
+    # every sign of the Kronecker step dropped: v- (x) 1 squares to +1 where
+    # the negative generator of (2,1) needs -1
+    monkeypatch.setattr(reprs, "_COMPILE_CACHE", {})
+    kron = reprs._kron
+    monkeypatch.setattr(reprs, "_kron", lambda x, a, m: (kron(x, a, m)[0], (0,) * (len(a[0]) * 2)))
+    with pytest.raises(AssertionError, match=re.escape("doubled model of (2,1) failed verification")):
+        compile_rep(Signature(2, 1))
 
 
 def test_signature_shift_flip():
@@ -780,14 +797,6 @@ def test_compiled_models_are_immutable():
 
 def test_complex_model_is_cached():
     assert compile_complex_rep(4) is compile_complex_rep(4)
-
-
-def test_double_rep_rejects_a_model_that_does_not_verify():
-    # the non-injective Cl(1,0) -> R + R model above
-    rep = Representation(Signature(1, 0), None, TargetRing("MatR", 1, summands=2),
-                         [(((F1,),), ((F1,),))])
-    with pytest.raises(ValueError):
-        double_rep(rep)
 
 
 def _rho_by_products(rep, mv):

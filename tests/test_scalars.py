@@ -215,3 +215,16 @@ def test_signature_components_must_be_ints(bad):
     assert Signature(2, 1).n == 3
     with pytest.raises(ValueError, match="signature components must be nonnegative"):
         Signature(2, -1)
+
+
+def test_gaussian_repr_str_and_foreign_operands():
+    # the coordinates in repr, format_gaussian in str; a string is declined
+    # by __eq__, __rmul__ and both __mul__
+    z = GaussianRational(Fraction(1, 2), -3)
+    assert repr(z) == "GaussianRational(Fraction(1, 2), Fraction(-3, 1))"
+    assert str(z) == "1/2-3i" and str(GaussianRational(0, 1)) == "i" and str(GaussianRational(2)) == "2"
+    for x in (z, Quaternion(1, 2, 3, 4)):
+        assert x != "x"
+        for product in (lambda: x * "x", lambda: "x" * x):
+            with pytest.raises(TypeError):
+                product()
