@@ -373,12 +373,28 @@ def _neg_mask(sig):
 def vector_chain(sig, vecs):
     """The product v_1 ... v_k (1 for k = 0) of the grade-1 elements
     v = u / d of Cl(sig), given as (u, d) pairs of integer coordinates u
-    and d > 0: the numerators are folded vector by vector and the
-    Multivector is built and reduced once."""
+    and d > 0: the numerators are folded factor by factor and the
+    Multivector is built and reduced once.  A run of consecutive axis
+    factors (one nonzero coordinate each, such as the patch e_1 ... e_n of
+    an odd lift) is first folded into one signed blade, read off the
+    bitmasks as ``blade_mul`` reads it, so the running numerators are
+    multiplied once per run rather than once per factor."""
     mask = _neg_mask(sig)
     num = {0: 1}
+    blade, coef = 0, 1  # the pending run of axis factors, coef e_blade
     for u, _ in vecs:
-        num = _blade_products(num, {1 << i: x for i, x in enumerate(u) if x}, mask)
+        support = {1 << i: x for i, x in enumerate(u) if x}
+        if len(support) == 1:
+            (bit, x), = support.items()
+            coef *= -x if _flips(blade, mask) & bit else x
+            blade ^= bit
+            continue
+        if blade or coef != 1:
+            num = _blade_products(num, {blade: coef}, mask)
+            blade, coef = 0, 1
+        num = _blade_products(num, support, mask)
+    if blade or coef != 1:
+        num = _blade_products(num, {blade: coef}, mask)
     return Multivector(sig, sig.n, math.prod(d for _, d in vecs), num, {})
 
 

@@ -308,7 +308,7 @@ def canonical_sign(v: Versor) -> Versor:
     return v
 
 
-def _triangle_scalar(lifts, t, given=False):
+def _triangle_scalar(lifts, t):
     """The sign (+1 or -1) of the scalar s with L_ij L_jk = s L_ik on
     triangle t = (i, j, k).
 
@@ -319,8 +319,8 @@ def _triangle_scalar(lifts, t, given=False):
     P and C have the same blades and P[b] C[lead] == C[b] P[lead] for every
     b; then s has the sign of P[lead] C[lead].  Neither test changes under
     a positive factor of P.  ker zeta on versors is the nonzero scalars, so
-    no such s means g_ij g_jk != g_ik for the lifts of the ``given`` edges
-    (a ValueError), and an internal error for any other lifts.
+    no such s means g_ij g_jk != g_ik for the lifts of the edges, a
+    ValueError naming the triangle.
     """
     i, j, k = t
     a = lifts[(i, j)]
@@ -331,9 +331,7 @@ def _triangle_scalar(lifts, t, given=False):
     lead = min(C)
     p_lead, c_lead = P.get(lead, 0), C[lead]
     if P.keys() != C.keys() or any(P[b] * c_lead != c * p_lead for b, c in C.items()):
-        if given:
-            raise ValueError(f"cocycle condition fails on triangle {list(t)}")
-        raise AssertionError("triangle discrepancy is not scalar")
+        raise ValueError(f"cocycle condition fails on triangle {list(t)}")
     return 1 if (p_lead > 0) == (c_lead > 0) else -1
 
 
@@ -350,12 +348,14 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     cochain eta, resigning by eta yields a consistent Pin-valued cocycle and
     2^dim H^1 inequivalent lifts; otherwise the obstruction class in H^2 is
     nonzero and no lift exists.  Edges that are not a cocycle raise
-    ValueError in the raw triangle pass.
+    ValueError in the triangle pass, the one pass that multiplies lifts.
 
-    The second triangle pass multiplies the resigned lifts again instead of
-    reusing the first pass's products with their signs flipped by eta: it
-    proves with fresh products, independently of the GF(2) solve, that the
-    resigned lifts form a cocycle.
+    Resigning edge e negates every product that e enters, so the resigned
+    sign of triangle t is its raw sign times (-1)^(delta eta)(t), and every
+    triangle is +1 exactly when delta eta = w.  That is checked once per
+    triangle, as the parity of the resigned edges of t against t's bit of
+    w, apart from the GF(2) solve that produced eta; no triangle is
+    multiplied again.
     """
     c = coc.complex
     sig = coc.sig
@@ -366,7 +366,7 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     raw = {e: lifted[coc.edges[e]] for e in c.edges}
     w_values = {}
     for t in c.triangles:
-        if _triangle_scalar(raw, t, given=True) < 0:
+        if _triangle_scalar(raw, t) < 0:
             w_values[t] = 1
     w = Z2Cochain(c, 2, w_values)
     if not w.coboundary().is_zero():
@@ -374,11 +374,11 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     rank1, eta = _coboundary_solve(c, 1, w._mask())
     if eta is None:
         return PinLiftResult(False, {}, w, 0, True)
-    lifts = {e: raw[e].negated() if (eta >> i) & 1 else raw[e]
-             for i, e in enumerate(c.edges)}
-    for t in c.triangles:
-        if _triangle_scalar(lifts, t) < 0:
+    flipped = {e for i, e in enumerate(c.edges) if (eta >> i) & 1}
+    for i, j, k in c.triangles:
+        if ((i, j) in flipped) ^ ((j, k) in flipped) ^ ((i, k) in flipped) != ((i, j, k) in w_values):
             raise AssertionError("sign correction failed on a triangle")
+    lifts = {e: raw[e].negated() if e in flipped else raw[e] for e in c.edges}
     count = 1 << (len(c.edges) - rank1 - _coboundary_solve(c, 0)[0])
     return PinLiftResult(True, lifts, w, count, False)
 

@@ -32,7 +32,7 @@ reflections on integer vectors, whose residue check R(u_r) ... R(u_1) M = I
 is the lift's one proof per call; the versor of those vectors, patched by
 omega when the count is odd, maps onto M.  The round trip is checked apart
 from ``_reflect`` by verify-all's double-cover, vector-action-soundness and
-reflection-factorization, the round-trip tests and the Cech triangle passes.
+reflection-factorization, the round-trip tests and the Cech raw triangle pass.
 """
 
 from __future__ import annotations
@@ -508,7 +508,7 @@ def lift_to_pin(M: PseudoOrthogonalMatrix) -> Versor:
     apart from ``_reflect`` by verify-all's double-cover (100 lifts),
     vector-action-soundness (zeta against the sandwich) and
     reflection-factorization (dense ``reflection_matrix`` recomposition),
-    the round-trip tests and both triangle passes of ``pin_lift_cocycle``.
+    the round-trip tests and the raw triangle pass of ``pin_lift_cocycle``.
     """
     sig = M.sig
     if sig.n % 2:

@@ -21,7 +21,7 @@ from .groups import (
     zeta,
 )
 from .intertwine import even_subring_rep, real_irrep_dim
-from .reprs import TargetRing, classify, compile_complex_rep, compile_rep
+from .reprs import TargetRing, compile_complex_rep, compile_rep
 from .sampling import (
     random_anisotropic_vector,
     random_pseudo_orthogonal,
@@ -246,7 +246,6 @@ def check_even_subrings(seed=0):
         derived = even_subring_rep(sig)[0]
         if sig.p == 0:
             logged.append(f"{sig}: formula signature (q,p-1) invalid, derived {derived}")
-        classify(derived)
     detail = "derived signatures verified from generator squares"
     if logged:
         detail += "; formula notes: " + "; ".join(logged)

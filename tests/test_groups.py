@@ -367,9 +367,21 @@ def _dense_zeta_columns(g):
 
 
 @st.composite
+def axis_run(draw, sig):
+    """0 to 3 axis vectors k e_a, k a nonzero rational: one nonzero coordinate each."""
+    return [basis_vector(sig, draw(st.integers(1, sig.n))) * draw(_COEFF.filter(bool))
+            for _ in range(draw(st.integers(0, 3)))]
+
+
+@st.composite
 def versors(draw):
-    sig = draw(signatures(max_n=5))
-    factors = [vector(sig, draw(anisotropic_coords(sig))) for _ in range(draw(st.integers(0, 4)))]
+    """0 to 4 drawn anisotropic vectors with runs of axis vectors before,
+    among and after them, on p + q <= 6, possibly negated."""
+    sig = draw(signatures(max_n=6))
+    general = [vector(sig, draw(anisotropic_coords(sig))) for _ in range(draw(st.integers(0, 4)))]
+    cut = draw(st.integers(0, len(general)))
+    factors = (draw(axis_run(sig)) + general[:cut] + draw(axis_run(sig)) + general[cut:]
+               + draw(axis_run(sig)))
     g = Versor(sig, factors)
     return g.negated() if draw(st.booleans()) else g
 
@@ -477,6 +489,56 @@ def test_versor_product_is_the_lazy_chain(g):
     one = unit(g.sig)
     assert fresh.product * fresh.inverse_mv() == one
     assert fresh.inverse_mv() * fresh.product == one
+
+
+_SIGS_TO_6 = [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("sig", _SIGS_TO_6, ids=str)
+def test_vector_chain_folds_axis_runs_as_the_schoolbook_chain(sig):
+    # runs of axis factors at the start, in the middle and at the end, with
+    # repeated axes (e_a e_a is the scalar Q(e_a)), negative and fractional
+    # multiples, and a run that folds to a scalar
+    n = sig.n
+    e = [None] + [basis_vector(sig, a) for a in range(1, n + 1)]
+    general = [vector(sig, [F(1 + (a + s) % 3, 1 + s) for a in range(n)]) for s in (0, 1)]
+    general = [v for v in general if (v * v).scalar_part()]
+    runs = [
+        [e[n] * 2, e[1], e[n] * F(-1, 3)],
+        [e[a] for a in range(1, n + 1)],
+        [e[1] * -1, e[1]],
+    ]
+    chains = [
+        runs[0] + general + runs[1],
+        general[:1] + runs[1] + general[1:],
+        runs[2] + general + runs[0] + runs[2],
+        runs[1] + runs[2],
+        runs[2],
+        general,
+    ]
+    for factors in chains:
+        g = Versor(sig, factors)
+        assert g.product == _schoolbook_chain(g) == _fold(sig, factors)
+
+
+def test_odd_and_fallback_lifts_are_the_schoolbook_chain():
+    # an odd reflection count is patched by omega = e_1 ... e_n, and the
+    # isotropic fallback appends e_a: both are runs of axis factors
+    s22 = Signature(2, 2)
+    odd = [reflection_product(sig, [[2] + [1] * (sig.n - 1)])
+           for sig in (E2, M11, s22, Signature(6, 0), Signature(3, 3))]
+    assert all(cartan_dieudonne(m).r % 2 for m in odd)
+    # R(e_1 + k/2) R(e_1) with k = e_2 + e_3 null sends e_1 to e_1 + k, which
+    # the first step of the factorization cannot take back across x - e_1
+    fallback = reflection_product(s22, [[1, F(1, 2), F(1, 2), 0], [1, 0, 0, 0], [0, 2, 1, 0]])
+    assert cartan_dieudonne(fallback).fallback_count > 0
+    for m in odd + [fallback]:
+        cd = cartan_dieudonne(m)
+        g = lift_to_pin(m)
+        patch = groups._unit_vecs(m.sig.n) if cd.r % 2 else []
+        assert g.vecs[cd.r:] == tuple(patch)
+        assert g.product == _schoolbook_chain(g)
+        assert zeta(g) == m
 
 
 def test_negated_shares_no_cached_product():
