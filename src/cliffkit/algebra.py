@@ -261,10 +261,6 @@ class Multivector:
     def grades(self):
         return sorted({b.bit_count() for b in self.re | self.im})
 
-    def grade_project(self, k):
-        return self._like(self.den, {b: c for b, c in self.re.items() if b.bit_count() == k},
-                          {b: c for b, c in self.im.items() if b.bit_count() == k})
-
     def is_scalar(self):
         return all(b == 0 for b in self.re | self.im)
 
@@ -295,9 +291,6 @@ class Multivector:
         if self.ring != GAUSSIAN:
             raise ValueError("star involution is defined on the complex algebra only")
         return self._signed(_reversion_flip, conjugate=True)
-
-    def grade_involution(self):
-        return self._signed(lambda b: b.bit_count() & 1)
 
     def __repr__(self):
         space = f"C({self.n})" if self.is_complex else f"Cl{self.sig}"

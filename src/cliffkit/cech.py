@@ -355,7 +355,9 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     triangle is +1 exactly when delta eta = w.  That is checked once per
     triangle, as the parity of the resigned edges of t against t's bit of
     w, apart from the GF(2) solve that produced eta; no triangle is
-    multiplied again.
+    multiplied again.  Each distinct matrix on a resigned edge is negated
+    once, and its resigned edges share that versor, as the others share its
+    canonical lift.
     """
     c = coc.complex
     sig = coc.sig
@@ -378,7 +380,8 @@ def pin_lift_cocycle(coc: GroupCocycle) -> PinLiftResult:
     for i, j, k in c.triangles:
         if ((i, j) in flipped) ^ ((j, k) in flipped) ^ ((i, k) in flipped) != ((i, j, k) in w_values):
             raise AssertionError("sign correction failed on a triangle")
-    lifts = {e: raw[e].negated() if e in flipped else raw[e] for e in c.edges}
+    negs = {m: lifted[m].negated() for m in {coc.edges[e] for e in flipped}}
+    lifts = {e: negs[coc.edges[e]] if e in flipped else raw[e] for e in c.edges}
     count = 1 << (len(c.edges) - rank1 - _coboundary_solve(c, 0)[0])
     return PinLiftResult(True, lifts, w, count, False)
 

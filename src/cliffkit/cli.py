@@ -16,8 +16,9 @@ from .scalars import Signature, format_rational, json_chunks, json_text
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-# largest p + q (or complex N) that compile accepts: --verify reads only the
-# generators and omega (n = 18: 0.15 s, 16.5 MB), and --json streams the n
+# largest p + q (or complex N) that compile accepts: its one proof of the
+# model reads only the generators and omega, and --verify reports it rather
+# than proving it again (n = 18: 0.16-0.19 s, 16.5 MB); --json streams the n
 # generators as text straight off the monomial form: compile 18 0 and
 # compile --complex 18 with --verify --json write 61 MB in 0.4-0.5 s and
 # 31-34 MB; an H target writes each entry as a list, and compile 0 18
@@ -86,7 +87,7 @@ def _compile_args(p):
     p.add_argument("--complex", type=int, dest="complex_dim", metavar="N",
                    help="compile the complexified algebra of dimension N")
     p.add_argument("--verify", action="store_true",
-                   help="re-verify relations and injectivity")
+                   help="report the compile's proof of relations and injectivity")
     p.add_argument("--json", metavar="PATH", help="write the model to PATH")
     p.set_defaults(run=_cmd_compile)
 
@@ -205,11 +206,14 @@ def _cmd_compile(args):
         n, label = args.p + args.q, f"Cl({args.p},{args.q})"
     if n > MAX_COMPILE_DIM:
         raise ValueError(f"{label}: compile supports p + q (or N) up to {MAX_COMPILE_DIM}")
-    if args.complex_dim is not None:
-        rep = reprs.compile_complex_rep(n)
-    else:
-        rep = reprs.compile_rep(Signature(args.p, args.q))
-    if args.verify and not rep.verify():
+    # the compile proves the model it returns, and raises AssertionError
+    # before it caches one that fails: --verify reports that proof
+    try:
+        if args.complex_dim is not None:
+            rep = reprs.compile_complex_rep(n)
+        else:
+            rep = reprs.compile_rep(Signature(args.p, args.q))
+    except AssertionError:
         print(f"{label}: verification FAILED")
         return CHECK_FAILED
     print(f"{label} -> {rep.target}")
@@ -321,15 +325,15 @@ def _cech_size(complex_doc):
 
 def _lift_texts(lifts):
     """The {"e", "product"} item of each edge of the lift document, in edge
-    order, as ``json_chunks`` takes it.  Edges share few products, so each
-    distinct product is rendered once; resigned edges hold new versors, so
-    the cache is keyed by the product itself."""
+    order, as ``json_chunks`` takes it.  Edges share few versors, one per
+    distinct matrix and sign, so each versor's product is rendered once: the
+    cache is keyed by the versor, and the text depends on its product only."""
     texts = {}
     for (i, j), v in sorted(lifts.items()):
-        text = texts.get(v.product)
+        text = texts.get(v)
         if text is None:
             text = json_text(algebra.multivector_to_json(v.product)).replace("\n", "\n      ")
-            texts[v.product] = text
+            texts[v] = text
         yield f'{{\n      "e": [\n        {i},\n        {j}\n      ],\n      "product": {text}\n    }}'
 
 

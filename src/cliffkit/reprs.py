@@ -71,10 +71,6 @@ class TargetRing(namedtuple("TargetRing", "kind m summands")):
     def ring_tag(self):
         return KIND_RING[self.kind]
 
-    @property
-    def real_dim(self):
-        return self.summands * self.m * self.m * KIND_REAL_DIM[self.kind]
-
     def __str__(self):
         name = {"MatR": "R", "MatC": "C", "MatH": "H"}[self.kind]
         base = f"Mat({self.m},{name})"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cech_documents
-from cliffkit import cli
+from cliffkit import cli, reprs
 from cliffkit.algebra import (
     Signature,
     basis_vector,
@@ -41,8 +41,8 @@ from cliffkit.cli import (
     build_parser,
     main,
 )
-from cliffkit.groups import PseudoOrthogonalMatrix, lift_to_pin
-from cliffkit.reprs import Representation, compile_rep
+from cliffkit.groups import PseudoOrthogonalMatrix, Versor, lift_to_pin
+from cliffkit.reprs import Representation
 
 
 def run(capsys, *argv):
@@ -122,12 +122,32 @@ def test_compile_verifies_at_the_size_bound(capsys):
 
 
 def test_compile_reports_a_model_that_fails_verification(capsys, monkeypatch):
-    # the compiled model is cached; its verify() failing when --verify
-    # re-reads it is a failed check, not a success
-    compile_rep(Signature(2, 2))
+    # the compile's own proof fails: it raises before the model is cached,
+    # and compile reports that as a failed check, never as a success, with
+    # or without --verify
+    monkeypatch.setattr(reprs, "_COMPILE_CACHE", {})
     monkeypatch.setattr(Representation, "verify", lambda r: False)
     code, out, err = run(capsys, "compile", "2", "2", "--verify")
     assert (code, out, err) == (CHECK_FAILED, "Cl(2,2): verification FAILED\n", "")
+    code, out, err = run(capsys, "compile", "--complex", "4", "--verify")
+    assert (code, out, err) == (CHECK_FAILED, "C(4): verification FAILED\n", "")
+    code, out, err = run(capsys, "compile", "2", "2")
+    assert (code, out, err) == (CHECK_FAILED, "Cl(2,2): verification FAILED\n", "")
+    assert reprs._COMPILE_CACHE == {}
+
+
+def test_compile_verify_reports_the_compiles_own_proof(capsys, monkeypatch):
+    # from an empty cache, one verify() per model the compile caches and none
+    # more for --verify: Cl(18,0) goes through (9,9), (5,13) and (1,17),
+    # Cl(0,18) through (8,10) and (4,14), and C(18) through Cl(9,9)
+    calls, verify = [], Representation.verify
+    monkeypatch.setattr(Representation, "verify", lambda r: calls.append(r) or verify(r))
+    for argv, want in [(("18", "0"), 4), (("0", "18"), 3), (("--complex", "18"), 2)]:
+        monkeypatch.setattr(reprs, "_COMPILE_CACHE", {})
+        calls.clear()
+        code, out, _ = run(capsys, "compile", *argv, "--verify")
+        assert code == 0 and out.endswith("\nverified: relations and injectivity exact\n")
+        assert len(calls) == want == len(reprs._COMPILE_CACHE)
 
 
 def test_zeta_command(capsys, tmp_path):
@@ -331,17 +351,27 @@ def test_cech_lift_json_matches_the_dict_form(capsys, tmp_path, make_doc):
     assert out_file.read_text() == _lift_json_by_dict(doc)
 
 
-def test_the_shared_lift_case_resigns_edges():
-    # one versor per distinct matrix is shared, and resigning makes new
-    # versors: equal products held by two versors mean a resigned edge
-    # shares its product with another edge, and its lift is the negation of
-    # its matrix's canonical lift.  CI lifts this document, written by
-    # tests/cech_documents.py dihedral-cocycle, at the cech bound
-    coc = GroupCocycle.from_json(cech_documents.dihedral_cocycle_doc(3))
-    lifts = pin_lift_cocycle(coc).lifts
-    products = {v.product for v in lifts.values()}
-    assert len(products) < len({id(v) for v in lifts.values()}) < len(lifts)
-    assert any(v.product == -canonical_sign(lift_to_pin(coc.edges[e])).product for e, v in lifts.items())
+def test_the_shared_lift_case_resigns_edges(monkeypatch):
+    # one versor per distinct product: the edges of a matrix share its
+    # canonical lift, and its resigned edges share one negation of it.  The
+    # resign negates canonical lifts, each at most once; canonical_sign
+    # negates only lifts whose lowest coefficient is negative.  A resigned
+    # edge's lift is the negation of its matrix's canonical lift.  CI lifts
+    # this document, written by tests/cech_documents.py dihedral-cocycle, at
+    # the cech bound
+    receivers, negated = [], Versor.negated
+    monkeypatch.setattr(Versor, "negated", lambda v: receivers.append(v) or negated(v))
+    for m in (3, 10):
+        coc = GroupCocycle.from_json(cech_documents.dihedral_cocycle_doc(m))
+        receivers.clear()
+        lifts = pin_lift_cocycle(coc).lifts
+        versors = {id(v): v for v in lifts.values()}
+        assert len({v.product for v in versors.values()}) == len(versors) < len(lifts)
+        resigns = [v for v in receivers if (num := v.product.re)[min(num)] > 0]
+        matrices = set(coc.edges.values())
+        assert 0 < len({id(v) for v in resigns}) == len(resigns) <= len(matrices)
+        canonical = {a: canonical_sign(lift_to_pin(a)).product for a in matrices}
+        assert any(v.product == -canonical[coc.edges[e]] for e, v in lifts.items())
 
 
 def test_cech_lift_on_edges_that_are_not_a_cocycle_is_usage_error(capsys, tmp_path):
