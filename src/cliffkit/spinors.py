@@ -58,7 +58,9 @@ def make_idempotent(s: Multivector) -> HermitianIdempotent:
 
 
 def idempotent_from_factors(n, factors):
-    """Product of commuting projectors (e + s_k)/2; the s_k must commute."""
+    """Product of commuting projectors (e + s_k)/2; the s_k must commute.
+    Once idempotent it is Hermitian: in the unitary model it is a product of
+    orthogonal projections, so of norm <= 1, and such an idempotent is one."""
     e = complex_unit(n)
     half = GaussianRational(1) / 2
     p = e
@@ -70,8 +72,6 @@ def idempotent_from_factors(n, factors):
         p = p * ((e + s) * half)
     if p * p != p:
         raise ValueError("factors do not commute: product is not idempotent")
-    if p.star() != p:
-        raise ValueError("product idempotent is not Hermitian")
     if p == e:
         raise ValueError("trivial idempotent")
     return p

@@ -402,7 +402,8 @@ def test_invert():
 
 def test_a_wrong_inverse_read_back_is_an_internal_error(monkeypatch):
     # inverse blocks read at twice their denominator give x = a^-1 / 2, and
-    # the exact check a x = x a = 1 refuses it
+    # the exact check a x = 1 refuses it (a one-sided inverse is two-sided,
+    # so x a = 1 is not checked)
     inverse = linalg.inverse_numerators
 
     def halved(den, rows):
@@ -447,9 +448,13 @@ def test_invert_matches_dense_oracle(space):
     # invert reads the inverse back from the compiled model; the oracle
     # eliminates the 2^n x 2^n left regular matrix
     results = set()
+    one = complex_unit(space) if isinstance(space, int) else unit(space)
     for a in _inverse_inputs(space, random.Random(str(space))):
         want = dense_inverse(a)
-        assert invert(a) == want, a
+        x = invert(a)
+        assert x == want, a
+        # invert checks a x = 1 only; x a = 1 follows in a finite-dimensional algebra
+        assert x is None or x * a == one, a
         results.add(want is None)
     assert results == {True, False}
 

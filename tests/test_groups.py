@@ -721,9 +721,9 @@ def _corrupt_reflect(monkeypatch, step, col, row):
 
 
 # the rotation factors as R(u_1) fixing column 0, then R(u_2) fixing column 1:
-# an entry off in column 0 at step 1 fails that step's check, and at step 2
-# only the residue check sees it
-_GUARDS = [(1, 0, 1, "reflection step failed to fix the basis vector"),
+# an entry off in column 0 after either step stays off through the steps that
+# follow, and the residue check, the factorization's one check, refuses it
+_GUARDS = [(1, 0, 1, "factorization left a nonidentity residue"),
            (2, 0, 0, "factorization left a nonidentity residue")]
 
 
