@@ -17,8 +17,10 @@ and ``cech`` at most; spinor-side use (``find_conjugator``,
 ``reprs``, ``intertwine`` and ``spinors``; a model compile
 (``compile_rep``, the CLI's ``compile`` and ``classify``) runs ``scalars``
 and ``reprs`` alone, since ``reprs`` holds only the code that builds, checks
-and writes a model and runs ``algebra`` only to build a multivector, and
-the CLI builds the argument parser of the one command it runs.  Without a
+and writes a model and the readers of a compiled model are in
+``intertwine``, and the CLI builds the argument parser of the one command
+it runs, importing ``commands``, which holds the six commands that are not
+``compile`` or ``classify``, only for those.  Without a
 bytecode cache, a fresh process sets up the pin-lift benchmark in 24 ms
 against 42 ms when the first name read ran every layer (medians of 11
 alternating runs, Python 3.11, 2 CPUs).
@@ -37,8 +39,8 @@ _API = {
     "subgroup_reduction_check z2_betti",
     "groups": "CDResult PseudoOrthogonalMatrix Versor cartan_dieudonne lift_to_pin "
     "total_reflection_versor zeta",
-    "intertwine": "Intertwiner even_subring_rep factor_projections invert quaternion_complexify "
-    "real_irrep_dim rep_equivalence signature_shift",
+    "intertwine": "Intertwiner even_subring_rep factor_projections invert preimage "
+    "quaternion_complexify real_irrep_dim rep_equivalence rho signature_shift",
     "linalg": "",
     "reprs": "Representation TargetRing classify compile_complex_rep compile_rep",
     "scalars": "GaussianRational Quaternion Signature",

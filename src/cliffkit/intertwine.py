@@ -1,29 +1,33 @@
-"""Maps between compiled models, and the models derived from one.
+"""Readers of compiled models, maps between them, and the models derived
+from one.
 
 A model compile never reaches this layer: ``reprs`` builds, checks and
-writes a model, and everything here reads one it has compiled.  Inverses
-read back through the model (``invert``), the even subring and its model
-(``even_subring_rep``, its blades and signs read off the signature, as
-``reprs._shift_plan`` reads a signature move's), the substitution of a
-signature move as multivectors (``signature_shift``), the summands of a
-direct-sum target (``factor_projections``), the complex adjoint of a
-quaternion model (``quaternion_complexify``) and intertwiners between two
-models (``solve_intertwiner``, ``rep_equivalence``).  They work on the
-monomial form ``reprs`` stores, and ``algebra`` runs only where a
+writes a model, and everything here reads one it has compiled.  The
+readers take the model first: ``numerator_blocks(rep, x)`` is the one
+reading of rho(x), on the sparse Gaussian-integer rows of ``linalg``, and
+``ranks``, ``invertible`` and the dense view ``rho`` read those rows;
+``_row_traces`` is the one reading of rho^-1, and ``preimage(rep, X)`` its
+dense entry point.  Inverses read back through the model (``invert``), the
+even subring and its model (``even_subring_rep``, its blades and signs read
+off the signature, as ``reprs._shift_plan`` reads a signature move's), the
+substitution of a signature move as multivectors (``signature_shift``), the
+summands of a direct-sum target (``factor_projections``), the complex
+adjoint of a quaternion model (``quaternion_complexify``) and intertwiners
+between two models (``solve_intertwiner``, ``rep_equivalence``).  They work
+on the monomial form ``reprs`` stores, and ``algebra`` runs only where a
 multivector is built.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from . import algebra, linalg
 from .reprs import (
-    GAUSSIAN_INT_UNITS,
     KIND_REAL_DIM,
-    _UNIT_ENTRIES,
+    _Q8,
     _UNIT_MUL,
-    _UNIT_ROWS,
     Representation,
     TargetRing,
     _checked,
@@ -32,8 +36,161 @@ from .reprs import (
     compile_complex_rep,
     compile_rep,
 )
-from .scalars import QUATERNION, Signature
+from .scalars import GAUSSIAN, QUATERNION, RATIONAL, Signature, quaternion_to_complex_block
 
+# the units of R and C as Gaussian integers (re, im), in code order
+GAUSSIAN_INT_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# each unit code as a k x k monomial block of Gaussian integers, row by row:
+# the (column, re, im) of the one entry of each row; the unit itself on R
+# and C (k = 1), its complex adjoint chi on H (k = 2)
+_UNIT_ENTRIES = {
+    RATIONAL: tuple(((0,) + u,) for u in GAUSSIAN_INT_UNITS[:2]),
+    GAUSSIAN: tuple(((0,) + u,) for u in GAUSSIAN_INT_UNITS),
+    QUATERNION: tuple(tuple(next((dc, int(z.re), int(z.im)) for dc, z in enumerate(row) if z)
+                            for row in quaternion_to_complex_block(u)) for u in _Q8),
+}
+# k, the rows of each unit's block: the numerator rows that one row of rho takes
+_UNIT_ROWS = {tag: len(units[0]) for tag, units in _UNIT_ENTRIES.items()}
+
+
+# ---------------------------------------------------------------------------
+# readers: rho(x) and its inverse on the numerator rows of ``linalg``
+
+def rho(rep: Representation, mv: algebra.Multivector):
+    """Image of a multivector of the source algebra, the dense view
+    (``linalg.dense_matrix``) of ``numerator_blocks`` over mv.den."""
+    blocks = tuple(linalg.dense_matrix(mv.den, rows, rep.target.ring_tag)
+                   for rows in numerator_blocks(rep, mv))
+    return blocks if rep.target.summands == 2 else blocks[0]
+
+
+def numerator_blocks(rep: Representation, mv: algebra.Multivector):
+    """rho(mv) as sparse Gaussian-integer rows (column -> (re, im), no
+    zeros), one list of rows per summand block, every entry times mv.den.
+    A quaternion block is given by its complex adjoint chi, a 2m x 2m
+    block over Q(i).  The rows are read off the monomial blade images and
+    the numerators of mv, with no ring element built.  mv must live in
+    the source algebra."""
+    if (mv.sig, mv.n) != (rep.sig, rep.n):
+        raise ValueError("multivector does not live in the source algebra")
+    t = rep.target
+    m = t.m
+    re, im = mv.re, mv.im
+    units, k = _UNIT_ENTRIES[t.ring_tag], _UNIT_ROWS[t.ring_tag]
+    w = k * m
+    # the rows of all blocks in order; row k i + dr is row dr of the
+    # k x k block of rho row i
+    rows = [{} for _ in range(t.summands * w)]
+    for b in re | im:
+        x, y = re.get(b, 0), im.get(b, 0)
+        for i, (j, c) in enumerate(zip(*rep._blade(b))):
+            col = k * (j % m)
+            for dr, (dc, u, v) in enumerate(units[c]):
+                row = rows[k * i + dr]
+                p, q = row.get(col + dc, (0, 0))
+                row[col + dc] = (p + x * u - y * v, q + x * v + y * u)
+    rows = [{j: e for j, e in row.items() if e[0] or e[1]} for row in rows]
+    return [rows[s:s + w] for s in range(0, len(rows), w)]
+
+
+def ranks(rep: Representation, mv: algebra.Multivector):
+    """Rank of each summand block of rho(mv) over the target's ring,
+    from ``numerator_blocks`` by the one Bareiss kernel; a quaternion
+    block A ranks as chi(A) / 2."""
+    return [len(linalg.echelon_numerators(rows)) // _UNIT_ROWS[rep.target.ring_tag]
+            for rows in numerator_blocks(rep, mv)]
+
+
+def invertible(rep: Representation, mv: algebra.Multivector):
+    """Whether rho(mv) is invertible: every summand block has full rank.
+
+    A compiled model is injective onto a ring of the same dimension, so
+    this decides whether mv is invertible in the source algebra.
+    """
+    return all(r == rep.target.m for r in ranks(rep, mv))
+
+
+def preimage(rep: Representation, matrix):
+    """Multivector x with rho(x) = matrix, or None.
+
+    ``matrix`` is m x m over the target's ring, a pair of them for a
+    direct sum (ValueError otherwise).  x is read off its numerator rows
+    by ``_trace_preimage`` and returned once rho(x) = matrix holds
+    exactly, on the numerators.
+    """
+    t = rep.target
+    m = t.m
+    blocks = matrix if t.summands == 2 else (matrix,)
+    if not (_has_len(blocks, t.summands) and all(
+            _has_len(block, m) and all(_has_len(row, m) for row in block) for block in blocks)):
+        shape = f"a pair of {m}x{m} matrices" if t.summands == 2 else f"a {m}x{m} matrix"
+        raise ValueError(f"preimage expects {shape} over the target ring")
+    den, rows = linalg.numerator_matrix([row for block in blocks for row in block], t.ring_tag)
+    x = _trace_preimage(rep, [(den, rows)])
+    image = [row for block in numerator_blocks(rep, x) for row in block]
+    if all({j: (a * den, b * den) for j, (a, b) in got.items()}
+           == {j: (a * x.den, b * x.den) for j, (a, b) in want.items()}
+           for got, want in zip(image, rows)):
+        return x
+    return None
+
+
+def _trace_preimage(rep, blocks):
+    """x with coefficient tr(rho(e_b)^-1 X) / (summands * m) at e_b, its
+    real part for a real source, X stacked from the rows / den of the
+    (den, rows) pairs of ``blocks`` as ``numerator_blocks`` stacks them:
+    the sum of ``_row_traces`` over the rows of X.  For X = rho(x) this
+    is x: rho(e_b)^-1 rho(e_c) = +-rho(e_(b xor c)), and tr rho(e_C) = 0
+    for C != 0 by the relations and, for omega at odd n,
+    ``check_injective`` (its real part for a real source).
+    """
+    t = rep.target
+    den = math.lcm(*(d for d, _rows in blocks))
+    scaled = [(den // d, row) for d, rows in blocks for row in rows]
+    pairs = [(r, row) for r, (_f, row) in enumerate(scaled) if row]
+    re, im = {}, {}
+    for (r, _row), tr in zip(pairs, _row_traces(rep, pairs)):
+        f = scaled[r][0]
+        for b, (x, y) in tr.items():
+            re[b] = re.get(b, 0) + f * x
+            im[b] = im.get(b, 0) + f * y
+    real = not rep.is_complex
+    return algebra.Multivector(rep.sig, rep.n, den * _UNIT_ROWS[t.ring_tag] * t.summands * t.m,
+                               {b: x for b, x in re.items() if x},
+                               {} if real else {b: y for b, y in im.items() if y})
+
+
+def _row_traces(rep, rows):
+    """For each (r, row) of ``rows``, a dict b -> (re, im) of k
+    tr(rho(e_b)^-1 X) without zeros, X the matrix whose one nonzero
+    numerator row is ``row`` at r (counted as in ``numerator_blocks``);
+    k = 2 on H, through chi, else 1.  rho(e_b)^-1 is the conjugate
+    transpose of a unit monomial, so the trace is conj(u) X[r][perm_b[r]],
+    u the unit of rho(e_b) in row r: one lookup per blade.
+    """
+    t = rep.target
+    m = t.m
+    k = _UNIT_ROWS[t.ring_tag]
+    # by_row[dr][code]: the (column, re, im) of row dr of the unit's block
+    by_row = list(zip(*_UNIT_ENTRIES[t.ring_tag]))
+    kcol = [k * (j % m) for j in range(t.summands * m)]
+    entries = [(r // k, by_row[r % k], row.get, {}) for r, row in rows]
+    for b in range(1 << rep.n):
+        perm, codes = rep._blade(b)
+        for i, units, get, acc in entries:
+            dc, u, v = units[codes[i]]
+            e = get(kcol[perm[i]] + dc)
+            if e:
+                acc[b] = (u * e[0] + v * e[1], u * e[1] - v * e[0])
+    return [acc for _i, _units, _get, acc in entries]
+
+
+def _has_len(x, n):
+    return isinstance(x, (tuple, list)) and len(x) == n
+
+
+# ---------------------------------------------------------------------------
+# models derived from a compiled one
 
 def signature_shift(sig: Signature, kind: str):
     """Exact generator substitution realizing a signature move.
@@ -54,14 +211,14 @@ def invert(a):
     rho is an isomorphism onto the target ring, so a is invertible exactly
     when every summand block of rho(a) is.  The numerator blocks are
     inverted by ``linalg.inverse_numerators``, read back with
-    ``Representation._trace_preimage``, and a x = 1 is checked: in a
+    ``_trace_preimage``, and a x = 1 is checked: in a
     finite-dimensional algebra a one-sided inverse is two-sided.
     """
     rep = compile_complex_rep(a.n) if a.is_complex else compile_rep(a.sig)
-    blocks = [linalg.inverse_numerators(a.den, rows) for rows in rep.numerator_blocks(a)]
+    blocks = [linalg.inverse_numerators(a.den, rows) for rows in numerator_blocks(rep, a)]
     if None in blocks:
         return None
-    inv_mv = rep._trace_preimage(blocks)
+    inv_mv = _trace_preimage(rep, blocks)
     unit_mv = a._like(1, {0: 1}, {})
     if a * inv_mv != unit_mv:
         raise AssertionError("inverse read back from the matrix model is wrong")
@@ -216,11 +373,11 @@ def solve_intertwiner(monos1, monos2, m, ring_tag):
     """
     free, combine = _intertwiner_space(monos1, monos2, m, ring_tag)
 
-    def invertible(s):
+    def with_inverse(s):
         sinv = linalg.inverse_numerators(*s)
         return None if sinv is None else (s, sinv)
 
-    found = linalg.first_accepted(free, invertible, combine)
+    found = linalg.first_accepted(free, with_inverse, combine)
     if found is None:
         return None
     if ring_tag == QUATERNION:

@@ -11,22 +11,21 @@ with the (1, 1) base model.  ``compile_rep`` proves each model it returns
 (relations, injectivity and the classified target) once, before it caches
 it; the base case and the doublings under it are not checked on their own.
 This layer holds what a compile runs and no more: the class table, the
-monomial ``Representation`` with its checks and readers, the base cases,
-the structural moves and the JSON writer.  A compile reads blade bitmasks
-and monomials only, and ``algebra`` runs where a multivector is built, so a
-cold ``compile`` or ``classify`` runs ``cli``, ``scalars`` and this layer
-alone.  The code that starts from a compiled
-model and that no compile calls (inverses, the even subring model, factor
-projections, complexification, intertwiners) is in ``intertwine``.
+monomial ``Representation`` with its checks and its dense generator
+images, the base cases, the structural moves and the JSON writer.  A
+compile reads blade bitmasks and monomials only, and imports no other
+layer, so a cold ``compile`` or ``classify`` runs ``cli``, ``scalars`` and
+this layer alone.  The code that starts from a compiled model and that no
+compile calls (the readers rho, numerator_blocks, ranks, invertible and
+preimage, inverses, the even subring model, factor projections,
+complexification, intertwiners) is in ``intertwine``.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
-from . import algebra, linalg
 from .scalars import (
     GAUSSIAN,
     QUATERNION,
@@ -42,7 +41,6 @@ from .scalars import (
     is_json_int,
     json_chunks,
     json_text,
-    quaternion_to_complex_block,
 )
 
 KIND_RING = {"MatR": RATIONAL, "MatC": GAUSSIAN, "MatH": QUATERNION}
@@ -115,19 +113,6 @@ _AXIS_MUL = [[_UNIT_CODE[QUATERNION][x * y] for y in _Q8[::2]] for x in _Q8[::2]
 _UNIT_MUL = tuple(tuple(_AXIS_MUL[a >> 1][b >> 1] ^ ((a ^ b) & 1) for b in range(8))
                   for a in range(8))
 _MINUS_I = 3  # -t1, read as -i in C
-# the units of R and C as Gaussian integers (re, im), in code order
-GAUSSIAN_INT_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-# each unit code as a k x k monomial block of Gaussian integers, row by row:
-# the (column, re, im) of the one entry of each row; the unit itself on R
-# and C (k = 1), its complex adjoint chi on H (k = 2)
-_UNIT_ENTRIES = {
-    RATIONAL: tuple(((0,) + u,) for u in GAUSSIAN_INT_UNITS[:2]),
-    GAUSSIAN: tuple(((0,) + u,) for u in GAUSSIAN_INT_UNITS),
-    QUATERNION: tuple(tuple(next((dc, int(z.re), int(z.im)) for dc, z in enumerate(row) if z)
-                            for row in quaternion_to_complex_block(u)) for u in _Q8),
-}
-# k, the rows of each unit's block: the numerator rows that one row of rho takes
-_UNIT_ROWS = {tag: len(units[0]) for tag, units in _UNIT_ENTRIES.items()}
 
 
 def _mono_mul(x, y):
@@ -170,13 +155,12 @@ class Representation:
     The constructor takes dense matrices (a pair of them per generator for a
     direct-sum target).  Each must be monomial with unit entries; it is
     stored as (perm, codes), and products, relations and injectivity run on
-    that form.  ``numerator_blocks`` is the one reading of rho(x) and
-    ``_row_traces`` the one reading of rho^-1, both on the numerator rows of
-    ``linalg``; ``rho`` and ``preimage`` cross to dense matrices at its two
-    edges.  ``gens``, ``blade_image(b)`` and ``rep_to_json`` write a
-    monomial image out as it is, through ``_dense``.  Instances
-    are immutable (compiled models are cached and shared); the monomial
-    blade images are a cache filled on first use.
+    that form.  ``gens``, ``blade_image(b)`` and ``rep_to_json`` write a
+    monomial image out as it is, through ``_dense``; the readers of a
+    model (``rho``, ``numerator_blocks``, ``ranks``, ``invertible``,
+    ``preimage``) are functions in ``intertwine`` that take it first.
+    Instances are immutable (compiled models are cached and shared); the
+    monomial blade images are a cache filled on first use.
     """
 
     def __init__(self, sig, complex_dim, target, gens):
@@ -246,128 +230,6 @@ class Representation:
         tag = self.target.ring_tag
         return self._shape(self._dense(self._blade(blade), _RING_UNITS[tag], ZERO[tag]))
 
-    def rho(self, mv: algebra.Multivector):
-        """Image of a multivector of the source algebra, the dense view
-        (``linalg.dense_matrix``) of ``numerator_blocks`` over mv.den."""
-        blocks = tuple(linalg.dense_matrix(mv.den, rows, self.target.ring_tag)
-                       for rows in self.numerator_blocks(mv))
-        return blocks if self.target.summands == 2 else blocks[0]
-
-    def numerator_blocks(self, mv: algebra.Multivector):
-        """rho(mv) as sparse Gaussian-integer rows (column -> (re, im), no
-        zeros), one list of rows per summand block, every entry times mv.den.
-        A quaternion block is given by its complex adjoint chi, a 2m x 2m
-        block over Q(i).  The rows are read off the monomial blade images and
-        the numerators of mv, with no ring element built.  mv must live in
-        the source algebra."""
-        if (mv.sig, mv.n) != (self.sig, self.n):
-            raise ValueError("multivector does not live in the source algebra")
-        t = self.target
-        m = t.m
-        re, im = mv.re, mv.im
-        units, k = _UNIT_ENTRIES[t.ring_tag], _UNIT_ROWS[t.ring_tag]
-        w = k * m
-        # the rows of all blocks in order; row k i + dr is row dr of the
-        # k x k block of rho row i
-        rows = [{} for _ in range(t.summands * w)]
-        for b in re | im:
-            x, y = re.get(b, 0), im.get(b, 0)
-            for i, (j, c) in enumerate(zip(*self._blade(b))):
-                col = k * (j % m)
-                for dr, (dc, u, v) in enumerate(units[c]):
-                    row = rows[k * i + dr]
-                    p, q = row.get(col + dc, (0, 0))
-                    row[col + dc] = (p + x * u - y * v, q + x * v + y * u)
-        rows = [{j: e for j, e in row.items() if e[0] or e[1]} for row in rows]
-        return [rows[s:s + w] for s in range(0, len(rows), w)]
-
-    def ranks(self, mv: algebra.Multivector):
-        """Rank of each summand block of rho(mv) over the target's ring,
-        from ``numerator_blocks`` by the one Bareiss kernel; a quaternion
-        block A ranks as chi(A) / 2."""
-        return [len(linalg.echelon_numerators(rows)) // _UNIT_ROWS[self.target.ring_tag]
-                for rows in self.numerator_blocks(mv)]
-
-    def invertible(self, mv: algebra.Multivector):
-        """Whether rho(mv) is invertible: every summand block has full rank.
-
-        A compiled model is injective onto a ring of the same dimension, so
-        this decides whether mv is invertible in the source algebra.
-        """
-        return all(r == self.target.m for r in self.ranks(mv))
-
-    def preimage(self, matrix):
-        """Multivector x with rho(x) = matrix, or None.
-
-        ``matrix`` is m x m over the target's ring, a pair of them for a
-        direct sum (ValueError otherwise).  x is read off its numerator rows
-        by ``_trace_preimage`` and returned once rho(x) = matrix holds
-        exactly, on the numerators.
-        """
-        t = self.target
-        m = t.m
-        blocks = matrix if t.summands == 2 else (matrix,)
-        if not (_has_len(blocks, t.summands) and all(
-                _has_len(block, m) and all(_has_len(row, m) for row in block) for block in blocks)):
-            shape = f"a pair of {m}x{m} matrices" if t.summands == 2 else f"a {m}x{m} matrix"
-            raise ValueError(f"preimage expects {shape} over the target ring")
-        den, rows = linalg.numerator_matrix([row for block in blocks for row in block], t.ring_tag)
-        x = self._trace_preimage([(den, rows)])
-        image = [row for block in self.numerator_blocks(x) for row in block]
-        if all({j: (a * den, b * den) for j, (a, b) in got.items()}
-               == {j: (a * x.den, b * x.den) for j, (a, b) in want.items()}
-               for got, want in zip(image, rows)):
-            return x
-        return None
-
-    def _trace_preimage(self, blocks):
-        """x with coefficient tr(rho(e_b)^-1 X) / (summands * m) at e_b, its
-        real part for a real source, X stacked from the rows / den of the
-        (den, rows) pairs of ``blocks`` as ``numerator_blocks`` stacks them:
-        the sum of ``_row_traces`` over the rows of X.  For X = rho(x) this
-        is x: rho(e_b)^-1 rho(e_c) = +-rho(e_(b xor c)), and tr rho(e_C) = 0
-        for C != 0 by the relations and, for omega at odd n,
-        ``check_injective`` (its real part for a real source).
-        """
-        t = self.target
-        den = math.lcm(*(d for d, _rows in blocks))
-        scaled = [(den // d, row) for d, rows in blocks for row in rows]
-        pairs = [(r, row) for r, (_f, row) in enumerate(scaled) if row]
-        re, im = {}, {}
-        for (r, _row), tr in zip(pairs, self._row_traces(pairs)):
-            f = scaled[r][0]
-            for b, (x, y) in tr.items():
-                re[b] = re.get(b, 0) + f * x
-                im[b] = im.get(b, 0) + f * y
-        real = not self.is_complex
-        return algebra.Multivector(self.sig, self.n, den * _UNIT_ROWS[t.ring_tag] * t.summands * t.m,
-                                   {b: x for b, x in re.items() if x},
-                                   {} if real else {b: y for b, y in im.items() if y})
-
-    def _row_traces(self, rows):
-        """For each (r, row) of ``rows``, a dict b -> (re, im) of k
-        tr(rho(e_b)^-1 X) without zeros, X the matrix whose one nonzero
-        numerator row is ``row`` at r (counted as in ``numerator_blocks``);
-        k = 2 on H, through chi, else 1.  rho(e_b)^-1 is the conjugate
-        transpose of a unit monomial, so the trace is conj(u) X[r][perm_b[r]],
-        u the unit of rho(e_b) in row r: one lookup per blade.
-        """
-        t = self.target
-        m = t.m
-        k = _UNIT_ROWS[t.ring_tag]
-        # by_row[dr][code]: the (column, re, im) of row dr of the unit's block
-        by_row = list(zip(*_UNIT_ENTRIES[t.ring_tag]))
-        kcol = [k * (j % m) for j in range(t.summands * m)]
-        entries = [(r // k, by_row[r % k], row.get, {}) for r, row in rows]
-        for b in range(1 << self.n):
-            perm, codes = self._blade(b)
-            for i, units, get, acc in entries:
-                dc, u, v = units[codes[i]]
-                e = get(kcol[perm[i]] + dc)
-                if e:
-                    acc[b] = (u * e[0] + v * e[1], u * e[1] - v * e[0])
-        return [acc for _i, _units, _get, acc in entries]
-
     def check_relations(self):
         """v^a v^b + v^b v^a = 2 eta^{ab} e, exactly.
 
@@ -424,10 +286,6 @@ class Representation:
     def verify(self):
         """Anticommutation relations and injectivity, both exact."""
         return self.check_relations() and self.check_injective()
-
-
-def _has_len(x, n):
-    return isinstance(x, (tuple, list)) and len(x) == n
 
 
 def _checked(rep, what):

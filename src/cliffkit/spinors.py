@@ -6,7 +6,7 @@ multiplication on it is equivalent to the compiled column model.  All linear
 algebra is exact, and the spinor chain runs on the monomial form of the
 compiled model: every rho(e_b) has one unit in each row and column
 (``Representation._blade``), so rho(x) is needed only as sparse
-Gaussian-integer rows (``Representation.numerator_blocks``).  Every
+Gaussian-integer rows (``intertwine.numerator_blocks``).  Every
 elimination runs the sparse Bareiss kernel of ``linalg`` on rows that hold
 their nonzero entries only: the rows e_b p or the preimages of rho(A p) for
 the ideal, and rows of |p1| + |p2| entries for g p1 = p2 g; the reduced rows
@@ -32,9 +32,18 @@ from .algebra import (
     complex_unit,
     multiplication_rows,
 )
-from .intertwine import Intertwiner, _intertwines, invert
-from .reprs import (
+from .intertwine import (
     GAUSSIAN_INT_UNITS,
+    Intertwiner,
+    _intertwines,
+    _row_traces,
+    invert,
+    invertible,
+    numerator_blocks,
+    ranks,
+    rho,
+)
+from .reprs import (
     Representation,
     TargetRing,
     _checked,
@@ -124,7 +133,7 @@ def left_ideal(p) -> SpinorSpace:
         raise ValueError("not an idempotent")
     rep = compile_complex_rep(n)
     bases = [[row for row, _b, _c in linalg.echelon_numerators(block)]
-             for block in rep.numerator_blocks(p)]
+             for block in numerator_blocks(rep, p)]
     if sum(len(v) for basis in bases for v in basis) <= len(p.re.keys() | p.im.keys()):
         rows = _row_preimages(rep, bases)
     else:
@@ -143,12 +152,12 @@ def _row_preimages(rep, bases):
 
     rho is an isomorphism onto Mat(m, C), or Mat(m, C) + Mat(m, C) for odd
     n, so rho(A p) = {Y rho(p)}.  The preimages are read by the trace
-    formula (``Representation._row_traces``), one lookup per blade, and
+    formula (``intertwine._row_traces``), one lookup per blade, and
     leave out its common factor 1 / size.
     """
     m = rep.target.m
-    return rep._row_traces([(s * m + i, v) for s, basis in enumerate(bases)
-                            for v in basis for i in range(m)])
+    return _row_traces(rep, [(s * m + i, v) for s, basis in enumerate(bases)
+                             for v in basis for i in range(m)])
 
 
 def is_minimal(space: SpinorSpace) -> bool:
@@ -187,7 +196,7 @@ def primitive_idempotent(n: int) -> HermitianIdempotent:
     roots += [Multivector.complex_alg(n, {3 << (2 * j - 1): GaussianRational(0, 1)})
               for j in range(1, n // 2)]
     p = idempotent_from_factors(n, roots)
-    if compile_complex_rep(n).ranks(p) != [1]:
+    if ranks(compile_complex_rep(n), p) != [1]:
         raise AssertionError("the product idempotent is not primitive")
     return HermitianIdempotent(n, p * 2 - complex_unit(n), p)
 
@@ -274,7 +283,7 @@ def _column_model(rep, space, at):
     the basis numerators ``at`` (``_basis_numerators``), over a common
     denominator that the scaling cancels."""
     m = rep.target.m
-    [rho_p] = rep.numerator_blocks(space.p)
+    [rho_p] = numerator_blocks(rep, space.p)
     k = min(min(row) for row in rho_p if row)
     num = [{} for _ in range(m)]
     for b, terms in at.items():
@@ -302,7 +311,7 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
     space, in ``linalg.first_accepted`` order, each point read off the
     reduced rows straight into multivector numerators.  A point g is
     accepted when rho(g) is invertible in the compiled matrix model
-    (``Representation.invertible``), which decides invertibility of g
+    (``intertwine.invertible``), which decides invertibility of g
     because rho is an isomorphism onto the target ring; no inverse is
     computed.  g p1 = p2 g is checked exactly on the accepted point, and a
     failure is a solver fault: AssertionError.  Every real signature and
@@ -312,7 +321,7 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
         raise ValueError("idempotents live in different algebras")
     rep = compile_complex_rep(p1.n) if p1.is_complex else compile_rep(p1.sig)
     free, point = linalg.nullspace_numerators(_conjugator_rows(p1, p2), 1 << p1.n)
-    g = linalg.first_accepted(free, lambda g: g if rep.invertible(g) else None,
+    g = linalg.first_accepted(free, lambda g: g if invertible(rep, g) else None,
                               lambda terms: Multivector(*p1.space_key(), *point(terms)), seed=seed)
     if g is not None and g * p1 != p2 * g:
         raise AssertionError("the solved conjugator fails g p1 = p2 g")
@@ -392,7 +401,7 @@ def spin_block_check(g, sig: Signature) -> SpinBlockResult:
     if not g.is_spin:
         raise ValueError("block structure applies to even versors")
     rep = chiral_rep(sig)
-    m = rep.rho(g.product)
+    m = rho(rep, g.product)
     off_zero = not any(m[i][j] for i in range(4) for j in range(4) if (i < 2) != (j < 2))
     A = tuple(tuple(m[i][j] for j in range(2)) for i in range(2))
     D = tuple(tuple(m[i][j] for j in range(2, 4)) for i in range(2, 4))

@@ -165,8 +165,12 @@ def check_double_cover(seed=0):
             return False, f"{sig}: zeta distinguishes g from -g"
     for sig in _EVEN_SIGS_4:
         for _ in range(25):
+            # h times the reversed factors of the lift of zeta(h) is in the
+            # kernel by construction, and scalar only if that lift is h up to
+            # a scalar factor
             h = random_versor(sig, rng, num_factors=rng.randint(1, 3))
-            if zeta(h).is_identity() and not h.product.is_scalar():
+            g = Versor(sig, [*h.factors, *reversed(lift_to_pin(zeta(h)).factors)])
+            if not (zeta(g).is_identity() and g.product.is_scalar()):
                 return False, f"{sig}: nonscalar versor in the kernel"
     return True, "100 lifts round-trip; kernel is the scalar line"
 

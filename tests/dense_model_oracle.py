@@ -2,7 +2,7 @@
 form.
 
 Each builds its result the long way, from dense ring matrices: the images
-rho(e_i) of the generators, read through ``Representation.rho``, then
+rho(e_i) of the generators, read through ``intertwine.rho``, then
 formatted entry by entry, sliced into summand blocks or mapped entry-wise
 through the complex adjoint, and parsed back into a ``Representation`` by
 its public constructor.  ``rep_to_json``, ``factor_projections`` and
@@ -15,10 +15,10 @@ elimination kernel: the reference for the walk in ``intertwine`` that solves
 it without eliminating.
 """
 
-from cliffkit import linalg
+from cliffkit import intertwine, linalg
 from cliffkit.algebra import Multivector
-from cliffkit.intertwine import Intertwiner
-from cliffkit.reprs import GAUSSIAN_INT_UNITS, _UNIT_MUL, Representation, TargetRing
+from cliffkit.intertwine import GAUSSIAN_INT_UNITS, Intertwiner
+from cliffkit.reprs import _UNIT_MUL, Representation, TargetRing
 from cliffkit.scalars import ONE, QUATERNION, format_scalar
 import bareiss_oracle
 
@@ -26,8 +26,8 @@ import bareiss_oracle
 def dense_gens(rep):
     """rho(e_i) for each generator e_i, read through ``rho``."""
     if rep.is_complex:
-        return [rep.rho(Multivector.complex_alg(rep.n, {1 << i: 1})) for i in range(rep.n)]
-    return [rep.rho(Multivector.real(rep.sig, {1 << i: 1})) for i in range(rep.n)]
+        return [intertwine.rho(rep, Multivector.complex_alg(rep.n, {1 << i: 1})) for i in range(rep.n)]
+    return [intertwine.rho(rep, Multivector.real(rep.sig, {1 << i: 1})) for i in range(rep.n)]
 
 
 def _matrix_json(mat, ring_tag):

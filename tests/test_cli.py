@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cech_documents
-from cliffkit import cli, reprs
+from cliffkit import cli, commands, reprs
 from cliffkit.algebra import (
     Signature,
     basis_vector,
@@ -838,7 +838,7 @@ def test_json_boolean_is_not_an_integer(capsys, tmp_path, argv, doc, message):
 @pytest.mark.parametrize("command", ["betti", "check"])
 def test_cech_complex_that_is_not_an_object_is_usage_error(capsys, tmp_path, command):
     # the size bound counts a non-object complex as 0, and the reader refuses it
-    assert cli._cech_size([[0, 1]] * 10) == cli._cech_size("x") == 0
+    assert commands._cech_size([[0, 1]] * 10) == commands._cech_size("x") == 0
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"complex": [[0, 1]], "signature": [2, 0], "edges": []}))
     argv = ("cech", command, str(path)) + (("--k", "0") if command == "betti" else ())

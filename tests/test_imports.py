@@ -67,6 +67,36 @@ def test_cli_registers_every_layer_and_runs_only_those_it_calls(tmp_path):
         assert set(out[-1].split()) == {"cliffkit.cli", "cliffkit.scalars", "cliffkit.reprs"}
 
 
+def test_a_cold_compile_loads_neither_the_other_commands_nor_the_model_readers(tmp_path):
+    # commands holds the six commands that no compile runs, and intertwine
+    # the readers of a compiled model: neither is even imported
+    code = ("import sys, cliffkit.cli as cli; cli.main(sys.argv[1:]); "
+            "print(*(m for m in ('cliffkit.commands', 'cliffkit.intertwine') if m in sys.modules "
+            "and '__builtins__' in vars(sys.modules[m])))")
+    for argv in (["compile", "8", "0", "--verify"],
+                 ["compile", "--complex", "7", "--verify", "--json", str(tmp_path / "c7.json")],
+                 ["classify", "0", "0"]):
+        assert _child(code, *argv)[-1] == ""
+
+
+# ast.stmt nodes in the modules a cold compile runs, the package __init__
+# included: 592 when the model readers moved to intertwine and the six other
+# commands to commands (835 before), plus about 5%
+COMPILE_PATH_STATEMENTS = 620
+
+
+def test_a_cold_compile_compiles_a_bounded_amount_of_source():
+    # without a bytecode cache each cold compile compiles every module it
+    # runs, so code that no compile calls costs every compile
+    code = f"import sys, cliffkit.cli as cli; cli.main(['compile', '8', '0', '--verify']); {RAN}"
+    ran = _child(code)[-1].split()
+    assert set(ran) == {"cliffkit.cli", "cliffkit.scalars", "cliffkit.reprs"}
+    paths = [SRC / "__init__.py"] + [SRC / f"{name.split('.')[1]}.py" for name in ran]
+    count = sum(isinstance(node, ast.stmt) for path in paths
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    assert count <= COMPILE_PATH_STATEMENTS
+
+
 def test_a_spinor_model_runs_the_layer_that_reads_compiled_models():
     # spinor --model inverts and checks its intertwiner through intertwine,
     # which a compile leaves unrun
@@ -94,8 +124,9 @@ def test_the_pin_side_imports_no_matrix_model():
 
 
 # the modules imported the plain way, never registered: the package, the
-# entry points and what only verify-all loads
-_UNREGISTERED = {"__init__", "__main__", "cli", "verify", "sampling"}
+# entry points, the commands that no compile runs and what only verify-all
+# loads
+_UNREGISTERED = {"__init__", "__main__", "cli", "commands", "verify", "sampling"}
 
 
 def test_every_layer_imports_only_registered_layers():
@@ -147,8 +178,8 @@ PUBLIC = {
             "z2_betti",
     "groups": "CDResult PseudoOrthogonalMatrix Versor cartan_dieudonne lift_to_pin total_reflection_versor "
               "zeta",
-    "intertwine": "Intertwiner even_subring_rep factor_projections invert quaternion_complexify "
-                  "real_irrep_dim rep_equivalence signature_shift",
+    "intertwine": "Intertwiner even_subring_rep factor_projections invert preimage quaternion_complexify "
+                  "real_irrep_dim rep_equivalence rho signature_shift",
     "reprs": "Representation TargetRing classify compile_complex_rep compile_rep",
     "scalars": "GaussianRational Quaternion Signature",
     "spinors": "HermitianIdempotent SpinorSpace adjoint_automorphism find_conjugator is_minimal left_ideal "
@@ -161,7 +192,7 @@ def test_package_exports_each_public_name_from_its_layer():
     import cliffkit
 
     names = {name: layer for layer, names in PUBLIC.items() for name in names.split()}
-    assert len(names) == 52 and sorted(cliffkit.__all__) == sorted(names)
+    assert len(names) == 54 and sorted(cliffkit.__all__) == sorted(names)
     for name, layer in names.items():
         obj = getattr(cliffkit, name)
         assert obj is vars(importlib.import_module(f"cliffkit.{layer}"))[name]
@@ -187,7 +218,7 @@ def test_a_public_name_binds_its_layer_and_runs_the_layers_it_imports():
     code = ("import sys, cliffkit; print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); "
             "print(sum(n in dir(cliffkit) for n in cliffkit.__all__)); "
             f"cliffkit.zeta; print(*sorted(n for n in cliffkit.__all__ if n in vars(cliffkit))); {RAN}")
-    assert _child(code) == ["0", "52", " ".join(sorted(PUBLIC["groups"].split())),
+    assert _child(code) == ["0", "54", " ".join(sorted(PUBLIC["groups"].split())),
                             "cliffkit.algebra cliffkit.groups cliffkit.scalars"]
 
 
@@ -214,7 +245,7 @@ def test_star_import_binds_every_name():
     code = ("import sys, cliffkit; from cliffkit import *; "
             f"print(sum(n in vars(cliffkit) for n in cliffkit.__all__)); {RAN}")
     count, ran = _child(code)
-    assert count == "52"
+    assert count == "54"
     assert set(ran.split()) == {f"cliffkit.{layer}" for layer in PUBLIC}
 
 

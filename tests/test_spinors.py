@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffkit import linalg, spinors
+from cliffkit import intertwine, linalg, spinors
 from cliffkit.algebra import (
     Multivector,
     Signature,
@@ -122,7 +122,7 @@ def test_primitive_idempotent_factors_are_pinned(n):
         [b] = s.re.keys() | s.im.keys()
         blades |= {c ^ b for c in blades}
     assert len(blades) == 1 << len(roots)
-    assert compile_complex_rep(n).ranks(idem.p) == [1]
+    assert intertwine.ranks(compile_complex_rep(n), idem.p) == [1]
     if n <= 12:
         assert is_minimal(left_ideal(idem))
 
@@ -372,17 +372,17 @@ def test_rep_preimage_and_column_stabilizer():
         return tuple(tuple(entries.get((i, j), Z) for j in range(m)) for i in range(m))
 
     e11 = matrix({(0, 0): G1})
-    p = rep.preimage(e11)
+    p = intertwine.preimage(rep, e11)
     assert p is not None
-    assert bareiss_oracle.mat_eq(rep.rho(p), e11)
+    assert bareiss_oracle.mat_eq(intertwine.rho(rep, p), e11)
     assert p * p == p
     space = left_ideal(p)
     assert space.dim == m
-    upper = rep.preimage(matrix({(0, 0): G1, (1, 1): G1, (0, 1): GI}))
-    lower = rep.preimage(matrix({(0, 0): G1, (1, 1): G1, (1, 0): GI}))
+    upper = intertwine.preimage(rep, matrix({(0, 0): G1, (1, 1): G1, (0, 1): GI}))
+    lower = intertwine.preimage(rep, matrix({(0, 0): G1, (1, 1): G1, (1, 0): GI}))
     assert not stabilizer_membership(upper, space)
     assert stabilizer_membership(lower, space)
-    assert rep.preimage(e11) == p
+    assert intertwine.preimage(rep, e11) == p
     with pytest.raises(ValueError):
         stabilizer_membership(p, space)  # idempotents are not invertible
 
@@ -554,7 +554,7 @@ def test_left_ideal_matches_dense_rref():
         assert (rows, space.pivots) == want
         rep = compile_complex_rep(p.n)
         bases = [[row for row, _b, _c in linalg.echelon_numerators(block)]
-                 for block in rep.numerator_blocks(p)]
+                 for block in intertwine.numerator_blocks(rep, p)]
         for spanning in (_row_preimages(rep, bases),
                          multiplication_rows([(p, "right", 1)], transpose=True)):
             done = linalg.echelon_numerators(spanning)
@@ -584,14 +584,14 @@ def test_rep_preimage_inverts_rho():
             b: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
             for b in range(1 << n) if rng.random() < 0.5
         })
-        assert rep.preimage(rep.rho(x)) == x
+        assert intertwine.preimage(rep, intertwine.rho(rep, x)) == x
     for sig in (Signature(2, 0), Signature(2, 1), Signature(3, 0), Signature(1, 3), Signature(0, 3)):
         rep = compile_rep(sig)
         for x in (Multivector.real(sig, {}), Multivector.real(sig, {
             b: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             for b in range(1 << sig.n) if rng.random() < 0.5
         })):
-            assert rep.preimage(rep.rho(x)) == x
+            assert intertwine.preimage(rep, intertwine.rho(rep, x)) == x
 
 
 def test_spinor_space_golden_digest():

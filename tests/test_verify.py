@@ -24,10 +24,13 @@ def _drop_denominator(zeta):
     return lambda g: PseudoOrthogonalMatrix._from_int(g.sig, zeta(g).num, 1)
 
 
-def _identity_on_three_factors_at_n4(zeta):
-    # no lift at n = 4 has three factors (an odd count r is patched to r + 4),
-    # and the kernel checks draw two: only the last loop's draws reach it
-    return lambda g: PseudoOrthogonalMatrix.identity(g.sig) if (g.sig.n, len(g.vecs)) == (4, 3) else zeta(g)
+def _last_factor_dropped_at_n4(versor):
+    # the kernel check before the last loop builds two-factor versors, and
+    # only the last loop builds longer ones
+    def dropped(sig, factors):
+        factors = tuple(factors)
+        return versor(sig, factors[:-1] if sig.n == 4 and len(factors) > 2 else factors)
+    return dropped
 
 
 def _pad_with_e1(cartan_dieudonne):
@@ -109,7 +112,7 @@ _BRANCHES = [
      "(1,1): kernel versor is not scalar"),
     ("check_double_cover", "Versor.negated", lambda f: lambda g: _vecs(g, g.vecs[1:]),
      "(1,1): zeta distinguishes g from -g"),
-    ("check_double_cover", "zeta", _identity_on_three_factors_at_n4,
+    ("check_double_cover", "Versor", _last_factor_dropped_at_n4,
      "(2,2): nonscalar versor in the kernel"),
     ("check_reflection_factorization", "cartan_dieudonne", _pad_with_e1,
      "(0,1): 3 reflections > 2n"),

@@ -15,13 +15,20 @@ figures, compile at its bound is measured: ``compile n 0 --verify`` at n =
 MAX_COMPILE_DIM, with and without ``--json``, as the median child wall
 time and peak RSS of three children each (about 2 s); the others are
 listed as null with the reason, until a measurement of them is added here.
-Steps run one after another, so one run takes about 2.5 minutes on 2 CPUs.
-The file is written to the root of this repository.
+The cold CLI figures are ``classify 0 0``, ``compile 8 0 --verify --json``
+and ``compile --complex 7 --verify --json``, each the median child wall
+time of 11 runs with ``PYTHONDONTWRITEBYTECODE=1``, and the ``ast.stmt``
+count of the modules a cold ``compile 8 0 --verify`` runs (about 3 s);
+they are recorded as null with the reason when ``src/cliffkit/__pycache__``
+exists, as bytecode left there would skip the compile of the source that
+they time.  Steps run one after another, so one run takes about 2.5
+minutes on 2 CPUs.  The file is written to the root of this repository.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -36,6 +43,14 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 SEEDS = range(17)
 COMPILE_SCALE = "compile at MAX_COMPILE_DIM, with and without --json"
+COLD_RUNS = 11
+COLD_ARGV = (["classify", "0", "0"], ["compile", "8", "0", "--verify", "--json"],
+             ["compile", "--complex", "7", "--verify", "--json"])
+# prints the source files of the cliffkit modules whose code a cold compile
+# runs, the package __init__ included: an unrun layer lacks __builtins__
+RAN_FILES = ("import sys, cliffkit.cli as cli; cli.main(['compile', '8', '0', '--verify']); "
+             "print(*(m.__file__ for n, m in sorted(sys.modules.items()) "
+             "if n.startswith('cliffkit') and '__builtins__' in vars(m)))")
 # the scale figures not measured yet -> the ROADMAP item that asks for them
 SCALE = {
     "cech check, lift and lift --json on the three document shapes at the bound": 4,
@@ -77,6 +92,34 @@ def compile_scale(repo):
             runs = [_child_cost(repo, argv + extra) for _ in range(RUNS)]
             out[key] = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
             out[key]["runs"] = runs
+    return out
+
+
+def cold_cli(repo):
+    """Median child wall seconds of COLD_RUNS cold runs of each COLD_ARGV
+    command, no bytecode read or written, and the statement count of the
+    code a cold compile runs; null with the reason if bytecode is cached."""
+    if (repo / "src" / "cliffkit" / "__pycache__").exists():
+        return {"value": None, "reason": "src/cliffkit/__pycache__ exists: remove it to time cold runs"}
+    env = {**os.environ, "PYTHONPATH": str(repo / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in COLD_ARGV:
+            cmd = [sys.executable, "-m", "cliffkit", *argv]
+            if "--json" in argv:
+                cmd.append(str(Path(tmp) / "model.json"))
+            walls = []
+            for _ in range(COLD_RUNS):
+                start = time.monotonic()
+                subprocess.run(cmd, cwd=repo, env=env, stdout=subprocess.DEVNULL, check=True)
+                walls.append(time.monotonic() - start)
+            out[" ".join(argv)] = {"median_wall_s": round(statistics.median(walls), 4),
+                                   "runs": [round(w, 4) for w in walls]}
+    files = subprocess.run([sys.executable, "-c", RAN_FILES], cwd=repo, env=env, capture_output=True,
+                           text=True, check=True).stdout.splitlines()[-1].split()
+    out["compile_path_statements"] = sum(
+        isinstance(node, ast.stmt) for f in files for node in ast.walk(ast.parse(Path(f).read_text())))
+    out["compile_path_modules"] = sorted(Path(f).stem for f in files)
     return out
 
 
@@ -140,7 +183,8 @@ def tier1(repo):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0],
                                  epilog="One run takes about 2.5 minutes on 2 CPUs, of which the "
-                                 "compile scale figure takes about 2 s.")
+                                 "compile scale figure takes about 2 s and the 33 cold CLI runs "
+                                 "about 3 s.")
     ap.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
     ap.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure (default: this one)")
     ap.add_argument("--note", default="", help="what the checkout is, stored with the figures")
@@ -161,6 +205,7 @@ def main(argv=None):
         "perfbench": bench,
         "verify_all": verify_all(repo),
         "tier1": tier1(repo),
+        "cold_cli": cold_cli(repo),
         "scale": {COMPILE_SCALE: compile_scale(repo),
                   **{name: {"value": None, "reason": f"ROADMAP item {item}: not measured by this recorder yet"}
                      for name, item in SCALE.items()}},
