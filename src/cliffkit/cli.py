@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from . import reprs
-from .scalars import Signature, json_text
+from .scalars import Signature, dump_json, json_text
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -57,13 +57,6 @@ MAX_LIFT_DIM = 16
 MAX_CECH_SIMPLICES = 60_000
 
 
-def _dump_json(chunks, path):
-    """Write the JSON text ``chunks`` to ``path``, then a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-        fh.write("\n")
-
-
 def _classify_args(p):
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
@@ -83,17 +76,17 @@ def _compile_args(p):
 
 
 # each command -> (its help line, the function that adds its arguments, or
-# None when that function is in ``commands``), in the order the full parser
+# the name of that function in ``commands``), in the order the full parser
 # lists them
 COMMANDS = {
     "classify": ("matrix ring class of Cl(p,q)", _classify_args),
     "compile": ("exact matrix model of an algebra", _compile_args),
-    "zeta": ("pseudo-orthogonal image of a versor", None),
-    "decompose": ("reflection factorization of a matrix", None),
-    "lift": ("versor lifting a pseudo-orthogonal matrix", None),
-    "spinor": ("spinor ideal of the complex algebra", None),
-    "cech": ("Z2 cohomology and Pin lift obstruction", None),
-    "verify-all": ("run every acceptance check", None),
+    "zeta": ("pseudo-orthogonal image of a versor", "_zeta_args"),
+    "decompose": ("reflection factorization of a matrix", "_decompose_args"),
+    "lift": ("versor lifting a pseudo-orthogonal matrix", "_lift_args"),
+    "spinor": ("spinor ideal of the complex algebra", "_spinor_args"),
+    "cech": ("Z2 cohomology and Pin lift obstruction", "_cech_args"),
+    "verify-all": ("run every acceptance check", "_verify_all_args"),
 }
 
 
@@ -121,9 +114,9 @@ def build_parser(argv=None):
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
         help_line, add_args = COMMANDS[name]
-        if add_args is None:
+        if isinstance(add_args, str):
             from . import commands  # loaded for those six commands only
-            add_args = commands.ARGS[name]
+            add_args = getattr(commands, add_args)
         add_args(sub.add_parser(name, help=help_line))
     return ap
 
@@ -164,7 +157,7 @@ def _cmd_compile(args):
     if args.verify:
         print("verified: relations and injectivity exact")
     if args.json:
-        _dump_json(reprs.rep_to_json(rep), args.json)
+        dump_json(reprs.rep_to_json(rep), args.json)
     return 0
 
 

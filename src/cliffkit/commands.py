@@ -2,9 +2,13 @@
 ``decompose``, ``lift``, ``spinor``, ``cech`` and ``verify-all``.
 
 ``cli.build_parser`` imports this module only when it adds one of their
-subparsers, and ``cli`` keeps ``main``, the help lines and every size bound.
-The layers are bound here as module objects, so importing this module runs
-none of them: each command runs only the layers it calls.
+subparsers, and finds each one's argument builder here by the name that
+``cli.COMMANDS`` gives next to its help line.  ``cli`` keeps ``main``, the
+help lines, the exit codes and every size bound, which this module reads
+from it; ``cli`` never imports this module while it loads, so either can
+be imported first.  The layers are bound here as module objects, so
+importing this module runs none of them: each command runs only the
+layers it calls.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 import json
 
 from . import algebra, cech, groups, spinors
-from .cli import CHECK_FAILED, MAX_CECH_SIMPLICES, MAX_LIFT_DIM, MAX_SPINOR_DIM, MAX_ZETA_DIM, _dump_json
-from .scalars import Signature, format_rational, json_chunks, json_text
+from .cli import CHECK_FAILED, MAX_CECH_SIMPLICES, MAX_LIFT_DIM, MAX_SPINOR_DIM, MAX_ZETA_DIM
+from .scalars import Signature, dump_json, format_rational, json_chunks, json_text
 
 
 def _parse_sig(text) -> Signature:
@@ -84,16 +88,6 @@ def _verify_all_args(p):
 
 
 # each command -> the function that adds its arguments
-ARGS = {
-    "zeta": _zeta_args,
-    "decompose": _decompose_args,
-    "lift": _lift_args,
-    "spinor": _spinor_args,
-    "cech": _cech_args,
-    "verify-all": _verify_all_args,
-}
-
-
 def _cmd_zeta(args):
     sig = _parse_sig(args.sig)
     if sig.n > MAX_ZETA_DIM:
@@ -176,7 +170,7 @@ def _cmd_spinor(args):
         print(f"matrix model: {model.rep.target}, intertwiner found")
         doc["model_target"] = model.rep.target.to_json()
     if args.json:
-        _dump_json((json_text(doc),), args.json)
+        dump_json((json_text(doc),), args.json)
     return 0
 
 
@@ -232,14 +226,14 @@ def _cmd_cech(args):
         h1_dim = res.lift_count.bit_length() - 1
         print(f"lift exists: 2^{h1_dim} inequivalent lifts")
         if args.json:
-            _dump_json(json_chunks({"success": True, "h1_dim": h1_dim}, "lifts", _lift_texts(res.lifts)),
+            dump_json(json_chunks({"success": True, "h1_dim": h1_dim}, "lifts", _lift_texts(res.lifts)),
                        args.json)
         return 0
     bad = sorted(t for t, b in res.discrepancy.values.items() if b)
     print("no lift: obstruction class in H^2 is nonzero")
     print(f"discrepancy supported on triangles: {[list(t) for t in bad]}")
     if args.json:
-        _dump_json((json_text({
+        dump_json((json_text({
             "success": False,
             "obstruction_triangles": [list(t) for t in bad],
         }),), args.json)

@@ -245,6 +245,13 @@ def json_chunks(doc, key, items):
     yield close + tail
 
 
+def dump_json(chunks, path):
+    """Write the JSON text ``chunks`` to ``path``, then a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+        fh.write("\n")
+
+
 def is_json_int(x) -> bool:
     """Whether a parsed JSON value is an integer: JSON's true and false
     parse as bool, a subclass of int, and are not integers here."""
