@@ -298,11 +298,12 @@ def canonical_sign(v: Versor) -> Versor:
     """Normalize so the lowest-blade nonzero coefficient is positive.
 
     The sign is read off the integer numerators of ``v.product``, whose
-    denominator is positive.
+    denominator is positive.  The product is nonzero: a versor's factors
+    are anisotropic, so it is invertible.  The public constructor checks
+    each factor, and a lift stores axis vectors or vectors that
+    ``groups._reflect`` accepted.
     """
     num = v.product.re
-    if not num:
-        raise AssertionError("versor product is zero")
     if num[min(num)] < 0:
         return v.negated()
     return v
@@ -318,16 +319,15 @@ def _triangle_scalar(lifts, t):
     lowest blade of C, L_ij L_jk is a scalar multiple of L_ik exactly when
     P and C have the same blades and P[b] C[lead] == C[b] P[lead] for every
     b; then s has the sign of P[lead] C[lead].  Neither test changes under
-    a positive factor of P.  ker zeta on versors is the nonzero scalars, so
-    no such s means g_ij g_jk != g_ik for the lifts of the edges, a
-    ValueError naming the triangle.
+    a positive factor of P, and P is not zero, since a product of versors
+    of anisotropic factors is invertible (``canonical_sign``).  ker zeta on
+    versors is the nonzero scalars, so no such s means g_ij g_jk != g_ik
+    for the lifts of the edges, a ValueError naming the triangle.
     """
     i, j, k = t
     a = lifts[(i, j)]
     P = _blade_products(a.product.re, lifts[(j, k)].product.re, _neg_mask(a.sig))
     C = lifts[(i, k)].product.re
-    if not P:
-        raise AssertionError("triangle discrepancy is zero")
     lead = min(C)
     p_lead, c_lead = P.get(lead, 0), C[lead]
     if P.keys() != C.keys() or any(P[b] * c_lead != c * p_lead for b, c in C.items()):

@@ -87,7 +87,6 @@ def _verify_all_args(p):
     p.set_defaults(run=_cmd_verify_all)
 
 
-# each command -> the function that adds its arguments
 def _cmd_zeta(args):
     sig = _parse_sig(args.sig)
     if sig.n > MAX_ZETA_DIM:

@@ -78,10 +78,10 @@ def _from_chi(den, rows):
     for top, bottom in zip(rows[::2], rows[1::2]):
         if bottom != {j ^ 1: (-x, y) if j & 1 else (x, -y) for j, (x, y) in top.items()}:
             raise AssertionError("complex matrix is not the adjoint of a quaternion matrix")
-        entries = []
-        for j in range(0, len(rows), 2):
-            (zr, zi), (wr, wi) = top.get(j, (0, 0)), top.get(j + 1, (0, 0))
-            entries.append(Quaternion(*(Fraction(v, den) for v in (zr, -wi, -wr, -zi))))
+        entries = [ZERO[QUATERNION]] * (len(rows) // 2)
+        for k in {j >> 1 for j in top}:
+            (zr, zi), (wr, wi) = top.get(2 * k, (0, 0)), top.get(2 * k + 1, (0, 0))
+            entries[k] = Quaternion(*(Fraction(v, den) for v in (zr, -wi, -wr, -zi)))
         out.append(tuple(entries))
     return tuple(out)
 

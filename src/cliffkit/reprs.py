@@ -155,10 +155,11 @@ class Representation:
     The constructor takes dense matrices (a pair of them per generator for a
     direct-sum target).  Each must be monomial with unit entries; it is
     stored as (perm, codes), and products, relations and injectivity run on
-    that form.  ``gens``, ``blade_image(b)`` and ``rep_to_json`` write a
-    monomial image out as it is, through ``_dense``; the readers of a
-    model (``rho``, ``numerator_blocks``, ``ranks``, ``invertible``,
-    ``preimage``) are functions in ``intertwine`` that take it first.
+    that form.  ``gens`` and ``rep_to_json`` write a monomial image out as
+    it is, through ``_dense``; the readers of a model (``rho``,
+    ``numerator_blocks``, ``ranks``, ``invertible``, ``preimage``) are
+    functions in ``intertwine`` that take it first, and ``rho(rep, e_b)``
+    is the dense image of a blade.
     Instances are immutable (compiled models are cached and shared); the
     monomial blade images are a cache filled on first use.
     """
@@ -197,11 +198,11 @@ class Representation:
 
     @property
     def gens(self):
-        """Dense generator images."""
-        return tuple(self.blade_image(1 << i) for i in range(self.n))
-
-    def gen_square(self, i):
-        return self.sig.square(i) if self.sig is not None else 1
+        """Dense generator images, a pair of blocks each for a direct sum."""
+        t = self.target
+        units, zero = _RING_UNITS[t.ring_tag], ZERO[t.ring_tag]
+        rows = [tuple(map(tuple, self._dense(g, units, zero))) for g in self._monos]
+        return tuple((r[:t.m], r[t.m:]) if t.summands == 2 else r for r in rows)
 
     def _blade(self, blade):
         img = self._blades.get(blade)
@@ -211,11 +212,6 @@ class Representation:
             self._blades[blade] = img
         return img
 
-    def _shape(self, rows):
-        m = self.target.m
-        rows = tuple(tuple(r) for r in rows)
-        return (rows[:m], rows[m:]) if self.target.summands == 2 else rows
-
     def _dense(self, mono, units, zero):
         """The rows of a monomial image as lists: units[code] at column
         perm[i] % m of row i, ``zero`` elsewhere."""
@@ -224,11 +220,6 @@ class Representation:
         for row, j, c in zip(rows, *mono):
             row[j % m] = units[c]
         return rows
-
-    def blade_image(self, blade):
-        """Dense image of a basis blade (bitmask)."""
-        tag = self.target.ring_tag
-        return self._shape(self._dense(self._blade(blade), _RING_UNITS[tag], ZERO[tag]))
 
     def check_relations(self):
         """v^a v^b + v^b v^a = 2 eta^{ab} e, exactly.
@@ -242,7 +233,8 @@ class Representation:
         ident = tuple(range(size))
         for a, ga in enumerate(gens):
             perm, codes = _mono_mul(ga, ga)
-            want = 0 if self.gen_square(a + 1) == 1 else 1
+            # code 0 is +1, code 1 is -1; every generator of C(n) squares to +1
+            want = int(self.sig is not None and self.sig.square(a + 1) == -1)
             if perm != ident or codes != (want,) * size:
                 return False
             for gb in gens[a + 1:]:
@@ -381,9 +373,11 @@ def compile_rep(sig: Signature) -> Representation:
     min(p, q) times.  Otherwise pull the signature into the band with flip
     (p - q >= 3) or mod4 (p - q <= -4) moves, compile the pulled-back
     signature, and push the generators through the substitution.  The base
-    case and the doublings are unchecked steps: the one proof is ``_checked``
-    and the classified target on the model returned and cached, so a shift
-    reads a source model that its own compile has proved.
+    case, the doublings and the shift plan are unchecked steps: the one
+    proof is ``_checked`` and the classified target on the model of ``sig``
+    returned and cached, so a shift reads a source model that its own
+    compile has proved, and the shifted model is proved against ``sig``
+    whatever signature the plan names.
     """
     cached = _COMPILE_CACHE.get(sig)
     if cached is not None:
@@ -403,10 +397,7 @@ def compile_rep(sig: Signature) -> Representation:
             src = Signature(sig.p + 4, sig.q - 4)
             kind = "mod4"
         src_rep = compile_rep(src)
-        new_sig, blades = _shift_plan(src, kind)
-        if new_sig != sig:
-            raise AssertionError("shift plan produced the wrong signature")
-        gens = [src_rep._blade(b) for b in blades]
+        gens = [src_rep._blade(b) for b in _shift_plan(src, kind)[1]]
         rep, what = Representation._from_monos(sig, None, src_rep.target, gens), f"{kind}-shifted"
     _checked(rep, f"{what} model of {sig}")
     want = classify(sig)

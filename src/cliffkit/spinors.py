@@ -14,9 +14,10 @@ are read straight into multivector numerators.  After ``left_ideal`` the
 only elimination is U^-1: coordinates, the left action and U are read off
 the pivots and the monomial columns as numerator rows, stay so through the
 inverse and the intertwining check, and cross to dense matrices only in
-the returned ``SpinorModel``.  The chiral 4x4 model of Cl(1,3) and Cl(4,0)
-(``chiral_rep``) acts on C^2 + C^2: its two 2x2 blocks are the Weyl spinor
-spaces on which ``spin_block_check`` reads an even versor.
+the returned ``SpinorModel``.  ``primitive_idempotent`` compiles no model:
+its rank 1 is proved from its roots.  The chiral 4x4 model of Cl(1,3) and
+Cl(4,0) (``chiral_rep``) acts on C^2 + C^2: its two 2x2 blocks are the Weyl
+spinor spaces on which ``spin_block_check`` reads an even versor.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .intertwine import (
     invert,
     invertible,
     numerator_blocks,
-    ranks,
     rho,
 )
 from .reprs import (
@@ -180,7 +180,9 @@ def primitive_idempotent(n: int) -> HermitianIdempotent:
     2^(-n/2).  rho(e_b) is traceless for b != 0 in the compiled model
     Mat(m, C), m = 2^(n/2), so rank rho(p) = tr rho(p) = m 2^(-n/2) = 1:
     p is primitive, and dim A p = m.  ``idempotent_from_factors`` checks
-    the roots and p exactly, and rank rho(p) = 1 is checked exactly.
+    the roots and p exactly, which is all this proof reads; no model is
+    compiled.  Minimality is checked where the ideal is used: verify-all's
+    spinor-ideals criterion, and ``is_minimal`` before a matrix model.
 
     p is also the first such product in a depth-first search over the
     signed blade roots +e^1, -e^1, ..., +e^n, -e^n, then +-i e^a e^b with
@@ -196,8 +198,6 @@ def primitive_idempotent(n: int) -> HermitianIdempotent:
     roots += [Multivector.complex_alg(n, {3 << (2 * j - 1): GaussianRational(0, 1)})
               for j in range(1, n // 2)]
     p = idempotent_from_factors(n, roots)
-    if ranks(compile_complex_rep(n), p) != [1]:
-        raise AssertionError("the product idempotent is not primitive")
     return HermitianIdempotent(n, p * 2 - complex_unit(n), p)
 
 

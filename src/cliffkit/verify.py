@@ -204,7 +204,7 @@ def check_spinor_ideals(seed=0):
         space = left_ideal(idem)
         if space.dim != 1 << (n // 2):
             return False, f"n={n}: ideal dimension {space.dim}"
-        spinor_matrix_model(space, seed=seed)
+        spinor_matrix_model(space)
     # a single-factor idempotent at n = 4 is not primitive
     s = Multivector.complex_alg(4, {1: GaussianRational(1)})
     p = make_idempotent(s)

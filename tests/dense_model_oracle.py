@@ -23,11 +23,16 @@ from cliffkit.scalars import ONE, QUATERNION, format_scalar
 import bareiss_oracle
 
 
+def blade_image(rep, b):
+    """rho(e_b) for the basis blade with bitmask b, read through ``rho``."""
+    if rep.is_complex:
+        return intertwine.rho(rep, Multivector.complex_alg(rep.n, {b: 1}))
+    return intertwine.rho(rep, Multivector.real(rep.sig, {b: 1}))
+
+
 def dense_gens(rep):
     """rho(e_i) for each generator e_i, read through ``rho``."""
-    if rep.is_complex:
-        return [intertwine.rho(rep, Multivector.complex_alg(rep.n, {1 << i: 1})) for i in range(rep.n)]
-    return [intertwine.rho(rep, Multivector.real(rep.sig, {1 << i: 1})) for i in range(rep.n)]
+    return [blade_image(rep, 1 << i) for i in range(rep.n)]
 
 
 def _matrix_json(mat, ring_tag):

@@ -127,15 +127,6 @@ def test_primitive_idempotent_factors_are_pinned(n):
         assert is_minimal(left_ideal(idem))
 
 
-def test_a_product_idempotent_that_is_not_primitive_is_an_internal_error(monkeypatch):
-    # with its first root alone the product is (e + e1)/2, of rank m/2 = 2
-    # in Mat(4, C) at n = 4
-    built = spinors.idempotent_from_factors
-    monkeypatch.setattr(spinors, "idempotent_from_factors", lambda n, roots: built(n, roots[:1]))
-    with pytest.raises(AssertionError, match="the product idempotent is not primitive"):
-        primitive_idempotent(4)
-
-
 def test_single_factor_idempotent_not_minimal_at_n4():
     p = make_idempotent(complex_basis_vector(4, 1))
     space = left_ideal(p)
