@@ -95,9 +95,9 @@ def numerator_blocks(rep: Representation, mv: algebra.Multivector):
 
 def ranks(rep: Representation, mv: algebra.Multivector):
     """Rank of each summand block of rho(mv) over the target's ring,
-    from ``numerator_blocks`` by the one Bareiss kernel; a quaternion
-    block A ranks as chi(A) / 2."""
-    return [len(linalg.echelon_numerators(rows)) // _UNIT_ROWS[rep.target.ring_tag]
+    from ``numerator_blocks`` by the one Bareiss kernel, without clearing
+    above the pivots; a quaternion block A ranks as chi(A) / 2."""
+    return [len(linalg.echelon_numerators(rows, reduce=False)) // _UNIT_ROWS[rep.target.ring_tag]
             for rows in numerator_blocks(rep, mv)]
 
 

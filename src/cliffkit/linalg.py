@@ -4,8 +4,12 @@ An elimination takes one matrix format: sparse rows over Z[i], dicts mapping
 a column to the (re, im) ints of its nonzero entry, so a combination costs
 the nonzero entries of its two rows, whatever the width.  Every elimination
 runs one fraction-free kernel, ``echelon_numerators``, which returns the
-reduced rows only; ``nullspace_numerators`` and ``inverse_numerators`` read
-them as numerators over one denominator.  A matrix over Q, Q(i) or H is
+reduced rows only (or, for a rank, the pivot rows left unreduced);
+``nullspace_numerators`` and ``inverse_numerators`` read them as
+numerators over one denominator.  ``spanning_rows`` only selects:
+it picks input rows that are independent modulo a prime of Z[i], so a
+caller that knows the rank can eliminate fewer rows, and every reduced row
+still comes from ``echelon_numerators``.  A matrix over Q, Q(i) or H is
 the pair (den, rows): the rows over a positive int den.  Ring
 elements cross at two edges only: ``numerator_matrix`` turns a dense matrix
 into that pair and ``dense_matrix`` reads the pair back.  A quaternion (H)
@@ -122,7 +126,7 @@ def reduced_numerators(row, b):
     return den, re, im
 
 
-def echelon_numerators(rows):
+def echelon_numerators(rows, reduce=True):
     """Fraction-free Gauss-Jordan elimination of sparse Gaussian-integer
     rows: the one elimination kernel.
 
@@ -139,7 +143,10 @@ def echelon_numerators(rows):
     step combines only the bucket of c and the reduced rows with an entry at c.
 
     Returns (row, b, c) per pivot, in column order, where row / b is the
-    reduced row with pivot column c.
+    reduced row with pivot column c.  With ``reduce`` false no pivot row is
+    cleared at a later pivot column, which a rank does not need: row / b is
+    then the pivot row as it was chosen, 1 at c, and the rows form an
+    echelon basis of the row space with the same pivot columns.
     """
     one = (1, 0)
     stored = [(row, one) for row in rows]
@@ -156,7 +163,7 @@ def echelon_numerators(rows):
         if b != prev:
             prow = _lin(prow, prev, None, None, b)
         a = prow[c]
-        for j, (row, b, col) in enumerate(done):
+        for j, (row, b, col) in enumerate(done if reduce else ()):
             f = row.get(c)
             if f:
                 done[j] = (_lin(row, a, f, prow, b), a, col)
@@ -173,6 +180,52 @@ def echelon_numerators(rows):
         done.append((prow, a, c))
         prev = a
     return done
+
+
+# p = 119 * 2^23 + 1 = 1 (mod 4) has the primitive root 3, so s = 3^((p - 1)/4)
+# has s^2 = -1 (mod p), and a + b i -> a + b s (mod p) maps Z[i] onto F_p
+_PRIME = 998244353
+_SQRT_MINUS_ONE = pow(3, (_PRIME - 1) // 4, _PRIME)
+
+
+def spanning_rows(rows, rank):
+    """The first of the sparse Gaussian-integer ``rows``, in input order,
+    that are independent modulo p, up to ``rank`` of them: input rows, none
+    of them reduced.
+
+    The map a + b i -> a + b s (mod p) is onto F_p, and its kernel is a
+    prime ideal P of Z[i], principal as Z[i] is a PID.  Rows independent
+    modulo P are independent over Q(i): divide a relation over Z[i] by the
+    highest power of P dividing all its coefficients, and it stays a
+    nontrivial relation modulo P, the fact multimodular solvers rest on
+    (Dixon, Numer. Math. 40, 1982).  So when ``rank`` is the rank of the
+    rows and that many are returned, they span the row space.  The rows
+    are brought to echelon form modulo p by their lowest column only to
+    decide independence.
+    """
+    p, s = _PRIME, _SQRT_MINUS_ONE
+    basis = {}  # lowest column -> a row mod p that is 1 there
+    out = []
+    for row in rows:
+        if len(out) >= rank:
+            break
+        x = {j: v for j, (a, b) in row.items() if (v := (a + b * s) % p)}
+        while x:
+            c = min(x)
+            prow = basis.get(c)
+            if prow is None:
+                inv = pow(x[c], -1, p)
+                basis[c] = {j: v * inv % p for j, v in x.items()}
+                out.append(row)
+                break
+            f = x[c]
+            for j, v in prow.items():
+                w = (x.get(j, 0) - f * v) % p
+                if w:
+                    x[j] = w
+                else:
+                    del x[j]
+    return out
 
 
 def nullspace_numerators(rows, n_cols):

@@ -9,8 +9,9 @@ compiled model: every rho(e_b) has one unit in each row and column
 Gaussian-integer rows (``intertwine.numerator_blocks``).  Every
 elimination runs the sparse Bareiss kernel of ``linalg`` on rows that hold
 their nonzero entries only: the rows e_b p or the preimages of rho(A p) for
-the ideal, and rows of |p1| + |p2| entries for g p1 = p2 g; the reduced rows
-are read straight into multivector numerators.  After ``left_ideal`` the
+the ideal, and rows of |p1| + |p2| entries for g p1 = p2 g, of which even n
+eliminates only a spanning set (``find_conjugator``); the reduced rows are
+read straight into multivector numerators.  After ``left_ideal`` the
 only elimination is U^-1: coordinates, the left action and U are read off
 the pivots and the monomial columns as numerator rows, stay so through the
 inverse and the intertwining check, and cross to dense matrices only in
@@ -316,16 +317,70 @@ def find_conjugator(p1: Multivector, p2: Multivector, seed=0):
     computed.  g p1 = p2 g is checked exactly on the accepted point, and a
     failure is a solver fault: AssertionError.  Every real signature and
     every complex dimension has a compiled model, odd n included.
+
+    For even n in the complex algebra most of the 2^n rows are redundant,
+    and the rank is known when p1 and p2 are idempotents: P_i = rho(p_i)
+    has rank k_i = tr P_i = m <p_i>_0 in Mat(m, C), m = 2^(n/2), and the
+    solutions G P1 = P2 G are Hom(im P1, im P2) + Hom(ker P1, ker P2), so
+    the rank is r = 2^n - k1 k2 - (m - k1)(m - k2) (``_conjugator_rank``).
+    Only S = ``linalg.spanning_rows(rows, r)``, rows independent over
+    Q(i), is eliminated first, and its result is kept under one of two
+    certificates:
+
+    (A) v, the point of S's lowest free column c, is invertible and has
+        v p1 = p2 v.  S's free columns contain the true ones, and a true
+        solution is fixed by its values there, so c is the lowest true
+        free column and v its basis vector: the first point the all-rows
+        search tries, and it is accepted.
+    (B) S has r rows, and p1 p1 = p1 and p2 p2 = p2 hold exactly.  Then r
+        is the rank, so the independent S spans the row space, and its
+        reduced rows, free columns and points are those of all rows.
+
+    Otherwise all rows are eliminated.  Real signatures and odd n always
+    eliminate all rows, since their rank formula depends on the division
+    ring of the model.
     """
     if p1.space_key() != p2.space_key():
         raise ValueError("idempotents live in different algebras")
     rep = compile_complex_rep(p1.n) if p1.is_complex else compile_rep(p1.sig)
-    free, point = linalg.nullspace_numerators(_conjugator_rows(p1, p2), 1 << p1.n)
+    rows = _conjugator_rows(p1, p2)
+    rank = _conjugator_rank(p1, p2)
+    solved = None
+    if rank is not None:
+        spanning = linalg.spanning_rows(rows, rank)
+        free, point = linalg.nullspace_numerators(spanning, 1 << p1.n)
+        if free:
+            v = Multivector(*p1.space_key(), *point([(1, free[0])]))
+            if invertible(rep, v) and v * p1 == p2 * v:
+                return v
+        if len(spanning) == rank and p1 * p1 == p1 and p2 * p2 == p2:
+            solved = free, point
+    free, point = solved or linalg.nullspace_numerators(rows, 1 << p1.n)
     g = linalg.first_accepted(free, lambda g: g if invertible(rep, g) else None,
                               lambda terms: Multivector(*p1.space_key(), *point(terms)), seed=seed)
     if g is not None and g * p1 != p2 * g:
         raise AssertionError("the solved conjugator fails g p1 = p2 g")
     return g
+
+
+def _conjugator_rank(p1, p2):
+    """r = 2^n - k1 k2 - (m - k1)(m - k2), with k_i = m <p_i>_0 and m =
+    2^(n/2), for even n in the complex algebra when each k_i is an integer
+    in [0, m]; else None.  It is the rank of g -> g p1 - p2 g only when
+    the p_i are idempotents, which ``find_conjugator`` checks before it
+    relies on it."""
+    n = p1.n
+    if not p1.is_complex or n % 2:
+        return None
+    m = 1 << (n // 2)
+    ks = []
+    for p in (p1, p2):
+        k, rest = divmod(m * p.re.get(0, 0), p.den)
+        if rest or p.im.get(0, 0) or not 0 <= k <= m:
+            return None
+        ks.append(k)
+    k1, k2 = ks
+    return (1 << n) - k1 * k2 - (m - k1) * (m - k2)
 
 
 def _conjugator_rows(p1, p2):

@@ -563,3 +563,54 @@ def test_public_routines_match_dense_oracle(case, d, real):
     assert rank(rows) == bareiss_oracle.rank(rows)
     sq = _square(rows)
     assert inv(sq) == bareiss_oracle.inv(sq)
+
+
+def _gaussian_dense(rows, n_cols):
+    return [[GaussianRational(x, y) for x, y in zip(*bareiss_oracle.dense(row, n_cols))] for row in rows]
+
+
+def test_spanning_prime_has_a_square_root_of_minus_one():
+    p, s = linalg._PRIME, linalg._SQRT_MINUS_ONE
+    assert p % 4 == 1 and (s * s + 1) % p == 0
+    assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems(), st.integers(0, 8), st.data())
+def test_spanning_rows_are_independent_input_rows(case, rank, data):
+    # the rows are input rows in input order and independent over Q(i), and
+    # there are min(rank, oracle rank) of them: with entries this small, no
+    # minor of the drawn rows is plausibly divisible by the prime.  A row
+    # that is p times a unit, nonzero over Q but zero modulo p, is drawn in
+    # at a random place and skipped even where it is independent
+    rows, n_cols = case
+    before = [dict(row) for row in rows]
+    x, y = data.draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    p_row = {data.draw(st.integers(0, n_cols - 1)): (linalg._PRIME * x, linalg._PRIME * y)}
+    at = data.draw(st.integers(0, len(rows)))
+    got = linalg.spanning_rows(rows[:at] + [p_row] + rows[at:], rank)
+    assert all(row is not p_row for row in got)
+    ids = [id(row) for row in rows]
+    where = [ids.index(id(row)) for row in got]
+    assert where == sorted(set(where))
+    assert bareiss_oracle.rank(_gaussian_dense(got, n_cols)) == len(got)
+    assert len(got) == min(rank, bareiss_oracle.rank(_gaussian_dense(rows, n_cols)))
+    assert rows == before  # the input rows are not mutated
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_unreduced_echelon_has_the_pivots_and_row_space(case):
+    # without clearing above the pivots the kernel returns pivot rows with
+    # the same pivot columns, each 1 at its pivot, spanning the same space
+    rows, n_cols = case
+    done = linalg.echelon_numerators(rows)
+    echelon = linalg.echelon_numerators(rows, reduce=False)
+    assert [c for _row, _b, c in echelon] == [c for _row, _b, c in done]
+    assert all(row[c] == b for row, b, c in echelon)
+
+    def dense(pivots):
+        return [bareiss_oracle.dense_row(*linalg.reduced_numerators(row, b), GaussianRational, n_cols)
+                for row, b, _c in pivots]
+
+    assert bareiss_oracle.rref(dense(echelon))[0] == dense(done)

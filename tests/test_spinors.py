@@ -1,5 +1,6 @@
 """Hermitian idempotents, left ideals and the column matrix model."""
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -484,6 +485,114 @@ def test_conjugator_basis_matches_dense_nullspace(kind):
         if p1.n <= 4:
             assert find_conjugator(p1, p2, seed=seed) == _dense_conjugator(p1, p2, seed)
     assert [find_conjugator(p1, p2) is None for p1, p2 in pairs].count(True) >= 1
+
+
+@functools.lru_cache(maxsize=None)
+def _spanning_cases():
+    """(p1, p2, path, g) with g the all-rows conjugator: the n = 4 and n = 6
+    pairs of _complex_pairs and three pairs drawn as verify-all's
+    idempotent-conjugacy draws them (seed 0), which take (B); and two pairs
+    of conjugates of the perfbench spinor-ideal idempotent
+    (e + i e12)(e + i e34)/4, whose first point is the conjugator, so they
+    take (A).  The seed of pair k is k."""
+    pairs = [(p1, p2, "B") for p1, p2 in _complex_pairs() if p1.n in (4, 6)]
+    workload = idempotent_from_factors(4, [Multivector.complex_alg(4, {3: GI}),
+                                           Multivector.complex_alg(4, {12: GI})])
+    rng = rng_from_seed(0)
+    for base, count, path in ((primitive_idempotent(4).p, 3, "B"), (workload, 2, "A")):
+        for _ in range(count):
+            g1, g2 = random_unitary_versor(4, rng), random_unitary_versor(4, rng)
+            pairs.append((g1 * base * g1.reversion(), g2 * base * g2.reversion(), path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spinors, "_conjugator_rank", lambda p1, p2: None)
+        return tuple((p1, p2, path, find_conjugator(p1, p2, seed=seed))
+                     for seed, (p1, p2, path) in enumerate(pairs))
+
+
+def _solve(monkeypatch, p1, p2, seed):
+    """find_conjugator's g and the path it took: "A" (no point search),
+    "B" (only the spanning rows eliminated) or "all"."""
+    log = []
+    solve, search = linalg.nullspace_numerators, linalg.first_accepted
+
+    def logged_solve(rows, n_cols):
+        log.append(len(rows))
+        return solve(rows, n_cols)
+
+    def logged_search(*args, **kwargs):
+        log.append("search")
+        return search(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "nullspace_numerators", logged_solve)
+        mp.setattr(linalg, "first_accepted", logged_search)
+        g = find_conjugator(p1, p2, seed=seed)
+    if "search" not in log:
+        return g, "A"
+    return g, "B" if len(log) == 2 and log[0] < 1 << p1.n else "all"
+
+
+def test_spanning_rows_reduce_to_the_rows_of_all_rows():
+    # for idempotent pairs at n = 4 and 6 the rank formula is the rank, and
+    # the r spanning rows reduce to the reduced rows of all 2^n rows
+    def reduced(rows, n):
+        return [(c, Multivector(None, n, *linalg.reduced_numerators(row, b)))
+                for row, b, c in linalg.echelon_numerators(rows)]
+
+    for p1, p2, _path, _g in _spanning_cases():
+        rows, rank = _conjugator_rows(p1, p2), spinors._conjugator_rank(p1, p2)
+        spanning = linalg.spanning_rows(rows, rank)
+        assert len(spanning) == rank < len(rows)
+        assert reduced(spanning, p1.n) == reduced(rows, p1.n)
+
+
+@pytest.mark.parametrize("forced", [None, "A", "B", "all"])
+def test_each_conjugator_path_returns_the_all_rows_conjugator(monkeypatch, forced):
+    # forced "all": no rank, so every row is eliminated; "A": a rank one too
+    # high, so S never has that many rows and (B) cannot hold; "B": (A)'s
+    # invertibility query, the first of each call, is refused
+    rank, invertible = spinors._conjugator_rank, spinors.invertible
+    asked = []
+
+    def refuse_first(rep, g):
+        asked.append(g)
+        return len(asked) > 1 and invertible(rep, g)
+
+    if forced == "all":
+        monkeypatch.setattr(spinors, "_conjugator_rank", lambda p1, p2: None)
+    elif forced == "A":
+        monkeypatch.setattr(spinors, "_conjugator_rank", lambda p1, p2: rank(p1, p2) + 1)
+    elif forced == "B":
+        monkeypatch.setattr(spinors, "invertible", refuse_first)
+    for seed, (p1, p2, path, g) in enumerate(_spanning_cases()):
+        asked.clear()
+        want_path = {None: path, "A": "A" if path == "A" else "all"}.get(forced, forced)
+        assert g is not None and _solve(monkeypatch, p1, p2, seed) == (g, want_path)
+
+
+def test_a_spanning_set_short_of_a_row_falls_back_to_all_rows(monkeypatch):
+    # S without its last row has r - 1 rows, so (B) fails; (A) may still
+    # prove its point, which is then the all-rows conjugator
+    spanning = linalg.spanning_rows
+    monkeypatch.setattr(linalg, "spanning_rows", lambda rows, rank: spanning(rows, rank)[:-1])
+    for seed, (p1, p2, path, g) in enumerate(_spanning_cases()):
+        got, took = _solve(monkeypatch, p1, p2, seed)
+        assert got == g
+        assert took == "all" if path == "B" else took in ("A", "all")
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_non_idempotent_pair_with_an_integer_trace_guess_falls_back(monkeypatch, n):
+    # e1 and e2 have scalar part 0, so k1 = k2 = 0 and the guessed rank is
+    # 2^n - m^2 = 0: S is empty and every multivector solves it.  Its first
+    # point, 1, fails 1 e1 = e2 1, and e1 e1 = 1 != e1 rules out (B); the
+    # all-rows system has rank 2^(n-1), and e1 + e2 is among its solutions
+    p1, p2 = complex_basis_vector(n, 1), complex_basis_vector(n, 2)
+    assert spinors._conjugator_rank(p1, p2) == 0
+    g, path = _solve(monkeypatch, p1, p2, 0)
+    monkeypatch.setattr(spinors, "_conjugator_rank", lambda p1, p2: None)
+    assert path == "all" and g is not None and g == find_conjugator(p1, p2)
+    assert g * p1 * invert(g) == p2
 
 
 @pytest.mark.parametrize("case", ["C2", "C3", "C4", "real"])

@@ -11,9 +11,11 @@ benchmark's own run length and seed 0; the slowest of ``verify-all`` seeds
 0-16 for each criterion, against its budget; the Tier-1 wall time and its
 five slowest tests; and the commit, whether ``src`` differs from it, the
 source digest, the Python version and the CPU count.  Of the scale
-figures, compile at its bound is measured: ``compile n 0 --verify`` at n =
-MAX_COMPILE_DIM, with and without ``--json``, as the median child wall
-time and peak RSS of three children each (about 2 s); the others are
+figures, two are measured, each as the median child wall time and peak
+RSS of three children: ``compile n 0 --verify`` at n = MAX_COMPILE_DIM,
+with and without ``--json`` (about 2 s), and ``find_conjugator`` at n = 6
+and 8 on the conjugates of the primitive idempotent by the first two
+``random_unitary_versor`` draws of seed 0 (about 15 s); the others are
 listed as null with the reason, until a measurement of them is added here.
 The cold CLI figures are ``classify 0 0``, ``compile 8 0 --verify --json``
 and ``compile --complex 7 --verify --json``, each the median child wall
@@ -23,7 +25,7 @@ they are recorded as null with the reason when ``src/cliffkit/__pycache__``
 exists, as bytecode left there would skip the compile of the source that
 they time.  They are measured first, as the later steps import cliffkit
 without that setting.  Steps run one after another, so one run takes about
-2.5 minutes on 2 CPUs.  The file is written to the root of this
+2.8 minutes on 2 CPUs.  The file is written to the root of this
 repository.
 """
 
@@ -45,6 +47,14 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 SEEDS = range(17)
 COMPILE_SCALE = "compile at MAX_COMPILE_DIM, with and without --json"
+CONJUGATOR_SCALE = "find_conjugator at n = 6 and 8"
+# finds the conjugator of p1 = g1 p g1~ and p2 = g2 p g2~, p the primitive
+# idempotent and g1, g2 the first two unitary versors of seed 0, at n = argv[1]
+CONJUGATOR = ("import sys; from cliffkit import find_conjugator, primitive_idempotent; "
+              "from cliffkit.sampling import random_unitary_versor, rng_from_seed; "
+              "n = int(sys.argv[1]); p = primitive_idempotent(n).p; rng = rng_from_seed(0); "
+              "g1, g2 = random_unitary_versor(n, rng), random_unitary_versor(n, rng); "
+              "assert find_conjugator(g1 * p * g1.reversion(), g2 * p * g2.reversion()) is not None")
 COLD_RUNS = 11
 COLD_ARGV = (["classify", "0", "0"], ["compile", "8", "0", "--verify", "--json"],
              ["compile", "--complex", "7", "--verify", "--json"])
@@ -55,9 +65,8 @@ RAN_FILES = ("import sys, cliffkit.cli as cli; cli.main(['compile', '8', '0', '-
              "if n.startswith('cliffkit') and '__builtins__' in vars(m)))")
 # the scale figures not measured yet -> the ROADMAP item that asks for them
 SCALE = {
-    "cech check, lift and lift --json on the three document shapes at the bound": 7,
-    "spinor --complex N --model at the bound and at N = 14": 9,
-    "find_conjugator at n = 6 and 8": 10,
+    "cech check, lift and lift --json on the three document shapes at the bound": 9,
+    "spinor --complex N --model at the bound and at N = 14": 11,
 }
 
 
@@ -94,6 +103,18 @@ def compile_scale(repo):
             runs = [_child_cost(repo, argv + extra) for _ in range(RUNS)]
             out[key] = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
             out[key]["runs"] = runs
+    return out
+
+
+def conjugator_scale(repo):
+    """``find_conjugator`` at n = 6 and 8 on the CONJUGATOR input: the
+    median child wall time and peak RSS of RUNS children each, and every
+    child."""
+    out = {"argv": f"python -c {CONJUGATOR!r} n"}
+    for n in (6, 8):
+        runs = [_child_cost(repo, [sys.executable, "-c", CONJUGATOR, str(n)]) for _ in range(RUNS)]
+        out[f"n={n}"] = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
+        out[f"n={n}"]["runs"] = runs
     return out
 
 
@@ -184,9 +205,9 @@ def tier1(repo):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0],
-                                 epilog="One run takes about 2.5 minutes on 2 CPUs, of which the "
-                                 "compile scale figure takes about 2 s and the 33 cold CLI runs "
-                                 "about 3 s.")
+                                 epilog="One run takes about 2.8 minutes on 2 CPUs, of which the "
+                                 "compile scale figure takes about 2 s, the conjugator scale "
+                                 "figure about 15 s and the 33 cold CLI runs about 3 s.")
     ap.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
     ap.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure (default: this one)")
     ap.add_argument("--note", default="", help="what the checkout is, stored with the figures")
@@ -209,7 +230,7 @@ def main(argv=None):
         "verify_all": verify_all(repo),
         "tier1": tier1(repo),
         "cold_cli": cold,
-        "scale": {COMPILE_SCALE: compile_scale(repo),
+        "scale": {COMPILE_SCALE: compile_scale(repo), CONJUGATOR_SCALE: conjugator_scale(repo),
                   **{name: {"value": None, "reason": f"ROADMAP item {item}: not measured by this recorder yet"}
                      for name, item in SCALE.items()}},
     }
